@@ -4,8 +4,8 @@ simulations, audit seed maps, and emit machine-readable results.
 Every output file embeds a run manifest (subcommand, config path and
 hash, master seed, library version, output names) so a run can be
 reproduced bit-identically; exit codes are 0 on success, 2 for config
-errors, 3 for resource rejections, and 4 for numerical non-convergence
-(with partial results written).
+errors and invalid input, 3 for resource rejections, and 4 for numerical
+non-convergence (with partial results written).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -27,7 +28,6 @@ from .region import AuxChannel, Budgets, RegionProblem, compute_frontier
 from .simulate import ResourceCapError, SimConfig, run_simulation
 from .solver import (
     DistortionMatrix,
-    InfeasibleError,
     PerceptionMeasure,
     RdpQuery,
     conditional_rdp,
@@ -144,12 +144,7 @@ def cmd_rdp(args, cfg: dict, config_text: str) -> int:
         d_budget=_as_budget(_need(cfg, "d_budget")),
         p_budget=_as_budget(_need(cfg, "p_budget")),
         recon_alphabet=tuple(cfg["recon_alphabet"]) if "recon_alphabet" in cfg else None)
-    try:
-        result = conditional_rdp(query)
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    result = conditional_rdp(query)
     manifest = _manifest(args, "rdp", config_text, ("rdp_result.json",), seed)
     payload = {
         "rate_bits": result.rate,
@@ -370,6 +365,9 @@ def main(argv: list[str] | None = None) -> int:
             print("config must be a JSON object", file=sys.stderr)
             return EXIT_CONFIG
     args.out_dir.mkdir(parents=True, exist_ok=True)
+    # worker processes beyond the cores only add start-up cost; results do
+    # not depend on the degree
+    args.parallel = min(max(args.parallel, 1), os.cpu_count() or 1)
     try:
         return func(args, cfg, config_text)
     except ConfigError as exc:
@@ -378,6 +376,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ResourceCapError, SeedMapError) as exc:
         print(f"resource rejection: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except ValueError as exc:
+        # the library's input errors (infeasible budgets, bad pmfs, empty
+        # typical sets, alphabet limits) are config errors too
+        print(f"invalid input ({type(exc).__name__}): {' '.join(str(exc).split())}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -474,6 +474,12 @@ class Codebook:
 def generate_codebook(q_xyw: JointPmf, tc_x: Kernel, tc_y: Kernel,
                       sizes: CodeSizes, delta: float, n: int, seed: int) -> Codebook:
     """Draw the three codeword layers; bit-identical for a fixed seed."""
+    limit = np.iinfo(SYMBOL_DTYPE).max + 1
+    for name, size in (("W", q_xyw.shape[2]), ("X reconstruction", tc_x.out_size),
+                       ("Y reconstruction", tc_y.out_size)):
+        if size > limit:
+            raise AlphabetError(f"{name} alphabet has {size} symbols; codewords hold at "
+                                f"most {limit}")
     p, j_xw_xt, j_yw_yt = _chain_joints(q_xyw, tc_x, tc_y)
     q_w = p.sum(axis=(0, 1))
     joint_xt_w = j_xw_xt.sum(axis=0).T   # (Xt, W)

@@ -89,6 +89,9 @@ class SeedMap:
 
 def default_tail_length(pair_alphabet_size: int, n: int) -> int:
     """Smallest n0 with pair_alphabet**n0 >= n**2 (deviation slack)."""
+    if pair_alphabet_size < 2:
+        raise ValueError(f"a pair alphabet of size {pair_alphabet_size} cannot simulate "
+                         "a seed; it needs at least 2 symbols")
     n0 = 1
     while pair_alphabet_size ** n0 < n * n:
         n0 += 1

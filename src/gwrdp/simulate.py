@@ -86,6 +86,9 @@ class SimConfig:
             raise ValueError("delta must be positive")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        if self.mode == "deterministic" and self.n0 is not None and not 1 <= self.n0 <= self.n:
+            raise ValueError(f"n0={self.n0} must lie in [1, n={self.n}]: the tail copies "
+                             "head positions")
         nx, ny = self.p_xy.shape
         if self.delta_x_mat is None:
             object.__setattr__(self, "delta_x_mat", DistortionMatrix(hamming(nx)))

@@ -15,14 +15,14 @@ in the reconstruction marginal. The solver is a double loop:
 * inner: alternating minimization between the test channel and the per-W
   output marginal (the classical Gibbs/marginal sweep, base-2 exponents).
 
-When the perception constraint is active, complementary slackness puts
-the optimal reconstruction marginal on the boundary of the perception
-ball, so the solver pins the marginal there: the inner sweep gains a
-per-symbol exponential tilt driven toward the target marginal, and the
-boundary target is located through the perception measure's values
-(exactly for binary reconstructions, by coordinate search above that).
-A lagged-subgradient treatment of the TV term was tried first and
-oscillates without converging, which is why the pinned form is used.
+When the perception constraint is active, the solver minimizes V(m), the
+least rate with the reconstruction marginal pinned to m, over the
+perception ball by conditional gradient (Frank-Wolfe). A pinned solve
+adds a per-symbol exponential tilt nu to the inner sweep, matched until
+the marginal equals m, and -nu is the gradient of V. The search starts
+where the segment from P_X to the relaxed optimum leaves the ball and
+stops once the Frank-Wolfe gap, an upper bound on V(m) - min V, is at
+most FW_GAP bits; for binary reconstructions the gap there is already 0.
 
 Rates are in bits throughout.
 """
@@ -30,7 +30,7 @@ Rates are in bits throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -38,6 +38,7 @@ import numpy as np
 from .prob import JointPmf, Kernel, Pmf, _entropy_bits
 
 LAMBDA_MAX = 1e12
+FW_GAP = 1e-6  # bits: Frank-Wolfe duality gap that counts as converged
 
 
 class InfeasibleError(ValueError):
@@ -277,7 +278,7 @@ class _Solution:
     perc: float
     sweeps: int
     settled: bool
-    pin_gap: float = 0.0
+    nu: np.ndarray | None = None  # pinning tilt; -nu is the gradient of the pinned rate
 
 
 def _uniform_channel(pr: _Problem, submask: np.ndarray | None = None) -> np.ndarray:
@@ -306,7 +307,7 @@ def _am_solve(pr: _Problem, lam: float, q0: np.ndarray, max_sweeps: int,
         allowed = pr.mask & submask[None, :]
         if not np.all(allowed.any(axis=1)):
             return _Solution(q=q0, rate=math.inf, dist=math.inf, perc=math.inf,
-                             sweeps=0, settled=False, pin_gap=math.inf)
+                             sweeps=0, settled=False)
         q = np.where(allowed[:, None, :], q0, 0.0)
         norm = q.sum(axis=2, keepdims=True)
         q = np.where(norm > 0, q / np.maximum(norm, 1e-300), 0.0)
@@ -365,17 +366,30 @@ def _am_solve(pr: _Problem, lam: float, q0: np.ndarray, max_sweeps: int,
         settled = change < 3e-9  # cap hit, but effectively stationary
     if m_target is not None:
         # one exact pinning pass against the final per-w marginals
-        q = scale_to_target(np.einsum("xw,xwh->wh", pr.x_given_w, q), passes=200)
+        r = np.einsum("xw,xwh->wh", pr.x_given_w, q)
+        q = scale_to_target(r, passes=200)
     rate, dist, perc, m = _metrics(pr, q)
-    pin_gap = 0.0
     if m_target is not None:
-        pin_gap = float(np.abs(m - m_target).max())
-        if pin_gap > 1e-6:
+        if float(np.abs(m - m_target).max()) > 1e-6:
             # tilt matching failed (unreachable target under the mask)
             return _Solution(q=q, rate=math.inf, dist=math.inf, perc=perc,
-                             sweeps=sweeps, settled=False, pin_gap=pin_gap)
+                             sweeps=sweeps, settled=False)
+        nu = np.where(submask, nu, _entry_tilt(pr, lam, r, nu, allowed))
     return _Solution(q=q, rate=rate, dist=dist, perc=perc, sweeps=sweeps,
-                     settled=settled, pin_gap=pin_gap)
+                     settled=settled, nu=nu)
+
+
+def _entry_tilt(pr: _Problem, lam: float, r: np.ndarray, nu: np.ndarray,
+                allowed: np.ndarray) -> np.ndarray:
+    """Least tilt per column that keeps it unused; off the pinned support,
+    minus this is the pinned rate's derivative in mass moved into it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expo = -lam * pr.delta[:, None, :]
+        log_z = np.logaddexp2.reduce(
+            np.where(allowed[:, None, :], np.log2(r)[None] + expo - nu, -np.inf), axis=2)
+        terms = np.log2(pr.x_given_w)[:, :, None] + expo - log_z[:, :, None]
+        per_w = np.logaddexp2.reduce(np.where(pr.mask[:, None, :], terms, -np.inf), axis=0)
+    return per_w[pr.q_xw.sum(axis=0) > 0].max(axis=0)
 
 
 class _Budgeter:
@@ -465,80 +479,53 @@ def _bisect_lambda(pr: _Problem, budget: _Budgeter, ctol: float,
 # ---------------------------------------------------------------------------
 
 
+def _last_inside(pr: _Problem, path, lo: float, hi: float) -> np.ndarray:
+    """Bisect t in [lo, hi] for the last point path(t) inside the perception
+    ball; path(lo) must be inside and the perception must grow along t."""
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if _perception_of(pr, path(mid)) > pr.p_budget:
+            hi = mid
+        else:
+            lo = mid
+    return path(lo)
+
+
 def _boundary_crossing(pr: _Problem, m_free: np.ndarray) -> np.ndarray:
     """Point where the segment [P_X, m_free] crosses the perception sphere
     d(P_X, .) = P; assumes d(P_X, m_free) > P."""
     p = pr.target[pr.cols].copy()
     p = p / p.sum() if p.sum() > 0 else np.full_like(p, 1.0 / p.size)
-    lo, hi = 0.0, 1.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        m = (1 - mid) * p + mid * m_free
-        if _perception_of(pr, m) > pr.p_budget:
-            hi = mid
-        else:
-            lo = mid
-    return (1 - lo) * p + lo * m_free
+    return _last_inside(pr, lambda t: (1 - t) * p + t * m_free, 0.0, 1.0)
 
 
-def _coordinate_refine(pr: _Problem, m_start: np.ndarray, phi, cycles: int = 2) -> tuple[np.ndarray, float, object]:
-    """Cyclic coordinate golden-section over marginals inside the perception
-    ball (adjusting the last component to stay on the simplex)."""
-    h = m_start.shape[0]
-    m = m_start.copy()
-    best_val, best_sol = phi(m)
-    best_m = m.copy()
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(cycles):
-        for i in range(h - 1):
-            j = h - 1  # absorbing coordinate
+def _lmo(pr: _Problem, g: np.ndarray) -> np.ndarray:
+    """Linear minimization oracle: the marginal on the allowed columns that
+    minimizes <g, s> inside the perception ball d(P_X, s) <= P."""
+    p = pr.target[pr.cols]
+    if pr.perception.kind == "tv":
+        # the P/2 budget, less the dropped columns' mass, moves mass from the
+        # dearest cells to the cheapest one, which also takes the dropped mass
+        low = int(np.argmin(g))
+        s = p.copy()
+        movable = max(pr.p_budget / 2.0 - (1.0 - p.sum()), 0.0)
+        for h in np.argsort(g)[::-1]:
+            if h != low:
+                take = min(s[h], movable)
+                s[h] -= take
+                movable -= take
+        s[low] += 1.0 - s.sum()
+        return s
+    # KL: stationarity gives s proportional to p / (g + alpha) with alpha
+    # above -min g on the support; KL(P_X || s) falls as alpha grows
+    g = g - g[p > 0].min()
+    scale = max(float(g.max()), 1e-300)
 
-            def move(t):
-                out = m.copy()
-                out[i] = t
-                out[j] = m[j] + (m[i] - t)
-                return out
+    def point(t: float) -> np.ndarray:
+        s = np.where(p > 0, p / (g + scale * 2.0 ** -t), 0.0)
+        return s / s.sum()
 
-            # feasible interval for coordinate i (perception ball and simplex)
-            span = m[i] + m[j]
-            lo_cap, hi_cap = 0.0, span
-
-            def feasible(t):
-                mm = move(t)
-                return mm[j] >= 0 and _perception_of(pr, mm) <= pr.p_budget + 1e-12
-
-            lo = m[i]
-            for _ in range(40):
-                step = (lo - lo_cap) / 2
-                if step < 1e-12:
-                    break
-                if feasible(lo - step):
-                    lo -= step
-            hi = m[i]
-            for _ in range(40):
-                step = (hi_cap - hi) / 2
-                if step < 1e-12:
-                    break
-                if feasible(hi + step):
-                    hi += step
-            a, b = lo, hi
-            c, dpt = b - gr * (b - a), a + gr * (b - a)
-            fc, sc = phi(move(c))
-            fd, sd = phi(move(dpt))
-            for _ in range(25):
-                if fc < fd:
-                    b, dpt, fd, sd = dpt, c, fc, sc
-                    c = b - gr * (b - a)
-                    fc, sc = phi(move(c))
-                else:
-                    a, c, fc, sc = c, dpt, fd, sd
-                    dpt = a + gr * (b - a)
-                    fd, sd = phi(move(dpt))
-            pick, val, solp = (c, fc, sc) if fc < fd else (dpt, fd, sd)
-            if val < best_val:
-                m = move(pick)
-                best_val, best_sol, best_m = val, solp, m.copy()
-    return best_m, best_val, best_sol
+    return _last_inside(pr, point, -60.0, 60.0)
 
 
 def conditional_rdp(query: RdpQuery, *, constraint_tol: float = 1e-6,
@@ -548,8 +535,9 @@ def conditional_rdp(query: RdpQuery, *, constraint_tol: float = 1e-6,
     Returns a feasible test channel whose conditional mutual information
     is within solver tolerance of the constrained minimum. Raises
     InfeasibleError when no channel can meet the budgets (e.g. a
-    restricted reconstruction alphabet with D too small); an exhausted
-    iteration cap is reported via converged=False, never silently.
+    restricted reconstruction alphabet with D too small), and ValueError
+    when an f-divergence constraint is active. An exhausted iteration cap
+    or a Frank-Wolfe gap above FW_GAP is reported via converged=False.
     """
     pr = _build_problem(query)
     # with a finite perception budget, phase 1 may sit in a flat near-zero
@@ -582,31 +570,41 @@ def conditional_rdp(query: RdpQuery, *, constraint_tol: float = 1e-6,
         converged = sol.settled and not budget.exhausted
         return _to_result(pr, sol, lam, converged)
 
-    # perception active: pin the reconstruction marginal to the boundary of
-    # the perception ball, starting from the crossing toward the relaxed
-    # optimum (for binary reconstructions that crossing is already optimal)
-    m_free = np.einsum("xw,xwh->h", pr.q_xw, sol.q)
-    m_pin = _boundary_crossing(pr, m_free)
+    # perception active: Frank-Wolfe on the pinned rate V(m) over the
+    # perception ball; the gap <g, m - s> with g = -nu bounds V(m) - min V
+    if pr.perception.kind == "f":
+        raise ValueError("an active f-divergence perception constraint is not supported")
     budget2 = _Budgeter(max(max_iterations - budget.used, 1000))
 
-    def phi(m_t: np.ndarray):
+    def pin(m_t: np.ndarray) -> tuple[_Solution, float, np.ndarray]:
         s, l = _bisect_lambda(pr, budget2, ctol, m_target=m_t)
-        val = s.rate if (s.dist <= pr.d_budget + ctol and math.isfinite(s.rate)) else math.inf
-        return val, (s, l)
+        return (s if s.dist <= pr.d_budget + ctol else replace(s, rate=math.inf)), l, m_t
 
-    val, (sol_p, lam_p) = phi(m_pin)
-    n_h = pr.delta.shape[1]
-    if n_h > 2 and not budget2.exhausted:
-        _, val_r, picked = _coordinate_refine(pr, m_pin, phi)
-        if val_r < val:
-            val, (sol_p, lam_p) = val_r, picked
+    best = pin(_boundary_crossing(pr, np.einsum("xw,xwh->h", pr.q_xw, sol.q)))
+    gap = math.inf
+    while math.isfinite(best[0].rate) and not budget2.exhausted:
+        m = best[2]
+        direction = _lmo(pr, -best[0].nu) - m
+        gap = float(best[0].nu @ direction)
+        if gap <= FW_GAP:
+            break
+        # secant step on the slope -nu . d: take the vertex unless the slope
+        # there has turned positive (or the vertex misses D); then step to
+        # the zero of the secant through the slopes at both ends
+        cand = pin(m + direction)
+        slope = -float(cand[0].nu @ direction) if math.isfinite(cand[0].rate) else gap
+        if slope > 0:
+            cand = pin(m + gap / (gap + slope) * direction)
+        if not cand[0].rate < best[0].rate:
+            break
+        best = cand
+    sol_p, lam_p, _ = best
 
     total_used = budget.used + budget2.used
-    if not math.isfinite(val):
+    if not math.isfinite(sol_p.rate):
         # no marginal on the boundary meets the distortion budget jointly
         return _to_result(pr, sol, lam, converged=False, iterations=total_used)
-    converged = (sol_p.settled and not budget2.exhausted
-                 and sol_p.dist <= pr.d_budget + ctol
+    converged = (gap <= FW_GAP and sol_p.settled and not budget2.exhausted
                  and sol_p.perc <= pr.p_budget + ctol)
     return _to_result(pr, sol_p, lam_p, converged, iterations=total_used)
 

@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gwrdp
+import gwrdp.cli
 from gwrdp.cli import main
+from gwrdp.simulate import ResourceCapError
 
 UNIFORM_PAIR = {"alphabets": [2, 2], "probs": [0.25, 0.25, 0.25, 0.25]}
 DSBS01 = {"alphabets": [2, 2], "probs": [0.45, 0.05, 0.05, 0.45]}
@@ -197,3 +204,61 @@ class TestManifest:
         a["manifest"].pop("out_dir")
         b["manifest"].pop("out_dir")
         assert a == b
+
+
+# aux rows (0.75, 0.25), (0.5, 0.5), (0.5, 0.5), (0.25, 0.75) on DSBS(0.25):
+# with the test channels the CLI solves, a conditional typical set is empty
+EMPTY_TYPICAL_SET = {
+    "p_xy": {"alphabets": [2, 2], "probs": [0.375, 0.125, 0.125, 0.375]},
+    "aux": {"alphabets": [2, 2, 2], "probs": [0.75, 0.25, 0.5, 0.5, 0.5, 0.5, 0.25, 0.75]},
+    "n": 32, "delta": 0.05, "trials": 10, "mode": "common-randomness",
+    "budgets": {"D1": 0.3, "D2": 0.3, "P1": 0.1, "P2": 0.1}, "seed": 0,
+}
+
+INVALID_INPUTS = [
+    ("rdp-pmf-sums-to-1.1", "rdp",
+     {"source": [0.6, 0.5], "d_budget": 0.1, "p_budget": 0.1}),
+    ("simulate-zero-trials", "simulate", dict(SIM_CONFIG, trials=0)),
+    ("simulate-empty-typical-set", "simulate", EMPTY_TYPICAL_SET),
+    ("simulate-tail-longer-than-block", "simulate",
+     dict(SIM_CONFIG, mode="deterministic", n0=9)),
+    ("derand-audit-single-symbol-pair", "derand-audit",
+     {"p_xy": {"alphabets": [1, 1], "probs": [1.0]}, "n0": 1, "n": 4}),
+]
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("subcommand,payload", [case[1:] for case in INVALID_INPUTS],
+                             ids=[case[0] for case in INVALID_INPUTS])
+    def test_invalid_input_exit_2_without_traceback(self, tmp_path, subcommand, payload):
+        # a child process, so a traceback would be visible and a hang is cut
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        env = dict(os.environ, PYTHONPATH=str(Path(gwrdp.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gwrdp.cli", subcommand, "--config", str(cfg),
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+
+class TestParallelClamp:
+    @pytest.mark.parametrize("requested,received", [("0", 1), ("-3", 1), ("2", 2), ("64", 2)])
+    def test_degree_clamped_to_cpu_count(self, tmp_path, monkeypatch, requested, received):
+        seen = []
+
+        def record(*args, parallel, **kwargs):
+            seen.append(parallel)
+            raise ResourceCapError("stop before any work")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(gwrdp.cli, "run_simulation", record)
+        monkeypatch.setattr(gwrdp.cli, "compute_frontier", record)
+        sim = write_config(tmp_path, "sim.json", SIM_CONFIG)
+        region = write_config(tmp_path, "region.json", {
+            "p_xy": DSBS01, "budgets": {"D1": 0.1, "D2": 0.1}, "w_size": 2})
+        for sub, cfg in (("simulate", sim), ("region", region)):
+            assert run([sub, "--config", cfg, "--out-dir", tmp_path,
+                        "--parallel", requested]) == 3
+        assert seen == [received, received]

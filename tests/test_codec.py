@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from gwrdp.codec import (
+    AlphabetError,
     Codebook,
     EmptyTypicalSetError,
     TypicalSetSpec,
@@ -265,6 +266,20 @@ class TestCodebook:
         cb = generate_codebook(q_xyw, tc, tc, forced, 0.3, 8, seed=1)
         assert cb.sizes == (1, 1, 1)
         assert is_cond_typical(cb.priv_x[0, 0], cb.common[0], cb.joint_xt_w, 0.3)
+
+    @pytest.mark.parametrize("oversized", ["W", "reconstruction"])
+    def test_alphabet_over_256_symbols_rejected(self, oversized):
+        # codeword symbols are stored as uint8; a 257th symbol would wrap to 0
+        _, q_xyw, tc = small_codebook(n=8, delta=0.3)
+        sizes = compute_code_sizes(q_xyw, tc, tc, 8, 0.3)
+        if oversized == "W":
+            q_xyw = q_xyw.marginal("X", "Y").extend(Kernel(np.full((2, 2, 257), 1 / 257)), "W")
+            tc = Kernel(np.tile(tc.probs, (1, 257, 1)))
+            tc_x = tc_y = tc
+        else:
+            tc_x, tc_y = tc, Kernel(np.full((2, 1, 257), 1 / 257))
+        with pytest.raises(AlphabetError, match="257 symbols"):
+            generate_codebook(q_xyw, tc_x, tc_y, sizes, 0.3, 8, seed=1)
 
     def test_json_roundtrip(self):
         cb, _, _ = small_codebook(n=8, delta=0.3)

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,21 @@ class TestBuild:
         assert default_tail_length(4, 16) == 4    # 4^4 = 256 >= 256
         assert default_tail_length(4, 8) == 3     # 4^3 = 64 >= 64
         assert default_tail_length(4, 2) == 1
+
+    def test_default_tail_length_rejects_single_symbol_pairs(self):
+        # 1 ** n0 never reaches n ** 2, so a search without the check never
+        # ends; the alarm turns such a hang into a failure
+        def expire(signum, frame):
+            raise TimeoutError("default_tail_length(1, 8) did not return")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(5)
+        try:
+            with pytest.raises(ValueError, match="size 1"):
+                default_tail_length(1, 8)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_json_roundtrip(self):
         sm = build_seed_map(UNIFORM4, 2, 4)

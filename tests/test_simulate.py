@@ -203,6 +203,11 @@ class TestCapsAndErrors:
         with pytest.raises(ValueError):
             cfg(mode="nope")
 
+    def test_tail_longer_than_block_rejected_before_running(self):
+        # the deterministic tail copies its n0 symbols from the head
+        with pytest.raises(ValueError, match="n0=9"):
+            cfg(n=8, mode="deterministic", n0=9)
+
 
 class TestConvergenceStudy:
     def test_single_n_matches_run_simulation(self):

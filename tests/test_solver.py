@@ -130,6 +130,62 @@ class TestResultContracts:
         assert res.rate >= free.rate - 1e-6
 
 
+def source_query(probs, perception, d, p, **kw):
+    probs = np.asarray(probs, dtype=np.float64)
+    return RdpQuery(JointPmf(probs[:, None], ("X", "W")), DistortionMatrix(hamming(probs.size)),
+                    perception, d, p, **kw)
+
+
+class TestPerceptionActiveSearch:
+    """Queries whose optimum lies on the perception boundary with more than
+    two reconstruction symbols. The bounds sit 1e-5 bits or less above the
+    minimum; a converged result is within its 1e-6-bit gap of it."""
+
+    def test_ternary_tv(self):
+        res = conditional_rdp(source_query([0.5, 0.3, 0.2], TV, 0.2, 0.1))
+        assert res.converged
+        assert res.rate <= 0.564985
+        assert res.achieved_perception <= 0.1 + 1e-6
+
+    def test_ternary_kl(self):
+        res = conditional_rdp(source_query([0.5, 0.3, 0.2], KL, 0.2, 0.01))
+        assert res.converged
+        assert res.rate <= 0.565400
+        assert res.achieved_perception <= 0.01 + 1e-6
+
+    def test_optimum_leaves_a_symbol_unused(self):
+        # the optimal marginal is (0.95, 0.05, 0): the search has to price
+        # moving mass into a column outside the pinned support
+        res = conditional_rdp(source_query([0.85, 0.1, 0.05], TV, 0.12, 0.2))
+        assert res.converged
+        assert res.rate <= 0.105109
+
+    def test_active_f_divergence_rejected(self):
+        tv_as_f = PerceptionMeasure("f", generator=lambda t: abs(t - 1.0), slope_at_inf=1.0)
+        with pytest.raises(ValueError, match="f-divergence"):
+            rdp_point_to_point(Pmf([0.3, 0.7]), HAM2, tv_as_f, 0.2, 0.05)
+
+    @pytest.mark.parametrize("perception,budget,alphabet",
+                             [(TV, 0.3, None), (TV, 0.3, (0, 1, 2)), (KL, 0.05, None)],
+                             ids=["tv", "tv-dropped-symbol", "kl"])
+    def test_lmo_minimizes_over_the_ball(self, perception, budget, alphabet):
+        from gwrdp.solver import _boundary_crossing, _build_problem, _lmo, _perception_of
+
+        pr = _build_problem(source_query([0.4, 0.3, 0.2, 0.1], perception, 0.5, budget,
+                                         recon_alphabet=alphabet))
+        n_h = pr.cols.size
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            g = rng.normal(size=n_h)
+            s = _lmo(pr, g)
+            assert s.min() >= 0.0 and s.sum() == pytest.approx(1.0, abs=1e-12)
+            assert _perception_of(pr, s) <= budget + 1e-9
+            for m in rng.dirichlet(np.ones(n_h), size=50):
+                if _perception_of(pr, m) > budget:
+                    m = _boundary_crossing(pr, m)
+                assert g @ s <= g @ m + 1e-9
+
+
 class TestClassicalReduction:
     def test_matches_independent_rd_oracle(self):
         rng = np.random.default_rng(3)
