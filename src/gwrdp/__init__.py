@@ -2,6 +2,12 @@
 
 __version__ = "0.1.0"
 
+import logging
+
+# silent unless the application configures logging (e.g. the gwrdp.region
+# frontier counts at DEBUG)
+logging.getLogger(__name__).addHandler(logging.NullHandler())
+
 from .prob import (
     AlphabetMismatchError,
     EmpiricalType,

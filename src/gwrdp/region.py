@@ -9,6 +9,16 @@ Pareto-minimal frontier.
 Every emitted point stores its witnesses (the auxiliary channel and both
 test channels), so the triple can be recomputed from scratch; no claim of
 global optimality is made for searched frontiers, only achievability.
+
+Each private rate depends only on its own branch marginal and budgets, and
+searches repeat branch queries (every scalarized search starts from the
+independent corner; a symmetric source makes the X and Y queries coincide).
+So each top-level call keeps an exact memo of solver results, keyed on every
+input of the query: ``compute_frontier`` shares one across its scalarized
+searches and serial grid, while a direct ``scalarized_search`` or
+``rate_triple_for_aux`` call, each pool job included, starts an empty one.
+Triple, solve and hit counts go to the ``gwrdp.region`` logger at DEBUG,
+never into the exported files.
 """
 
 from __future__ import annotations
@@ -16,9 +26,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -33,6 +45,8 @@ from .solver import (
 )
 
 PARETO_SLACK = 1e-9
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -146,15 +160,40 @@ class RegionFrontier:
         }, indent=2)
 
 
-def _branch_query(p_xy: JointPmf, aux: AuxChannel, problem: RegionProblem,
-                  budgets: Budgets, branch: str) -> RdpQuery:
+class _Solves(dict):
+    """Memo of conditional_rdp results owned by one top-level region call."""
+
+    lookups = 0
+
+
+def _solve(query: RdpQuery, solves: _Solves) -> RdpResult:
+    # DistortionMatrix compares by identity, so key on its values; RdpResult
+    # is frozen and its kernel read-only, so a hit can share the object
+    q, d = query.q_xw.probs, query.delta.values
+    key = (q.shape, q.tobytes(), d.shape, d.tobytes(), query.perception,
+           query.d_budget, query.p_budget, query.recon_alphabet)
+    solves.lookups += 1
+    res = solves.get(key)
+    if res is None:
+        res = solves[key] = conditional_rdp(query)
+    return res
+
+
+def _rate_triple(problem: RegionProblem, aux: AuxChannel, budgets: Budgets,
+                 solves: _Solves) -> RegionPoint:
+    p_xy = problem.p_xy
     q_xyw = p_xy.extend(aux.kernel, "W")
-    q_sw = q_xyw.marginal("X" if branch == "x" else "Y", "W")
-    if branch == "x":
-        return RdpQuery(q_sw, problem.delta_x, problem.perception_x,
-                        budgets.d1, budgets.p1)
-    return RdpQuery(q_sw, problem.delta_y, problem.perception_y,
-                    budgets.d2, budgets.p2)
+    nx, ny = p_xy.shape
+    pair_w = JointPmf(q_xyw.probs.reshape(nx * ny, aux.w_size), ("XY", "W"))
+    r0 = mutual_information(pair_w)
+    res_x = _solve(RdpQuery(q_xyw.marginal("X", "W"), problem.delta_x,
+                            problem.perception_x, budgets.d1, budgets.p1), solves)
+    res_y = _solve(RdpQuery(q_xyw.marginal("Y", "W"), problem.delta_y,
+                            problem.perception_y, budgets.d2, budgets.p2), solves)
+    return RegionPoint(r0=r0, r1=res_x.rate, r2=res_y.rate, budgets=budgets,
+                       witness=aux, test_channel_x=res_x.test_channel,
+                       test_channel_y=res_y.test_channel,
+                       converged=res_x.converged and res_y.converged)
 
 
 def rate_triple_for_aux(problem: RegionProblem, aux: AuxChannel,
@@ -164,17 +203,7 @@ def rate_triple_for_aux(problem: RegionProblem, aux: AuxChannel,
     r0 = I(X,Y;W) over the induced joint; r1 and r2 come from the
     conditional RDP solver on the (X,W) and (Y,W) marginals.
     """
-    p_xy = problem.p_xy
-    q_xyw = p_xy.extend(aux.kernel, "W")
-    nx, ny = p_xy.shape
-    pair_w = JointPmf(q_xyw.probs.reshape(nx * ny, aux.w_size), ("XY", "W"))
-    r0 = mutual_information(pair_w)
-    res_x = conditional_rdp(_branch_query(p_xy, aux, problem, budgets, "x"))
-    res_y = conditional_rdp(_branch_query(p_xy, aux, problem, budgets, "y"))
-    return RegionPoint(r0=r0, r1=res_x.rate, r2=res_y.rate, budgets=budgets,
-                       witness=aux, test_channel_x=res_x.test_channel,
-                       test_channel_y=res_y.test_channel,
-                       converged=res_x.converged and res_y.converged)
+    return _rate_triple(problem, aux, budgets, _Solves())
 
 
 def pareto_filter(points: list[RegionPoint]) -> list[RegionPoint]:
@@ -220,11 +249,6 @@ def _corner_channels(problem: RegionProblem, w_size: int) -> list[AuxChannel]:
     return corners
 
 
-def _eval_cell(args):
-    problem, budgets, aux = args
-    return rate_triple_for_aux(problem, aux, budgets)
-
-
 def compute_frontier(problem: RegionProblem, budgets: Budgets, *,
                      strategy: str = "grid", w_size: int | None = None,
                      samples: int = 16, restarts: int = 3, seed: int = 0,
@@ -249,23 +273,27 @@ def compute_frontier(problem: RegionProblem, budgets: Budgets, *,
     for _ in range(max(samples, 0)):
         candidates.append(_dirichlet_aux(rng, nx, ny, w))
 
+    solves = _Solves()
     points: list[RegionPoint] = []
     if strategy == "local":
         weight_sets = [(1.0, 0.0, 0.0), (0.0, 1.0, 1.0), (1.0, 1.0, 1.0),
                        (0.5, 1.0, 0.0), (0.5, 0.0, 1.0)]
         for k, weights in enumerate(weight_sets):
-            points.append(scalarized_search(problem, budgets, weights, w_size=w,
-                                            restarts=restarts,
-                                            seed=seed + 1000 * (k + 1)))
+            points.append(_scalarized_search(problem, budgets, weights, solves, w_size=w,
+                                             restarts=restarts,
+                                             seed=seed + 1000 * (k + 1), sweeps=2))
 
-    jobs = [(problem, budgets, aux) for aux in candidates]
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            evaluated = list(pool.map(_eval_cell, jobs))
+            points.extend(pool.map(rate_triple_for_aux, repeat(problem), candidates,
+                                   repeat(budgets)))
     else:
-        evaluated = [_eval_cell(j) for j in jobs]
-    points.extend(evaluated)
+        points.extend(_rate_triple(problem, aux, budgets, solves) for aux in candidates)
 
+    _log.debug("frontier: %d candidates, %d not converged; in this process %d triples, "
+               "%d solver calls, %d cache hits", len(points),
+               sum(not p.converged for p in points), solves.lookups // 2, len(solves),
+               solves.lookups - len(solves))
     frontier = _sorted_points(pareto_filter(points))
     return RegionFrontier(points=frontier, seed=seed, strategy=strategy,
                           n_evaluated=len(points))
@@ -281,6 +309,14 @@ def scalarized_search(problem: RegionProblem, budgets: Budgets,
     simplex vertex under backtracking, restarted from seeded Dirichlet
     draws; the best restart wins. A local minimizer only.
     """
+    return _scalarized_search(problem, budgets, weights, _Solves(), w_size=w_size,
+                              restarts=restarts, seed=seed, sweeps=sweeps)
+
+
+def _scalarized_search(problem: RegionProblem, budgets: Budgets,
+                       weights: tuple[float, float, float], solves: _Solves, *,
+                       w_size: int | None, restarts: int, seed: int,
+                       sweeps: int) -> RegionPoint:
     if any(wt < 0 for wt in weights) or all(wt == 0 for wt in weights):
         raise ValueError("weights must be nonnegative and not all zero")
     nx, ny = problem.p_xy.shape
@@ -288,7 +324,7 @@ def scalarized_search(problem: RegionProblem, budgets: Budgets,
     rng = np.random.default_rng(seed)
 
     def objective(aux: AuxChannel) -> tuple[float, RegionPoint]:
-        pt = rate_triple_for_aux(problem, aux, budgets)
+        pt = _rate_triple(problem, aux, budgets, solves)
         return (weights[0] * pt.r0 + weights[1] * pt.r1 + weights[2] * pt.r2, pt)
 
     starts = [AuxChannel.independent(nx, ny)] if w >= 1 else []

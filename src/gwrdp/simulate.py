@@ -361,7 +361,7 @@ def convergence_study(base: SimConfig, n_list: list[int],
     non-increasing in n."""
     rows = []
     for n in sorted(n_list):
-        cfg = replace(base, n=n, n0=None if base.n0 is None else base.n0)
+        cfg = replace(base, n=n)
         rows.append(run_simulation(cfg, parallel=parallel))
     excess_x = [r.mean_distortion_x - r.threshold_x for r in rows]
     excess_y = [r.mean_distortion_y - r.threshold_y for r in rows]

@@ -561,14 +561,14 @@ def conditional_rdp(query: RdpQuery, *, constraint_tol: float = 1e-6,
             if perc0 <= pr.p_budget:
                 sol0 = _Solution(q=q0, rate=0.0, dist=dist0x, perc=perc0,
                                  sweeps=0, settled=True)
-                return _to_result(pr, sol0, lam=0.0, converged=True)
+                return _to_result(pr, sol0, lam=0.0, converged=True, iterations=0)
 
     sol, lam = _bisect_lambda(pr, budget, ctol)
     if sol.dist > pr.d_budget + ctol:
-        return _to_result(pr, sol, lam, converged=False)
+        return _to_result(pr, sol, lam, converged=False, iterations=budget.used)
     if sol.perc <= pr.p_budget + ctol:
         converged = sol.settled and not budget.exhausted
-        return _to_result(pr, sol, lam, converged)
+        return _to_result(pr, sol, lam, converged, iterations=budget.used)
 
     # perception active: Frank-Wolfe on the pinned rate V(m) over the
     # perception ball; the gap <g, m - s> with g = -nu bounds V(m) - min V
@@ -610,14 +610,14 @@ def conditional_rdp(query: RdpQuery, *, constraint_tol: float = 1e-6,
 
 
 def _to_result(pr: _Problem, sol: _Solution, lam: float, converged: bool,
-               iterations: int | None = None) -> RdpResult:
+               iterations: int) -> RdpResult:
     n_x, n_w = pr.q_xw.shape
     full = np.zeros((n_x, n_w, pr.full_recon))
     full[:, :, pr.cols] = sol.q
     return RdpResult(rate=sol.rate, test_channel=Kernel(full),
                      achieved_distortion=sol.dist, achieved_perception=sol.perc,
                      converged=converged,
-                     iterations=iterations if iterations is not None else sol.sweeps,
+                     iterations=iterations,
                      lam=lam)
 
 

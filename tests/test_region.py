@@ -1,13 +1,16 @@
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
+import gwrdp.region as region
 from gwrdp.prob import JointPmf, Kernel, Pmf, mutual_information
 from gwrdp.region import (
     AuxChannel,
     Budgets,
+    RegionFrontier,
     RegionProblem,
     compute_frontier,
     pareto_filter,
@@ -19,6 +22,7 @@ from gwrdp.solver import (
     PerceptionMeasure,
     RdpQuery,
     brute_force_rdp,
+    conditional_rdp,
     hamming,
     rdp_point_to_point,
 )
@@ -30,6 +34,7 @@ def dsbs(a):
     return JointPmf([[0.5 * (1 - a), 0.5 * a], [0.5 * a, 0.5 * (1 - a)]], ("X", "Y"))
 
 
+HAM2 = DistortionMatrix(hamming(2))
 PROBLEM = RegionProblem.with_hamming_tv(dsbs(0.1))
 BUDGETS = Budgets(d1=0.1, d2=0.1, p1=0.6, p2=0.6)
 
@@ -177,3 +182,87 @@ class TestScalarizedSearch:
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             scalarized_search(PROBLEM, BUDGETS, (0.0, 0.0, 0.0), seed=0)
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Queries that reached the solver from the region layer."""
+    calls = []
+    solve = region.conditional_rdp
+
+    def counted(query, **kwargs):
+        calls.append(query)
+        return solve(query, **kwargs)
+
+    monkeypatch.setattr(region, "conditional_rdp", counted)
+    return calls
+
+
+def query_key(q):
+    return (q.q_xw.probs.tobytes(), q.delta.values.tobytes(), q.perception,
+            q.d_budget, q.p_budget, q.recon_alphabet)
+
+
+class TestSolveCache:
+    # perception-free budgets on DSBS(0.25) keep the local search short
+    problem = RegionProblem.with_hamming_tv(dsbs(0.25))
+    budgets = Budgets(d1=0.2, d2=0.2)
+    search = dict(strategy="local", samples=2, restarts=1, w_size=2, seed=4)
+
+    def test_one_solve_per_distinct_query(self, solver_calls, caplog):
+        caplog.set_level(logging.DEBUG, logger="gwrdp")
+        fr = compute_frontier(self.problem, self.budgets, **self.search)
+        keys = [query_key(q) for q in solver_calls]
+        assert len(set(keys)) == len(keys)
+        counts = [r.args for r in caplog.records if r.name == "gwrdp.region"]
+        assert len(counts) == 1
+        n_candidates, n_nonconverged, triples, calls, hits = counts[0]
+        assert n_candidates == fr.n_evaluated
+        assert n_nonconverged == 0
+        assert calls == len(solver_calls)
+        # the search repeats queries, so the cache is exercised
+        assert hits == 2 * triples - calls > calls
+
+    def test_package_logger_silent_by_default(self):
+        handlers = logging.getLogger("gwrdp").handlers
+        assert any(isinstance(h, logging.NullHandler) for h in handlers)
+
+    def test_no_state_between_calls(self, solver_calls):
+        first = compute_frontier(self.problem, self.budgets, **self.search)
+        n_first = len(solver_calls)
+        second = compute_frontier(self.problem, self.budgets, **self.search)
+        assert len(solver_calls) == 2 * n_first
+        assert first.to_json() == second.to_json()
+
+    def test_matches_fresh_recomputation(self):
+        fr = compute_frontier(self.problem, self.budgets, **self.search)
+        rebuilt = RegionFrontier(
+            points=tuple(rate_triple_for_aux(self.problem, p.witness, p.budgets)
+                         for p in fr.points),
+            seed=fr.seed, strategy=fr.strategy, n_evaluated=fr.n_evaluated)
+        assert rebuilt.to_json() == fr.to_json()
+
+    @pytest.mark.parametrize("y_problem, y_budgets, calls", [
+        ({}, {}, 1),
+        ({"delta_y": DistortionMatrix(hamming(2))}, {}, 1),  # equal values, new object
+        ({"delta_y": DistortionMatrix([[0.0, 1.0], [0.5, 0.0]])}, {}, 2),
+        ({"perception_y": PerceptionMeasure("kl")}, {}, 2),
+        ({}, {"d2": 0.15}, 2),
+        ({}, {"p2": 0.3}, 2),
+    ])
+    def test_distinct_inputs_do_not_share(self, solver_calls, y_problem, y_budgets, calls):
+        # on a symmetric source with independent W the two branch queries
+        # coincide unless a Y-branch input differs
+        problem = RegionProblem(**{"p_xy": self.problem.p_xy, "delta_x": HAM2,
+                                   "delta_y": HAM2, **y_problem})
+        budgets = Budgets(**{"d1": 0.2, "d2": 0.2, "p1": 0.6, "p2": 0.6, **y_budgets})
+        aux = AuxChannel.independent(2, 2)
+        pt = rate_triple_for_aux(problem, aux, budgets)
+        assert len(solver_calls) == calls
+        # a direct call starts from an empty cache
+        rate_triple_for_aux(problem, aux, budgets)
+        assert len(solver_calls) == 2 * calls
+        q_yw = JointPmf([[0.5], [0.5]], ("Y", "W"))
+        want_y = conditional_rdp(RdpQuery(q_yw, problem.delta_y, problem.perception_y,
+                                          budgets.d2, budgets.p2))
+        assert pt.r2 == want_y.rate

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import gwrdp.solver as solver_module
 from gwrdp.prob import JointPmf, Pmf
 from gwrdp.solver import (
     DistortionMatrix,
@@ -121,6 +122,23 @@ class TestResultContracts:
                            + (np.asarray(q.q_xw.probs).sum(axis=0)
                               * np.log2(np.maximum(np.asarray(q.q_xw.probs).sum(axis=0), 1e-300))).sum())
             assert -1e-9 <= res.rate <= h_x_given_w + 1e-6
+
+    @pytest.mark.parametrize("p_budget", [math.inf, 0.02])
+    def test_iterations_count_every_sweep(self, monkeypatch, p_budget):
+        # free path and perception-active path alike: every inner sweep the
+        # solve charged is reported, not only the last inner solve's
+        sweeps = []
+        am_solve = solver_module._am_solve
+
+        def counted(*args, **kwargs):
+            sol = am_solve(*args, **kwargs)
+            sweeps.append(sol.sweeps)
+            return sol
+
+        monkeypatch.setattr(solver_module, "_am_solve", counted)
+        res = conditional_rdp(point_query(0.3, 0.1, p_budget))
+        assert len(sweeps) > 1
+        assert res.iterations == sum(sweeps)
 
     def test_kl_perception_active(self):
         res = rdp_point_to_point(Pmf([0.3, 0.7]), HAM2, KL, 0.25, 0.02)
