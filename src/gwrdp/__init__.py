@@ -1,6 +1,6 @@
 """Gray-Wyner rate-distortion-perception toolkit."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 import logging
 

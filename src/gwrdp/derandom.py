@@ -123,12 +123,14 @@ def build_seed_map(p_xy: JointPmf, n0: int, n: int, *,
     order = np.lexsort((np.arange(n_atoms), -probs))
 
     assignment = np.empty(n_atoms, dtype=np.int64)
-    heap = [(0.0, b) for b in range(n)]
-    heapq.heapify(heap)
-    for atom in order:
-        mass, b = heapq.heappop(heap)
-        assignment[atom] = b
-        heapq.heappush(heap, (mass + probs[atom], b))
+    heap = [(0.0, b) for b in range(n)]   # sorted, hence already a heap
+    # memoryviews read and write plain Python numbers one at a time, so
+    # the loop avoids numpy scalars without a list of every atom
+    slots = memoryview(assignment)
+    for atom, p in zip(memoryview(order), memoryview(probs[order])):
+        mass, b = heap[0]
+        slots[atom] = b
+        heapq.heapreplace(heap, (mass + p, b))
 
     masses = np.zeros(n)
     np.add.at(masses, assignment, probs)

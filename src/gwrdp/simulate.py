@@ -30,6 +30,7 @@ from .codec import (
     decode,
     encode,
     generate_codebook,
+    joint_set_empty,
     per_letter_distortion,
 )
 from .derandom import (
@@ -124,6 +125,8 @@ class SimReport:
     distortion_wilson_x: float   # pooled-letter Wilson half-width
     distortion_wilson_y: float
     freq_no_common_codeword: float
+    joint_set_empty: bool        # no (x, y, w) count vector fits the joint
+                                 # band: every common scan misses
     freq_no_x_codeword: float
     freq_no_y_codeword: float
     marginals_x: np.ndarray      # (positions, |X|) estimated reconstruction pmfs
@@ -161,6 +164,7 @@ class SimReport:
             "distortion_wilson_x": self.distortion_wilson_x,
             "distortion_wilson_y": self.distortion_wilson_y,
             "freq_no_common_codeword": self.freq_no_common_codeword,
+            "joint_set_empty": self.joint_set_empty,
             "freq_no_x_codeword": self.freq_no_x_codeword,
             "freq_no_y_codeword": self.freq_no_y_codeword,
             "marginals_x": self.marginals_x.tolist(),
@@ -344,6 +348,7 @@ def run_simulation(config: SimConfig, parallel: int = 1) -> SimReport:
         stderr_distortion_y=float(dist_y.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
         distortion_wilson_x=wilson_x, distortion_wilson_y=wilson_y,
         freq_no_common_codeword=float(miss0.mean()),
+        joint_set_empty=joint_set_empty(codebook.q_xyw, config.n, config.delta),
         freq_no_x_codeword=float(miss1.mean()),
         freq_no_y_codeword=float(miss2.mean()),
         marginals_x=marg_x, marginals_y=marg_y,

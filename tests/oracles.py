@@ -3,11 +3,14 @@
 Kept deliberately separate from the library: a textbook alternating-
 minimization rate-distortion solver (no perception, no conditioning) with
 multiplier bisection, plus closed-form helpers. These validate the main
-solver through a different code path.
+solver through a different code path. The codec's encoder scans and the
+greedy seed map are checked against plain one-item-at-a-time loops kept
+here.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -111,3 +114,57 @@ def conditional_rd_function(q_xw: np.ndarray, delta: np.ndarray,
         else:
             hi, rate_hi, ed_hi = mid, rate_m, ed_m
     return rate_hi
+
+
+def first_under_threshold_loop(codewords: np.ndarray, ref: np.ndarray,
+                               delta_mat: np.ndarray, threshold: float) -> int:
+    """Smallest index whose per-letter distortion against ref is at most
+    threshold, checking one codeword at a time; -1 if none."""
+    ref = np.asarray(ref, dtype=np.int64)
+    for i, cw in enumerate(codewords):
+        if delta_mat[ref, cw.astype(np.int64)].mean() <= threshold:
+            return i
+    return -1
+
+
+def encode_loop(codebook, x_seq, y_seq, k: int, delta_x, delta_y,
+                threshold_x: float, threshold_y: float):
+    """Three-stage encoder, one codeword at a time. Joint typicality is the
+    multiplicative band predicate on the (x, y, w) counts. Returns
+    (s0, s1, s2, miss_common, miss_x, miss_y) with the same fallbacks as
+    the library: index 0 and a flag."""
+    n = codebook.n
+    xb = np.roll(np.asarray(x_seq, dtype=np.int64), k)   # undo the shift by k
+    yb = np.roll(np.asarray(y_seq, dtype=np.int64), k)
+    q = np.asarray(codebook.q_xyw, dtype=np.float64)
+    kx, ky, kw = q.shape
+    s0 = -1
+    for i, w in enumerate(codebook.common):
+        cells = (xb * ky + yb) * kw + w.astype(np.int64)
+        counts = np.bincount(cells, minlength=kx * ky * kw).reshape(q.shape)
+        if np.all(np.abs(counts / n - q) <= codebook.delta * q):
+            s0 = i
+            break
+    miss_common = s0 < 0
+    s0 = max(s0, 0)
+    s1 = first_under_threshold_loop(codebook.priv_x[s0], xb, np.asarray(delta_x), threshold_x)
+    s2 = first_under_threshold_loop(codebook.priv_y[s0], yb, np.asarray(delta_y), threshold_y)
+    return s0, max(s1, 0), max(s2, 0), miss_common, s1 < 0, s2 < 0
+
+
+def greedy_seed_assignment(p_flat: np.ndarray, n0: int, n: int) -> np.ndarray:
+    """Greedy least-loaded map of all length-n0 tail atoms to n bins: atoms
+    by descending probability (ties by index), each popped into the
+    lightest bin (ties by bin index) and pushed back."""
+    probs = np.asarray(p_flat, dtype=np.float64)
+    for _ in range(n0 - 1):
+        probs = np.kron(probs, p_flat)
+    order = np.lexsort((np.arange(probs.size), -probs))
+    assignment = np.empty(probs.size, dtype=np.int64)
+    heap = [(0.0, b) for b in range(n)]
+    heapq.heapify(heap)
+    for atom in order:
+        mass, b = heapq.heappop(heap)
+        assignment[atom] = b
+        heapq.heappush(heap, (mass + probs[atom], b))
+    return assignment

@@ -1,16 +1,23 @@
+import bisect
 import itertools
 import math
+import random
+import tomllib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import gwrdp
 from gwrdp.codec import (
     AlphabetError,
     Codebook,
     EmptyTypicalSetError,
+    TypeTable,
     TypicalSetSpec,
     ShiftSeed,
+    _first_under_threshold,
     circular_shift,
     compute_code_sizes,
     count_bounds,
@@ -20,6 +27,7 @@ from gwrdp.codec import (
     is_cond_typical,
     is_jointly_typical,
     is_typical,
+    joint_set_empty,
     per_letter_distortion,
     rejection_sample_typical,
     sample_uniform_cond_typical,
@@ -28,6 +36,7 @@ from gwrdp.codec import (
 )
 from gwrdp.prob import JointPmf, Kernel, empirical_type
 from gwrdp.solver import hamming
+from oracles import encode_loop, first_under_threshold_loop
 
 HAM = hamming(2)
 
@@ -380,3 +389,168 @@ class TestInvariantSweeps:
         base = empirical_type(seq, 3)
         for k in range(30):
             assert empirical_type(circular_shift(k, seq), 3) == base
+
+
+class TestScanEquivalence:
+    """The block scans return what one-codeword-at-a-time loops return,
+    with the first hit on either side of every block boundary."""
+
+    M = 6000   # private blocks end at 16, 80, 336, 1360, 5456, ...
+    PRIVATE_HITS = [0, 15, 16, 17, 79, 80, 81, 335, 336, 337, 1359, 1360, 1361,
+                    4095, 4096, 4097, 5455, 5456, 5457, M - 1, None]
+    # common blocks end at 64, 320, 1344, 5440, ...
+    COMMON_HITS = [0, 63, 64, 65, 319, 320, 321, 1343, 1344, 1345,
+                   4095, 4096, 4097, 5439, 5440, 5441, M - 1, None]
+
+    @pytest.mark.parametrize("hit", PRIVATE_HITS)
+    def test_private_scan_first_hit(self, hit):
+        n = 16
+        rng = np.random.default_rng(7)
+        codewords = rng.integers(0, 2, size=(self.M, n)).astype(np.uint8)
+        codewords[:, :4] = 1            # distortion >= 4/16 against all zeros
+        if hit is not None:
+            for i in (hit, hit + 1, self.M - 1):   # later hits must not win
+                if i < self.M:
+                    codewords[i] = 0
+                    codewords[i, 5] = 1             # distortion 1/16
+        ref = np.zeros(n, dtype=np.int64)
+        want = first_under_threshold_loop(codewords, ref, HAM, 0.2)
+        assert want == (-1 if hit is None else hit)
+        assert _first_under_threshold(codewords, ref, HAM, 0.2) == want
+
+    def _planted_codebook(self, hit):
+        # uniform pair, W uniform and independent, n = 16, delta = 0.5: each
+        # (x, y, w) count must lie in [1, 3]. The source takes every pair
+        # value 4 times, so a common codeword is typical exactly when it
+        # puts both symbols on each pair value's 4 positions.
+        n, m = 16, self.M
+        q_xyw = np.full((2, 2, 2), 1 / 8)
+        rng = np.random.default_rng(8)
+        common = rng.integers(0, 2, size=(m, n)).astype(np.uint8)
+        common[:, :4] = 0               # pair value (0, 0) gets w = 0 only
+        if hit is not None:
+            common[hit:] = np.where(rng.random((m - hit, 1)) < 0.1,
+                                    np.tile([0, 1], n // 2), common[hit:])
+            common[hit] = np.tile([0, 1], n // 2)
+        priv = rng.integers(0, 2, size=(m, 3, n)).astype(np.uint8)
+        cb = Codebook(common=common, priv_x=priv, priv_y=priv[:, ::-1],
+                      q_xyw=q_xyw, joint_xt_w=np.full((2, 2), 0.25),
+                      joint_yt_w=np.full((2, 2), 0.25), n=n, delta=0.5, seed=0)
+        xs = np.repeat([0, 0, 1, 1], 4)
+        ys = np.repeat([0, 1, 0, 1], 4)
+        return cb, xs, ys
+
+    @pytest.mark.parametrize("hit", COMMON_HITS)
+    def test_common_scan_first_hit(self, hit):
+        cb, xs, ys = self._planted_codebook(hit)
+        assert not joint_set_empty(cb.q_xyw, cb.n, cb.delta)
+        for k in (0, 5):
+            xk, yk = circular_shift(k, xs, ys)   # encode undoes the shift
+            got = encode(cb, xk, yk, k, HAM, HAM, 0.4, 0.4)
+            want = encode_loop(cb, xk, yk, k, HAM, HAM, 0.4, 0.4)
+            assert (got.s0, got.s1, got.s2, got.miss_common, got.miss_x, got.miss_y) == want
+        enc = encode(cb, xs, ys, 0, HAM, HAM, 0.4, 0.4)
+        assert enc.miss_common == (hit is None)
+        assert enc.s0 == (0 if hit is None else hit)
+
+    @pytest.mark.parametrize("delta, seed", [(0.05, 3), (0.1, 4)])
+    def test_encode_matches_loop_on_generated_codebooks(self, delta, seed):
+        # uniform pair, n = 16, sizes (23, 9, 9) and (195, 84, 84); half the
+        # sources are drawn given a common codeword, so the common scan hits
+        # at many indices as well as missing
+        n = 16
+        p_xy = JointPmf(np.full((2, 2), 0.25), ("X", "Y"))
+        aux = np.array([[0.75, 0.25], [0.5, 0.5], [0.5, 0.5], [0.25, 0.75]])
+        q_xyw = p_xy.extend(Kernel(aux.reshape(2, 2, 2)), "W")
+        tc = Kernel(np.full((2, 2, 2), 0.5))
+        sizes = compute_code_sizes(q_xyw, tc, tc, n, delta)
+        cb = generate_codebook(q_xyw, tc, tc, sizes, delta, n, seed)
+        assert not joint_set_empty(cb.q_xyw, n, delta)
+        q_pair_given_w = (cb.q_xyw / cb.q_xyw.sum(axis=(0, 1))).reshape(4, 2)
+        rng = np.random.default_rng(seed)
+        hits0, miss_x = set(), set()
+        for trial in range(400):
+            if trial % 2:
+                w = cb.common[rng.integers(0, cb.common.shape[0])]
+                pair = np.array([rng.choice(4, p=q_pair_given_w[:, s]) for s in w])
+            else:
+                pair = rng.integers(0, 4, size=n)
+            k = int(rng.integers(0, n))
+            xs, ys = circular_shift(k, pair // 2, pair % 2)
+            got = encode(cb, xs, ys, k, HAM, HAM, 0.3, 0.3)
+            want = encode_loop(cb, xs, ys, k, HAM, HAM, 0.3, 0.3)
+            assert (got.s0, got.s1, got.s2, got.miss_common, got.miss_x, got.miss_y) == want
+            hits0.add(-1 if got.miss_common else got.s0)
+            miss_x.add(got.miss_x)
+        assert -1 in hits0 and len(hits0) > 3 and miss_x == {False, True}
+
+    def test_empty_joint_band_skips_the_scan(self):
+        # DSBS(0.1) with independent W at n = 16, delta = 0.15: the 0.05
+        # cells need a count in [0.68, 0.92]
+        q_xyw = np.array([[0.45, 0.05], [0.05, 0.45]])[:, :, None]
+        assert joint_set_empty(q_xyw, 16, 0.15)
+        assert not joint_set_empty(q_xyw, 40, 0.15)
+        # every cell admits a count, but the counts cannot sum to n: at
+        # n = 4 each cell allows only 1, at n = 5 only 2
+        for q, n in (([0.35, 0.325, 0.325], 4), ([0.32, 0.34, 0.34], 5)):
+            q = np.array(q).reshape(1, 3, 1)
+            lo, hi = count_bounds(q, n, 0.3)
+            assert np.all(lo <= hi)
+            assert joint_set_empty(q, n, 0.3)
+            assert not any(is_jointly_typical(np.zeros(n, dtype=int), seq, np.zeros(n, dtype=int),
+                                              q, 0.3)
+                           for seq in itertools.product(range(3), repeat=n))
+        cb, xs, ys = self._planted_codebook(0)
+        q = np.array([[0.45, 0.05], [0.05, 0.45]])[:, :, None] * np.array([0.5, 0.5])
+        empty_cb = Codebook(common=cb.common, priv_x=cb.priv_x, priv_y=cb.priv_y,
+                            q_xyw=q, joint_xt_w=cb.joint_xt_w, joint_yt_w=cb.joint_yt_w,
+                            n=cb.n, delta=0.15, seed=0)
+        assert joint_set_empty(q, 16, 0.15)
+        enc = encode(empty_cb, xs, ys, 0, HAM, HAM, 0.4, 0.4)
+        assert enc.miss_common and enc.s0 == 0
+        assert encode_loop(empty_cb, xs, ys, 0, HAM, HAM, 0.4, 0.4)[3]
+
+
+class TestIndexDraws:
+    def test_sorted_search_agrees_with_bisect_everywhere(self):
+        types = [(c, 9 - c) for c in range(2, 8)]
+        table = TypeTable(types, 9)
+        cum = np.asarray(table.cum, dtype=np.int64)
+        u = np.arange(table.total)
+        got = np.searchsorted(cum, u, side="right")
+        want = [bisect.bisect_right(table.cum, int(v)) for v in u]
+        assert got.tolist() == want
+
+    def test_int64_draws_cover_the_table(self):
+        table = TypeTable([(c, 9 - c) for c in range(2, 8)], 9)
+        idx = table.draw_indices(np.random.default_rng(0), 20_000)
+        assert idx.dtype.kind == "i"
+        assert set(idx.tolist()) == set(range(len(table.types)))
+        # class sizes C(9, c) for c = 2..7 over their sum
+        weights = np.array([math.comb(9, c) for c in range(2, 8)], dtype=float)
+        expected = 20_000 * weights / weights.sum()
+        assert stats.chisquare(np.bincount(idx), expected).pvalue > 1e-4
+
+    def test_totals_beyond_int64_take_the_big_integer_path(self, monkeypatch):
+        table = TypeTable([(c, 70 - c) for c in range(71)], 70)
+        assert table.total == 2 ** 70
+        made = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, seed):
+                made.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr("gwrdp.codec.random.Random", CountingRandom)
+        a = table.draw_indices(np.random.default_rng(5), 500)
+        b = table.draw_indices(np.random.default_rng(5), 500)
+        assert len(made) == 2
+        assert np.array_equal(a, b)
+        assert a.min() >= 0 and a.max() < len(table.types)
+        # binomial(70, 1/2) mass sits near the middle
+        assert 30 <= np.median(a) <= 40
+
+
+def test_version_matches_pyproject():
+    meta = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert meta["project"]["version"] == gwrdp.__version__

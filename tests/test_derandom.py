@@ -15,6 +15,7 @@ from gwrdp.derandom import (
 )
 from gwrdp.prob import JointPmf
 from gwrdp.solver import hamming
+from oracles import greedy_seed_assignment
 
 HAM = hamming(2)
 
@@ -96,6 +97,15 @@ class TestBuild:
         back = SeedMap.from_json(sm.to_json())
         assert np.array_equal(back.assignment, sm.assignment)
         assert back.audit() == sm.audit()
+
+    @pytest.mark.parametrize("p_xy, n0, n", [
+        (dsbs(0.25), 7, 32),
+        (JointPmf([[0.3, 0.05, 0.15], [0.1, 0.25, 0.15]], ("X", "Y")), 4, 24),
+    ])
+    def test_assignment_matches_pop_push_loop(self, p_xy, n0, n):
+        sm = build_seed_map(p_xy, n0, n)
+        want = greedy_seed_assignment(np.asarray(p_xy.probs).reshape(-1), n0, n)
+        assert np.array_equal(sm.assignment, want)
 
     def test_every_atom_assigned_once(self):
         sm = build_seed_map(dsbs(0.2), 3, 5)

@@ -6,7 +6,7 @@ from scipy import stats
 
 from gwrdp.codec import TypicalSetSpec, is_typical
 from gwrdp.prob import JointPmf, Kernel, tv_distance
-from gwrdp.region import AuxChannel, Budgets
+from gwrdp.region import AuxChannel, Budgets, RegionProblem, rate_triple_for_aux
 from gwrdp.simulate import (
     ResourceCapError,
     SimConfig,
@@ -220,6 +220,41 @@ class TestConvergenceStudy:
         assert out["n_list"] == [6, 8, 12]
         assert len(out["distortion_excess_x"]) == 3
         assert isinstance(out["miss0_non_increasing"], bool)
+
+
+def dsbs(a):
+    return JointPmf([[0.5 * (1 - a), 0.5 * a], [0.5 * a, 0.5 * (1 - a)]], ("X", "Y"))
+
+
+class TestJointSetEmpty:
+    """The report says when the joint (x, y, w) typical set is empty, so an
+    all-miss common layer is not mistaken for a measured miss rate."""
+
+    @staticmethod
+    def simulate(p_xy, aux, n, delta, trials, budgets):
+        pt = rate_triple_for_aux(RegionProblem.with_hamming_tv(p_xy), aux, budgets)
+        return run_simulation(SimConfig(
+            p_xy=p_xy, aux=aux, test_channel_x=pt.test_channel_x,
+            test_channel_y=pt.test_channel_y, n=n, delta=delta, trials=trials,
+            master_seed=3, budgets=budgets, memory_cap=2 ** 26))
+
+    def test_two_symbol_w_instance_is_not_vacuous(self):
+        # the benchmark's sim-common instance: |W| = 2, sizes (130, 650, 650)
+        rows = np.array([[0.6, 0.4], [0.5, 0.5], [0.5, 0.5], [0.4, 0.6]])
+        report = self.simulate(dsbs(0.25), AuxChannel(Kernel(rows.reshape(2, 2, 2))),
+                               32, 0.05, 2500, Budgets(0.3, 0.3, 0.1, 0.1))
+        assert report.sizes == (130, 650, 650)
+        assert not report.joint_set_empty
+        assert 0.0 < report.freq_no_common_codeword < 1.0
+        assert '"joint_set_empty": false' in report.to_json()
+
+    def test_dsbs_witness_at_16_is_empty(self):
+        # 0.05 * 16 * (1 +- 0.15) holds no integer
+        report = self.simulate(dsbs(0.1), AuxChannel.independent(2, 2), 16, 0.15, 200,
+                               Budgets(0.4, 0.4, 0.1, 0.1))
+        assert report.joint_set_empty
+        assert report.freq_no_common_codeword == 1.0
+        assert '"joint_set_empty": true' in report.to_json()
 
 
 class TestWilson:
