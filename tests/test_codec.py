@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import itertools
 import math
 import random
@@ -448,7 +449,7 @@ class TestScanEquivalence:
             xk, yk = circular_shift(k, xs, ys)   # encode undoes the shift
             got = encode(cb, xk, yk, k, HAM, HAM, 0.4, 0.4)
             want = encode_loop(cb, xk, yk, k, HAM, HAM, 0.4, 0.4)
-            assert (got.s0, got.s1, got.s2, got.miss_common, got.miss_x, got.miss_y) == want
+            assert dataclasses.astuple(got) == want
         enc = encode(cb, xs, ys, 0, HAM, HAM, 0.4, 0.4)
         assert enc.miss_common == (hit is None)
         assert enc.s0 == (0 if hit is None else hit)
@@ -479,12 +480,12 @@ class TestScanEquivalence:
             xs, ys = circular_shift(k, pair // 2, pair % 2)
             got = encode(cb, xs, ys, k, HAM, HAM, 0.3, 0.3)
             want = encode_loop(cb, xs, ys, k, HAM, HAM, 0.3, 0.3)
-            assert (got.s0, got.s1, got.s2, got.miss_common, got.miss_x, got.miss_y) == want
+            assert dataclasses.astuple(got) == want
             hits0.add(-1 if got.miss_common else got.s0)
             miss_x.add(got.miss_x)
         assert -1 in hits0 and len(hits0) > 3 and miss_x == {False, True}
 
-    def test_empty_joint_band_skips_the_scan(self):
+    def test_empty_joint_band_skips_the_scan(self, monkeypatch):
         # DSBS(0.1) with independent W at n = 16, delta = 0.15: the 0.05
         # cells need a count in [0.68, 0.92]
         q_xyw = np.array([[0.45, 0.05], [0.05, 0.45]])[:, :, None]
@@ -506,9 +507,14 @@ class TestScanEquivalence:
                             q_xyw=q, joint_xt_w=cb.joint_xt_w, joint_yt_w=cb.joint_yt_w,
                             n=cb.n, delta=0.15, seed=0)
         assert joint_set_empty(q, 16, 0.15)
+
+        def no_scan(*args):
+            raise AssertionError("common layer scanned for an empty band")
+
+        monkeypatch.setattr("gwrdp.codec._first_jointly_typical", no_scan)
         enc = encode(empty_cb, xs, ys, 0, HAM, HAM, 0.4, 0.4)
+        assert dataclasses.astuple(enc) == encode_loop(empty_cb, xs, ys, 0, HAM, HAM, 0.4, 0.4)
         assert enc.miss_common and enc.s0 == 0
-        assert encode_loop(empty_cb, xs, ys, 0, HAM, HAM, 0.4, 0.4)[3]
 
 
 class TestIndexDraws:
