@@ -1,6 +1,6 @@
 """Gray-Wyner rate-distortion-perception toolkit."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 import logging
 
@@ -49,6 +49,7 @@ from .codec import (
     Codebook,
     CodeSizes,
     EmptyTypicalSetError,
+    PagedLayer,
     ShiftSeed,
     TypicalSetSpec,
     circular_shift,

@@ -339,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--parallel", type=int, default=1,
                         help="worker processes; results are degree-independent")
     parser.add_argument("--memory-cap", type=int, default=2 ** 24,
-                        help="codeword-symbol cap for simulations")
+                        help="cap on the codeword symbols a simulation draws, per "
+                             "process: the common layer plus the private pages drawn")
     return parser
 
 

@@ -16,6 +16,15 @@ int64 (unbiased bounded integers and a sorted search) when the total
 class size fits, and on big integers otherwise. A plain rejection sampler
 is available as a cross-check.
 
+Codebooks draw the common layer eagerly and each private layer lazily, in
+pages of 4096 codewords. Page p of branch b under common index s0 comes
+from its own counter-based stream, Philox keyed by
+``SeedSequence(seed, spawn_key=(b, s0, p))``, so a page holds the same
+codewords whichever process draws it and in whatever order. Only the pages
+an encoder or decoder touches are ever drawn, which lets a layer hold far
+more codewords than memory could; a memory cap on the symbols drawn so far
+ends a scan that would run past it.
+
 The encoder scans codewords in blocks that grow geometrically, so an
 early hit costs a few codewords and a long scan stays vectorized: one
 ``bincount`` per block for the common layer, one distortion lookup per
@@ -27,6 +36,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,6 +46,7 @@ import numpy as np
 from .prob import JointPmf, Kernel, _entropy_bits
 
 SYMBOL_DTYPE = np.uint8
+PAGE_ROWS = 4096   # codewords per lazily drawn page of a private layer
 
 
 class EmptyTypicalSetError(ValueError):
@@ -44,6 +55,11 @@ class EmptyTypicalSetError(ValueError):
 
 class AlphabetError(ValueError):
     """Sequence symbols do not fit the declared alphabet."""
+
+
+class ResourceCapError(RuntimeError):
+    """Drawing more codewords would exceed the configured memory cap; the
+    codewords that would pass it are not drawn."""
 
 
 # ---------------------------------------------------------------------------
@@ -75,22 +91,31 @@ def shift_position(n: int, k: int, t: int) -> int:
     return ((t + k - 1) % n) + 1
 
 
-def circular_shift(k: int, seq: np.ndarray, other: np.ndarray | None = None):
+def circular_shift(k, seq: np.ndarray, other: np.ndarray | None = None):
     """Apply the shift: output position t holds input position
     shift_position(n, k, t). Negative k means shifting by (n - k) mod n.
-    A second sequence of equal length is shifted identically."""
+    A second sequence of equal shape is shifted identically. Given (rows,
+    n) sequences and one k per row, each row is shifted by its own k."""
     seq = np.asarray(seq)
-    n = seq.shape[0]
+    n = seq.shape[-1]
     if n == 0:
         raise ValueError("empty sequence")
-    kk = k % n
-    out = np.roll(seq, -kk)
+    if seq.ndim == 1:
+        kk = k % n
+
+        def shift(s):
+            return np.roll(s, -kk)
+    else:
+        cols = (np.arange(n) + np.asarray(k)[:, None]) % n
+
+        def shift(s):
+            return np.take_along_axis(s, cols, axis=1)
     if other is None:
-        return out
+        return shift(seq)
     other = np.asarray(other)
-    if other.shape[0] != n:
+    if other.shape != seq.shape:
         raise ValueError("paired sequences must have equal length")
-    return out, np.roll(other, -kk)
+    return shift(seq), shift(other)
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +462,149 @@ def compute_code_sizes(q_xyw: JointPmf, tc_x: Kernel, tc_y: Kernel,
     return sizes
 
 
+class _SymbolBudget:
+    """Codeword symbols one process may hold for a codebook: the common
+    layer plus every private page drawn so far, against an optional cap.
+    Pickled copies start again from the common layer, because paged
+    layers drop their drawn pages when pickled."""
+
+    def __init__(self, cap: int | None, base: int):
+        self.cap, self.base, self.used = cap, base, base
+        self.charge(0)
+
+    def charge(self, symbols: int):
+        if self.cap is not None and self.used + symbols > self.cap:
+            raise ResourceCapError(
+                f"codebook would hold {self.used + symbols} symbols, cap is {self.cap}; "
+                f"raise memory_cap or reduce n/delta")
+        self.used += symbols
+
+    def __getstate__(self):
+        return self.cap, self.base
+
+    def __setstate__(self, state):
+        self.cap, self.base = state
+        self.used = self.base
+
+
+class PagedLayer:
+    """One branch's private codewords, shape (M0, M, n), drawn a page at a
+    time on first touch and cached.
+
+    Array-like: ``shape`` (Python ints), ``layer[s0]`` (a lazy row),
+    ``layer[s0, j]``, ``layer[s0, a:b]``, iteration over rows, and
+    ``np.asarray(layer)``, which draws every page. ``nbytes`` counts the
+    pages drawn so far. Pickling drops the drawn pages; the copy redraws
+    the same ones on demand."""
+
+    dtype = np.dtype(SYMBOL_DTYPE)
+
+    def __init__(self, common: np.ndarray, joint: np.ndarray, delta: float, m: int,
+                 seed: int, branch: int, budget: _SymbolBudget):
+        self.common, self.joint, self.delta = common, joint, delta
+        self.seed, self.branch, self.budget = seed, branch, budget
+        self.shape = (int(common.shape[0]), int(m), int(common.shape[1]))
+        self._pages: dict[tuple[int, int], np.ndarray] = {}
+
+    @property
+    def pages_drawn(self) -> int:
+        return len(self._pages)
+
+    @property
+    def codewords_drawn(self) -> int:
+        return sum(page.shape[0] for page in self._pages.values())
+
+    @property
+    def nbytes(self) -> int:
+        return sum(page.nbytes for page in self._pages.values())
+
+    def page(self, s0: int, p: int) -> np.ndarray:
+        """Codewords [p * PAGE_ROWS, (p + 1) * PAGE_ROWS) under index s0."""
+        got = self._pages.get((s0, p))
+        if got is None:
+            rows = min(PAGE_ROWS, self.shape[1] - p * PAGE_ROWS)
+            self.budget.charge(rows * self.shape[2])
+            ss = np.random.SeedSequence(self.seed, spawn_key=(self.branch, s0, p))
+            got = sample_uniform_cond_typical(self.joint, self.delta, self.common[s0], rows,
+                                              np.random.Generator(np.random.Philox(ss)))
+            self._pages[(s0, p)] = got
+        return got
+
+    def rows(self, s0: int, start: int, stop: int) -> np.ndarray:
+        """Codewords [start, stop) under index s0, 0 <= start < stop <= M."""
+        first = start // PAGE_ROWS
+        base = first * PAGE_ROWS
+        if stop - base <= PAGE_ROWS:
+            return self.page(s0, first)[start - base:stop - base]
+        pages = [self.page(s0, p) for p in range(first, (stop - 1) // PAGE_ROWS + 1)]
+        return np.concatenate(pages)[start - base:stop - base]
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple):
+            s0, j = key
+            return self[s0][j]
+        return _PagedRow(self, _checked_index(key, self.shape[0]))
+
+    def __iter__(self):
+        return (_PagedRow(self, s0) for s0 in range(self.shape[0]))
+
+    def __array__(self, dtype=None, copy=None):
+        return np.stack([np.asarray(row, dtype=dtype) for row in self])
+
+    def __getstate__(self):
+        return {**self.__dict__, "_pages": {}}
+
+
+class _PagedRow:
+    """The (M, n) codewords of one common index of a ``PagedLayer``."""
+
+    dtype = PagedLayer.dtype
+
+    def __init__(self, layer: PagedLayer, s0: int):
+        self.layer, self.s0 = layer, s0
+        self.shape = layer.shape[1:]
+
+    def __getitem__(self, j):
+        m = self.shape[0]
+        if not isinstance(j, slice):
+            j = _checked_index(j, m)
+            return self.layer.page(self.s0, j // PAGE_ROWS)[j % PAGE_ROWS]
+        picked = range(m)[j]
+        if not picked:
+            return np.empty((0, self.shape[1]), dtype=self.dtype)
+        lo, hi = min(picked[0], picked[-1]), max(picked[0], picked[-1]) + 1
+        return self.layer.rows(self.s0, lo, hi)[picked[0] - lo::picked.step]
+
+    def _pages(self):
+        return (self.layer.page(self.s0, p) for p in range(-(-self.shape[0] // PAGE_ROWS)))
+
+    def __iter__(self):
+        for page in self._pages():
+            yield from page
+
+    def __array__(self, dtype=None, copy=None):
+        return np.concatenate(list(self._pages()), dtype=dtype)
+
+
+def _checked_index(i, size: int) -> int:
+    i = operator.index(i)
+    if i < 0:
+        i += size
+    if not 0 <= i < size:
+        raise IndexError(f"index {i} outside [0, {size})")
+    return i
+
+
 @dataclass(frozen=True, eq=False)
 class Codebook:
     """Three-layer codebook: common codewords plus per-index private
     codewords for each branch, all drawn uniformly from their
-    (conditional) typical sets."""
+    (conditional) typical sets. The private layers are arrays or
+    ``PagedLayer``s; the encoder and decoder read both alike."""
 
     common: np.ndarray          # (M0, n) over the W alphabet
-    priv_x: np.ndarray          # (M0, M1, n)
-    priv_y: np.ndarray          # (M0, M2, n)
+    priv_x: np.ndarray | PagedLayer   # (M0, M1, n)
+    priv_y: np.ndarray | PagedLayer   # (M0, M2, n)
     q_xyw: np.ndarray           # reference joint for encoder typicality
     joint_xt_w: np.ndarray      # (Xt, W) band reference for x codewords
     joint_yt_w: np.ndarray      # (Yt, W)
@@ -457,16 +616,12 @@ class Codebook:
     def sizes(self) -> tuple[int, int, int]:
         return (self.common.shape[0], self.priv_x.shape[1], self.priv_y.shape[1])
 
-    @property
-    def total_symbols(self) -> int:
-        return self.common.size + self.priv_x.size + self.priv_y.size
-
     def to_json(self) -> str:
         return json.dumps({
             "n": self.n, "delta": self.delta, "seed": self.seed,
             "common": self.common.tolist(),
-            "priv_x": self.priv_x.tolist(),
-            "priv_y": self.priv_y.tolist(),
+            "priv_x": np.asarray(self.priv_x).tolist(),
+            "priv_y": np.asarray(self.priv_y).tolist(),
             "q_xyw": self.q_xyw.tolist(),
             "joint_xt_w": self.joint_xt_w.tolist(),
             "joint_yt_w": self.joint_yt_w.tolist(),
@@ -485,8 +640,13 @@ class Codebook:
 
 
 def generate_codebook(q_xyw: JointPmf, tc_x: Kernel, tc_y: Kernel,
-                      sizes: CodeSizes, delta: float, n: int, seed: int) -> Codebook:
-    """Draw the three codeword layers; bit-identical for a fixed seed."""
+                      sizes: CodeSizes, delta: float, n: int, seed: int,
+                      memory_cap: int | None = None) -> Codebook:
+    """Draw the common layer and set up the two paged private layers
+    (branches 1 and 2); bit-identical for a fixed seed. With a
+    ``memory_cap``, the common layer and every page drawn later count
+    against it, and ``ResourceCapError`` is raised before the drawing
+    that would pass it."""
     limit = np.iinfo(SYMBOL_DTYPE).max + 1
     for name, size in (("W", q_xyw.shape[2]), ("X reconstruction", tc_x.out_size),
                        ("Y reconstruction", tc_y.out_size)):
@@ -498,21 +658,11 @@ def generate_codebook(q_xyw: JointPmf, tc_x: Kernel, tc_y: Kernel,
     joint_xt_w = j_xw_xt.sum(axis=0).T   # (Xt, W)
     joint_yt_w = j_yw_yt.sum(axis=0).T   # (Yt, W)
 
-    root = np.random.SeedSequence(entropy=seed)
-    ss_w, ss_x, ss_y = root.spawn(3)
-    rng_w = np.random.Generator(np.random.Philox(ss_w))
+    budget = _SymbolBudget(memory_cap, sizes.m0 * n)
+    rng_w = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,))))
     common = sample_uniform_typical(TypicalSetSpec(q_w, delta, n), sizes.m0, rng_w)
-
-    m0, m1, m2 = sizes.m0, sizes.m1, sizes.m2
-    priv_x = np.empty((m0, m1, n), dtype=SYMBOL_DTYPE)
-    priv_y = np.empty((m0, m2, n), dtype=SYMBOL_DTYPE)
-    x_streams = ss_x.spawn(m0)
-    y_streams = ss_y.spawn(m0)
-    for i in range(m0):
-        rng_x = np.random.Generator(np.random.Philox(x_streams[i]))
-        priv_x[i] = sample_uniform_cond_typical(joint_xt_w, delta, common[i], m1, rng_x)
-        rng_y = np.random.Generator(np.random.Philox(y_streams[i]))
-        priv_y[i] = sample_uniform_cond_typical(joint_yt_w, delta, common[i], m2, rng_y)
+    priv_x = PagedLayer(common, joint_xt_w, delta, sizes.m1, seed, 1, budget)
+    priv_y = PagedLayer(common, joint_yt_w, delta, sizes.m2, seed, 2, budget)
     return Codebook(common=common, priv_x=priv_x, priv_y=priv_y,
                     q_xyw=np.asarray(q_xyw.probs), joint_xt_w=joint_xt_w,
                     joint_yt_w=joint_yt_w, n=n, delta=delta, seed=seed)
@@ -546,8 +696,9 @@ def _blocks(m: int, first: int):
 def _first_under_threshold(codewords: np.ndarray, ref: np.ndarray,
                            delta_mat: np.ndarray, threshold: float) -> int:
     """Smallest codeword index with per-letter distortion <= threshold,
-    or -1. Blocks of 16, 64, 256, 1024 and then 4096 codewords, so an
-    early hit decodes few of them."""
+    or -1. ``codewords`` is an (M, n) array or a row of a ``PagedLayer``.
+    Blocks of 16, 64, 256, 1024 and then 4096 codewords, so an early hit
+    decodes (and draws) few of them."""
     for start, stop in _blocks(codewords.shape[0], 16):
         d = delta_mat[ref[None, :], codewords[start:stop]].mean(axis=1)
         hits = np.flatnonzero(d <= threshold)
@@ -625,14 +776,24 @@ def _cached_bounds(q_bytes: bytes, shape: tuple, n: int, delta: float):
     return lo, hi, empty
 
 
-def decode(codebook: Codebook, s0: int, s1: int, s2: int, k: int):
-    """Reconstruct both branches: shift the selected codewords back by k."""
+def decode(codebook: Codebook, s0, s1, s2, k):
+    """Reconstruct both branches: shift the selected codewords back by k.
+    Given equal-length sequences of indices and seeds, one entry per
+    block, each branch comes back as one row per block."""
+    if np.ndim(k):
+        pairs = [_selected(codebook, *idx) for idx in zip(s0, s1, s2)]
+        x, y = (np.stack(branch) for branch in zip(*pairs))
+    else:
+        x, y = _selected(codebook, s0, s1, s2)
+    return circular_shift(k, x, y)
+
+
+def _selected(codebook: Codebook, s0: int, s1: int, s2: int):
+    """The private codewords an index triple selects, unshifted."""
     m0, m1, m2 = codebook.sizes
     if not (0 <= s0 < m0 and 0 <= s1 < m1 and 0 <= s2 < m2):
         raise IndexError(f"indices ({s0}, {s1}, {s2}) outside codebook sizes {codebook.sizes}")
-    x_hat = circular_shift(k, codebook.priv_x[s0, s1])
-    y_hat = circular_shift(k, codebook.priv_y[s0, s2])
-    return x_hat, y_hat
+    return codebook.priv_x[s0, s1], codebook.priv_y[s0, s2]
 
 
 def per_letter_distortion(delta_mat: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:

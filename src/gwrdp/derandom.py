@@ -120,7 +120,7 @@ def build_seed_map(p_xy: JointPmf, n0: int, n: int, *,
     probs = flat
     for _ in range(n0 - 1):
         probs = np.kron(probs, flat)
-    order = np.lexsort((np.arange(n_atoms), -probs))
+    order = np.argsort(-probs, kind="stable")   # ties by atom index
 
     assignment = np.empty(n_atoms, dtype=np.int64)
     heap = [(0.0, b) for b in range(n)]   # sorted, hence already a heap
@@ -166,13 +166,15 @@ def deterministic_encode(codebook: Codebook, seed_map: SeedMap,
     return enc, k_sim
 
 
-def deterministic_decode(codebook: Codebook, s0: int, s1: int, s2: int,
-                         k_sim: int, n0: int) -> tuple[np.ndarray, np.ndarray]:
+def deterministic_decode(codebook: Codebook, s0, s1, s2, k_sim,
+                         n0: int) -> tuple[np.ndarray, np.ndarray]:
     """Reconstruct an extended block: shift the selected codewords by the
-    simulated seed, then copy the first n0 head positions into the tail."""
-    if not 0 <= k_sim < codebook.n:
+    simulated seed, then copy the first n0 head positions into the tail.
+    Takes sequences of blocks as ``decode`` does."""
+    seeds = np.asarray(k_sim)
+    if np.any((seeds < 0) | (seeds >= codebook.n)):
         raise IndexError(f"seed {k_sim} outside [0, {codebook.n - 1}]")
     x_hat, y_hat = decode(codebook, s0, s1, s2, k_sim)
-    x_ext = np.concatenate([x_hat, x_hat[:n0]])
-    y_ext = np.concatenate([y_hat, y_hat[:n0]])
+    x_ext = np.concatenate([x_hat, x_hat[..., :n0]], axis=-1)
+    y_ext = np.concatenate([y_hat, y_hat[..., :n0]], axis=-1)
     return x_ext, y_ext

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -24,14 +25,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .codec import (
+    PAGE_ROWS,
     Codebook,
     CodeSizes,
+    ResourceCapError,
     compute_code_sizes,
     decode,
     encode,
     generate_codebook,
     joint_set_empty,
-    per_letter_distortion,
 )
 from .derandom import (
     SeedMap,
@@ -47,9 +49,7 @@ from .solver import DistortionMatrix, hamming
 
 MODES = ("common-randomness", "deterministic")
 
-
-class ResourceCapError(RuntimeError):
-    """Configured memory cap would be exceeded; nothing was allocated."""
+_log = logging.getLogger(__name__)
 
 
 def wilson_halfwidth(p_hat: float | np.ndarray, n: int, z: float = 1.96):
@@ -220,14 +220,25 @@ class _TrialBatch:
     miss2: np.ndarray
     hist_x: np.ndarray
     hist_y: np.ndarray
+    pages: tuple[int, int]       # private pages (x, y) this batch's process drew
+    codewords: tuple[int, int]   # and the codewords on them
+
+
+_CHUNK = 256   # trials whose draws, decoding and statistics run as arrays
 
 
 def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None,
                 thr_x: float, thr_y: float, lo: int, hi: int) -> _TrialBatch:
+    """Trials [lo, hi). Each trial draws from its own Philox stream keyed
+    (master seed, trial) and is encoded alone; chunks of trials are then
+    decoded, scored and counted together."""
     n, n0 = config.n, config.tail_length()
     total_len = n + n0
-    nx, ny = config.p_xy.shape
-    flat = np.asarray(config.p_xy.probs).reshape(-1)
+    shared_seed = config.mode == "common-randomness"
+    ny = config.p_xy.shape[1]
+    # rng.choice(p=) draws uniforms and searches this normalized cdf
+    cdf = np.cumsum(np.asarray(config.p_xy.probs).reshape(-1))
+    cdf /= cdf[-1]
     dx = config.delta_x_mat.values
     dy = config.delta_y_mat.values
     count = hi - lo
@@ -235,36 +246,50 @@ def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None,
     dist_y = np.empty(count)
     head_x = np.empty(count)
     head_y = np.empty(count)
-    miss0 = np.empty(count, dtype=bool)
-    miss1 = np.empty(count, dtype=bool)
-    miss2 = np.empty(count, dtype=bool)
+    miss = np.empty((3, count), dtype=bool)
     hist_x = np.zeros((total_len, dx.shape[1]), dtype=np.int64)
     hist_y = np.zeros((total_len, dy.shape[1]), dtype=np.int64)
+    layers = (codebook.priv_x, codebook.priv_y)
+    pages_before = [layer.pages_drawn for layer in layers]
+    codewords_before = [layer.codewords_drawn for layer in layers]
 
-    for t in range(lo, hi):
-        rng = np.random.Generator(np.random.Philox(key=[config.master_seed, t]))
-        pair = rng.choice(nx * ny, size=total_len, p=flat)
-        xs = (pair // ny).astype(np.int64)
-        ys = (pair % ny).astype(np.int64)
-        if config.mode == "common-randomness":
-            k = int(rng.integers(0, n))
-            enc = encode(codebook, xs, ys, k, dx, dy, thr_x, thr_y)
-            x_hat, y_hat = decode(codebook, enc.s0, enc.s1, enc.s2, k)
+    for start in range(lo, hi, _CHUNK):
+        trials = range(start, min(start + _CHUNK, hi))
+        u = np.empty((len(trials), total_len))
+        ks = np.empty(len(trials), dtype=np.int64)
+        for i, t in enumerate(trials):
+            rng = np.random.Generator(np.random.Philox(key=[config.master_seed, t]))
+            u[i] = rng.random(total_len)
+            if shared_seed:
+                ks[i] = rng.integers(0, n)
+        pair = cdf.searchsorted(u, side="right")
+        xs, ys = pair // ny, pair % ny
+        picked = []
+        for i in range(len(trials)):
+            if shared_seed:
+                enc = encode(codebook, xs[i], ys[i], int(ks[i]), dx, dy, thr_x, thr_y)
+            else:
+                enc, ks[i] = deterministic_encode(codebook, seed_map, xs[i], ys[i],
+                                                  dx, dy, thr_x, thr_y)
+            picked.append((enc.s0, enc.s1, enc.s2))
+            miss[:, start - lo + i] = enc.miss_common, enc.miss_x, enc.miss_y
+        s0, s1, s2 = zip(*picked)
+        if shared_seed:
+            x_hat, y_hat = decode(codebook, s0, s1, s2, ks)
         else:
-            enc, k_sim = deterministic_encode(codebook, seed_map, xs, ys,
-                                              dx, dy, thr_x, thr_y)
-            x_hat, y_hat = deterministic_decode(codebook, enc.s0, enc.s1,
-                                                enc.s2, k_sim, n0)
-        i = t - lo
-        dist_x[i] = per_letter_distortion(dx, xs, x_hat)
-        dist_y[i] = per_letter_distortion(dy, ys, y_hat)
-        head_x[i] = per_letter_distortion(dx, xs[:n], x_hat[:n])
-        head_y[i] = per_letter_distortion(dy, ys[:n], y_hat[:n])
-        miss0[i], miss1[i], miss2[i] = enc.miss_common, enc.miss_x, enc.miss_y
-        hist_x[np.arange(total_len), x_hat.astype(np.int64)] += 1
-        hist_y[np.arange(total_len), y_hat.astype(np.int64)] += 1
-    return _TrialBatch(dist_x, dist_y, head_x, head_y, miss0, miss1, miss2,
-                       hist_x, hist_y)
+            x_hat, y_hat = deterministic_decode(codebook, s0, s1, s2, ks, n0)
+        rows = slice(start - lo, trials.stop - lo)
+        dist_x[rows] = dx[xs, x_hat].mean(axis=1)
+        dist_y[rows] = dy[ys, y_hat].mean(axis=1)
+        head_x[rows] = dx[xs[:, :n], x_hat[:, :n]].mean(axis=1)
+        head_y[rows] = dy[ys[:, :n], y_hat[:, :n]].mean(axis=1)
+        for hist, hat in ((hist_x, x_hat), (hist_y, y_hat)):
+            cells = np.arange(total_len) * hist.shape[1] + hat
+            hist += np.bincount(cells.ravel(), minlength=hist.size).reshape(hist.shape)
+    return _TrialBatch(
+        dist_x, dist_y, head_x, head_y, *miss, hist_x, hist_y,
+        pages=tuple(layer.pages_drawn - b for layer, b in zip(layers, pages_before)),
+        codewords=tuple(layer.codewords_drawn - b for layer, b in zip(layers, codewords_before)))
 
 
 def _worker(args):
@@ -277,10 +302,11 @@ def run_simulation(config: SimConfig, parallel: int = 1) -> SimReport:
     q_xyw = config.p_xy.extend(config.aux.kernel, "W")
     sizes = compute_code_sizes(q_xyw, config.test_channel_x, config.test_channel_y,
                                config.n, config.delta)
-    total_symbols = (sizes.m0 + sizes.m0 * sizes.m1 + sizes.m0 * sizes.m2) * config.n
-    if total_symbols > config.memory_cap:
+    # the common layer and one page per branch are the least any trial draws
+    first_symbols = (sizes.m0 + min(sizes.m1, PAGE_ROWS) + min(sizes.m2, PAGE_ROWS)) * config.n
+    if first_symbols > config.memory_cap:
         raise ResourceCapError(
-            f"codebook needs {total_symbols} symbols, cap is {config.memory_cap}; "
+            f"codebook needs at least {first_symbols} symbols, cap is {config.memory_cap}; "
             f"raise memory_cap or reduce n/delta")
 
     thr_x, thr_y = encoder_thresholds(q_xyw, config.test_channel_x,
@@ -288,7 +314,8 @@ def run_simulation(config: SimConfig, parallel: int = 1) -> SimReport:
                                       config.delta_x_mat.values,
                                       config.delta_y_mat.values, config.delta)
     codebook = generate_codebook(q_xyw, config.test_channel_x, config.test_channel_y,
-                                 sizes, config.delta, config.n, config.master_seed)
+                                 sizes, config.delta, config.n, config.master_seed,
+                                 memory_cap=config.memory_cap)
     n0 = config.tail_length()
     seed_map = (build_seed_map(config.p_xy, n0, config.n)
                 if config.mode == "deterministic" else None)
@@ -312,6 +339,9 @@ def run_simulation(config: SimConfig, parallel: int = 1) -> SimReport:
     miss2 = np.concatenate([b.miss2 for b in batches])
     hist_x = sum(b.hist_x for b in batches)
     hist_y = sum(b.hist_y for b in batches)
+    _log.debug("private pages drawn: x %d (%d codewords), y %d (%d codewords)",
+               sum(b.pages[0] for b in batches), sum(b.codewords[0] for b in batches),
+               sum(b.pages[1] for b in batches), sum(b.codewords[1] for b in batches))
 
     total_len = config.n + n0
     marg_x = hist_x / trials

@@ -273,6 +273,19 @@ def test_criterion_6_simulation_trend():
     assert elapsed < 900
 
 
+def test_witness_in_the_paper_regime():
+    # the criterion 6 witness where its joint band is non-empty; its private
+    # layers hold 3.75e7 (n = 40) and 1.3e12 (n = 64) codewords per branch,
+    # drawn a page at a time
+    reports = [run_simulation(_dsbs_witness_config(n, 2000)) for n in (40, 64)]
+    miss0 = [r.freq_no_common_codeword for r in reports]
+    print(f"\nwitness n=40/64 x 2000 trials: sizes {[r.sizes for r in reports]}, "
+          f"common miss frequencies {miss0}, falls: {miss0[1] < miss0[0]}")
+    for r in reports:
+        assert not r.joint_set_empty
+        assert 0.0 < r.freq_no_common_codeword < 1.0
+
+
 def test_criterion_7_derandomization():
     # exhaustive audits of built seed maps
     audits_ok = True

@@ -10,6 +10,7 @@ import pytest
 
 import gwrdp
 import gwrdp.cli
+import gwrdp.simulate
 from gwrdp.cli import main
 from gwrdp.simulate import ResourceCapError
 
@@ -147,6 +148,20 @@ class TestSimulateCommand:
         assert run(["simulate", "--config", cfg, "--out-dir", tmp_path,
                     "--memory-cap", "10000"]) == 3
         assert not (tmp_path / "sim_report.json").exists()
+
+    def test_all_miss_scan_past_the_cap_exit_3(self, tmp_path, monkeypatch, capsys):
+        # the DSBS(0.1) witness at n = 64 has about 1.3e12 private codewords
+        # per branch; with every private scan missing, pages are drawn until
+        # the cap stops the run
+        monkeypatch.setattr(gwrdp.simulate, "encoder_thresholds", lambda *args: (-1.0, -1.0))
+        cfg = write_config(tmp_path, "sim.json", {
+            "p_xy": DSBS01, "aux": "independent", "n": 64, "delta": 0.15, "trials": 5,
+            "budgets": {"D1": 0.4, "D2": 0.4, "P1": 0.1, "P2": 0.1}, "seed": 60})
+        assert run(["simulate", "--config", cfg, "--out-dir", tmp_path,
+                    "--memory-cap", str(2 ** 20)]) == 3
+        assert "codebook would hold" in capsys.readouterr().err   # a page, not the first ones
+        assert not (tmp_path / "sim_report.json").exists()
+        assert not (tmp_path / "sim_report.csv").exists()
 
     def test_solve_derives_test_channels(self, tmp_path):
         cfg_dict = dict(SIM_CONFIG)

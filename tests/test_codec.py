@@ -2,6 +2,7 @@ import bisect
 import dataclasses
 import itertools
 import math
+import pickle
 import random
 import tomllib
 from pathlib import Path
@@ -12,9 +13,11 @@ from scipy import stats
 
 import gwrdp
 from gwrdp.codec import (
+    PAGE_ROWS,
     AlphabetError,
     Codebook,
     EmptyTypicalSetError,
+    ResourceCapError,
     TypeTable,
     TypicalSetSpec,
     ShiftSeed,
@@ -515,6 +518,104 @@ class TestScanEquivalence:
         enc = encode(empty_cb, xs, ys, 0, HAM, HAM, 0.4, 0.4)
         assert dataclasses.astuple(enc) == encode_loop(empty_cb, xs, ys, 0, HAM, HAM, 0.4, 0.4)
         assert enc.miss_common and enc.s0 == 0
+
+
+def paged_codebook(m0=2, m=3 * PAGE_ROWS + 100, n=32, memory_cap=None, seed=3):
+    """Uniform pair, one W symbol, soft test channels, with forced code
+    sizes: private layers of m codewords per common index."""
+    p_xy = JointPmf(np.full((2, 2), 0.25), ("X", "Y"))
+    q_xyw = p_xy.extend(Kernel(np.ones((2, 2, 1))), "W")
+    tc = Kernel(np.array([[[0.75, 0.25]], [[0.25, 0.75]]]))
+    sizes = dataclasses.replace(compute_code_sizes(q_xyw, tc, tc, n, 0.3), m0=m0, m1=m, m2=m)
+    return generate_codebook(q_xyw, tc, tc, sizes, 0.3, n, seed, memory_cap=memory_cap)
+
+
+class TestPagedLayers:
+    """Private layers drawn lazily in counter-keyed pages of PAGE_ROWS."""
+
+    def test_pages_drawn_out_of_order_match_in_order(self):
+        in_order, shuffled = paged_codebook(), paged_codebook()
+        for s0, p in ((1, 3), (0, 2), (1, 0), (0, 3), (1, 2), (0, 0)):
+            shuffled.priv_y.page(s0, p)
+            shuffled.priv_x.page(1 - s0, 3 - p)
+        for layer in ("priv_x", "priv_y"):
+            want = np.asarray(getattr(in_order, layer))
+            assert want.shape == (2, 3 * PAGE_ROWS + 100, 32)
+            assert np.array_equal(np.asarray(getattr(shuffled, layer)), want)
+
+    def test_pickled_layers_redraw_identical_rows(self):
+        cb = paged_codebook()
+        before = pickle.loads(pickle.dumps(cb))
+        cb.priv_x[0, PAGE_ROWS + 5]
+        cb.priv_y[1][:10]
+        after = pickle.loads(pickle.dumps(cb))
+        assert after.priv_x.pages_drawn == 0 and after.priv_y.pages_drawn == 0
+        for copy in (before, after):
+            assert np.array_equal(np.asarray(copy.priv_x), np.asarray(cb.priv_x))
+            assert np.array_equal(np.asarray(copy.priv_y), np.asarray(cb.priv_y))
+        whole = np.asarray(cb.priv_x)
+        assert np.array_equal(cb.priv_x[1, -1], whole[1, -1])
+        for rows in (slice(PAGE_ROWS - 3, PAGE_ROWS + 1), slice(PAGE_ROWS, 2 * PAGE_ROWS),
+                     slice(5, 2 * PAGE_ROWS + 9), slice(-3, None), slice(None, None, -PAGE_ROWS),
+                     slice(7, 7)):
+            assert np.array_equal(cb.priv_x[1][rows], whole[1, rows])
+            assert np.array_equal(cb.priv_x[0, rows], whole[0, rows])
+
+    @pytest.mark.parametrize("hit", [PAGE_ROWS - 1, PAGE_ROWS, PAGE_ROWS + 1, None])
+    def test_encode_matches_loop_across_pages(self, hit):
+        # distinct codewords differ in at least 1 of 32 positions, so with
+        # the threshold at 1/64 only an exact copy of the source hits
+        cb = paged_codebook(m0=1)
+        k = 5
+        xs = np.zeros(cb.n, dtype=np.int64) if hit is None else cb.priv_x[0, hit].astype(np.int64)
+        ys = cb.priv_y[0, 7].astype(np.int64)
+        xk, yk = circular_shift(k, xs, ys)
+        got = encode(cb, xk, yk, k, HAM, HAM, 1 / 64, 1 / 64)
+        assert dataclasses.astuple(got) == encode_loop(cb, xk, yk, k, HAM, HAM, 1 / 64, 1 / 64)
+        assert (got.s1, got.miss_x) == ((0, True) if hit is None else (hit, False))
+        assert got.s2 == 7
+        x_hat, y_hat = decode(cb, got.s0, got.s1, got.s2, k)
+        plain = Codebook(common=cb.common, priv_x=np.asarray(cb.priv_x),
+                         priv_y=np.asarray(cb.priv_y), q_xyw=cb.q_xyw,
+                         joint_xt_w=cb.joint_xt_w, joint_yt_w=cb.joint_yt_w,
+                         n=cb.n, delta=cb.delta, seed=cb.seed)
+        want_x, want_y = decode(plain, got.s0, got.s1, got.s2, k)
+        assert np.array_equal(x_hat, want_x) and np.array_equal(y_hat, want_y)
+
+    def test_drawn_count_equals_pages_touched(self):
+        m = 3 * PAGE_ROWS + 100
+        cb = paged_codebook(m=m)
+        layer = cb.priv_x
+        assert layer.pages_drawn == 0 and layer.nbytes == 0
+        layer[1, 2 * PAGE_ROWS + 7]                 # page (1, 2)
+        layer[0][PAGE_ROWS - 2:PAGE_ROWS + 2]       # pages (0, 0) and (0, 1)
+        layer[0, 3]                                 # cached
+        next(iter(layer[1]))                        # page (1, 0)
+        assert layer.pages_drawn == 4
+        assert layer.codewords_drawn == 4 * PAGE_ROWS
+        layer[1, -1]                                # the short last page (1, 3)
+        assert layer.pages_drawn == 5
+        assert layer.codewords_drawn == 4 * PAGE_ROWS + 100
+        assert layer.nbytes == layer.codewords_drawn * cb.n
+        assert cb.priv_y.pages_drawn == 0
+        assert decode(cb, 1, 2 * PAGE_ROWS, 0, 0)[0].shape == (cb.n,)
+        assert cb.priv_y.pages_drawn == 1 and layer.pages_drawn == 5
+
+    def test_all_miss_scan_stops_at_the_cap(self):
+        # the n = 64 witness's private layers hold about 1.3e12 codewords
+        n, m, cap = 64, 1_315_903_492_825, 2 ** 20
+        cb = paged_codebook(m0=1, m=m, n=n, memory_cap=cap)
+        assert cb.sizes == (1, m, m)
+        xs = cb.priv_x[0, 0].astype(np.int64)
+        with pytest.raises(ResourceCapError, match="cap is 1048576"):
+            encode(cb, xs, xs, 0, HAM, HAM, -1.0, -1.0)
+        assert 1 <= cb.priv_x.pages_drawn <= cap // (PAGE_ROWS * n)
+        assert cb.priv_x.nbytes + cb.common.nbytes <= cap
+
+    def test_common_layer_over_the_cap_raises(self):
+        with pytest.raises(ResourceCapError):
+            paged_codebook(m0=10, n=32, memory_cap=319)
+        assert paged_codebook(m0=10, n=32, memory_cap=320).priv_x.pages_drawn == 0
 
 
 class TestIndexDraws:

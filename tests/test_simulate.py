@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +209,26 @@ class TestCapsAndErrors:
         # the deterministic tail copies its n0 symbols from the head
         with pytest.raises(ValueError, match="n0=9"):
             cfg(n=8, mode="deterministic", n0=9)
+
+
+class TestPageLog:
+    def test_pages_drawn_logged_outside_the_report(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="gwrdp.simulate"):
+            serial = run_simulation(cfg(trials=300))
+            parallel = run_simulation(cfg(trials=300), parallel=2)
+        lines = [r.getMessage() for r in caplog.records if r.name == "gwrdp.simulate"]
+        assert len(lines) == 2
+        counts = [re.fullmatch(r"private pages drawn: x (\d+) \((\d+) codewords\), "
+                               r"y (\d+) \((\d+) codewords\)", line) for line in lines]
+        assert all(counts)
+        # sizes (M0, M1, M2) with M1, M2 below one page: one page per common
+        # index the serial run touched, drawn again by each worker that needs it
+        x_pages, x_words, y_pages, y_words = map(int, counts[0].groups())
+        assert 1 <= x_pages <= serial.sizes[0] and x_words == x_pages * serial.sizes[1]
+        assert 1 <= y_pages <= serial.sizes[0] and y_words == y_pages * serial.sizes[2]
+        assert int(counts[1].group(1)) >= x_pages
+        assert serial.to_json() == parallel.to_json()
+        assert "pages" not in serial.to_json()
 
 
 class TestConvergenceStudy:
