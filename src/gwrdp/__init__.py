@@ -50,7 +50,6 @@ from .codec import (
     CodeSizes,
     EmptyTypicalSetError,
     PagedLayer,
-    ShiftSeed,
     TypicalSetSpec,
     circular_shift,
     compute_code_sizes,
@@ -72,6 +71,13 @@ from .derandom import (
     deterministic_decode,
     deterministic_encode,
 )
-from .simulate import ResourceCapError, SimConfig, SimReport, convergence_study, run_simulation
+from .simulate import (
+    BranchStats,
+    ResourceCapError,
+    SimConfig,
+    SimReport,
+    convergence_study,
+    run_simulation,
+)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -59,46 +59,67 @@ class RunManifest:
         return asdict(self)
 
 
-def _need(obj: dict, field: str, kind=None):
-    if field not in obj:
-        raise ConfigError(f"missing required field {field!r}")
-    value = obj[field]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"field {field!r} has wrong type (expected {kind})")
+_REQUIRED = object()
+
+
+def _field(obj: dict, name: str, kind=None, default=_REQUIRED):
+    """obj[name], checked against ``kind`` (a type or tuple of types; bool
+    only where named). Passing a ``default`` makes the field optional: it
+    stands in for an absent or null value."""
+    value = obj.get(name)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required field {name!r}")
+        return default
+    if kind is None:
+        return value
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ConfigError(f"field {name!r} has wrong type (expected {names})")
     return value
+
+
+def _seed(args, cfg: dict) -> int:
+    return args.seed if args.seed is not None else _field(cfg, "seed", int, 0)
 
 
 def _as_budget(value) -> float:
     if value == "inf":
         return math.inf
-    if isinstance(value, (int, float)) and value >= 0:
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and value >= 0:
         return float(value)
     raise ConfigError(f"budget {value!r} must be a nonnegative number or 'inf'")
 
 
+def _budgets(cfg: dict) -> Budgets:
+    bud = _field(cfg, "budgets", dict)
+    return Budgets(d1=_as_budget(_field(bud, "D1")), d2=_as_budget(_field(bud, "D2")),
+                   p1=_as_budget(_field(bud, "P1", default="inf")),
+                   p2=_as_budget(_field(bud, "P2", default="inf")))
+
+
 def _pmf_like(obj: dict, field: str) -> np.ndarray:
-    spec = _need(obj, field)
+    spec = _field(obj, field, (list, dict))
     if isinstance(spec, list):
         return np.asarray(spec, dtype=np.float64)
-    if isinstance(spec, dict):
-        shape = tuple(_need(spec, "alphabets", list))
-        probs = np.asarray(_need(spec, "probs", list), dtype=np.float64)
-        try:
-            return probs.reshape(shape)
-        except ValueError as exc:
-            raise ConfigError(f"field {field!r}: {exc}") from None
-    raise ConfigError(f"field {field!r} must be a list or an alphabets/probs object")
+    shape = tuple(_field(spec, "alphabets", list))
+    probs = np.asarray(_field(spec, "probs", list), dtype=np.float64)
+    try:
+        return probs.reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field {field!r}: {exc}") from None
 
 
 def _perception(obj: dict) -> PerceptionMeasure:
-    kind = obj.get("perception", "tv")
+    kind = _field(obj, "perception", str, "tv")
     if kind not in ("tv", "kl"):
         raise ConfigError("perception must be 'tv' or 'kl' in configs")
     return PerceptionMeasure(kind)
 
 
 def _distortion(obj: dict, n_source: int, field: str = "distortion") -> DistortionMatrix:
-    spec = obj.get(field, "hamming")
+    spec = _field(obj, field, (str, list), "hamming")
     if spec == "hamming":
         return DistortionMatrix(hamming(n_source))
     if isinstance(spec, list):
@@ -130,7 +151,7 @@ def _manifest(args, subcommand: str, config_text: str, outputs: tuple[str, ...],
 
 
 def cmd_rdp(args, cfg: dict, config_text: str) -> int:
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = _seed(args, cfg)
     if "q_xw" in cfg:
         q_xw = JointPmf(_pmf_like(cfg, "q_xw"), ("X", "W"))
     else:
@@ -139,11 +160,12 @@ def cmd_rdp(args, cfg: dict, config_text: str) -> int:
             raise ConfigError("field 'source' must be a 1-D pmf")
         q_xw = JointPmf(src[:, None], ("X", "W"))
     delta = _distortion(cfg, q_xw.shape[0])
+    recon = _field(cfg, "recon_alphabet", list, None)
     query = RdpQuery(
         q_xw=q_xw, delta=delta, perception=_perception(cfg),
-        d_budget=_as_budget(_need(cfg, "d_budget")),
-        p_budget=_as_budget(_need(cfg, "p_budget")),
-        recon_alphabet=tuple(cfg["recon_alphabet"]) if "recon_alphabet" in cfg else None)
+        d_budget=_as_budget(_field(cfg, "d_budget")),
+        p_budget=_as_budget(_field(cfg, "p_budget")),
+        recon_alphabet=tuple(recon) if recon is not None else None)
     result = conditional_rdp(query)
     manifest = _manifest(args, "rdp", config_text, ("rdp_result.json",), seed)
     payload = {
@@ -152,7 +174,7 @@ def cmd_rdp(args, cfg: dict, config_text: str) -> int:
         "achieved_perception": result.achieved_perception,
         "converged": result.converged,
         "iterations": result.iterations,
-        "test_channel": json.loads(result.test_channel.to_json()),
+        "test_channel": result.test_channel.to_dict(),
     }
     _write_json(args.out_dir / "rdp_result.json", payload, manifest)
     print(f"rate {result.rate:.6f} bits | distortion {result.achieved_distortion:.6g}"
@@ -161,13 +183,9 @@ def cmd_rdp(args, cfg: dict, config_text: str) -> int:
 
 
 def cmd_region(args, cfg: dict, config_text: str) -> int:
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = _seed(args, cfg)
     p_xy = JointPmf(_pmf_like(cfg, "p_xy"), ("X", "Y"))
-    bud_cfg = _need(cfg, "budgets", dict)
-    budgets = Budgets(d1=_as_budget(_need(bud_cfg, "D1")),
-                      d2=_as_budget(_need(bud_cfg, "D2")),
-                      p1=_as_budget(bud_cfg.get("P1", "inf")),
-                      p2=_as_budget(bud_cfg.get("P2", "inf")))
+    budgets = _budgets(cfg)
     nx, ny = p_xy.shape
     problem = RegionProblem(
         p_xy=p_xy,
@@ -176,17 +194,17 @@ def cmd_region(args, cfg: dict, config_text: str) -> int:
         perception_x=_perception(cfg), perception_y=_perception(cfg))
     frontier = compute_frontier(
         problem, budgets,
-        strategy=cfg.get("strategy", "grid"),
-        w_size=cfg.get("w_size"),
-        samples=int(cfg.get("samples", 16)),
-        restarts=int(cfg.get("restarts", 3)),
+        strategy=_field(cfg, "strategy", str, "grid"),
+        w_size=_field(cfg, "w_size", int, None),
+        samples=_field(cfg, "samples", int, 16),
+        restarts=_field(cfg, "restarts", int, 3),
         seed=seed, parallel=args.parallel)
 
     outputs = ["frontier.csv", "frontier.json"]
     csv_body = frontier.to_csv()
-    payload = json.loads(frontier.to_json())
+    payload = frontier.to_dict()
 
-    if cfg.get("cutset_audit", False):
+    if _field(cfg, "cutset_audit", bool, False):
         p_x = Pmf(p_xy.marginal("X").probs)
         p_y = Pmf(p_xy.marginal("Y").probs)
         rdp_x = rdp_point_to_point(p_x, problem.delta_x, problem.perception_x,
@@ -208,49 +226,35 @@ def cmd_region(args, cfg: dict, config_text: str) -> int:
     return EXIT_OK
 
 
-def _kernel_or_none(cfg: dict, field: str) -> Kernel | None:
-    if field not in cfg or cfg[field] == "solve":
-        return None
-    return Kernel(_pmf_like(cfg, field))
-
-
 def cmd_simulate(args, cfg: dict, config_text: str) -> int:
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = _seed(args, cfg)
     p_xy = JointPmf(_pmf_like(cfg, "p_xy"), ("X", "Y"))
-    nx, ny = p_xy.shape
-    bud_cfg = _need(cfg, "budgets", dict)
-    budgets = Budgets(d1=_as_budget(_need(bud_cfg, "D1")),
-                      d2=_as_budget(_need(bud_cfg, "D2")),
-                      p1=_as_budget(bud_cfg.get("P1", "inf")),
-                      p2=_as_budget(bud_cfg.get("P2", "inf")))
-    aux_spec = cfg.get("aux", "independent")
-    if aux_spec == "independent":
-        aux = AuxChannel.independent(nx, ny)
+    budgets = _budgets(cfg)
+    if _field(cfg, "aux", (str, list, dict), "independent") == "independent":
+        aux = AuxChannel.independent(*p_xy.shape)
     else:
         aux = AuxChannel(Kernel(_pmf_like(cfg, "aux")))
 
-    tc_x = _kernel_or_none(cfg, "test_channel_x")
-    tc_y = _kernel_or_none(cfg, "test_channel_y")
     perception = _perception(cfg)
-    delta_x = _distortion(cfg, nx, "distortion_x")
-    delta_y = _distortion(cfg, ny, "distortion_y")
-    if tc_x is None or tc_y is None:
-        q_xyw = p_xy.extend(aux.kernel, "W")
-        if tc_x is None:
-            res = conditional_rdp(RdpQuery(q_xyw.marginal("X", "W"), delta_x,
-                                           perception, budgets.d1, budgets.p1))
-            tc_x = res.test_channel
-        if tc_y is None:
-            res = conditional_rdp(RdpQuery(q_xyw.marginal("Y", "W"), delta_y,
-                                           perception, budgets.d2, budgets.p2))
-            tc_y = res.test_channel
+    deltas = [_distortion(cfg, size, f"distortion_{b}") for b, size in zip("xy", p_xy.shape)]
+    q_xyw = p_xy.extend(aux.kernel, "W")
+    channels = []
+    for b, delta, d_budget, p_budget in zip("xy", deltas, (budgets.d1, budgets.d2),
+                                            (budgets.p1, budgets.p2)):
+        name = f"test_channel_{b}"
+        if _field(cfg, name, (str, list, dict), "solve") == "solve":
+            query = RdpQuery(q_xyw.marginal(b.upper(), "W"), delta, perception,
+                             d_budget, p_budget)
+            channels.append(conditional_rdp(query).test_channel)
+        else:
+            channels.append(Kernel(_pmf_like(cfg, name)))
 
     config = SimConfig(
-        p_xy=p_xy, aux=aux, test_channel_x=tc_x, test_channel_y=tc_y,
-        n=int(_need(cfg, "n")), delta=float(_need(cfg, "delta")),
-        trials=int(_need(cfg, "trials")), master_seed=seed, budgets=budgets,
-        mode=cfg.get("mode", "common-randomness"),
-        n0=cfg.get("n0"), delta_x_mat=delta_x, delta_y_mat=delta_y,
+        p_xy=p_xy, aux=aux, test_channel_x=channels[0], test_channel_y=channels[1],
+        n=_field(cfg, "n", int), delta=float(_field(cfg, "delta", (int, float))),
+        trials=_field(cfg, "trials", int), master_seed=seed, budgets=budgets,
+        mode=_field(cfg, "mode", str, "common-randomness"),
+        n0=_field(cfg, "n0", int, None), delta_x_mat=deltas[0], delta_y_mat=deltas[1],
         memory_cap=args.memory_cap)
     try:
         report = run_simulation(config, parallel=args.parallel)
@@ -260,21 +264,22 @@ def cmd_simulate(args, cfg: dict, config_text: str) -> int:
 
     manifest = _manifest(args, "simulate", config_text,
                          ("sim_report.json", "sim_report.csv"), seed)
-    _write_json(args.out_dir / "sim_report.json", json.loads(report.to_json()), manifest)
+    _write_json(args.out_dir / "sim_report.json", report.to_dict(), manifest)
     _write_csv(args.out_dir / "sim_report.csv", report.to_csv(), manifest)
-    print(f"distortion ({report.mean_distortion_x:.4f}, {report.mean_distortion_y:.4f})"
-          f" vs thresholds ({report.threshold_x:.4f}, {report.threshold_y:.4f}) | "
-          f"max TV excess ({report.max_tv_excess_x:+.4f}, {report.max_tv_excess_y:+.4f}) | "
-          f"miss rates ({report.freq_no_common_codeword:.3f}, "
-          f"{report.freq_no_x_codeword:.3f}, {report.freq_no_y_codeword:.3f})")
+    cols = [(f"{s.mean_distortion:.4f}", f"{s.threshold:.4f}", f"{s.max_tv_excess(p):+.4f}",
+             f"{s.freq_no_codeword:.3f}")
+            for s, p in ((report.x, budgets.p1), (report.y, budgets.p2))]
+    dist, thr, tv, miss = (", ".join(c) for c in zip(*cols))
+    print(f"distortion ({dist}) vs thresholds ({thr}) | max TV excess ({tv}) | "
+          f"miss rates ({report.freq_no_common_codeword:.3f}, {miss})")
     return EXIT_OK
 
 
 def cmd_derand_audit(args, cfg: dict, config_text: str) -> int:
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = _seed(args, cfg)
     p_xy = JointPmf(_pmf_like(cfg, "p_xy"), ("X", "Y"))
     try:
-        seed_map = build_seed_map(p_xy, int(_need(cfg, "n0")), int(_need(cfg, "n")))
+        seed_map = build_seed_map(p_xy, _field(cfg, "n0", int), _field(cfg, "n", int))
     except SeedMapError as exc:
         print(f"seed map rejected: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -13,8 +13,7 @@ enumerated, weighted by their exact (big-integer) multinomial class
 sizes, one is drawn by exact inverse CDF, and a uniformly random
 arrangement of its symbol multiset is emitted. The inverse CDF runs on
 int64 (unbiased bounded integers and a sorted search) when the total
-class size fits, and on big integers otherwise. A plain rejection sampler
-is available as a cross-check.
+class size fits, and on big integers otherwise.
 
 Codebooks draw the common layer eagerly and each private layer lazily, in
 pages of 4096 codewords. Page p of branch b under common index s0 comes
@@ -34,7 +33,6 @@ block for the private layers.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 import operator
 import random
@@ -65,18 +63,6 @@ class ResourceCapError(RuntimeError):
 # ---------------------------------------------------------------------------
 # circular shifts
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShiftSeed:
-    """Shared shift seed k for blocklength n."""
-
-    k: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1 or not (0 <= self.k <= self.n - 1):
-            raise ValueError(f"shift seed {self.k} outside [0, {self.n - 1}]")
 
 
 def shift_position(n: int, k: int, t: int) -> int:
@@ -360,24 +346,6 @@ def sample_uniform_cond_typical(joint_q: np.ndarray, delta: float,
     return out
 
 
-def rejection_sample_typical(spec: TypicalSetSpec, count: int,
-                             rng: np.random.Generator | int,
-                             max_tries: int = 1_000_000) -> np.ndarray:
-    """Cross-check sampler: draw i.i.d. q^n and keep typical sequences."""
-    rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
-    q = spec.q.reshape(-1)
-    out = np.empty((count, spec.n), dtype=SYMBOL_DTYPE)
-    got = 0
-    for _ in range(max_tries):
-        seq = rng.choice(q.shape[0], size=spec.n, p=q).astype(SYMBOL_DTYPE)
-        if is_typical(seq, spec):
-            out[got] = seq
-            got += 1
-            if got == count:
-                return out
-    raise EmptyTypicalSetError(f"rejection sampler failed after {max_tries} tries")
-
-
 # ---------------------------------------------------------------------------
 # code sizes and codebooks
 # ---------------------------------------------------------------------------
@@ -616,28 +584,6 @@ class Codebook:
     def sizes(self) -> tuple[int, int, int]:
         return (self.common.shape[0], self.priv_x.shape[1], self.priv_y.shape[1])
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n, "delta": self.delta, "seed": self.seed,
-            "common": self.common.tolist(),
-            "priv_x": np.asarray(self.priv_x).tolist(),
-            "priv_y": np.asarray(self.priv_y).tolist(),
-            "q_xyw": self.q_xyw.tolist(),
-            "joint_xt_w": self.joint_xt_w.tolist(),
-            "joint_yt_w": self.joint_yt_w.tolist(),
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "Codebook":
-        o = json.loads(text)
-        return cls(common=np.asarray(o["common"], dtype=SYMBOL_DTYPE),
-                   priv_x=np.asarray(o["priv_x"], dtype=SYMBOL_DTYPE),
-                   priv_y=np.asarray(o["priv_y"], dtype=SYMBOL_DTYPE),
-                   q_xyw=np.asarray(o["q_xyw"], dtype=np.float64),
-                   joint_xt_w=np.asarray(o["joint_xt_w"], dtype=np.float64),
-                   joint_yt_w=np.asarray(o["joint_yt_w"], dtype=np.float64),
-                   n=o["n"], delta=o["delta"], seed=o["seed"])
-
 
 def generate_codebook(q_xyw: JointPmf, tc_x: Kernel, tc_y: Kernel,
                       sizes: CodeSizes, delta: float, n: int, seed: int,
@@ -795,11 +741,3 @@ def _selected(codebook: Codebook, s0: int, s1: int, s2: int):
         raise IndexError(f"indices ({s0}, {s1}, {s2}) outside codebook sizes {codebook.sizes}")
     return codebook.priv_x[s0, s1], codebook.priv_y[s0, s2]
 
-
-def per_letter_distortion(delta_mat: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Average of delta over aligned positions."""
-    a = np.asarray(a).astype(np.int64)
-    b = np.asarray(b).astype(np.int64)
-    if a.shape != b.shape:
-        raise ValueError("sequences must have equal length")
-    return float(np.asarray(delta_mat)[a, b].mean())

@@ -13,7 +13,6 @@ and extends reconstructions by copying the head prefix into the tail.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass
 
@@ -43,10 +42,6 @@ class SeedMap:
     def max_deviation(self) -> float:
         return float(np.abs(self.bin_masses - 1.0 / self.n).max())
 
-    @property
-    def bound(self) -> float:
-        return self.p_max
-
     def seed_for_tail(self, x_tail: np.ndarray, y_tail: np.ndarray) -> int:
         x = np.asarray(x_tail).astype(np.int64)
         y = np.asarray(y_tail).astype(np.int64)
@@ -71,21 +66,6 @@ class SeedMap:
             "within_bound": bool(dev <= self.p_max + 1e-15),
         }
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "n0": self.n0, "n": self.n, "nx": self.nx, "ny": self.ny,
-            "p_max": self.p_max,
-            "assignment": self.assignment.tolist(),
-            "bin_masses": self.bin_masses.tolist(),
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "SeedMap":
-        o = json.loads(text)
-        return cls(assignment=np.asarray(o["assignment"], dtype=np.int64),
-                   bin_masses=np.asarray(o["bin_masses"], dtype=np.float64),
-                   p_max=o["p_max"], n0=o["n0"], n=o["n"], nx=o["nx"], ny=o["ny"])
-
 
 def default_tail_length(pair_alphabet_size: int, n: int) -> int:
     """Smallest n0 with pair_alphabet**n0 >= n**2 (deviation slack)."""
@@ -106,6 +86,8 @@ def build_seed_map(p_xy: JointPmf, n0: int, n: int, *,
     into the lightest bin, so the final per-bin deviation from 1/n is at
     most the largest atom probability; the bound is asserted, not assumed.
     """
+    if n < 1 or n0 < 1:
+        raise ValueError(f"n={n} and n0={n0} must both be at least 1")
     flat = np.asarray(p_xy.probs, dtype=np.float64).reshape(-1)
     nx, ny = p_xy.shape
     n_atoms = len(flat) ** n0

@@ -13,7 +13,6 @@ pure, so values can be shared freely across threads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -67,12 +66,11 @@ class Pmf:
     def __eq__(self, other) -> bool:
         return isinstance(other, Pmf) and np.array_equal(self.probs, other.probs)
 
-    def to_json(self) -> str:
-        return json.dumps({"alphabets": [self.size], "probs": self.probs.tolist()})
+    def to_dict(self) -> dict:
+        return {"alphabets": [self.size], "probs": self.probs.tolist()}
 
     @classmethod
-    def from_json(cls, text: str) -> "Pmf":
-        obj = json.loads(text)
+    def from_dict(cls, obj: dict) -> "Pmf":
         (k,) = obj["alphabets"]
         probs = np.asarray(obj["probs"], dtype=np.float64)
         if probs.shape != (k,):
@@ -151,16 +149,12 @@ class JointPmf:
         return (isinstance(other, JointPmf) and self.axes == other.axes
                 and np.array_equal(self.probs, other.probs))
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "alphabets": list(self.shape),
-            "probs": self.probs.reshape(-1).tolist(),
-            "axes": list(self.axes),
-        })
+    def to_dict(self) -> dict:
+        return {"alphabets": list(self.shape), "probs": self.probs.reshape(-1).tolist(),
+                "axes": list(self.axes)}
 
     @classmethod
-    def from_json(cls, text: str) -> "JointPmf":
-        obj = json.loads(text)
+    def from_dict(cls, obj: dict) -> "JointPmf":
         shape = tuple(obj["alphabets"])
         probs = np.asarray(obj["probs"], dtype=np.float64).reshape(shape)
         axes = tuple(obj.get("axes") or ("X", "Y", "W")[: len(shape)])
@@ -204,15 +198,11 @@ class Kernel:
     def __eq__(self, other) -> bool:
         return isinstance(other, Kernel) and np.array_equal(self.probs, other.probs)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "alphabets": list(self.probs.shape),
-            "probs": self.probs.reshape(-1).tolist(),
-        })
+    def to_dict(self) -> dict:
+        return {"alphabets": list(self.probs.shape), "probs": self.probs.reshape(-1).tolist()}
 
     @classmethod
-    def from_json(cls, text: str) -> "Kernel":
-        obj = json.loads(text)
+    def from_dict(cls, obj: dict) -> "Kernel":
         shape = tuple(obj["alphabets"])
         return cls(np.asarray(obj["probs"], dtype=np.float64).reshape(shape))
 

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -144,20 +143,20 @@ class RegionFrontier:
                               p.budgets.p1, p.budgets.p2)] + [self.seed])
         return buf.getvalue()
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        return {
             "seed": self.seed,
             "strategy": self.strategy,
             "n_evaluated": self.n_evaluated,
             "points": [{
                 "R0": p.r0, "R1": p.r1, "R2": p.r2,
                 "budgets": p.budgets.as_dict(),
-                "aux_channel": json.loads(p.witness.kernel.to_json()),
-                "test_channel_x": json.loads(p.test_channel_x.to_json()),
-                "test_channel_y": json.loads(p.test_channel_y.to_json()),
+                "aux_channel": p.witness.kernel.to_dict(),
+                "test_channel_x": p.test_channel_x.to_dict(),
+                "test_channel_y": p.test_channel_y.to_dict(),
                 "converged": p.converged,
             } for p in self.points],
-        }, indent=2)
+        }
 
 
 class _Solves(dict):

@@ -16,18 +16,16 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .codec import (
     PAGE_ROWS,
     Codebook,
-    CodeSizes,
     ResourceCapError,
     compute_code_sizes,
     decode,
@@ -43,7 +41,7 @@ from .derandom import (
     deterministic_encode,
     seed_rate_overhead,
 )
-from .prob import JointPmf, Kernel, tv_distance
+from .prob import JointPmf, Kernel
 from .region import AuxChannel, Budgets
 from .solver import DistortionMatrix, hamming
 
@@ -76,7 +74,6 @@ class SimConfig:
     delta_x_mat: DistortionMatrix | None = None
     delta_y_mat: DistortionMatrix | None = None
     memory_cap: int = 2 ** 24
-    wilson_z: float = 1.96
 
     def __post_init__(self):
         if self.trials < 1:
@@ -106,6 +103,37 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
+class BranchStats:
+    """Monte Carlo statistics of one branch (X or Y) of a simulation."""
+
+    threshold: float             # encoder's per-letter distortion threshold
+    mean_distortion: float
+    mean_distortion_head: float  # first-n positions only (equals the full
+                                 # mean in common-randomness mode)
+    stderr_distortion: float
+    distortion_wilson: float     # pooled-letter Wilson half-width
+    freq_no_codeword: float      # private-layer scans that missed
+    marginals: np.ndarray        # (positions, |X|) estimated reconstruction pmfs
+    marginal_halfwidth: np.ndarray
+    tv: np.ndarray               # per-position TV to the source marginal
+    tv_interval: np.ndarray      # conservative per-position interval
+
+    def max_tv_excess(self, p_budget: float) -> float:
+        return float((self.tv - p_budget).max())
+
+    def to_dict(self, branch: str) -> dict:
+        """Fields keyed as in the report files: ``<field>_x``, and
+        ``freq_no_x_codeword`` for the miss frequency."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            key = (f"freq_no_{branch}_codeword" if f.name == "freq_no_codeword"
+                   else f"{f.name}_{branch}")
+            out[key] = value.tolist() if isinstance(value, np.ndarray) else value
+        return out
+
+
+@dataclass(frozen=True)
 class SimReport:
     """Aggregated Monte Carlo statistics for one configuration."""
 
@@ -114,83 +142,39 @@ class SimReport:
     n0: int
     trials: int
     sizes: tuple[int, int, int]
-    threshold_x: float
-    threshold_y: float
-    mean_distortion_x: float
-    mean_distortion_y: float
-    mean_distortion_head_x: float   # first-n positions only (equals the
-    mean_distortion_head_y: float   # full mean in common-randomness mode)
-    stderr_distortion_x: float
-    stderr_distortion_y: float
-    distortion_wilson_x: float   # pooled-letter Wilson half-width
-    distortion_wilson_y: float
+    x: BranchStats
+    y: BranchStats
     freq_no_common_codeword: float
     joint_set_empty: bool        # no (x, y, w) count vector fits the joint
                                  # band: every common scan misses
-    freq_no_x_codeword: float
-    freq_no_y_codeword: float
-    marginals_x: np.ndarray      # (positions, |X|) estimated reconstruction pmfs
-    marginals_y: np.ndarray
-    marginal_halfwidth_x: np.ndarray
-    marginal_halfwidth_y: np.ndarray
-    tv_x: np.ndarray             # per-position TV to the source marginal
-    tv_y: np.ndarray
-    tv_interval_x: np.ndarray    # conservative per-position interval
-    tv_interval_y: np.ndarray
     rates: tuple[float, float, float]
     seed_overhead: float
     budgets: Budgets
     master_seed: int
 
-    @property
-    def max_tv_excess_x(self) -> float:
-        return float((self.tv_x - self.budgets.p1).max())
-
-    @property
-    def max_tv_excess_y(self) -> float:
-        return float((self.tv_y - self.budgets.p2).max())
-
-    def to_json(self) -> str:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "mode": self.mode, "n": self.n, "n0": self.n0, "trials": self.trials,
             "sizes": list(self.sizes),
-            "threshold_x": self.threshold_x, "threshold_y": self.threshold_y,
-            "mean_distortion_x": self.mean_distortion_x,
-            "mean_distortion_y": self.mean_distortion_y,
-            "mean_distortion_head_x": self.mean_distortion_head_x,
-            "mean_distortion_head_y": self.mean_distortion_head_y,
-            "stderr_distortion_x": self.stderr_distortion_x,
-            "stderr_distortion_y": self.stderr_distortion_y,
-            "distortion_wilson_x": self.distortion_wilson_x,
-            "distortion_wilson_y": self.distortion_wilson_y,
+            **self.x.to_dict("x"), **self.y.to_dict("y"),
             "freq_no_common_codeword": self.freq_no_common_codeword,
             "joint_set_empty": self.joint_set_empty,
-            "freq_no_x_codeword": self.freq_no_x_codeword,
-            "freq_no_y_codeword": self.freq_no_y_codeword,
-            "marginals_x": self.marginals_x.tolist(),
-            "marginals_y": self.marginals_y.tolist(),
-            "marginal_halfwidth_x": self.marginal_halfwidth_x.tolist(),
-            "marginal_halfwidth_y": self.marginal_halfwidth_y.tolist(),
-            "tv_x": self.tv_x.tolist(), "tv_y": self.tv_y.tolist(),
-            "tv_interval_x": self.tv_interval_x.tolist(),
-            "tv_interval_y": self.tv_interval_y.tolist(),
             "rates": list(self.rates),
             "seed_overhead": self.seed_overhead,
             "budgets": self.budgets.as_dict(),
             "master_seed": self.master_seed,
         }
-        return json.dumps(d)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["row", "position", "tv_x", "tv_interval_x", "tv_y", "tv_interval_y"])
-        for t in range(self.tv_x.shape[0]):
+        for t in range(self.x.tv.shape[0]):
             w.writerow(["position", t] + [f"{v:.6g}" for v in
-                        (self.tv_x[t], self.tv_interval_x[t],
-                         self.tv_y[t], self.tv_interval_y[t])])
-        w.writerow(["summary", "", f"{self.mean_distortion_x:.6g}",
-                    f"{self.mean_distortion_y:.6g}",
+                        (self.x.tv[t], self.x.tv_interval[t],
+                         self.y.tv[t], self.y.tv_interval[t])])
+        w.writerow(["summary", "", f"{self.x.mean_distortion:.6g}",
+                    f"{self.y.mean_distortion:.6g}",
                     f"{self.freq_no_common_codeword:.6g}",
                     f"{self.rates[0]:.6g}"])
         return buf.getvalue()
@@ -202,26 +186,32 @@ def encoder_thresholds(q_xyw: JointPmf, tc_x: Kernel, tc_y: Kernel,
     """Per-letter distortion thresholds: achieved expected distortion of
     each test channel plus delta/2."""
     p = np.asarray(q_xyw.probs)
-    j_x = p.sum(axis=1)[:, :, None] * tc_x.probs   # (X, W, Xt)
-    j_y = p.sum(axis=0)[:, :, None] * tc_y.probs
-    e_x = float(np.einsum("xwh,xh->", j_x, np.asarray(delta_x)))
-    e_y = float(np.einsum("ywh,yh->", j_y, np.asarray(delta_y)))
-    return e_x + delta / 2.0, e_y + delta / 2.0
+    q_sw = (p.sum(axis=1), p.sum(axis=0))   # (X, W) and (Y, W)
+    return tuple(
+        float(np.einsum("swh,sh->", q[:, :, None] * tc.probs, np.asarray(d))) + delta / 2.0
+        for q, tc, d in zip(q_sw, (tc_x, tc_y), (delta_x, delta_y)))
 
 
 @dataclass
 class _TrialBatch:
-    dist_x: np.ndarray
-    dist_y: np.ndarray
-    head_x: np.ndarray
-    head_y: np.ndarray
-    miss0: np.ndarray
-    miss1: np.ndarray
-    miss2: np.ndarray
-    hist_x: np.ndarray
-    hist_y: np.ndarray
+    """Per-trial results of trials [lo, hi); the first axis of ``dist``,
+    ``head`` and ``hist`` is the branch (X, then Y)."""
+
+    dist: np.ndarray             # (2, trials) per-letter distortion
+    head: np.ndarray             # (2, trials) over the first n positions
+    miss: np.ndarray             # (3, trials) common, X and Y scan misses
+    hist: list[np.ndarray]       # per branch (positions, |X|) symbol counts
     pages: tuple[int, int]       # private pages (x, y) this batch's process drew
     codewords: tuple[int, int]   # and the codewords on them
+
+    @classmethod
+    def merge(cls, batches: list["_TrialBatch"]) -> "_TrialBatch":
+        return cls(dist=np.concatenate([b.dist for b in batches], axis=1),
+                   head=np.concatenate([b.head for b in batches], axis=1),
+                   miss=np.concatenate([b.miss for b in batches], axis=1),
+                   hist=[sum(h) for h in zip(*(b.hist for b in batches))],
+                   pages=tuple(map(sum, zip(*(b.pages for b in batches)))),
+                   codewords=tuple(map(sum, zip(*(b.codewords for b in batches)))))
 
 
 _CHUNK = 256   # trials whose draws, decoding and statistics run as arrays
@@ -239,16 +229,12 @@ def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None,
     # rng.choice(p=) draws uniforms and searches this normalized cdf
     cdf = np.cumsum(np.asarray(config.p_xy.probs).reshape(-1))
     cdf /= cdf[-1]
-    dx = config.delta_x_mat.values
-    dy = config.delta_y_mat.values
+    dx, dy = deltas = (config.delta_x_mat.values, config.delta_y_mat.values)
     count = hi - lo
-    dist_x = np.empty(count)
-    dist_y = np.empty(count)
-    head_x = np.empty(count)
-    head_y = np.empty(count)
+    dist = np.empty((2, count))
+    head = np.empty((2, count))
     miss = np.empty((3, count), dtype=bool)
-    hist_x = np.zeros((total_len, dx.shape[1]), dtype=np.int64)
-    hist_y = np.zeros((total_len, dy.shape[1]), dtype=np.int64)
+    hist = [np.zeros((total_len, d.shape[1]), dtype=np.int64) for d in deltas]
     layers = (codebook.priv_x, codebook.priv_y)
     pages_before = [layer.pages_drawn for layer in layers]
     codewords_before = [layer.codewords_drawn for layer in layers]
@@ -275,25 +261,48 @@ def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None,
             miss[:, start - lo + i] = enc.miss_common, enc.miss_x, enc.miss_y
         s0, s1, s2 = zip(*picked)
         if shared_seed:
-            x_hat, y_hat = decode(codebook, s0, s1, s2, ks)
+            hats = decode(codebook, s0, s1, s2, ks)
         else:
-            x_hat, y_hat = deterministic_decode(codebook, s0, s1, s2, ks, n0)
+            hats = deterministic_decode(codebook, s0, s1, s2, ks, n0)
         rows = slice(start - lo, trials.stop - lo)
-        dist_x[rows] = dx[xs, x_hat].mean(axis=1)
-        dist_y[rows] = dy[ys, y_hat].mean(axis=1)
-        head_x[rows] = dx[xs[:, :n], x_hat[:, :n]].mean(axis=1)
-        head_y[rows] = dy[ys[:, :n], y_hat[:, :n]].mean(axis=1)
-        for hist, hat in ((hist_x, x_hat), (hist_y, y_hat)):
-            cells = np.arange(total_len) * hist.shape[1] + hat
-            hist += np.bincount(cells.ravel(), minlength=hist.size).reshape(hist.shape)
+        for b, (d, src, hat) in enumerate(zip(deltas, (xs, ys), hats)):
+            dist[b, rows] = d[src, hat].mean(axis=1)
+            head[b, rows] = d[src[:, :n], hat[:, :n]].mean(axis=1)
+            cells = np.arange(total_len) * hist[b].shape[1] + hat
+            hist[b] += np.bincount(cells.ravel(), minlength=hist[b].size).reshape(hist[b].shape)
     return _TrialBatch(
-        dist_x, dist_y, head_x, head_y, *miss, hist_x, hist_y,
+        dist, head, miss, hist,
         pages=tuple(layer.pages_drawn - b for layer, b in zip(layers, pages_before)),
         codewords=tuple(layer.codewords_drawn - b for layer, b in zip(layers, codewords_before)))
 
 
 def _worker(args):
     return _run_trials(*args)
+
+
+def _branch_stats(batch: _TrialBatch, b: int, threshold: float, p_source: np.ndarray,
+                  delta_mat: np.ndarray) -> BranchStats:
+    """Statistics of branch b (0 for X, 1 for Y) over all trials of a
+    merged batch."""
+    dist = batch.dist[b]
+    trials, total_len = dist.shape[0], batch.hist[b].shape[0]
+    marginals = batch.hist[b] / trials
+    halfwidth = wilson_halfwidth(marginals, trials)
+    pooled = float(dist.mean())
+    # the pooled letters are Bernoulli only under a 0/1 distortion
+    is01 = set(np.unique(delta_mat)) <= {0.0, 1.0}
+    return BranchStats(
+        threshold=threshold,
+        mean_distortion=pooled,
+        mean_distortion_head=float(batch.head[b].mean()),
+        stderr_distortion=float(dist.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
+        distortion_wilson=(float(wilson_halfwidth(pooled, trials * total_len))
+                           if is01 else float("nan")),
+        freq_no_codeword=float(batch.miss[1 + b].mean()),
+        marginals=marginals,
+        marginal_halfwidth=halfwidth,
+        tv=np.abs(marginals - p_source[None, :]).sum(axis=1),
+        tv_interval=halfwidth.sum(axis=1))
 
 
 def run_simulation(config: SimConfig, parallel: int = 1) -> SimReport:
@@ -309,10 +318,9 @@ def run_simulation(config: SimConfig, parallel: int = 1) -> SimReport:
             f"codebook needs at least {first_symbols} symbols, cap is {config.memory_cap}; "
             f"raise memory_cap or reduce n/delta")
 
-    thr_x, thr_y = encoder_thresholds(q_xyw, config.test_channel_x,
-                                      config.test_channel_y,
-                                      config.delta_x_mat.values,
-                                      config.delta_y_mat.values, config.delta)
+    deltas = (config.delta_x_mat.values, config.delta_y_mat.values)
+    thresholds = encoder_thresholds(q_xyw, config.test_channel_x, config.test_channel_y,
+                                    *deltas, config.delta)
     codebook = generate_codebook(q_xyw, config.test_channel_x, config.test_channel_y,
                                  sizes, config.delta, config.n, config.master_seed,
                                  memory_cap=config.memory_cap)
@@ -323,68 +331,26 @@ def run_simulation(config: SimConfig, parallel: int = 1) -> SimReport:
     trials = config.trials
     if parallel > 1:
         bounds = np.linspace(0, trials, parallel + 1).astype(int)
-        jobs = [(config, codebook, seed_map, thr_x, thr_y, int(a), int(b))
+        jobs = [(config, codebook, seed_map, *thresholds, int(a), int(b))
                 for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            batches = list(pool.map(_worker, jobs))
+            batch = _TrialBatch.merge(list(pool.map(_worker, jobs)))
     else:
-        batches = [_run_trials(config, codebook, seed_map, thr_x, thr_y, 0, trials)]
-
-    dist_x = np.concatenate([b.dist_x for b in batches])
-    dist_y = np.concatenate([b.dist_y for b in batches])
-    head_x = np.concatenate([b.head_x for b in batches])
-    head_y = np.concatenate([b.head_y for b in batches])
-    miss0 = np.concatenate([b.miss0 for b in batches])
-    miss1 = np.concatenate([b.miss1 for b in batches])
-    miss2 = np.concatenate([b.miss2 for b in batches])
-    hist_x = sum(b.hist_x for b in batches)
-    hist_y = sum(b.hist_y for b in batches)
+        batch = _run_trials(config, codebook, seed_map, *thresholds, 0, trials)
     _log.debug("private pages drawn: x %d (%d codewords), y %d (%d codewords)",
-               sum(b.pages[0] for b in batches), sum(b.codewords[0] for b in batches),
-               sum(b.pages[1] for b in batches), sum(b.codewords[1] for b in batches))
+               batch.pages[0], batch.codewords[0], batch.pages[1], batch.codewords[1])
 
-    total_len = config.n + n0
-    marg_x = hist_x / trials
-    marg_y = hist_y / trials
-    hw_x = wilson_halfwidth(marg_x, trials, config.wilson_z)
-    hw_y = wilson_halfwidth(marg_y, trials, config.wilson_z)
-    p_x = np.asarray(config.p_xy.marginal("X").probs)
-    p_y = np.asarray(config.p_xy.marginal("Y").probs)
-    tv_x = np.abs(marg_x - p_x[None, :]).sum(axis=1)
-    tv_y = np.abs(marg_y - p_y[None, :]).sum(axis=1)
-
-    letters = trials * total_len
-    pooled_x = float(dist_x.mean())
-    pooled_y = float(dist_y.mean())
-    is01_x = set(np.unique(config.delta_x_mat.values)) <= {0.0, 1.0}
-    is01_y = set(np.unique(config.delta_y_mat.values)) <= {0.0, 1.0}
-    wilson_x = float(wilson_halfwidth(pooled_x, letters, config.wilson_z)) if is01_x else float("nan")
-    wilson_y = float(wilson_halfwidth(pooled_y, letters, config.wilson_z)) if is01_y else float("nan")
-
+    sources = (config.p_xy.marginal("X").probs, config.p_xy.marginal("Y").probs)
+    x, y = (_branch_stats(batch, b, thresholds[b], sources[b], deltas[b]) for b in (0, 1))
     overhead = seed_rate_overhead(config.n, n0) if config.mode == "deterministic" else 0.0
-    denom = config.n
-    rates = (math.log2(max(sizes.m0, 1)) / denom + overhead,
-             math.log2(max(sizes.m1, 1)) / denom + overhead,
-             math.log2(max(sizes.m2, 1)) / denom + overhead)
+    rates = tuple(math.log2(max(m, 1)) / config.n + overhead
+                  for m in (sizes.m0, sizes.m1, sizes.m2))
 
     return SimReport(
         mode=config.mode, n=config.n, n0=n0, trials=trials,
-        sizes=(sizes.m0, sizes.m1, sizes.m2),
-        threshold_x=thr_x, threshold_y=thr_y,
-        mean_distortion_x=pooled_x, mean_distortion_y=pooled_y,
-        mean_distortion_head_x=float(head_x.mean()),
-        mean_distortion_head_y=float(head_y.mean()),
-        stderr_distortion_x=float(dist_x.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
-        stderr_distortion_y=float(dist_y.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
-        distortion_wilson_x=wilson_x, distortion_wilson_y=wilson_y,
-        freq_no_common_codeword=float(miss0.mean()),
+        sizes=(sizes.m0, sizes.m1, sizes.m2), x=x, y=y,
+        freq_no_common_codeword=float(batch.miss[0].mean()),
         joint_set_empty=joint_set_empty(codebook.q_xyw, config.n, config.delta),
-        freq_no_x_codeword=float(miss1.mean()),
-        freq_no_y_codeword=float(miss2.mean()),
-        marginals_x=marg_x, marginals_y=marg_y,
-        marginal_halfwidth_x=hw_x, marginal_halfwidth_y=hw_y,
-        tv_x=tv_x, tv_y=tv_y,
-        tv_interval_x=hw_x.sum(axis=1), tv_interval_y=hw_y.sum(axis=1),
         rates=rates, seed_overhead=overhead,
         budgets=config.budgets, master_seed=config.master_seed)
 
@@ -394,22 +360,18 @@ def convergence_study(base: SimConfig, n_list: list[int],
     """One simulation per blocklength; reports the distortion and
     perception excesses and whether the common-codeword miss frequency is
     non-increasing in n."""
-    rows = []
-    for n in sorted(n_list):
-        cfg = replace(base, n=n)
-        rows.append(run_simulation(cfg, parallel=parallel))
-    excess_x = [r.mean_distortion_x - r.threshold_x for r in rows]
-    excess_y = [r.mean_distortion_y - r.threshold_y for r in rows]
+    rows = [run_simulation(replace(base, n=n), parallel=parallel) for n in sorted(n_list)]
     miss0 = [r.freq_no_common_codeword for r in rows]
-    return {
-        "reports": rows,
-        "n_list": [r.n for r in rows],
-        "distortion_excess_x": excess_x,
-        "distortion_excess_y": excess_y,
-        "max_tv_excess_x": [r.max_tv_excess_x for r in rows],
-        "max_tv_excess_y": [r.max_tv_excess_y for r in rows],
-        "freq_no_common_codeword": miss0,
-        "miss0_non_increasing": all(b <= a + 1e-12 for a, b in zip(miss0, miss0[1:])),
-        "distortion_trend_ok": (excess_x[-1] <= excess_x[0] + 1e-12
-                                and excess_y[-1] <= excess_y[0] + 1e-12),
-    }
+    out = {"reports": rows, "n_list": [r.n for r in rows]}
+    trend_ok = True
+    for name, p_budget in (("x", base.budgets.p1), ("y", base.budgets.p2)):
+        branch = [getattr(r, name) for r in rows]
+        excess = [s.mean_distortion - s.threshold for s in branch]
+        out[f"distortion_excess_{name}"] = excess
+        out[f"max_tv_excess_{name}"] = [s.max_tv_excess(p_budget) for s in branch]
+        trend_ok = trend_ok and excess[-1] <= excess[0] + 1e-12
+    out.update(
+        freq_no_common_codeword=miss0,
+        miss0_non_increasing=all(b <= a + 1e-12 for a, b in zip(miss0, miss0[1:])),
+        distortion_trend_ok=trend_ok)
+    return out

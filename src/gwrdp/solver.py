@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -89,39 +88,24 @@ class DistortionMatrix:
 class PerceptionMeasure:
     """Divergence d(P_source, Q_recon), convex in its second argument.
 
-    kind: "tv" (sum |p-q|, range [0,2]), "kl" (bits), or "f" with a
-    supplied convex generator f (f(1)=0); the f-divergence is evaluated
-    pointwise as sum_a q(a) f(p(a)/q(a)), with q(a)=0 cells contributing
-    p(a) * slope_at_inf.
+    kind: "tv" (sum |p-q|, range [0,2]) or "kl" (bits).
     """
 
     kind: str = "tv"
-    generator: Callable[[float], float] | None = None
-    slope_at_inf: float = math.inf
 
     def __post_init__(self):
-        if self.kind not in ("tv", "kl", "f"):
+        if self.kind not in ("tv", "kl"):
             raise ValueError(f"unknown perception kind {self.kind!r}")
-        if self.kind == "f" and self.generator is None:
-            raise ValueError("kind='f' needs a generator")
 
     def value(self, p: np.ndarray, q: np.ndarray) -> float:
         p = np.asarray(p, dtype=np.float64)
         q = np.asarray(q, dtype=np.float64)
         if self.kind == "tv":
             return float(np.abs(p - q).sum())
-        if self.kind == "kl":
-            mask = p > 0
-            if np.any(q[mask] <= 0):
-                return math.inf
-            return float(np.sum(p[mask] * np.log2(p[mask] / q[mask])))
-        total = 0.0
-        for pa, qa in zip(p, q):
-            if qa > 0:
-                total += qa * self.generator(pa / qa)
-            elif pa > 0:
-                total += pa * self.slope_at_inf
-        return float(total)
+        mask = p > 0
+        if np.any(q[mask] <= 0):
+            return math.inf
+        return float(np.sum(p[mask] * np.log2(p[mask] / q[mask])))
 
 
 @dataclass(frozen=True)
@@ -146,7 +130,8 @@ class RdpQuery:
             raise ValueError("p_budget must be nonnegative (use inf to disable)")
         if self.recon_alphabet is not None:
             cols = tuple(self.recon_alphabet)
-            if len(cols) == 0 or len(set(cols)) != len(cols):
+            if (len(cols) == 0 or not all(isinstance(c, (int, np.integer)) for c in cols)
+                    or len(set(cols)) != len(cols)):
                 raise ValueError("recon_alphabet must be a nonempty set of column indices")
             if min(cols) < 0 or max(cols) >= self.delta.n_recon:
                 raise ValueError("recon_alphabet indices out of range")
@@ -535,9 +520,9 @@ def conditional_rdp(query: RdpQuery, *, constraint_tol: float = 1e-6,
     Returns a feasible test channel whose conditional mutual information
     is within solver tolerance of the constrained minimum. Raises
     InfeasibleError when no channel can meet the budgets (e.g. a
-    restricted reconstruction alphabet with D too small), and ValueError
-    when an f-divergence constraint is active. An exhausted iteration cap
-    or a Frank-Wolfe gap above FW_GAP is reported via converged=False.
+    restricted reconstruction alphabet with D too small). An exhausted
+    iteration cap or a Frank-Wolfe gap above FW_GAP is reported via
+    converged=False.
     """
     pr = _build_problem(query)
     # with a finite perception budget, phase 1 may sit in a flat near-zero
@@ -572,8 +557,6 @@ def conditional_rdp(query: RdpQuery, *, constraint_tol: float = 1e-6,
 
     # perception active: Frank-Wolfe on the pinned rate V(m) over the
     # perception ball; the gap <g, m - s> with g = -nu bounds V(m) - min V
-    if pr.perception.kind == "f":
-        raise ValueError("an active f-divergence perception constraint is not supported")
     budget2 = _Budgeter(max(max_iterations - budget.used, 1000))
 
     def pin(m_t: np.ndarray) -> tuple[_Solution, float, np.ndarray]:

@@ -5,7 +5,7 @@ minimization rate-distortion solver (no perception, no conditioning) with
 multiplier bisection, plus closed-form helpers. These validate the main
 solver through a different code path. The codec's encoder scans and the
 greedy seed map are checked against plain one-item-at-a-time loops kept
-here.
+here, and its exact uniform sampler against a rejection sampler.
 """
 
 from __future__ import annotations
@@ -168,3 +168,32 @@ def greedy_seed_assignment(p_flat: np.ndarray, n0: int, n: int) -> np.ndarray:
         assignment[atom] = b
         heapq.heappush(heap, (mass + probs[atom], b))
     return assignment
+
+
+def per_letter_distortion(delta_mat: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Average of delta over aligned positions."""
+    a = np.asarray(a).astype(np.int64)
+    b = np.asarray(b).astype(np.int64)
+    if a.shape != b.shape:
+        raise ValueError("sequences must have equal length")
+    return float(np.asarray(delta_mat)[a, b].mean())
+
+
+def rejection_sample_typical(spec, count: int, rng: np.random.Generator | int,
+                             max_tries: int = 1_000_000) -> np.ndarray:
+    """Draw i.i.d. q^n and keep the sequences whose counts lie in the
+    multiplicative band |c/n - q| <= delta * q; ``spec`` carries q, delta
+    and n."""
+    rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
+    q = spec.q.reshape(-1)
+    out = np.empty((count, spec.n), dtype=np.uint8)
+    got = 0
+    for _ in range(max_tries):
+        seq = rng.choice(q.shape[0], size=spec.n, p=q).astype(np.uint8)
+        counts = np.bincount(seq, minlength=q.shape[0])
+        if np.all(np.abs(counts / spec.n - q) <= spec.delta * q):
+            out[got] = seq
+            got += 1
+            if got == count:
+                return out
+    raise RuntimeError(f"rejection sampler failed after {max_tries} tries")

@@ -250,13 +250,13 @@ def test_criterion_6_simulation_trend():
     reports = [run_simulation(_dsbs_witness_config(n, 10_000)) for n in (16, 24, 32)]
     excess = []
     for r in reports:
-        width = r.distortion_wilson_x
-        excess.append(max(r.mean_distortion_x - r.threshold_x - width,
-                          r.mean_distortion_y - r.threshold_y - width))
+        width = r.x.distortion_wilson
+        excess.append(max(r.x.mean_distortion - r.x.threshold - width,
+                          r.y.mean_distortion - r.y.threshold - width))
     distortion_ok = all(e <= 0 for e in excess)
     r32 = reports[-1]
-    tv_ok = (float((r32.tv_x - r32.budgets.p1 - r32.tv_interval_x).max()) <= 0.05
-             and float((r32.tv_y - r32.budgets.p2 - r32.tv_interval_y).max()) <= 0.05)
+    tv_ok = (float((r32.x.tv - r32.budgets.p1 - r32.x.tv_interval).max()) <= 0.05
+             and float((r32.y.tv - r32.budgets.p2 - r32.y.tv_interval).max()) <= 0.05)
     miss0 = [r.freq_no_common_codeword for r in reports]
     miss_ok = all(b <= a + 1e-12 for a, b in zip(miss0, miss0[1:]))
     elapsed = time.time() - t0
@@ -264,7 +264,7 @@ def test_criterion_6_simulation_trend():
     report_line(6, ok, f"n=16/24/32 x 10^4 trials: distortion excess over threshold "
                        f"(beyond Wilson) {[f'{e:+.4f}' for e in excess]} (<= 0), "
                        f"n=32 max TV excess beyond interval "
-                       f"{float((r32.tv_x - r32.budgets.p1 - r32.tv_interval_x).max()):+.4f} "
+                       f"{float((r32.x.tv - r32.budgets.p1 - r32.x.tv_interval).max()):+.4f} "
                        f"(tol 0.05), miss frequencies {miss0} non-increasing: {miss_ok}, "
                        f"{elapsed:.0f}s (target < 900s)")
     assert distortion_ok
@@ -302,9 +302,9 @@ def test_criterion_7_derandomization():
     cr = run_simulation(_dsbs_witness_config(n, 10_000))
     det = run_simulation(_dsbs_witness_config(n, 10_000, mode="deterministic"))
     assert det.n0 == n0
-    width = 2 * (cr.distortion_wilson_x + det.distortion_wilson_x)
-    gap_x = abs(det.mean_distortion_head_x - cr.mean_distortion_x)
-    gap_y = abs(det.mean_distortion_head_y - cr.mean_distortion_y)
+    width = 2 * (cr.x.distortion_wilson + det.x.distortion_wilson)
+    gap_x = abs(det.x.mean_distortion_head - cr.x.mean_distortion)
+    gap_y = abs(det.y.mean_distortion_head - cr.y.mean_distortion)
     dist_ok = gap_x <= width and gap_y <= width
     overhead_want = math.log2(n) / (n + n0)
     overhead_ok = (det.seed_overhead == overhead_want

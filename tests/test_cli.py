@@ -81,7 +81,15 @@ class TestRegionCommand:
         for row in lines[2:]:
             assert row.endswith("true")
         payload = json.loads((tmp_path / "frontier.json").read_text())
-        assert "cutset_reference" in payload
+        assert sorted(payload) == ["cutset_reference", "manifest", "n_evaluated", "points",
+                                   "seed", "strategy"]
+        assert payload["points"]
+        for point in payload["points"]:
+            assert sorted(point) == ["R0", "R1", "R2", "aux_channel", "budgets", "converged",
+                                     "test_channel_x", "test_channel_y"]
+            assert sorted(point["budgets"]) == ["D1", "D2", "P1", "P2"]
+            for channel in ("aux_channel", "test_channel_x", "test_channel_y"):
+                assert sorted(point[channel]) == ["alphabets", "probs"]
 
     def test_independent_only_gives_corner(self, tmp_path):
         cfg = write_config(tmp_path, "region.json", {
@@ -124,8 +132,15 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path, "sim.json", SIM_CONFIG)
         assert run(["simulate", "--config", cfg, "--out-dir", tmp_path]) == 0
         payload = json.loads((tmp_path / "sim_report.json").read_text())
-        for field in ("mean_distortion_x", "tv_x", "rates", "freq_no_common_codeword"):
-            assert field in payload
+        assert sorted(payload) == [
+            "budgets", "distortion_wilson_x", "distortion_wilson_y", "freq_no_common_codeword",
+            "freq_no_x_codeword", "freq_no_y_codeword", "joint_set_empty", "manifest",
+            "marginal_halfwidth_x", "marginal_halfwidth_y", "marginals_x", "marginals_y",
+            "master_seed", "mean_distortion_head_x", "mean_distortion_head_y",
+            "mean_distortion_x", "mean_distortion_y", "mode", "n", "n0", "rates",
+            "seed_overhead", "sizes", "stderr_distortion_x", "stderr_distortion_y",
+            "threshold_x", "threshold_y", "trials", "tv_interval_x", "tv_interval_y",
+            "tv_x", "tv_y"]
         csv_lines = (tmp_path / "sim_report.csv").read_text().splitlines()
         assert csv_lines[0].startswith("# manifest:")
         assert sum(1 for ln in csv_lines if ln.startswith("position")) == 8
@@ -239,6 +254,17 @@ INVALID_INPUTS = [
      dict(SIM_CONFIG, mode="deterministic", n0=9)),
     ("derand-audit-single-symbol-pair", "derand-audit",
      {"p_xy": {"alphabets": [1, 1], "probs": [1.0]}, "n0": 1, "n": 4}),
+    # config fields of the wrong type, or out of range
+    ("region-string-w-size", "region",
+     {"p_xy": DSBS01, "budgets": {"D1": 0.1, "D2": 0.1}, "w_size": "2"}),
+    ("region-list-samples", "region",
+     {"p_xy": DSBS01, "budgets": {"D1": 0.1, "D2": 0.1}, "samples": [1]}),
+    ("rdp-integer-recon-alphabet", "rdp",
+     {"source": [0.5, 0.5], "d_budget": 0.1, "p_budget": 0.1, "recon_alphabet": 5}),
+    ("rdp-nested-recon-alphabet", "rdp",
+     {"source": [0.5, 0.5], "d_budget": 0.1, "p_budget": 0.1, "recon_alphabet": [[1]]}),
+    ("simulate-string-n0", "simulate", dict(SIM_CONFIG, mode="deterministic", n0="2")),
+    ("derand-audit-negative-n", "derand-audit", {"p_xy": UNIFORM_PAIR, "n0": 1, "n": -1}),
 ]
 
 

@@ -20,7 +20,6 @@ from gwrdp.codec import (
     ResourceCapError,
     TypeTable,
     TypicalSetSpec,
-    ShiftSeed,
     _first_under_threshold,
     circular_shift,
     compute_code_sizes,
@@ -32,15 +31,18 @@ from gwrdp.codec import (
     is_jointly_typical,
     is_typical,
     joint_set_empty,
-    per_letter_distortion,
-    rejection_sample_typical,
     sample_uniform_cond_typical,
     sample_uniform_typical,
     shift_position,
 )
 from gwrdp.prob import JointPmf, Kernel, empirical_type
 from gwrdp.solver import hamming
-from oracles import encode_loop, first_under_threshold_loop
+from oracles import (
+    encode_loop,
+    first_under_threshold_loop,
+    per_letter_distortion,
+    rejection_sample_typical,
+)
 
 HAM = hamming(2)
 
@@ -84,11 +86,6 @@ class TestShift:
             circular_shift(1, x, np.arange(4))
         ox, oy = circular_shift(2, x, x + 10)
         assert np.array_equal(oy - ox, np.full(5, 10))
-
-    def test_seed_validation(self):
-        with pytest.raises(ValueError):
-            ShiftSeed(k=5, n=5)
-        assert ShiftSeed(k=4, n=5).k == 4
 
 
 class TestTypicality:
@@ -293,12 +290,6 @@ class TestCodebook:
             tc_x, tc_y = tc, Kernel(np.full((2, 1, 257), 1 / 257))
         with pytest.raises(AlphabetError, match="257 symbols"):
             generate_codebook(q_xyw, tc_x, tc_y, sizes, 0.3, 8, seed=1)
-
-    def test_json_roundtrip(self):
-        cb, _, _ = small_codebook(n=8, delta=0.3)
-        back = Codebook.from_json(cb.to_json())
-        assert np.array_equal(back.priv_x, cb.priv_x)
-        assert back.n == cb.n and back.delta == cb.delta
 
 
 class TestEncodeDecode:

@@ -5,7 +5,6 @@ import pytest
 
 from gwrdp.codec import Kernel, compute_code_sizes, encode, generate_codebook
 from gwrdp.derandom import (
-    SeedMap,
     SeedMapError,
     build_seed_map,
     default_tail_length,
@@ -91,12 +90,6 @@ class TestBuild:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-
-    def test_json_roundtrip(self):
-        sm = build_seed_map(UNIFORM4, 2, 4)
-        back = SeedMap.from_json(sm.to_json())
-        assert np.array_equal(back.assignment, sm.assignment)
-        assert back.audit() == sm.audit()
 
     @pytest.mark.parametrize("p_xy, n0, n", [
         (dsbs(0.25), 7, 32),

@@ -1,4 +1,3 @@
-import json
 import logging
 import math
 
@@ -117,7 +116,7 @@ class TestFrontier:
         a = compute_frontier(PROBLEM, BUDGETS, samples=5, seed=11)
         b = compute_frontier(PROBLEM, BUDGETS, samples=5, seed=11)
         assert a.to_csv() == b.to_csv()
-        assert a.to_json() == b.to_json()
+        assert a.to_dict() == b.to_dict()
 
     def test_parallel_matches_serial(self):
         a = compute_frontier(PROBLEM, BUDGETS, samples=5, seed=11)
@@ -142,7 +141,7 @@ class TestFrontier:
         csv_text = fr.to_csv()
         header = csv_text.splitlines()[0].split(",")
         assert header == ["R0", "R1", "R2", "D1", "D2", "P1", "P2", "seed"]
-        payload = json.loads(fr.to_json())
+        payload = fr.to_dict()
         assert payload["seed"] == 2
         assert len(payload["points"]) == len(fr.points)
         for entry in payload["points"]:
@@ -232,7 +231,7 @@ class TestSolveCache:
         n_first = len(solver_calls)
         second = compute_frontier(self.problem, self.budgets, **self.search)
         assert len(solver_calls) == 2 * n_first
-        assert first.to_json() == second.to_json()
+        assert first.to_dict() == second.to_dict()
 
     def test_matches_fresh_recomputation(self):
         fr = compute_frontier(self.problem, self.budgets, **self.search)
@@ -240,7 +239,7 @@ class TestSolveCache:
             points=tuple(rate_triple_for_aux(self.problem, p.witness, p.budgets)
                          for p in fr.points),
             seed=fr.seed, strategy=fr.strategy, n_evaluated=fr.n_evaluated)
-        assert rebuilt.to_json() == fr.to_json()
+        assert rebuilt.to_dict() == fr.to_dict()
 
     @pytest.mark.parametrize("y_problem, y_budgets, calls", [
         ({}, {}, 1),

@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import re
@@ -85,9 +86,9 @@ class TestExactSmallInstance:
 
     def test_harness_matches_exhaustive_oracle(self, report):
         _, dist, miss0, marg = exact_small_instance(seed=1)
-        assert report.mean_distortion_x == pytest.approx(dist, abs=0.02)
+        assert report.x.mean_distortion == pytest.approx(dist, abs=0.02)
         assert report.freq_no_common_codeword == pytest.approx(miss0, abs=0.02)
-        np.testing.assert_allclose(report.marginals_x, marg, atol=0.02)
+        np.testing.assert_allclose(report.x.marginals, marg, atol=0.02)
 
     def test_miss_rate_is_codebook_free(self, report):
         # joint typicality of the pair does not involve private codewords
@@ -95,7 +96,7 @@ class TestExactSmallInstance:
 
     def test_positions_have_identical_marginals(self, report):
         # the uniform shift equalizes positions even for one codebook
-        np.testing.assert_allclose(report.marginals_x[0], report.marginals_x[1],
+        np.testing.assert_allclose(report.x.marginals[0], report.x.marginals[1],
                                    atol=0.02)
 
     def test_codebook_ensemble_matches_closed_form(self):
@@ -112,42 +113,42 @@ class TestDeterminism:
     def test_rerun_identical(self):
         a = run_simulation(cfg())
         b = run_simulation(cfg())
-        assert a.to_json() == b.to_json()
+        assert a.to_dict() == b.to_dict()
 
     def test_parallel_identical(self):
         a = run_simulation(cfg())
         c = run_simulation(cfg(), parallel=3)
-        assert a.to_json() == c.to_json()
+        assert a.to_dict() == c.to_dict()
 
     def test_seed_changes_output(self):
         a = run_simulation(cfg())
         b = run_simulation(cfg(master_seed=2))
-        assert a.to_json() != b.to_json()
+        assert a.to_dict() != b.to_dict()
 
 
 class TestSelfCodingSanity:
     def test_codebook_source_roundtrip(self):
         c = cfg(trials=1)
         report = run_simulation(c)
-        assert report.mean_distortion_x <= 1.0
+        assert report.x.mean_distortion <= 1.0
         # thresholds come from the configured test channels
         q_xyw = c.p_xy.extend(c.aux.kernel, "W")
         thr_x, thr_y = encoder_thresholds(q_xyw, c.test_channel_x, c.test_channel_y,
                                           c.delta_x_mat.values, c.delta_y_mat.values,
                                           c.delta)
-        assert report.threshold_x == pytest.approx(thr_x)
+        assert report.x.threshold == pytest.approx(thr_x)
         assert thr_x == pytest.approx(0.25 + 0.15)
 
     def test_distortion_below_threshold_when_no_miss(self):
         report = run_simulation(cfg(trials=2000))
-        if report.freq_no_x_codeword == 0.0:
-            assert report.mean_distortion_x <= report.threshold_x + 1e-12
+        if report.x.freq_no_codeword == 0.0:
+            assert report.x.mean_distortion <= report.x.threshold + 1e-12
 
 
 class TestPerceptionMechanism:
     def test_positer_marginals_agree_across_positions(self):
         report = run_simulation(cfg(trials=4000))
-        counts = np.rint(report.marginals_x * report.trials).astype(int)
+        counts = np.rint(report.x.marginals * report.trials).astype(int)
         _, p_value, _, _ = stats.chi2_contingency(counts)
         assert p_value > 0.01
 
@@ -168,8 +169,8 @@ class TestPerceptionMechanism:
 
     def test_tv_excess_uses_budget(self):
         report = run_simulation(cfg(trials=2000))
-        assert report.max_tv_excess_x == pytest.approx(
-            float(report.tv_x.max() - report.budgets.p1))
+        assert report.x.max_tv_excess(report.budgets.p1) == pytest.approx(
+            float(report.x.tv.max() - report.budgets.p1))
 
 
 class TestDeterministicMode:
@@ -177,8 +178,8 @@ class TestDeterministicMode:
         base = cfg(trials=3000, n=8)
         cr = run_simulation(base)
         det = run_simulation(cfg(trials=3000, n=8, mode="deterministic"))
-        width = 2 * (cr.stderr_distortion_x + det.stderr_distortion_x) + 1e-3
-        assert abs(det.mean_distortion_head_x - cr.mean_distortion_x) <= width
+        width = 2 * (cr.x.stderr_distortion + det.x.stderr_distortion) + 1e-3
+        assert abs(det.x.mean_distortion_head - cr.x.mean_distortion) <= width
 
     def test_overhead_reported_exactly(self):
         det = run_simulation(cfg(trials=50, n=8, mode="deterministic"))
@@ -189,7 +190,7 @@ class TestDeterministicMode:
 
     def test_full_block_distortion_includes_tail(self):
         det = run_simulation(cfg(trials=3000, n=8, mode="deterministic"))
-        assert det.mean_distortion_x >= det.mean_distortion_head_x - 1e-12
+        assert det.x.mean_distortion >= det.x.mean_distortion_head - 1e-12
 
 
 class TestCapsAndErrors:
@@ -227,15 +228,15 @@ class TestPageLog:
         assert 1 <= x_pages <= serial.sizes[0] and x_words == x_pages * serial.sizes[1]
         assert 1 <= y_pages <= serial.sizes[0] and y_words == y_pages * serial.sizes[2]
         assert int(counts[1].group(1)) >= x_pages
-        assert serial.to_json() == parallel.to_json()
-        assert "pages" not in serial.to_json()
+        assert serial.to_dict() == parallel.to_dict()
+        assert "pages" not in json.dumps(serial.to_dict())
 
 
 class TestConvergenceStudy:
     def test_single_n_matches_run_simulation(self):
         out = convergence_study(cfg(trials=300), [8])
         direct = run_simulation(cfg(trials=300, n=8))
-        assert out["reports"][0].to_json() == direct.to_json()
+        assert out["reports"][0].to_dict() == direct.to_dict()
 
     def test_multi_n_trends_present(self):
         out = convergence_study(cfg(trials=300), [6, 8, 12])
@@ -268,7 +269,7 @@ class TestJointSetEmpty:
         assert report.sizes == (130, 650, 650)
         assert not report.joint_set_empty
         assert 0.0 < report.freq_no_common_codeword < 1.0
-        assert '"joint_set_empty": false' in report.to_json()
+        assert report.to_dict()["joint_set_empty"] is False
 
     def test_dsbs_witness_at_16_is_empty(self):
         # 0.05 * 16 * (1 +- 0.15) holds no integer
@@ -276,7 +277,7 @@ class TestJointSetEmpty:
                                Budgets(0.4, 0.4, 0.1, 0.1))
         assert report.joint_set_empty
         assert report.freq_no_common_codeword == 1.0
-        assert '"joint_set_empty": true' in report.to_json()
+        assert report.to_dict()["joint_set_empty"] is True
 
 
 class TestWilson:

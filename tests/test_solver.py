@@ -51,23 +51,6 @@ class TestPerceptionMeasure:
         want = 0.5 * math.log2(2.0) + 0.5 * math.log2(0.5 / 0.75)
         assert KL.value(p, q) == pytest.approx(want, abs=1e-12)
 
-    def test_f_generator_reproduces_tv(self):
-        # f(t) = |t - 1| generates the unhalved TV distance
-        f = PerceptionMeasure("f", generator=lambda t: abs(t - 1.0), slope_at_inf=1.0)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            p = rng.dirichlet([1, 1, 1])
-            q = rng.dirichlet([1, 1, 1])
-            assert f.value(p, q) == pytest.approx(TV.value(p, q), abs=1e-12)
-
-    def test_f_generator_reproduces_kl(self):
-        f = PerceptionMeasure("f", generator=lambda t: t * math.log2(t) if t > 0 else 0.0)
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            p = rng.dirichlet([1, 1])
-            q = rng.dirichlet([1, 1])
-            assert f.value(p, q) == pytest.approx(KL.value(p, q), abs=1e-10)
-
 
 class TestKnownValues:
     def test_zero_distortion_zero_perception_gives_entropy(self):
@@ -177,11 +160,6 @@ class TestPerceptionActiveSearch:
         res = conditional_rdp(source_query([0.85, 0.1, 0.05], TV, 0.12, 0.2))
         assert res.converged
         assert res.rate <= 0.105109
-
-    def test_active_f_divergence_rejected(self):
-        tv_as_f = PerceptionMeasure("f", generator=lambda t: abs(t - 1.0), slope_at_inf=1.0)
-        with pytest.raises(ValueError, match="f-divergence"):
-            rdp_point_to_point(Pmf([0.3, 0.7]), HAM2, tv_as_f, 0.2, 0.05)
 
     @pytest.mark.parametrize("perception,budget,alphabet",
                              [(TV, 0.3, None), (TV, 0.3, (0, 1, 2)), (KL, 0.05, None)],
