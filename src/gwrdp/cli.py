@@ -173,12 +173,14 @@ def cmd_rdp(args, cfg: dict, config_text: str) -> int:
         "achieved_distortion": result.achieved_distortion,
         "achieved_perception": result.achieved_perception,
         "converged": result.converged,
+        "gap_bits": result.gap,
         "iterations": result.iterations,
         "test_channel": result.test_channel.to_dict(),
     }
     _write_json(args.out_dir / "rdp_result.json", payload, manifest)
     print(f"rate {result.rate:.6f} bits | distortion {result.achieved_distortion:.6g}"
-          f" | perception {result.achieved_perception:.6g} | converged {result.converged}")
+          f" | perception {result.achieved_perception:.6g} | gap {result.gap:.2g} bits"
+          f" | converged {result.converged}")
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 

@@ -6,38 +6,45 @@ perception budget P on the reconstruction marginal Q_Xhat (measured
 against the source marginal P_X; the TV measure uses the unhalved
 sum-of-absolute-differences convention with range [0, 2]).
 
-The problem is convex: mutual information is convex in the test channel,
-the distortion constraint is linear, and the perception measure is convex
-in the reconstruction marginal. The solver is a double loop:
+The problem is convex; the solver maximizes its Lagrange dual
+G(lam, nu) - lam D - sigma(nu) over lam >= 0 and the tilt nu, where
+G(lam, nu) = sum_w q_w min_r -sum_x p(x|w) log2 sum_h r_h 2^(-lam d(x,h) - nu_h)
+is the least I(X; Xhat | W) + lam E d + nu . Q_Xhat, with gradient
+(E d, Q_Xhat), and sigma is the support function of the perception ball.
+Each w's minimization over r is an active-set Newton solve; the outer
+loop is damped Newton with G's Hessian from the inner optimality
+conditions. A log barrier keeps lam > 0; TV's sigma(nu) = nu.P_X +
+(P/2)(max nu - min nu) is smoothed by tau-weighted log-sum-exp; KL's
+sigma(nu) = -2^-P prod_h (-nu_h)^P_X(h) is smooth. tau falls tenfold
+whenever the gradient is below it; stationary points of the smoothed
+dual give channels within both budgets. nu joins only when the
+perception-free solution misses P.
 
-* outer: bisection over the distortion multiplier lambda, keeping the
-  feasible-side endpoint so the returned channel always meets the budget;
-* inner: alternating minimization between the test channel and the per-W
-  output marginal (the classical Gibbs/marginal sweep, base-2 exponents).
-
-When the perception constraint is active, the solver minimizes V(m), the
-least rate with the reconstruction marginal pinned to m, over the
-perception ball by conditional gradient (Frank-Wolfe). A pinned solve
-adds a per-symbol exponential tilt nu to the inner sweep, matched until
-the marginal equals m, and -nu is the gradient of V. The search starts
-where the segment from P_X to the relaxed optimum leaves the ball and
-stops once the Frank-Wolfe gap, an upper bound on V(m) - min V, is at
-most FW_GAP bits; for binary reconstructions the gap there is already 0.
+Every dual point certifies a lower bound: Blahut's bound f(r) - log2
+max_h c_h on each inner minimum (Blahut, IEEE T-IT 1972; Csiszar, IEEE
+T-IT 1974), less lam D and the exact sigma. ``gap`` is a result's rate
+minus the best bound; ``converged`` means its channel meets both budgets
+with a gap of at most GAP_TOL bits. The solver draws no random numbers.
 
 Rates are in bits throughout.
 """
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .prob import JointPmf, Kernel, Pmf, _entropy_bits
 
-LAMBDA_MAX = 1e12
-FW_GAP = 1e-6  # bits: Frank-Wolfe duality gap that counts as converged
+GAP_TOL = 1e-6  # bits: certified gap that counts as converged
+_GAP_AIM = GAP_TOL / 100  # bits: where the search stops, well inside GAP_TOL
+_INNER_TOL = 1e-10  # bits: Blahut bound each inner solve reaches
+_MAX_OUTER = 500  # outer Newton steps per dual
+
+_log = logging.getLogger(__name__)
 
 
 class InfeasibleError(ValueError):
@@ -149,6 +156,7 @@ class RdpResult:
     converged: bool
     iterations: int
     lam: float = 0.0
+    gap: float = math.nan  # rate minus the certified lower bound, bits
 
 
 @dataclass(frozen=True)
@@ -255,235 +263,6 @@ def _metrics(pr: _Problem, q: np.ndarray):
     return max(rate, 0.0), dist, _perception_of(pr, m), m
 
 
-@dataclass
-class _Solution:
-    q: np.ndarray
-    rate: float
-    dist: float
-    perc: float
-    sweeps: int
-    settled: bool
-    nu: np.ndarray | None = None  # pinning tilt; -nu is the gradient of the pinned rate
-
-
-def _uniform_channel(pr: _Problem, submask: np.ndarray | None = None) -> np.ndarray:
-    n_x, n_w = pr.q_xw.shape
-    allowed = pr.mask if submask is None else (pr.mask & submask[None, :])
-    q = np.where(allowed[:, None, :], 1.0, 0.0)
-    q = np.broadcast_to(q, (n_x, n_w, pr.delta.shape[1])).copy()
-    return q / q.sum(axis=2, keepdims=True)
-
-
-def _blend(q_warm: np.ndarray, q_uniform: np.ndarray) -> np.ndarray:
-    # multiplicative updates never leave a zero; blending restores support
-    return 0.99 * q_warm + 0.01 * q_uniform
-
-
-def _am_solve(pr: _Problem, lam: float, q0: np.ndarray, max_sweeps: int,
-              m_target: np.ndarray | None = None, q_tol: float = 1e-11) -> _Solution:
-    """Alternating minimization at fixed lambda.
-
-    With ``m_target`` set, a per-symbol tilt is matched each sweep so the
-    reconstruction marginal converges to the target (zero-target columns
-    are excluded from the support).
-    """
-    if m_target is not None:
-        submask = m_target > 1e-14
-        allowed = pr.mask & submask[None, :]
-        if not np.all(allowed.any(axis=1)):
-            return _Solution(q=q0, rate=math.inf, dist=math.inf, perc=math.inf,
-                             sweeps=0, settled=False)
-        q = np.where(allowed[:, None, :], q0, 0.0)
-        norm = q.sum(axis=2, keepdims=True)
-        q = np.where(norm > 0, q / np.maximum(norm, 1e-300), 0.0)
-        bad_rows = (norm[:, :, 0] <= 0)
-        if np.any(bad_rows):
-            u = _uniform_channel(pr, submask)
-            q = np.where(bad_rows[:, :, None], u, q)
-    else:
-        allowed = pr.mask
-        q = q0
-    nu = np.zeros(pr.delta.shape[1])
-    base = -lam * pr.delta[:, None, :]
-    settled = False
-    sweeps = 0
-
-    uni_rows = allowed / allowed.sum(axis=1, keepdims=True)
-
-    def gibbs(r: np.ndarray, tilt: np.ndarray) -> np.ndarray:
-        expo = base - tilt[None, None, :]
-        expo = expo - expo.max(axis=2, keepdims=True)
-        out = r[None, :, :] * np.exp2(expo)
-        out = np.where(allowed[:, None, :], out, 0.0)
-        norm = out.sum(axis=2, keepdims=True)
-        # rows with no carried mass (zero-probability (x, w) pairs) are
-        # metrically irrelevant; keep them on the uniform support row
-        return np.where(norm > 1e-300, out / np.maximum(norm, 1e-300),
-                        uni_rows[:, None, :])
-
-    def scale_to_target(r: np.ndarray, passes: int) -> np.ndarray:
-        # proportional scaling of the pinning tilt, warm across sweeps
-        nonlocal nu
-        q_new = gibbs(r, nu)
-        for _ in range(passes):
-            m = np.einsum("xw,xwh->h", pr.q_xw, q_new)
-            if float(np.abs(m - m_target).max()) < 1e-12:
-                break
-            step = np.where(m_target > 1e-14,
-                            np.log2(np.maximum(m, 1e-300) / m_target.clip(1e-300)),
-                            0.0)
-            nu = nu + np.clip(step, -30.0, 30.0)
-            q_new = gibbs(r, nu)
-        return q_new
-
-    for sweeps in range(1, max_sweeps + 1):
-        r = np.einsum("xw,xwh->wh", pr.x_given_w, q)
-        if m_target is not None:
-            q_new = scale_to_target(r, passes=3)
-        else:
-            q_new = gibbs(r, nu)
-        change = float(np.abs(q_new - q).max())
-        q = q_new
-        if change < q_tol:
-            settled = True
-            break
-    else:
-        settled = change < 3e-9  # cap hit, but effectively stationary
-    if m_target is not None:
-        # one exact pinning pass against the final per-w marginals
-        r = np.einsum("xw,xwh->wh", pr.x_given_w, q)
-        q = scale_to_target(r, passes=200)
-    rate, dist, perc, m = _metrics(pr, q)
-    if m_target is not None:
-        if float(np.abs(m - m_target).max()) > 1e-6:
-            # tilt matching failed (unreachable target under the mask)
-            return _Solution(q=q, rate=math.inf, dist=math.inf, perc=perc,
-                             sweeps=sweeps, settled=False)
-        nu = np.where(submask, nu, _entry_tilt(pr, lam, r, nu, allowed))
-    return _Solution(q=q, rate=rate, dist=dist, perc=perc, sweeps=sweeps,
-                     settled=settled, nu=nu)
-
-
-def _entry_tilt(pr: _Problem, lam: float, r: np.ndarray, nu: np.ndarray,
-                allowed: np.ndarray) -> np.ndarray:
-    """Least tilt per column that keeps it unused; off the pinned support,
-    minus this is the pinned rate's derivative in mass moved into it."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        expo = -lam * pr.delta[:, None, :]
-        log_z = np.logaddexp2.reduce(
-            np.where(allowed[:, None, :], np.log2(r)[None] + expo - nu, -np.inf), axis=2)
-        terms = np.log2(pr.x_given_w)[:, :, None] + expo - log_z[:, :, None]
-        per_w = np.logaddexp2.reduce(np.where(pr.mask[:, None, :], terms, -np.inf), axis=0)
-    return per_w[pr.q_xw.sum(axis=0) > 0].max(axis=0)
-
-
-class _Budgeter:
-    """Tracks total inner sweeps against the global iteration cap."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.used = 0
-
-    def left(self, default: int) -> int:
-        return max(min(default, self.cap - self.used), 1)
-
-    def charge(self, sol: _Solution):
-        self.used += sol.sweeps
-
-    @property
-    def exhausted(self) -> bool:
-        return self.used >= self.cap
-
-
-def _bisect_lambda(pr: _Problem, budget: _Budgeter, ctol: float,
-                   m_target: np.ndarray | None = None,
-                   per_call: int = 5000, rate_gap: float = 1e-6) -> tuple[_Solution, float]:
-    """Smallest lambda whose minimizer meets the distortion budget.
-
-    Returns the feasible-side endpoint (dist <= D) whenever one exists;
-    otherwise the endpoint at the multiplier cap, for the caller to judge.
-    Stops once the Lagrangian duality gap (feasible rate minus the lower
-    bound rate_lo + lam_lo*(dist_lo - D) from the infeasible side) is
-    below ``rate_gap``.
-    """
-    d = pr.d_budget
-    uni = _uniform_channel(pr)
-
-    def solve(lam: float, warm: np.ndarray) -> _Solution:
-        sol = _am_solve(pr, lam, _blend(warm, uni), budget.left(per_call), m_target)
-        budget.charge(sol)
-        return sol
-
-    def lower_bound(lam_lo: float, sol_lo: _Solution) -> float:
-        if not math.isfinite(sol_lo.rate):
-            return 0.0
-        return max(0.0, sol_lo.rate + lam_lo * (sol_lo.dist - d))
-
-    sol = solve(0.0, uni)
-    if sol.dist <= d + ctol:
-        return sol, 0.0
-
-    lam_lo, sol_lo = 0.0, sol
-    lam_hi = 1.0
-    sol_hi = solve(lam_hi, sol.q)
-    while sol_hi.dist > d and lam_hi < LAMBDA_MAX and not budget.exhausted:
-        lam_lo, sol_lo = lam_hi, sol_hi
-        lam_hi = lam_hi * 8.0
-        sol_hi = solve(lam_hi, sol_hi.q)
-    if sol_hi.dist > d + ctol:
-        return sol_hi, lam_hi
-
-    best = sol_hi
-    for _ in range(200):
-        # rate is nonnegative, so a near-zero feasible rate is already optimal
-        if best.rate <= rate_gap:
-            break
-        if best.rate - lower_bound(lam_lo, sol_lo) <= rate_gap:
-            break
-        gap = d - sol_hi.dist
-        if gap * max(lam_hi, 1.0) <= 1e-8 or (lam_hi - lam_lo) <= 1e-13 * (1.0 + lam_hi):
-            break
-        if budget.exhausted:
-            break
-        # while the whole (0, lam_hi] range has stayed feasible, descend
-        # aggressively: in flat regions the rate decays with lambda and a
-        # plain midpoint would crawl through dozens of probes
-        mid = lam_hi / 32.0 if lam_lo == 0.0 else 0.5 * (lam_lo + lam_hi)
-        sol_mid = solve(mid, sol_hi.q)
-        if sol_mid.dist > d:
-            lam_lo, sol_lo = mid, sol_mid
-        else:
-            lam_hi, sol_hi = mid, sol_mid
-            if sol_hi.rate <= best.rate:
-                best = sol_hi
-    return best, lam_hi
-
-
-# ---------------------------------------------------------------------------
-# perception boundary search
-# ---------------------------------------------------------------------------
-
-
-def _last_inside(pr: _Problem, path, lo: float, hi: float) -> np.ndarray:
-    """Bisect t in [lo, hi] for the last point path(t) inside the perception
-    ball; path(lo) must be inside and the perception must grow along t."""
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if _perception_of(pr, path(mid)) > pr.p_budget:
-            hi = mid
-        else:
-            lo = mid
-    return path(lo)
-
-
-def _boundary_crossing(pr: _Problem, m_free: np.ndarray) -> np.ndarray:
-    """Point where the segment [P_X, m_free] crosses the perception sphere
-    d(P_X, .) = P; assumes d(P_X, m_free) > P."""
-    p = pr.target[pr.cols].copy()
-    p = p / p.sum() if p.sum() > 0 else np.full_like(p, 1.0 / p.size)
-    return _last_inside(pr, lambda t: (1 - t) * p + t * m_free, 0.0, 1.0)
-
-
 def _lmo(pr: _Problem, g: np.ndarray) -> np.ndarray:
     """Linear minimization oracle: the marginal on the allowed columns that
     minimizes <g, s> inside the perception ball d(P_X, s) <= P."""
@@ -510,98 +289,318 @@ def _lmo(pr: _Problem, g: np.ndarray) -> np.ndarray:
         s = np.where(p > 0, p / (g + scale * 2.0 ** -t), 0.0)
         return s / s.sum()
 
-    return _last_inside(pr, point, -60.0, 60.0)
+    lo, hi = -60.0, 60.0  # bisect for the last point inside the ball
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if _perception_of(pr, point(mid)) > pr.p_budget else (mid, hi)
+    return point(lo)
+
+
+# ---------------------------------------------------------------------------
+# dual solver
+# ---------------------------------------------------------------------------
+
+
+def _kkt(a: np.ndarray, p: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Newton system of f on the face of a's columns: [[H, 1], [1^T, 0]];
+    a relative ridge of 1e-12 keeps H definite when columns coincide."""
+    h = (a * (p / z ** 2)[:, None]).T @ a
+    h += 1e-12 * np.trace(h) * np.eye(len(h))
+    return np.block([[h, np.ones((len(h), 1))], [np.ones((1, len(h))), np.zeros((1, 1))]])
+
+
+def _inner_newton(p: np.ndarray, a: np.ndarray, r: np.ndarray,
+                  max_steps: int) -> tuple[np.ndarray, int]:
+    """Minimize f(r) = -sum_x p_x log2 (a r)_x over the simplex from ``r``
+    by Newton steps on the face r > 0; a solved face takes in the column
+    with the largest c_h = sum_x p_x a_xh / (a r)_x. Stops once Blahut's
+    bound log2 max_h c_h >= f(r) - min f is at most _INNER_TOL. Returns r
+    and the number of Newton steps.
+    """
+    steps, last = 0, math.inf
+    with np.errstate(divide="ignore"):
+        while steps < max_steps:
+            z = a @ r
+            c = a.T @ (p / z)
+            if math.log2(c.max()) <= _INNER_TOL:
+                break
+            free = r > 0
+            face = math.log2(c[free].max())
+            if face <= _INNER_TOL / 2 or face >= last:
+                # the face is solved, or no longer improves at double
+                # precision: the best column outside it joins, if any helps
+                out = np.where(free, -np.inf, c)
+                if out.max() <= c[free].max():
+                    break
+                free[np.argmax(out)] = True
+            steps += 1
+            while True:  # solved for c - 1, as the constant only moves the multiplier
+                d = np.zeros_like(r)
+                d[free] = np.linalg.solve(_kkt(a[:, free], p, z),
+                                          np.append(c[free] - 1.0, 0.0))[:-1]
+                stuck = (r == 0) & (d < 0)
+                if not stuck.any():
+                    break
+                free &= ~stuck
+            # longest step keeping r >= 0, then Armijo backtracking; below
+            # f's rounding level the model is exact, so the step is taken,
+            # and the face counts as solved once that stops shrinking its gap
+            ratios = np.where(d < 0, r / np.maximum(-d, 1e-300), np.inf)
+            edge = int(np.argmin(ratios))
+            t = min(1.0, float(ratios[edge]))
+            f0, slope = -p @ np.log(z), -((c - 1.0) @ d)
+            last = face if slope > -1e-13 else math.inf
+            for _ in range(40):
+                r_new = np.maximum(r + t * d, 0.0)
+                if t == ratios[edge]:
+                    r_new[edge] = 0.0
+                if last < math.inf or -p @ np.log(a @ r_new) <= f0 + 1e-4 * t * slope:
+                    break
+                t *= 0.5
+            else:
+                break
+            r = r_new / r_new.sum()
+    return r, steps
+
+
+@dataclass
+class _Point:
+    """G, its derivatives and its channel at theta = (lam, nu)."""
+
+    theta: np.ndarray
+    g: float  # G(theta), bits
+    g_low: float  # Blahut's lower bound on G(theta)
+    grad: np.ndarray  # (E d, m)
+    hess: np.ndarray
+    q: np.ndarray  # (X, W, H) test channel
+    rate: float
+    dist: float
+    perc: float
+
+
+class _Dual:
+    """G by one warm-started inner solve per w; counts inner steps."""
+
+    def __init__(self, pr: _Problem, max_steps: int):
+        self.pr, self.steps, self.cap = pr, 0, max_steps
+        self.q_w = pr.q_xw.sum(axis=0)
+        usable = [pr.mask[pr.x_given_w[:, w] > 0].any(axis=0) for w in range(self.q_w.size)]
+        self.r = [u / u.sum() for u in usable]
+
+    def point(self, theta: np.ndarray) -> _Point:
+        pr = self.pr
+        expo = np.where(pr.mask, theta[0] * pr.delta + theta[1:], np.inf)
+        lo = expo.min(axis=1)
+        a = np.exp2(lo[:, None] - expo)  # row maximum 1, zero off the mask
+        q = np.broadcast_to((pr.mask / pr.mask.sum(axis=1, keepdims=True))[:, None, :],
+                            pr.q_xw.shape + (a.shape[1],)).copy()
+        g = g_low = 0.0
+        hess = np.zeros((theta.size, theta.size))
+        for w in np.flatnonzero(self.q_w > 0):
+            on = pr.x_given_w[:, w] > 0
+            p, aw = pr.x_given_w[on, w], a[on]
+            r, steps = _inner_newton(p, aw, self.r[w], max(self.cap - self.steps, 0))
+            self.steps += steps
+            self.r[w] = r
+            z = aw @ r
+            f = float(p @ lo[on] - p @ np.log2(z))
+            g += self.q_w[w] * f
+            g_low += self.q_w[w] * (f - math.log2((aw.T @ (p / z)).max()))
+            q[on, w] = aw * r / z[:, None]
+            # Hessian: the covariance under the channel of the exponent's
+            # gradient (d(x, h), e_h), plus r's response through the inner
+            # optimality conditions
+            qw, dw = q[on, w], pr.delta[on]
+            dev = np.concatenate([(dw - (qw * dw).sum(axis=1, keepdims=True))[:, :, None],
+                                  np.eye(qw.shape[1])[None] - qw[:, None, :]], axis=2)
+            wdev = dev * (p[:, None] * qw)[:, :, None]
+            sup = r > 0
+            cross = wdev[:, sup].sum(axis=0) / r[sup][:, None]
+            resp = np.linalg.solve(_kkt(aw[:, sup], p, z),
+                                   np.vstack([cross, np.zeros(theta.size)]))[:-1]
+            hess -= math.log(2.0) * self.q_w[w] * (np.einsum("xhi,xhj->ij", wdev, dev)
+                                                   + cross.T @ resp)
+        rate, dist, perc, m = _metrics(pr, q)
+        return _Point(theta=theta, g=g, g_low=g_low, grad=np.concatenate([[dist], m]),
+                      hess=hess, q=q, rate=rate, dist=dist, perc=perc)
+
+
+def _maximize(dual: _Dual, theta: np.ndarray, free: np.ndarray, sign: np.ndarray,
+              p_budget: float, ctol: float, terms=None, sigma=None):
+    """Maximize G(theta) - lam D + tau log lam + terms(theta, tau) over
+    theta[free] (``sign`` +1 / -1 keeps a coordinate positive / negative)
+    until the best channel within the budgets is at most _GAP_AIM above
+    the best bound G_low - lam D - sigma. Returns that channel's point (or
+    the last), the bound and the number of outer steps.
+    """
+    pr = dual.pr
+    tau, reg = 0.1, 0.0
+
+    def smoothed(th: np.ndarray):
+        val, grad, hess = (terms(th, tau) if terms else
+                           (0.0, np.zeros(th.size), np.zeros((th.size, th.size))))
+        if free[0]:  # the barrier keeps lam > 0 and E d < D
+            val += tau * math.log(th[0]) - th[0] * pr.d_budget
+            grad[0] += tau / th[0] - pr.d_budget
+            hess[0, 0] -= tau / th[0] ** 2
+        return val, grad, hess
+
+    pt = dual.point(theta)
+    best, bound, outer = None, 0.0, 0  # rates are nonnegative: 0 is a bound
+    while True:
+        bound = max(bound, pt.g_low - pt.theta[0] * pr.d_budget
+                    - (sigma(pt.theta) if sigma else 0.0))
+        if (pt.dist <= pr.d_budget + ctol and pt.perc <= p_budget + ctol
+                and (best is None or pt.rate < best.rate)):
+            best = pt
+        if ((best is not None and best.rate - bound <= _GAP_AIM) or dual.steps >= dual.cap
+                or outer >= _MAX_OUTER or not free.any()):
+            break
+        val, grad, hess = smoothed(pt.theta)
+        grad = (pt.grad + grad)[free]
+        if np.abs(grad).max() <= tau:
+            if tau < 1e-13:
+                break
+            tau *= 0.1
+            continue
+        hess = -(pt.hess + hess)[np.ix_(free, free)]
+        hess += 1e-12 * max(1.0, float(np.diag(hess).max())) * np.eye(grad.size)
+        # Levenberg-Marquardt: a rejected trial adds a tenfold ridge. Steps
+        # move no multiplier by more than 1 + |theta|, keep signs, and are
+        # taken as they are below the objective's rounding level.
+        while reg < 1e12:
+            step = np.zeros_like(theta)
+            step[free] = np.linalg.solve(hess + reg * np.eye(grad.size), grad)
+            decrement = float(grad @ step[free])
+            toward = sign * step < 0
+            t = min(1.0, (1.0 + np.abs(pt.theta).max()) / np.abs(step).max(),
+                    0.99 * float(np.min(np.abs(pt.theta[toward] / step[toward]),
+                                        initial=np.inf)))
+            trial = dual.point(pt.theta + t * step)
+            if (decrement < 1e-13 or trial.g + smoothed(trial.theta)[0]
+                    >= pt.g + val + 0.1 * t * decrement):
+                break
+            reg = max(10.0 * reg, 1e-4)
+        else:
+            break
+        reg = reg / 10.0 if reg > 1e-4 else 0.0
+        pt = trial
+        outer += 1
+    return best or pt, bound, outer
+
+
+def _perception_dual(pr: _Problem, theta: np.ndarray):
+    """Free tilts, signs, terms, sigma and a start for the perception dual.
+    TV: sigma(nu) = nu.p + a max nu - b min nu, a = P/2, b = a - (P_X's
+    mass off the allowed columns); the dual is constant along nu + c, so
+    nu_0 stays 0. KL: dualizing -log m_h by its conjugate gives sigma(nu)
+    = -2^-P prod_h (-nu_h)^p_h, nu < 0 on P_X's support and 0 off it.
+    """
+    p = pr.target[pr.cols]
+    free, sign, theta = np.zeros(theta.size, dtype=bool), np.zeros(theta.size), theta.copy()
+    if pr.perception.kind == "tv":
+        free[2:] = True
+        theta[1:] = 0.0
+        weights = ((pr.p_budget / 2.0, 1.0), (max(pr.p_budget / 2.0 - (1.0 - p.sum()), 0.0), -1.0))
+
+        def terms(th: np.ndarray, tau: float):
+            val, grad, hess = -(th[1:] @ p), np.zeros(th.size), np.zeros((th.size, th.size))
+            grad[1:] = -p
+            for weight, s in weights:  # weight * tau * log-sum-exp(s nu / tau)
+                e = s * th[1:] / tau
+                ex = np.exp(e - e.max())
+                pi = ex / ex.sum()
+                val -= weight * tau * (e.max() + math.log(ex.sum()))
+                grad[1:] -= weight * s * pi
+                hess[1:, 1:] -= weight / tau * (np.diag(pi) - np.outer(pi, pi))
+            return val, grad, hess
+
+        return free, sign, terms, (lambda th: th[1:] @ _lmo(pr, -th[1:])), theta
+
+    sup = p > 0
+    free[1:] = sup
+    sign[1:] = theta[1:] = np.where(sup, -1.0, 0.0)
+    ps, idx = p[sup], 1 + np.flatnonzero(sup)
+
+    def gm(th: np.ndarray) -> float:
+        return 2.0 ** -pr.p_budget * math.exp(ps @ np.log(-th[idx]))
+
+    def terms(th: np.ndarray, tau: float):
+        # the barrier on -nu keeps the marginal above sigma's maximizer
+        nu, g = th[idx], gm(th)
+        grad, hess = np.zeros(th.size), np.zeros((th.size, th.size))
+        grad[idx] = g * ps / nu + tau / nu
+        hess[np.ix_(idx, idx)] = (g * (np.outer(ps / nu, ps / nu) - np.diag(ps / nu ** 2))
+                                  - np.diag(tau / nu ** 2))
+        return g + tau * float(np.log(-nu).sum()), grad, hess
+
+    return free, sign, terms, (lambda th: -gm(th)), theta
 
 
 def conditional_rdp(query: RdpQuery, *, constraint_tol: float = 1e-6,
                     max_iterations: int = 100_000) -> RdpResult:
     """Solve the conditional RDP minimization for one query.
 
-    Returns a feasible test channel whose conditional mutual information
-    is within solver tolerance of the constrained minimum. Raises
-    InfeasibleError when no channel can meet the budgets (e.g. a
-    restricted reconstruction alphabet with D too small). An exhausted
-    iteration cap or a Frank-Wolfe gap above FW_GAP is reported via
-    converged=False.
+    Returns the best test channel found within both budgets (up to
+    ``constraint_tol``) with its certified gap (see the module docstring);
+    ``max_iterations`` caps the inner Newton steps. Raises InfeasibleError
+    when no channel can meet the budgets (e.g. a restricted reconstruction
+    alphabet with D too small).
     """
     pr = _build_problem(query)
-    # with a finite perception budget, phase 1 may sit in a flat near-zero
-    # rate region; cap it so the boundary-pinned phase keeps iterations
-    phase1_cap = max_iterations if not math.isfinite(query.p_budget) \
-        else max(max_iterations * 2 // 5, 1000)
-    budget = _Budgeter(min(phase1_cap, max_iterations))
     ctol = constraint_tol
 
-    # exact rate-0 shortcut: reconstruction drawn per w, independent of x
+    # exact rate-0 shortcut: each w's least-distortion symbol, independent
+    # of x; if that misses P, mixed toward P_X as far as D allows
+    dist0 = math.inf
     if pr.d_budget > 1e-15:
         c_w = np.einsum("xw,xh->wh", pr.x_given_w, pr.delta)
-        pick = np.argmin(c_w, axis=1)
-        n_w = c_w.shape[0]
-        q_w = pr.q_xw.sum(axis=0)
-        dist0 = float(np.sum(q_w * c_w[np.arange(n_w), pick]))
-        if dist0 <= pr.d_budget + 1e-15:
-            q0 = np.zeros((pr.q_xw.shape[0], n_w, pr.delta.shape[1]))
-            q0[:, np.arange(n_w), pick] = 1.0
-            rate0, dist0x, perc0, _ = _metrics(pr, q0)
-            if perc0 <= pr.p_budget:
-                sol0 = _Solution(q=q0, rate=0.0, dist=dist0x, perc=perc0,
-                                 sweeps=0, settled=True)
-                return _to_result(pr, sol0, lam=0.0, converged=True, iterations=0)
+        q0 = np.zeros(pr.q_xw.shape + pr.delta.shape[1:])
+        q0[:, np.arange(c_w.shape[0]), np.argmin(c_w, axis=1)] = 1.0
+        _, dist0, perc0, _ = _metrics(pr, q0)
+        src = pr.target[pr.cols]
+        if dist0 <= pr.d_budget + 1e-15 and perc0 > pr.p_budget and src.sum() > 0:
+            q1 = np.broadcast_to(src / src.sum(), q0.shape)
+            dist1 = _metrics(pr, q1)[1]
+            t = 1.0 if dist1 <= pr.d_budget else (pr.d_budget - dist0) / (dist1 - dist0)
+            q0 = (1.0 - t) * q0 + t * q1
+            _, dist0, perc0, _ = _metrics(pr, q0)
+        if dist0 <= pr.d_budget + 1e-15 and perc0 <= pr.p_budget + 1e-15:
+            _log.debug("conditional_rdp: rate-0 channel")
+            return _to_result(pr, q0, 0.0, dist0, perc0, lam=0.0, gap=0.0,
+                              converged=True, iterations=0)
 
-    sol, lam = _bisect_lambda(pr, budget, ctol)
-    if sol.dist > pr.d_budget + ctol:
-        return _to_result(pr, sol, lam, converged=False, iterations=budget.used)
-    if sol.perc <= pr.p_budget + ctol:
-        converged = sol.settled and not budget.exhausted
-        return _to_result(pr, sol, lam, converged, iterations=budget.used)
-
-    # perception active: Frank-Wolfe on the pinned rate V(m) over the
-    # perception ball; the gap <g, m - s> with g = -nu bounds V(m) - min V
-    budget2 = _Budgeter(max(max_iterations - budget.used, 1000))
-
-    def pin(m_t: np.ndarray) -> tuple[_Solution, float, np.ndarray]:
-        s, l = _bisect_lambda(pr, budget2, ctol, m_target=m_t)
-        return (s if s.dist <= pr.d_budget + ctol else replace(s, rate=math.inf)), l, m_t
-
-    best = pin(_boundary_crossing(pr, np.einsum("xw,xwh->h", pr.q_xw, sol.q)))
-    gap = math.inf
-    while math.isfinite(best[0].rate) and not budget2.exhausted:
-        m = best[2]
-        direction = _lmo(pr, -best[0].nu) - m
-        gap = float(best[0].nu @ direction)
-        if gap <= FW_GAP:
-            break
-        # secant step on the slope -nu . d: take the vertex unless the slope
-        # there has turned positive (or the vertex misses D); then step to
-        # the zero of the secant through the slopes at both ends
-        cand = pin(m + direction)
-        slope = -float(cand[0].nu @ direction) if math.isfinite(cand[0].rate) else gap
-        if slope > 0:
-            cand = pin(m + gap / (gap + slope) * direction)
-        if not cand[0].rate < best[0].rate:
-            break
-        best = cand
-    sol_p, lam_p, _ = best
-
-    total_used = budget.used + budget2.used
-    if not math.isfinite(sol_p.rate):
-        # no marginal on the boundary meets the distortion budget jointly
-        return _to_result(pr, sol, lam, converged=False, iterations=total_used)
-    converged = (gap <= FW_GAP and sol_p.settled and not budget2.exhausted
-                 and sol_p.perc <= pr.p_budget + ctol)
-    return _to_result(pr, sol_p, lam_p, converged, iterations=total_used)
+    # the perception-free dual first, unless the rate-0 channel meets D
+    dual = _Dual(pr, max_iterations)
+    lam = np.zeros(1 + pr.delta.shape[1], dtype=bool)
+    lam[0] = pr.d_budget > 1e-15
+    best, outer, path = None, 0, "free"
+    if dist0 > pr.d_budget:
+        best, bound, outer = _maximize(dual, lam * 1.0, lam, lam * 1.0, math.inf, ctol)
+    if math.isfinite(pr.p_budget) and (best is None or best.perc > pr.p_budget + ctol):
+        path = "perception"
+        free, sign, terms, sigma, theta = _perception_dual(pr, lam * 1.0 if best is None
+                                                           else best.theta)
+        best, bound, more = _maximize(dual, theta, free | lam, sign + lam, pr.p_budget, ctol,
+                                      terms, sigma)
+        outer += more
+    gap = float(best.rate - bound)
+    converged = bool(best.dist <= pr.d_budget + ctol and best.perc <= pr.p_budget + ctol
+                     and gap <= GAP_TOL)
+    _log.debug("conditional_rdp: %s dual, %d outer iterations, %d inner Newton steps, "
+               "gap %.3g bits", path, outer, dual.steps, gap)
+    return _to_result(pr, best.q, best.rate, best.dist, best.perc, lam=float(best.theta[0]),
+                      gap=gap, converged=converged, iterations=dual.steps)
 
 
-def _to_result(pr: _Problem, sol: _Solution, lam: float, converged: bool,
-               iterations: int) -> RdpResult:
+def _to_result(pr: _Problem, q: np.ndarray, rate: float, dist: float, perc: float, *,
+               lam: float, gap: float, converged: bool, iterations: int) -> RdpResult:
     n_x, n_w = pr.q_xw.shape
     full = np.zeros((n_x, n_w, pr.full_recon))
-    full[:, :, pr.cols] = sol.q
-    return RdpResult(rate=sol.rate, test_channel=Kernel(full),
-                     achieved_distortion=sol.dist, achieved_perception=sol.perc,
-                     converged=converged,
-                     iterations=iterations,
-                     lam=lam)
+    full[:, :, pr.cols] = q
+    return RdpResult(rate=rate, test_channel=Kernel(full), achieved_distortion=dist,
+                     achieved_perception=perc, converged=converged, iterations=iterations,
+                     lam=lam, gap=gap)
 
 
 def rdp_point_to_point(p_x: Pmf, delta: DistortionMatrix, perception: PerceptionMeasure,
@@ -697,8 +696,8 @@ def brute_force_rdp(query: RdpQuery, grid_steps: int, *,
         raise InfeasibleError("no feasible grid point at this resolution")
 
     rate, dist, perc, _ = _metrics(pr, best_q)
-    sol = _Solution(q=best_q, rate=rate, dist=dist, perc=perc, sweeps=total, settled=True)
-    return _to_result(pr, sol, lam=0.0, converged=True, iterations=total)
+    return _to_result(pr, best_q, rate, dist, perc, lam=0.0, gap=math.nan, converged=True,
+                      iterations=total)
 
 
 # ---------------------------------------------------------------------------

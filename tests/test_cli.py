@@ -54,6 +54,15 @@ class TestRdpCommand:
         r2 = json.loads((out2 / "rdp_result.json").read_text())["rate_bits"]
         assert r1 == pytest.approx(r2, abs=1e-5)
 
+    def test_reports_certified_gap(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "q.json", {
+            "source": [0.5, 0.3, 0.2], "distortion": "hamming", "perception": "tv",
+            "d_budget": 0.2, "p_budget": 0.1})
+        assert run(["rdp", "--config", cfg, "--out-dir", tmp_path]) == 0
+        payload = json.loads((tmp_path / "rdp_result.json").read_text())
+        assert 0.0 <= payload["gap_bits"] <= 1e-6
+        assert f"gap {payload['gap_bits']:.2g} bits" in capsys.readouterr().out
+
     def test_missing_field_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.json", {"source": [0.5, 0.5]})
         assert run(["rdp", "--config", cfg, "--out-dir", tmp_path]) == 2

@@ -1,7 +1,14 @@
+import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import gwrdp
 
 import gwrdp.solver as solver_module
 from gwrdp.prob import JointPmf, Pmf
@@ -108,20 +115,20 @@ class TestResultContracts:
 
     @pytest.mark.parametrize("p_budget", [math.inf, 0.02])
     def test_iterations_count_every_sweep(self, monkeypatch, p_budget):
-        # free path and perception-active path alike: every inner sweep the
-        # solve charged is reported, not only the last inner solve's
-        sweeps = []
-        am_solve = solver_module._am_solve
+        # free path and perception-active path alike: every inner Newton
+        # step the solve took is reported, not only the last inner solve's
+        steps = []
+        inner_newton = solver_module._inner_newton
 
         def counted(*args, **kwargs):
-            sol = am_solve(*args, **kwargs)
-            sweeps.append(sol.sweeps)
-            return sol
+            r, taken = inner_newton(*args, **kwargs)
+            steps.append(taken)
+            return r, taken
 
-        monkeypatch.setattr(solver_module, "_am_solve", counted)
+        monkeypatch.setattr(solver_module, "_inner_newton", counted)
         res = conditional_rdp(point_query(0.3, 0.1, p_budget))
-        assert len(sweeps) > 1
-        assert res.iterations == sum(sweeps)
+        assert len(steps) > 1
+        assert res.iterations == sum(steps)
 
     def test_kl_perception_active(self):
         res = rdp_point_to_point(Pmf([0.3, 0.7]), HAM2, KL, 0.25, 0.02)
@@ -165,7 +172,7 @@ class TestPerceptionActiveSearch:
                              [(TV, 0.3, None), (TV, 0.3, (0, 1, 2)), (KL, 0.05, None)],
                              ids=["tv", "tv-dropped-symbol", "kl"])
     def test_lmo_minimizes_over_the_ball(self, perception, budget, alphabet):
-        from gwrdp.solver import _boundary_crossing, _build_problem, _lmo, _perception_of
+        from gwrdp.solver import _build_problem, _lmo, _perception_of
 
         pr = _build_problem(source_query([0.4, 0.3, 0.2, 0.1], perception, 0.5, budget,
                                          recon_alphabet=alphabet))
@@ -178,8 +185,94 @@ class TestPerceptionActiveSearch:
             assert _perception_of(pr, s) <= budget + 1e-9
             for m in rng.dirichlet(np.ones(n_h), size=50):
                 if _perception_of(pr, m) > budget:
-                    m = _boundary_crossing(pr, m)
+                    # bisect the segment from P_X (normalized on the allowed
+                    # columns) to m for its last point inside the ball
+                    p = pr.target[pr.cols] / pr.target[pr.cols].sum()
+                    lo, hi = 0.0, 1.0
+                    for _ in range(100):
+                        mid = 0.5 * (lo + hi)
+                        inside = _perception_of(pr, (1 - mid) * p + mid * m) <= budget
+                        lo, hi = (mid, hi) if inside else (lo, mid)
+                    m = (1 - lo) * p + lo * m
                 assert g @ s <= g @ m + 1e-9
+
+
+def seeded_active_queries():
+    """Eight perception-active queries: 3x2 and 4x1 sources from
+    default_rng(11), TV then KL, with P a fraction of the perception the
+    perception-free optimum needs (infinite KL counts as 0.1 bits)."""
+    rng = np.random.default_rng(11)
+    out = []
+    for i in range(8):
+        shape = (3, 2) if i % 2 == 0 else (4, 1)
+        kind = TV if i < 4 else KL
+        q_xw = JointPmf(rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape), ("X", "W"))
+        delta = DistortionMatrix(hamming(shape[0]))
+        d = float(rng.uniform(0.05, 0.3))
+        free = conditional_rdp(RdpQuery(q_xw, delta, kind, d, math.inf))
+        p = float(rng.uniform(0.3, 0.7)) * min(free.achieved_perception, 0.1)
+        out.append((RdpQuery(q_xw, delta, kind, d, p), free))
+    return out
+
+
+class TestDualSolver:
+    """Certified gaps on hard instances: a 5x4 source with two tied tilts
+    at the optimum, a multiplier at a critical slope, and seeded
+    perception-active queries."""
+
+    def test_5x4_tv(self):
+        q_xw = JointPmf(np.random.default_rng(0).dirichlet(np.ones(20)).reshape(5, 4), ("X", "W"))
+        res = conditional_rdp(RdpQuery(q_xw, DistortionMatrix(hamming(5)), TV, 0.2, 0.1))
+        assert res.converged
+        assert res.gap <= 1e-6
+        assert res.rate <= 0.6134520
+        assert res.achieved_distortion <= 0.2 + 1e-6
+        assert res.achieved_perception <= 0.1 + 1e-6
+
+    @pytest.mark.parametrize("p_budget", [0.6, math.inf])
+    def test_critical_slope(self, p_budget):
+        # the optimal lam sits at log2 9, where the w = 1 column's source
+        # (0.9, 0.1) reaches rate 0
+        q_xw = JointPmf([[0.275, 0.225], [0.475, 0.025]], ("X", "W"))
+        res = conditional_rdp(RdpQuery(q_xw, HAM2, TV, 0.1, p_budget))
+        assert res.converged
+        assert res.rate <= 0.3593121
+        assert res.lam == pytest.approx(math.log2(9.0), abs=1e-3)
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_seeded_perception_active(self, index):
+        query, free = seeded_active_queries()[index]
+        assert free.achieved_perception > query.p_budget
+        res = conditional_rdp(query)
+        assert res.converged
+        assert res.gap <= 1e-6
+        assert res.achieved_distortion <= query.d_budget + 1e-6
+        assert res.achieved_perception <= query.p_budget + 1e-6
+
+    @pytest.mark.parametrize("p0,d,p", [(0.35, 0.17, 0.6), (0.5, 0.15, 0.5), (0.3, 0.1, 0.1)])
+    def test_certified_bound_below_grid_optimum(self, p0, d, p):
+        # rate - gap is a lower bound on the minimum, so no feasible grid
+        # channel may beat it
+        q = point_query(p0, d, p)
+        res = conditional_rdp(q)
+        assert res.converged
+        assert res.rate - res.gap <= brute_force_rdp(q, 201).rate + 1e-12
+
+    def test_one_debug_record_per_solve(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="gwrdp.solver"):
+            res = conditional_rdp(point_query(0.3, 0.1, 0.02))
+        records = [r for r in caplog.records if r.name == "gwrdp.solver"]
+        assert len(records) == 1
+        message = records[0].getMessage()
+        assert "outer iterations" in message
+        assert f"{res.iterations} inner Newton steps" in message
+
+    def test_library_imports_without_scipy(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(gwrdp.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import gwrdp, sys; assert 'scipy' not in sys.modules"],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestClassicalReduction:
