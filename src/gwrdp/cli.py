@@ -225,7 +225,7 @@ def cmd_region(args, cfg: dict, config_text: str) -> int:
     _write_csv(args.out_dir / "frontier.csv", csv_body, manifest)
     _write_json(args.out_dir / "frontier.json", payload, manifest)
     print(f"frontier: {len(frontier.points)} points from {frontier.n_evaluated} evaluations")
-    return EXIT_OK
+    return EXIT_OK if all(pt.converged for pt in frontier.points) else EXIT_NO_CONVERGENCE
 
 
 def cmd_simulate(args, cfg: dict, config_text: str) -> int:
@@ -258,12 +258,7 @@ def cmd_simulate(args, cfg: dict, config_text: str) -> int:
         mode=_field(cfg, "mode", str, "common-randomness"),
         n0=_field(cfg, "n0", int, None), delta_x_mat=deltas[0], delta_y_mat=deltas[1],
         memory_cap=args.memory_cap)
-    try:
-        report = run_simulation(config, parallel=args.parallel)
-    except ResourceCapError as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-
+    report = run_simulation(config, parallel=args.parallel)
     manifest = _manifest(args, "simulate", config_text,
                          ("sim_report.json", "sim_report.csv"), seed)
     _write_json(args.out_dir / "sim_report.json", report.to_dict(), manifest)
@@ -280,11 +275,7 @@ def cmd_simulate(args, cfg: dict, config_text: str) -> int:
 def cmd_derand_audit(args, cfg: dict, config_text: str) -> int:
     seed = _seed(args, cfg)
     p_xy = JointPmf(_pmf_like(cfg, "p_xy"), ("X", "Y"))
-    try:
-        seed_map = build_seed_map(p_xy, _field(cfg, "n0", int), _field(cfg, "n", int))
-    except SeedMapError as exc:
-        print(f"seed map rejected: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    seed_map = build_seed_map(p_xy, _field(cfg, "n0", int), _field(cfg, "n", int))
     audit = seed_map.audit()
     manifest = _manifest(args, "derand-audit", config_text, ("derand_audit.json",), seed)
     _write_json(args.out_dir / "derand_audit.json", audit, manifest)

@@ -6,14 +6,18 @@ Typicality is multiplicative (robust): a sequence is delta-typical for q
 when every symbol count c satisfies |c/n - q(a)| <= delta * q(a); symbols
 with q(a) = 0 therefore may not occur at all. Conditional sets apply the
 same band to joint counts against the joint distribution, with the
-conditioning sequence fixed.
+conditioning sequence fixed. One float test decides the band everywhere:
+the predicates apply it to ``prob.joint_empirical_type`` counts, and
+``count_bounds`` turns it into per-cell integer count ranges.
 
 Sampling is exactly uniform: integer type vectors inside the band are
 enumerated, weighted by their exact (big-integer) multinomial class
 sizes, one is drawn by exact inverse CDF, and a uniformly random
 arrangement of its symbol multiset is emitted. The inverse CDF runs on
 int64 (unbiased bounded integers and a sorted search) when the total
-class size fits, and on big integers otherwise.
+class size fits, and on big integers otherwise. The conditional sampler
+does this once per conditioning symbol; the unconditional sampler is its
+one-stratum case.
 
 Codebooks draw the common layer eagerly and each private layer lazily, in
 pages of 4096 codewords. Page p of branch b under common index s0 comes
@@ -36,12 +40,12 @@ import bisect
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .prob import JointPmf, Kernel, _entropy_bits
+from .prob import JointPmf, Kernel, _entropy_bits, joint_empirical_type
 
 SYMBOL_DTYPE = np.uint8
 PAGE_ROWS = 4096   # codewords per lazily drawn page of a private layer
@@ -109,8 +113,15 @@ def circular_shift(k, seq: np.ndarray, other: np.ndarray | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _cells_ok(counts: np.ndarray, n: int, q: np.ndarray, delta: float) -> bool:
-    return bool(np.all(np.abs(counts / n - q) <= delta * q))
+def _in_band(counts, n: int, q, delta: float) -> np.ndarray:
+    """The band test |c/n - q| <= delta * q, elementwise; every typicality
+    decision in this module is this one float expression."""
+    return np.abs(counts / n - q) <= delta * q
+
+
+def _typical(seqs, q: np.ndarray, delta: float) -> bool:
+    t = joint_empirical_type(seqs, q.shape)
+    return bool(np.all(_in_band(t.counts, t.n, q, delta)))
 
 
 @dataclass(frozen=True)
@@ -132,13 +143,9 @@ class TypicalSetSpec:
 def is_typical(seq: np.ndarray, spec: TypicalSetSpec) -> bool:
     """Multiplicative typicality of a sequence against a pmf."""
     seq = np.asarray(seq)
-    q = spec.q.reshape(-1)
     if seq.shape[0] != spec.n:
         raise AlphabetError(f"sequence length {seq.shape[0]} != n {spec.n}")
-    if seq.min(initial=0) < 0 or seq.max(initial=0) >= q.shape[0]:
-        raise AlphabetError("symbol outside alphabet")
-    counts = np.bincount(seq.astype(np.int64), minlength=q.shape[0])
-    return _cells_ok(counts, spec.n, q, spec.delta)
+    return _typical([seq], spec.q.reshape(-1), spec.delta)
 
 
 def is_cond_typical(seq: np.ndarray, cond_seq: np.ndarray, joint_q: np.ndarray,
@@ -146,55 +153,24 @@ def is_cond_typical(seq: np.ndarray, cond_seq: np.ndarray, joint_q: np.ndarray,
     """Conditional typicality: joint counts of (seq, cond_seq) inside the
     multiplicative band around joint_q (axes: sequence symbol, conditioning
     symbol)."""
-    seq = np.asarray(seq).astype(np.int64)
-    cond = np.asarray(cond_seq).astype(np.int64)
-    if seq.shape[0] != cond.shape[0]:
-        raise AlphabetError("sequences must have equal length")
-    jq = np.asarray(joint_q, dtype=np.float64)
-    ka, kb = jq.shape
-    if seq.min() < 0 or seq.max() >= ka or cond.min() < 0 or cond.max() >= kb:
-        raise AlphabetError("symbol outside alphabet")
-    n = seq.shape[0]
-    counts = np.bincount(seq * kb + cond, minlength=ka * kb).reshape(ka, kb)
-    return _cells_ok(counts, n, jq, delta)
+    return _typical([seq, cond_seq], np.asarray(joint_q, dtype=np.float64), delta)
 
 
 def is_jointly_typical(x_seq, y_seq, w_seq, q_xyw: np.ndarray, delta: float) -> bool:
     """Triple typicality: the (x, y, w) joint type inside the band."""
-    x = np.asarray(x_seq).astype(np.int64)
-    y = np.asarray(y_seq).astype(np.int64)
-    w = np.asarray(w_seq).astype(np.int64)
-    if not (x.shape[0] == y.shape[0] == w.shape[0]):
-        raise AlphabetError("sequences must have equal length")
-    q = np.asarray(q_xyw, dtype=np.float64)
-    kx, ky, kw = q.shape
-    for arr, k in ((x, kx), (y, ky), (w, kw)):
-        if arr.min() < 0 or arr.max() >= k:
-            raise AlphabetError("symbol outside alphabet")
-    n = x.shape[0]
-    counts = np.bincount((x * ky + y) * kw + w, minlength=kx * ky * kw)
-    return _cells_ok(counts.reshape(kx, ky, kw), n, q, delta)
+    return _typical([x_seq, y_seq, w_seq], np.asarray(q_xyw, dtype=np.float64), delta)
 
 
 def count_bounds(q: np.ndarray, n: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell integer count ranges [lo, hi] equivalent to the
-    multiplicative band, boundary-exact against the same float predicate
-    the typicality checks use."""
-    flat = np.asarray(q, dtype=np.float64).reshape(-1)
-    lo = np.maximum(np.ceil(n * flat * (1 - delta) - 1e-9), 0).astype(np.int64)
-    hi = np.minimum(np.floor(n * flat * (1 + delta) + 1e-9), n).astype(np.int64)
-    for i, qi in enumerate(flat):
-        def ok(c):
-            return abs(c / n - qi) <= delta * qi
-        while lo[i] <= hi[i] and not ok(lo[i]):
-            lo[i] += 1
-        while lo[i] - 1 >= 0 and ok(lo[i] - 1):
-            lo[i] -= 1
-        while hi[i] >= lo[i] and not ok(hi[i]):
-            hi[i] -= 1
-        while hi[i] + 1 <= n and ok(hi[i] + 1):
-            hi[i] += 1
-    return lo.reshape(np.shape(q)), hi.reshape(np.shape(q))
+    """Per-cell integer count ranges [lo, hi] of the multiplicative band:
+    the first and last count in 0..n that passes ``_in_band``, the test the
+    typicality predicates apply. Exact by construction: c/n - q is
+    monotone in c in floating point too, so a cell's passing counts form
+    one unbroken run. A cell that no count fits gets lo = n + 1 > hi = n."""
+    q = np.asarray(q, dtype=np.float64)
+    ok = _in_band(np.arange(n + 1), n, q[..., None], delta)
+    lo = np.where(ok.any(axis=-1), ok.argmax(axis=-1), n + 1)
+    return lo, n - ok[..., ::-1].argmax(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -267,24 +243,6 @@ class TypeTable:
         return out
 
 
-def _type_table(q: np.ndarray, n: int, delta: float, total: int | None = None) -> TypeTable:
-    lo, hi = count_bounds(q, n, delta)
-    lo_f, hi_f = lo.reshape(-1), hi.reshape(-1)
-    if np.any(lo_f > hi_f):
-        bad = int(np.argmax(lo_f > hi_f))
-        raise EmptyTypicalSetError(
-            f"cell {bad}: no integer count in [{n * q.reshape(-1)[bad] * (1 - delta):.3f}, "
-            f"{n * q.reshape(-1)[bad] * (1 + delta):.3f}] (q={q.reshape(-1)[bad]:.6g}, "
-            f"n={n}, delta={delta})")
-    tot = n if total is None else total
-    types = _compositions(lo_f, hi_f, tot)
-    if not types:
-        raise EmptyTypicalSetError(
-            f"count boxes admit no composition summing to {tot} "
-            f"(lo={lo_f.tolist()}, hi={hi_f.tolist()})")
-    return TypeTable(types, tot)
-
-
 def _permuted_rows(rng: np.random.Generator, base: np.ndarray, rows: int) -> np.ndarray:
     """Independently random permutations of one multiset row."""
     tiled = np.broadcast_to(base, (rows, base.shape[0]))
@@ -294,17 +252,11 @@ def _permuted_rows(rng: np.random.Generator, base: np.ndarray, rows: int) -> np.
 
 def sample_uniform_typical(spec: TypicalSetSpec, count: int,
                            rng: np.random.Generator | int) -> np.ndarray:
-    """Exactly uniform draws from the typical set; shape (count, n)."""
-    rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
-    q = spec.q.reshape(-1)
-    table = _type_table(q, spec.n, spec.delta)
-    idx = table.draw_indices(rng, count)
-    out = np.empty((count, spec.n), dtype=SYMBOL_DTYPE)
-    for t in np.unique(idx):
-        members = np.where(idx == t)[0]
-        base = np.repeat(np.arange(q.shape[0], dtype=SYMBOL_DTYPE), table.types[t])
-        out[members] = _permuted_rows(rng, base, members.size)
-    return out
+    """Exactly uniform draws from the typical set; shape (count, n). This
+    is the conditional sampler's one-stratum case: a constant
+    conditioning sequence, with q as the joint's only column."""
+    return sample_uniform_cond_typical(spec.q.reshape(-1, 1), spec.delta,
+                                       np.zeros(spec.n, dtype=np.int64), count, rng)
 
 
 def sample_uniform_cond_typical(joint_q: np.ndarray, delta: float,
@@ -314,14 +266,20 @@ def sample_uniform_cond_typical(joint_q: np.ndarray, delta: float,
     ``cond_seq``; the joint counts with the conditioning sequence land in
     the band around ``joint_q`` (axes: output symbol, conditioning symbol).
     Positions are stratified by conditioning symbol, with one independent
-    type draw and arrangement per stratum."""
+    type draw and arrangement per stratum. An empty set raises
+    ``EmptyTypicalSetError`` naming the cell or stratum at fault."""
     rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
     cond = np.asarray(cond_seq).astype(np.int64)
     jq = np.asarray(joint_q, dtype=np.float64)
     ka, kb = jq.shape
     n = cond.shape[0]
-    out = np.empty((count, n), dtype=SYMBOL_DTYPE)
     lo, hi = count_bounds(jq, n, delta)
+    if np.any(lo > hi):
+        a, b = (int(i) for i in np.argwhere(lo > hi)[0])
+        raise EmptyTypicalSetError(
+            f"cell (a={a}, b={b}): no integer count in [{n * jq[a, b] * (1 - delta):.3f}, "
+            f"{n * jq[a, b] * (1 + delta):.3f}] (q={jq[a, b]:.6g}, n={n}, delta={delta})")
+    out = np.empty((count, n), dtype=SYMBOL_DTYPE)
     for b in range(kb):
         positions = np.where(cond == b)[0]
         n_b = positions.size
@@ -378,7 +336,9 @@ class CodeSizes:
     delta: float
 
     def recompute(self) -> tuple[int, int, int]:
-        m0 = _exp2_floor(self.n * (self.i_pair_w + 2 * self.slack_w))
+        """(m0, m1, m2) from the stored rates and slacks: the one place the
+        code-size formula is written."""
+        m0 =_exp2_floor(self.n * (self.i_pair_w + 2 * self.slack_w))
         m1 = _exp2_floor(self.n * (self.i_x + 2 * self.slack_x))
         m2 = _exp2_floor(self.n * (self.i_y + 2 * self.slack_y))
         return m0, m1, m2
@@ -419,15 +379,11 @@ def compute_code_sizes(q_xyw: JointPmf, tc_x: Kernel, tc_y: Kernel,
 
     i_x, h_xt_w = branch(j_xw_xt)
     i_y, h_yt_w = branch(j_yw_yt)
-    slack_w = delta * (h_w + h_w_given_xy)
-    slack_x = delta * (h_xt_w + 1.0)
-    slack_y = delta * (h_yt_w + 1.0)
-    sizes = CodeSizes(m0=_exp2_floor(n * (i_pair_w + 2 * slack_w)),
-                      m1=_exp2_floor(n * (i_x + 2 * slack_x)),
-                      m2=_exp2_floor(n * (i_y + 2 * slack_y)),
-                      slack_w=slack_w, slack_x=slack_x, slack_y=slack_y,
+    sizes = CodeSizes(m0=0, m1=0, m2=0, slack_w=delta * (h_w + h_w_given_xy),
+                      slack_x=delta * (h_xt_w + 1.0), slack_y=delta * (h_yt_w + 1.0),
                       i_pair_w=i_pair_w, i_x=i_x, i_y=i_y, n=n, delta=delta)
-    return sizes
+    m0, m1, m2 = sizes.recompute()
+    return replace(sizes, m0=m0, m1=m1, m2=m2)
 
 
 class _SymbolBudget:

@@ -326,8 +326,9 @@ def joint_empirical_type(seqs: Sequence[Iterable[int]], sizes: Sequence[int]) ->
     n = arrs[0].size
     if n == 0:
         raise ValueError("empty sequence")
-    if any(a.size != n for a in arrs):
-        raise AlphabetMismatchError("paired sequences must have equal length")
+    if any(a.size != n for a in arrs) or len(arrs) != len(sizes):
+        raise AlphabetMismatchError("paired sequences must have equal length and one "
+                                    "alphabet size each")
     flat = np.zeros(n, dtype=np.int64)
     for a, k in zip(arrs, sizes):
         if a.min() < 0 or a.max() >= k:

@@ -44,6 +44,7 @@ from .solver import (
 )
 
 PARETO_SLACK = 1e-9
+_SWEEPS = 2  # coordinate-descent sweeps per scalarized-search start
 
 _log = logging.getLogger(__name__)
 
@@ -280,7 +281,7 @@ def compute_frontier(problem: RegionProblem, budgets: Budgets, *,
         for k, weights in enumerate(weight_sets):
             points.append(_scalarized_search(problem, budgets, weights, solves, w_size=w,
                                              restarts=restarts,
-                                             seed=seed + 1000 * (k + 1), sweeps=2))
+                                             seed=seed + 1000 * (k + 1)))
 
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
@@ -300,8 +301,7 @@ def compute_frontier(problem: RegionProblem, budgets: Budgets, *,
 
 def scalarized_search(problem: RegionProblem, budgets: Budgets,
                       weights: tuple[float, float, float], *, w_size: int | None = None,
-                      restarts: int = 3, seed: int = 0,
-                      sweeps: int = 2) -> RegionPoint:
+                      restarts: int = 3, seed: int = 0) -> RegionPoint:
     """Minimize w0*r0 + w1*r1 + w2*r2 over auxiliary channels.
 
     Projected coordinate descent: one (x, y) row at a time moves toward a
@@ -309,13 +309,12 @@ def scalarized_search(problem: RegionProblem, budgets: Budgets,
     draws; the best restart wins. A local minimizer only.
     """
     return _scalarized_search(problem, budgets, weights, _Solves(), w_size=w_size,
-                              restarts=restarts, seed=seed, sweeps=sweeps)
+                              restarts=restarts, seed=seed)
 
 
 def _scalarized_search(problem: RegionProblem, budgets: Budgets,
                        weights: tuple[float, float, float], solves: _Solves, *,
-                       w_size: int | None, restarts: int, seed: int,
-                       sweeps: int) -> RegionPoint:
+                       w_size: int | None, restarts: int, seed: int) -> RegionPoint:
     if any(wt < 0 for wt in weights) or all(wt == 0 for wt in weights):
         raise ValueError("weights must be nonnegative and not all zero")
     nx, ny = problem.p_xy.shape
@@ -337,7 +336,7 @@ def _scalarized_search(problem: RegionProblem, budgets: Budgets,
             pad = np.zeros((nx, ny, w - rows.shape[2]))
             rows = np.concatenate([rows, pad], axis=2)
         val, pt = objective(AuxChannel(Kernel(rows)))
-        for _ in range(sweeps):
+        for _ in range(_SWEEPS):
             improved = False
             for ix in range(nx):
                 for iy in range(ny):

@@ -37,12 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prob import JointPmf, Kernel, Pmf, _entropy_bits
+from .prob import JointPmf, Kernel, Pmf, _entropy_bits, kl_divergence, tv_distance
 
 GAP_TOL = 1e-6  # bits: certified gap that counts as converged
 _GAP_AIM = GAP_TOL / 100  # bits: where the search stops, well inside GAP_TOL
 _INNER_TOL = 1e-10  # bits: Blahut bound each inner solve reaches
 _MAX_OUTER = 500  # outer Newton steps per dual
+_MAX_INNER = 100_000  # inner Newton steps per query
+_CONSTRAINT_TOL = 1e-6  # slack on both budgets for a returned channel
+_GRID_CHUNK = 200_000  # grid channels brute_force_rdp scores at once
 
 _log = logging.getLogger(__name__)
 
@@ -105,14 +108,7 @@ class PerceptionMeasure:
             raise ValueError(f"unknown perception kind {self.kind!r}")
 
     def value(self, p: np.ndarray, q: np.ndarray) -> float:
-        p = np.asarray(p, dtype=np.float64)
-        q = np.asarray(q, dtype=np.float64)
-        if self.kind == "tv":
-            return float(np.abs(p - q).sum())
-        mask = p > 0
-        if np.any(q[mask] <= 0):
-            return math.inf
-        return float(np.sum(p[mask] * np.log2(p[mask] / q[mask])))
+        return (tv_distance if self.kind == "tv" else kl_divergence)(p, q)
 
 
 @dataclass(frozen=True)
@@ -264,36 +260,21 @@ def _metrics(pr: _Problem, q: np.ndarray):
 
 
 def _lmo(pr: _Problem, g: np.ndarray) -> np.ndarray:
-    """Linear minimization oracle: the marginal on the allowed columns that
-    minimizes <g, s> inside the perception ball d(P_X, s) <= P."""
+    """Linear minimization oracle of the TV ball: the marginal on the
+    allowed columns that minimizes <g, s> subject to TV(P_X, s) <= P. The
+    P/2 budget, less the dropped columns' mass, moves mass from the dearest
+    cells to the cheapest one, which also takes the dropped mass."""
     p = pr.target[pr.cols]
-    if pr.perception.kind == "tv":
-        # the P/2 budget, less the dropped columns' mass, moves mass from the
-        # dearest cells to the cheapest one, which also takes the dropped mass
-        low = int(np.argmin(g))
-        s = p.copy()
-        movable = max(pr.p_budget / 2.0 - (1.0 - p.sum()), 0.0)
-        for h in np.argsort(g)[::-1]:
-            if h != low:
-                take = min(s[h], movable)
-                s[h] -= take
-                movable -= take
-        s[low] += 1.0 - s.sum()
-        return s
-    # KL: stationarity gives s proportional to p / (g + alpha) with alpha
-    # above -min g on the support; KL(P_X || s) falls as alpha grows
-    g = g - g[p > 0].min()
-    scale = max(float(g.max()), 1e-300)
-
-    def point(t: float) -> np.ndarray:
-        s = np.where(p > 0, p / (g + scale * 2.0 ** -t), 0.0)
-        return s / s.sum()
-
-    lo, hi = -60.0, 60.0  # bisect for the last point inside the ball
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if _perception_of(pr, point(mid)) > pr.p_budget else (mid, hi)
-    return point(lo)
+    low = int(np.argmin(g))
+    s = p.copy()
+    movable = max(pr.p_budget / 2.0 - (1.0 - p.sum()), 0.0)
+    for h in np.argsort(g)[::-1]:
+        if h != low:
+            take = min(s[h], movable)
+            s[h] -= take
+            movable -= take
+    s[low] += 1.0 - s.sum()
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +407,7 @@ class _Dual:
 
 
 def _maximize(dual: _Dual, theta: np.ndarray, free: np.ndarray, sign: np.ndarray,
-              p_budget: float, ctol: float, terms=None, sigma=None):
+              p_budget: float, terms=None, sigma=None):
     """Maximize G(theta) - lam D + tau log lam + terms(theta, tau) over
     theta[free] (``sign`` +1 / -1 keeps a coordinate positive / negative)
     until the best channel within the budgets is at most _GAP_AIM above
@@ -450,7 +431,7 @@ def _maximize(dual: _Dual, theta: np.ndarray, free: np.ndarray, sign: np.ndarray
     while True:
         bound = max(bound, pt.g_low - pt.theta[0] * pr.d_budget
                     - (sigma(pt.theta) if sigma else 0.0))
-        if (pt.dist <= pr.d_budget + ctol and pt.perc <= p_budget + ctol
+        if (pt.dist <= pr.d_budget + _CONSTRAINT_TOL and pt.perc <= p_budget + _CONSTRAINT_TOL
                 and (best is None or pt.rate < best.rate)):
             best = pt
         if ((best is not None and best.rate - bound <= _GAP_AIM) or dual.steps >= dual.cap
@@ -537,18 +518,16 @@ def _perception_dual(pr: _Problem, theta: np.ndarray):
     return free, sign, terms, (lambda th: -gm(th)), theta
 
 
-def conditional_rdp(query: RdpQuery, *, constraint_tol: float = 1e-6,
-                    max_iterations: int = 100_000) -> RdpResult:
+def conditional_rdp(query: RdpQuery) -> RdpResult:
     """Solve the conditional RDP minimization for one query.
 
     Returns the best test channel found within both budgets (up to
-    ``constraint_tol``) with its certified gap (see the module docstring);
-    ``max_iterations`` caps the inner Newton steps. Raises InfeasibleError
-    when no channel can meet the budgets (e.g. a restricted reconstruction
-    alphabet with D too small).
+    _CONSTRAINT_TOL) with its certified gap (see the module docstring);
+    _MAX_INNER caps the inner Newton steps. Raises InfeasibleError when no
+    channel can meet the budgets (e.g. a restricted reconstruction alphabet
+    with D too small).
     """
     pr = _build_problem(query)
-    ctol = constraint_tol
 
     # exact rate-0 shortcut: each w's least-distortion symbol, independent
     # of x; if that misses P, mixed toward P_X as far as D allows
@@ -571,22 +550,22 @@ def conditional_rdp(query: RdpQuery, *, constraint_tol: float = 1e-6,
                               converged=True, iterations=0)
 
     # the perception-free dual first, unless the rate-0 channel meets D
-    dual = _Dual(pr, max_iterations)
+    dual = _Dual(pr, _MAX_INNER)
     lam = np.zeros(1 + pr.delta.shape[1], dtype=bool)
     lam[0] = pr.d_budget > 1e-15
     best, outer, path = None, 0, "free"
     if dist0 > pr.d_budget:
-        best, bound, outer = _maximize(dual, lam * 1.0, lam, lam * 1.0, math.inf, ctol)
-    if math.isfinite(pr.p_budget) and (best is None or best.perc > pr.p_budget + ctol):
+        best, bound, outer = _maximize(dual, lam * 1.0, lam, lam * 1.0, math.inf)
+    if math.isfinite(pr.p_budget) and (best is None or best.perc > pr.p_budget + _CONSTRAINT_TOL):
         path = "perception"
         free, sign, terms, sigma, theta = _perception_dual(pr, lam * 1.0 if best is None
                                                            else best.theta)
-        best, bound, more = _maximize(dual, theta, free | lam, sign + lam, pr.p_budget, ctol,
+        best, bound, more = _maximize(dual, theta, free | lam, sign + lam, pr.p_budget,
                                       terms, sigma)
         outer += more
     gap = float(best.rate - bound)
-    converged = bool(best.dist <= pr.d_budget + ctol and best.perc <= pr.p_budget + ctol
-                     and gap <= GAP_TOL)
+    converged = bool(best.dist <= pr.d_budget + _CONSTRAINT_TOL
+                     and best.perc <= pr.p_budget + _CONSTRAINT_TOL and gap <= GAP_TOL)
     _log.debug("conditional_rdp: %s dual, %d outer iterations, %d inner Newton steps, "
                "gap %.3g bits", path, outer, dual.steps, gap)
     return _to_result(pr, best.q, best.rate, best.dist, best.perc, lam=float(best.theta[0]),
@@ -605,13 +584,12 @@ def _to_result(pr: _Problem, q: np.ndarray, rate: float, dist: float, perc: floa
 
 def rdp_point_to_point(p_x: Pmf, delta: DistortionMatrix, perception: PerceptionMeasure,
                        d_budget: float, p_budget: float,
-                       recon_alphabet: tuple[int, ...] | None = None,
-                       **kwargs) -> RdpResult:
+                       recon_alphabet: tuple[int, ...] | None = None) -> RdpResult:
     """Point-to-point RDP function: the conditional problem with |W| = 1."""
     q_xw = JointPmf(p_x.probs[:, None], ("X", "W"))
     query = RdpQuery(q_xw=q_xw, delta=delta, perception=perception,
                      d_budget=d_budget, p_budget=p_budget, recon_alphabet=recon_alphabet)
-    return conditional_rdp(query, **kwargs)
+    return conditional_rdp(query)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +616,7 @@ def _simplex_grid(k: int, steps: int) -> np.ndarray:
 
 
 def brute_force_rdp(query: RdpQuery, grid_steps: int, *,
-                    max_free_params: int = 6, chunk: int = 200_000) -> RdpResult:
+                    max_free_params: int = 6) -> RdpResult:
     """Exhaustive grid search over test channels; oracle use only.
 
     Each (x, w) row of the channel ranges over a simplex grid of the given
@@ -661,8 +639,8 @@ def brute_force_rdp(query: RdpQuery, grid_steps: int, *,
     best_rate = math.inf
     best_q = None
 
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, _GRID_CHUNK):
+        idx = np.arange(start, min(start + _GRID_CHUNK, total), dtype=np.int64)
         # decode per-row grid indices (mixed radix, row 0 most significant)
         q = np.empty((idx.size, n_rows, n_h))
         rem = idx.copy()

@@ -1,15 +1,20 @@
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gwrdp
 import gwrdp.cli
+import gwrdp.region
 import gwrdp.simulate
 from gwrdp.cli import main
 from gwrdp.simulate import ResourceCapError
@@ -123,6 +128,21 @@ class TestRegionCommand:
         assert run(["region", "--config", cfg, "--out-dir", out]) == 0
         assert (out / "frontier.csv").read_bytes() == csv_first
         assert (out / "frontier.json").read_bytes() == json_first
+
+    def test_non_converged_point_exit_4_after_writing(self, tmp_path, monkeypatch):
+        solve = gwrdp.region.conditional_rdp
+
+        def not_converged(query):
+            return dataclasses.replace(solve(query), converged=False)
+
+        monkeypatch.setattr(gwrdp.region, "conditional_rdp", not_converged)
+        cfg = write_config(tmp_path, "region.json", {
+            "p_xy": DSBS01, "budgets": {"D1": 0.1, "D2": 0.1},
+            "strategy": "grid", "samples": 2, "w_size": 2, "seed": 1})
+        assert run(["region", "--config", cfg, "--out-dir", tmp_path]) == 4
+        payload = json.loads((tmp_path / "frontier.json").read_text())
+        assert payload["points"] and not any(p["converged"] for p in payload["points"])
+        assert (tmp_path / "frontier.csv").read_text().startswith("# manifest:")
 
 
 SIM_CONFIG = {
@@ -312,3 +332,77 @@ class TestParallelClamp:
             assert run([sub, "--config", cfg, "--out-dir", tmp_path,
                         "--parallel", requested]) == 3
         assert seen == [received, received]
+
+
+# Config fuzz: small valid configs with up to three fields replaced by
+# plausible values, out-of-range and negative ones included; at most one of
+# them gets a wrong type or a null instead.
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(-1.0, 2.0),
+                 st.sampled_from(["", "inf", "x", "hamming", "independent", "solve"]),
+                 st.just([]), st.just({}), st.just([[1]]))
+BUDGET = st.one_of(st.floats(-0.1, 0.6), st.just("inf"))
+PAIRS = st.sampled_from([UNIFORM_PAIR, DSBS01, [[0.5, 0.0], [0.0, 0.5]],
+                         {"alphabets": [1, 2], "probs": [0.5, 0.5]},
+                         {"alphabets": [2, 2], "probs": [0.6, 0.2, 0.2]},
+                         {"alphabets": [2, 2], "probs": [-0.1, 0.4, 0.4, 0.3]}])
+BUDGETS = st.fixed_dictionaries({"D1": BUDGET, "D2": BUDGET},
+                                optional={"P1": BUDGET, "P2": BUDGET})
+CHANNELS = st.sampled_from(["solve", SIM_CONFIG["test_channel_x"],
+                            {"alphabets": [2, 1, 2], "probs": [1.0, 0.0, 0.0, 1.0]},
+                            {"alphabets": [2, 2, 2], "probs": [0.5] * 8}])
+
+FUZZ_FIELDS = {
+    "rdp": ({"source": [0.5, 0.3, 0.2], "d_budget": 0.2, "p_budget": 0.1}, {
+        "source": st.sampled_from([[0.5, 0.5], [1.0], [0.6, 0.5], [], [[0.5, 0.5]]]),
+        "q_xw": st.sampled_from([[[0.3, 0.2], [0.1, 0.4]], [0.5, 0.5],
+                                 {"alphabets": [2, 2], "probs": [0.25] * 3}]),
+        "d_budget": BUDGET, "p_budget": BUDGET,
+        "perception": st.sampled_from(["tv", "kl", "f"]),
+        "distortion": st.sampled_from(["hamming", [[0, 1], [1, 0]], [[1, 1, 0]]]),
+        "recon_alphabet": st.sampled_from([[0], [0, 1], [2], [0, 0], [-1]]),
+        "seed": st.integers(-2, 2)}),
+    "region": ({"p_xy": DSBS01, "budgets": {"D1": 0.1, "D2": 0.1}, "samples": 2,
+                "restarts": 1, "w_size": 2, "seed": 1}, {
+        "p_xy": PAIRS, "budgets": BUDGETS, "strategy": st.sampled_from(["grid", "local"]),
+        "samples": st.integers(-1, 3), "w_size": st.integers(-1, 5),
+        "restarts": st.integers(-1, 2), "cutset_audit": st.booleans(),
+        "perception": st.sampled_from(["tv", "kl"]), "seed": st.integers(-2, 2)}),
+    "simulate": (dict(SIM_CONFIG, trials=20), {
+        "p_xy": PAIRS, "budgets": BUDGETS, "n": st.integers(-1, 12),
+        "delta": st.floats(-0.1, 1.5), "trials": st.integers(-1, 30),
+        "mode": st.sampled_from(["common-randomness", "deterministic", "x"]),
+        "n0": st.integers(-1, 4), "aux": st.sampled_from(["independent", [[0.5, 0.5]] * 4]),
+        "test_channel_x": CHANNELS, "test_channel_y": CHANNELS,
+        "perception": st.sampled_from(["tv", "kl"]), "seed": st.integers(-2, 2)}),
+    "derand-audit": ({"p_xy": UNIFORM_PAIR, "n0": 1, "n": 4}, {
+        "p_xy": PAIRS, "n0": st.integers(-1, 4), "n": st.integers(-1, 8),
+        "seed": st.integers(-2, 2)}),
+}
+
+
+@st.composite
+def fuzzed_config(draw, subcommand):
+    base, fields = FUZZ_FIELDS[subcommand]
+    cfg = dict(base)
+    names = draw(st.lists(st.sampled_from(sorted(fields)), unique=True, max_size=3))
+    junk = draw(st.sampled_from(names + [None] * 3))
+    for name in names:
+        cfg[name] = draw(JUNK if name == junk else fields[name])
+    return cfg
+
+
+class TestConfigFuzz:
+    """Every config ends in a contract exit code, in this process and with
+    --parallel 1, so no worker process starts."""
+
+    @pytest.mark.parametrize("subcommand", sorted(FUZZ_FIELDS))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_exit_code_in_contract(self, subcommand, data):
+        cfg = data.draw(fuzzed_config(subcommand))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp), "cfg.json", cfg)
+            code = run([subcommand, "--config", path, "--out-dir", Path(tmp) / "out",
+                        "--parallel", "1"])
+        assert code in (0, 2, 3, 4), cfg

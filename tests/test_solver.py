@@ -169,8 +169,8 @@ class TestPerceptionActiveSearch:
         assert res.rate <= 0.105109
 
     @pytest.mark.parametrize("perception,budget,alphabet",
-                             [(TV, 0.3, None), (TV, 0.3, (0, 1, 2)), (KL, 0.05, None)],
-                             ids=["tv", "tv-dropped-symbol", "kl"])
+                             [(TV, 0.3, None), (TV, 0.3, (0, 1, 2))],
+                             ids=["tv", "tv-dropped-symbol"])
     def test_lmo_minimizes_over_the_ball(self, perception, budget, alphabet):
         from gwrdp.solver import _build_problem, _lmo, _perception_of
 
