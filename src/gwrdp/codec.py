@@ -28,10 +28,15 @@ an encoder or decoder touches are ever drawn, which lets a layer hold far
 more codewords than memory could; a memory cap on the symbols drawn so far
 ends a scan that would run past it.
 
-The encoder scans codewords in blocks that grow geometrically, so an
-early hit costs a few codewords and a long scan stays vectorized: one
-``bincount`` per block for the common layer, one distortion lookup per
-block for the private layers.
+The encoder takes a batch of source pairs and scans codewords in blocks
+that grow geometrically, so an early hit costs a few codewords and a long
+scan stays vectorized. Each block is read once and tested for every trial
+still without a hit: one ``bincount`` over (trial, row, cell) for the
+common layer, one distortion gather per private layer, with trials grouped
+by common index. Every trial keeps a lone scan's block schedule, so a
+batch reads the codewords and draws the pages that one scan per trial
+would. Sub-batches of trials bound a step's gather or count array to
+``_SCRATCH`` elements, or to one trial's block when that is larger.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from .prob import JointPmf, Kernel, _entropy_bits, joint_empirical_type
 
 SYMBOL_DTYPE = np.uint8
 PAGE_ROWS = 4096   # codewords per lazily drawn page of a private layer
+_SCRATCH = 2 ** 16   # elements of one scan step's gather or count array
 
 
 class EmptyTypicalSetError(ValueError):
@@ -83,9 +89,10 @@ def shift_position(n: int, k: int, t: int) -> int:
 
 def circular_shift(k, seq: np.ndarray, other: np.ndarray | None = None):
     """Apply the shift: output position t holds input position
-    shift_position(n, k, t). Negative k means shifting by (n - k) mod n.
-    A second sequence of equal shape is shifted identically. Given (rows,
-    n) sequences and one k per row, each row is shifted by its own k."""
+    shift_position(n, k, t). Any integer k is taken mod n, so k = -1 is
+    the shift by n - 1. A second sequence of equal shape is shifted
+    identically. Given (rows, n) sequences and one k per row, each row is
+    shifted by its own k."""
     seq = np.asarray(seq)
     n = seq.shape[-1]
     if n == 0:
@@ -416,10 +423,11 @@ class PagedLayer:
     time on first touch and cached.
 
     Array-like: ``shape`` (Python ints), ``layer[s0]`` (a lazy row),
-    ``layer[s0, j]``, ``layer[s0, a:b]``, iteration over rows, and
-    ``np.asarray(layer)``, which draws every page. ``nbytes`` counts the
-    pages drawn so far. Pickling drops the drawn pages; the copy redraws
-    the same ones on demand."""
+    ``layer[s0, j]``, ``layer[s0, a:b]``, ``layer[s0s, js]`` with equal-
+    length index arrays (one codeword per pair, each touched page read
+    once), iteration over rows, and ``np.asarray(layer)``, which draws
+    every page. ``nbytes`` counts the pages drawn so far. Pickling drops
+    the drawn pages; the copy redraws the same ones on demand."""
 
     dtype = np.dtype(SYMBOL_DTYPE)
 
@@ -466,8 +474,19 @@ class PagedLayer:
     def __getitem__(self, key):
         if isinstance(key, tuple):
             s0, j = key
+            if np.ndim(s0):
+                return self._take(np.asarray(s0), np.asarray(j))
             return self[s0][j]
         return _PagedRow(self, _checked_index(key, self.shape[0]))
+
+    def _take(self, s0: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Codewords (s0[i], j[i]) for in-range indices, one per pair."""
+        out = np.empty((s0.size, self.shape[2]), dtype=self.dtype)
+        keys, which = np.unique(np.stack([s0, j // PAGE_ROWS]), axis=1, return_inverse=True)
+        for g, (a, p) in enumerate(keys.T.tolist()):
+            members = which == g
+            out[members] = self.page(a, p)[j[members] % PAGE_ROWS]
+        return out
 
     def __iter__(self):
         return (_PagedRow(self, s0) for s0 in range(self.shape[0]))
@@ -595,69 +614,112 @@ def _blocks(m: int, first: int):
         size = min(4 * size, 4096)
 
 
-def _first_under_threshold(codewords: np.ndarray, ref: np.ndarray,
-                           delta_mat: np.ndarray, threshold: float) -> int:
-    """Smallest codeword index with per-letter distortion <= threshold,
-    or -1. ``codewords`` is an (M, n) array or a row of a ``PagedLayer``.
-    Blocks of 16, 64, 256, 1024 and then 4096 codewords, so an early hit
-    decodes (and draws) few of them."""
-    for start, stop in _blocks(codewords.shape[0], 16):
-        d = delta_mat[ref[None, :], codewords[start:stop]].mean(axis=1)
-        hits = np.flatnonzero(d <= threshold)
-        if hits.size:
-            return start + int(hits[0])
-    return -1
+def _scan(rows, first: int, trials: int, per_row: int, hits) -> np.ndarray:
+    """Per trial, the smallest index of ``rows`` that ``hits`` accepts, or
+    -1. Blocks of ``first``, 4 * ``first``, ... and then 4096 rows are each
+    read once and tested for the trials still without a hit, in sub-
+    batches whose scratch arrays (``per_row`` elements per trial and block
+    row) hold at most _SCRATCH elements, or one trial's block.
+    ``hits(trials, block)`` returns the (trials, block rows) hit mask."""
+    found = np.full(trials, -1, dtype=np.int64)
+    active = np.arange(trials)
+    for start, stop in _blocks(rows.shape[0], first):
+        block = rows[start:stop]
+        step = max(1, _SCRATCH // ((stop - start) * per_row))
+        for a in range(0, active.size, step):
+            some = active[a:a + step]
+            ok = hits(some, block)
+            has = ok.any(axis=1)
+            found[some[has]] = start + ok[has].argmax(axis=1)
+        active = active[found[active] < 0]
+        if not active.size:
+            break
+    return found
 
 
-def _first_jointly_typical(common: np.ndarray, pair: np.ndarray,
-                           lo: np.ndarray, hi: np.ndarray) -> int:
-    """Smallest common index whose codeword's joint counts with the
-    source pair (``pair`` holds the pair's cell offsets) lie in [lo, hi],
-    or -1. Blocks of 64, 256, 1024 and then 4096 codewords, counted by one
-    ``bincount`` each over row-offset cell indices."""
+def _first_under_threshold(codewords: np.ndarray, refs: np.ndarray,
+                           delta_mat: np.ndarray, threshold: float) -> np.ndarray:
+    """Per trial (row of the (T, n) ``refs``), the smallest codeword index
+    with per-letter distortion <= threshold, or -1. ``codewords`` is an
+    (M, n) array or a row of a ``PagedLayer``. Blocks of 16, 64, 256, 1024
+    and then 4096 codewords, so an early hit decodes (and draws) few of
+    them. A distortion is a gather averaged over the contiguous position
+    axis, the same sum as for a lone codeword."""
+    def under(trials, block):
+        return delta_mat[refs[trials, None, :], block].mean(axis=-1) <= threshold
+
+    return _scan(codewords, 16, refs.shape[0], refs.shape[1], under)
+
+
+def _first_jointly_typical(common: np.ndarray, pairs: np.ndarray,
+                           lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per trial, the smallest common index whose codeword's joint counts
+    with the trial's source pair (a row of ``pairs``, the pair's cell
+    offsets) lie in [lo, hi], or -1. Blocks of 64, 256, 1024 and then 4096
+    codewords, counted by one ``bincount`` over (trial, row, cell)."""
     cells = lo.shape[0]
-    for start, stop in _blocks(common.shape[0], 64):
-        rows = stop - start
-        idx = pair + common[start:stop] + (np.arange(rows) * cells)[:, None]
-        counts = np.bincount(idx.ravel(), minlength=rows * cells).reshape(rows, cells)
-        hits = np.flatnonzero(((counts >= lo) & (counts <= hi)).all(axis=1))
-        if hits.size:
-            return start + int(hits[0])
-    return -1
+
+    def typical(trials, block):
+        slots = trials.size * block.shape[0]
+        offsets = (np.arange(slots) * cells).reshape(trials.size, -1, 1)
+        counts = np.bincount((pairs[trials, None, :] + block + offsets).ravel(),
+                             minlength=slots * cells).reshape(trials.size, -1, cells)
+        return ((counts >= lo) & (counts <= hi)).all(axis=-1)
+
+    return _scan(common, 64, pairs.shape[0], max(common.shape[1], cells), typical)
+
+
+def encode_batch(codebook: Codebook, xs: np.ndarray, ys: np.ndarray, ks,
+                 delta_x: np.ndarray, delta_y: np.ndarray,
+                 threshold_x: float, threshold_y: float):
+    """Three-stage encoding of T source pairs, rows of the (T, n) ``xs``
+    and ``ys``, each under its own shift seed in ``ks``.
+
+    The sources are unshifted first; a trial's common index is the
+    smallest one whose codeword is jointly typical with its pair (falling
+    back to 0 with a flag, without a scan when the joint band admits no
+    count vector), then each private index is the smallest one meeting its
+    per-letter distortion threshold (same fallback). Returns the index
+    arrays ``s0``, ``s1``, ``s2`` and a (3, T) mask of common, X and Y
+    misses; every trial gets what a lone encoding of it gets.
+    """
+    n = codebook.n
+    xs = np.asarray(xs)
+    ys = np.asarray(ys)
+    if xs.ndim != 2 or xs.shape[1] != n or ys.shape != xs.shape:
+        raise ValueError(f"sequences must have length n={n}")
+    xb, yb = (s.astype(np.int64) for s in circular_shift(-np.asarray(ks), xs, ys))
+
+    _, ky, kw = codebook.q_xyw.shape
+    lo, hi, empty = _cached_bounds(codebook.q_xyw.tobytes(), codebook.q_xyw.shape, n,
+                                   codebook.delta)
+    s0 = (np.full(xs.shape[0], -1, dtype=np.int64) if empty
+          else _first_jointly_typical(codebook.common, (xb * ky + yb) * kw, lo, hi))
+    miss = np.empty((3, xs.shape[0]), dtype=bool)
+    miss[0] = s0 < 0
+    s0[miss[0]] = 0
+
+    private = np.empty((2, xs.shape[0]), dtype=np.int64)
+    branches = ((codebook.priv_x, xb, np.asarray(delta_x), threshold_x),
+                (codebook.priv_y, yb, np.asarray(delta_y), threshold_y))
+    for b, (layer, refs, delta_mat, threshold) in enumerate(branches):
+        for a in np.unique(s0).tolist():
+            members = np.flatnonzero(s0 == a)
+            private[b, members] = _first_under_threshold(layer[a], refs[members],
+                                                         delta_mat, threshold)
+    miss[1:] = private < 0
+    np.maximum(private, 0, out=private)
+    return s0, private[0], private[1], miss
 
 
 def encode(codebook: Codebook, x_seq: np.ndarray, y_seq: np.ndarray, k: int,
            delta_x: np.ndarray, delta_y: np.ndarray,
            threshold_x: float, threshold_y: float) -> EncodeResult:
-    """Three-stage encoding of one source pair under shift seed k.
-
-    The sources are unshifted first; the common index is the smallest one
-    whose codeword is jointly typical with them (falling back to 0 with a
-    flag, without a scan when the joint band admits no count vector), then
-    each private index is the smallest one meeting its per-letter
-    distortion threshold (same fallback).
-    """
-    n = codebook.n
-    x = np.asarray(x_seq)
-    y = np.asarray(y_seq)
-    if x.shape[0] != n or y.shape[0] != n:
-        raise ValueError(f"sequences must have length n={n}")
-    xb, yb = circular_shift(-k, x, y)
-    xb = xb.astype(np.int64)
-    yb = yb.astype(np.int64)
-
-    _, ky, kw = codebook.q_xyw.shape
-    lo, hi, empty = _cached_bounds(codebook.q_xyw.tobytes(), codebook.q_xyw.shape, n,
-                                   codebook.delta)
-    s0 = -1 if empty else _first_jointly_typical(codebook.common, (xb * ky + yb) * kw, lo, hi)
-    miss_common = s0 < 0
-    if miss_common:
-        s0 = 0
-
-    s1 = _first_under_threshold(codebook.priv_x[s0], xb, np.asarray(delta_x), threshold_x)
-    s2 = _first_under_threshold(codebook.priv_y[s0], yb, np.asarray(delta_y), threshold_y)
-    return EncodeResult(s0=s0, s1=max(s1, 0), s2=max(s2, 0),
-                        miss_common=miss_common, miss_x=s1 < 0, miss_y=s2 < 0)
+    """Three-stage encoding of one source pair under shift seed k: the
+    one-trial case of ``encode_batch``."""
+    s0, s1, s2, miss = encode_batch(codebook, np.asarray(x_seq)[None], np.asarray(y_seq)[None],
+                                    [k], delta_x, delta_y, threshold_x, threshold_y)
+    return EncodeResult(int(s0[0]), int(s1[0]), int(s2[0]), *map(bool, miss[:, 0]))
 
 
 def joint_set_empty(q_xyw: np.ndarray, n: int, delta: float) -> bool:
@@ -681,19 +743,16 @@ def _cached_bounds(q_bytes: bytes, shape: tuple, n: int, delta: float):
 def decode(codebook: Codebook, s0, s1, s2, k):
     """Reconstruct both branches: shift the selected codewords back by k.
     Given equal-length sequences of indices and seeds, one entry per
-    block, each branch comes back as one row per block."""
-    if np.ndim(k):
-        pairs = [_selected(codebook, *idx) for idx in zip(s0, s1, s2)]
-        x, y = (np.stack(branch) for branch in zip(*pairs))
-    else:
-        x, y = _selected(codebook, s0, s1, s2)
+    block, each branch comes back as one row per block, read with each
+    touched page of a private layer read once."""
+    idx = [np.atleast_1d(np.asarray(s, dtype=np.int64)) for s in (s0, s1, s2)]
+    for s, m in zip(idx, codebook.sizes):
+        bad = (s < 0) | (s >= m)
+        if bad.any():
+            i = int(bad.argmax())
+            raise IndexError(f"indices ({idx[0][i]}, {idx[1][i]}, {idx[2][i]}) outside "
+                             f"codebook sizes {codebook.sizes}")
+    x, y = codebook.priv_x[idx[0], idx[1]], codebook.priv_y[idx[0], idx[2]]
+    if not np.ndim(k):
+        x, y = x[0], y[0]
     return circular_shift(k, x, y)
-
-
-def _selected(codebook: Codebook, s0: int, s1: int, s2: int):
-    """The private codewords an index triple selects, unshifted."""
-    m0, m1, m2 = codebook.sizes
-    if not (0 <= s0 < m0 and 0 <= s1 < m1 and 0 <= s2 < m2):
-        raise IndexError(f"indices ({s0}, {s1}, {s2}) outside codebook sizes {codebook.sizes}")
-    return codebook.priv_x[s0, s1], codebook.priv_y[s0, s2]
-

@@ -43,15 +43,22 @@ class SeedMap:
         return float(np.abs(self.bin_masses - 1.0 / self.n).max())
 
     def seed_for_tail(self, x_tail: np.ndarray, y_tail: np.ndarray) -> int:
-        x = np.asarray(x_tail).astype(np.int64)
-        y = np.asarray(y_tail).astype(np.int64)
-        if x.shape[0] != self.n0 or y.shape[0] != self.n0:
+        """The seed of one tail: the one-row case of ``seeds_for_tails``."""
+        return int(self.seeds_for_tails(np.asarray(x_tail)[None], np.asarray(y_tail)[None])[0])
+
+    def seeds_for_tails(self, x_tails: np.ndarray, y_tails: np.ndarray) -> np.ndarray:
+        """Seeds of T tails, the rows of (T, n0) arrays: each tail's atom
+        index, its pair symbols read as base |X||Y| digits (first position
+        most significant), looked up in the assignment. Symbols outside
+        the alphabets raise ``ValueError``."""
+        x = np.asarray(x_tails).astype(np.int64)
+        y = np.asarray(y_tails).astype(np.int64)
+        if x.ndim != 2 or x.shape[1] != self.n0 or y.shape != x.shape:
             raise ValueError(f"tails must have length n0={self.n0}")
-        pair = x * self.ny + y
-        idx = 0
-        for p in pair:
-            idx = idx * (self.nx * self.ny) + int(p)
-        return int(self.assignment[idx])
+        if np.any((x < 0) | (x >= self.nx) | (y < 0) | (y >= self.ny)):
+            raise ValueError(f"tail symbols outside the {self.nx}x{self.ny} pair alphabet")
+        radix = (self.nx * self.ny) ** np.arange(self.n0 - 1, -1, -1, dtype=np.int64)
+        return self.assignment[(x * self.ny + y) @ radix]
 
     def audit(self) -> dict:
         """Exhaustive mass audit: per-bin masses against the uniform bound."""

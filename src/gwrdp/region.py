@@ -263,6 +263,8 @@ def compute_frontier(problem: RegionProblem, budgets: Budgets, *,
     nx, ny = problem.p_xy.shape
     default_w = min(problem.max_w_size(), 4)
     w = w_size if w_size is not None else default_w
+    if w < 1:
+        raise ValueError(f"w_size must be at least 1, got {w}")
     if w > problem.max_w_size():
         raise ValueError(f"w_size {w} exceeds the cardinality bound {problem.max_w_size()}")
     if strategy not in ("grid", "local"):
@@ -319,13 +321,15 @@ def _scalarized_search(problem: RegionProblem, budgets: Budgets,
         raise ValueError("weights must be nonnegative and not all zero")
     nx, ny = problem.p_xy.shape
     w = w_size if w_size is not None else min(problem.max_w_size(), 4)
+    if w < 1:
+        raise ValueError(f"w_size must be at least 1, got {w}")
     rng = np.random.default_rng(seed)
 
     def objective(aux: AuxChannel) -> tuple[float, RegionPoint]:
         pt = _rate_triple(problem, aux, budgets, solves)
         return (weights[0] * pt.r0 + weights[1] * pt.r1 + weights[2] * pt.r2, pt)
 
-    starts = [AuxChannel.independent(nx, ny)] if w >= 1 else []
+    starts = [AuxChannel.independent(nx, ny)]
     for _ in range(max(restarts - 1, 0)):
         starts.append(_dirichlet_aux(rng, nx, ny, w))
 

@@ -23,6 +23,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+# encode and deterministic_encode are not called here; they stay importable
+# from this module, where perfbench's layer trace wraps them
 from .codec import (
     PAGE_ROWS,
     Codebook,
@@ -30,6 +32,7 @@ from .codec import (
     compute_code_sizes,
     decode,
     encode,
+    encode_batch,
     generate_codebook,
     joint_set_empty,
 )
@@ -41,7 +44,7 @@ from .derandom import (
     deterministic_encode,
     seed_rate_overhead,
 )
-from .prob import JointPmf, Kernel
+from .prob import AlphabetMismatchError, JointPmf, Kernel
 from .region import AuxChannel, Budgets
 from .solver import DistortionMatrix, hamming
 
@@ -92,6 +95,17 @@ class SimConfig:
             object.__setattr__(self, "delta_x_mat", DistortionMatrix(hamming(nx)))
         if self.delta_y_mat is None:
             object.__setattr__(self, "delta_y_mat", DistortionMatrix(hamming(ny)))
+        w = self.aux.w_size
+        for b, size, channel, mat in (("x", nx, self.test_channel_x, self.delta_x_mat),
+                                      ("y", ny, self.test_channel_y, self.delta_y_mat)):
+            if channel.cond_shape != (size, w):
+                raise AlphabetMismatchError(
+                    f"test_channel_{b} conditions on {channel.cond_shape}, expected "
+                    f"({size}, {w}) from the source and auxiliary alphabets")
+            if (mat.n_source, mat.n_recon) != (size, channel.out_size):
+                raise AlphabetMismatchError(
+                    f"distortion_{b} has shape {(mat.n_source, mat.n_recon)}, expected "
+                    f"({size}, {channel.out_size}) from the source and test channel")
 
     def tail_length(self) -> int:
         if self.mode != "deterministic":
@@ -220,8 +234,8 @@ _CHUNK = 256   # trials whose draws, decoding and statistics run as arrays
 def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None,
                 thr_x: float, thr_y: float, lo: int, hi: int) -> _TrialBatch:
     """Trials [lo, hi). Each trial draws from its own Philox stream keyed
-    (master seed, trial) and is encoded alone; chunks of trials are then
-    decoded, scored and counted together."""
+    (master seed, trial); chunks of trials are then encoded, decoded,
+    scored and counted together."""
     n, n0 = config.n, config.tail_length()
     total_len = n + n0
     shared_seed = config.mode == "common-randomness"
@@ -250,21 +264,15 @@ def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None,
                 ks[i] = rng.integers(0, n)
         pair = cdf.searchsorted(u, side="right")
         xs, ys = pair // ny, pair % ny
-        picked = []
-        for i in range(len(trials)):
-            if shared_seed:
-                enc = encode(codebook, xs[i], ys[i], int(ks[i]), dx, dy, thr_x, thr_y)
-            else:
-                enc, ks[i] = deterministic_encode(codebook, seed_map, xs[i], ys[i],
-                                                  dx, dy, thr_x, thr_y)
-            picked.append((enc.s0, enc.s1, enc.s2))
-            miss[:, start - lo + i] = enc.miss_common, enc.miss_x, enc.miss_y
-        s0, s1, s2 = zip(*picked)
+        if not shared_seed:
+            ks = seed_map.seeds_for_tails(xs[:, n:], ys[:, n:])
+        rows = slice(start - lo, trials.stop - lo)
+        s0, s1, s2, miss[:, rows] = encode_batch(codebook, xs[:, :n], ys[:, :n], ks,
+                                                 dx, dy, thr_x, thr_y)
         if shared_seed:
             hats = decode(codebook, s0, s1, s2, ks)
         else:
             hats = deterministic_decode(codebook, s0, s1, s2, ks, n0)
-        rows = slice(start - lo, trials.stop - lo)
         for b, (d, src, hat) in enumerate(zip(deltas, (xs, ys), hats)):
             dist[b, rows] = d[src, hat].mean(axis=1)
             head[b, rows] = d[src[:, :n], hat[:, :n]].mean(axis=1)

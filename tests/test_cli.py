@@ -294,6 +294,11 @@ INVALID_INPUTS = [
      {"source": [0.5, 0.5], "d_budget": 0.1, "p_budget": 0.1, "recon_alphabet": [[1]]}),
     ("simulate-string-n0", "simulate", dict(SIM_CONFIG, mode="deterministic", n0="2")),
     ("derand-audit-negative-n", "derand-audit", {"p_xy": UNIFORM_PAIR, "n0": 1, "n": -1}),
+    ("region-local-zero-w-size", "region",
+     {"p_xy": DSBS01, "budgets": {"D1": 0.1, "D2": 0.1}, "strategy": "local",
+      "samples": 0, "restarts": 1, "w_size": 0}),
+    ("simulate-test-channel-wrong-source-alphabet", "simulate",
+     dict(SIM_CONFIG, p_xy={"alphabets": [1, 1], "probs": [1.0]})),
 ]
 
 

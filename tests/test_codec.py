@@ -20,12 +20,14 @@ from gwrdp.codec import (
     ResourceCapError,
     TypeTable,
     TypicalSetSpec,
+    _first_jointly_typical,
     _first_under_threshold,
     circular_shift,
     compute_code_sizes,
     count_bounds,
     decode,
     encode,
+    encode_batch,
     generate_codebook,
     is_cond_typical,
     is_jointly_typical,
@@ -342,6 +344,8 @@ class TestEncodeDecode:
         cb, _, _ = small_codebook()
         with pytest.raises(IndexError):
             decode(cb, 0, cb.sizes[1], 0, 0)
+        with pytest.raises(IndexError, match=f"\\(0, {cb.sizes[1]}, 0\\)"):
+            decode(cb, [0, 0], [1, cb.sizes[1]], [0, 0], [0, 0])
 
     def test_roundtrip_meets_threshold(self):
         cb, _, _ = small_codebook()
@@ -378,6 +382,12 @@ class TestInvariantSweeps:
         # types are exactly invariant
         np.testing.assert_array_equal(a_s.sum(axis=1), a.sum(axis=1))
 
+    def test_negative_shift_is_taken_mod_n(self):
+        seq = np.arange(5)
+        assert np.array_equal(circular_shift(-1, seq), circular_shift(4, seq))
+        assert np.array_equal(circular_shift([-1, 2], np.stack([seq, seq])),
+                              np.stack([circular_shift(4, seq), circular_shift(2, seq)]))
+
     def test_empirical_type_matches_library_shift(self):
         rng = np.random.default_rng(4)
         seq = rng.integers(0, 3, size=30)
@@ -411,7 +421,27 @@ class TestScanEquivalence:
         ref = np.zeros(n, dtype=np.int64)
         want = first_under_threshold_loop(codewords, ref, HAM, 0.2)
         assert want == (-1 if hit is None else hit)
-        assert _first_under_threshold(codewords, ref, HAM, 0.2) == want
+        assert _first_under_threshold(codewords, ref[None], HAM, 0.2).tolist() == [want]
+
+    def test_block_schedules(self):
+        # an all-miss batch reads each block once, in the lone scan's sizes
+        class Recorder:
+            def __init__(self, rows):
+                self.rows, self.shape, self.spans = rows, rows.shape, []
+
+            def __getitem__(self, span):
+                self.spans.append((span.start, span.stop))
+                return self.rows[span]
+
+        private = Recorder(np.ones((self.M, 4), dtype=np.uint8))
+        refs = np.zeros((3, 4), dtype=np.int64)
+        assert _first_under_threshold(private, refs, HAM, 0.5).tolist() == [-1] * 3
+        assert private.spans == [(0, 16), (16, 80), (80, 336), (336, 1360), (1360, 5456),
+                                 (5456, self.M)]
+        common = Recorder(np.zeros((self.M, 4), dtype=np.uint8))
+        never = np.ones(2, dtype=np.int64), np.zeros(2, dtype=np.int64)   # lo > hi
+        assert _first_jointly_typical(common, refs, *never).tolist() == [-1] * 3
+        assert common.spans == [(0, 64), (64, 320), (320, 1344), (1344, 5440), (5440, self.M)]
 
     def _planted_codebook(self, hit):
         # uniform pair, W uniform and independent, n = 16, delta = 0.5: each
@@ -509,6 +539,147 @@ class TestScanEquivalence:
         enc = encode(empty_cb, xs, ys, 0, HAM, HAM, 0.4, 0.4)
         assert dataclasses.astuple(enc) == encode_loop(empty_cb, xs, ys, 0, HAM, HAM, 0.4, 0.4)
         assert enc.miss_common and enc.s0 == 0
+        ks = [0, 3, 9]
+        xk, yk = circular_shift(ks, np.stack([xs] * 3), np.stack([ys, 1 - ys, ys]))
+        s0, s1, s2, miss = encode_batch(empty_cb, xk, yk, ks, HAM, HAM, 0.4, 0.4)
+        assert list(zip(s0.tolist(), s1.tolist(), s2.tolist(), *miss.tolist())) == [
+            encode_loop(empty_cb, x, y, k, HAM, HAM, 0.4, 0.4) for x, y, k in zip(xk, yk, ks)]
+        assert miss[0].all() and not s0.any()
+
+
+def _balanced_pairs(rng, count):
+    """Rows of 32 positions holding each (x, y) pair value 8 times."""
+    pair = np.stack([rng.permutation(np.repeat(np.arange(4), 8)) for _ in range(count)])
+    return pair // 2, pair % 2
+
+
+def _x_keyed_codebook(common, priv_x, priv_y):
+    """W = X at n = 32, delta = 0.5: a common codeword is jointly typical
+    with a balanced source pair exactly when it equals the unshifted x
+    sequence (the cells with w != x have q = 0)."""
+    q_xyw = np.zeros((2, 2, 2))
+    q_xyw[0, :, 0] = q_xyw[1, :, 1] = 0.25
+    return Codebook(common=common, priv_x=priv_x, priv_y=priv_y, q_xyw=q_xyw,
+                    joint_xt_w=np.full((2, 2), 0.25), joint_yt_w=np.full((2, 2), 0.25),
+                    n=32, delta=0.5, seed=0)
+
+
+def _plant(rows, hits, seqs):
+    """Copy seqs[i] into row hits[i] (None plants nothing) and into one
+    later row no hit uses, so only the first copy may win."""
+    free = [j for j in range(rows.shape[0] - 1, -1, -1) if j not in set(hits)]
+    for hit, seq in zip(hits, seqs):
+        if hit is not None:
+            rows[hit] = seq
+            later = free.pop(0)
+            if later > hit:
+                rows[later] = seq
+
+
+def _batch_vs_loop(cb, xs, ys, ks, thr):
+    """encode_batch and the per-trial loop oracle, as lists of tuples."""
+    s0, s1, s2, miss = encode_batch(cb, xs, ys, ks, HAM, HAM, thr, thr)
+    got = list(zip(s0.tolist(), s1.tolist(), s2.tolist(), *miss.tolist()))
+    want = [encode_loop(cb, x, y, k, HAM, HAM, thr, thr) for x, y, k in zip(xs, ys, ks)]
+    return got, want
+
+
+class TestBatchEncode:
+    """One batch of trials gets, trial by trial, what the one-codeword-at-a-
+    time loop gives a lone encoding: first hits on either side of every
+    block boundary and misses in the same batch, several common indices,
+    and any scratch bound."""
+
+    M = TestScanEquivalence.M
+    SCRATCH = [None, 1, 3000]
+
+    @staticmethod
+    def _shifted(rng, xs, ys):
+        ks = rng.integers(0, 32, size=len(xs))
+        return (*circular_shift(ks, np.asarray(xs), np.asarray(ys)), ks)
+
+    @pytest.fixture(scope="class")
+    def common_case(self):
+        rng = np.random.default_rng(20)
+        hits = TestScanEquivalence.COMMON_HITS
+        xs, ys = _balanced_pairs(rng, len(hits))
+        common = np.zeros((self.M, 32), dtype=np.uint8)   # typical with no source
+        _plant(common, hits, xs)
+        priv = rng.integers(0, 2, size=(self.M, 2, 32)).astype(np.uint8)
+        cb = _x_keyed_codebook(common, priv, priv[:, ::-1])
+        xk, yk, ks = self._shifted(rng, xs, ys)
+        want = [encode_loop(cb, x, y, k, HAM, HAM, 0.45, 0.45) for x, y, k in zip(xk, yk, ks)]
+        assert [w[0] if not w[3] else None for w in want] == hits
+        return cb, xk, yk, ks, want
+
+    @pytest.mark.parametrize("scratch", SCRATCH)
+    def test_common_hits_across_blocks(self, common_case, scratch, monkeypatch):
+        if scratch is not None:
+            monkeypatch.setattr("gwrdp.codec._SCRATCH", scratch)
+        cb, xk, yk, ks, want = common_case
+        s0, s1, s2, miss = encode_batch(cb, xk, yk, ks, HAM, HAM, 0.45, 0.45)
+        assert list(zip(s0.tolist(), s1.tolist(), s2.tolist(), *miss.tolist())) == want
+
+    @pytest.fixture(scope="class")
+    def private_case(self):
+        # common indices 0, 1 and 2 hold group sources; every fourth trial
+        # has a source no common codeword fits and falls back to index 0.
+        # Trials of a group share x but not y, so each plants its own y hit.
+        rng = np.random.default_rng(21)
+        hits = TestScanEquivalence.PRIVATE_HITS
+        base_x, base_y = _balanced_pairs(rng, 4)
+        groups = [i % 4 for i in range(len(hits))]
+        xs = base_x[groups]
+        ys = base_y[groups]
+        for x, y in zip(xs, ys):
+            for sym in (0, 1):
+                at = np.flatnonzero(x == sym)
+                y[at] = rng.permutation(y[at])
+        priv_x = rng.integers(0, 2, size=(3, self.M, 32)).astype(np.uint8)
+        priv_y = rng.integers(0, 2, size=(3, self.M, 32)).astype(np.uint8)
+        for g, x_hit in enumerate((5, 1361, 4097)):
+            priv_x[g, x_hit] = base_x[g]
+        s0_of = [g % 3 for g in groups]
+        for g in range(3):
+            mine = [i for i, s0 in enumerate(s0_of) if s0 == g]
+            _plant(priv_y[g], [hits[i] for i in mine], ys[mine])
+        cb = _x_keyed_codebook(base_x[:3].astype(np.uint8), priv_x, priv_y)
+        xk, yk, ks = self._shifted(rng, xs, ys)
+        want = [encode_loop(cb, x, y, k, HAM, HAM, 0.0, 0.0) for x, y, k in zip(xk, yk, ks)]
+        assert [w[0] for w in want] == s0_of
+        assert [w[3] for w in want] == [g == 3 for g in groups]
+        assert [None if w[5] else w[2] for w in want] == hits
+        assert [None if w[4] else w[1] for w in want] == [(5, 1361, 4097, None)[g] for g in groups]
+        return cb, xk, yk, ks, want
+
+    @pytest.mark.parametrize("scratch", SCRATCH)
+    def test_private_hits_across_blocks_and_groups(self, private_case, scratch, monkeypatch):
+        if scratch is not None:
+            monkeypatch.setattr("gwrdp.codec._SCRATCH", scratch)
+        cb, xk, yk, ks, want = private_case
+        s0, s1, s2, miss = encode_batch(cb, xk, yk, ks, HAM, HAM, 0.0, 0.0)
+        assert list(zip(s0.tolist(), s1.tolist(), s2.tolist(), *miss.tolist())) == want
+
+    def test_generated_codebook_batch(self):
+        # the generated codebook of the loop test above, its 400 sources
+        # encoded as one batch
+        n, delta, seed = 16, 0.1, 4
+        p_xy = JointPmf(np.full((2, 2), 0.25), ("X", "Y"))
+        aux = np.array([[0.75, 0.25], [0.5, 0.5], [0.5, 0.5], [0.25, 0.75]])
+        q_xyw = p_xy.extend(Kernel(aux.reshape(2, 2, 2)), "W")
+        tc = Kernel(np.full((2, 2, 2), 0.5))
+        cb = generate_codebook(q_xyw, tc, tc, compute_code_sizes(q_xyw, tc, tc, n, delta),
+                               delta, n, seed)
+        q_pair_given_w = (cb.q_xyw / cb.q_xyw.sum(axis=(0, 1))).reshape(4, 2)
+        rng = np.random.default_rng(seed)
+        pairs = [np.array([rng.choice(4, p=q_pair_given_w[:, s]) for s in
+                           cb.common[rng.integers(0, cb.common.shape[0])]])
+                 if t % 2 else rng.integers(0, 4, size=n) for t in range(400)]
+        ks = rng.integers(0, n, size=400)
+        xs, ys = circular_shift(ks, np.stack(pairs) // 2, np.stack(pairs) % 2)
+        got, want = _batch_vs_loop(cb, xs, ys, ks, 0.3)
+        assert got == want
+        assert len({g[0] for g in got if not g[3]}) > 3
 
 
 def paged_codebook(m0=2, m=3 * PAGE_ROWS + 100, n=32, memory_cap=None, seed=3):
@@ -572,6 +743,32 @@ class TestPagedLayers:
                          n=cb.n, delta=cb.delta, seed=cb.seed)
         want_x, want_y = decode(plain, got.s0, got.s1, got.s2, k)
         assert np.array_equal(x_hat, want_x) and np.array_equal(y_hat, want_y)
+
+    def test_encode_batch_across_pages(self):
+        cb = paged_codebook(m0=1)
+        hits = [PAGE_ROWS - 1, PAGE_ROWS, PAGE_ROWS + 1, None]
+        xs = np.stack([np.zeros(cb.n, dtype=np.uint8) if h is None else cb.priv_x[0, h]
+                       for h in hits])
+        ys = np.stack([cb.priv_y[0, 7]] * len(hits))
+        ks = [5, 0, 31, 12]
+        xk, yk = circular_shift(ks, xs, ys)
+        got, want = _batch_vs_loop(cb, xk, yk, ks, 1 / 64)
+        assert got == want
+        assert [None if g[4] else g[1] for g in got] == hits
+        assert {g[2] for g in got} == {7}
+
+    def test_batched_decode_reads_what_single_decodes_read(self):
+        batched, single = paged_codebook(), paged_codebook()
+        s0 = [1, 0, 1, 1, 0, 1]
+        s1 = [2 * PAGE_ROWS + 7, 3, 5, PAGE_ROWS, 3 * PAGE_ROWS + 99, 2 * PAGE_ROWS + 8]
+        s2 = [0, 4095, 4096, 1, 2, 3]
+        ks = [0, 5, 31, 7, 7, 1]
+        x, y = decode(batched, s0, s1, s2, ks)
+        for i, idx in enumerate(zip(s0, s1, s2, ks)):
+            want_x, want_y = decode(single, *idx)
+            assert np.array_equal(x[i], want_x) and np.array_equal(y[i], want_y)
+        for layer in ("priv_x", "priv_y"):
+            assert getattr(batched, layer)._pages.keys() == getattr(single, layer)._pages.keys()
 
     def test_drawn_count_equals_pages_touched(self):
         m = 3 * PAGE_ROWS + 100

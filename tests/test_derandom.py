@@ -107,6 +107,32 @@ class TestBuild:
         assert np.all(np.bincount(sm.assignment, minlength=5) > 0)
 
 
+class TestSeedLookup:
+    def test_batched_lookup_covers_every_atom(self):
+        # a 2x3 pair alphabet, so swapped digits or a wrong radix show
+        p_xy = JointPmf([[0.3, 0.05, 0.15], [0.1, 0.25, 0.15]], ("X", "Y"))
+        sm = build_seed_map(p_xy, 3, 5)
+        atoms = np.arange(6 ** 3)
+        digits = np.stack([atoms // 36, atoms // 6 % 6, atoms % 6], axis=1)
+        x_tails, y_tails = digits // 3, digits % 3
+        assert np.array_equal(sm.seeds_for_tails(x_tails, y_tails), sm.assignment)
+        assert [sm.seed_for_tail(x, y) for x, y in zip(x_tails, y_tails)] == sm.assignment.tolist()
+
+    @pytest.mark.parametrize("x_tail, y_tail", [
+        ([0, 0, 0], [0, 0, 2]),    # read as pair digit 2, the tail (0, 0, 1)/(0, 0, 0)
+        ([0, -1, 0], [0, 0, 0]),
+        ([0, 0, 2], [0, 0, 0]),
+        ([0, 0, 0], [-1, 0, 0]),
+    ])
+    def test_out_of_alphabet_tails_rejected(self, x_tail, y_tail):
+        sm = build_seed_map(dsbs(0.2), 3, 5)
+        with pytest.raises(ValueError, match="outside"):
+            sm.seed_for_tail(np.array(x_tail), np.array(y_tail))
+        good = np.zeros((2, 3), dtype=int)
+        with pytest.raises(ValueError, match="outside"):
+            sm.seeds_for_tails(np.vstack([good, x_tail]), np.vstack([good, y_tail]))
+
+
 def tiny_system(n=8, delta=0.3, seed=2):
     p_xy = UNIFORM4
     q_xyw = p_xy.extend(Kernel(np.ones((2, 2, 1))), "W")

@@ -1,16 +1,20 @@
+import dataclasses
 import json
 import logging
 import math
+import pickle
 import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from gwrdp.codec import TypicalSetSpec, is_typical
+import gwrdp.simulate
+from gwrdp.codec import TypicalSetSpec, decode, encode, is_typical
 from gwrdp.prob import JointPmf, Kernel, tv_distance
 from gwrdp.region import AuxChannel, Budgets, RegionProblem, rate_triple_for_aux
 from gwrdp.simulate import (
+    MODES,
     ResourceCapError,
     SimConfig,
     convergence_study,
@@ -230,6 +234,45 @@ class TestPageLog:
         assert int(counts[1].group(1)) >= x_pages
         assert serial.to_dict() == parallel.to_dict()
         assert "pages" not in json.dumps(serial.to_dict())
+
+
+class TestBatchedTrials:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_pages_and_indices_match_a_per_trial_loop(self, monkeypatch, mode):
+        # |W| = 2 at n = 16: two common indices in use, private layers of
+        # two pages each, scans that hit on either page or miss
+        tc = Kernel(np.repeat([[[0.85, 0.15]], [[0.15, 0.85]]], 2, axis=1))
+        aux = AuxChannel(Kernel(np.array([[0.75, 0.25], [0.5, 0.5], [0.5, 0.5],
+                                          [0.25, 0.75]]).reshape(2, 2, 2)))
+        config = cfg(aux=aux, test_channel_x=tc, test_channel_y=tc, n=16, delta=0.1,
+                     trials=300, mode=mode)
+        batches = []
+        real = gwrdp.simulate.encode_batch
+
+        def spy(codebook, xs, ys, ks, *rest):
+            out = real(codebook, xs, ys, ks, *rest)
+            batches.append((codebook, xs, ys, np.array(ks), rest, out))
+            return out
+
+        monkeypatch.setattr("gwrdp.simulate.encode_batch", spy)
+        run_simulation(config)
+        codebook = batches[0][0]
+        loop = pickle.loads(pickle.dumps(codebook))   # same codewords, no pages drawn
+        assert loop.priv_x.pages_drawn == 0
+        for _, xs, ys, ks, rest, (s0, s1, s2, miss) in batches:
+            for i, k in enumerate(ks.tolist()):
+                enc = encode(loop, xs[i], ys[i], k, *rest)
+                assert dataclasses.astuple(enc) == (s0[i], s1[i], s2[i], *miss[:, i])
+                decode(loop, enc.s0, enc.s1, enc.s2, k)
+        assert sum(len(b[3]) for b in batches) == 300
+        assert len({int(s) for b in batches for s in b[5][0]}) >= 2
+        for layer in ("priv_x", "priv_y"):
+            drawn, want = getattr(codebook, layer), getattr(loop, layer)
+            assert drawn._pages.keys() == want._pages.keys()
+            assert drawn.codewords_drawn == want.codewords_drawn
+            # some scan crossed into a row's second page, and some row's did not
+            rows = {s0 for s0, _ in drawn._pages}
+            assert {p for _, p in drawn._pages} == {0, 1} and len(drawn._pages) < 2 * len(rows)
 
 
 class TestConvergenceStudy:
