@@ -302,18 +302,38 @@ INVALID_INPUTS = [
 ]
 
 
+# inputs refused for the resources they would take; the 10 s limit is far
+# below the seconds it takes to form 4 ** 10**9
+RESOURCE_LIMIT_INPUTS = [
+    ("derand-audit-huge-n0", "derand-audit", {"p_xy": UNIFORM_PAIR, "n0": 10 ** 9, "n": 4}),
+]
+
+
+def run_child(tmp_path, subcommand, payload, timeout):
+    """The CLI in a child process, so a traceback would be visible and a
+    hang is cut."""
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    env = dict(os.environ, PYTHONPATH=str(Path(gwrdp.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "gwrdp.cli", subcommand, "--config", str(cfg),
+         "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=timeout, env=env)
+
+
 class TestExitCodeContract:
     @pytest.mark.parametrize("subcommand,payload", [case[1:] for case in INVALID_INPUTS],
                              ids=[case[0] for case in INVALID_INPUTS])
     def test_invalid_input_exit_2_without_traceback(self, tmp_path, subcommand, payload):
-        # a child process, so a traceback would be visible and a hang is cut
-        cfg = write_config(tmp_path, "cfg.json", payload)
-        env = dict(os.environ, PYTHONPATH=str(Path(gwrdp.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "gwrdp.cli", subcommand, "--config", str(cfg),
-             "--out-dir", str(tmp_path / "out")],
-            capture_output=True, text=True, timeout=120, env=env)
+        proc = run_child(tmp_path, subcommand, payload, timeout=120)
         assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("subcommand,payload", [case[1:] for case in RESOURCE_LIMIT_INPUTS],
+                             ids=[case[0] for case in RESOURCE_LIMIT_INPUTS])
+    def test_resource_limit_exit_3_at_once(self, tmp_path, subcommand, payload):
+        proc = run_child(tmp_path, subcommand, payload, timeout=10)
+        assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
 
@@ -380,7 +400,9 @@ FUZZ_FIELDS = {
         "test_channel_x": CHANNELS, "test_channel_y": CHANNELS,
         "perception": st.sampled_from(["tv", "kl"]), "seed": st.integers(-2, 2)}),
     "derand-audit": ({"p_xy": UNIFORM_PAIR, "n0": 1, "n": 4}, {
-        "p_xy": PAIRS, "n0": st.integers(-1, 4), "n": st.integers(-1, 8),
+        "p_xy": PAIRS, "n": st.integers(-1, 8),
+        # tails far beyond the atom cap as well
+        "n0": st.one_of(st.integers(-1, 4), st.sampled_from([30, 10 ** 6, 10 ** 9])),
         "seed": st.integers(-2, 2)}),
 }
 

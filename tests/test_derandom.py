@@ -3,6 +3,7 @@ import signal
 import numpy as np
 import pytest
 
+import gwrdp.derandom
 from gwrdp.codec import Kernel, compute_code_sizes, encode, generate_codebook
 from gwrdp.derandom import (
     SeedMapError,
@@ -24,6 +25,33 @@ def dsbs(a):
 
 
 UNIFORM4 = JointPmf(np.full((2, 2), 0.25), ("X", "Y"))
+
+
+def _rounded_dirichlet(seed):
+    """A 2x2 pmf rounded to one or two decimals, so symbols tie, with a
+    seeded n0 and n."""
+    rng = np.random.default_rng(seed)
+    q = np.round(rng.dirichlet(np.ones(4)), 1 if seed % 2 else 2)
+    return (JointPmf((q / q.sum()).reshape(2, 2), ("X", "Y")),
+            int(rng.integers(5, 9)), int(rng.integers(2, 64)))
+
+
+# every atom with a 1e-20 symbol lies far below the spacing of floats near
+# 1/n, so adding it to a bin mass leaves the mass unchanged
+ABSORBED = JointPmf([[0.5, 1e-20], [1e-20, 0.5 - 2e-20]], ("X", "Y"))
+ZEROS = JointPmf([[0.5, 0.0], [0.25, 0.25]], ("X", "Y"))
+
+BULK_CASES = [
+    ("uniform-single-run", UNIFORM4, 8, 32),
+    ("uniform-single-run-n5", UNIFORM4, 8, 5),
+    ("dsbs-0.25", dsbs(0.25), 8, 32),
+    ("zeros-n3", ZEROS, 8, 3),
+    ("zeros-n16", ZEROS, 8, 16),
+    ("absorbed-n3", ABSORBED, 8, 3),
+    ("absorbed-n4", ABSORBED, 8, 4),
+    ("absorbed-n8", ABSORBED, 8, 8),
+    ("uniform-n2", UNIFORM4, 7, 2),
+] + [(f"rounded-dirichlet-{seed}", *_rounded_dirichlet(seed)) for seed in range(20)]
 
 
 class TestBuild:
@@ -67,9 +95,37 @@ class TestBuild:
         with pytest.raises(SeedMapError):
             build_seed_map(UNIFORM4, 1, 5)
 
+    def test_too_few_atoms_names_least_tail_length(self):
+        # math.log(125, 5) is 3.0000000000000004, whose ceiling would say 4
+        five = JointPmf(np.full((5, 1), 0.2), ("X", "Y"))
+        with pytest.raises(SeedMapError, match="need n0 >= 3 "):
+            build_seed_map(five, 2, 125)
+        assert build_seed_map(five, 3, 125).assignment.shape == (125,)
+
     def test_atom_cap(self):
         with pytest.raises(SeedMapError):
             build_seed_map(UNIFORM4, 12, 4, atom_cap=1000)
+
+    @pytest.mark.parametrize("n0", [23, 10 ** 9])
+    def test_huge_tail_refused_without_counting_atoms(self, n0):
+        # 4 ** 10**9 has 6e8 digits: forming it takes seconds, printing it fails
+        with pytest.raises(SeedMapError, match=rf"4\*\*{n0} atoms exceed the cap"):
+            build_seed_map(UNIFORM4, n0, 4)
+
+    def test_single_symbol_pair_with_huge_tail(self):
+        # one atom whatever n0, so the map must not take n0 steps to build
+        def expire(signum, frame):
+            raise TimeoutError("build_seed_map with n0 = 10**9 did not return")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(5)
+        try:
+            sm = build_seed_map(JointPmf([[1.0]], ("X", "Y")), 10 ** 9, 1)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert sm.assignment.tolist() == [0]
+        assert sm.bin_masses.tolist() == [1.0]
 
     def test_default_tail_length(self):
         assert default_tail_length(4, 16) == 4    # 4^4 = 256 >= 256
@@ -94,17 +150,67 @@ class TestBuild:
     @pytest.mark.parametrize("p_xy, n0, n", [
         (dsbs(0.25), 7, 32),
         (JointPmf([[0.3, 0.05, 0.15], [0.1, 0.25, 0.15]], ("X", "Y")), 4, 24),
-    ])
+    ] + [pytest.param(*case[1:], id=case[0]) for case in BULK_CASES])
     def test_assignment_matches_pop_push_loop(self, p_xy, n0, n):
         sm = build_seed_map(p_xy, n0, n)
-        want = greedy_seed_assignment(np.asarray(p_xy.probs).reshape(-1), n0, n)
+        flat = np.asarray(p_xy.probs).reshape(-1)
+        want = greedy_seed_assignment(flat, n0, n)
         assert np.array_equal(sm.assignment, want)
+        probs = flat
+        for _ in range(n0 - 1):
+            probs = np.kron(probs, flat)
+        masses = np.zeros(n)
+        np.add.at(masses, want, probs)
+        assert np.array_equal(sm.bin_masses, masses)
 
     def test_every_atom_assigned_once(self):
         sm = build_seed_map(dsbs(0.2), 3, 5)
         assert sm.assignment.shape[0] == 4 ** 3
         assert sm.assignment.min() >= 0 and sm.assignment.max() <= 4
         assert np.all(np.bincount(sm.assignment, minlength=5) > 0)
+
+
+class TestBulkPlacement:
+    """Which atoms the bulk step places, and its certificate."""
+
+    def test_bulk_path_places_every_run(self, monkeypatch):
+        # every run of DSBS(0.25) with n0 = 8 has at least 256 atoms
+        def refuse(heap, item):
+            raise AssertionError("an atom went through the heap loop")
+
+        monkeypatch.setattr(gwrdp.derandom.heapq, "heapreplace", refuse)
+        sm = build_seed_map(dsbs(0.25), 8, 32)
+        want = greedy_seed_assignment(np.asarray(dsbs(0.25).probs).reshape(-1), 8, 32)
+        assert np.array_equal(sm.assignment, want)
+
+    @pytest.mark.parametrize("p_xy, n0, n, heap_atoms", [
+        # six distinct symbol probabilities: no run has more than 4! atoms,
+        # fewer than the bulk step's minimum
+        (JointPmf([[0.3, 0.05, 0.14], [0.1, 0.25, 0.16]], ("X", "Y")), 4, 24, 6 ** 4),
+        # long runs of absorbed atoms, whose table would need all k columns
+        (ABSORBED, 8, 8, 4 ** 8 - 2 ** 8),
+    ])
+    def test_heap_loop_places_the_rest(self, monkeypatch, p_xy, n0, n, heap_atoms):
+        calls = []
+        heapreplace = gwrdp.derandom.heapq.heapreplace
+
+        def count(heap, item):
+            calls.append(item)
+            return heapreplace(heap, item)
+
+        monkeypatch.setattr(gwrdp.derandom.heapq, "heapreplace", count)
+        sm = build_seed_map(p_xy, n0, n)
+        assert len(calls) == heap_atoms
+        want = greedy_seed_assignment(np.asarray(p_xy.probs).reshape(-1), n0, n)
+        assert np.array_equal(sm.assignment, want)
+
+    def test_certificate_refuses_an_exhausted_bin(self):
+        # heap[0] is not the lightest bin, so the candidate count is too
+        # small: the seven empty bins take about 114 atoms each
+        heap = [(0.5, 0)] + [(0.0, b) for b in range(1, 8)]
+        atoms = np.arange(800)
+        with pytest.raises(AssertionError, match="filled all"):
+            gwrdp.derandom._place_run_in_bulk(heap, atoms, 1e-3, np.empty(800, dtype=np.int64))
 
 
 class TestSeedLookup:
