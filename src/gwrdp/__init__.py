@@ -29,9 +29,7 @@ from .solver import (
     PerceptionMeasure,
     RdpQuery,
     RdpResult,
-    brute_force_rdp,
     conditional_rdp,
-    feasibility_report,
     hamming,
     rdp_point_to_point,
 )
@@ -76,7 +74,6 @@ from .simulate import (
     ResourceCapError,
     SimConfig,
     SimReport,
-    convergence_study,
     run_simulation,
 )
 

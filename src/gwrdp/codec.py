@@ -97,22 +97,13 @@ def circular_shift(k, seq: np.ndarray, other: np.ndarray | None = None):
     n = seq.shape[-1]
     if n == 0:
         raise ValueError("empty sequence")
-    if seq.ndim == 1:
-        kk = k % n
-
-        def shift(s):
-            return np.roll(s, -kk)
-    else:
-        cols = (np.arange(n) + np.asarray(k)[:, None]) % n
-
-        def shift(s):
-            return np.take_along_axis(s, cols, axis=1)
+    cols = (np.arange(n) + np.asarray(k)[..., None]) % n
     if other is None:
-        return shift(seq)
+        return np.take_along_axis(seq, cols, axis=-1)
     other = np.asarray(other)
     if other.shape != seq.shape:
         raise ValueError("paired sequences must have equal length")
-    return shift(seq), shift(other)
+    return np.take_along_axis(seq, cols, axis=-1), np.take_along_axis(other, cols, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +735,13 @@ def decode(codebook: Codebook, s0, s1, s2, k):
     """Reconstruct both branches: shift the selected codewords back by k.
     Given equal-length sequences of indices and seeds, one entry per
     block, each branch comes back as one row per block, read with each
-    touched page of a private layer read once."""
+    touched page of a private layer read once. Raises ``ValueError``
+    unless the indices and seeds are all scalars or all sequences of one
+    length."""
+    shapes = [np.shape(v) for v in (s0, s1, s2, k)]
+    if len(set(shapes)) > 1 or len(shapes[0]) > 1:
+        raise ValueError("s0, s1, s2 and k must be all scalars or all sequences of one "
+                         f"length, got shapes {shapes}")
     idx = [np.atleast_1d(np.asarray(s, dtype=np.int64)) for s in (s0, s1, s2)]
     for s, m in zip(idx, codebook.sizes):
         bad = (s < 0) | (s >= m)

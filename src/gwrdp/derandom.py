@@ -25,6 +25,8 @@ import numpy as np
 from .codec import Codebook, EncodeResult, decode, encode
 from .prob import JointPmf
 
+_ATOM_CAP = 4_194_304  # most tail atoms a seed map enumerates: 2**22 = 4**11
+
 
 class SeedMapError(ValueError):
     """The requested (n0, n) cannot produce a valid seed map."""
@@ -89,8 +91,7 @@ def default_tail_length(pair_alphabet_size: int, n: int) -> int:
     return n0
 
 
-def build_seed_map(p_xy: JointPmf, n0: int, n: int, *,
-                   atom_cap: int = 4_194_304) -> SeedMap:
+def build_seed_map(p_xy: JointPmf, n0: int, n: int) -> SeedMap:
     """Greedy least-loaded assignment of tail atoms to seed bins.
 
     Atoms are sorted by descending probability (ties by index) and placed
@@ -108,10 +109,10 @@ def build_seed_map(p_xy: JointPmf, n0: int, n: int, *,
     flat = np.asarray(p_xy.probs, dtype=np.float64).reshape(-1)
     nx, ny = p_xy.shape
     size = len(flat)
-    # from this n0 on, size**n0 >= 2**n0 > atom_cap: refuse without
+    # from this n0 on, size**n0 >= 2**n0 > _ATOM_CAP: refuse without
     # forming a count that may run to millions of digits
-    if size > 1 and (n0 >= atom_cap.bit_length() or size ** n0 > atom_cap):
-        raise SeedMapError(f"{size}**{n0} atoms exceed the cap of {atom_cap}")
+    if size > 1 and (n0 >= _ATOM_CAP.bit_length() or size ** n0 > _ATOM_CAP):
+        raise SeedMapError(f"{size}**{n0} atoms exceed the cap of {_ATOM_CAP}")
     n_atoms = size ** n0
     if n_atoms < n:
         need = default_tail_length(size, n)

@@ -249,6 +249,16 @@ def _corner_channels(problem: RegionProblem, w_size: int) -> list[AuxChannel]:
     return corners
 
 
+def _w_size(problem: RegionProblem, w_size: int | None) -> int:
+    """|W| for a search: min(bound, 4) by default, refused outside 1..bound."""
+    w = w_size if w_size is not None else min(problem.max_w_size(), 4)
+    if w < 1:
+        raise ValueError(f"w_size must be at least 1, got {w}")
+    if w > problem.max_w_size():
+        raise ValueError(f"w_size {w} exceeds the cardinality bound {problem.max_w_size()}")
+    return w
+
+
 def compute_frontier(problem: RegionProblem, budgets: Budgets, *,
                      strategy: str = "grid", w_size: int | None = None,
                      samples: int = 16, restarts: int = 3, seed: int = 0,
@@ -261,12 +271,7 @@ def compute_frontier(problem: RegionProblem, budgets: Budgets, *,
     Deterministic for a fixed seed, independent of the parallelism degree.
     """
     nx, ny = problem.p_xy.shape
-    default_w = min(problem.max_w_size(), 4)
-    w = w_size if w_size is not None else default_w
-    if w < 1:
-        raise ValueError(f"w_size must be at least 1, got {w}")
-    if w > problem.max_w_size():
-        raise ValueError(f"w_size {w} exceeds the cardinality bound {problem.max_w_size()}")
+    w = _w_size(problem, w_size)
     if strategy not in ("grid", "local"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -320,9 +325,7 @@ def _scalarized_search(problem: RegionProblem, budgets: Budgets,
     if any(wt < 0 for wt in weights) or all(wt == 0 for wt in weights):
         raise ValueError("weights must be nonnegative and not all zero")
     nx, ny = problem.p_xy.shape
-    w = w_size if w_size is not None else min(problem.max_w_size(), 4)
-    if w < 1:
-        raise ValueError(f"w_size must be at least 1, got {w}")
+    w = _w_size(problem, w_size)
     rng = np.random.default_rng(seed)
 
     def objective(aux: AuxChannel) -> tuple[float, RegionPoint]:

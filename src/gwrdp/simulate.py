@@ -19,7 +19,7 @@ import io
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -361,25 +361,3 @@ def run_simulation(config: SimConfig, parallel: int = 1) -> SimReport:
         joint_set_empty=joint_set_empty(codebook.q_xyw, config.n, config.delta),
         rates=rates, seed_overhead=overhead,
         budgets=config.budgets, master_seed=config.master_seed)
-
-
-def convergence_study(base: SimConfig, n_list: list[int],
-                      parallel: int = 1) -> dict:
-    """One simulation per blocklength; reports the distortion and
-    perception excesses and whether the common-codeword miss frequency is
-    non-increasing in n."""
-    rows = [run_simulation(replace(base, n=n), parallel=parallel) for n in sorted(n_list)]
-    miss0 = [r.freq_no_common_codeword for r in rows]
-    out = {"reports": rows, "n_list": [r.n for r in rows]}
-    trend_ok = True
-    for name, p_budget in (("x", base.budgets.p1), ("y", base.budgets.p2)):
-        branch = [getattr(r, name) for r in rows]
-        excess = [s.mean_distortion - s.threshold for s in branch]
-        out[f"distortion_excess_{name}"] = excess
-        out[f"max_tv_excess_{name}"] = [s.max_tv_excess(p_budget) for s in branch]
-        trend_ok = trend_ok and excess[-1] <= excess[0] + 1e-12
-    out.update(
-        freq_no_common_codeword=miss0,
-        miss0_non_increasing=all(b <= a + 1e-12 for a, b in zip(miss0, miss0[1:])),
-        distortion_trend_ok=trend_ok)
-    return out

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prob import JointPmf, Kernel, Pmf, _entropy_bits, kl_divergence, tv_distance
+from .prob import JointPmf, Kernel, Pmf, kl_divergence, tv_distance
 
 GAP_TOL = 1e-6  # bits: certified gap that counts as converged
 _GAP_AIM = GAP_TOL / 100  # bits: where the search stops, well inside GAP_TOL
@@ -45,7 +45,6 @@ _INNER_TOL = 1e-10  # bits: Blahut bound each inner solve reaches
 _MAX_OUTER = 500  # outer Newton steps per dual
 _MAX_INNER = 100_000  # inner Newton steps per query
 _CONSTRAINT_TOL = 1e-6  # slack on both budgets for a returned channel
-_GRID_CHUNK = 200_000  # grid channels brute_force_rdp scores at once
 
 _log = logging.getLogger(__name__)
 
@@ -153,18 +152,6 @@ class RdpResult:
     iterations: int
     lam: float = 0.0
     gap: float = math.nan  # rate minus the certified lower bound, bits
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Witness-based check that a query admits an epsilon-feasible channel
-    with finite rate (at most H(X|W))."""
-
-    satisfied: bool
-    finite_rate_ok: bool
-    conditions: dict
-    diagnostic: str
-    witness: RdpResult | None
 
 
 # ---------------------------------------------------------------------------
@@ -590,125 +577,3 @@ def rdp_point_to_point(p_x: Pmf, delta: DistortionMatrix, perception: Perception
     query = RdpQuery(q_xw=q_xw, delta=delta, perception=perception,
                      d_budget=d_budget, p_budget=p_budget, recon_alphabet=recon_alphabet)
     return conditional_rdp(query)
-
-
-# ---------------------------------------------------------------------------
-# exhaustive oracle
-# ---------------------------------------------------------------------------
-
-
-def _simplex_grid(k: int, steps: int) -> np.ndarray:
-    """All pmfs on k symbols with entries i/(steps-1); shape (count, k)."""
-    if steps < 2:
-        raise ValueError("grid_steps must be at least 2")
-    total = steps - 1
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + [remaining])
-            return
-        for i in range(remaining + 1):
-            rec(prefix + [i], remaining - i, slots - 1)
-
-    rec([], total, k)
-    return np.asarray(out, dtype=np.float64) / total
-
-
-def brute_force_rdp(query: RdpQuery, grid_steps: int, *,
-                    max_free_params: int = 6) -> RdpResult:
-    """Exhaustive grid search over test channels; oracle use only.
-
-    Each (x, w) row of the channel ranges over a simplex grid of the given
-    resolution; the best feasible grid point is returned. Deterministic:
-    ties break toward the smallest enumeration index.
-    """
-    pr = _build_problem(query)
-    n_x, n_w = pr.q_xw.shape
-    n_h = pr.delta.shape[1]
-    n_rows = n_x * n_w
-    free = n_rows * (n_h - 1)
-    if free > max_free_params:
-        raise ValueError(f"{free} free parameters exceed the cap of {max_free_params}")
-
-    rows = _simplex_grid(n_h, grid_steps)
-    n_rowpts = rows.shape[0]
-    total = n_rowpts ** n_rows
-    q_w = pr.q_xw.sum(axis=0)
-
-    best_rate = math.inf
-    best_q = None
-
-    for start in range(0, total, _GRID_CHUNK):
-        idx = np.arange(start, min(start + _GRID_CHUNK, total), dtype=np.int64)
-        # decode per-row grid indices (mixed radix, row 0 most significant)
-        q = np.empty((idx.size, n_rows, n_h))
-        rem = idx.copy()
-        for row in range(n_rows - 1, -1, -1):
-            q[:, row, :] = rows[rem % n_rowpts]
-            rem //= n_rowpts
-        q = q.reshape(idx.size, n_x, n_w, n_h)
-
-        joint = pr.q_xw[None, :, :, None] * q
-        dist = np.einsum("bxwh,xh->b", joint, pr.delta)
-        m = joint.sum(axis=(1, 2))
-        if pr.perception.kind == "tv" and pr.full_recon == n_x and np.array_equal(pr.cols, np.arange(n_x)):
-            perc = np.abs(m - pr.p_x[None, :]).sum(axis=1)
-        else:
-            perc = np.array([_perception_of(pr, mi) for mi in m])
-        r = joint.sum(axis=1)  # (b, w, h) = q_w * per-w output marginal
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r_cond = r / np.maximum(q_w[None, :, None], 1e-300)
-            ratio = np.log2(np.where(joint > 0, q / np.maximum(r_cond[:, None], 1e-300), 1.0))
-        rate = np.sum(joint * ratio, axis=(1, 2, 3))
-
-        feasible = (dist <= pr.d_budget + 1e-12) & (perc <= pr.p_budget + 1e-12)
-        if np.any(feasible):
-            sub = np.where(feasible)[0]
-            k = sub[np.argmin(rate[sub])]
-            if rate[k] < best_rate - 1e-15:
-                best_rate = float(rate[k])
-                best_q = q[k].copy()
-
-    if best_q is None:
-        raise InfeasibleError("no feasible grid point at this resolution")
-
-    rate, dist, perc, _ = _metrics(pr, best_q)
-    return _to_result(pr, best_q, rate, dist, perc, lam=0.0, gap=math.nan, converged=True,
-                      iterations=total)
-
-
-# ---------------------------------------------------------------------------
-# feasibility report
-# ---------------------------------------------------------------------------
-
-
-def feasibility_report(query: RdpQuery, epsilon: float = 1e-6) -> FeasibilityReport:
-    """Check that the query admits an epsilon-feasible finite-rate witness.
-
-    Verifies rate <= H(X|W) and re-evaluates the witness channel's rate,
-    distortion, and perception directly from the induced joint.
-    """
-    q_xw = np.asarray(query.q_xw.probs)
-    h_x_given_w = _entropy_bits(q_xw) - _entropy_bits(q_xw.sum(axis=0))
-    try:
-        witness = conditional_rdp(query)
-    except InfeasibleError as exc:
-        return FeasibilityReport(satisfied=False, finite_rate_ok=True,
-                                 conditions={}, diagnostic=str(exc), witness=None)
-
-    pr = _build_problem(query)
-    q = witness.test_channel.probs[:, :, pr.cols]
-    rate, dist, perc, _ = _metrics(pr, q)
-    conditions = {
-        "rate_within_epsilon": rate <= witness.rate + epsilon,
-        "distortion_within_epsilon": dist <= query.d_budget + epsilon,
-        "perception_within_epsilon": perc <= query.p_budget + epsilon,
-        "rate_at_most_conditional_entropy": rate <= h_x_given_w + epsilon,
-    }
-    ok = all(conditions.values()) and witness.converged
-    diag = "" if ok else "witness failed: " + ", ".join(k for k, v in conditions.items() if not v)
-    if not witness.converged:
-        diag = (diag + "; " if diag else "") + "solver did not converge"
-    return FeasibilityReport(satisfied=ok, finite_rate_ok=conditions["rate_at_most_conditional_entropy"],
-                             conditions=conditions, diagnostic=diag, witness=witness)

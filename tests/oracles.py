@@ -1,11 +1,12 @@
 """Independent oracles used by the test suite.
 
 Kept deliberately separate from the library: a textbook alternating-
-minimization rate-distortion solver (no perception, no conditioning) with
-multiplier bisection, plus closed-form helpers. These validate the main
-solver through a different code path. The codec's encoder scans and the
-greedy seed map are checked against plain one-item-at-a-time loops kept
-here, and its exact uniform sampler against a rejection sampler.
+minimization rate-distortion solver (no perception) with multiplier
+bisection, plus closed-form helpers, checks the main solver through a
+different code path; the exhaustive grid oracle searches test channels and
+shares only the solver's problem setup and metrics. The codec's encoder
+scans and the greedy seed map are checked against plain one-item-at-a-time
+loops kept here, and its exact uniform sampler against a rejection sampler.
 """
 
 from __future__ import annotations
@@ -14,6 +15,11 @@ import heapq
 import math
 
 import numpy as np
+
+from gwrdp.solver import (InfeasibleError, RdpQuery, RdpResult, _build_problem, _metrics,
+                          _perception_of, _to_result)
+
+_GRID_CHUNK = 200_000  # grid channels brute_force_rdp scores at once
 
 
 def h2(p: float) -> float:
@@ -28,7 +34,6 @@ def ba_rate_at_multiplier(p_x: np.ndarray, delta: np.ndarray, beta: float,
     p_x = np.asarray(p_x, dtype=np.float64)
     d = np.asarray(delta, dtype=np.float64)
     q = np.tile(p_x[None, :] * 0 + 1.0 / d.shape[1], (d.shape[0], 1))
-    ed = None
     for _ in range(max_it):
         out = p_x @ q
         q_new = out[None, :] * np.exp2(-beta * d)
@@ -47,32 +52,9 @@ def ba_rate_at_multiplier(p_x: np.ndarray, delta: np.ndarray, beta: float,
 
 def rd_function(p_x: np.ndarray, delta: np.ndarray, d_budget: float,
                 tol: float = 1e-8) -> float:
-    """Classical R(D) via bisection over the distortion multiplier."""
-    p_x = np.asarray(p_x, dtype=np.float64)
-    d = np.asarray(delta, dtype=np.float64)
-    d_min = float((p_x * d.min(axis=1)).sum())
-    if d_budget < d_min:
-        raise ValueError("infeasible budget")
-    rate0, ed0, _ = ba_rate_at_multiplier(p_x, d, 0.0)
-    if ed0 <= d_budget:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    rate_hi, ed_hi, _ = ba_rate_at_multiplier(p_x, d, hi)
-    while ed_hi > d_budget and hi < 1e9:
-        lo, hi = hi, hi * 4.0
-        rate_hi, ed_hi, _ = ba_rate_at_multiplier(p_x, d, hi)
-    rate_lo, ed_lo, _ = ba_rate_at_multiplier(p_x, d, lo)
-    for _ in range(200):
-        bound = max(0.0, rate_lo + lo * (ed_lo - d_budget))
-        if rate_hi - bound <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        rate_m, ed_m, _ = ba_rate_at_multiplier(p_x, d, mid)
-        if ed_m > d_budget:
-            lo, rate_lo, ed_lo = mid, rate_m, ed_m
-        else:
-            hi, rate_hi, ed_hi = mid, rate_m, ed_m
-    return rate_hi
+    """Classical R(D): the conditional function with a constant W."""
+    return conditional_rd_function(np.asarray(p_x, dtype=np.float64)[:, None], delta,
+                                   d_budget, tol)
 
 
 def conditional_rd_function(q_xw: np.ndarray, delta: np.ndarray,
@@ -81,17 +63,15 @@ def conditional_rd_function(q_xw: np.ndarray, delta: np.ndarray,
     multiplier must be shared across W, so run the joint problem by
     bisection with per-w classical updates."""
     q_xw = np.asarray(q_xw, dtype=np.float64)
+    if d_budget < float((q_xw.sum(axis=1) * np.asarray(delta).min(axis=1)).sum()):
+        raise ValueError("infeasible budget")
     q_w = q_xw.sum(axis=0)
     live = q_w > 0
     cond = [q_xw[:, w] / q_w[w] for w in range(q_xw.shape[1]) if live[w]]
     weights = q_w[live]
 
     def at(beta):
-        rates, dists = [], []
-        for p in cond:
-            r, e, _ = ba_rate_at_multiplier(p, delta, beta)
-            rates.append(r)
-            dists.append(e)
+        rates, dists, _ = zip(*(ba_rate_at_multiplier(p, delta, beta) for p in cond))
         return float(np.dot(weights, rates)), float(np.dot(weights, dists))
 
     rate0, ed0 = at(0.0)
@@ -114,6 +94,87 @@ def conditional_rd_function(q_xw: np.ndarray, delta: np.ndarray,
         else:
             hi, rate_hi, ed_hi = mid, rate_m, ed_m
     return rate_hi
+
+
+def _simplex_grid(k: int, steps: int) -> np.ndarray:
+    """All pmfs on k symbols with entries i/(steps-1); shape (count, k)."""
+    if steps < 2:
+        raise ValueError("grid_steps must be at least 2")
+    total = steps - 1
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(prefix + [remaining])
+            return
+        for i in range(remaining + 1):
+            rec(prefix + [i], remaining - i, slots - 1)
+
+    rec([], total, k)
+    return np.asarray(out, dtype=np.float64) / total
+
+
+def brute_force_rdp(query: RdpQuery, grid_steps: int, *,
+                    max_free_params: int = 6) -> RdpResult:
+    """Exhaustive grid search over test channels; oracle use only.
+
+    Each (x, w) row of the channel ranges over a simplex grid of the given
+    resolution; the best feasible grid point is returned. Deterministic:
+    ties break toward the smallest enumeration index.
+    """
+    pr = _build_problem(query)
+    n_x, n_w = pr.q_xw.shape
+    n_h = pr.delta.shape[1]
+    n_rows = n_x * n_w
+    free = n_rows * (n_h - 1)
+    if free > max_free_params:
+        raise ValueError(f"{free} free parameters exceed the cap of {max_free_params}")
+
+    rows = _simplex_grid(n_h, grid_steps)
+    n_rowpts = rows.shape[0]
+    total = n_rowpts ** n_rows
+    q_w = pr.q_xw.sum(axis=0)
+
+    best_rate = math.inf
+    best_q = None
+
+    for start in range(0, total, _GRID_CHUNK):
+        idx = np.arange(start, min(start + _GRID_CHUNK, total), dtype=np.int64)
+        # decode per-row grid indices (mixed radix, row 0 most significant)
+        q = np.empty((idx.size, n_rows, n_h))
+        rem = idx.copy()
+        for row in range(n_rows - 1, -1, -1):
+            q[:, row, :] = rows[rem % n_rowpts]
+            rem //= n_rowpts
+        q = q.reshape(idx.size, n_x, n_w, n_h)
+
+        joint = pr.q_xw[None, :, :, None] * q
+        dist = np.einsum("bxwh,xh->b", joint, pr.delta)
+        m = joint.sum(axis=(1, 2))
+        if pr.perception.kind == "tv" and pr.full_recon == n_x and np.array_equal(pr.cols, np.arange(n_x)):
+            perc = np.abs(m - pr.p_x[None, :]).sum(axis=1)
+        else:
+            perc = np.array([_perception_of(pr, mi) for mi in m])
+        r = joint.sum(axis=1)  # (b, w, h) = q_w * per-w output marginal
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r_cond = r / np.maximum(q_w[None, :, None], 1e-300)
+            ratio = np.log2(np.where(joint > 0, q / np.maximum(r_cond[:, None], 1e-300), 1.0))
+        rate = np.sum(joint * ratio, axis=(1, 2, 3))
+
+        feasible = (dist <= pr.d_budget + 1e-12) & (perc <= pr.p_budget + 1e-12)
+        if np.any(feasible):
+            sub = np.where(feasible)[0]
+            k = sub[np.argmin(rate[sub])]
+            if rate[k] < best_rate - 1e-15:
+                best_rate = float(rate[k])
+                best_q = q[k].copy()
+
+    if best_q is None:
+        raise InfeasibleError("no feasible grid point at this resolution")
+
+    rate, dist, perc, _ = _metrics(pr, best_q)
+    return _to_result(pr, best_q, rate, dist, perc, lam=0.0, gap=math.nan, converged=True,
+                      iterations=total)
 
 
 def first_under_threshold_loop(codewords: np.ndarray, ref: np.ndarray,

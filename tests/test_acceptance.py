@@ -34,13 +34,12 @@ from gwrdp.solver import (
     DistortionMatrix,
     PerceptionMeasure,
     RdpQuery,
-    brute_force_rdp,
     conditional_rdp,
     hamming,
     rdp_point_to_point,
 )
 
-from oracles import conditional_rd_function, h2, rd_function
+from oracles import brute_force_rdp, conditional_rd_function, h2, rd_function
 
 HAM2 = DistortionMatrix(hamming(2))
 TV = PerceptionMeasure("tv")

@@ -347,6 +347,14 @@ class TestEncodeDecode:
         with pytest.raises(IndexError, match=f"\\(0, {cb.sizes[1]}, 0\\)"):
             decode(cb, [0, 0], [1, cb.sizes[1]], [0, 0], [0, 0])
 
+    def test_decode_rejects_blocks_without_one_seed_each(self):
+        # a scalar seed with two blocks once dropped the second block, and
+        # a one-seed list shifted both blocks by it
+        cb, _, _ = small_codebook()
+        for k in (0, [0]):
+            with pytest.raises(ValueError, match="all scalars or all sequences of one length"):
+                decode(cb, [0, 0], [1, 2], [3, 4], k)
+
     def test_roundtrip_meets_threshold(self):
         cb, _, _ = small_codebook()
         rng = np.random.default_rng(2)

@@ -102,9 +102,10 @@ class TestBuild:
             build_seed_map(five, 2, 125)
         assert build_seed_map(five, 3, 125).assignment.shape == (125,)
 
-    def test_atom_cap(self):
+    def test_atom_cap(self, monkeypatch):
+        monkeypatch.setattr(gwrdp.derandom, "_ATOM_CAP", 1000)
         with pytest.raises(SeedMapError):
-            build_seed_map(UNIFORM4, 12, 4, atom_cap=1000)
+            build_seed_map(UNIFORM4, 12, 4)
 
     @pytest.mark.parametrize("n0", [23, 10 ** 9])
     def test_huge_tail_refused_without_counting_atoms(self, n0):

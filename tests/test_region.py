@@ -20,13 +20,12 @@ from gwrdp.solver import (
     DistortionMatrix,
     PerceptionMeasure,
     RdpQuery,
-    brute_force_rdp,
     conditional_rdp,
     hamming,
     rdp_point_to_point,
 )
 
-from oracles import conditional_rd_function, h2
+from oracles import brute_force_rdp, conditional_rd_function, h2
 
 
 def dsbs(a):
@@ -135,6 +134,8 @@ class TestFrontier:
     def test_w_size_cap(self):
         with pytest.raises(ValueError):
             compute_frontier(PROBLEM, BUDGETS, w_size=7, samples=1, seed=0)
+        with pytest.raises(ValueError, match="exceeds the cardinality bound 6"):
+            scalarized_search(PROBLEM, BUDGETS, (1.0, 1.0, 1.0), w_size=7, restarts=1)
 
     def test_exports(self):
         fr = compute_frontier(PROBLEM, BUDGETS, samples=3, seed=2)

@@ -17,7 +17,6 @@ from gwrdp.simulate import (
     MODES,
     ResourceCapError,
     SimConfig,
-    convergence_study,
     encoder_thresholds,
     run_simulation,
     wilson_halfwidth,
@@ -273,19 +272,6 @@ class TestBatchedTrials:
             # some scan crossed into a row's second page, and some row's did not
             rows = {s0 for s0, _ in drawn._pages}
             assert {p for _, p in drawn._pages} == {0, 1} and len(drawn._pages) < 2 * len(rows)
-
-
-class TestConvergenceStudy:
-    def test_single_n_matches_run_simulation(self):
-        out = convergence_study(cfg(trials=300), [8])
-        direct = run_simulation(cfg(trials=300, n=8))
-        assert out["reports"][0].to_dict() == direct.to_dict()
-
-    def test_multi_n_trends_present(self):
-        out = convergence_study(cfg(trials=300), [6, 8, 12])
-        assert out["n_list"] == [6, 8, 12]
-        assert len(out["distortion_excess_x"]) == 3
-        assert isinstance(out["miss0_non_increasing"], bool)
 
 
 def dsbs(a):
