@@ -3,6 +3,7 @@
 __version__ = "0.3.0"
 
 import logging
+import types
 
 # silent unless the application configures logging (e.g. the gwrdp.region
 # frontier counts at DEBUG)
@@ -10,15 +11,9 @@ logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from .prob import (
     AlphabetMismatchError,
-    EmpiricalType,
     JointPmf,
     Kernel,
     Pmf,
-    conditional_mutual_information,
-    empirical_type,
-    entropy,
-    expected_distortion,
-    joint_empirical_type,
     kl_divergence,
     mutual_information,
     tv_distance,
@@ -54,9 +49,6 @@ from .codec import (
     decode,
     encode,
     generate_codebook,
-    is_cond_typical,
-    is_jointly_typical,
-    is_typical,
     sample_uniform_cond_typical,
     sample_uniform_typical,
     shift_position,
@@ -77,4 +69,5 @@ from .simulate import (
     run_simulation,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, types.ModuleType)]

@@ -25,7 +25,7 @@ from . import __version__
 from .derandom import SeedMapError, build_seed_map
 from .prob import JointPmf, Kernel, Pmf
 from .region import AuxChannel, Budgets, RegionProblem, compute_frontier
-from .simulate import ResourceCapError, SimConfig, run_simulation
+from .simulate import DEFAULT_MEMORY_CAP, ResourceCapError, SimConfig, run_simulation
 from .solver import (
     DistortionMatrix,
     PerceptionMeasure,
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory for output files")
     parser.add_argument("--parallel", type=int, default=1,
                         help="worker processes; results are degree-independent")
-    parser.add_argument("--memory-cap", type=int, default=2 ** 24,
+    parser.add_argument("--memory-cap", type=int, default=DEFAULT_MEMORY_CAP,
                         help="cap on the codeword symbols a simulation draws, per "
                              "process: the common layer plus the private pages drawn")
     return parser
@@ -372,7 +372,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ResourceCapError, SeedMapError) as exc:
+    except (ResourceCapError, SeedMapError, MemoryError) as exc:
+        # MemoryError: an allocation the OS refuses outright, such as the
+        # per-trial arrays of 10**12 trials
         print(f"resource rejection: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:

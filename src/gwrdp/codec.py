@@ -6,9 +6,9 @@ Typicality is multiplicative (robust): a sequence is delta-typical for q
 when every symbol count c satisfies |c/n - q(a)| <= delta * q(a); symbols
 with q(a) = 0 therefore may not occur at all. Conditional sets apply the
 same band to joint counts against the joint distribution, with the
-conditioning sequence fixed. One float test decides the band everywhere:
-the predicates apply it to ``prob.joint_empirical_type`` counts, and
-``count_bounds`` turns it into per-cell integer count ranges.
+conditioning sequence fixed. One float test, ``_in_band``, decides the
+band: ``count_bounds`` turns it into per-cell integer count ranges, and
+the samplers and the encoder work from those ranges.
 
 Sampling is exactly uniform: integer type vectors inside the band are
 enumerated, weighted by their exact (big-integer) multinomial class
@@ -50,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .prob import JointPmf, Kernel, _entropy_bits, joint_empirical_type
+from .prob import JointPmf, Kernel, _entropy_bits
 
 SYMBOL_DTYPE = np.uint8
 PAGE_ROWS = 4096   # codewords per lazily drawn page of a private layer
@@ -94,10 +94,15 @@ def circular_shift(k, seq: np.ndarray, other: np.ndarray | None = None):
     identically. Given (rows, n) sequences and one k per row, each row is
     shifted by its own k."""
     seq = np.asarray(seq)
+    k = np.asarray(k)
     n = seq.shape[-1]
     if n == 0:
         raise ValueError("empty sequence")
-    cols = (np.arange(n) + np.asarray(k)[..., None]) % n
+    if k.shape != seq.shape[:-1]:
+        raise ValueError(f"shift seeds of shape {k.shape} do not fit sequences of shape "
+                         f"{seq.shape}: a 1-D sequence takes one scalar k, a (rows, n) "
+                         "batch one k per row")
+    cols = (np.arange(n) + k[..., None]) % n
     if other is None:
         return np.take_along_axis(seq, cols, axis=-1)
     other = np.asarray(other)
@@ -117,11 +122,6 @@ def _in_band(counts, n: int, q, delta: float) -> np.ndarray:
     return np.abs(counts / n - q) <= delta * q
 
 
-def _typical(seqs, q: np.ndarray, delta: float) -> bool:
-    t = joint_empirical_type(seqs, q.shape)
-    return bool(np.all(_in_band(t.counts, t.n, q, delta)))
-
-
 @dataclass(frozen=True)
 class TypicalSetSpec:
     """Reference pmf with band width delta at blocklength n."""
@@ -138,33 +138,12 @@ class TypicalSetSpec:
         object.__setattr__(self, "q", np.asarray(self.q, dtype=np.float64))
 
 
-def is_typical(seq: np.ndarray, spec: TypicalSetSpec) -> bool:
-    """Multiplicative typicality of a sequence against a pmf."""
-    seq = np.asarray(seq)
-    if seq.shape[0] != spec.n:
-        raise AlphabetError(f"sequence length {seq.shape[0]} != n {spec.n}")
-    return _typical([seq], spec.q.reshape(-1), spec.delta)
-
-
-def is_cond_typical(seq: np.ndarray, cond_seq: np.ndarray, joint_q: np.ndarray,
-                    delta: float) -> bool:
-    """Conditional typicality: joint counts of (seq, cond_seq) inside the
-    multiplicative band around joint_q (axes: sequence symbol, conditioning
-    symbol)."""
-    return _typical([seq, cond_seq], np.asarray(joint_q, dtype=np.float64), delta)
-
-
-def is_jointly_typical(x_seq, y_seq, w_seq, q_xyw: np.ndarray, delta: float) -> bool:
-    """Triple typicality: the (x, y, w) joint type inside the band."""
-    return _typical([x_seq, y_seq, w_seq], np.asarray(q_xyw, dtype=np.float64), delta)
-
-
 def count_bounds(q: np.ndarray, n: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell integer count ranges [lo, hi] of the multiplicative band:
-    the first and last count in 0..n that passes ``_in_band``, the test the
-    typicality predicates apply. Exact by construction: c/n - q is
-    monotone in c in floating point too, so a cell's passing counts form
-    one unbroken run. A cell that no count fits gets lo = n + 1 > hi = n."""
+    the first and last count in 0..n that passes ``_in_band``. Exact by
+    construction: c/n - q is monotone in c in floating point too, so a
+    cell's passing counts form one unbroken run. A cell that no count fits
+    gets lo = n + 1 > hi = n."""
     q = np.asarray(q, dtype=np.float64)
     ok = _in_band(np.arange(n + 1), n, q[..., None], delta)
     lo = np.where(ok.any(axis=-1), ok.argmax(axis=-1), n + 1)

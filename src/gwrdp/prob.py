@@ -1,8 +1,7 @@
 """Exact finite-alphabet probability machinery.
 
-Pmfs, joint distributions, conditional channels, entropies, mutual
-informations, divergences, expected distortions, and empirical types.
-All information quantities are in bits (log base 2), with the
+Pmfs, joint distributions, conditional channels, mutual information
+and the TV and KL divergences. All information quantities are in bits (log base 2), with the
 conventions 0*log(0) = 0 and p*log(p/0) = +inf. Probabilities are
 double-precision; constructors validate normalization to NORM_TOL and
 renormalize exactly, so downstream arithmetic can assume sum == 1.
@@ -14,7 +13,7 @@ pure, so values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,14 +68,6 @@ class Pmf:
     def to_dict(self) -> dict:
         return {"alphabets": [self.size], "probs": self.probs.tolist()}
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Pmf":
-        (k,) = obj["alphabets"]
-        probs = np.asarray(obj["probs"], dtype=np.float64)
-        if probs.shape != (k,):
-            raise ValueError("probs length does not match declared alphabet size")
-        return cls(probs)
-
 
 @dataclass(frozen=True, eq=False)
 class JointPmf:
@@ -124,16 +115,6 @@ class JointPmf:
             return Pmf(summed)
         return JointPmf(summed, labels)
 
-    def conditional(self, target: str, given: str) -> "Kernel":
-        """Kernel p(target | given). Zero-mass rows are filled uniformly."""
-        j = self.marginal(given, target) if len(self.axes) > 2 else self
-        if isinstance(j, JointPmf) and j.axes != (given, target):
-            j = JointPmf(np.transpose(j.probs, (j.axis_index(given), j.axis_index(target))), (given, target))
-        mat = np.array(j.probs, dtype=np.float64)
-        row_mass = mat.sum(axis=1, keepdims=True)
-        out = np.where(row_mass > 0, mat / np.where(row_mass > 0, row_mass, 1.0), 1.0 / mat.shape[1])
-        return Kernel(out)
-
     def extend(self, kernel: "Kernel", new_axis: str) -> "JointPmf":
         """Product joint: this pmf times a kernel conditioned on all current axes."""
         if kernel.cond_shape != self.shape:
@@ -148,17 +129,6 @@ class JointPmf:
     def __eq__(self, other) -> bool:
         return (isinstance(other, JointPmf) and self.axes == other.axes
                 and np.array_equal(self.probs, other.probs))
-
-    def to_dict(self) -> dict:
-        return {"alphabets": list(self.shape), "probs": self.probs.reshape(-1).tolist(),
-                "axes": list(self.axes)}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "JointPmf":
-        shape = tuple(obj["alphabets"])
-        probs = np.asarray(obj["probs"], dtype=np.float64).reshape(shape)
-        axes = tuple(obj.get("axes") or ("X", "Y", "W")[: len(shape)])
-        return cls(probs, axes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,56 +162,16 @@ class Kernel:
     def out_size(self) -> int:
         return self.probs.shape[-1]
 
-    def row(self, *cond) -> np.ndarray:
-        return self.probs[cond]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Kernel) and np.array_equal(self.probs, other.probs)
 
     def to_dict(self) -> dict:
         return {"alphabets": list(self.probs.shape), "probs": self.probs.reshape(-1).tolist()}
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Kernel":
-        shape = tuple(obj["alphabets"])
-        return cls(np.asarray(obj["probs"], dtype=np.float64).reshape(shape))
-
-
-@dataclass(frozen=True, eq=False)
-class EmpiricalType:
-    """Histogram of a symbol sequence: integer counts summing to n."""
-
-    counts: np.ndarray
-    n: int
-
-    def __init__(self, counts, n: int):
-        arr = np.array(counts, dtype=np.int64)
-        if np.any(arr < 0):
-            raise ValueError("negative count")
-        if int(arr.sum()) != n:
-            raise ValueError(f"counts sum to {int(arr.sum())}, blocklength is {n}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "counts", arr)
-        object.__setattr__(self, "n", int(n))
-
-    @property
-    def pmf(self) -> np.ndarray:
-        return self.counts / self.n
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, EmpiricalType) and self.n == other.n
-                and np.array_equal(self.counts, other.counts))
-
 
 # ---------------------------------------------------------------------------
 # information measures
 # ---------------------------------------------------------------------------
-
-
-def entropy(p: Pmf | np.ndarray) -> float:
-    """Shannon entropy in bits; 0 <= H <= log2(alphabet size)."""
-    arr = p.probs if isinstance(p, Pmf) else np.asarray(p, dtype=np.float64)
-    return _entropy_bits(arr)
 
 
 def mutual_information(j: JointPmf) -> float:
@@ -252,19 +182,6 @@ def mutual_information(j: JointPmf) -> float:
     h_b = _entropy_bits(j.probs.sum(axis=0))
     h_ab = _entropy_bits(j.probs)
     return max(0.0, h_a + h_b - h_ab)
-
-
-def conditional_mutual_information(j: JointPmf) -> float:
-    """I(A;B|C) in bits for a 3-axis joint with axes ordered (A, B, C)."""
-    if j.probs.ndim != 3:
-        raise ValueError("conditional_mutual_information needs a 3-axis joint")
-    p = j.probs
-    # I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C)
-    h_ac = _entropy_bits(p.sum(axis=1))
-    h_bc = _entropy_bits(p.sum(axis=0))
-    h_abc = _entropy_bits(p)
-    h_c = _entropy_bits(p.sum(axis=(0, 1)))
-    return max(0.0, h_ac + h_bc - h_abc - h_c)
 
 
 def tv_distance(p: Pmf | np.ndarray, q: Pmf | np.ndarray) -> float:
@@ -290,51 +207,3 @@ def kl_divergence(p: Pmf | np.ndarray, q: Pmf | np.ndarray) -> float:
     if np.any(qa[mask] == 0):
         return float("inf")
     return float(np.sum(pa[mask] * np.log2(pa[mask] / qa[mask])))
-
-
-def expected_distortion(j: JointPmf, delta: np.ndarray) -> float:
-    """E[delta(A, Ahat)] for a 2-axis joint over (source, reconstruction)."""
-    if j.probs.ndim != 2:
-        raise ValueError("expected_distortion needs a 2-axis joint")
-    d = np.asarray(delta, dtype=np.float64)
-    if d.shape != j.probs.shape:
-        raise AlphabetMismatchError(
-            f"distortion matrix shape {d.shape} does not match joint {j.probs.shape}")
-    return float(np.sum(j.probs * d))
-
-
-# ---------------------------------------------------------------------------
-# empirical types
-# ---------------------------------------------------------------------------
-
-
-def empirical_type(seq: Iterable[int], alphabet_size: int) -> EmpiricalType:
-    """Histogram of a symbol sequence over {0, ..., alphabet_size-1}."""
-    arr = np.asarray(list(seq) if not isinstance(seq, np.ndarray) else seq, dtype=np.int64)
-    if arr.size == 0:
-        raise ValueError("empty sequence")
-    if arr.min() < 0 or arr.max() >= alphabet_size:
-        bad = arr[(arr < 0) | (arr >= alphabet_size)][0]
-        raise ValueError(f"symbol {bad} outside alphabet of size {alphabet_size}")
-    counts = np.bincount(arr, minlength=alphabet_size)
-    return EmpiricalType(counts, arr.size)
-
-
-def joint_empirical_type(seqs: Sequence[Iterable[int]], sizes: Sequence[int]) -> EmpiricalType:
-    """Joint histogram of parallel sequences; counts shaped by ``sizes``."""
-    arrs = [np.asarray(s, dtype=np.int64) for s in seqs]
-    n = arrs[0].size
-    if n == 0:
-        raise ValueError("empty sequence")
-    if any(a.size != n for a in arrs) or len(arrs) != len(sizes):
-        raise AlphabetMismatchError("paired sequences must have equal length and one "
-                                    "alphabet size each")
-    flat = np.zeros(n, dtype=np.int64)
-    for a, k in zip(arrs, sizes):
-        if a.min() < 0 or a.max() >= k:
-            bad = a[(a < 0) | (a >= k)][0]
-            raise ValueError(f"symbol {bad} outside alphabet of size {k}")
-        flat = flat * k + a
-    total = int(np.prod(sizes))
-    counts = np.bincount(flat, minlength=total).reshape(tuple(sizes))
-    return EmpiricalType(counts, n)

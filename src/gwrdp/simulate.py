@@ -49,6 +49,7 @@ from .region import AuxChannel, Budgets
 from .solver import DistortionMatrix, hamming
 
 MODES = ("common-randomness", "deterministic")
+DEFAULT_MEMORY_CAP = 2 ** 24   # codeword symbols one process may draw
 
 _log = logging.getLogger(__name__)
 
@@ -76,7 +77,7 @@ class SimConfig:
     n0: int | None = None
     delta_x_mat: DistortionMatrix | None = None
     delta_y_mat: DistortionMatrix | None = None
-    memory_cap: int = 2 ** 24
+    memory_cap: int = DEFAULT_MEMORY_CAP
 
     def __post_init__(self):
         if self.trials < 1:

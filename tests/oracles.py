@@ -4,9 +4,15 @@ Kept deliberately separate from the library: a textbook alternating-
 minimization rate-distortion solver (no perception) with multiplier
 bisection, plus closed-form helpers, checks the main solver through a
 different code path; the exhaustive grid oracle searches test channels and
-shares only the solver's problem setup and metrics. The codec's encoder
-scans and the greedy seed map are checked against plain one-item-at-a-time
-loops kept here, and its exact uniform sampler against a rejection sampler.
+shares only the solver's problem setup and metrics. Entropy and
+conditional mutual information by their defining sums check the library's
+mutual information. The codec's encoder scans and the greedy seed map are
+checked against plain one-item-at-a-time loops kept here, and its exact
+uniform sampler against a rejection sampler. The band-test oracles
+``is_typical``, ``is_cond_typical`` and ``is_jointly_typical`` check the
+samplers' draws and the codebooks' codewords; they, ``encode_loop`` and
+the rejection sampler decide the multiplicative band with one helper that
+counts joint cells by ``bincount``.
 """
 
 from __future__ import annotations
@@ -20,6 +26,22 @@ from gwrdp.solver import (InfeasibleError, RdpQuery, RdpResult, _build_problem, 
                           _perception_of, _to_result)
 
 _GRID_CHUNK = 200_000  # grid channels brute_force_rdp scores at once
+
+
+def entropy(p) -> float:
+    """H(p) in bits by its defining sum, with 0*log2(0) = 0; ``p`` is an
+    array of any shape or anything with ``probs``."""
+    p = np.asarray(getattr(p, "probs", p), dtype=np.float64).ravel()
+    return float(sum(-v * math.log2(v) for v in p if v > 0))
+
+
+def conditional_mutual_information(j) -> float:
+    """I(A;B|C) in bits by its defining sum, for a 3-axis joint with axes
+    ordered (A, B, C)."""
+    p = np.asarray(j.probs, dtype=np.float64)
+    p_c, p_ac, p_bc = p.sum(axis=(0, 1)), p.sum(axis=1), p.sum(axis=0)
+    return float(sum(p[a, b, c] * math.log2(p[a, b, c] * p_c[c] / (p_ac[a, c] * p_bc[b, c]))
+                     for a, b, c in np.ndindex(p.shape) if p[a, b, c] > 0))
 
 
 def h2(p: float) -> float:
@@ -177,6 +199,35 @@ def brute_force_rdp(query: RdpQuery, grid_steps: int, *,
                       iterations=total)
 
 
+def in_band(seqs, q, delta: float) -> bool:
+    """Joint counts of parallel symbol sequences, one per axis of the pmf
+    ``q``, inside the multiplicative band |c/n - q| <= delta * q."""
+    q = np.asarray(q, dtype=np.float64)
+    cells = np.zeros(np.asarray(seqs[0]).shape[0], dtype=np.int64)
+    for seq, size in zip(seqs, q.shape):
+        cells = cells * size + np.asarray(seq, dtype=np.int64)
+    counts = np.bincount(cells, minlength=q.size).reshape(q.shape)
+    return bool(np.all(np.abs(counts / cells.size - q) <= delta * q))
+
+
+def is_typical(seq, spec) -> bool:
+    """Multiplicative typicality of a sequence against ``spec``'s pmf."""
+    if len(seq) != spec.n:
+        raise ValueError(f"sequence length {len(seq)} != n {spec.n}")
+    return in_band([seq], spec.q.reshape(-1), spec.delta)
+
+
+def is_cond_typical(seq, cond_seq, joint_q, delta: float) -> bool:
+    """Conditional typicality: joint counts of (seq, cond_seq) inside the
+    band around joint_q (axes: sequence symbol, conditioning symbol)."""
+    return in_band([seq, cond_seq], joint_q, delta)
+
+
+def is_jointly_typical(x_seq, y_seq, w_seq, q_xyw, delta: float) -> bool:
+    """Triple typicality: the (x, y, w) joint type inside the band."""
+    return in_band([x_seq, y_seq, w_seq], q_xyw, delta)
+
+
 def first_under_threshold_loop(codewords: np.ndarray, ref: np.ndarray,
                                delta_mat: np.ndarray, threshold: float) -> int:
     """Smallest index whose per-letter distortion against ref is at most
@@ -194,16 +245,11 @@ def encode_loop(codebook, x_seq, y_seq, k: int, delta_x, delta_y,
     multiplicative band predicate on the (x, y, w) counts. Returns
     (s0, s1, s2, miss_common, miss_x, miss_y) with the same fallbacks as
     the library: index 0 and a flag."""
-    n = codebook.n
     xb = np.roll(np.asarray(x_seq, dtype=np.int64), k)   # undo the shift by k
     yb = np.roll(np.asarray(y_seq, dtype=np.int64), k)
-    q = np.asarray(codebook.q_xyw, dtype=np.float64)
-    kx, ky, kw = q.shape
     s0 = -1
     for i, w in enumerate(codebook.common):
-        cells = (xb * ky + yb) * kw + w.astype(np.int64)
-        counts = np.bincount(cells, minlength=kx * ky * kw).reshape(q.shape)
-        if np.all(np.abs(counts / n - q) <= codebook.delta * q):
+        if is_jointly_typical(xb, yb, w, codebook.q_xyw, codebook.delta):
             s0 = i
             break
     miss_common = s0 < 0
@@ -251,8 +297,7 @@ def rejection_sample_typical(spec, count: int, rng: np.random.Generator | int,
     got = 0
     for _ in range(max_tries):
         seq = rng.choice(q.shape[0], size=spec.n, p=q).astype(np.uint8)
-        counts = np.bincount(seq, minlength=q.shape[0])
-        if np.all(np.abs(counts / spec.n - q) <= spec.delta * q):
+        if is_typical(seq, spec):
             out[got] = seq
             got += 1
             if got == count:

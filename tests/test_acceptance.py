@@ -22,8 +22,6 @@ from gwrdp.codec import (
     TypicalSetSpec,
     compute_code_sizes,
     generate_codebook,
-    is_cond_typical,
-    is_typical,
     sample_uniform_typical,
 )
 from gwrdp.derandom import build_seed_map, default_tail_length
@@ -39,7 +37,8 @@ from gwrdp.solver import (
     rdp_point_to_point,
 )
 
-from oracles import brute_force_rdp, conditional_rd_function, h2, rd_function
+from oracles import (brute_force_rdp, conditional_rd_function, h2, is_cond_typical, is_typical,
+                     rd_function)
 
 HAM2 = DistortionMatrix(hamming(2))
 TV = PerceptionMeasure("tv")

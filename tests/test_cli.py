@@ -16,7 +16,9 @@ import gwrdp
 import gwrdp.cli
 import gwrdp.region
 import gwrdp.simulate
-from gwrdp.cli import main
+from gwrdp.cli import _pmf_like, main
+from gwrdp.prob import JointPmf, Kernel
+from gwrdp.region import AuxChannel, Budgets, RegionProblem, rate_triple_for_aux
 from gwrdp.simulate import ResourceCapError
 
 UNIFORM_PAIR = {"alphabets": [2, 2], "probs": [0.25, 0.25, 0.25, 0.25]}
@@ -79,13 +81,16 @@ class TestRdpCommand:
         assert run(["rdp", "--config", path, "--out-dir", tmp_path]) == 2
 
 
+GRID_REGION = {
+    "p_xy": DSBS01,
+    "budgets": {"D1": 0.1, "D2": 0.1, "P1": 0.6, "P2": 0.6},
+    "strategy": "grid", "samples": 3, "w_size": 2,
+    "cutset_audit": True, "seed": 4}
+
+
 class TestRegionCommand:
     def test_frontier_files_and_cutset_audit(self, tmp_path):
-        cfg = write_config(tmp_path, "region.json", {
-            "p_xy": DSBS01,
-            "budgets": {"D1": 0.1, "D2": 0.1, "P1": 0.6, "P2": 0.6},
-            "strategy": "grid", "samples": 3, "w_size": 2,
-            "cutset_audit": True, "seed": 4})
+        cfg = write_config(tmp_path, "region.json", GRID_REGION)
         assert run(["region", "--config", cfg, "--out-dir", tmp_path]) == 0
         lines = (tmp_path / "frontier.csv").read_text().splitlines()
         assert lines[0].startswith("# manifest:")
@@ -104,6 +109,28 @@ class TestRegionCommand:
             assert sorted(point["budgets"]) == ["D1", "D2", "P1", "P2"]
             for channel in ("aux_channel", "test_channel_x", "test_channel_y"):
                 assert sorted(point[channel]) == ["alphabets", "probs"]
+
+    def test_points_read_back_through_the_config_reader(self, tmp_path):
+        # the {alphabets, probs} dicts a frontier writes are what configs
+        # take: each witness read back gives the same triple, and a point's
+        # three channels run as a simulate config
+        cfg = write_config(tmp_path, "region.json", GRID_REGION)
+        assert run(["region", "--config", cfg, "--out-dir", tmp_path]) == 0
+        points = json.loads((tmp_path / "frontier.json").read_text())["points"]
+        problem = RegionProblem.with_hamming_tv(JointPmf(_pmf_like(GRID_REGION, "p_xy"),
+                                                         ("X", "Y")))
+        budgets = Budgets(d1=0.1, d2=0.1, p1=0.6, p2=0.6)
+        for point in points:
+            aux = AuxChannel(Kernel(_pmf_like(point, "aux_channel")))
+            triple = rate_triple_for_aux(problem, aux, budgets).triple
+            assert triple == (point["R0"], point["R1"], point["R2"])
+        (corner,) = [p for p in points if p["aux_channel"]["alphabets"][-1] == 1]
+        sim = write_config(tmp_path, "sim.json", {
+            "p_xy": DSBS01, "n": 16, "delta": 0.3, "trials": 20,
+            "budgets": GRID_REGION["budgets"], "aux": corner["aux_channel"],
+            "test_channel_x": corner["test_channel_x"],
+            "test_channel_y": corner["test_channel_y"]})
+        assert run(["simulate", "--config", sim, "--out-dir", tmp_path / "sim"]) == 0
 
     def test_independent_only_gives_corner(self, tmp_path):
         cfg = write_config(tmp_path, "region.json", {
@@ -303,9 +330,13 @@ INVALID_INPUTS = [
 
 
 # inputs refused for the resources they would take; the 10 s limit is far
-# below the seconds it takes to form 4 ** 10**9
+# below the seconds it takes to form 4 ** 10**9, and the trial arrays of
+# 10**12 trials are refused by the OS before a page is touched
 RESOURCE_LIMIT_INPUTS = [
     ("derand-audit-huge-n0", "derand-audit", {"p_xy": UNIFORM_PAIR, "n0": 10 ** 9, "n": 4}),
+    ("simulate-huge-trials", "simulate",
+     {"p_xy": DSBS01, "aux": "independent", "n": 8, "delta": 0.5, "trials": 10 ** 12,
+      "budgets": {"D1": 0.3, "D2": 0.3, "P1": 0.5, "P2": 0.5}, "seed": 0}),
 ]
 
 

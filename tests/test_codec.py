@@ -29,19 +29,19 @@ from gwrdp.codec import (
     encode,
     encode_batch,
     generate_codebook,
-    is_cond_typical,
-    is_jointly_typical,
-    is_typical,
     joint_set_empty,
     sample_uniform_cond_typical,
     sample_uniform_typical,
     shift_position,
 )
-from gwrdp.prob import JointPmf, Kernel, empirical_type
+from gwrdp.prob import JointPmf, Kernel
 from gwrdp.solver import hamming
 from oracles import (
     encode_loop,
     first_under_threshold_loop,
+    is_cond_typical,
+    is_jointly_typical,
+    is_typical,
     per_letter_distortion,
     rejection_sample_typical,
 )
@@ -88,6 +88,13 @@ class TestShift:
             circular_shift(1, x, np.arange(4))
         ox, oy = circular_shift(2, x, x + 10)
         assert np.array_equal(oy - ox, np.full(5, 10))
+
+    @pytest.mark.parametrize("k,shape", [([1, 2], (5,)), (1, (2, 5)), ([0, 1, 2], (2, 5))],
+                             ids=["1d-with-seeds", "batch-with-scalar", "batch-with-3-seeds"])
+    def test_seed_shape_must_fit_sequences(self, k, shape):
+        with pytest.raises(ValueError, match=r"1-D sequence takes one scalar k, a \(rows, n\) "
+                                             r"batch one k per row"):
+            circular_shift(k, np.zeros(shape, dtype=int))
 
 
 class TestTypicality:
@@ -399,9 +406,9 @@ class TestInvariantSweeps:
     def test_empirical_type_matches_library_shift(self):
         rng = np.random.default_rng(4)
         seq = rng.integers(0, 3, size=30)
-        base = empirical_type(seq, 3)
+        base = np.bincount(seq, minlength=3)
         for k in range(30):
-            assert empirical_type(circular_shift(k, seq), 3) == base
+            assert np.array_equal(np.bincount(circular_shift(k, seq), minlength=3), base)
 
 
 class TestScanEquivalence:

@@ -103,9 +103,10 @@ class TestBuild:
         assert build_seed_map(five, 3, 125).assignment.shape == (125,)
 
     def test_atom_cap(self, monkeypatch):
+        build_seed_map(UNIFORM4, 5, 4)   # 1,024 atoms fit the default cap
         monkeypatch.setattr(gwrdp.derandom, "_ATOM_CAP", 1000)
-        with pytest.raises(SeedMapError):
-            build_seed_map(UNIFORM4, 12, 4)
+        with pytest.raises(SeedMapError, match=r"4\*\*5 atoms exceed the cap of 1000"):
+            build_seed_map(UNIFORM4, 5, 4)
 
     @pytest.mark.parametrize("n0", [23, 10 ** 9])
     def test_huge_tail_refused_without_counting_atoms(self, n0):

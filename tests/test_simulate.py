@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 import gwrdp.simulate
-from gwrdp.codec import TypicalSetSpec, decode, encode, is_typical
+from gwrdp.codec import decode, encode
 from gwrdp.prob import JointPmf, Kernel, tv_distance
 from gwrdp.region import AuxChannel, Budgets, RegionProblem, rate_triple_for_aux
 from gwrdp.simulate import (

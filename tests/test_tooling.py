@@ -1,7 +1,9 @@
 """The benchmark's layer trace (``perfbench/run.py --trace 1``) wraps
 library functions by name. A refactor that drops or renames one of those
-names breaks only the traced benchmark run; this test makes it fail here."""
+names breaks only the traced benchmark run; this test makes it fail here.
+The package exports only names that the library or the benchmark use."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -13,7 +15,8 @@ import gwrdp.region
 import gwrdp.simulate
 import gwrdp.solver
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 OWNERS = (gwrdp.cli, gwrdp.codec, gwrdp.derandom, gwrdp.prob, gwrdp.prob.JointPmf,
           gwrdp.region, gwrdp.simulate, gwrdp.solver)
 
@@ -31,3 +34,19 @@ def test_layer_spans_install_and_restore(monkeypatch):
     finally:
         tracer.restore()
     assert [dict(vars(owner)) for owner in OWNERS] == before
+
+
+def test_every_export_has_a_caller():
+    # a name counts as used where it is read as a name or an attribute, or
+    # looked up by its name as a string (as the layer trace does)
+    sources = [p for p in (ROOT / "src" / "gwrdp").glob("*.py") if p.name != "__init__.py"]
+    used = set()
+    for path in sources + sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    assert sorted(set(gwrdp.__all__) - used) == []
