@@ -30,13 +30,21 @@ ends a scan that would run past it.
 
 The encoder takes a batch of source pairs and scans codewords in blocks
 that grow geometrically, so an early hit costs a few codewords and a long
-scan stays vectorized. Each block is read once and tested for every trial
-still without a hit: one ``bincount`` over (trial, row, cell) for the
-common layer, one distortion gather per private layer, with trials grouped
-by common index. Every trial keeps a lone scan's block schedule, so a
-batch reads the codewords and draws the pages that one scan per trial
-would. Sub-batches of trials bound a step's gather or count array to
-``_SCRATCH`` elements, or to one trial's block when that is larger.
+scan stays vectorized. Each block is read once, one-hot encoded once, and
+scored for every trial still without a hit by one matrix product per
+sub-batch of trials: the trials' pair-cell one-hot times the block's gives
+exact integer joint counts for the common layer; the trials' distortion
+tables times the block's one-hot give distortion sums for each private
+layer, with trials grouped by common index. A sum within a margin of
+n * eps * max(distortion) of the threshold is decided by the exact gather
+mean instead, so every decision is the one a lone codeword gets, whatever
+the BLAS summation order. Every trial keeps a lone scan's block schedule,
+so a batch reads the codewords and draws the pages that one scan per
+trial would. ``_SCRATCH`` bounds a block's one-hot (a larger one is scored
+in row slices, in order) and a step's product (by sub-batching trials),
+each to one row's or one trial's share when that is larger. The trials'
+tables, built once per scan, hold n floats per trial and reconstruction
+symbol (or pair cell).
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from .prob import JointPmf, Kernel, _entropy_bits
 
 SYMBOL_DTYPE = np.uint8
 PAGE_ROWS = 4096   # codewords per lazily drawn page of a private layer
-_SCRATCH = 2 ** 16   # elements of one scan step's gather or count array
+_SCRATCH = 2 ** 16   # elements of a scan slice's one-hot and of one step's product
 
 
 class EmptyTypicalSetError(ValueError):
@@ -584,26 +592,41 @@ def _blocks(m: int, first: int):
         size = min(4 * size, 4096)
 
 
-def _scan(rows, first: int, trials: int, per_row: int, hits) -> np.ndarray:
+def _one_hot(seqs: np.ndarray, size: int) -> np.ndarray:
+    """Indicators [seqs[r, i] == a] of (rows, n) sequences over ``size``
+    symbols, as float64 of shape (n, size, rows); symbols outside
+    0..size-1 match nothing."""
+    return (seqs.T[:, None, :] == np.arange(size)[:, None]).astype(np.float64)
+
+
+def _scan(rows, first: int, trials: int, size: int, per_row: int, hits) -> np.ndarray:
     """Per trial, the smallest index of ``rows`` that ``hits`` accepts, or
     -1. Blocks of ``first``, 4 * ``first``, ... and then 4096 rows are each
-    read once and tested for the trials still without a hit, in sub-
-    batches whose scratch arrays (``per_row`` elements per trial and block
-    row) hold at most _SCRATCH elements, or one trial's block.
-    ``hits(trials, block)`` returns the (trials, block rows) hit mask."""
+    read once. A block is one-hot encoded over ``size`` symbols once, in
+    row slices whose one-hot holds at most _SCRATCH elements (or one row's),
+    and each slice is scored in order for the trials still without a hit,
+    in sub-batches whose scores (``per_row`` elements per trial and slice
+    row) hold at most _SCRATCH elements, or one trial's.
+    ``hits(trials, codewords, one_hot)`` returns the (trials, slice rows)
+    hit mask."""
     found = np.full(trials, -1, dtype=np.int64)
     active = np.arange(trials)
+    width = rows.shape[1] * size
     for start, stop in _blocks(rows.shape[0], first):
         block = rows[start:stop]
-        step = max(1, _SCRATCH // ((stop - start) * per_row))
-        for a in range(0, active.size, step):
-            some = active[a:a + step]
-            ok = hits(some, block)
-            has = ok.any(axis=1)
-            found[some[has]] = start + ok[has].argmax(axis=1)
-        active = active[found[active] < 0]
-        if not active.size:
-            break
+        piece = max(1, _SCRATCH // width)
+        for at in range(0, stop - start, piece):
+            codewords = block[at:at + piece]
+            one_hot = _one_hot(codewords, size)
+            step = max(1, _SCRATCH // (codewords.shape[0] * per_row))
+            for a in range(0, active.size, step):
+                some = active[a:a + step]
+                ok = hits(some, codewords, one_hot)
+                has = ok.any(axis=1)
+                found[some[has]] = start + at + ok[has].argmax(axis=1)
+            active = active[found[active] < 0]
+            if not active.size:
+                return found
     return found
 
 
@@ -613,30 +636,58 @@ def _first_under_threshold(codewords: np.ndarray, refs: np.ndarray,
     with per-letter distortion <= threshold, or -1. ``codewords`` is an
     (M, n) array or a row of a ``PagedLayer``. Blocks of 16, 64, 256, 1024
     and then 4096 codewords, so an early hit decodes (and draws) few of
-    them. A distortion is a gather averaged over the contiguous position
-    axis, the same sum as for a lone codeword."""
-    def under(trials, block):
-        return delta_mat[refs[trials, None, :], block].mean(axis=-1) <= threshold
+    them.
 
-    return _scan(codewords, 16, refs.shape[0], refs.shape[1], under)
+    A block is scored by one product of the trials' distortion tables
+    ``delta_mat[refs]`` (read as float64) with the block's one-hot: a sum
+    of the same n nonnegative terms as the exact distortion, the gather
+    ``delta_mat[ref, cw]`` averaged over the contiguous position axis, but
+    in BLAS order. Each sum is within (n - 1) * eps / 2 of the exact one,
+    relative to it, so the two means differ by less than n * eps *
+    max(delta_mat) plus one subnormal step. A score farther than
+    ``margin``, four times that, from the threshold decides as the gather
+    would; the few within it are decided by the gather, in pieces of at
+    most _SCRATCH elements. Where a sum could overflow, the margin is
+    infinite and every codeword goes to the gather."""
+    n = refs.shape[1]
+    delta_mat = np.asarray(delta_mat, dtype=np.float64)
+    table = delta_mat[refs].reshape(refs.shape[0], -1)   # (T, n * |reconstruction|)
+    dmax, fl = float(delta_mat.max()), np.finfo(np.float64)
+    margin = 4 * n * fl.eps * dmax + fl.smallest_subnormal if n * dmax < fl.max / 2 else np.inf
+
+    def under(trials, block, one_hot):
+        mean = table[trials] @ one_hot.reshape(table.shape[1], -1) / n
+        ok = mean <= threshold
+        t, r = np.nonzero(~(np.abs(mean - threshold) > margin))
+        piece = max(1, _SCRATCH // n)
+        for a in range(0, t.size, piece):
+            tt, rr = t[a:a + piece], r[a:a + piece]
+            ok[tt, rr] = delta_mat[refs[trials[tt]], block[rr]].mean(axis=-1) <= threshold
+        return ok
+
+    return _scan(codewords, 16, refs.shape[0], delta_mat.shape[1], 1, under)
 
 
 def _first_jointly_typical(common: np.ndarray, pairs: np.ndarray,
                            lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Per trial, the smallest common index whose codeword's joint counts
-    with the trial's source pair (a row of ``pairs``, the pair's cell
-    offsets) lie in [lo, hi], or -1. Blocks of 64, 256, 1024 and then 4096
-    codewords, counted by one ``bincount`` over (trial, row, cell)."""
-    cells = lo.shape[0]
+    with the trial's source pair (a row of ``pairs``, the pair cell x *
+    |Y| + y per position) lie in [lo, hi], or -1. The bounds' last axis is
+    W, their leading axes the pair cells. Blocks of 64, 256, 1024 and then
+    4096 codewords; the exact integer counts of a block are one product of
+    the trials' pair-cell one-hot, (trials * cells, n), with the block's,
+    (n, |W| * rows)."""
+    kw = lo.shape[-1]
+    lo, hi = lo.reshape(-1, kw, 1), hi.reshape(-1, kw, 1)
+    cells, n = lo.shape[0], pairs.shape[1]
+    pair_hot = np.ascontiguousarray(_one_hot(pairs, cells).transpose(2, 1, 0))   # (T, cells, n)
 
-    def typical(trials, block):
-        slots = trials.size * block.shape[0]
-        offsets = (np.arange(slots) * cells).reshape(trials.size, -1, 1)
-        counts = np.bincount((pairs[trials, None, :] + block + offsets).ravel(),
-                             minlength=slots * cells).reshape(trials.size, -1, cells)
-        return ((counts >= lo) & (counts <= hi)).all(axis=-1)
+    def typical(trials, block, one_hot):
+        counts = (pair_hot[trials].reshape(-1, n) @ one_hot.reshape(n, -1)).reshape(
+            trials.size, cells, kw, -1)
+        return ((counts >= lo) & (counts <= hi)).all(axis=(1, 2))
 
-    return _scan(common, 64, pairs.shape[0], max(common.shape[1], cells), typical)
+    return _scan(common, 64, pairs.shape[0], kw, cells * kw, typical)
 
 
 def encode_batch(codebook: Codebook, xs: np.ndarray, ys: np.ndarray, ks,
@@ -651,7 +702,8 @@ def encode_batch(codebook: Codebook, xs: np.ndarray, ys: np.ndarray, ks,
     count vector), then each private index is the smallest one meeting its
     per-letter distortion threshold (same fallback). Returns the index
     arrays ``s0``, ``s1``, ``s2`` and a (3, T) mask of common, X and Y
-    misses; every trial gets what a lone encoding of it gets.
+    misses; every trial gets what a lone encoding of it gets. Source
+    symbols outside the pair alphabet raise ``ValueError``.
     """
     n = codebook.n
     xs = np.asarray(xs)
@@ -660,11 +712,13 @@ def encode_batch(codebook: Codebook, xs: np.ndarray, ys: np.ndarray, ks,
         raise ValueError(f"sequences must have length n={n}")
     xb, yb = (s.astype(np.int64) for s in circular_shift(-np.asarray(ks), xs, ys))
 
-    _, ky, kw = codebook.q_xyw.shape
+    kx, ky, _ = codebook.q_xyw.shape
+    if np.any((xb < 0) | (xb >= kx) | (yb < 0) | (yb >= ky)):
+        raise ValueError(f"source symbols outside the {kx}x{ky} pair alphabet")
     lo, hi, empty = _cached_bounds(codebook.q_xyw.tobytes(), codebook.q_xyw.shape, n,
                                    codebook.delta)
     s0 = (np.full(xs.shape[0], -1, dtype=np.int64) if empty
-          else _first_jointly_typical(codebook.common, (xb * ky + yb) * kw, lo, hi))
+          else _first_jointly_typical(codebook.common, xb * ky + yb, lo, hi))
     miss = np.empty((3, xs.shape[0]), dtype=bool)
     miss[0] = s0 < 0
     s0[miss[0]] = 0
@@ -701,11 +755,9 @@ def joint_set_empty(q_xyw: np.ndarray, n: int, delta: float) -> bool:
 
 @lru_cache(maxsize=64)
 def _cached_bounds(q_bytes: bytes, shape: tuple, n: int, delta: float):
-    """Flat per-cell count bounds of the band, and whether no count vector
+    """Per-cell count bounds of the band, and whether no count vector
     summing to n fits them."""
-    q = np.frombuffer(q_bytes, dtype=np.float64).reshape(shape)
-    lo, hi = count_bounds(q, n, delta)
-    lo, hi = lo.reshape(-1), hi.reshape(-1)
+    lo, hi = count_bounds(np.frombuffer(q_bytes, dtype=np.float64).reshape(shape), n, delta)
     empty = bool(np.any(lo > hi) or lo.sum() > n or hi.sum() < n)
     return lo, hi, empty
 

@@ -65,9 +65,6 @@ class Pmf:
     def __eq__(self, other) -> bool:
         return isinstance(other, Pmf) and np.array_equal(self.probs, other.probs)
 
-    def to_dict(self) -> dict:
-        return {"alphabets": [self.size], "probs": self.probs.tolist()}
-
 
 @dataclass(frozen=True, eq=False)
 class JointPmf:

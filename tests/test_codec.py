@@ -438,6 +438,29 @@ class TestScanEquivalence:
         assert want == (-1 if hit is None else hit)
         assert _first_under_threshold(codewords, ref[None], HAM, 0.2).tolist() == [want]
 
+    @pytest.mark.parametrize("planted", [20, 100, 1500])
+    def test_private_scan_ties_under_a_non_dyadic_distortion(self, planted):
+        # every codeword from `planted` on rearranges one reconstruction
+        # among the positions where the reference holds the same symbol, so
+        # their distortions are equal in exact arithmetic and differ only in
+        # summation order; the threshold sits at, just under and just over
+        # the planted codeword's mean
+        n = 48
+        delta_mat = np.array([[0.1, 1 / 3, 0.7], [0.7, 0.1, 1 / 3]])
+        rng = np.random.default_rng(planted)
+        ref = rng.integers(0, 2, size=n)
+        codewords = np.tile(np.where(ref == 0, 2, 0), (2000, 1)).astype(np.uint8)   # all 0.7
+        base = rng.integers(0, 3, size=n)
+        for row in codewords[planted:]:
+            for sym in (0, 1):
+                at = np.flatnonzero(ref == sym)
+                row[at] = rng.permutation(base[at])
+        mean = delta_mat[ref, codewords[planted]].mean()
+        for threshold in (mean, np.nextafter(mean, -np.inf), np.nextafter(mean, np.inf)):
+            want = first_under_threshold_loop(codewords, ref, delta_mat, threshold)
+            got = _first_under_threshold(codewords, ref[None], delta_mat, threshold)
+            assert got.tolist() == [want]
+
     def test_block_schedules(self):
         # an all-miss batch reads each block once, in the lone scan's sizes
         class Recorder:
@@ -695,6 +718,116 @@ class TestBatchEncode:
         got, want = _batch_vs_loop(cb, xs, ys, ks, 0.3)
         assert got == want
         assert len({g[0] for g in got if not g[3]}) > 3
+
+
+class TestNonBinaryBatchEncode:
+    """encode_batch against the loop oracle on a 3x2 source with |W| = 3,
+    reconstruction alphabets of other sizes than their sources' and non-
+    dyadic distortions at scales 1e-6, 1 and 1e6: common and private first
+    hits on either side of every block boundary, misses, and the scratch
+    bound at 1 and at its default."""
+
+    M, N = TestScanEquivalence.M, 36
+    DX = np.array([[0.1, 0.7], [1 / 3, 0.1], [0.7, 1 / 3]])       # X (3) -> Xhat (2)
+    DY = np.array([[0.1, 1 / 3, 0.7], [0.7, 0.1, 1 / 3]])         # Y (2) -> Yhat (3)
+    BEST_X, BEST_Y = np.array([0, 1, 1]), np.array([0, 1])        # least-distortion maps
+    THRESHOLD = 0.2   # the best maps score 0.178 and 0.1, random codewords 0.38 on average
+    # the common scan does not read the distortions, so the common case
+    # runs at one scale
+    PRIVATE_RUNS = [(1e-6, None), (1.0, None), (1e6, None), (1.0, 1)]
+
+    @classmethod
+    def _codebook(cls, common, priv_x, priv_y):
+        """W = X: a common codeword is jointly typical with a balanced pair
+        (each of the 6 pair values 6 times) exactly when it equals the
+        unshifted x sequence, since every cell with w != x has q = 0."""
+        q_xyw = np.zeros((3, 2, 3))
+        for x in range(3):
+            q_xyw[x, :, x] = 1 / 6
+        return Codebook(common=common, priv_x=priv_x, priv_y=priv_y, q_xyw=q_xyw,
+                        joint_xt_w=np.full((2, 3), 1 / 6), joint_yt_w=np.full((3, 3), 1 / 9),
+                        n=cls.N, delta=0.5, seed=0)
+
+    @classmethod
+    def _pairs(cls, rng, count):
+        pair = np.stack([rng.permutation(np.repeat(np.arange(6), 6)) for _ in range(count)])
+        return pair // 2, pair % 2
+
+    @classmethod
+    def _check(cls, case, scale, scratch, monkeypatch):
+        """encode_batch of the case's trials, under random shifts, equals
+        the loop oracle's encodings (computed once per scale)."""
+        cb, xs, ys, wants = case
+        if scratch is not None:
+            monkeypatch.setattr("gwrdp.codec._SCRATCH", scratch)
+        ks = np.random.default_rng(1).integers(0, cls.N, size=len(xs))
+        xk, yk = circular_shift(ks, xs, ys)
+        dx, dy, thr = cls.DX * scale, cls.DY * scale, cls.THRESHOLD * scale
+        if scale not in wants:
+            wants[scale] = [encode_loop(cb, x, y, k, dx, dy, thr, thr)
+                            for x, y, k in zip(xk, yk, ks)]
+        s0, s1, s2, miss = encode_batch(cb, xk, yk, ks, dx, dy, thr, thr)
+        assert list(zip(s0.tolist(), s1.tolist(), s2.tolist(), *miss.tolist())) == wants[scale]
+        return wants[scale]
+
+    @pytest.fixture(scope="class")
+    def common_case(self):
+        rng = np.random.default_rng(30)
+        hits = TestScanEquivalence.COMMON_HITS
+        xs, ys = self._pairs(rng, len(hits))
+        common = np.zeros((self.M, self.N), dtype=np.uint8)   # typical with no source
+        _plant(common, hits, xs)
+        priv_x = rng.integers(0, 2, size=(self.M, 2, self.N)).astype(np.uint8)
+        priv_y = rng.integers(0, 3, size=(self.M, 2, self.N)).astype(np.uint8)
+        return self._codebook(common, priv_x, priv_y), xs, ys, {}
+
+    @pytest.mark.parametrize("scratch", [None, 1])
+    def test_common_hits(self, common_case, scratch, monkeypatch):
+        want = self._check(common_case, 1.0, scratch, monkeypatch)
+        hits = TestScanEquivalence.COMMON_HITS
+        assert [None if w[3] else w[0] for w in want] == hits
+
+    @pytest.fixture(scope="class")
+    def private_case(self):
+        # common indices 0, 1 and 2 hold the x of groups 0-2; group 3's x
+        # fits no common codeword and falls back to index 0. Every trial
+        # plants its own y hit; each group shares one x hit, group 3 none.
+        rng = np.random.default_rng(31)
+        hits = TestScanEquivalence.PRIVATE_HITS
+        base_x, base_y = self._pairs(rng, 4)
+        groups = [i % 4 for i in range(len(hits))]
+        xs, ys = base_x[groups], base_y[groups]
+        for x, y in zip(xs, ys):
+            for sym in range(3):
+                at = np.flatnonzero(x == sym)
+                y[at] = rng.permutation(y[at])
+        priv_x = rng.integers(0, 2, size=(3, self.M, self.N)).astype(np.uint8)
+        priv_y = rng.integers(0, 3, size=(3, self.M, self.N)).astype(np.uint8)
+        for g, x_hit in enumerate((79, 1360, 5457)):
+            priv_x[g, x_hit] = self.BEST_X[base_x[g]]
+        s0_of = [g % 3 for g in groups]
+        for g in range(3):
+            mine = [i for i, s0 in enumerate(s0_of) if s0 == g]
+            _plant(priv_y[g], [hits[i] for i in mine], self.BEST_Y[ys[mine]])
+        return self._codebook(base_x[:3].astype(np.uint8), priv_x, priv_y), xs, ys, {}
+
+    @pytest.mark.parametrize("scale, scratch", PRIVATE_RUNS)
+    def test_private_hits(self, private_case, scale, scratch, monkeypatch):
+        want = self._check(private_case, scale, scratch, monkeypatch)
+        groups = [i % 4 for i in range(len(want))]
+        assert [w[0] for w in want] == [g % 3 for g in groups]
+        assert [w[3] for w in want] == [g == 3 for g in groups]
+        assert [None if w[4] else w[1] for w in want] == [(79, 1360, 5457, None)[g]
+                                                          for g in groups]
+        assert [None if w[5] else w[2] for w in want] == TestScanEquivalence.PRIVATE_HITS
+
+    @pytest.mark.parametrize("branch, symbol", [("y", 2), ("x", 3), ("x", -1), ("y", -1)])
+    def test_source_symbols_outside_the_alphabets_raise(self, common_case, branch, symbol):
+        cb, xs, ys, _ = common_case
+        bad = {"x": xs[:2].copy(), "y": ys[:2].copy()}
+        bad[branch][1, 5] = symbol
+        with pytest.raises(ValueError, match="outside the 3x2 pair alphabet"):
+            encode_batch(cb, bad["x"], bad["y"], [0, 0], self.DX, self.DY, 0.3, 0.3)
 
 
 def paged_codebook(m0=2, m=3 * PAGE_ROWS + 100, n=32, memory_cap=None, seed=3):

@@ -167,9 +167,10 @@ class TestIdentities:
 
 class TestSerialization:
     def test_schema_shape(self):
-        obj = Pmf([0.25, 0.75]).to_dict()
-        assert obj["alphabets"] == [2]
-        assert obj["probs"] == [0.25, 0.75]
+        # the {alphabets, probs} dict the CLI writes for every channel
+        obj = Kernel(np.array([[[0.25, 0.75]], [[1.0, 0.0]]])).to_dict()
+        assert obj["alphabets"] == [2, 1, 2]
+        assert obj["probs"] == [0.25, 0.75, 1.0, 0.0]
 
 
 class TestKernelAndCompose:

@@ -309,6 +309,31 @@ class TestJointSetEmpty:
         assert report.to_dict()["joint_set_empty"] is True
 
 
+class TestKnownFailureFamilies:
+    """Runs that a fix should turn into unexpected passes, which fail."""
+
+    @pytest.mark.xfail(strict=True, raises=ResourceCapError,
+                       reason="a private scan no codeword can serve draws pages until the "
+                              "memory cap; no type-level check reports the miss first")
+    def test_private_miss_no_codeword_can_serve(self):
+        # the |W| = 1 corner of the CLI tests' grid region, simulated at
+        # n = 16: trial 16's x has 2 ones against 6-10 in every band
+        # codeword, so its least distortion 4/16 is above the threshold
+        budgets = Budgets(0.1, 0.1, 0.6, 0.6)
+        p_xy, aux = dsbs(0.1), AuxChannel.independent(2, 2)
+        pt = rate_triple_for_aux(RegionProblem.with_hamming_tv(p_xy), aux, budgets)
+        config = SimConfig(p_xy=p_xy, aux=aux, test_channel_x=pt.test_channel_x,
+                           test_channel_y=pt.test_channel_y, n=16, delta=0.3, trials=20,
+                           master_seed=4, budgets=budgets)
+        try:
+            report = run_simulation(config)
+        except ResourceCapError as err:
+            # the scan draws the pages it always drew, so the cap trips where it did
+            assert "codebook would hold 16777232 symbols" in str(err)
+            raise
+        assert report.x.freq_no_codeword > 0
+
+
 class TestWilson:
     def test_halfwidth_formula(self):
         # against the standard closed form at p=0.5, n=100, z=1.96
