@@ -29,29 +29,29 @@ more codewords than memory could; a memory cap on the symbols drawn so far
 ends a scan that would run past it.
 
 The encoder takes a batch of source pairs and scans codewords in blocks
-that grow geometrically, so an early hit costs a few codewords and a long
-scan stays vectorized. Each block is read once, one-hot encoded once, and
-scored for every trial still without a hit by one matrix product per
-sub-batch of trials: the trials' pair-cell one-hot times the block's gives
-exact integer joint counts for the common layer; the trials' distortion
-tables times the block's one-hot give distortion sums for each private
-layer, with trials grouped by common index. A sum within a margin of
-n * eps * max(distortion) of the threshold is decided by the exact gather
-mean instead, so every decision is the one a lone codeword gets, whatever
-the BLAS summation order. Every trial keeps a lone scan's block schedule,
-so a batch reads the codewords and draws the pages that one scan per
-trial would. ``_SCRATCH`` bounds a block's one-hot (a larger one is scored
-in row slices, in order) and a step's product (by sub-batching trials),
-each to one row's or one trial's share when that is larger. The trials'
-tables, built once per scan, hold n floats per trial and reconstruction
-symbol (or pair cell).
+read through one ``read(start, stop)`` call each: ``layer[s0, start:stop]``
+for a private layer, ``common[start:stop]`` for the common one. Blocks grow
+4x from a first size, and each stays within one page and holds at most
+``_SCRATCH`` one-hot elements (or one row's), so an early hit costs a few
+codewords, a scan draws a page only when it reaches it, and a long scan
+stays vectorized. Each block is one-hot encoded once and scored for every
+trial still without a hit by one matrix product per sub-batch of trials,
+held to ``_SCRATCH`` elements (or one trial's share): the trials' pair-cell
+one-hot times the block's gives exact integer joint counts for the common
+layer; the trials' distortion tables times the block's one-hot give
+distortion sums for each private layer, with trials grouped by common
+index. A sum within a margin of n * eps * max(distortion) of the threshold
+is decided by the exact gather mean instead, so every decision is the one
+a lone codeword gets, whatever the BLAS summation order. Every trial keeps
+a lone scan's block schedule, so a batch reads the codewords and draws the
+pages that one scan per trial would. The trials' tables, built once per
+scan, hold n floats per trial and reconstruction symbol (or pair cell).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import operator
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -62,7 +62,7 @@ from .prob import JointPmf, Kernel, _entropy_bits
 
 SYMBOL_DTYPE = np.uint8
 PAGE_ROWS = 4096   # codewords per lazily drawn page of a private layer
-_SCRATCH = 2 ** 16   # elements of a scan slice's one-hot and of one step's product
+_SCRATCH = 2 ** 16   # elements of a scan block's one-hot and of one step's product
 
 
 class EmptyTypicalSetError(ValueError):
@@ -74,8 +74,9 @@ class AlphabetError(ValueError):
 
 
 class ResourceCapError(RuntimeError):
-    """Drawing more codewords would exceed the configured memory cap; the
-    codewords that would pass it are not drawn."""
+    """A codebook would pass a resource limit: the memory cap on the
+    symbols drawn, or a code size too large for a report to write. Nothing
+    past the limit is drawn."""
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +295,22 @@ def sample_uniform_cond_typical(joint_q: np.ndarray, delta: float,
 # ---------------------------------------------------------------------------
 
 
+# 2**14284 < 10**4300: a smaller size has at most the 4,300 decimal digits
+# that Python turns into a string by default, so a report can write it
+_SIZE_LOG2_LIMIT = 14_284
+
+
 def _exp2_floor(v: float) -> int:
-    """floor(2**v) as an exact integer for any nonnegative v."""
+    """floor(2**v) as an exact integer for any nonnegative v below
+    _SIZE_LOG2_LIMIT. A larger, infinite or NaN exponent is refused as it
+    stands, before any codeword is drawn."""
+    if not v < _SIZE_LOG2_LIMIT:
+        raise ResourceCapError(f"a code of 2**{v:.6g} codewords is past the "
+                               f"2**{_SIZE_LOG2_LIMIT} a report can write; reduce n or delta")
     if v < 63:
         return int(math.floor(2.0 ** v))
     iv = int(math.floor(v))
-    frac = v - iv
-    scaled = int(math.floor((2.0 ** frac) * (1 << 53)))
+    scaled = int(math.floor((2.0 ** (v - iv)) * (1 << 53)))
     return scaled << (iv - 53)
 
 
@@ -323,7 +333,7 @@ class CodeSizes:
     def recompute(self) -> tuple[int, int, int]:
         """(m0, m1, m2) from the stored rates and slacks: the one place the
         code-size formula is written."""
-        m0 =_exp2_floor(self.n * (self.i_pair_w + 2 * self.slack_w))
+        m0 = _exp2_floor(self.n * (self.i_pair_w + 2 * self.slack_w))
         m1 = _exp2_floor(self.n * (self.i_x + 2 * self.slack_x))
         m2 = _exp2_floor(self.n * (self.i_y + 2 * self.slack_y))
         return m0, m1, m2
@@ -400,11 +410,14 @@ class PagedLayer:
     """One branch's private codewords, shape (M0, M, n), drawn a page at a
     time on first touch and cached.
 
-    Array-like: ``shape`` (Python ints), ``layer[s0]`` (a lazy row),
-    ``layer[s0, j]``, ``layer[s0, a:b]``, ``layer[s0s, js]`` with equal-
-    length index arrays (one codeword per pair, each touched page read
-    once), iteration over rows, and ``np.asarray(layer)``, which draws
-    every page. ``nbytes`` counts the pages drawn so far. Pickling drops
+    Array-like: ``shape`` (Python ints); ``layer[s0, a:b]``, the slice of
+    codewords under s0, reading only the pages it spans; ``layer[s0]``,
+    every codeword under s0; ``layer[s0, j]``; ``layer[s0s, js]`` with
+    index arrays, one codeword per (broadcast) pair, each touched page read
+    once; and ``np.asarray(layer)``, which draws every page. Indices follow
+    NumPy's rule: negatives count from the end (index arrays into a layer
+    past 2**63 codewords take none), others out of range raise
+    ``IndexError``. ``nbytes`` counts the pages drawn so far. Pickling drops
     the drawn pages; the copy redraws the same ones on demand."""
 
     dtype = np.dtype(SYMBOL_DTYPE)
@@ -440,88 +453,61 @@ class PagedLayer:
             self._pages[(s0, p)] = got
         return got
 
-    def rows(self, s0: int, start: int, stop: int) -> np.ndarray:
-        """Codewords [start, stop) under index s0, 0 <= start < stop <= M."""
-        first = start // PAGE_ROWS
-        base = first * PAGE_ROWS
-        if stop - base <= PAGE_ROWS:
-            return self.page(s0, first)[start - base:stop - base]
-        pages = [self.page(s0, p) for p in range(first, (stop - 1) // PAGE_ROWS + 1)]
-        return np.concatenate(pages)[start - base:stop - base]
-
     def __getitem__(self, key):
-        if isinstance(key, tuple):
-            s0, j = key
-            if np.ndim(s0):
-                return self._take(np.asarray(s0), np.asarray(j))
-            return self[s0][j]
-        return _PagedRow(self, _checked_index(key, self.shape[0]))
-
-    def _take(self, s0: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Codewords (s0[i], j[i]) for in-range indices, one per pair."""
-        out = np.empty((s0.size, self.shape[2]), dtype=self.dtype)
-        keys, which = np.unique(np.stack([s0, j // PAGE_ROWS]), axis=1, return_inverse=True)
+        s0, j = key if isinstance(key, tuple) else (key, slice(None))
+        if isinstance(j, slice):
+            s0, picked = range(self.shape[0])[s0], range(self.shape[1])[j]
+            if not picked:
+                return np.empty((0, self.shape[2]), dtype=self.dtype)
+            lo, hi = min(picked[0], picked[-1]), max(picked[0], picked[-1]) + 1
+            pages = [self.page(s0, p) for p in range(lo // PAGE_ROWS, (hi - 1) // PAGE_ROWS + 1)]
+            rows = pages[0] if len(pages) == 1 else np.concatenate(pages)
+            base = lo - lo % PAGE_ROWS
+            return rows[picked[0] - base::picked.step][:len(picked)]
+        s0, j = np.broadcast_arrays(_checked_index(s0, self.shape[0]),
+                                    _checked_index(j, self.shape[1]))
+        out = np.empty(s0.shape + self.shape[2:], dtype=self.dtype)
+        keys, which = np.unique(np.stack([s0.ravel(), j.ravel() // PAGE_ROWS]), axis=1,
+                                return_inverse=True)
         for g, (a, p) in enumerate(keys.T.tolist()):
-            members = which == g
+            members = (which == g).reshape(s0.shape)
             out[members] = self.page(a, p)[j[members] % PAGE_ROWS]
         return out
 
-    def __iter__(self):
-        return (_PagedRow(self, s0) for s0 in range(self.shape[0]))
-
     def __array__(self, dtype=None, copy=None):
-        return np.stack([np.asarray(row, dtype=dtype) for row in self])
+        return np.asarray(np.stack([self[s0] for s0 in range(self.shape[0])]), dtype=dtype)
 
     def __getstate__(self):
         return {**self.__dict__, "_pages": {}}
 
 
-class _PagedRow:
-    """The (M, n) codewords of one common index of a ``PagedLayer``."""
-
-    dtype = PagedLayer.dtype
-
-    def __init__(self, layer: PagedLayer, s0: int):
-        self.layer, self.s0 = layer, s0
-        self.shape = layer.shape[1:]
-
-    def __getitem__(self, j):
-        m = self.shape[0]
-        if not isinstance(j, slice):
-            j = _checked_index(j, m)
-            return self.layer.page(self.s0, j // PAGE_ROWS)[j % PAGE_ROWS]
-        picked = range(m)[j]
-        if not picked:
-            return np.empty((0, self.shape[1]), dtype=self.dtype)
-        lo, hi = min(picked[0], picked[-1]), max(picked[0], picked[-1]) + 1
-        return self.layer.rows(self.s0, lo, hi)[picked[0] - lo::picked.step]
-
-    def _pages(self):
-        return (self.layer.page(self.s0, p) for p in range(-(-self.shape[0] // PAGE_ROWS)))
-
-    def __iter__(self):
-        for page in self._pages():
-            yield from page
-
-    def __array__(self, dtype=None, copy=None):
-        return np.concatenate(list(self._pages()), dtype=dtype)
-
-
-def _checked_index(i, size: int) -> int:
-    i = operator.index(i)
-    if i < 0:
-        i += size
-    if not 0 <= i < size:
-        raise IndexError(f"index {i} outside [0, {size})")
-    return i
+def _checked_index(i, size: int) -> np.ndarray:
+    """An integer index or index array as int64, negatives counted from
+    the end; an index outside [-size, size) raises ``IndexError`` naming
+    it. Past 2**63 every int64 index is below the size, but a negative one
+    would count to a position int64 cannot hold, so it is refused."""
+    i = np.asarray(i)
+    if i.dtype.kind not in "iu":
+        raise IndexError(f"indices must be integers, got {i.dtype}")
+    if size >= 2**63:
+        bad = (i < 0) | (i >= 2**63)
+        if bad.any():
+            raise IndexError(f"index {i[bad].flat[0]} is outside [0, 2**63), the indices "
+                             f"int64 holds of a size past 2**63")
+        return i.astype(np.int64)
+    bad = (i < -size) | (i >= size)
+    if bad.any():
+        raise IndexError(f"index {i[bad].flat[0]} is out of bounds for size {size}")
+    return (i % size).astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
 class Codebook:
     """Three-layer codebook: common codewords plus per-index private
     codewords for each branch, all drawn uniformly from their
-    (conditional) typical sets. The private layers are arrays or
-    ``PagedLayer``s; the encoder and decoder read both alike."""
+    (conditional) typical sets. The private layers are (M0, M, n) arrays
+    or ``PagedLayer``s, read alike: the encoder in blocks ``layer[s0,
+    a:b]``, the decoder one codeword per pair ``layer[s0s, js]``."""
 
     common: np.ndarray          # (M0, n) over the W alphabet
     priv_x: np.ndarray | PagedLayer   # (M0, M1, n)
@@ -582,14 +568,17 @@ class EncodeResult:
     miss_y: bool
 
 
-def _blocks(m: int, first: int):
-    """(start, stop) spans covering [0, m): sizes first, 4*first, ...,
-    capped at 4096 rows."""
-    start, size = 0, first
+def _blocks(m: int, first: int, width: int):
+    """(start, stop) spans covering [0, m) in scan order: sizes first,
+    4 * first, ..., each at most PAGE_ROWS rows and at most _SCRATCH //
+    ``width`` rows (one at least) of ``width`` one-hot elements, and each
+    cut at the next page boundary."""
+    cap = min(PAGE_ROWS, max(1, _SCRATCH // width))
+    start, size = 0, min(first, cap)
     while start < m:
-        yield start, min(start + size, m)
-        start += size
-        size = min(4 * size, 4096)
+        stop = min(start + size, m, start - start % PAGE_ROWS + PAGE_ROWS)
+        yield start, stop
+        start, size = stop, min(4 * size, cap)
 
 
 def _one_hot(seqs: np.ndarray, size: int) -> np.ndarray:
@@ -599,44 +588,39 @@ def _one_hot(seqs: np.ndarray, size: int) -> np.ndarray:
     return (seqs.T[:, None, :] == np.arange(size)[:, None]).astype(np.float64)
 
 
-def _scan(rows, first: int, trials: int, size: int, per_row: int, hits) -> np.ndarray:
-    """Per trial, the smallest index of ``rows`` that ``hits`` accepts, or
-    -1. Blocks of ``first``, 4 * ``first``, ... and then 4096 rows are each
-    read once. A block is one-hot encoded over ``size`` symbols once, in
-    row slices whose one-hot holds at most _SCRATCH elements (or one row's),
-    and each slice is scored in order for the trials still without a hit,
-    in sub-batches whose scores (``per_row`` elements per trial and slice
-    row) hold at most _SCRATCH elements, or one trial's.
-    ``hits(trials, codewords, one_hot)`` returns the (trials, slice rows)
-    hit mask."""
+def _scan(read, m: int, first: int, trials: int, n: int, size: int, per_row: int,
+          hits) -> np.ndarray:
+    """Per trial, the smallest of m codeword indices that ``hits`` accepts,
+    or -1. Each of the ``_blocks`` for codewords of n symbols over ``size``
+    is read once, as ``read(start, stop)``, one-hot encoded once and scored
+    for the trials still without a hit, in sub-batches whose scores
+    (``per_row`` elements per trial and block row) hold at most _SCRATCH
+    elements, or one trial's. ``hits(trials, codewords, one_hot)`` returns
+    the (trials, block rows) hit mask."""
     found = np.full(trials, -1, dtype=np.int64)
     active = np.arange(trials)
-    width = rows.shape[1] * size
-    for start, stop in _blocks(rows.shape[0], first):
-        block = rows[start:stop]
-        piece = max(1, _SCRATCH // width)
-        for at in range(0, stop - start, piece):
-            codewords = block[at:at + piece]
-            one_hot = _one_hot(codewords, size)
-            step = max(1, _SCRATCH // (codewords.shape[0] * per_row))
-            for a in range(0, active.size, step):
-                some = active[a:a + step]
-                ok = hits(some, codewords, one_hot)
-                has = ok.any(axis=1)
-                found[some[has]] = start + at + ok[has].argmax(axis=1)
-            active = active[found[active] < 0]
-            if not active.size:
-                return found
+    for start, stop in _blocks(m, first, n * size):
+        codewords = read(start, stop)
+        one_hot = _one_hot(codewords, size)
+        step = max(1, _SCRATCH // ((stop - start) * per_row))
+        for a in range(0, active.size, step):
+            some = active[a:a + step]
+            ok = hits(some, codewords, one_hot)
+            has = ok.any(axis=1)
+            found[some[has]] = start + ok[has].argmax(axis=1)
+        active = active[found[active] < 0]
+        if not active.size:
+            break
     return found
 
 
-def _first_under_threshold(codewords: np.ndarray, refs: np.ndarray,
+def _first_under_threshold(layer, s0: int, refs: np.ndarray,
                            delta_mat: np.ndarray, threshold: float) -> np.ndarray:
-    """Per trial (row of the (T, n) ``refs``), the smallest codeword index
-    with per-letter distortion <= threshold, or -1. ``codewords`` is an
-    (M, n) array or a row of a ``PagedLayer``. Blocks of 16, 64, 256, 1024
-    and then 4096 codewords, so an early hit decodes (and draws) few of
-    them.
+    """Per trial (row of the (T, n) ``refs``), the smallest j whose
+    codeword ``layer[s0, j]`` has per-letter distortion <= threshold, or
+    -1. ``layer`` is a ``PagedLayer`` or an (M0, M, n) array, read in
+    blocks ``layer[s0, a:b]`` of 16, 64, 256, ... codewords, so an early
+    hit decodes (and draws) few of them.
 
     A block is scored by one product of the trials' distortion tables
     ``delta_mat[refs]`` (read as float64) with the block's one-hot: a sum
@@ -665,7 +649,8 @@ def _first_under_threshold(codewords: np.ndarray, refs: np.ndarray,
             ok[tt, rr] = delta_mat[refs[trials[tt]], block[rr]].mean(axis=-1) <= threshold
         return ok
 
-    return _scan(codewords, 16, refs.shape[0], delta_mat.shape[1], 1, under)
+    return _scan(lambda a, b: layer[s0, a:b], layer.shape[1], 16, refs.shape[0], n,
+                 delta_mat.shape[1], 1, under)
 
 
 def _first_jointly_typical(common: np.ndarray, pairs: np.ndarray,
@@ -673,10 +658,10 @@ def _first_jointly_typical(common: np.ndarray, pairs: np.ndarray,
     """Per trial, the smallest common index whose codeword's joint counts
     with the trial's source pair (a row of ``pairs``, the pair cell x *
     |Y| + y per position) lie in [lo, hi], or -1. The bounds' last axis is
-    W, their leading axes the pair cells. Blocks of 64, 256, 1024 and then
-    4096 codewords; the exact integer counts of a block are one product of
-    the trials' pair-cell one-hot, (trials * cells, n), with the block's,
-    (n, |W| * rows)."""
+    W, their leading axes the pair cells. Blocks ``common[a:b]`` of 64,
+    256, ... codewords; the exact integer counts of a block are one
+    product of the trials' pair-cell one-hot, (trials * cells, n), with
+    the block's, (n, |W| * rows)."""
     kw = lo.shape[-1]
     lo, hi = lo.reshape(-1, kw, 1), hi.reshape(-1, kw, 1)
     cells, n = lo.shape[0], pairs.shape[1]
@@ -687,7 +672,8 @@ def _first_jointly_typical(common: np.ndarray, pairs: np.ndarray,
             trials.size, cells, kw, -1)
         return ((counts >= lo) & (counts <= hi)).all(axis=(1, 2))
 
-    return _scan(common, 64, pairs.shape[0], kw, cells * kw, typical)
+    return _scan(lambda a, b: common[a:b], common.shape[0], 64, pairs.shape[0], n, kw,
+                 cells * kw, typical)
 
 
 def encode_batch(codebook: Codebook, xs: np.ndarray, ys: np.ndarray, ks,
@@ -729,7 +715,7 @@ def encode_batch(codebook: Codebook, xs: np.ndarray, ys: np.ndarray, ks,
     for b, (layer, refs, delta_mat, threshold) in enumerate(branches):
         for a in np.unique(s0).tolist():
             members = np.flatnonzero(s0 == a)
-            private[b, members] = _first_under_threshold(layer[a], refs[members],
+            private[b, members] = _first_under_threshold(layer, a, refs[members],
                                                          delta_mat, threshold)
     miss[1:] = private < 0
     np.maximum(private, 0, out=private)

@@ -84,8 +84,8 @@ class SimConfig:
             raise ValueError("trials must be at least 1")
         if self.n < 2:
             raise ValueError("n must be at least 2")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.mode == "deterministic" and self.n0 is not None and not 1 <= self.n0 <= self.n:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -213,12 +214,20 @@ class TestSimulateCommand:
         assert (out / "sim_report.json").read_bytes() == json_first
         assert (out / "sim_report.csv").read_bytes() == csv_first
 
-    def test_over_cap_exit_3_before_allocation(self, tmp_path):
+    def test_over_cap_exit_3_before_allocation(self, tmp_path, capsys):
         big = dict(SIM_CONFIG, n=64)
         cfg = write_config(tmp_path, "sim.json", big)
         assert run(["simulate", "--config", cfg, "--out-dir", tmp_path,
                     "--memory-cap", "10000"]) == 3
+        assert re.search(r"needs at least \d+ symbols, cap is 10000", capsys.readouterr().err)
         assert not (tmp_path / "sim_report.json").exists()
+
+    def test_codes_past_int64_run(self, tmp_path):
+        # 2**128.5 private codewords per branch; the scans hit on page 0
+        cfg = write_config(tmp_path, "sim.json", dict(HUGE_CODE, delta=2))
+        assert run(["simulate", "--config", cfg, "--out-dir", tmp_path]) == 0
+        sizes = json.loads((tmp_path / "sim_report.json").read_text())["sizes"]
+        assert sizes[0] == 1 and sizes[1] == sizes[2] > 2 ** 128
 
     def test_all_miss_scan_past_the_cap_exit_3(self, tmp_path, monkeypatch, capsys):
         # the DSBS(0.1) witness at n = 64 has about 1.3e12 private codewords
@@ -326,28 +335,45 @@ INVALID_INPUTS = [
       "samples": 0, "restarts": 1, "w_size": 0}),
     ("simulate-test-channel-wrong-source-alphabet", "simulate",
      dict(SIM_CONFIG, p_xy={"alphabets": [1, 1], "probs": [1.0]})),
+    # json reads NaN and Infinity
+    ("simulate-nan-delta", "simulate", dict(SIM_CONFIG, delta=math.nan)),
+    ("simulate-infinite-delta", "simulate", dict(SIM_CONFIG, delta=math.inf)),
 ]
 
 
-# inputs refused for the resources they would take; the 10 s limit is far
-# below the seconds it takes to form 4 ** 10**9, and the trial arrays of
-# 10**12 trials are refused by the OS before a page is touched
+# DSBS(0.25) with independent W at n = 16: private code sizes are at least
+# 2**(32 delta), so large deltas ask for codes past the 2**14284 whose
+# 4,300 digits a report can write
+HUGE_CODE = {"p_xy": {"alphabets": [2, 2], "probs": [0.375, 0.125, 0.125, 0.375]},
+             "aux": "independent", "n": 16, "trials": 20,
+             "budgets": {"D1": 0.4, "D2": 0.4, "P1": 0.1, "P2": 0.1}, "seed": 0}
+
+# inputs refused for the resources they would take, with the extra CLI
+# arguments of each run; the 10 s limit is far below the seconds it takes
+# to form 4 ** 10**9, the trial arrays of 10**12 trials are refused by the
+# OS before a page is touched, and code sizes are refused from their
+# exponents before any codeword is drawn
 RESOURCE_LIMIT_INPUTS = [
-    ("derand-audit-huge-n0", "derand-audit", {"p_xy": UNIFORM_PAIR, "n0": 10 ** 9, "n": 4}),
+    ("derand-audit-huge-n0", "derand-audit", {"p_xy": UNIFORM_PAIR, "n0": 10 ** 9, "n": 4},
+     ()),
     ("simulate-huge-trials", "simulate",
      {"p_xy": DSBS01, "aux": "independent", "n": 8, "delta": 0.5, "trials": 10 ** 12,
-      "budgets": {"D1": 0.3, "D2": 0.3, "P1": 0.5, "P2": 0.5}, "seed": 0}),
+      "budgets": {"D1": 0.3, "D2": 0.3, "P1": 0.5, "P2": 0.5}, "seed": 0}, ()),
+    *((f"simulate-code-size-delta-{delta:g}", "simulate", dict(HUGE_CODE, delta=delta), ())
+      for delta in (1e3, 1e20, 1e308)),
+    ("simulate-code-size-n-12000", "simulate", dict(HUGE_CODE, n=12000, delta=0.3, trials=1),
+     ("--memory-cap", str(2 ** 28))),
 ]
 
 
-def run_child(tmp_path, subcommand, payload, timeout):
-    """The CLI in a child process, so a traceback would be visible and a
-    hang is cut."""
+def run_child(tmp_path, subcommand, payload, timeout, args=()):
+    """The CLI in a child process, with extra CLI ``args``, so a traceback
+    would be visible and a hang is cut."""
     cfg = write_config(tmp_path, "cfg.json", payload)
     env = dict(os.environ, PYTHONPATH=str(Path(gwrdp.__file__).parents[1]))
     return subprocess.run(
         [sys.executable, "-m", "gwrdp.cli", subcommand, "--config", str(cfg),
-         "--out-dir", str(tmp_path / "out")],
+         "--out-dir", str(tmp_path / "out"), *args],
         capture_output=True, text=True, timeout=timeout, env=env)
 
 
@@ -360,13 +386,15 @@ class TestExitCodeContract:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("subcommand,payload", [case[1:] for case in RESOURCE_LIMIT_INPUTS],
+    @pytest.mark.parametrize("subcommand,payload,args",
+                             [case[1:] for case in RESOURCE_LIMIT_INPUTS],
                              ids=[case[0] for case in RESOURCE_LIMIT_INPUTS])
-    def test_resource_limit_exit_3_at_once(self, tmp_path, subcommand, payload):
-        proc = run_child(tmp_path, subcommand, payload, timeout=10)
+    def test_resource_limit_exit_3_at_once(self, tmp_path, subcommand, payload, args):
+        proc = run_child(tmp_path, subcommand, payload, timeout=10, args=args)
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+        assert len(proc.stderr) < 200   # a size is named by its exponent, not its digits
 
 
 class TestParallelClamp:
@@ -425,7 +453,8 @@ FUZZ_FIELDS = {
         "perception": st.sampled_from(["tv", "kl"]), "seed": st.integers(-2, 2)}),
     "simulate": (dict(SIM_CONFIG, trials=20), {
         "p_xy": PAIRS, "budgets": BUDGETS, "n": st.integers(-1, 12),
-        "delta": st.floats(-0.1, 1.5), "trials": st.integers(-1, 30),
+        "delta": st.one_of(st.floats(-0.1, 1.5), st.sampled_from([1e3, 1e20, 1e308])),
+        "trials": st.integers(-1, 30),
         "mode": st.sampled_from(["common-randomness", "deterministic", "x"]),
         "n0": st.integers(-1, 4), "aux": st.sampled_from(["independent", [[0.5, 0.5]] * 4]),
         "test_channel_x": CHANNELS, "test_channel_y": CHANNELS,

@@ -4,6 +4,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 import tomllib
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from gwrdp.codec import (
     ResourceCapError,
     TypeTable,
     TypicalSetSpec,
+    _blocks,
     _first_jointly_typical,
     _first_under_threshold,
     circular_shift,
@@ -217,6 +219,19 @@ class TestCodeSizes:
         assert sizes.m1 == 2 ** 14
         assert sizes.slack_x == pytest.approx(0.2, abs=1e-12)
 
+    @pytest.mark.parametrize("n, delta, exponent", [(10203, 0.1, "14284.2"),
+                                                    (10, 1e20, "4e+21"), (10, 1e308, "inf")])
+    def test_sizes_past_what_a_report_writes_refused_from_the_exponent(self, n, delta,
+                                                                      exponent):
+        # the example above at exponent n * (1 + 4 delta): exact integers
+        # past int64 at n = 64 (89.6), and up to 4,300 digits at n = 10202
+        q_xyw = JointPmf(np.full((2, 2, 1), 0.25), ("X", "Y", "W"))
+        tc = Kernel(np.eye(2).reshape(2, 1, 2))
+        assert 2 ** 89 < compute_code_sizes(q_xyw, tc, tc, 64, 0.1).m1 < 2 ** 90
+        assert len(str(compute_code_sizes(q_xyw, tc, tc, 10202, 0.1).m1)) == 4300
+        with pytest.raises(ResourceCapError, match=f"a code of 2\\*\\*{re.escape(exponent)} "):
+            compute_code_sizes(q_xyw, tc, tc, n, delta)
+
     def test_copy_common_layer(self):
         # W = (X,Y) on four uniform atoms: I(X,Y;W) = 2, H(W|XY) = 0
         probs = np.zeros((2, 2, 4))
@@ -411,16 +426,25 @@ class TestInvariantSweeps:
             assert np.array_equal(np.bincount(circular_shift(k, seq), minlength=3), base)
 
 
+SCAN_ROWS = 6000   # rows of a planted layer: past the first page
+
+
+def _boundary_hits(first: int, width: int) -> list:
+    """First hits on either side of every block boundary of a scan over
+    SCAN_ROWS codewords of ``width`` one-hot elements each, at both ends,
+    and a miss (None)."""
+    stops = [stop for _, stop in _blocks(SCAN_ROWS, first, width)][:-1]
+    return sorted({0, SCAN_ROWS - 1} | {s + d for s in stops for d in (-1, 0, 1)}) + [None]
+
+
 class TestScanEquivalence:
     """The block scans return what one-codeword-at-a-time loops return,
     with the first hit on either side of every block boundary."""
 
-    M = 6000   # private blocks end at 16, 80, 336, 1360, 5456, ...
-    PRIVATE_HITS = [0, 15, 16, 17, 79, 80, 81, 335, 336, 337, 1359, 1360, 1361,
-                    4095, 4096, 4097, 5455, 5456, 5457, M - 1, None]
-    # common blocks end at 64, 320, 1344, 5440, ...
-    COMMON_HITS = [0, 63, 64, 65, 319, 320, 321, 1343, 1344, 1345,
-                   4095, 4096, 4097, 5439, 5440, 5441, M - 1, None]
+    M = SCAN_ROWS
+    # n = 16 over binary reconstructions and |W| = 2
+    PRIVATE_HITS = _boundary_hits(16, 16 * 2)
+    COMMON_HITS = _boundary_hits(64, 16 * 2)
 
     @pytest.mark.parametrize("hit", PRIVATE_HITS)
     def test_private_scan_first_hit(self, hit):
@@ -436,7 +460,7 @@ class TestScanEquivalence:
         ref = np.zeros(n, dtype=np.int64)
         want = first_under_threshold_loop(codewords, ref, HAM, 0.2)
         assert want == (-1 if hit is None else hit)
-        assert _first_under_threshold(codewords, ref[None], HAM, 0.2).tolist() == [want]
+        assert _first_under_threshold(codewords[None], 0, ref[None], HAM, 0.2).tolist() == [want]
 
     @pytest.mark.parametrize("planted", [20, 100, 1500])
     def test_private_scan_ties_under_a_non_dyadic_distortion(self, planted):
@@ -458,28 +482,37 @@ class TestScanEquivalence:
         mean = delta_mat[ref, codewords[planted]].mean()
         for threshold in (mean, np.nextafter(mean, -np.inf), np.nextafter(mean, np.inf)):
             want = first_under_threshold_loop(codewords, ref, delta_mat, threshold)
-            got = _first_under_threshold(codewords, ref[None], delta_mat, threshold)
+            got = _first_under_threshold(codewords[None], 0, ref[None], delta_mat, threshold)
             assert got.tolist() == [want]
 
     def test_block_schedules(self):
-        # an all-miss batch reads each block once, in the lone scan's sizes
+        # an all-miss batch reads each block once, in the lone scan's sizes,
+        # cut at page boundaries and, for long codewords, at the scratch cap
         class Recorder:
             def __init__(self, rows):
                 self.rows, self.shape, self.spans = rows, rows.shape, []
 
-            def __getitem__(self, span):
+            def __getitem__(self, key):
+                span = key[-1] if isinstance(key, tuple) else key
                 self.spans.append((span.start, span.stop))
-                return self.rows[span]
+                return self.rows[key]
 
-        private = Recorder(np.ones((self.M, 4), dtype=np.uint8))
+        private = Recorder(np.ones((2, self.M, 4), dtype=np.uint8))
         refs = np.zeros((3, 4), dtype=np.int64)
-        assert _first_under_threshold(private, refs, HAM, 0.5).tolist() == [-1] * 3
-        assert private.spans == [(0, 16), (16, 80), (80, 336), (336, 1360), (1360, 5456),
-                                 (5456, self.M)]
+        assert _first_under_threshold(private, 1, refs, HAM, 0.5).tolist() == [-1] * 3
+        assert private.spans == [(0, 16), (16, 80), (80, 336), (336, 1360), (1360, 4096),
+                                 (4096, self.M)]
         common = Recorder(np.zeros((self.M, 4), dtype=np.uint8))
         never = np.ones(2, dtype=np.int64), np.zeros(2, dtype=np.int64)   # lo > hi
         assert _first_jointly_typical(common, refs, *never).tolist() == [-1] * 3
-        assert common.spans == [(0, 64), (64, 320), (320, 1344), (1344, 5440), (5440, self.M)]
+        assert common.spans == [(0, 64), (64, 320), (320, 1344), (1344, 4096), (4096, self.M)]
+        # 64 positions over 2 symbols: 65536 // 128 = 512 rows at most
+        wide = Recorder(np.ones((1, self.M, 64), dtype=np.uint8))
+        assert _first_under_threshold(wide, 0, np.zeros((3, 64), dtype=np.int64), HAM,
+                                      0.5).tolist() == [-1] * 3
+        assert wide.spans == [(0, 16), (16, 80), (80, 336),
+                              *((a, a + 512) for a in range(336, 3920, 512)), (3920, 4096),
+                              *((a, a + 512) for a in range(4096, 5632, 512)), (5632, self.M)]
 
     def _planted_codebook(self, hit):
         # uniform pair, W uniform and independent, n = 16, delta = 0.5: each
@@ -628,7 +661,10 @@ class TestBatchEncode:
     block boundary and misses in the same batch, several common indices,
     and any scratch bound."""
 
-    M = TestScanEquivalence.M
+    M = SCAN_ROWS
+    # n = 32 over binary reconstructions and |W| = 2
+    PRIVATE_HITS = _boundary_hits(16, 32 * 2)
+    COMMON_HITS = _boundary_hits(64, 32 * 2)
     SCRATCH = [None, 1, 3000]
 
     @staticmethod
@@ -639,7 +675,7 @@ class TestBatchEncode:
     @pytest.fixture(scope="class")
     def common_case(self):
         rng = np.random.default_rng(20)
-        hits = TestScanEquivalence.COMMON_HITS
+        hits = self.COMMON_HITS
         xs, ys = _balanced_pairs(rng, len(hits))
         common = np.zeros((self.M, 32), dtype=np.uint8)   # typical with no source
         _plant(common, hits, xs)
@@ -664,7 +700,7 @@ class TestBatchEncode:
         # has a source no common codeword fits and falls back to index 0.
         # Trials of a group share x but not y, so each plants its own y hit.
         rng = np.random.default_rng(21)
-        hits = TestScanEquivalence.PRIVATE_HITS
+        hits = self.PRIVATE_HITS
         base_x, base_y = _balanced_pairs(rng, 4)
         groups = [i % 4 for i in range(len(hits))]
         xs = base_x[groups]
@@ -727,7 +763,10 @@ class TestNonBinaryBatchEncode:
     hits on either side of every block boundary, misses, and the scratch
     bound at 1 and at its default."""
 
-    M, N = TestScanEquivalence.M, 36
+    M, N = SCAN_ROWS, 36
+    # |W| = 3, and the y scans, whose hits these are, over 3 reconstructions
+    PRIVATE_HITS = _boundary_hits(16, N * 3)
+    COMMON_HITS = _boundary_hits(64, N * 3)
     DX = np.array([[0.1, 0.7], [1 / 3, 0.1], [0.7, 1 / 3]])       # X (3) -> Xhat (2)
     DY = np.array([[0.1, 1 / 3, 0.7], [0.7, 0.1, 1 / 3]])         # Y (2) -> Yhat (3)
     BEST_X, BEST_Y = np.array([0, 1, 1]), np.array([0, 1])        # least-distortion maps
@@ -773,7 +812,7 @@ class TestNonBinaryBatchEncode:
     @pytest.fixture(scope="class")
     def common_case(self):
         rng = np.random.default_rng(30)
-        hits = TestScanEquivalence.COMMON_HITS
+        hits = self.COMMON_HITS
         xs, ys = self._pairs(rng, len(hits))
         common = np.zeros((self.M, self.N), dtype=np.uint8)   # typical with no source
         _plant(common, hits, xs)
@@ -784,7 +823,7 @@ class TestNonBinaryBatchEncode:
     @pytest.mark.parametrize("scratch", [None, 1])
     def test_common_hits(self, common_case, scratch, monkeypatch):
         want = self._check(common_case, 1.0, scratch, monkeypatch)
-        hits = TestScanEquivalence.COMMON_HITS
+        hits = self.COMMON_HITS
         assert [None if w[3] else w[0] for w in want] == hits
 
     @pytest.fixture(scope="class")
@@ -793,7 +832,7 @@ class TestNonBinaryBatchEncode:
         # fits no common codeword and falls back to index 0. Every trial
         # plants its own y hit; each group shares one x hit, group 3 none.
         rng = np.random.default_rng(31)
-        hits = TestScanEquivalence.PRIVATE_HITS
+        hits = self.PRIVATE_HITS
         base_x, base_y = self._pairs(rng, 4)
         groups = [i % 4 for i in range(len(hits))]
         xs, ys = base_x[groups], base_y[groups]
@@ -819,7 +858,7 @@ class TestNonBinaryBatchEncode:
         assert [w[3] for w in want] == [g == 3 for g in groups]
         assert [None if w[4] else w[1] for w in want] == [(79, 1360, 5457, None)[g]
                                                           for g in groups]
-        assert [None if w[5] else w[2] for w in want] == TestScanEquivalence.PRIVATE_HITS
+        assert [None if w[5] else w[2] for w in want] == self.PRIVATE_HITS
 
     @pytest.mark.parametrize("branch, symbol", [("y", 2), ("x", 3), ("x", -1), ("y", -1)])
     def test_source_symbols_outside_the_alphabets_raise(self, common_case, branch, symbol):
@@ -832,11 +871,13 @@ class TestNonBinaryBatchEncode:
 
 def paged_codebook(m0=2, m=3 * PAGE_ROWS + 100, n=32, memory_cap=None, seed=3):
     """Uniform pair, one W symbol, soft test channels, with forced code
-    sizes: private layers of m codewords per common index."""
+    sizes: private layers of m codewords per common index (the size
+    formula's when m is None)."""
     p_xy = JointPmf(np.full((2, 2), 0.25), ("X", "Y"))
     q_xyw = p_xy.extend(Kernel(np.ones((2, 2, 1))), "W")
     tc = Kernel(np.array([[[0.75, 0.25]], [[0.25, 0.75]]]))
-    sizes = dataclasses.replace(compute_code_sizes(q_xyw, tc, tc, n, 0.3), m0=m0, m1=m, m2=m)
+    sizes = compute_code_sizes(q_xyw, tc, tc, n, 0.3)
+    sizes = dataclasses.replace(sizes, m0=m0, m1=m or sizes.m1, m2=m or sizes.m2)
     return generate_codebook(q_xyw, tc, tc, sizes, 0.3, n, seed, memory_cap=memory_cap)
 
 
@@ -857,7 +898,7 @@ class TestPagedLayers:
         cb = paged_codebook()
         before = pickle.loads(pickle.dumps(cb))
         cb.priv_x[0, PAGE_ROWS + 5]
-        cb.priv_y[1][:10]
+        cb.priv_y[1, :10]
         after = pickle.loads(pickle.dumps(cb))
         assert after.priv_x.pages_drawn == 0 and after.priv_y.pages_drawn == 0
         for copy in (before, after):
@@ -924,9 +965,9 @@ class TestPagedLayers:
         layer = cb.priv_x
         assert layer.pages_drawn == 0 and layer.nbytes == 0
         layer[1, 2 * PAGE_ROWS + 7]                 # page (1, 2)
-        layer[0][PAGE_ROWS - 2:PAGE_ROWS + 2]       # pages (0, 0) and (0, 1)
+        layer[0, PAGE_ROWS - 2:PAGE_ROWS + 2]       # pages (0, 0) and (0, 1)
         layer[0, 3]                                 # cached
-        next(iter(layer[1]))                        # page (1, 0)
+        layer[1, :1]                                # page (1, 0)
         assert layer.pages_drawn == 4
         assert layer.codewords_drawn == 4 * PAGE_ROWS
         layer[1, -1]                                # the short last page (1, 3)
@@ -936,6 +977,55 @@ class TestPagedLayers:
         assert cb.priv_y.pages_drawn == 0
         assert decode(cb, 1, 2 * PAGE_ROWS, 0, 0)[0].shape == (cb.n,)
         assert cb.priv_y.pages_drawn == 1 and layer.pages_drawn == 5
+        assert layer[0].shape == (m, cb.n)          # every page under index 0
+        assert layer.pages_drawn == 7
+
+    def test_index_arrays_follow_the_scalar_rule(self):
+        layer = paged_codebook().priv_x
+        m0, m, _ = layer.shape
+        assert np.array_equal(layer[[-1], [0]], layer[m0 - 1, 0][None])
+        assert np.array_equal(layer[[-1, 0], [-1, 5]], np.stack([layer[1, m - 1], layer[0, 5]]))
+        assert np.array_equal(layer[np.array([[0], [1]]), [3, -m]],
+                              np.asarray(layer)[[[0], [1]], [3, 0]])
+        for s0, j, bad, size in (([0], [m], m, m), ([1, 0], [0, -m - 1], -m - 1, m),
+                                 ([m0], [0], m0, m0), (0, m, m, m), (-m0 - 1, 0, -m0 - 1, m0)):
+            with pytest.raises(IndexError, match=f"index {bad} is out of bounds for size {size}"):
+                layer[s0, j]
+
+    def test_a_layer_past_int64_encodes_and_decodes(self):
+        # 2**88.9 codewords per branch, as the size formula gives at n = 64;
+        # a hit on page 1 draws pages 0 and 1, every index fits in int64
+        source, cb = (paged_codebook(m0=1, m=None, n=64) for _ in range(2))
+        m = cb.sizes[1]
+        assert m > 2 ** 88 and cb.sizes[2] == m
+        xs, ys = circular_shift(5, source.priv_x[0, PAGE_ROWS + 9].astype(np.int64),
+                                source.priv_y[0, 3].astype(np.int64))
+        got = encode(cb, xs, ys, 5, HAM, HAM, 1 / 128, 1 / 128)
+        assert (got.s1, got.miss_x, got.s2, got.miss_y) == (PAGE_ROWS + 9, False, 3, False)
+        assert sorted(cb.priv_x._pages) == [(0, 0), (0, 1)]
+        x, y = decode(cb, got.s0, got.s1, got.s2, 5)
+        assert np.array_equal(x, xs) and np.array_equal(y, ys)
+        far = [2 ** 63 - 1]
+        assert np.array_equal(cb.priv_x[[0], far], source.priv_x[[0], far])
+        for j in ([-1], [2 ** 63]):
+            with pytest.raises(IndexError, match=f"index {j[0]} is outside \\[0, 2\\*\\*63\\)"):
+                cb.priv_x[[0], np.array(j, dtype=np.uint64 if j[0] > 0 else np.int64)]
+        with pytest.raises(IndexError, match="outside codebook sizes"):
+            decode(cb, 0, -1, 0, 0)
+
+    @pytest.mark.parametrize("hit, pages", [(1400, 1), (3000, 1), (PAGE_ROWS - 1, 1),
+                                            (PAGE_ROWS + 4, 2)])
+    def test_a_scan_draws_a_page_only_when_it_reaches_it(self, hit, pages):
+        # with the threshold at 1/64 only an exact copy of the source hits
+        # (see above); the source's codewords come from a second, identical
+        # codebook, so reading them draws nothing in the scanned one
+        source, cb = (paged_codebook(m0=1, m=3 * PAGE_ROWS) for _ in range(2))
+        xs = source.priv_x[0, hit].astype(np.int64)
+        ys = source.priv_y[0, 7].astype(np.int64)
+        got = encode(cb, xs, ys, 0, HAM, HAM, 1 / 64, 1 / 64)
+        assert (got.s1, got.miss_x, got.s2, got.miss_y) == (hit, False, 7, False)
+        assert sorted(cb.priv_x._pages) == [(0, p) for p in range(pages)]
+        assert sorted(cb.priv_y._pages) == [(0, 0)]
 
     def test_all_miss_scan_stops_at_the_cap(self):
         # the n = 64 witness's private layers hold about 1.3e12 codewords

@@ -198,7 +198,8 @@ class TestDeterministicMode:
 
 class TestCapsAndErrors:
     def test_memory_cap_rejection_before_running(self):
-        with pytest.raises(ResourceCapError):
+        # private layers of 2**88.9 codewords, but a cap below one page each
+        with pytest.raises(ResourceCapError, match=r"needs at least \d+ symbols, cap is 10000"):
             run_simulation(cfg(n=64, delta=0.3, memory_cap=10_000))
 
     def test_validation(self):

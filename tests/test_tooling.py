@@ -1,10 +1,14 @@
 """The benchmark's layer trace (``perfbench/run.py --trace 1``) wraps
 library functions by name. A refactor that drops or renames one of those
 names breaks only the traced benchmark run; this test makes it fail here.
-The package exports only names that the library or the benchmark use."""
+The package exports only names that the library or the benchmark use, and
+the README's CLI examples run."""
 
 import ast
 import importlib.util
+import json
+import re
+import shlex
 from pathlib import Path
 
 import gwrdp.cli
@@ -50,3 +54,23 @@ def test_every_export_has_a_caller():
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 used.add(node.value)
     assert sorted(set(gwrdp.__all__) - used) == []
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    # each bash block's heredoc configs are written, then its gwrdp
+    # commands run in this process, in order
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for block in re.findall(r"```bash\n(.*?)```", (ROOT / "README.md").read_text(), re.S):
+        for name, body in re.findall(r"cat > (\S+) <<'EOF'\n(.*?\n)EOF\n", block, re.S):
+            (tmp_path / name).write_text(body)
+        for line in block.splitlines():
+            if line.startswith("gwrdp "):
+                argv = shlex.split(line)[1:] + ["--parallel", "1"]
+                assert gwrdp.cli.main(argv) == 0, line
+                ran.append(argv[0])
+                if argv[0] == "simulate":
+                    out = Path(argv[argv.index("--out-dir") + 1])
+                    report = json.loads((out / "sim_report.json").read_text())
+                    assert report["joint_set_empty"] is False
+    assert ran == ["rdp", "region", "simulate", "derand-audit"]
