@@ -51,7 +51,6 @@ from .codec import (
     generate_codebook,
     sample_uniform_cond_typical,
     sample_uniform_typical,
-    shift_position,
 )
 from .derandom import (
     SeedMap,

@@ -1,11 +1,13 @@
 """Command-line surface: solve RDP queries, trace regions, run codec
 simulations, audit seed maps, and emit machine-readable results.
 
-Every output file embeds a run manifest (subcommand, config path and
-hash, master seed, library version, output names) so a run can be
-reproduced bit-identically; exit codes are 0 on success, 2 for config
-errors and invalid input, 3 for resource rejections, and 4 for numerical
-non-convergence (with partial results written).
+Each ``cmd_*`` returns its files (name to a dict for JSON or a str for
+CSV), a summary line and an exit code; ``main`` alone writes the files,
+each with one embedded run manifest (subcommand, config path and hash,
+master seed, library version, output names) so a run can be reproduced
+bit-identically. Exit codes: 0 success, 2 config errors, invalid input
+or an unusable --out-dir, 3 resource rejections, 4 numerical
+non-convergence (with the files still written).
 """
 
 from __future__ import annotations
@@ -55,9 +57,6 @@ class RunManifest:
     out_dir: str
     outputs: tuple[str, ...]
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 _REQUIRED = object()
 
@@ -78,10 +77,6 @@ def _field(obj: dict, name: str, kind=None, default=_REQUIRED):
         names = " or ".join(k.__name__ for k in kinds)
         raise ConfigError(f"field {name!r} has wrong type (expected {names})")
     return value
-
-
-def _seed(args, cfg: dict) -> int:
-    return args.seed if args.seed is not None else _field(cfg, "seed", int, 0)
 
 
 def _as_budget(value) -> float:
@@ -127,31 +122,16 @@ def _distortion(obj: dict, n_source: int, field: str = "distortion") -> Distorti
     raise ConfigError(f"field {field!r} must be 'hamming' or a matrix")
 
 
-def _write_json(path: Path, payload: dict, manifest: RunManifest):
-    payload = dict(payload)
-    payload["manifest"] = manifest.as_dict()
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _write(path: Path, content: dict | str, manifest: dict):
+    """A dict as sorted-key JSON with the manifest added, a str under a manifest line."""
+    if isinstance(content, dict):
+        path.write_text(json.dumps({**content, "manifest": manifest}, sort_keys=True,
+                                   indent=2) + "\n")
+    else:
+        path.write_text("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n" + content)
 
 
-def _write_csv(path: Path, body: str, manifest: RunManifest):
-    header = "# manifest: " + json.dumps(manifest.as_dict(), sort_keys=True)
-    path.write_text(header + "\n" + body)
-
-
-def _manifest(args, subcommand: str, config_text: str, outputs: tuple[str, ...],
-              seed: int) -> RunManifest:
-    return RunManifest(
-        subcommand=subcommand,
-        config_path=str(args.config) if args.config else "",
-        config_sha256=hashlib.sha256(config_text.encode()).hexdigest(),
-        master_seed=seed,
-        version=__version__,
-        out_dir=str(args.out_dir),
-        outputs=outputs)
-
-
-def cmd_rdp(args, cfg: dict, config_text: str) -> int:
-    seed = _seed(args, cfg)
+def cmd_rdp(args, cfg: dict):
     if "q_xw" in cfg:
         q_xw = JointPmf(_pmf_like(cfg, "q_xw"), ("X", "W"))
     else:
@@ -167,25 +147,18 @@ def cmd_rdp(args, cfg: dict, config_text: str) -> int:
         p_budget=_as_budget(_field(cfg, "p_budget")),
         recon_alphabet=tuple(recon) if recon is not None else None)
     result = conditional_rdp(query)
-    manifest = _manifest(args, "rdp", config_text, ("rdp_result.json",), seed)
-    payload = {
-        "rate_bits": result.rate,
-        "achieved_distortion": result.achieved_distortion,
-        "achieved_perception": result.achieved_perception,
-        "converged": result.converged,
-        "gap_bits": result.gap,
-        "iterations": result.iterations,
-        "test_channel": result.test_channel.to_dict(),
-    }
-    _write_json(args.out_dir / "rdp_result.json", payload, manifest)
-    print(f"rate {result.rate:.6f} bits | distortion {result.achieved_distortion:.6g}"
-          f" | perception {result.achieved_perception:.6g} | gap {result.gap:.2g} bits"
-          f" | converged {result.converged}")
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    payload = {"rate_bits": result.rate, "achieved_distortion": result.achieved_distortion,
+               "achieved_perception": result.achieved_perception,
+               "converged": result.converged, "gap_bits": result.gap,
+               "iterations": result.iterations, "test_channel": result.test_channel.to_dict()}
+    summary = (f"rate {result.rate:.6f} bits | distortion {result.achieved_distortion:.6g}"
+               f" | perception {result.achieved_perception:.6g} | gap {result.gap:.2g} bits"
+               f" | converged {result.converged}")
+    return ({"rdp_result.json": payload}, summary,
+            EXIT_OK if result.converged else EXIT_NO_CONVERGENCE)
 
 
-def cmd_region(args, cfg: dict, config_text: str) -> int:
-    seed = _seed(args, cfg)
+def cmd_region(args, cfg: dict):
     p_xy = JointPmf(_pmf_like(cfg, "p_xy"), ("X", "Y"))
     budgets = _budgets(cfg)
     nx, ny = p_xy.shape
@@ -200,9 +173,8 @@ def cmd_region(args, cfg: dict, config_text: str) -> int:
         w_size=_field(cfg, "w_size", int, None),
         samples=_field(cfg, "samples", int, 16),
         restarts=_field(cfg, "restarts", int, 3),
-        seed=seed, parallel=args.parallel)
+        seed=args.seed, parallel=args.parallel)
 
-    outputs = ["frontier.csv", "frontier.json"]
     csv_body = frontier.to_csv()
     payload = frontier.to_dict()
 
@@ -221,15 +193,12 @@ def cmd_region(args, cfg: dict, config_text: str) -> int:
         csv_body = "\n".join(lines) + "\n"
         payload["cutset_reference"] = {"rdp_x": rdp_x, "rdp_y": rdp_y}
 
-    manifest = _manifest(args, "region", config_text, tuple(outputs), seed)
-    _write_csv(args.out_dir / "frontier.csv", csv_body, manifest)
-    _write_json(args.out_dir / "frontier.json", payload, manifest)
-    print(f"frontier: {len(frontier.points)} points from {frontier.n_evaluated} evaluations")
-    return EXIT_OK if all(pt.converged for pt in frontier.points) else EXIT_NO_CONVERGENCE
+    summary = f"frontier: {len(frontier.points)} points from {frontier.n_evaluated} evaluations"
+    return ({"frontier.csv": csv_body, "frontier.json": payload}, summary,
+            EXIT_OK if all(pt.converged for pt in frontier.points) else EXIT_NO_CONVERGENCE)
 
 
-def cmd_simulate(args, cfg: dict, config_text: str) -> int:
-    seed = _seed(args, cfg)
+def cmd_simulate(args, cfg: dict):
     p_xy = JointPmf(_pmf_like(cfg, "p_xy"), ("X", "Y"))
     budgets = _budgets(cfg)
     if _field(cfg, "aux", (str, list, dict), "independent") == "independent":
@@ -254,71 +223,36 @@ def cmd_simulate(args, cfg: dict, config_text: str) -> int:
     config = SimConfig(
         p_xy=p_xy, aux=aux, test_channel_x=channels[0], test_channel_y=channels[1],
         n=_field(cfg, "n", int), delta=float(_field(cfg, "delta", (int, float))),
-        trials=_field(cfg, "trials", int), master_seed=seed, budgets=budgets,
+        trials=_field(cfg, "trials", int), master_seed=args.seed, budgets=budgets,
         mode=_field(cfg, "mode", str, "common-randomness"),
         n0=_field(cfg, "n0", int, None), delta_x_mat=deltas[0], delta_y_mat=deltas[1],
         memory_cap=args.memory_cap)
     report = run_simulation(config, parallel=args.parallel)
-    manifest = _manifest(args, "simulate", config_text,
-                         ("sim_report.json", "sim_report.csv"), seed)
-    _write_json(args.out_dir / "sim_report.json", report.to_dict(), manifest)
-    _write_csv(args.out_dir / "sim_report.csv", report.to_csv(), manifest)
     cols = [(f"{s.mean_distortion:.4f}", f"{s.threshold:.4f}", f"{s.max_tv_excess(p):+.4f}",
              f"{s.freq_no_codeword:.3f}")
             for s, p in ((report.x, budgets.p1), (report.y, budgets.p2))]
     dist, thr, tv, miss = (", ".join(c) for c in zip(*cols))
-    print(f"distortion ({dist}) vs thresholds ({thr}) | max TV excess ({tv}) | "
-          f"miss rates ({report.freq_no_common_codeword:.3f}, {miss})")
-    return EXIT_OK
+    summary = (f"distortion ({dist}) vs thresholds ({thr}) | max TV excess ({tv}) | "
+               f"miss rates ({report.freq_no_common_codeword:.3f}, {miss})")
+    return ({"sim_report.json": report.to_dict(), "sim_report.csv": report.to_csv()},
+            summary, EXIT_OK)
 
 
-def cmd_derand_audit(args, cfg: dict, config_text: str) -> int:
-    seed = _seed(args, cfg)
+def cmd_derand_audit(args, cfg: dict):
     p_xy = JointPmf(_pmf_like(cfg, "p_xy"), ("X", "Y"))
     seed_map = build_seed_map(p_xy, _field(cfg, "n0", int), _field(cfg, "n", int))
     audit = seed_map.audit()
-    manifest = _manifest(args, "derand-audit", config_text, ("derand_audit.json",), seed)
-    _write_json(args.out_dir / "derand_audit.json", audit, manifest)
-    print(f"bins {seed_map.n} | max deviation {audit['max_deviation']:.3e} | "
-          f"bound {audit['bound_p_max']:.3e} | pass {audit['within_bound']}")
-    return EXIT_OK if audit["within_bound"] else EXIT_NO_CONVERGENCE
-
-
-def cmd_selftest(args, cfg: dict, config_text: str) -> int:
-    """Small built-in checks with known answers."""
-    checks: list[tuple[str, bool]] = []
-    tvm = PerceptionMeasure("tv")
-    ham2 = DistortionMatrix(hamming(2))
-    uni = Pmf([0.5, 0.5])
-
-    r = rdp_point_to_point(uni, ham2, tvm, 0.0, 0.0)
-    checks.append(("uniform binary D=0 P=0 gives rate 1", abs(r.rate - 1.0) < 1e-9))
-    r = rdp_point_to_point(uni, ham2, tvm, 0.5, math.inf)
-    checks.append(("uniform binary D=0.5 gives rate 0", r.rate < 1e-9))
-
-    from .codec import circular_shift, shift_position
-    checks.append(("shift map (n=5,k=2,t=4) -> 1", shift_position(5, 2, 4) == 1))
-    seq = np.array([1, 2, 3, 4])
-    checks.append(("shift inverse restores the sequence",
-                   np.array_equal(circular_shift(1, circular_shift(-1, seq)), seq)))
-
-    sm = build_seed_map(JointPmf(np.full((2, 2), 0.25), ("X", "Y")), 1, 4)
-    checks.append(("uniform 4-atom seed map has zero deviation",
-                   sm.max_deviation < 1e-12))
-
-    ok = True
-    for name, passed in checks:
-        print(f"{'PASS' if passed else 'FAIL'}  {name}")
-        ok = ok and passed
-    return EXIT_OK if ok else 1
+    summary = (f"bins {seed_map.n} | max deviation {audit['max_deviation']:.3e} | "
+               f"bound {audit['bound_p_max']:.3e} | pass {audit['within_bound']}")
+    return ({"derand_audit.json": audit}, summary,
+            EXIT_OK if audit["within_bound"] else EXIT_NO_CONVERGENCE)
 
 
 COMMANDS = {
-    "rdp": (cmd_rdp, True),
-    "region": (cmd_region, True),
-    "simulate": (cmd_simulate, True),
-    "derand-audit": (cmd_derand_audit, True),
-    "selftest": (cmd_selftest, False),
+    "rdp": cmd_rdp,
+    "region": cmd_region,
+    "simulate": cmd_simulate,
+    "derand-audit": cmd_derand_audit,
 }
 
 
@@ -328,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rate-distortion-perception tools for the two-decoder "
                     "common-message (Gray-Wyner) network")
     parser.add_argument("subcommand", choices=sorted(COMMANDS))
-    parser.add_argument("--config", type=Path, default=None,
-                        help="JSON config file (required except for selftest)")
+    parser.add_argument("--config", type=Path, required=True, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed (overrides the config)")
     parser.add_argument("--out-dir", type=Path, default=Path("."),
@@ -344,31 +277,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    func, needs_config = COMMANDS[args.subcommand]
-    config_text = ""
-    cfg: dict = {}
-    if needs_config:
-        if args.config is None:
-            print("a --config file is required for this subcommand", file=sys.stderr)
-            return EXIT_CONFIG
-        try:
-            config_text = args.config.read_text()
-            cfg = json.loads(config_text)
-        except OSError as exc:
-            print(f"cannot read config: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except json.JSONDecodeError as exc:
-            print(f"config is not valid JSON: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        if not isinstance(cfg, dict):
-            print("config must be a JSON object", file=sys.stderr)
-            return EXIT_CONFIG
-    args.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        config_text = args.config.read_text()
+        cfg = json.loads(config_text)
+    except OSError as exc:
+        print(f"cannot read config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except json.JSONDecodeError as exc:
+        print(f"config is not valid JSON: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if not isinstance(cfg, dict):
+        print("config must be a JSON object", file=sys.stderr)
+        return EXIT_CONFIG
     # worker processes beyond the cores only add start-up cost; results do
     # not depend on the degree
     args.parallel = min(max(args.parallel, 1), os.cpu_count() or 1)
     try:
-        return func(args, cfg, config_text)
+        args.seed = args.seed if args.seed is not None else _field(cfg, "seed", int, 0)
+        files, summary, code = COMMANDS[args.subcommand](args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -383,6 +309,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invalid input ({type(exc).__name__}): {' '.join(str(exc).split())}",
               file=sys.stderr)
         return EXIT_CONFIG
+    manifest = asdict(RunManifest(
+        args.subcommand, str(args.config), hashlib.sha256(config_text.encode()).hexdigest(),
+        args.seed, __version__, str(args.out_dir), outputs=tuple(files)))
+    try:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            _write(args.out_dir / name, content, manifest)
+    except OSError as exc:
+        # an --out-dir that is a file, lies under one, or is not writable
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    print(summary)
+    return code
 
 
 if __name__ == "__main__":

@@ -84,21 +84,9 @@ class ResourceCapError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def shift_position(n: int, k: int, t: int) -> int:
-    """Position map of the circular shift: ((t + k - 1) mod n) + 1.
-
-    Positions t are 1-based; k is in [0, n-1].
-    """
-    if not 1 <= t <= n:
-        raise ValueError(f"position {t} outside [1, {n}]")
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"shift {k} outside [0, {n - 1}]")
-    return ((t + k - 1) % n) + 1
-
-
 def circular_shift(k, seq: np.ndarray, other: np.ndarray | None = None):
-    """Apply the shift: output position t holds input position
-    shift_position(n, k, t). Any integer k is taken mod n, so k = -1 is
+    """Apply the shift: output position t (1-based) holds input position
+    ((t + k - 1) mod n) + 1. Any integer k is taken mod n, so k = -1 is
     the shift by n - 1. A second sequence of equal shape is shifted
     identically. Given (rows, n) sequences and one k per row, each row is
     shifted by its own k."""

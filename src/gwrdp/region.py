@@ -40,7 +40,6 @@ from .solver import (
     RdpQuery,
     RdpResult,
     conditional_rdp,
-    hamming,
 )
 
 PARETO_SLACK = 1e-9
@@ -71,12 +70,6 @@ class RegionProblem:
     delta_y: DistortionMatrix
     perception_x: PerceptionMeasure = PerceptionMeasure("tv")
     perception_y: PerceptionMeasure = PerceptionMeasure("tv")
-
-    @classmethod
-    def with_hamming_tv(cls, p_xy: JointPmf) -> "RegionProblem":
-        nx, ny = p_xy.shape
-        return cls(p_xy=p_xy, delta_x=DistortionMatrix(hamming(nx)),
-                   delta_y=DistortionMatrix(hamming(ny)))
 
     def max_w_size(self) -> int:
         nx, ny = self.p_xy.shape

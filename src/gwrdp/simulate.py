@@ -20,6 +20,7 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -285,10 +286,6 @@ def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None,
         codewords=tuple(layer.codewords_drawn - b for layer, b in zip(layers, codewords_before)))
 
 
-def _worker(args):
-    return _run_trials(*args)
-
-
 def _branch_stats(batch: _TrialBatch, b: int, threshold: float, p_source: np.ndarray,
                   delta_mat: np.ndarray) -> BranchStats:
     """Statistics of branch b (0 for X, 1 for Y) over all trials of a
@@ -339,11 +336,12 @@ def run_simulation(config: SimConfig, parallel: int = 1) -> SimReport:
 
     trials = config.trials
     if parallel > 1:
-        bounds = np.linspace(0, trials, parallel + 1).astype(int)
-        jobs = [(config, codebook, seed_map, *thresholds, int(a), int(b))
-                for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+        # distinct bounds, so every worker gets a nonempty span
+        bounds = np.unique(np.linspace(0, trials, parallel + 1).astype(int)).tolist()
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            batch = _TrialBatch.merge(list(pool.map(_worker, jobs)))
+            batch = _TrialBatch.merge(list(pool.map(
+                _run_trials, repeat(config), repeat(codebook), repeat(seed_map),
+                repeat(thresholds[0]), repeat(thresholds[1]), bounds[:-1], bounds[1:])))
     else:
         batch = _run_trials(config, codebook, seed_map, *thresholds, 0, trials)
     _log.debug("private pages drawn: x %d (%d codewords), y %d (%d codewords)",

@@ -12,7 +12,10 @@ uniform sampler against a rejection sampler. The band-test oracles
 ``is_typical``, ``is_cond_typical`` and ``is_jointly_typical`` check the
 samplers' draws and the codebooks' codewords; they, ``encode_loop`` and
 the rejection sampler decide the multiplicative band with one helper that
-counts joint cells by ``bincount``.
+counts joint cells by ``bincount``. ``shift_position`` is the circular
+shift's position map, one position at a time, against which
+``circular_shift`` is checked; ``hamming_tv_problem`` builds the Hamming,
+TV region problem most tests pose.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ import math
 
 import numpy as np
 
-from gwrdp.solver import (InfeasibleError, RdpQuery, RdpResult, _build_problem, _metrics,
-                          _perception_of, _to_result)
+from gwrdp.region import RegionProblem
+from gwrdp.solver import (DistortionMatrix, InfeasibleError, RdpQuery, RdpResult, _build_problem,
+                          _metrics, _perception_of, _to_result, hamming)
 
 _GRID_CHUNK = 200_000  # grid channels brute_force_rdp scores at once
 
@@ -197,6 +201,24 @@ def brute_force_rdp(query: RdpQuery, grid_steps: int, *,
     rate, dist, perc, _ = _metrics(pr, best_q)
     return _to_result(pr, best_q, rate, dist, perc, lam=0.0, gap=math.nan, converged=True,
                       iterations=total)
+
+
+def hamming_tv_problem(p_xy) -> RegionProblem:
+    """Both branches under Hamming distortion and TV perception."""
+    nx, ny = p_xy.shape
+    return RegionProblem(p_xy, DistortionMatrix(hamming(nx)), DistortionMatrix(hamming(ny)))
+
+
+def shift_position(n: int, k: int, t: int) -> int:
+    """Position map of the circular shift: ((t + k - 1) mod n) + 1.
+
+    Positions t are 1-based; k is in [0, n-1].
+    """
+    if not 1 <= t <= n:
+        raise ValueError(f"position {t} outside [1, {n}]")
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"shift {k} outside [0, {n - 1}]")
+    return ((t + k - 1) % n) + 1
 
 
 def in_band(seqs, q, delta: float) -> bool:

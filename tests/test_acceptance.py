@@ -26,7 +26,7 @@ from gwrdp.codec import (
 )
 from gwrdp.derandom import build_seed_map, default_tail_length
 from gwrdp.prob import JointPmf, Pmf
-from gwrdp.region import AuxChannel, Budgets, RegionProblem, compute_frontier, rate_triple_for_aux
+from gwrdp.region import AuxChannel, Budgets, compute_frontier, rate_triple_for_aux
 from gwrdp.simulate import SimConfig, run_simulation, wilson_halfwidth
 from gwrdp.solver import (
     DistortionMatrix,
@@ -37,8 +37,8 @@ from gwrdp.solver import (
     rdp_point_to_point,
 )
 
-from oracles import (brute_force_rdp, conditional_rd_function, h2, is_cond_typical, is_typical,
-                     rd_function)
+from oracles import (brute_force_rdp, conditional_rd_function, h2, hamming_tv_problem,
+                     is_cond_typical, is_typical, rd_function)
 
 HAM2 = DistortionMatrix(hamming(2))
 TV = PerceptionMeasure("tv")
@@ -138,7 +138,7 @@ def test_criterion_3_monotonicity_and_convexity():
 
 
 def test_criterion_4_region_sanity():
-    problem = RegionProblem.with_hamming_tv(dsbs(0.1))
+    problem = hamming_tv_problem(dsbs(0.1))
     budgets = Budgets(d1=0.1, d2=0.1, p1=0.6, p2=0.6)
     frontier = compute_frontier(problem, budgets, samples=8, w_size=2, seed=40)
     rdp_x = rdp_point_to_point(Pmf([0.5, 0.5]), problem.delta_x, TV, 0.1, 0.6).rate
@@ -189,7 +189,7 @@ def test_criterion_5_codec_exactness():
     # 100% codeword typicality on a generated codebook
     p_xy = dsbs(0.1)
     q_xyw = p_xy.extend(AuxChannel.independent(2, 2).kernel, "W")
-    pt = rate_triple_for_aux(RegionProblem.with_hamming_tv(p_xy),
+    pt = rate_triple_for_aux(hamming_tv_problem(p_xy),
                              AuxChannel.independent(2, 2),
                              Budgets(0.4, 0.4, 0.1, 0.1))
     sizes = compute_code_sizes(q_xyw, pt.test_channel_x, pt.test_channel_y, 16, 0.15)
@@ -235,7 +235,7 @@ def _dsbs_witness_config(n: int, trials: int, mode: str = "common-randomness",
                          seed: int = 60) -> SimConfig:
     p_xy = dsbs(0.1)
     budgets = Budgets(d1=0.4, d2=0.4, p1=0.1, p2=0.1)
-    pt = rate_triple_for_aux(RegionProblem.with_hamming_tv(p_xy),
+    pt = rate_triple_for_aux(hamming_tv_problem(p_xy),
                              AuxChannel.independent(2, 2), budgets)
     return SimConfig(p_xy=p_xy, aux=pt.witness, test_channel_x=pt.test_channel_x,
                      test_channel_y=pt.test_channel_y, n=n, delta=0.15,

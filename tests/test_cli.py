@@ -19,8 +19,10 @@ import gwrdp.region
 import gwrdp.simulate
 from gwrdp.cli import _pmf_like, main
 from gwrdp.prob import JointPmf, Kernel
-from gwrdp.region import AuxChannel, Budgets, RegionProblem, rate_triple_for_aux
+from gwrdp.region import AuxChannel, Budgets, rate_triple_for_aux
 from gwrdp.simulate import ResourceCapError
+
+from oracles import hamming_tv_problem
 
 UNIFORM_PAIR = {"alphabets": [2, 2], "probs": [0.25, 0.25, 0.25, 0.25]}
 DSBS01 = {"alphabets": [2, 2], "probs": [0.45, 0.05, 0.05, 0.45]}
@@ -118,8 +120,7 @@ class TestRegionCommand:
         cfg = write_config(tmp_path, "region.json", GRID_REGION)
         assert run(["region", "--config", cfg, "--out-dir", tmp_path]) == 0
         points = json.loads((tmp_path / "frontier.json").read_text())["points"]
-        problem = RegionProblem.with_hamming_tv(JointPmf(_pmf_like(GRID_REGION, "p_xy"),
-                                                         ("X", "Y")))
+        problem = hamming_tv_problem(JointPmf(_pmf_like(GRID_REGION, "p_xy"), ("X", "Y")))
         budgets = Budgets(d1=0.1, d2=0.1, p1=0.6, p2=0.6)
         for point in points:
             aux = AuxChannel(Kernel(_pmf_like(point, "aux_channel")))
@@ -277,14 +278,6 @@ class TestDerandAuditCommand:
         assert run(["derand-audit", "--config", cfg, "--out-dir", tmp_path]) == 3
 
 
-class TestSelftest:
-    def test_all_pass(self, capsys):
-        assert run(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 5
-
-
 class TestManifest:
     def test_embedded_and_reproducible(self, tmp_path):
         cfg = write_config(tmp_path, "q.json", {
@@ -299,6 +292,36 @@ class TestManifest:
         a["manifest"].pop("out_dir")
         b["manifest"].pop("out_dir")
         assert a == b
+
+    @pytest.mark.parametrize("subcommand,payload", [
+        ("rdp", {"source": [0.4, 0.6], "d_budget": 0.1, "p_budget": 0.2}),
+        ("region", GRID_REGION),
+        ("simulate", dict(SIM_CONFIG, trials=20)),
+        ("derand-audit", {"p_xy": UNIFORM_PAIR, "n0": 1, "n": 4})])
+    def test_every_file_carries_one_manifest(self, tmp_path, monkeypatch, subcommand,
+                                             payload):
+        # outputs names exactly the files written, in the order written,
+        # and every file of the run embeds the same manifest
+        written = []
+        write = gwrdp.cli._write
+
+        def record(path, content, manifest):
+            written.append(path.name)
+            write(path, content, manifest)
+
+        monkeypatch.setattr(gwrdp.cli, "_write", record)
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        out = tmp_path / "out"
+        assert run([subcommand, "--config", cfg, "--out-dir", out]) == 0
+        manifests = []
+        for name in written:
+            text = (out / name).read_text()
+            manifests.append(json.loads(text)["manifest"] if name.endswith(".json") else
+                             json.loads(text.splitlines()[0].removeprefix("# manifest: ")))
+        assert sorted(p.name for p in out.iterdir()) == sorted(written)
+        assert manifests[0]["outputs"] == written
+        assert manifests[0]["subcommand"] == subcommand
+        assert all(m == manifests[0] for m in manifests)
 
 
 # aux rows (0.75, 0.25), (0.5, 0.5), (0.5, 0.5), (0.25, 0.75) on DSBS(0.25):
@@ -395,6 +418,34 @@ class TestExitCodeContract:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
         assert len(proc.stderr) < 200   # a size is named by its exponent, not its digits
+
+
+class TestCommandLine:
+    def test_subcommands_and_required_config(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0
+        assert "{derand-audit,rdp,region,simulate}" in capsys.readouterr().out
+        cfg = write_config(tmp_path, "q.json", {"source": [0.5, 0.5], "d_budget": 0.1,
+                                                "p_budget": 0.1})
+        for argv in (["selftest", "--config", cfg], ["rdp", "--out-dir", tmp_path]):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2
+        assert not (tmp_path / "rdp_result.json").exists()
+
+    @pytest.mark.parametrize("out_dir", ["afile", "afile/sub"])
+    def test_unusable_out_dir_exit_2_without_traceback(self, tmp_path, out_dir):
+        # an existing file, or a path under one, cannot hold the outputs; the
+        # last --out-dir given is the one used
+        (tmp_path / "afile").write_text("kept\n")
+        proc = run_child(tmp_path, "rdp", {"source": [0.5, 0.5], "d_budget": 0.1,
+                                           "p_budget": 0.1},
+                         timeout=120, args=("--out-dir", str(tmp_path / out_dir)))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 class TestParallelClamp:

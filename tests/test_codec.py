@@ -34,7 +34,6 @@ from gwrdp.codec import (
     joint_set_empty,
     sample_uniform_cond_typical,
     sample_uniform_typical,
-    shift_position,
 )
 from gwrdp.prob import JointPmf, Kernel
 from gwrdp.solver import hamming
@@ -46,6 +45,7 @@ from oracles import (
     is_typical,
     per_letter_distortion,
     rejection_sample_typical,
+    shift_position,
 )
 
 HAM = hamming(2)

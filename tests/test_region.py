@@ -25,7 +25,7 @@ from gwrdp.solver import (
     rdp_point_to_point,
 )
 
-from oracles import brute_force_rdp, conditional_rd_function, h2
+from oracles import brute_force_rdp, conditional_rd_function, h2, hamming_tv_problem
 
 
 def dsbs(a):
@@ -33,7 +33,7 @@ def dsbs(a):
 
 
 HAM2 = DistortionMatrix(hamming(2))
-PROBLEM = RegionProblem.with_hamming_tv(dsbs(0.1))
+PROBLEM = hamming_tv_problem(dsbs(0.1))
 BUDGETS = Budgets(d1=0.1, d2=0.1, p1=0.6, p2=0.6)
 
 
@@ -205,7 +205,7 @@ def query_key(q):
 
 class TestSolveCache:
     # perception-free budgets on DSBS(0.25) keep the local search short
-    problem = RegionProblem.with_hamming_tv(dsbs(0.25))
+    problem = hamming_tv_problem(dsbs(0.25))
     budgets = Budgets(d1=0.2, d2=0.2)
     search = dict(strategy="local", samples=2, restarts=1, w_size=2, seed=4)
 

@@ -12,7 +12,7 @@ from scipy import stats
 import gwrdp.simulate
 from gwrdp.codec import decode, encode
 from gwrdp.prob import JointPmf, Kernel, tv_distance
-from gwrdp.region import AuxChannel, Budgets, RegionProblem, rate_triple_for_aux
+from gwrdp.region import AuxChannel, Budgets, rate_triple_for_aux
 from gwrdp.simulate import (
     MODES,
     ResourceCapError,
@@ -21,6 +21,8 @@ from gwrdp.simulate import (
     run_simulation,
     wilson_halfwidth,
 )
+
+from oracles import hamming_tv_problem
 
 UNIFORM4 = JointPmf(np.full((2, 2), 0.25), ("X", "Y"))
 IDENTITY_TC = Kernel(np.eye(2).reshape(2, 1, 2))
@@ -285,7 +287,7 @@ class TestJointSetEmpty:
 
     @staticmethod
     def simulate(p_xy, aux, n, delta, trials, budgets):
-        pt = rate_triple_for_aux(RegionProblem.with_hamming_tv(p_xy), aux, budgets)
+        pt = rate_triple_for_aux(hamming_tv_problem(p_xy), aux, budgets)
         return run_simulation(SimConfig(
             p_xy=p_xy, aux=aux, test_channel_x=pt.test_channel_x,
             test_channel_y=pt.test_channel_y, n=n, delta=delta, trials=trials,
@@ -322,7 +324,7 @@ class TestKnownFailureFamilies:
         # codeword, so its least distortion 4/16 is above the threshold
         budgets = Budgets(0.1, 0.1, 0.6, 0.6)
         p_xy, aux = dsbs(0.1), AuxChannel.independent(2, 2)
-        pt = rate_triple_for_aux(RegionProblem.with_hamming_tv(p_xy), aux, budgets)
+        pt = rate_triple_for_aux(hamming_tv_problem(p_xy), aux, budgets)
         config = SimConfig(p_xy=p_xy, aux=aux, test_channel_x=pt.test_channel_x,
                            test_channel_y=pt.test_channel_y, n=16, delta=0.3, trials=20,
                            master_seed=4, budgets=budgets)

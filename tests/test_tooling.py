@@ -2,7 +2,7 @@
 library functions by name. A refactor that drops or renames one of those
 names breaks only the traced benchmark run; this test makes it fail here.
 The package exports only names that the library or the benchmark use, and
-the README's CLI examples run."""
+the README's CLI and Python examples run."""
 
 import ast
 import importlib.util
@@ -74,3 +74,12 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
                     report = json.loads((out / "sim_report.json").read_text())
                     assert report["joint_set_empty"] is False
     assert ran == ["rdp", "region", "simulate", "derand-audit"]
+
+
+def test_readme_python_examples_run(tmp_path, monkeypatch):
+    # each python block runs in a fresh namespace, in order
+    monkeypatch.chdir(tmp_path)
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
