@@ -283,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if not isinstance(cfg, dict):

@@ -9,7 +9,9 @@ and encoder miss frequencies.
 Trials use counter-based RNG streams keyed by (master seed, trial index),
 so report contents are bit-identical between serial and parallel runs:
 per-trial values are assembled into trial-indexed arrays and reduced once
-in a fixed order.
+in a fixed order. Each trial's stream is Philox4x64-10 keyed (master seed,
+trial); one array kernel draws a whole chunk's streams and reproduces
+numpy's per-trial Philox ``Generator`` bit for bit.
 """
 
 from __future__ import annotations
@@ -83,8 +85,11 @@ class SimConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
+        if not 2 <= self.n <= 2 ** 32:
+            raise ValueError(f"n must lie in [2, 2**32] (shift seeds are 32-bit draws), "
+                             f"got {self.n}")
+        if not 0 <= self.master_seed < 2 ** 64:
+            raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if not 0 < self.delta < math.inf:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if self.mode not in MODES:
@@ -232,12 +237,65 @@ class _TrialBatch:
 
 _CHUNK = 256   # trials whose draws, decoding and statistics run as arrays
 
+_LO32 = np.uint64(0xFFFFFFFF)
+# Philox4x64 round multipliers and key bumps (Salmon et al., SC 2011)
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+
+
+def _mulhi(a, b):
+    """High 64 bits of the 128-bit product of uint64s, from 32-bit halves."""
+    a0, a1, b0, b1 = a & _LO32, a >> 32, b & _LO32, b >> 32
+    t = a1 * b0 + (a0 * b0 >> 32)
+    return a1 * b1 + (t >> 32) + ((t & _LO32) + a0 * b1 >> 32)
+
+
+def _philox_words(seed: int, trials: np.ndarray, blocks) -> np.ndarray:
+    """Philox4x64-10 keyed (seed, t) for each trial t (rows) at each
+    counter (b, 0, 0, 0) of ``blocks``: shape (trials, 4 * blocks), uint64.
+    Counter b gives outputs 4(b - 1) .. 4b - 1 of numpy's Philox keyed (seed, t)."""
+    c0 = np.asarray(blocks, dtype=np.uint64)[None, :]
+    c1 = c2 = c3 = np.zeros_like(c0)
+    k0, k1 = np.uint64(seed), np.asarray(trials, dtype=np.uint64)[:, None]
+    (m0, m1), (w0, w1) = _PHILOX_M, _PHILOX_W
+    with np.errstate(over="ignore"):
+        for r in range(10):
+            if r:
+                k0, k1 = k0 + w0, k1 + w1
+            c0, c1, c2, c3 = _mulhi(m1, c2) ^ c1 ^ k0, m1 * c2, _mulhi(m0, c0) ^ c3 ^ k1, m0 * c0
+    return np.stack((c0, c1, c2, c3), axis=-1).reshape(k1.shape[0], -1)
+
+
+def _trial_draws(seed: int, lo: int, hi: int, total_len: int,
+                 n: int | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """What trials [lo, hi) draw from their streams: ``total_len``
+    uniforms each, as ``Generator.random``, then (unless n is None) a
+    shift seed K as ``Generator.integers(0, n)``, numpy's 32-bit Lemire
+    draw over the stream's next uint32s (each word's low half first)."""
+    trials = np.arange(lo, hi, dtype=np.uint64)
+    words = _philox_words(seed, trials, np.arange(1, total_len // 4 + 2))
+    u = (words[:, :total_len] >> 11) * 2.0 ** -53
+    if n is None:
+        return u, None
+    limit = (2 ** 32 - n) % n
+    m = (words[:, total_len] & _LO32) * np.uint64(n)
+    redo = np.flatnonzero(m & _LO32 < limit)
+    half = 2 * total_len + 1   # the next uint32 in each stream
+    while redo.size:
+        i = half // 2
+        word = _philox_words(seed, trials[redo], [i // 4 + 1])[:, i % 4]
+        m[redo] = (word >> np.uint64(32 * (half % 2)) & _LO32) * np.uint64(n)
+        redo = redo[m[redo] & _LO32 < limit]
+        half += 1
+    return u, (m >> 32).astype(np.int64)
+
 
 def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None,
                 thr_x: float, thr_y: float, lo: int, hi: int) -> _TrialBatch:
     """Trials [lo, hi). Each trial draws from its own Philox stream keyed
-    (master seed, trial); chunks of trials are then encoded, decoded,
-    scored and counted together."""
+    (master seed, trial); one kernel draws a whole chunk's streams, bit for
+    bit as numpy's per-trial ``Generator`` would, and the chunk is then
+    encoded, decoded, scored and counted together."""
     n, n0 = config.n, config.tail_length()
     total_len = n + n0
     shared_seed = config.mode == "common-randomness"
@@ -256,19 +314,14 @@ def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None,
     codewords_before = [layer.codewords_drawn for layer in layers]
 
     for start in range(lo, hi, _CHUNK):
-        trials = range(start, min(start + _CHUNK, hi))
-        u = np.empty((len(trials), total_len))
-        ks = np.empty(len(trials), dtype=np.int64)
-        for i, t in enumerate(trials):
-            rng = np.random.Generator(np.random.Philox(key=[config.master_seed, t]))
-            u[i] = rng.random(total_len)
-            if shared_seed:
-                ks[i] = rng.integers(0, n)
+        stop = min(start + _CHUNK, hi)
+        u, ks = _trial_draws(config.master_seed, start, stop, total_len,
+                             n if shared_seed else None)
         pair = cdf.searchsorted(u, side="right")
         xs, ys = pair // ny, pair % ny
         if not shared_seed:
             ks = seed_map.seeds_for_tails(xs[:, n:], ys[:, n:])
-        rows = slice(start - lo, trials.stop - lo)
+        rows = slice(start - lo, stop - lo)
         s0, s1, s2, miss[:, rows] = encode_batch(codebook, xs[:, :n], ys[:, :n], ks,
                                                  dx, dy, thr_x, thr_y)
         if shared_seed:

@@ -83,6 +83,12 @@ class TestRdpCommand:
         path.write_text("{not json")
         assert run(["rdp", "--config", path, "--out-dir", tmp_path]) == 2
 
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert run(["rdp", "--config", path, "--out-dir", tmp_path]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
 
 GRID_REGION = {
     "p_xy": DSBS01,
@@ -251,6 +257,18 @@ class TestSimulateCommand:
         cfg_dict["trials"] = 40
         cfg = write_config(tmp_path, "sim.json", cfg_dict)
         assert run(["simulate", "--config", cfg, "--out-dir", tmp_path]) == 0
+
+    @pytest.mark.parametrize("seed,code", [(2 ** 64 - 1, 0), (2 ** 64, 2), (-1, 2)])
+    def test_seed_range(self, tmp_path, seed, code):
+        # Philox keys are two uint64 words: (master seed, trial)
+        proc = run_child(tmp_path, "simulate", dict(SIM_CONFIG, trials=20), timeout=120,
+                         args=("--seed", str(seed)))
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert proc.stderr == ""
+        else:
+            assert "Traceback" not in proc.stderr
+            assert len(proc.stderr.strip().splitlines()) == 1
 
     def test_deterministic_mode(self, tmp_path):
         cfg = write_config(tmp_path, "sim.json",

@@ -22,7 +22,7 @@ from gwrdp.simulate import (
     wilson_halfwidth,
 )
 
-from oracles import hamming_tv_problem
+from oracles import hamming_tv_problem, trial_draws
 
 UNIFORM4 = JointPmf(np.full((2, 2), 0.25), ("X", "Y"))
 IDENTITY_TC = Kernel(np.eye(2).reshape(2, 1, 2))
@@ -130,6 +130,47 @@ class TestDeterminism:
         b = run_simulation(cfg(master_seed=2))
         assert a.to_dict() != b.to_dict()
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("trials", [255, 257, 513])
+    def test_parallel_identical_across_chunk_boundaries(self, trials, mode):
+        # the second worker's span starts inside a chunk of the serial run
+        config = cfg(trials=trials, mode=mode)
+        assert run_simulation(config).to_dict() == run_simulation(config, parallel=2).to_dict()
+
+
+class TestTrialDraws:
+    """The chunk-wide Philox kernel against one numpy Generator per trial."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 32, 2 ** 63, 2 ** 64 - 1])
+    @pytest.mark.parametrize("total_len", [2, 33, 40, 41])
+    def test_matches_per_trial_generators(self, seed, total_len):
+        # trials 250..519 start past 0 and cross the chunk boundaries 256 and 512;
+        # n None is the deterministic mode, which draws no shift seed
+        for n in (None, 2, 3, 32, 100):
+            u, ks = gwrdp.simulate._trial_draws(seed, 250, 520, total_len, n)
+            want_u, want_ks = trial_draws(seed, 250, 520, total_len, n)
+            np.testing.assert_array_equal(u, want_u)
+            if n is None:
+                assert ks is None
+            else:
+                np.testing.assert_array_equal(ks, want_ks)
+
+    def test_lemire_redraws(self):
+        # at n = 3 * 2**30 a 32-bit draw r is rejected when r * n mod 2**32
+        # falls under 2**32 mod n = 2**30: about a quarter of the draws
+        n, total_len, trials = 3 * 2 ** 30, 10, 400
+        _, ks = gwrdp.simulate._trial_draws(5, 0, trials, total_len, n)
+        np.testing.assert_array_equal(ks, trial_draws(5, 0, trials, total_len, n)[1])
+        rejections = []
+        for t in range(trials):
+            raw = np.random.Philox(key=np.array([5, t], dtype=np.uint64)).random_raw(
+                total_len + 4)[total_len:]
+            draws = np.stack((raw & 0xFFFFFFFF, raw >> 32), axis=1).ravel()
+            accepted = (draws * np.uint64(n)) & 0xFFFFFFFF >= 2 ** 30
+            assert accepted.any()
+            rejections.append(int(accepted.argmax()))
+        assert sum(rejections) >= 60 and max(rejections) >= 2
+
 
 class TestSelfCodingSanity:
     def test_codebook_source_roundtrip(self):
@@ -211,6 +252,11 @@ class TestCapsAndErrors:
             cfg(n=1)
         with pytest.raises(ValueError):
             cfg(mode="nope")
+        with pytest.raises(ValueError, match="n must lie"):
+            cfg(n=2 ** 32 + 1)
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match="master_seed"):
+                cfg(master_seed=seed)
 
     def test_tail_longer_than_block_rejected_before_running(self):
         # the deterministic tail copies its n0 symbols from the head
