@@ -1,6 +1,6 @@
 """Gray-Wyner rate-distortion-perception toolkit."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 import logging
 import types

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .derandom import SeedMapError, build_seed_map
+from .derandom import build_seed_map
 from .prob import JointPmf, Kernel, Pmf
 from .region import AuxChannel, Budgets, RegionProblem, compute_frontier
 from .simulate import DEFAULT_MEMORY_CAP, ResourceCapError, SimConfig, run_simulation
@@ -298,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ResourceCapError, SeedMapError, MemoryError) as exc:
+    except (ResourceCapError, MemoryError) as exc:
         # MemoryError: an allocation the OS refuses outright, such as the
         # per-trial arrays of 10**12 trials
         print(f"resource rejection: {exc}", file=sys.stderr)

@@ -74,9 +74,9 @@ class AlphabetError(ValueError):
 
 
 class ResourceCapError(RuntimeError):
-    """A codebook would pass a resource limit: the memory cap on the
-    symbols drawn, or a code size too large for a report to write. Nothing
-    past the limit is drawn."""
+    """A run would pass a resource limit: the memory cap on the codeword
+    symbols drawn, a code size too large for a report to write, or the
+    seed map's cap on tail atoms. Nothing past the limit is drawn."""
 
 
 # ---------------------------------------------------------------------------

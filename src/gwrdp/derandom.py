@@ -22,14 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import Codebook, EncodeResult, decode, encode
+from .codec import Codebook, EncodeResult, ResourceCapError, decode, encode
 from .prob import JointPmf
 
 _ATOM_CAP = 4_194_304  # most tail atoms a seed map enumerates: 2**22 = 4**11
 
 
 class SeedMapError(ValueError):
-    """The requested (n0, n) cannot produce a valid seed map."""
+    """A tail of n0 symbols has fewer atoms than the n seed bins."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +112,7 @@ def build_seed_map(p_xy: JointPmf, n0: int, n: int) -> SeedMap:
     # from this n0 on, size**n0 >= 2**n0 > _ATOM_CAP: refuse without
     # forming a count that may run to millions of digits
     if size > 1 and (n0 >= _ATOM_CAP.bit_length() or size ** n0 > _ATOM_CAP):
-        raise SeedMapError(f"{size}**{n0} atoms exceed the cap of {_ATOM_CAP}")
+        raise ResourceCapError(f"{size}**{n0} atoms exceed the cap of {_ATOM_CAP}")
     n_atoms = size ** n0
     if n_atoms < n:
         need = default_tail_length(size, n)

@@ -6,12 +6,11 @@ deterministic variant), and accumulates per-letter distortions,
 per-position reconstruction marginals with their perception distances,
 and encoder miss frequencies.
 
-Trials use counter-based RNG streams keyed by (master seed, trial index),
-so report contents are bit-identical between serial and parallel runs:
-per-trial values are assembled into trial-indexed arrays and reduced once
-in a fixed order. Each trial's stream is Philox4x64-10 keyed (master seed,
-trial); one array kernel draws a whole chunk's streams and reproduces
-numpy's per-trial Philox ``Generator`` bit for bit.
+Trials draw from counter-based Philox streams, one per block of 256
+trials, keyed by (master seed, block index), so every trial's draws are a
+fixed function of the master seed and the trial index. Report contents
+are bit-identical between serial and parallel runs: per-trial values are
+assembled into trial-indexed arrays and reduced once in a fixed order.
 """
 
 from __future__ import annotations
@@ -86,8 +85,7 @@ class SimConfig:
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not 2 <= self.n <= 2 ** 32:
-            raise ValueError(f"n must lie in [2, 2**32] (shift seeds are 32-bit draws), "
-                             f"got {self.n}")
+            raise ValueError(f"n must lie in [2, 2**32], got {self.n}")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if not 0 < self.delta < math.inf:
@@ -235,67 +233,20 @@ class _TrialBatch:
                    codewords=tuple(map(sum, zip(*(b.codewords for b in batches)))))
 
 
-_CHUNK = 256   # trials whose draws, decoding and statistics run as arrays
-
-_LO32 = np.uint64(0xFFFFFFFF)
-# Philox4x64 round multipliers and key bumps (Salmon et al., SC 2011)
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
-
-
-def _mulhi(a, b):
-    """High 64 bits of the 128-bit product of uint64s, from 32-bit halves."""
-    a0, a1, b0, b1 = a & _LO32, a >> 32, b & _LO32, b >> 32
-    t = a1 * b0 + (a0 * b0 >> 32)
-    return a1 * b1 + (t >> 32) + ((t & _LO32) + a0 * b1 >> 32)
-
-
-def _philox_words(seed: int, trials: np.ndarray, blocks) -> np.ndarray:
-    """Philox4x64-10 keyed (seed, t) for each trial t (rows) at each
-    counter (b, 0, 0, 0) of ``blocks``: shape (trials, 4 * blocks), uint64.
-    Counter b gives outputs 4(b - 1) .. 4b - 1 of numpy's Philox keyed (seed, t)."""
-    c0 = np.asarray(blocks, dtype=np.uint64)[None, :]
-    c1 = c2 = c3 = np.zeros_like(c0)
-    k0, k1 = np.uint64(seed), np.asarray(trials, dtype=np.uint64)[:, None]
-    (m0, m1), (w0, w1) = _PHILOX_M, _PHILOX_W
-    with np.errstate(over="ignore"):
-        for r in range(10):
-            if r:
-                k0, k1 = k0 + w0, k1 + w1
-            c0, c1, c2, c3 = _mulhi(m1, c2) ^ c1 ^ k0, m1 * c2, _mulhi(m0, c0) ^ c3 ^ k1, m0 * c0
-    return np.stack((c0, c1, c2, c3), axis=-1).reshape(k1.shape[0], -1)
-
-
-def _trial_draws(seed: int, lo: int, hi: int, total_len: int,
-                 n: int | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """What trials [lo, hi) draw from their streams: ``total_len``
-    uniforms each, as ``Generator.random``, then (unless n is None) a
-    shift seed K as ``Generator.integers(0, n)``, numpy's 32-bit Lemire
-    draw over the stream's next uint32s (each word's low half first)."""
-    trials = np.arange(lo, hi, dtype=np.uint64)
-    words = _philox_words(seed, trials, np.arange(1, total_len // 4 + 2))
-    u = (words[:, :total_len] >> 11) * 2.0 ** -53
-    if n is None:
-        return u, None
-    limit = (2 ** 32 - n) % n
-    m = (words[:, total_len] & _LO32) * np.uint64(n)
-    redo = np.flatnonzero(m & _LO32 < limit)
-    half = 2 * total_len + 1   # the next uint32 in each stream
-    while redo.size:
-        i = half // 2
-        word = _philox_words(seed, trials[redo], [i // 4 + 1])[:, i % 4]
-        m[redo] = (word >> np.uint64(32 * (half % 2)) & _LO32) * np.uint64(n)
-        redo = redo[m[redo] & _LO32 < limit]
-        half += 1
-    return u, (m >> 32).astype(np.int64)
+# trials that share one random stream and whose draws, decoding and
+# statistics run as arrays; the block size fixes every trial's draws, so
+# changing it changes every report and needs a version bump
+_CHUNK = 256
 
 
 def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None,
                 thr_x: float, thr_y: float, lo: int, hi: int) -> _TrialBatch:
-    """Trials [lo, hi). Each trial draws from its own Philox stream keyed
-    (master seed, trial); one kernel draws a whole chunk's streams, bit for
-    bit as numpy's per-trial ``Generator`` would, and the chunk is then
-    encoded, decoded, scored and counted together."""
+    """Trials [lo, hi). Trials [256b, 256b + 256) draw from one Philox
+    ``Generator`` keyed (master seed, b): first each trial's source
+    uniforms, then, in common-randomness mode, each trial's shift seed K.
+    A span that starts or ends inside a block draws the whole block and
+    keeps its own rows, so a trial's draws do not depend on the span. Each
+    block is then encoded, decoded, scored and counted together."""
     n, n0 = config.n, config.tail_length()
     total_len = n + n0
     shared_seed = config.mode == "common-randomness"
@@ -313,15 +264,18 @@ def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None,
     pages_before = [layer.pages_drawn for layer in layers]
     codewords_before = [layer.codewords_drawn for layer in layers]
 
-    for start in range(lo, hi, _CHUNK):
-        stop = min(start + _CHUNK, hi)
-        u, ks = _trial_draws(config.master_seed, start, stop, total_len,
-                             n if shared_seed else None)
+    for block in range(lo // _CHUNK, (hi - 1) // _CHUNK + 1):
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([config.master_seed, block], dtype=np.uint64)))
+        first, stop = max(lo, block * _CHUNK), min(hi, (block + 1) * _CHUNK)
+        keep = slice(first - block * _CHUNK, stop - block * _CHUNK)
+        u = rng.random((_CHUNK, total_len))[keep]
+        ks = rng.integers(0, n, _CHUNK)[keep] if shared_seed else None
         pair = cdf.searchsorted(u, side="right")
         xs, ys = pair // ny, pair % ny
         if not shared_seed:
             ks = seed_map.seeds_for_tails(xs[:, n:], ys[:, n:])
-        rows = slice(start - lo, stop - lo)
+        rows = slice(first - lo, stop - lo)
         s0, s1, s2, miss[:, rows] = encode_batch(codebook, xs[:, :n], ys[:, :n], ks,
                                                  dx, dy, thr_x, thr_y)
         if shared_seed:

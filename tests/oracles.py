@@ -15,9 +15,7 @@ the rejection sampler decide the multiplicative band with one helper that
 counts joint cells by ``bincount``. ``shift_position`` is the circular
 shift's position map, one position at a time, against which
 ``circular_shift`` is checked; ``hamming_tv_problem`` builds the Hamming,
-TV region problem most tests pose. ``trial_draws`` draws each simulation
-trial's uniforms and shift seed from its own numpy ``Generator``, against
-which the simulator's chunk-wide Philox kernel is checked.
+TV region problem most tests pose.
 """
 
 from __future__ import annotations
@@ -327,19 +325,3 @@ def rejection_sample_typical(spec, count: int, rng: np.random.Generator | int,
             if got == count:
                 return out
     raise RuntimeError(f"rejection sampler failed after {max_tries} tries")
-
-
-def trial_draws(seed: int, lo: int, hi: int, total_len: int, n: int | None):
-    """Trials lo..hi-1 of a simulation, one ``Generator`` each: the
-    ``total_len`` uniforms that pick each trial's source pairs and, unless
-    n is None, its shift seed K in [0, n). The key is built as uint64
-    because a list ``[seed, t]`` passes through float64 for seeds of 2**63
-    and more."""
-    u = np.empty((hi - lo, total_len))
-    ks = np.empty(hi - lo, dtype=np.int64)
-    for i, t in enumerate(range(lo, hi)):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, t], dtype=np.uint64)))
-        u[i] = rng.random(total_len)
-        if n is not None:
-            ks[i] = rng.integers(0, n)
-    return u, ks

@@ -260,7 +260,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("seed,code", [(2 ** 64 - 1, 0), (2 ** 64, 2), (-1, 2)])
     def test_seed_range(self, tmp_path, seed, code):
-        # Philox keys are two uint64 words: (master seed, trial)
+        # Philox keys are two uint64 words: (master seed, block)
         proc = run_child(tmp_path, "simulate", dict(SIM_CONFIG, trials=20), timeout=120,
                          args=("--seed", str(seed)))
         assert proc.returncode == code, proc.stderr
@@ -290,10 +290,11 @@ class TestDerandAuditCommand:
         assert payload["within_bound"] is True
         assert payload["max_deviation"] == 0.0
 
-    def test_too_few_atoms_exit_3(self, tmp_path):
+    def test_too_few_atoms_exit_2(self, tmp_path):
+        # a tail too short to fill the bins is an input error, not a resource cap
         cfg = write_config(tmp_path, "da.json",
                            {"p_xy": UNIFORM_PAIR, "n0": 1, "n": 100})
-        assert run(["derand-audit", "--config", cfg, "--out-dir", tmp_path]) == 3
+        assert run(["derand-audit", "--config", cfg, "--out-dir", tmp_path]) == 2
 
 
 class TestManifest:
@@ -371,6 +372,9 @@ INVALID_INPUTS = [
      {"source": [0.5, 0.5], "d_budget": 0.1, "p_budget": 0.1, "recon_alphabet": [[1]]}),
     ("simulate-string-n0", "simulate", dict(SIM_CONFIG, mode="deterministic", n0="2")),
     ("derand-audit-negative-n", "derand-audit", {"p_xy": UNIFORM_PAIR, "n0": 1, "n": -1}),
+    # 4 atoms cannot populate 8 seed bins
+    ("derand-audit-tail-too-short", "derand-audit", {"p_xy": DSBS01, "n0": 1, "n": 8}),
+    ("simulate-tail-too-short", "simulate", dict(SIM_CONFIG, mode="deterministic", n0=1)),
     ("region-local-zero-w-size", "region",
      {"p_xy": DSBS01, "budgets": {"D1": 0.1, "D2": 0.1}, "strategy": "local",
       "samples": 0, "restarts": 1, "w_size": 0}),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gwrdp.derandom
-from gwrdp.codec import Kernel, compute_code_sizes, encode, generate_codebook
+from gwrdp.codec import Kernel, ResourceCapError, compute_code_sizes, encode, generate_codebook
 from gwrdp.derandom import (
     SeedMapError,
     build_seed_map,
@@ -105,13 +105,13 @@ class TestBuild:
     def test_atom_cap(self, monkeypatch):
         build_seed_map(UNIFORM4, 5, 4)   # 1,024 atoms fit the default cap
         monkeypatch.setattr(gwrdp.derandom, "_ATOM_CAP", 1000)
-        with pytest.raises(SeedMapError, match=r"4\*\*5 atoms exceed the cap of 1000"):
+        with pytest.raises(ResourceCapError, match=r"4\*\*5 atoms exceed the cap of 1000"):
             build_seed_map(UNIFORM4, 5, 4)
 
     @pytest.mark.parametrize("n0", [23, 10 ** 9])
     def test_huge_tail_refused_without_counting_atoms(self, n0):
         # 4 ** 10**9 has 6e8 digits: forming it takes seconds, printing it fails
-        with pytest.raises(SeedMapError, match=rf"4\*\*{n0} atoms exceed the cap"):
+        with pytest.raises(ResourceCapError, match=rf"4\*\*{n0} atoms exceed the cap"):
             build_seed_map(UNIFORM4, n0, 4)
 
     def test_single_symbol_pair_with_huge_tail(self):

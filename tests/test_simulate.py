@@ -10,19 +10,22 @@ import pytest
 from scipy import stats
 
 import gwrdp.simulate
-from gwrdp.codec import decode, encode
+from gwrdp.codec import compute_code_sizes, decode, encode, generate_codebook
+from gwrdp.derandom import build_seed_map
 from gwrdp.prob import JointPmf, Kernel, tv_distance
 from gwrdp.region import AuxChannel, Budgets, rate_triple_for_aux
 from gwrdp.simulate import (
     MODES,
     ResourceCapError,
     SimConfig,
+    _run_trials,
+    _TrialBatch,
     encoder_thresholds,
     run_simulation,
     wilson_halfwidth,
 )
 
-from oracles import hamming_tv_problem, trial_draws
+from oracles import hamming_tv_problem
 
 UNIFORM4 = JointPmf(np.full((2, 2), 0.25), ("X", "Y"))
 IDENTITY_TC = Kernel(np.eye(2).reshape(2, 1, 2))
@@ -133,43 +136,34 @@ class TestDeterminism:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("trials", [255, 257, 513])
     def test_parallel_identical_across_chunk_boundaries(self, trials, mode):
-        # the second worker's span starts inside a chunk of the serial run
+        # later workers' spans start inside a block of the serial run
         config = cfg(trials=trials, mode=mode)
-        assert run_simulation(config).to_dict() == run_simulation(config, parallel=2).to_dict()
+        serial = run_simulation(config).to_dict()
+        for parallel in (2, 3):
+            assert run_simulation(config, parallel=parallel).to_dict() == serial
 
-
-class TestTrialDraws:
-    """The chunk-wide Philox kernel against one numpy Generator per trial."""
-
-    @pytest.mark.parametrize("seed", [0, 7, 2 ** 32, 2 ** 63, 2 ** 64 - 1])
-    @pytest.mark.parametrize("total_len", [2, 33, 40, 41])
-    def test_matches_per_trial_generators(self, seed, total_len):
-        # trials 250..519 start past 0 and cross the chunk boundaries 256 and 512;
-        # n None is the deterministic mode, which draws no shift seed
-        for n in (None, 2, 3, 32, 100):
-            u, ks = gwrdp.simulate._trial_draws(seed, 250, 520, total_len, n)
-            want_u, want_ks = trial_draws(seed, 250, 520, total_len, n)
-            np.testing.assert_array_equal(u, want_u)
-            if n is None:
-                assert ks is None
-            else:
-                np.testing.assert_array_equal(ks, want_ks)
-
-    def test_lemire_redraws(self):
-        # at n = 3 * 2**30 a 32-bit draw r is rejected when r * n mod 2**32
-        # falls under 2**32 mod n = 2**30: about a quarter of the draws
-        n, total_len, trials = 3 * 2 ** 30, 10, 400
-        _, ks = gwrdp.simulate._trial_draws(5, 0, trials, total_len, n)
-        np.testing.assert_array_equal(ks, trial_draws(5, 0, trials, total_len, n)[1])
-        rejections = []
-        for t in range(trials):
-            raw = np.random.Philox(key=np.array([5, t], dtype=np.uint64)).random_raw(
-                total_len + 4)[total_len:]
-            draws = np.stack((raw & 0xFFFFFFFF, raw >> 32), axis=1).ravel()
-            accepted = (draws * np.uint64(n)) & 0xFFFFFFFF >= 2 ** 30
-            assert accepted.any()
-            rejections.append(int(accepted.argmax()))
-        assert sum(rejections) >= 60 and max(rejections) >= 2
+    @pytest.mark.parametrize("mode", MODES)
+    def test_spans_cut_inside_blocks_match_one_span(self, mode):
+        # a span draws whole 256-trial blocks and keeps its own rows
+        config = cfg(trials=600, mode=mode)
+        q_xyw = config.p_xy.extend(config.aux.kernel, "W")
+        sizes = compute_code_sizes(q_xyw, config.test_channel_x, config.test_channel_y,
+                                   config.n, config.delta)
+        codebook = generate_codebook(q_xyw, config.test_channel_x, config.test_channel_y,
+                                     sizes, config.delta, config.n, config.master_seed)
+        seed_map = (build_seed_map(config.p_xy, config.tail_length(), config.n)
+                    if mode == "deterministic" else None)
+        thresholds = encoder_thresholds(q_xyw, config.test_channel_x, config.test_channel_y,
+                                        config.delta_x_mat.values, config.delta_y_mat.values,
+                                        config.delta)
+        whole = _run_trials(config, codebook, seed_map, *thresholds, 0, 600)
+        cuts = [0, 1, 255, 256, 300, 513, 600]
+        merged = _TrialBatch.merge([_run_trials(config, codebook, seed_map, *thresholds, a, b)
+                                    for a, b in zip(cuts, cuts[1:])])
+        for name in ("dist", "head", "miss"):
+            np.testing.assert_array_equal(getattr(merged, name), getattr(whole, name))
+        for got, want in zip(merged.hist, whole.hist):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestSelfCodingSanity:
@@ -366,13 +360,14 @@ class TestKnownFailureFamilies:
                               "memory cap; no type-level check reports the miss first")
     def test_private_miss_no_codeword_can_serve(self):
         # the |W| = 1 corner of the CLI tests' grid region, simulated at
-        # n = 16: trial 16's x has 2 ones against 6-10 in every band
-        # codeword, so its least distortion 4/16 is above the threshold
+        # n = 16: trial 159's y has 2 ones against 6-10 in every band
+        # codeword, so its least distortion 4/16 is above the threshold;
+        # no earlier trial of seed 4 trips the cap
         budgets = Budgets(0.1, 0.1, 0.6, 0.6)
         p_xy, aux = dsbs(0.1), AuxChannel.independent(2, 2)
         pt = rate_triple_for_aux(hamming_tv_problem(p_xy), aux, budgets)
         config = SimConfig(p_xy=p_xy, aux=aux, test_channel_x=pt.test_channel_x,
-                           test_channel_y=pt.test_channel_y, n=16, delta=0.3, trials=20,
+                           test_channel_y=pt.test_channel_y, n=16, delta=0.3, trials=160,
                            master_seed=4, budgets=budgets)
         try:
             report = run_simulation(config)

@@ -1,16 +1,19 @@
 """The benchmark's layer trace (``perfbench/run.py --trace 1``) wraps
 library functions by name. A refactor that drops or renames one of those
 names breaks only the traced benchmark run; this test makes it fail here.
-The package exports only names that the library or the benchmark use, and
-the README's CLI and Python examples run."""
+The package exports only names that the library or the benchmark use, its
+version is the one pyproject.toml declares, and the README's CLI and Python
+examples run."""
 
 import ast
 import importlib.util
 import json
 import re
 import shlex
+import tomllib
 from pathlib import Path
 
+import gwrdp
 import gwrdp.cli
 import gwrdp.codec
 import gwrdp.derandom
@@ -54,6 +57,12 @@ def test_every_export_has_a_caller():
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 used.add(node.value)
     assert sorted(set(gwrdp.__all__) - used) == []
+
+
+def test_version_matches_pyproject():
+    # run manifests record gwrdp.__version__; the package metadata reads pyproject
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["version"] == gwrdp.__version__
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch):
