@@ -26,7 +26,6 @@ from .solver import (
     RdpResult,
     conditional_rdp,
     hamming,
-    rdp_point_to_point,
 )
 from .region import (
     AuxChannel,

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .derandom import build_seed_map
 from .prob import JointPmf, Kernel, Pmf
-from .region import AuxChannel, Budgets, RegionProblem, compute_frontier
+from .region import AuxChannel, Budgets, RegionProblem, _solve, _Solves, compute_frontier
 from .simulate import DEFAULT_MEMORY_CAP, ResourceCapError, SimConfig, run_simulation
 from .solver import (
     DistortionMatrix,
@@ -34,7 +34,6 @@ from .solver import (
     RdpQuery,
     conditional_rdp,
     hamming,
-    rdp_point_to_point,
 )
 
 EXIT_OK = 0
@@ -179,19 +178,24 @@ def cmd_region(args, cfg: dict):
     payload = frontier.to_dict()
 
     if _field(cfg, "cutset_audit", bool, False):
-        p_x = Pmf(p_xy.marginal("X").probs)
-        p_y = Pmf(p_xy.marginal("Y").probs)
-        rdp_x = rdp_point_to_point(p_x, problem.delta_x, problem.perception_x,
-                                   budgets.d1, budgets.p1).rate
-        rdp_y = rdp_point_to_point(p_y, problem.delta_y, problem.perception_y,
-                                   budgets.d2, budgets.p2).rate
+        # each branch's point-to-point RDP value, the |W| = 1 query; one memo
+        # solves equal queries, as on a symmetric source, once
+        solves = _Solves()
+        ref = {}
+        for b, delta, perception, d, p in (
+                ("X", problem.delta_x, problem.perception_x, budgets.d1, budgets.p1),
+                ("Y", problem.delta_y, problem.perception_y, budgets.d2, budgets.p2)):
+            q_sw = JointPmf(Pmf(p_xy.marginal(b).probs).probs[:, None], (b, "W"))
+            ref[f"rdp_{b.lower()}"] = _solve(RdpQuery(q_sw, delta, perception, d, p),
+                                             solves).rate
+        rdp_x, rdp_y = ref["rdp_x"], ref["rdp_y"]
         lines = csv_body.splitlines()
         lines[0] += ",cutset_ok"
         for i, pt in enumerate(frontier.points):
             ok = (pt.r0 + pt.r1 >= rdp_x - 1e-3) and (pt.r0 + pt.r2 >= rdp_y - 1e-3)
             lines[i + 1] += f",{str(ok).lower()}"
         csv_body = "\n".join(lines) + "\n"
-        payload["cutset_reference"] = {"rdp_x": rdp_x, "rdp_y": rdp_y}
+        payload["cutset_reference"] = ref
 
     summary = f"frontier: {len(frontier.points)} points from {frontier.n_evaluated} evaluations"
     return ({"frontier.csv": csv_body, "frontier.json": payload}, summary,
@@ -209,6 +213,7 @@ def cmd_simulate(args, cfg: dict):
     perception = _perception(cfg)
     deltas = [_distortion(cfg, size, f"distortion_{b}") for b, size in zip("xy", p_xy.shape)]
     q_xyw = p_xy.extend(aux.kernel, "W")
+    solves = _Solves()  # equal branch queries, as on a symmetric source, solve once
     channels = []
     for b, delta, d_budget, p_budget in zip("xy", deltas, (budgets.d1, budgets.d2),
                                             (budgets.p1, budgets.p2)):
@@ -216,7 +221,7 @@ def cmd_simulate(args, cfg: dict):
         if _field(cfg, name, (str, list, dict), "solve") == "solve":
             query = RdpQuery(q_xyw.marginal(b.upper(), "W"), delta, perception,
                              d_budget, p_budget)
-            channels.append(conditional_rdp(query).test_channel)
+            channels.append(_solve(query, solves).test_channel)
         else:
             channels.append(Kernel(_pmf_like(cfg, name)))
 

@@ -673,7 +673,8 @@ def encode_batch(codebook: Codebook, xs: np.ndarray, ys: np.ndarray, ks,
     The sources are unshifted first; a trial's common index is the
     smallest one whose codeword is jointly typical with its pair (falling
     back to 0 with a flag, without a scan when the joint band admits no
-    count vector), then each private index is the smallest one meeting its
+    count vector or the pair's own counts leave the band's sums over W),
+    then each private index is the smallest one meeting its
     per-letter distortion threshold (same fallback). Returns the index
     arrays ``s0``, ``s1``, ``s2`` and a (3, T) mask of common, X and Y
     misses; every trial gets what a lone encoding of it gets. Source
@@ -691,8 +692,18 @@ def encode_batch(codebook: Codebook, xs: np.ndarray, ys: np.ndarray, ks,
         raise ValueError(f"source symbols outside the {kx}x{ky} pair alphabet")
     lo, hi, empty = _cached_bounds(codebook.q_xyw.tobytes(), codebook.q_xyw.shape, n,
                                    codebook.delta)
-    s0 = (np.full(xs.shape[0], -1, dtype=np.int64) if empty
-          else _first_jointly_typical(codebook.common, xb * ky + yb, lo, hi))
+    s0 = np.full(xs.shape[0], -1, dtype=np.int64)
+    if not empty:
+        # a hit needs each pair count within the band's sums over w, so only
+        # trials whose pair type passes that test are scanned
+        pairs = xb * ky + yb
+        cells = kx * ky
+        counts = np.bincount((pairs + cells * np.arange(pairs.shape[0])[:, None]).ravel(),
+                             minlength=pairs.shape[0] * cells).reshape(-1, cells)
+        fits = ((counts >= lo.sum(axis=-1).ravel())
+                & (counts <= hi.sum(axis=-1).ravel())).all(axis=1)
+        if fits.any():
+            s0[fits] = _first_jointly_typical(codebook.common, pairs[fits], lo, hi)
     miss = np.empty((3, xs.shape[0]), dtype=bool)
     miss[0] = s0 < 0
     s0[miss[0]] = 0

@@ -10,15 +10,20 @@ Every emitted point stores its witnesses (the auxiliary channel and both
 test channels), so the triple can be recomputed from scratch; no claim of
 global optimality is made for searched frontiers, only achievability.
 
-Each private rate depends only on its own branch marginal and budgets, and
-searches repeat branch queries (every scalarized search starts from the
-independent corner; a symmetric source makes the X and Y queries coincide).
-So each top-level call keeps an exact memo of solver results, keyed on every
-input of the query: ``compute_frontier`` shares one across its scalarized
-searches and serial grid, while a direct ``scalarized_search`` or
-``rate_triple_for_aux`` call, each pool job included, starts an empty one.
-Triple, solve and hit counts go to the ``gwrdp.region`` logger at DEBUG,
-never into the exported files.
+A scalarized search reads only the terms its weights do not zero: a trial
+channel costs I(X,Y;W) for a common-rate weight and one branch solve per
+private-rate weight, and the full triple is built once, for the best
+channel found. Each private rate depends only on its own branch marginal
+and budgets, and searches repeat branch queries (every scalarized search
+starts from the independent corner; a symmetric source makes the X and Y
+queries coincide). So each top-level call keeps an exact memo of solver
+results, keyed on every input of the query: ``compute_frontier`` shares one
+across its scalarized searches and serial grid, while a direct
+``scalarized_search`` or ``rate_triple_for_aux`` call, each pool job
+included, starts an empty one; the CLI's cut-set audit and its simulation
+test channels pass their branch queries through one memo too. Objective
+evaluation, triple, lookup, solve and hit counts go to the ``gwrdp.region``
+logger at DEBUG, never into the exported files.
 """
 
 from __future__ import annotations
@@ -154,8 +159,11 @@ class RegionFrontier:
 
 
 class _Solves(dict):
-    """Memo of conditional_rdp results owned by one top-level region call."""
+    """Memo of conditional_rdp results owned by one top-level region call,
+    with counts of the work asked of it."""
 
+    evaluations = 0  # scalarized-search objective evaluations
+    triples = 0
     lookups = 0
 
 
@@ -172,17 +180,27 @@ def _solve(query: RdpQuery, solves: _Solves) -> RdpResult:
     return res
 
 
+def _common_rate(q_xyw: JointPmf) -> float:
+    """I(X,Y;W) of the (X, Y, W) joint."""
+    nx, ny, w = q_xyw.shape
+    return mutual_information(JointPmf(q_xyw.probs.reshape(nx * ny, w), ("XY", "W")))
+
+
+def _branch(problem: RegionProblem, budgets: Budgets, q_xyw: JointPmf, b: int,
+            solves: _Solves) -> RdpResult:
+    """The conditional RDP solve of branch ``b`` (0: X, 1: Y) given W."""
+    delta, perception, d, p = ((problem.delta_x, problem.perception_x, budgets.d1, budgets.p1)
+                               if b == 0 else
+                               (problem.delta_y, problem.perception_y, budgets.d2, budgets.p2))
+    return _solve(RdpQuery(q_xyw.marginal("XY"[b], "W"), delta, perception, d, p), solves)
+
+
 def _rate_triple(problem: RegionProblem, aux: AuxChannel, budgets: Budgets,
                  solves: _Solves) -> RegionPoint:
-    p_xy = problem.p_xy
-    q_xyw = p_xy.extend(aux.kernel, "W")
-    nx, ny = p_xy.shape
-    pair_w = JointPmf(q_xyw.probs.reshape(nx * ny, aux.w_size), ("XY", "W"))
-    r0 = mutual_information(pair_w)
-    res_x = _solve(RdpQuery(q_xyw.marginal("X", "W"), problem.delta_x,
-                            problem.perception_x, budgets.d1, budgets.p1), solves)
-    res_y = _solve(RdpQuery(q_xyw.marginal("Y", "W"), problem.delta_y,
-                            problem.perception_y, budgets.d2, budgets.p2), solves)
+    solves.triples += 1
+    q_xyw = problem.p_xy.extend(aux.kernel, "W")
+    r0 = _common_rate(q_xyw)
+    res_x, res_y = (_branch(problem, budgets, q_xyw, b, solves) for b in (0, 1))
     return RegionPoint(r0=r0, r1=res_x.rate, r2=res_y.rate, budgets=budgets,
                        witness=aux, test_channel_x=res_x.test_channel,
                        test_channel_y=res_y.test_channel,
@@ -290,10 +308,10 @@ def compute_frontier(problem: RegionProblem, budgets: Budgets, *,
     else:
         points.extend(_rate_triple(problem, aux, budgets, solves) for aux in candidates)
 
-    _log.debug("frontier: %d candidates, %d not converged; in this process %d triples, "
-               "%d solver calls, %d cache hits", len(points),
-               sum(not p.converged for p in points), solves.lookups // 2, len(solves),
-               solves.lookups - len(solves))
+    _log.debug("frontier: %d candidates, %d not converged; in this process %d objective "
+               "evaluations, %d triples, %d lookups, %d solver calls, %d cache hits",
+               len(points), sum(not p.converged for p in points), solves.evaluations,
+               solves.triples, solves.lookups, len(solves), solves.lookups - len(solves))
     frontier = _sorted_points(pareto_filter(points))
     return RegionFrontier(points=frontier, seed=seed, strategy=strategy,
                           n_evaluated=len(points))
@@ -306,7 +324,10 @@ def scalarized_search(problem: RegionProblem, budgets: Budgets,
 
     Projected coordinate descent: one (x, y) row at a time moves toward a
     simplex vertex under backtracking, restarted from seeded Dirichlet
-    draws; the best restart wins. A local minimizer only.
+    draws; the best restart wins. A local minimizer only. A trial channel
+    is scored by the terms whose weight is non-zero alone, so a zero weight
+    skips I(X,Y;W) or that branch's solve; the full triple is built once,
+    for the best channel.
     """
     return _scalarized_search(problem, budgets, weights, _Solves(), w_size=w_size,
                               restarts=restarts, seed=seed)
@@ -321,21 +342,30 @@ def _scalarized_search(problem: RegionProblem, budgets: Budgets,
     w = _w_size(problem, w_size)
     rng = np.random.default_rng(seed)
 
-    def objective(aux: AuxChannel) -> tuple[float, RegionPoint]:
-        pt = _rate_triple(problem, aux, budgets, solves)
-        return (weights[0] * pt.r0 + weights[1] * pt.r1 + weights[2] * pt.r2, pt)
+    def objective(aux: AuxChannel) -> tuple[float, AuxChannel]:
+        # w0*r0 + w1*r1 + w2*r2 to the last bit: a zero weight times a
+        # finite rate adds exactly 0
+        solves.evaluations += 1
+        q_xyw = problem.p_xy.extend(aux.kernel, "W")
+        val = 0.0
+        if weights[0]:
+            val += weights[0] * _common_rate(q_xyw)
+        for b in (0, 1):
+            if weights[1 + b]:
+                val += weights[1 + b] * _branch(problem, budgets, q_xyw, b, solves).rate
+        return val, aux
 
     starts = [AuxChannel.independent(nx, ny)]
     for _ in range(max(restarts - 1, 0)):
         starts.append(_dirichlet_aux(rng, nx, ny, w))
 
-    best_val, best_pt = math.inf, None
+    best_val, best_aux = math.inf, None
     for aux in starts:
         rows = np.array(aux.kernel.probs, dtype=np.float64)
         if rows.shape[2] < w:  # pad the independent corner up to w symbols
             pad = np.zeros((nx, ny, w - rows.shape[2]))
             rows = np.concatenate([rows, pad], axis=2)
-        val, pt = objective(AuxChannel(Kernel(rows)))
+        val, cur = objective(AuxChannel(Kernel(rows)))
         for _ in range(_SWEEPS):
             improved = False
             for ix in range(nx):
@@ -346,13 +376,13 @@ def _scalarized_search(problem: RegionProblem, budgets: Budgets,
                             target = np.zeros(w)
                             target[vertex] = 1.0
                             trial[ix, iy] = (1 - step) * trial[ix, iy] + step * target
-                            tval, tpt = objective(AuxChannel(Kernel(trial)))
+                            tval, taux = objective(AuxChannel(Kernel(trial)))
                             if tval < val - 1e-9:
-                                rows, val, pt = trial, tval, tpt
+                                rows, val, cur = trial, tval, taux
                                 improved = True
                                 break
             if not improved:
                 break
         if val < best_val:
-            best_val, best_pt = val, pt
-    return best_pt
+            best_val, best_aux = val, cur
+    return _rate_triple(problem, best_aux, budgets, solves)

@@ -273,8 +273,13 @@ def _kkt(a: np.ndarray, p: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Newton system of f on the face of a's columns: [[H, 1], [1^T, 0]];
     a relative ridge of 1e-12 keeps H definite when columns coincide."""
     h = (a * (p / z ** 2)[:, None]).T @ a
-    h += 1e-12 * np.trace(h) * np.eye(len(h))
-    return np.block([[h, np.ones((len(h), 1))], [np.ones((1, len(h))), np.zeros((1, 1))]])
+    k = len(h)
+    m = np.empty((k + 1, k + 1))
+    m[:k, :k] = h
+    m.flat[:k * (k + 2):k + 2] += 1e-12 * np.trace(h)  # the ridge, on H's diagonal
+    m[:k, k] = m[k, :k] = 1.0
+    m[k, k] = 0.0
+    return m
 
 
 def _inner_newton(p: np.ndarray, a: np.ndarray, r: np.ndarray,

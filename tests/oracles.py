@@ -15,7 +15,10 @@ the rejection sampler decide the multiplicative band with one helper that
 counts joint cells by ``bincount``. ``shift_position`` is the circular
 shift's position map, one position at a time, against which
 ``circular_shift`` is checked; ``hamming_tv_problem`` builds the Hamming,
-TV region problem most tests pose.
+TV region problem most tests pose. ``eager_scalarized_search`` is the
+scalarized search that builds the full triple of every trial channel,
+against which the search that reads only its weighted terms is checked,
+and ``kkt_block`` assembles the solver's Newton system with ``np.block``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ import math
 
 import numpy as np
 
-from gwrdp.region import RegionProblem
+from gwrdp.prob import Kernel
+from gwrdp.region import (_SWEEPS, AuxChannel, RegionProblem, _dirichlet_aux, _rate_triple,
+                          _w_size)
 from gwrdp.solver import (DistortionMatrix, InfeasibleError, RdpQuery, RdpResult, _build_problem,
                           _metrics, _perception_of, _to_result, hamming)
 
@@ -207,6 +212,59 @@ def hamming_tv_problem(p_xy) -> RegionProblem:
     """Both branches under Hamming distortion and TV perception."""
     nx, ny = p_xy.shape
     return RegionProblem(p_xy, DistortionMatrix(hamming(nx)), DistortionMatrix(hamming(ny)))
+
+
+def eager_scalarized_search(problem, budgets, weights, solves, *, w_size, restarts, seed):
+    """The scalarized coordinate descent scoring each trial channel by its
+    full triple: both branch solves and I(X,Y;W), whatever the weights."""
+    if any(wt < 0 for wt in weights) or all(wt == 0 for wt in weights):
+        raise ValueError("weights must be nonnegative and not all zero")
+    nx, ny = problem.p_xy.shape
+    w = _w_size(problem, w_size)
+    rng = np.random.default_rng(seed)
+
+    def objective(aux):
+        pt = _rate_triple(problem, aux, budgets, solves)
+        return (weights[0] * pt.r0 + weights[1] * pt.r1 + weights[2] * pt.r2, pt)
+
+    starts = [AuxChannel.independent(nx, ny)]
+    for _ in range(max(restarts - 1, 0)):
+        starts.append(_dirichlet_aux(rng, nx, ny, w))
+
+    best_val, best_pt = math.inf, None
+    for aux in starts:
+        rows = np.array(aux.kernel.probs, dtype=np.float64)
+        if rows.shape[2] < w:
+            rows = np.concatenate([rows, np.zeros((nx, ny, w - rows.shape[2]))], axis=2)
+        val, pt = objective(AuxChannel(Kernel(rows)))
+        for _ in range(_SWEEPS):
+            improved = False
+            for ix in range(nx):
+                for iy in range(ny):
+                    for vertex in range(w):
+                        for step in (0.5, 0.25):
+                            trial = rows.copy()
+                            target = np.zeros(w)
+                            target[vertex] = 1.0
+                            trial[ix, iy] = (1 - step) * trial[ix, iy] + step * target
+                            tval, tpt = objective(AuxChannel(Kernel(trial)))
+                            if tval < val - 1e-9:
+                                rows, val, pt = trial, tval, tpt
+                                improved = True
+                                break
+            if not improved:
+                break
+        if val < best_val:
+            best_val, best_pt = val, pt
+    return best_pt
+
+
+def kkt_block(a: np.ndarray, p: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """[[H + ridge I, 1], [1^T, 0]] with H = a^T diag(p / z^2) a and a
+    ridge of 1e-12 tr(H), assembled by ``np.block``."""
+    h = (a * (p / z ** 2)[:, None]).T @ a
+    h += 1e-12 * np.trace(h) * np.eye(len(h))
+    return np.block([[h, np.ones((len(h), 1))], [np.ones((1, len(h))), np.zeros((1, 1))]])
 
 
 def shift_position(n: int, k: int, t: int) -> int:

@@ -18,9 +18,10 @@ import gwrdp.cli
 import gwrdp.region
 import gwrdp.simulate
 from gwrdp.cli import _pmf_like, main
-from gwrdp.prob import JointPmf, Kernel
+from gwrdp.prob import JointPmf, Kernel, Pmf
 from gwrdp.region import AuxChannel, Budgets, rate_triple_for_aux
 from gwrdp.simulate import ResourceCapError
+from gwrdp.solver import DistortionMatrix, PerceptionMeasure, hamming, rdp_point_to_point
 
 from oracles import hamming_tv_problem
 
@@ -36,6 +37,20 @@ def write_config(tmp_path, name, payload):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+@pytest.fixture
+def region_solves(monkeypatch):
+    """Queries that reached the solver through the region layer's memo."""
+    calls = []
+    solve = gwrdp.region.conditional_rdp
+
+    def counted(query):
+        calls.append(query)
+        return solve(query)
+
+    monkeypatch.setattr(gwrdp.region, "conditional_rdp", counted)
+    return calls
 
 
 class TestRdpCommand:
@@ -164,6 +179,27 @@ class TestRegionCommand:
         assert (out / "frontier.csv").read_bytes() == csv_first
         assert (out / "frontier.json").read_bytes() == json_first
 
+    @pytest.mark.parametrize("budgets, audit_calls", [
+        ({"D1": 0.1, "D2": 0.1, "P1": 0.6, "P2": 0.6}, 1),  # the X and Y queries coincide
+        ({"D1": 0.1, "D2": 0.15, "P1": 0.6, "P2": 0.6}, 2),
+    ])
+    def test_cutset_audit_solves_each_distinct_query_once(self, tmp_path, region_solves,
+                                                          budgets, audit_calls):
+        base = {"p_xy": DSBS01, "budgets": budgets, "strategy": "grid", "samples": 1,
+                "w_size": 2, "seed": 0}
+        cfg = write_config(tmp_path, "plain.json", base)
+        assert run(["region", "--config", cfg, "--out-dir", tmp_path / "plain"]) == 0
+        frontier_calls = len(region_solves)
+        cfg = write_config(tmp_path, "audit.json", dict(base, cutset_audit=True))
+        assert run(["region", "--config", cfg, "--out-dir", tmp_path / "audit"]) == 0
+        assert len(region_solves) - 2 * frontier_calls == audit_calls
+        ref = json.loads((tmp_path / "audit" / "frontier.json").read_text())["cutset_reference"]
+        for key, d, p in (("rdp_x", budgets["D1"], budgets["P1"]),
+                          ("rdp_y", budgets["D2"], budgets["P2"])):
+            want = rdp_point_to_point(Pmf([0.5, 0.5]), DistortionMatrix(hamming(2)),
+                                      PerceptionMeasure("tv"), d, p)
+            assert ref[key] == want.rate
+
     def test_non_converged_point_exit_4_after_writing(self, tmp_path, monkeypatch):
         solve = gwrdp.region.conditional_rdp
 
@@ -257,6 +293,16 @@ class TestSimulateCommand:
         cfg_dict["trials"] = 40
         cfg = write_config(tmp_path, "sim.json", cfg_dict)
         assert run(["simulate", "--config", cfg, "--out-dir", tmp_path]) == 0
+
+    @pytest.mark.parametrize("budgets, calls", [
+        (SIM_CONFIG["budgets"], 1),  # the X and Y queries coincide
+        (dict(SIM_CONFIG["budgets"], D2=0.25), 2),
+    ])
+    def test_solve_shares_equal_branch_queries(self, tmp_path, region_solves, budgets, calls):
+        cfg_dict = {k: v for k, v in SIM_CONFIG.items() if not k.startswith("test_channel")}
+        cfg = write_config(tmp_path, "sim.json", dict(cfg_dict, trials=20, budgets=budgets))
+        assert run(["simulate", "--config", cfg, "--out-dir", tmp_path]) == 0
+        assert len(region_solves) == calls
 
     @pytest.mark.parametrize("seed,code", [(2 ** 64 - 1, 0), (2 ** 64, 2), (-1, 2)])
     def test_seed_range(self, tmp_path, seed, code):

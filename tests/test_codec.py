@@ -755,6 +755,39 @@ class TestBatchEncode:
         assert got == want
         assert len({g[0] for g in got if not g[3]}) > 3
 
+    def test_pair_type_outside_the_band_skips_the_scan(self, monkeypatch):
+        # uniform pair with |W| = 2 at n = 16, delta = 0.1: a pair count
+        # outside the band's sums over w rules out every common codeword,
+        # so only the other trials reach the scan, and every trial still
+        # gets the loop's indices and flags
+        n, delta = 16, 0.1
+        p_xy = JointPmf(np.full((2, 2), 0.25), ("X", "Y"))
+        aux = np.array([[0.75, 0.25], [0.5, 0.5], [0.5, 0.5], [0.25, 0.75]])
+        q_xyw = p_xy.extend(Kernel(aux.reshape(2, 2, 2)), "W")
+        tc = Kernel(np.full((2, 2, 2), 0.5))
+        cb = generate_codebook(q_xyw, tc, tc, compute_code_sizes(q_xyw, tc, tc, n, delta),
+                               delta, n, 4)
+        lo, hi = count_bounds(cb.q_xyw, n, delta)
+        scanned = []
+
+        def recorded(common, pairs, lo, hi):
+            scanned.append(pairs)
+            return _first_jointly_typical(common, pairs, lo, hi)
+
+        monkeypatch.setattr("gwrdp.codec._first_jointly_typical", recorded)
+        rng = np.random.default_rng(5)
+        pairs = np.stack([rng.permutation(np.repeat(np.arange(4), 4)) if t % 2
+                          else rng.integers(0, 4, size=n) for t in range(200)])
+        ks = rng.integers(0, n, size=200)
+        xs, ys = circular_shift(ks, pairs // 2, pairs % 2)
+        got, want = _batch_vs_loop(cb, xs, ys, ks, 0.3)
+        assert got == want
+        (rows,) = scanned
+        counts = np.stack([np.bincount(r, minlength=4) for r in rows])
+        assert np.all((counts >= lo.sum(axis=-1).ravel()) & (counts <= hi.sum(axis=-1).ravel()))
+        assert 0 < len(rows) < len(pairs)
+        assert any(not g[3] for g in got)
+
 
 class TestNonBinaryBatchEncode:
     """encode_batch against the loop oracle on a 3x2 source with |W| = 3,

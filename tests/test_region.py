@@ -25,7 +25,8 @@ from gwrdp.solver import (
     rdp_point_to_point,
 )
 
-from oracles import brute_force_rdp, conditional_rd_function, h2, hamming_tv_problem
+from oracles import (brute_force_rdp, conditional_rd_function, eager_scalarized_search, h2,
+                     hamming_tv_problem)
 
 
 def dsbs(a):
@@ -216,12 +217,16 @@ class TestSolveCache:
         assert len(set(keys)) == len(keys)
         counts = [r.args for r in caplog.records if r.name == "gwrdp.region"]
         assert len(counts) == 1
-        n_candidates, n_nonconverged, triples, calls, hits = counts[0]
+        n_candidates, n_nonconverged, evaluations, triples, lookups, calls, hits = counts[0]
         assert n_candidates == fr.n_evaluated
         assert n_nonconverged == 0
         assert calls == len(solver_calls)
         # the search repeats queries, so the cache is exercised
-        assert hits == 2 * triples - calls > calls
+        assert hits == lookups - calls > calls
+        # one triple per search and per grid candidate, each with two lookups
+        assert triples == 5 + 3
+        assert lookups > 2 * triples
+        assert evaluations > triples
 
     def test_package_logger_silent_by_default(self):
         handlers = logging.getLogger("gwrdp").handlers
@@ -266,3 +271,51 @@ class TestSolveCache:
         want_y = conditional_rdp(RdpQuery(q_yw, problem.delta_y, problem.perception_y,
                                           budgets.d2, budgets.p2))
         assert pt.r2 == want_y.rate
+
+
+LOCAL_WEIGHTS = [(1.0, 0.0, 0.0), (0.0, 1.0, 1.0), (1.0, 1.0, 1.0), (0.5, 1.0, 0.0),
+                 (0.5, 0.0, 1.0)]
+
+
+class TestLazySearch:
+    """A search scores trial channels by their weighted terms alone and
+    builds the full triple once; it returns what the search scoring every
+    triple returns."""
+
+    # the benchmark's region-local instance, and TestSolveCache's
+    cases = [(PROBLEM, BUDGETS, 0), (TestSolveCache.problem, TestSolveCache.budgets, 4)]
+
+    @pytest.mark.parametrize("k, weights", list(enumerate(LOCAL_WEIGHTS)))
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_matches_eager_search(self, case, k, weights):
+        problem, budgets, seed = self.cases[case]
+        search = dict(w_size=2, restarts=1, seed=seed + 1000 * (k + 1))
+        lazy = region._scalarized_search(problem, budgets, weights, region._Solves(), **search)
+        eager = eager_scalarized_search(problem, budgets, weights, region._Solves(), **search)
+        as_dict = [RegionFrontier((pt,), seed=0, strategy="local", n_evaluated=1).to_dict()
+                   for pt in (lazy, eager)]
+        assert as_dict[0] == as_dict[1]
+
+    def test_common_weight_solves_only_the_final_triple(self, solver_calls, monkeypatch):
+        evaluations = []
+
+        def counted(joint):
+            evaluations.append(joint)
+            return mutual_information(joint)
+
+        monkeypatch.setattr(region, "mutual_information", counted)
+        pt = scalarized_search(PROBLEM, BUDGETS, (1.0, 0.0, 0.0), w_size=2, restarts=1)
+        assert len(evaluations) > 2
+        assert len(solver_calls) <= 2
+        assert pt.r0 == pytest.approx(0.0, abs=1e-9)
+
+    def test_unweighted_branch_solves_only_the_final_triple(self, solver_calls):
+        # a Y budget apart from X's keeps the two branches' queries distinct
+        problem = RegionProblem(PROBLEM.p_xy, HAM2, DistortionMatrix(hamming(2)))
+        budgets = Budgets(d1=0.1, d2=0.15, p1=0.6, p2=0.6)
+        pt = scalarized_search(problem, budgets, (0.5, 1.0, 0.0), w_size=2, restarts=1)
+        y_calls = [q for q in solver_calls if q.delta is problem.delta_y]
+        assert len(y_calls) == 1
+        assert len(solver_calls) - len(y_calls) > 2
+        q_yw = problem.p_xy.extend(pt.witness.kernel, "W").marginal("Y", "W")
+        assert np.array_equal(y_calls[0].q_xw.probs, q_yw.probs)

@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 import gwrdp.simulate
-from gwrdp.codec import compute_code_sizes, decode, encode, generate_codebook
+from gwrdp.codec import compute_code_sizes, decode, encode, encode_batch, generate_codebook
 from gwrdp.derandom import build_seed_map
 from gwrdp.prob import JointPmf, Kernel, tv_distance
 from gwrdp.region import AuxChannel, Budgets, rate_triple_for_aux
@@ -45,7 +45,7 @@ def exact_small_instance(seed):
     """Exhaustive oracle at n=2, uniform pair, identity test channels,
     delta=1: enumerate all 16 source pairs and both shift seeds for one
     generated codebook and average the codec outputs exactly."""
-    from gwrdp.codec import compute_code_sizes, decode, encode, generate_codebook
+    from gwrdp.codec import compute_code_sizes, decode, encode, encode_batch, generate_codebook
 
     q_xyw = UNIFORM4.extend(AuxChannel.independent(2, 2).kernel, "W")
     sizes = compute_code_sizes(q_xyw, IDENTITY_TC, IDENTITY_TC, 2, 1.0)
@@ -376,6 +376,31 @@ class TestKnownFailureFamilies:
             assert "codebook would hold 16777232 symbols" in str(err)
             raise
         assert report.x.freq_no_codeword > 0
+
+    @pytest.mark.xfail(strict=True, raises=ResourceCapError,
+                       reason="a private scan no codeword can serve draws pages until the "
+                              "memory cap; no type-level check reports the miss first")
+    def test_private_miss_no_codeword_can_serve_direct(self):
+        # the run above, without its draws: an all-zero x has no ones
+        # against 6-10 in every band codeword of the seed-4 codebook, so its
+        # least distortion is above the threshold
+        budgets = Budgets(0.1, 0.1, 0.6, 0.6)
+        p_xy, aux = dsbs(0.1), AuxChannel.independent(2, 2)
+        pt = rate_triple_for_aux(hamming_tv_problem(p_xy), aux, budgets)
+        q_xyw = p_xy.extend(aux.kernel, "W")
+        tcs = (pt.test_channel_x, pt.test_channel_y)
+        sizes = compute_code_sizes(q_xyw, *tcs, 16, 0.3)
+        codebook = generate_codebook(q_xyw, *tcs, sizes, 0.3, 16, 4,
+                                     memory_cap=gwrdp.simulate.DEFAULT_MEMORY_CAP)
+        ham = np.array([[0.0, 1.0], [1.0, 0.0]])
+        thresholds = encoder_thresholds(q_xyw, *tcs, ham, ham, 0.3)
+        zeros = np.zeros((1, 16), dtype=np.int64)
+        try:
+            *_, miss = encode_batch(codebook, zeros, zeros, [0], ham, ham, *thresholds)
+        except ResourceCapError as err:
+            assert "codebook would hold 16777232 symbols" in str(err)
+            raise
+        assert miss[1, 0]
 
 
 class TestWilson:

@@ -22,7 +22,7 @@ from gwrdp.solver import (
     rdp_point_to_point,
 )
 
-from oracles import brute_force_rdp, h2, rd_function
+from oracles import brute_force_rdp, h2, kkt_block, rd_function
 
 HAM2 = DistortionMatrix(hamming(2))
 TV = PerceptionMeasure("tv")
@@ -275,6 +275,21 @@ class TestDualSolver:
             [sys.executable, "-c", "import gwrdp, sys; assert 'scipy' not in sys.modules"],
             capture_output=True, text=True, timeout=120, env=env)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_kkt_matches_block_assembly(self, k):
+        # seeded faces of k columns with row maximum 1, as the inner solve
+        # poses them, some with coinciding columns (where the ridge matters)
+        rng = np.random.default_rng(k)
+        for _ in range(40):
+            rows = int(rng.integers(1, 7))
+            a = rng.random((rows, k))
+            if k > 1 and rng.random() < 0.5:
+                a[:, -1] = a[:, 0]
+            a /= a.max(axis=1, keepdims=True)
+            p, r = rng.dirichlet(np.ones(rows)), rng.dirichlet(np.ones(k))
+            z = a @ r
+            assert solver_module._kkt(a, p, z).tobytes() == kkt_block(a, p, z).tobytes()
 
 
 
