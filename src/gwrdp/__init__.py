@@ -1,6 +1,6 @@
 """Gray-Wyner rate-distortion-perception toolkit."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 import logging
 import types
@@ -42,14 +42,12 @@ from .codec import (
     CodeSizes,
     EmptyTypicalSetError,
     PagedLayer,
-    TypicalSetSpec,
     circular_shift,
     compute_code_sizes,
     decode,
     encode,
     generate_codebook,
     sample_uniform_cond_typical,
-    sample_uniform_typical,
 )
 from .derandom import (
     SeedMap,

@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes; results are degree-independent")
     parser.add_argument("--memory-cap", type=int, default=DEFAULT_MEMORY_CAP,
                         help="cap on the codeword symbols a simulation draws, per "
-                             "process: the common layer plus the private pages drawn")
+                             "process: the pages drawn from all three codebook layers")
     return parser
 
 

@@ -8,30 +8,35 @@ with q(a) = 0 therefore may not occur at all. Conditional sets apply the
 same band to joint counts against the joint distribution, with the
 conditioning sequence fixed. One float test, ``_in_band``, decides the
 band: ``count_bounds`` turns it into per-cell integer count ranges, and
-the samplers and the encoder work from those ranges.
+the sampler and the encoder work from those ranges.
 
 Sampling is exactly uniform: integer type vectors inside the band are
 enumerated, weighted by their exact (big-integer) multinomial class
 sizes, one is drawn by exact inverse CDF, and a uniformly random
 arrangement of its symbol multiset is emitted. The inverse CDF runs on
 int64 (unbiased bounded integers and a sorted search) when the total
-class size fits, and on big integers otherwise. The conditional sampler
-does this once per conditioning symbol; the unconditional sampler is its
-one-stratum case.
+class size fits, and on big integers otherwise. The sampler is
+conditional and does this once per conditioning symbol; an unconditional
+draw is its one-stratum case, a constant conditioning sequence.
 
-Codebooks draw the common layer eagerly and each private layer lazily, in
-pages of 4096 codewords. Page p of branch b under common index s0 comes
-from its own counter-based stream, Philox keyed by
+A codebook has three layers of one type, ``PagedLayer``, each drawn
+lazily in pages of 4096 codewords: the common layer (branch 0) and the
+private layers of X and Y (branches 1 and 2). Page p of branch b under
+conditioning index s0 is drawn given the parent layer's codeword
+``parent[0, s0]``, from its own counter-based stream, Philox keyed by
 ``SeedSequence(seed, spawn_key=(b, s0, p))``, so a page holds the same
-codewords whichever process draws it and in whatever order. Only the pages
-an encoder or decoder touches are ever drawn, which lets a layer hold far
-more codewords than memory could; a memory cap on the symbols drawn so far
-ends a scan that would run past it.
+codewords whichever process draws it and in whatever order. A private
+layer's parent is the common layer; the common layer has one index, s0 =
+0, and its parent is one all-zero row, so its band is W's own.
+Generating a codebook draws nothing, and only the pages an encoder or
+decoder touches are ever drawn, which lets a layer hold far more
+codewords than memory could. A memory cap on the symbols drawn is
+checked up front against the first page of each layer, and ends a scan
+that would run past it.
 
-The encoder takes a batch of source pairs and scans codewords in blocks
-read through one ``read(start, stop)`` call each: ``layer[s0, start:stop]``
-for a private layer, ``common[start:stop]`` for the common one. Blocks grow
-4x from a first size, and each stays within one page and holds at most
+The encoder takes a batch of source pairs and scans each layer in blocks
+``layer[s0, start:stop]``, s0 = 0 for the common layer. Blocks grow 4x
+from a first size, and each stays within one page and holds at most
 ``_SCRATCH`` one-hot elements (or one row's), so an early hit costs a few
 codewords, a scan draws a page only when it reaches it, and a long scan
 stays vectorized. Each block is one-hot encoded once and scored for every
@@ -61,7 +66,7 @@ import numpy as np
 from .prob import JointPmf, Kernel, _entropy_bits
 
 SYMBOL_DTYPE = np.uint8
-PAGE_ROWS = 4096   # codewords per lazily drawn page of a private layer
+PAGE_ROWS = 4096   # codewords per lazily drawn page of a codebook layer
 _SCRATCH = 2 ** 16   # elements of a scan block's one-hot and of one step's product
 
 
@@ -117,22 +122,6 @@ def _in_band(counts, n: int, q, delta: float) -> np.ndarray:
     """The band test |c/n - q| <= delta * q, elementwise; every typicality
     decision in this module is this one float expression."""
     return np.abs(counts / n - q) <= delta * q
-
-
-@dataclass(frozen=True)
-class TypicalSetSpec:
-    """Reference pmf with band width delta at blocklength n."""
-
-    q: np.ndarray
-    delta: float
-    n: int
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=np.float64))
 
 
 def count_bounds(q: np.ndarray, n: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -222,15 +211,6 @@ def _permuted_rows(rng: np.random.Generator, base: np.ndarray, rows: int) -> np.
     tiled = np.broadcast_to(base, (rows, base.shape[0]))
     order = np.argsort(rng.random((rows, base.shape[0])), axis=1)
     return np.take_along_axis(tiled, order, axis=1)
-
-
-def sample_uniform_typical(spec: TypicalSetSpec, count: int,
-                           rng: np.random.Generator | int) -> np.ndarray:
-    """Exactly uniform draws from the typical set; shape (count, n). This
-    is the conditional sampler's one-stratum case: a constant
-    conditioning sequence, with q as the joint's only column."""
-    return sample_uniform_cond_typical(spec.q.reshape(-1, 1), spec.delta,
-                                       np.zeros(spec.n, dtype=np.int64), count, rng)
 
 
 def sample_uniform_cond_typical(joint_q: np.ndarray, delta: float,
@@ -370,14 +350,12 @@ def compute_code_sizes(q_xyw: JointPmf, tc_x: Kernel, tc_y: Kernel,
 
 
 class _SymbolBudget:
-    """Codeword symbols one process may hold for a codebook: the common
-    layer plus every private page drawn so far, against an optional cap.
-    Pickled copies start again from the common layer, because paged
-    layers drop their drawn pages when pickled."""
+    """Codeword symbols one process has drawn for a codebook, every page of
+    its three layers, against an optional cap. A pickled copy starts again
+    at 0, because paged layers drop their drawn pages when pickled."""
 
-    def __init__(self, cap: int | None, base: int):
-        self.cap, self.base, self.used = cap, base, base
-        self.charge(0)
+    def __init__(self, cap: int | None):
+        self.cap, self.used = cap, 0
 
     def charge(self, symbols: int):
         if self.cap is not None and self.used + symbols > self.cap:
@@ -386,17 +364,17 @@ class _SymbolBudget:
                 f"raise memory_cap or reduce n/delta")
         self.used += symbols
 
-    def __getstate__(self):
-        return self.cap, self.base
-
-    def __setstate__(self, state):
-        self.cap, self.base = state
-        self.used = self.base
+    def __reduce__(self):
+        return _SymbolBudget, (self.cap,)
 
 
 class PagedLayer:
-    """One branch's private codewords, shape (M0, M, n), drawn a page at a
-    time on first touch and cached.
+    """One codebook layer, shape (S, M, n): M codewords under each of S
+    conditioning indices, drawn a page at a time on first touch and cached.
+    Page p under index s0, codewords [p * PAGE_ROWS, (p + 1) * PAGE_ROWS),
+    is drawn uniformly from the conditional typical set of ``joint`` given
+    the parent's codeword ``parent[0, s0]``, from Philox keyed by
+    ``SeedSequence(seed, spawn_key=(branch, s0, p))``.
 
     Array-like: ``shape`` (Python ints); ``layer[s0, a:b]``, the slice of
     codewords under s0, reading only the pages it spans; ``layer[s0]``,
@@ -410,11 +388,11 @@ class PagedLayer:
 
     dtype = np.dtype(SYMBOL_DTYPE)
 
-    def __init__(self, common: np.ndarray, joint: np.ndarray, delta: float, m: int,
+    def __init__(self, parent, joint: np.ndarray, delta: float, m: int,
                  seed: int, branch: int, budget: _SymbolBudget):
-        self.common, self.joint, self.delta = common, joint, delta
+        self.parent, self.joint, self.delta = parent, joint, delta
         self.seed, self.branch, self.budget = seed, branch, budget
-        self.shape = (int(common.shape[0]), int(m), int(common.shape[1]))
+        self.shape = (int(parent.shape[1]), int(m), int(parent.shape[2]))
         self._pages: dict[tuple[int, int], np.ndarray] = {}
 
     @property
@@ -434,9 +412,10 @@ class PagedLayer:
         got = self._pages.get((s0, p))
         if got is None:
             rows = min(PAGE_ROWS, self.shape[1] - p * PAGE_ROWS)
+            cond = self.parent[0, s0:s0 + 1][0]   # a slice skips the index-array path
             self.budget.charge(rows * self.shape[2])
             ss = np.random.SeedSequence(self.seed, spawn_key=(self.branch, s0, p))
-            got = sample_uniform_cond_typical(self.joint, self.delta, self.common[s0], rows,
+            got = sample_uniform_cond_typical(self.joint, self.delta, cond, rows,
                                               np.random.Generator(np.random.Philox(ss)))
             self._pages[(s0, p)] = got
         return got
@@ -491,13 +470,15 @@ def _checked_index(i, size: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Codebook:
-    """Three-layer codebook: common codewords plus per-index private
-    codewords for each branch, all drawn uniformly from their
-    (conditional) typical sets. The private layers are (M0, M, n) arrays
-    or ``PagedLayer``s, read alike: the encoder in blocks ``layer[s0,
-    a:b]``, the decoder one codeword per pair ``layer[s0s, js]``."""
+    """Three-layer codebook, each layer an (S, M, n) ``PagedLayer`` or
+    array: the common layer, (1, M0, n) over the W alphabet, and the
+    private layers of both branches, (M0, M, n), whose codewords under
+    index s0 are conditioned on the common codeword ``common[0, s0]``. All
+    codewords are drawn uniformly from their (conditional) typical sets.
+    The layers are read alike: the encoder in blocks ``layer[s0, a:b]``,
+    the decoder one codeword per pair ``layer[s0s, js]``."""
 
-    common: np.ndarray          # (M0, n) over the W alphabet
+    common: np.ndarray | PagedLayer   # (1, M0, n)
     priv_x: np.ndarray | PagedLayer   # (M0, M1, n)
     priv_y: np.ndarray | PagedLayer   # (M0, M2, n)
     q_xyw: np.ndarray           # reference joint for encoder typicality
@@ -509,31 +490,37 @@ class Codebook:
 
     @property
     def sizes(self) -> tuple[int, int, int]:
-        return (self.common.shape[0], self.priv_x.shape[1], self.priv_y.shape[1])
+        return (self.common.shape[1], self.priv_x.shape[1], self.priv_y.shape[1])
 
 
 def generate_codebook(q_xyw: JointPmf, tc_x: Kernel, tc_y: Kernel,
                       sizes: CodeSizes, delta: float, n: int, seed: int,
                       memory_cap: int | None = None) -> Codebook:
-    """Draw the common layer and set up the two paged private layers
-    (branches 1 and 2); bit-identical for a fixed seed. With a
-    ``memory_cap``, the common layer and every page drawn later count
-    against it, and ``ResourceCapError`` is raised before the drawing
-    that would pass it."""
+    """Set up the three paged layers, drawing no codeword: branch 0, the
+    common layer, has one conditioning index and a constant all-zero
+    conditioning row, so its band is W's own; branches 1 and 2, the
+    private layers, are conditioned on the common codewords. The codewords
+    are bit-identical for a fixed seed. With a ``memory_cap``, every page
+    drawn counts against it; a cap below the first page of each layer,
+    the least any encoding draws, is refused here, and a later page that
+    would pass it raises ``ResourceCapError`` before it is drawn."""
     limit = np.iinfo(SYMBOL_DTYPE).max + 1
     for name, size in (("W", q_xyw.shape[2]), ("X reconstruction", tc_x.out_size),
                        ("Y reconstruction", tc_y.out_size)):
         if size > limit:
             raise AlphabetError(f"{name} alphabet has {size} symbols; codewords hold at "
                                 f"most {limit}")
+    least = sum(min(m, PAGE_ROWS) for m in (sizes.m0, sizes.m1, sizes.m2)) * n
+    if memory_cap is not None and least > memory_cap:
+        raise ResourceCapError(f"codebook needs at least {least} symbols, cap is {memory_cap}; "
+                               f"raise memory_cap or reduce n/delta")
     p, j_xw_xt, j_yw_yt = _chain_joints(q_xyw, tc_x, tc_y)
-    q_w = p.sum(axis=(0, 1))
     joint_xt_w = j_xw_xt.sum(axis=0).T   # (Xt, W)
     joint_yt_w = j_yw_yt.sum(axis=0).T   # (Yt, W)
 
-    budget = _SymbolBudget(memory_cap, sizes.m0 * n)
-    rng_w = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,))))
-    common = sample_uniform_typical(TypicalSetSpec(q_w, delta, n), sizes.m0, rng_w)
+    budget = _SymbolBudget(memory_cap)
+    root = np.zeros((1, 1, n), dtype=SYMBOL_DTYPE)
+    common = PagedLayer(root, p.sum(axis=(0, 1))[:, None], delta, sizes.m0, seed, 0, budget)
     priv_x = PagedLayer(common, joint_xt_w, delta, sizes.m1, seed, 1, budget)
     priv_y = PagedLayer(common, joint_yt_w, delta, sizes.m2, seed, 2, budget)
     return Codebook(common=common, priv_x=priv_x, priv_y=priv_y,
@@ -576,19 +563,20 @@ def _one_hot(seqs: np.ndarray, size: int) -> np.ndarray:
     return (seqs.T[:, None, :] == np.arange(size)[:, None]).astype(np.float64)
 
 
-def _scan(read, m: int, first: int, trials: int, n: int, size: int, per_row: int,
+def _scan(layer, s0: int, first: int, trials: int, size: int, per_row: int,
           hits) -> np.ndarray:
-    """Per trial, the smallest of m codeword indices that ``hits`` accepts,
-    or -1. Each of the ``_blocks`` for codewords of n symbols over ``size``
-    is read once, as ``read(start, stop)``, one-hot encoded once and scored
-    for the trials still without a hit, in sub-batches whose scores
-    (``per_row`` elements per trial and block row) hold at most _SCRATCH
-    elements, or one trial's. ``hits(trials, codewords, one_hot)`` returns
-    the (trials, block rows) hit mask."""
+    """Per trial, the smallest j whose codeword ``layer[s0, j]`` ``hits``
+    accepts, or -1. Each of the ``_blocks`` for the layer's codewords of n
+    symbols over ``size`` is read once, as ``layer[s0, start:stop]``,
+    one-hot encoded once and scored for the trials still without a hit, in
+    sub-batches whose scores (``per_row`` elements per trial and block row)
+    hold at most _SCRATCH elements, or one trial's. ``hits(trials,
+    codewords, one_hot)`` returns the (trials, block rows) hit mask."""
+    _, m, n = layer.shape
     found = np.full(trials, -1, dtype=np.int64)
     active = np.arange(trials)
     for start, stop in _blocks(m, first, n * size):
-        codewords = read(start, stop)
+        codewords = layer[s0, start:stop]
         one_hot = _one_hot(codewords, size)
         step = max(1, _SCRATCH // ((stop - start) * per_row))
         for a in range(0, active.size, step):
@@ -637,19 +625,19 @@ def _first_under_threshold(layer, s0: int, refs: np.ndarray,
             ok[tt, rr] = delta_mat[refs[trials[tt]], block[rr]].mean(axis=-1) <= threshold
         return ok
 
-    return _scan(lambda a, b: layer[s0, a:b], layer.shape[1], 16, refs.shape[0], n,
-                 delta_mat.shape[1], 1, under)
+    return _scan(layer, s0, 16, refs.shape[0], delta_mat.shape[1], 1, under)
 
 
-def _first_jointly_typical(common: np.ndarray, pairs: np.ndarray,
+def _first_jointly_typical(common, pairs: np.ndarray,
                            lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per trial, the smallest common index whose codeword's joint counts
-    with the trial's source pair (a row of ``pairs``, the pair cell x *
-    |Y| + y per position) lie in [lo, hi], or -1. The bounds' last axis is
-    W, their leading axes the pair cells. Blocks ``common[a:b]`` of 64,
-    256, ... codewords; the exact integer counts of a block are one
-    product of the trials' pair-cell one-hot, (trials * cells, n), with
-    the block's, (n, |W| * rows)."""
+    """Per trial, the smallest j whose common codeword ``common[0, j]`` has
+    joint counts with the trial's source pair (a row of ``pairs``, the pair
+    cell x * |Y| + y per position) in [lo, hi], or -1. The bounds' last
+    axis is W, their leading axes the pair cells. ``common`` is a
+    ``PagedLayer`` or a (1, M0, n) array, read in blocks ``common[0, a:b]``
+    of 64, 256, ... codewords; the exact integer counts of a block are one
+    product of the trials' pair-cell one-hot, (trials * cells, n), with the
+    block's, (n, |W| * rows)."""
     kw = lo.shape[-1]
     lo, hi = lo.reshape(-1, kw, 1), hi.reshape(-1, kw, 1)
     cells, n = lo.shape[0], pairs.shape[1]
@@ -660,8 +648,7 @@ def _first_jointly_typical(common: np.ndarray, pairs: np.ndarray,
             trials.size, cells, kw, -1)
         return ((counts >= lo) & (counts <= hi)).all(axis=(1, 2))
 
-    return _scan(lambda a, b: common[a:b], common.shape[0], 64, pairs.shape[0], n, kw,
-                 cells * kw, typical)
+    return _scan(common, 0, 64, pairs.shape[0], kw, cells * kw, typical)
 
 
 def encode_batch(codebook: Codebook, xs: np.ndarray, ys: np.ndarray, ks,

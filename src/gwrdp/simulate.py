@@ -26,9 +26,9 @@ from itertools import repeat
 import numpy as np
 
 # encode and deterministic_encode are not called here; they stay importable
-# from this module, where perfbench's layer trace wraps them
+# from this module, where perfbench's layer trace wraps them, as does
+# ResourceCapError, which the CLI catches
 from .codec import (
-    PAGE_ROWS,
     Codebook,
     ResourceCapError,
     compute_code_sizes,
@@ -84,6 +84,8 @@ class SimConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.memory_cap < 1:
+            raise ValueError(f"memory_cap must be at least 1, got {self.memory_cap}")
         if not 2 <= self.n <= 2 ** 32:
             raise ValueError(f"n must lie in [2, 2**32], got {self.n}")
         if not 0 <= self.master_seed < 2 ** 64:
@@ -324,13 +326,6 @@ def run_simulation(config: SimConfig, parallel: int = 1) -> SimReport:
     q_xyw = config.p_xy.extend(config.aux.kernel, "W")
     sizes = compute_code_sizes(q_xyw, config.test_channel_x, config.test_channel_y,
                                config.n, config.delta)
-    # the common layer and one page per branch are the least any trial draws
-    first_symbols = (sizes.m0 + min(sizes.m1, PAGE_ROWS) + min(sizes.m2, PAGE_ROWS)) * config.n
-    if first_symbols > config.memory_cap:
-        raise ResourceCapError(
-            f"codebook needs at least {first_symbols} symbols, cap is {config.memory_cap}; "
-            f"raise memory_cap or reduce n/delta")
-
     deltas = (config.delta_x_mat.values, config.delta_y_mat.values)
     thresholds = encoder_thresholds(q_xyw, config.test_channel_x, config.test_channel_y,
                                     *deltas, config.delta)

@@ -132,8 +132,8 @@ class RdpQuery:
             raise ValueError("p_budget must be nonnegative (use inf to disable)")
         if self.recon_alphabet is not None:
             cols = tuple(self.recon_alphabet)
-            if (len(cols) == 0 or not all(isinstance(c, (int, np.integer)) for c in cols)
-                    or len(set(cols)) != len(cols)):
+            if (len(cols) == 0 or any(isinstance(c, bool) or not isinstance(c, (int, np.integer))
+                                      for c in cols) or len(set(cols)) != len(cols)):
                 raise ValueError("recon_alphabet must be a nonempty set of column indices")
             if min(cols) < 0 or max(cols) >= self.delta.n_recon:
                 raise ValueError("recon_alphabet indices out of range")

@@ -19,15 +19,20 @@ TV region problem most tests pose. ``eager_scalarized_search`` is the
 scalarized search that builds the full triple of every trial channel,
 against which the search that reads only its weighted terms is checked,
 and ``kkt_block`` assembles the solver's Newton system with ``np.block``.
+``sample_uniform_typical`` draws from an unconditional typical set,
+described by a ``TypicalSetSpec``, through the library's conditional
+sampler given a constant conditioning row.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from gwrdp.codec import sample_uniform_cond_typical
 from gwrdp.prob import Kernel
 from gwrdp.region import (_SWEEPS, AuxChannel, RegionProblem, _dirichlet_aux, _rate_triple,
                           _w_size)
@@ -290,6 +295,24 @@ def in_band(seqs, q, delta: float) -> bool:
     return bool(np.all(np.abs(counts / cells.size - q) <= delta * q))
 
 
+@dataclass(frozen=True)
+class TypicalSetSpec:
+    """Reference pmf ``q`` with band width ``delta`` at blocklength ``n``."""
+
+    q: np.ndarray
+    delta: float
+    n: int
+
+
+def sample_uniform_typical(spec: TypicalSetSpec, count: int,
+                           rng: np.random.Generator | int) -> np.ndarray:
+    """Exactly uniform draws from ``spec``'s typical set, shape (count, n):
+    the conditional sampler given a constant conditioning row, with q as
+    the joint's only column, as a codebook draws its common layer."""
+    return sample_uniform_cond_typical(spec.q.reshape(-1, 1), spec.delta,
+                                       np.zeros(spec.n, dtype=np.int64), count, rng)
+
+
 def is_typical(seq, spec) -> bool:
     """Multiplicative typicality of a sequence against ``spec``'s pmf."""
     if len(seq) != spec.n:
@@ -328,7 +351,7 @@ def encode_loop(codebook, x_seq, y_seq, k: int, delta_x, delta_y,
     xb = np.roll(np.asarray(x_seq, dtype=np.int64), k)   # undo the shift by k
     yb = np.roll(np.asarray(y_seq, dtype=np.int64), k)
     s0 = -1
-    for i, w in enumerate(codebook.common):
+    for i, w in enumerate(codebook.common[0]):
         if is_jointly_typical(xb, yb, w, codebook.q_xyw, codebook.delta):
             s0 = i
             break

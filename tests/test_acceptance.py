@@ -18,12 +18,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gwrdp.codec import (
-    TypicalSetSpec,
-    compute_code_sizes,
-    generate_codebook,
-    sample_uniform_typical,
-)
+from gwrdp.codec import compute_code_sizes, generate_codebook
 from gwrdp.derandom import build_seed_map, default_tail_length
 from gwrdp.prob import JointPmf, Pmf
 from gwrdp.region import AuxChannel, Budgets, compute_frontier, rate_triple_for_aux
@@ -37,8 +32,9 @@ from gwrdp.solver import (
     rdp_point_to_point,
 )
 
-from oracles import (brute_force_rdp, conditional_rd_function, h2, hamming_tv_problem,
-                     is_cond_typical, is_typical, rd_function)
+from oracles import (TypicalSetSpec, brute_force_rdp, conditional_rd_function, h2,
+                     hamming_tv_problem, is_cond_typical, is_typical, rd_function,
+                     sample_uniform_typical)
 
 HAM2 = DistortionMatrix(hamming(2))
 TV = PerceptionMeasure("tv")
@@ -198,13 +194,13 @@ def test_criterion_5_codec_exactness():
     q_w = np.asarray(q_xyw.probs).sum(axis=(0, 1))
     w_spec = TypicalSetSpec(q_w, 0.15, 16)
     n_checked = 0
-    typical_ok = all(is_typical(w, w_spec) for w in cb.common)
-    for i in range(cb.common.shape[0]):
+    typical_ok = all(is_typical(w, w_spec) for w in cb.common[0])
+    for i in range(cb.common.shape[1]):
         for cw in cb.priv_x[i]:
-            typical_ok &= is_cond_typical(cw, cb.common[i], cb.joint_xt_w, 0.15)
+            typical_ok &= is_cond_typical(cw, cb.common[0, i], cb.joint_xt_w, 0.15)
             n_checked += 1
         for cw in cb.priv_y[i]:
-            typical_ok &= is_cond_typical(cw, cb.common[i], cb.joint_yt_w, 0.15)
+            typical_ok &= is_cond_typical(cw, cb.common[0, i], cb.joint_yt_w, 0.15)
             n_checked += 1
 
     # exact shift/distortion/type invariants on 10^4 randomized cases

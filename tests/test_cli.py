@@ -416,6 +416,8 @@ INVALID_INPUTS = [
      {"source": [0.5, 0.5], "d_budget": 0.1, "p_budget": 0.1, "recon_alphabet": 5}),
     ("rdp-nested-recon-alphabet", "rdp",
      {"source": [0.5, 0.5], "d_budget": 0.1, "p_budget": 0.1, "recon_alphabet": [[1]]}),
+    ("rdp-bool-recon-alphabet", "rdp",
+     {"source": [0.5, 0.5], "d_budget": 0.1, "p_budget": 0.1, "recon_alphabet": [True, False]}),
     ("simulate-string-n0", "simulate", dict(SIM_CONFIG, mode="deterministic", n0="2")),
     ("derand-audit-negative-n", "derand-audit", {"p_xy": UNIFORM_PAIR, "n0": 1, "n": -1}),
     # 4 atoms cannot populate 8 seed bins
@@ -476,6 +478,15 @@ class TestExitCodeContract:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_memory_cap_below_one_exit_2(self, tmp_path, cap):
+        # an invalid flag, not a resource rejection: nothing is sized against it
+        proc = run_child(tmp_path, "simulate", SIM_CONFIG, timeout=120,
+                         args=("--memory-cap", cap))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.strip() == ("invalid input (ValueError): memory_cap must be at "
+                                       f"least 1, got {cap}")
 
     @pytest.mark.parametrize("subcommand,payload,args",
                              [case[1:] for case in RESOURCE_LIMIT_INPUTS],

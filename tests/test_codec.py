@@ -20,7 +20,6 @@ from gwrdp.codec import (
     EmptyTypicalSetError,
     ResourceCapError,
     TypeTable,
-    TypicalSetSpec,
     _blocks,
     _first_jointly_typical,
     _first_under_threshold,
@@ -33,11 +32,11 @@ from gwrdp.codec import (
     generate_codebook,
     joint_set_empty,
     sample_uniform_cond_typical,
-    sample_uniform_typical,
 )
 from gwrdp.prob import JointPmf, Kernel
 from gwrdp.solver import hamming
 from oracles import (
+    TypicalSetSpec,
     encode_loop,
     first_under_threshold_loop,
     is_cond_typical,
@@ -45,6 +44,7 @@ from oracles import (
     is_typical,
     per_letter_distortion,
     rejection_sample_typical,
+    sample_uniform_typical,
     shift_position,
 )
 
@@ -281,11 +281,11 @@ class TestCodebook:
         cb, q_xyw, _ = small_codebook()
         q_w = np.asarray(q_xyw.probs).sum(axis=(0, 1))
         w_spec = TypicalSetSpec(q_w, cb.delta, cb.n)
-        assert all(is_typical(w, w_spec) for w in cb.common)
-        for i in range(cb.common.shape[0]):
-            assert all(is_cond_typical(c, cb.common[i], cb.joint_xt_w, cb.delta)
+        assert all(is_typical(w, w_spec) for w in cb.common[0])
+        for i in range(cb.common.shape[1]):
+            assert all(is_cond_typical(c, cb.common[0, i], cb.joint_xt_w, cb.delta)
                        for c in cb.priv_x[i])
-            assert all(is_cond_typical(c, cb.common[i], cb.joint_yt_w, cb.delta)
+            assert all(is_cond_typical(c, cb.common[0, i], cb.joint_yt_w, cb.delta)
                        for c in cb.priv_y[i])
 
     def test_single_codeword_chain(self):
@@ -299,7 +299,7 @@ class TestCodebook:
                              n=8, delta=0.3)
         cb = generate_codebook(q_xyw, tc, tc, forced, 0.3, 8, seed=1)
         assert cb.sizes == (1, 1, 1)
-        assert is_cond_typical(cb.priv_x[0, 0], cb.common[0], cb.joint_xt_w, 0.3)
+        assert is_cond_typical(cb.priv_x[0, 0], cb.common[0, 0], cb.joint_xt_w, 0.3)
 
     @pytest.mark.parametrize("oversized", ["W", "reconstruction"])
     def test_alphabet_over_256_symbols_rejected(self, oversized):
@@ -502,7 +502,7 @@ class TestScanEquivalence:
         assert _first_under_threshold(private, 1, refs, HAM, 0.5).tolist() == [-1] * 3
         assert private.spans == [(0, 16), (16, 80), (80, 336), (336, 1360), (1360, 4096),
                                  (4096, self.M)]
-        common = Recorder(np.zeros((self.M, 4), dtype=np.uint8))
+        common = Recorder(np.zeros((1, self.M, 4), dtype=np.uint8))
         never = np.ones(2, dtype=np.int64), np.zeros(2, dtype=np.int64)   # lo > hi
         assert _first_jointly_typical(common, refs, *never).tolist() == [-1] * 3
         assert common.spans == [(0, 64), (64, 320), (320, 1344), (1344, 4096), (4096, self.M)]
@@ -529,7 +529,7 @@ class TestScanEquivalence:
                                     np.tile([0, 1], n // 2), common[hit:])
             common[hit] = np.tile([0, 1], n // 2)
         priv = rng.integers(0, 2, size=(m, 3, n)).astype(np.uint8)
-        cb = Codebook(common=common, priv_x=priv, priv_y=priv[:, ::-1],
+        cb = Codebook(common=common[None], priv_x=priv, priv_y=priv[:, ::-1],
                       q_xyw=q_xyw, joint_xt_w=np.full((2, 2), 0.25),
                       joint_yt_w=np.full((2, 2), 0.25), n=n, delta=0.5, seed=0)
         xs = np.repeat([0, 0, 1, 1], 4)
@@ -567,7 +567,7 @@ class TestScanEquivalence:
         hits0, miss_x = set(), set()
         for trial in range(400):
             if trial % 2:
-                w = cb.common[rng.integers(0, cb.common.shape[0])]
+                w = cb.common[0, rng.integers(0, cb.common.shape[1])]
                 pair = np.array([rng.choice(4, p=q_pair_given_w[:, s]) for s in w])
             else:
                 pair = rng.integers(0, 4, size=n)
@@ -630,7 +630,7 @@ def _x_keyed_codebook(common, priv_x, priv_y):
     sequence (the cells with w != x have q = 0)."""
     q_xyw = np.zeros((2, 2, 2))
     q_xyw[0, :, 0] = q_xyw[1, :, 1] = 0.25
-    return Codebook(common=common, priv_x=priv_x, priv_y=priv_y, q_xyw=q_xyw,
+    return Codebook(common=common[None], priv_x=priv_x, priv_y=priv_y, q_xyw=q_xyw,
                     joint_xt_w=np.full((2, 2), 0.25), joint_yt_w=np.full((2, 2), 0.25),
                     n=32, delta=0.5, seed=0)
 
@@ -747,7 +747,7 @@ class TestBatchEncode:
         q_pair_given_w = (cb.q_xyw / cb.q_xyw.sum(axis=(0, 1))).reshape(4, 2)
         rng = np.random.default_rng(seed)
         pairs = [np.array([rng.choice(4, p=q_pair_given_w[:, s]) for s in
-                           cb.common[rng.integers(0, cb.common.shape[0])]])
+                           cb.common[0, rng.integers(0, cb.common.shape[1])]])
                  if t % 2 else rng.integers(0, 4, size=n) for t in range(400)]
         ks = rng.integers(0, n, size=400)
         xs, ys = circular_shift(ks, np.stack(pairs) // 2, np.stack(pairs) % 2)
@@ -816,7 +816,7 @@ class TestNonBinaryBatchEncode:
         q_xyw = np.zeros((3, 2, 3))
         for x in range(3):
             q_xyw[x, :, x] = 1 / 6
-        return Codebook(common=common, priv_x=priv_x, priv_y=priv_y, q_xyw=q_xyw,
+        return Codebook(common=common[None], priv_x=priv_x, priv_y=priv_y, q_xyw=q_xyw,
                         joint_xt_w=np.full((2, 3), 1 / 6), joint_yt_w=np.full((3, 3), 1 / 9),
                         n=cls.N, delta=0.5, seed=0)
 
@@ -1072,9 +1072,100 @@ class TestPagedLayers:
         assert cb.priv_x.nbytes + cb.common.nbytes <= cap
 
     def test_common_layer_over_the_cap_raises(self):
-        with pytest.raises(ResourceCapError):
-            paged_codebook(m0=10, n=32, memory_cap=319)
-        assert paged_codebook(m0=10, n=32, memory_cap=320).priv_x.pages_drawn == 0
+        # the first page of each layer, the common layer's 10 codewords and
+        # PAGE_ROWS of each private one, is the least any encoding draws
+        least = (10 + 2 * PAGE_ROWS) * 32
+        with pytest.raises(ResourceCapError,
+                           match=f"needs at least {least} symbols, cap is {least - 1};"):
+            paged_codebook(m0=10, n=32, memory_cap=least - 1)
+        cb = paged_codebook(m0=10, n=32, memory_cap=least)
+        assert [cb.common.pages_drawn, cb.priv_x.pages_drawn, cb.priv_y.pages_drawn] == [0, 0, 0]
+
+
+def common_paged_codebook(seed=3):
+    """W = X over a uniform pair at n = 32, delta = 0.5, with forced sizes
+    (2 * PAGE_ROWS + 100, 3, 3). Every cell with w != x has q = 0, so a
+    common codeword is jointly typical with a pair from ``pair_for`` exactly
+    when it equals the pair's unshifted x."""
+    p_xy = JointPmf(np.full((2, 2), 0.25), ("X", "Y"))
+    q_xyw = p_xy.extend(Kernel(np.repeat(np.eye(2)[:, None, :], 2, axis=1)), "W")
+    tc = Kernel(np.full((2, 2, 2), 0.5))
+    sizes = dataclasses.replace(compute_code_sizes(q_xyw, tc, tc, 32, 0.5),
+                                m0=2 * PAGE_ROWS + 100, m1=3, m2=3)
+    return generate_codebook(q_xyw, tc, tc, sizes, 0.5, 32, seed)
+
+
+def pair_for(x):
+    """x and a y that splits each x symbol's positions in half, so every
+    (x, y) cell holds a count in [4, 12] when x is in W's band."""
+    x = np.asarray(x, dtype=np.int64)
+    y = np.zeros_like(x)
+    for a in (0, 1):
+        y[np.flatnonzero(x == a)[1::2]] = 1
+    return x, y
+
+
+class TestPagedCommonLayer:
+    """The common layer is a PagedLayer of shape (1, M0, n): branch 0, one
+    conditioning index, conditioned on one all-zero row."""
+
+    HITS = [PAGE_ROWS - 1, PAGE_ROWS, PAGE_ROWS + 1, None]
+    MISS = np.tile([0, 1], 16)   # typical for W, and no codeword of seed 3
+
+    def _source(self, hit):
+        x = self.MISS if hit is None else common_paged_codebook().common[0, hit]
+        return pair_for(x)
+
+    def test_generation_draws_no_codeword(self):
+        cb = common_paged_codebook()
+        assert cb.common.shape == (1, 2 * PAGE_ROWS + 100, 32)
+        assert cb.sizes == (2 * PAGE_ROWS + 100, 3, 3)
+        assert [cb.common.pages_drawn, cb.priv_x.pages_drawn, cb.priv_y.pages_drawn] == [0, 0, 0]
+
+    def test_page_zero_is_the_sampler_keyed_0_0_0(self):
+        cb = common_paged_codebook()
+        stream = np.random.SeedSequence(3, spawn_key=(0, 0, 0))
+        want = sample_uniform_cond_typical(np.full((2, 1), 0.5), 0.5, np.zeros(32, dtype=int),
+                                           PAGE_ROWS, np.random.Generator(np.random.Philox(stream)))
+        assert np.array_equal(cb.common.page(0, 0), want)
+        # a private page is keyed (branch, s0, p) and conditioned on common[0, s0]
+        stream = np.random.SeedSequence(3, spawn_key=(2, 5, 0))
+        want = sample_uniform_cond_typical(cb.joint_yt_w, 0.5, cb.common[0, 5], 3,
+                                           np.random.Generator(np.random.Philox(stream)))
+        assert np.array_equal(cb.priv_y[5], want)
+
+    def test_batch_scans_match_the_loop_across_pages(self):
+        cb = common_paged_codebook()
+        xs, ys = map(np.stack, zip(*(self._source(hit) for hit in self.HITS)))
+        ks = [5, 0, 31, 12]
+        xk, yk = circular_shift(ks, xs, ys)
+        got, want = _batch_vs_loop(cb, xk, yk, ks, 0.5)
+        assert got == want
+        assert [None if g[3] else g[0] for g in got] == self.HITS
+
+    @pytest.mark.parametrize("hit, pages", [(PAGE_ROWS - 1, 1), (PAGE_ROWS, 2),
+                                            (PAGE_ROWS + 1, 2), (None, 3)])
+    def test_a_scan_draws_a_page_only_when_it_reaches_it(self, hit, pages):
+        cb = common_paged_codebook()
+        xs, ys = self._source(hit)
+        got = encode(cb, xs, ys, 0, HAM, HAM, 0.5, 0.5)
+        assert (got.miss_common, got.s0) == ((True, 0) if hit is None else (False, hit))
+        assert sorted(cb.common._pages) == [(0, p) for p in range(pages)]
+        assert cb.priv_x.pages_drawn == cb.priv_y.pages_drawn == 1
+
+    def test_pickled_codebook_redraws_identical_common_pages(self):
+        cb = common_paged_codebook()
+        before = pickle.loads(pickle.dumps(cb))
+        cb.common[0, PAGE_ROWS + 5]
+        cb.priv_x[PAGE_ROWS + 5]
+        after = pickle.loads(pickle.dumps(cb))
+        assert after.common.pages_drawn == 0 and after.priv_x.pages_drawn == 0
+        assert after.priv_x.parent is after.common and after.common.budget is after.priv_x.budget
+        assert after.common.budget.used == 0
+        whole = np.asarray(cb.common)
+        for copy in (before, after):
+            assert np.array_equal(np.asarray(copy.common), whole)
+            assert np.array_equal(copy.priv_x[PAGE_ROWS + 5], cb.priv_x[PAGE_ROWS + 5])
 
 
 class TestIndexDraws:

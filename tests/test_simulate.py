@@ -142,6 +142,22 @@ class TestDeterminism:
         for parallel in (2, 3):
             assert run_simulation(config, parallel=parallel).to_dict() == serial
 
+    def test_readme_two_symbol_w_instance_parallel_identical(self):
+        # README's example: every worker draws its own common pages, each
+        # keyed by its index, so the reports match the serial run's
+        rows = np.array([[0.6, 0.4], [0.5, 0.5], [0.5, 0.5], [0.4, 0.6]])
+        p_xy, aux = dsbs(0.25), AuxChannel(Kernel(rows.reshape(2, 2, 2)))
+        budgets = Budgets(0.3, 0.3, 0.1, 0.1)
+        pt = rate_triple_for_aux(hamming_tv_problem(p_xy), aux, budgets)
+        config = SimConfig(p_xy=p_xy, aux=aux, test_channel_x=pt.test_channel_x,
+                           test_channel_y=pt.test_channel_y, n=32, delta=0.05, trials=2000,
+                           master_seed=0, budgets=budgets, mode="deterministic",
+                           memory_cap=2 ** 26)
+        serial = run_simulation(config)
+        assert serial.sizes[0] == 130 and 0 < serial.freq_no_common_codeword < 1
+        for parallel in (2, 3):
+            assert run_simulation(config, parallel=parallel).to_dict() == serial.to_dict()
+
     @pytest.mark.parametrize("mode", MODES)
     def test_spans_cut_inside_blocks_match_one_span(self, mode):
         # a span draws whole 256-trial blocks and keeps its own rows
@@ -251,6 +267,11 @@ class TestCapsAndErrors:
         for seed in (-1, 2 ** 64):
             with pytest.raises(ValueError, match="master_seed"):
                 cfg(master_seed=seed)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_memory_cap_below_one_rejected(self, cap):
+        with pytest.raises(ValueError, match=f"memory_cap must be at least 1, got {cap}"):
+            cfg(memory_cap=cap)
 
     def test_tail_longer_than_block_rejected_before_running(self):
         # the deterministic tail copies its n0 symbols from the head

@@ -44,6 +44,16 @@ class TestDistortionMatrix:
             DistortionMatrix([[0.5, 1.0], [1.0, 0.0]])
 
 
+class TestRdpQuery:
+    @pytest.mark.parametrize("alphabet", [(True, False), (np.bool_(True),), (0, True)],
+                             ids=["bools", "numpy-bool", "int-and-bool"])
+    def test_bool_recon_columns_refused(self, alphabet):
+        # True == 1 as an int, so (True, False) once ran as columns (1, 0)
+        with pytest.raises(ValueError, match="recon_alphabet must be a nonempty set"):
+            point_query(0.4, 0.1, 0.1, recon_alphabet=alphabet)
+        assert point_query(0.4, 0.1, 0.1, recon_alphabet=(np.int64(1), 0)).recon_alphabet
+
+
 class TestPerceptionMeasure:
     def test_tv_zero_iff_equal(self):
         p = np.array([0.3, 0.7])
