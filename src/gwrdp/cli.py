@@ -25,8 +25,9 @@ import numpy as np
 
 from . import __version__
 from .derandom import build_seed_map
-from .prob import JointPmf, Kernel, Pmf
-from .region import AuxChannel, Budgets, RegionProblem, _solve, _Solves, compute_frontier
+from .prob import JointPmf, Kernel
+from .region import (AuxChannel, Budgets, RegionProblem, _branch, _Solves, compute_frontier,
+                     rate_triple_for_aux)
 from .simulate import DEFAULT_MEMORY_CAP, ResourceCapError, SimConfig, run_simulation
 from .solver import (
     DistortionMatrix,
@@ -178,24 +179,17 @@ def cmd_region(args, cfg: dict):
     payload = frontier.to_dict()
 
     if _field(cfg, "cutset_audit", bool, False):
-        # each branch's point-to-point RDP value, the |W| = 1 query; one memo
-        # solves equal queries, as on a symmetric source, once
-        solves = _Solves()
-        ref = {}
-        for b, delta, perception, d, p in (
-                ("X", problem.delta_x, problem.perception_x, budgets.d1, budgets.p1),
-                ("Y", problem.delta_y, problem.perception_y, budgets.d2, budgets.p2)):
-            q_sw = JointPmf(Pmf(p_xy.marginal(b).probs).probs[:, None], (b, "W"))
-            ref[f"rdp_{b.lower()}"] = _solve(RdpQuery(q_sw, delta, perception, d, p),
-                                             solves).rate
-        rdp_x, rdp_y = ref["rdp_x"], ref["rdp_y"]
+        # each branch's point-to-point RDP value: the branch rates of the
+        # independent corner, whose memo solves equal X and Y queries once
+        corner = rate_triple_for_aux(problem, AuxChannel.independent(nx, ny), budgets)
+        rdp_x, rdp_y = corner.r1, corner.r2
         lines = csv_body.splitlines()
         lines[0] += ",cutset_ok"
         for i, pt in enumerate(frontier.points):
             ok = (pt.r0 + pt.r1 >= rdp_x - 1e-3) and (pt.r0 + pt.r2 >= rdp_y - 1e-3)
             lines[i + 1] += f",{str(ok).lower()}"
         csv_body = "\n".join(lines) + "\n"
-        payload["cutset_reference"] = ref
+        payload["cutset_reference"] = {"rdp_x": rdp_x, "rdp_y": rdp_y}
 
     summary = f"frontier: {len(frontier.points)} points from {frontier.n_evaluated} evaluations"
     return ({"frontier.csv": csv_body, "frontier.json": payload}, summary,
@@ -212,16 +206,13 @@ def cmd_simulate(args, cfg: dict):
 
     perception = _perception(cfg)
     deltas = [_distortion(cfg, size, f"distortion_{b}") for b, size in zip("xy", p_xy.shape)]
+    problem = RegionProblem(p_xy, deltas[0], deltas[1], perception, perception)
     q_xyw = p_xy.extend(aux.kernel, "W")
     solves = _Solves()  # equal branch queries, as on a symmetric source, solve once
     channels = []
-    for b, delta, d_budget, p_budget in zip("xy", deltas, (budgets.d1, budgets.d2),
-                                            (budgets.p1, budgets.p2)):
-        name = f"test_channel_{b}"
+    for b, name in enumerate(("test_channel_x", "test_channel_y")):
         if _field(cfg, name, (str, list, dict), "solve") == "solve":
-            query = RdpQuery(q_xyw.marginal(b.upper(), "W"), delta, perception,
-                             d_budget, p_budget)
-            channels.append(_solve(query, solves).test_channel)
+            channels.append(_branch(problem, budgets, q_xyw, b, solves).test_channel)
         else:
             channels.append(Kernel(_pmf_like(cfg, name)))
 
@@ -231,7 +222,7 @@ def cmd_simulate(args, cfg: dict):
         trials=_field(cfg, "trials", int), master_seed=args.seed, budgets=budgets,
         mode=_field(cfg, "mode", str, "common-randomness"),
         n0=_field(cfg, "n0", int, None), delta_x_mat=deltas[0], delta_y_mat=deltas[1],
-        memory_cap=args.memory_cap)
+        memory_cap=DEFAULT_MEMORY_CAP if args.memory_cap is None else args.memory_cap)
     report = run_simulation(config, parallel=args.parallel)
     cols = [(f"{s.mean_distortion:.4f}", f"{s.threshold:.4f}", f"{s.max_tv_excess(p):+.4f}",
              f"{s.freq_no_codeword:.3f}")
@@ -274,14 +265,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory for output files")
     parser.add_argument("--parallel", type=int, default=1,
                         help="worker processes; results are degree-independent")
-    parser.add_argument("--memory-cap", type=int, default=DEFAULT_MEMORY_CAP,
-                        help="cap on the codeword symbols a simulation draws, per "
-                             "process: the pages drawn from all three codebook layers")
+    parser.add_argument("--memory-cap", type=int, default=None,
+                        help="simulate only: cap on the codeword symbols drawn per "
+                             "process, the pages drawn from all three codebook layers "
+                             f"(default {DEFAULT_MEMORY_CAP})")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.memory_cap is not None and args.subcommand != "simulate":
+        print(f"--memory-cap applies only to simulate, not {args.subcommand}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         config_text = args.config.read_text()
         cfg = json.loads(config_text)

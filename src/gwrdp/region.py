@@ -13,17 +13,15 @@ global optimality is made for searched frontiers, only achievability.
 A scalarized search reads only the terms its weights do not zero: a trial
 channel costs I(X,Y;W) for a common-rate weight and one branch solve per
 private-rate weight, and the full triple is built once, for the best
-channel found. Each private rate depends only on its own branch marginal
-and budgets, and searches repeat branch queries (every scalarized search
-starts from the independent corner; a symmetric source makes the X and Y
-queries coincide). So each top-level call keeps an exact memo of solver
-results, keyed on every input of the query: ``compute_frontier`` shares one
-across its scalarized searches and serial grid, while a direct
-``scalarized_search`` or ``rate_triple_for_aux`` call, each pool job
-included, starts an empty one; the CLI's cut-set audit and its simulation
-test channels pass their branch queries through one memo too. Objective
-evaluation, triple, lookup, solve and hit counts go to the ``gwrdp.region``
-logger at DEBUG, never into the exported files.
+channel found. ``rate_triple_for_aux`` and ``scalarized_search`` are the one
+path for a triple and a search. Searches repeat branch queries (each starts
+from the independent corner; a symmetric source makes the X and Y queries
+coincide), so both take the caller's exact memo of solver results, keyed on
+every input of the query, as ``solves``, or start an empty one; no result
+depends on it. ``compute_frontier`` shares one memo across its searches and
+serial grid; each pool job starts its own. Objective evaluation, triple,
+lookup, solve and hit counts go to the ``gwrdp.region`` logger at DEBUG,
+never into the exported files.
 """
 
 from __future__ import annotations
@@ -195,8 +193,16 @@ def _branch(problem: RegionProblem, budgets: Budgets, q_xyw: JointPmf, b: int,
     return _solve(RdpQuery(q_xyw.marginal("XY"[b], "W"), delta, perception, d, p), solves)
 
 
-def _rate_triple(problem: RegionProblem, aux: AuxChannel, budgets: Budgets,
-                 solves: _Solves) -> RegionPoint:
+def rate_triple_for_aux(problem: RegionProblem, aux: AuxChannel, budgets: Budgets,
+                        solves: _Solves | None = None) -> RegionPoint:
+    """Achievable triple for one auxiliary channel.
+
+    r0 = I(X,Y;W) over the induced joint; r1 and r2 come from the
+    conditional RDP solver on the (X,W) and (Y,W) marginals. ``solves`` is
+    the caller's memo of branch solves (an empty one by default); no
+    result depends on it.
+    """
+    solves = _Solves() if solves is None else solves
     solves.triples += 1
     q_xyw = problem.p_xy.extend(aux.kernel, "W")
     r0 = _common_rate(q_xyw)
@@ -205,16 +211,6 @@ def _rate_triple(problem: RegionProblem, aux: AuxChannel, budgets: Budgets,
                        witness=aux, test_channel_x=res_x.test_channel,
                        test_channel_y=res_y.test_channel,
                        converged=res_x.converged and res_y.converged)
-
-
-def rate_triple_for_aux(problem: RegionProblem, aux: AuxChannel,
-                        budgets: Budgets) -> RegionPoint:
-    """Achievable triple for one auxiliary channel.
-
-    r0 = I(X,Y;W) over the induced joint; r1 and r2 come from the
-    conditional RDP solver on the (X,W) and (Y,W) marginals.
-    """
-    return _rate_triple(problem, aux, budgets, _Solves())
 
 
 def pareto_filter(points: list[RegionPoint]) -> list[RegionPoint]:
@@ -294,19 +290,20 @@ def compute_frontier(problem: RegionProblem, budgets: Budgets, *,
     solves = _Solves()
     points: list[RegionPoint] = []
     if strategy == "local":
-        weight_sets = [(1.0, 0.0, 0.0), (0.0, 1.0, 1.0), (1.0, 1.0, 1.0),
-                       (0.5, 1.0, 0.0), (0.5, 0.0, 1.0)]
-        for k, weights in enumerate(weight_sets):
-            points.append(_scalarized_search(problem, budgets, weights, solves, w_size=w,
-                                             restarts=restarts,
-                                             seed=seed + 1000 * (k + 1)))
+        # no (1, 0, 0) search: its optimum, a W independent of (X, Y), is the
+        # independent corner, already a candidate; k keeps each search's seed
+        weight_sets = [(0.0, 1.0, 1.0), (1.0, 1.0, 1.0), (0.5, 1.0, 0.0), (0.5, 0.0, 1.0)]
+        for k, weights in enumerate(weight_sets, start=2):
+            points.append(scalarized_search(problem, budgets, weights, w_size=w,
+                                            restarts=restarts, seed=seed + 1000 * k,
+                                            solves=solves))
 
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             points.extend(pool.map(rate_triple_for_aux, repeat(problem), candidates,
                                    repeat(budgets)))
     else:
-        points.extend(_rate_triple(problem, aux, budgets, solves) for aux in candidates)
+        points.extend(rate_triple_for_aux(problem, aux, budgets, solves) for aux in candidates)
 
     _log.debug("frontier: %d candidates, %d not converged; in this process %d objective "
                "evaluations, %d triples, %d lookups, %d solver calls, %d cache hits",
@@ -319,7 +316,8 @@ def compute_frontier(problem: RegionProblem, budgets: Budgets, *,
 
 def scalarized_search(problem: RegionProblem, budgets: Budgets,
                       weights: tuple[float, float, float], *, w_size: int | None = None,
-                      restarts: int = 3, seed: int = 0) -> RegionPoint:
+                      restarts: int = 3, seed: int = 0,
+                      solves: _Solves | None = None) -> RegionPoint:
     """Minimize w0*r0 + w1*r1 + w2*r2 over auxiliary channels.
 
     Projected coordinate descent: one (x, y) row at a time moves toward a
@@ -327,17 +325,12 @@ def scalarized_search(problem: RegionProblem, budgets: Budgets,
     draws; the best restart wins. A local minimizer only. A trial channel
     is scored by the terms whose weight is non-zero alone, so a zero weight
     skips I(X,Y;W) or that branch's solve; the full triple is built once,
-    for the best channel.
+    for the best channel. ``solves`` is the caller's memo of branch solves
+    (an empty one by default); no result depends on it.
     """
-    return _scalarized_search(problem, budgets, weights, _Solves(), w_size=w_size,
-                              restarts=restarts, seed=seed)
-
-
-def _scalarized_search(problem: RegionProblem, budgets: Budgets,
-                       weights: tuple[float, float, float], solves: _Solves, *,
-                       w_size: int | None, restarts: int, seed: int) -> RegionPoint:
     if any(wt < 0 for wt in weights) or all(wt == 0 for wt in weights):
         raise ValueError("weights must be nonnegative and not all zero")
+    solves = _Solves() if solves is None else solves
     nx, ny = problem.p_xy.shape
     w = _w_size(problem, w_size)
     rng = np.random.default_rng(seed)
@@ -385,4 +378,4 @@ def _scalarized_search(problem: RegionProblem, budgets: Budgets,
                 break
         if val < best_val:
             best_val, best_aux = val, cur
-    return _rate_triple(problem, best_aux, budgets, solves)
+    return rate_triple_for_aux(problem, best_aux, budgets, solves)

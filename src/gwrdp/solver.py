@@ -24,7 +24,8 @@ Every dual point certifies a lower bound: Blahut's bound f(r) - log2
 max_h c_h on each inner minimum (Blahut, IEEE T-IT 1972; Csiszar, IEEE
 T-IT 1974), less lam D and the exact sigma. ``gap`` is a result's rate
 minus the best bound; ``converged`` means its channel meets both budgets
-with a gap of at most GAP_TOL bits. The solver draws no random numbers.
+with |gap| at most GAP_TOL bits (below -GAP_TOL, the budget slack bought a
+rate under the certified bound). The solver draws no random numbers.
 
 Rates are in bits throughout.
 """
@@ -557,7 +558,7 @@ def conditional_rdp(query: RdpQuery) -> RdpResult:
         outer += more
     gap = float(best.rate - bound)
     converged = bool(best.dist <= pr.d_budget + _CONSTRAINT_TOL
-                     and best.perc <= pr.p_budget + _CONSTRAINT_TOL and gap <= GAP_TOL)
+                     and best.perc <= pr.p_budget + _CONSTRAINT_TOL and abs(gap) <= GAP_TOL)
     _log.debug("conditional_rdp: %s dual, %d outer iterations, %d inner Newton steps, "
                "gap %.3g bits", path, outer, dual.steps, gap)
     return _to_result(pr, best.q, best.rate, best.dist, best.perc, lam=float(best.theta[0]),

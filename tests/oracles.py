@@ -15,13 +15,15 @@ the rejection sampler decide the multiplicative band with one helper that
 counts joint cells by ``bincount``. ``shift_position`` is the circular
 shift's position map, one position at a time, against which
 ``circular_shift`` is checked; ``hamming_tv_problem`` builds the Hamming,
-TV region problem most tests pose. ``eager_scalarized_search`` is the
+TV region problem most tests pose. ``eager_search`` is the
 scalarized search that builds the full triple of every trial channel,
 against which the search that reads only its weighted terms is checked,
 and ``kkt_block`` assembles the solver's Newton system with ``np.block``.
 ``sample_uniform_typical`` draws from an unconditional typical set,
 described by a ``TypicalSetSpec``, through the library's conditional
-sampler given a constant conditioning row.
+sampler given a constant conditioning row. ``rdp_stress_queries`` is the
+seeded stress set of conditional RDP queries, so a query it names can be
+replayed from its seed and index.
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from gwrdp.codec import sample_uniform_cond_typical
-from gwrdp.prob import Kernel
-from gwrdp.region import (_SWEEPS, AuxChannel, RegionProblem, _dirichlet_aux, _rate_triple,
-                          _w_size)
-from gwrdp.solver import (DistortionMatrix, InfeasibleError, RdpQuery, RdpResult, _build_problem,
-                          _metrics, _perception_of, _to_result, hamming)
+from gwrdp.prob import JointPmf, Kernel
+from gwrdp.region import (_SWEEPS, AuxChannel, RegionProblem, _dirichlet_aux, _Solves, _w_size,
+                          rate_triple_for_aux)
+from gwrdp.solver import (DistortionMatrix, InfeasibleError, PerceptionMeasure, RdpQuery, RdpResult,
+                          _build_problem, _metrics, _perception_of, _to_result, hamming)
 
 _GRID_CHUNK = 200_000  # grid channels brute_force_rdp scores at once
 
@@ -213,13 +215,51 @@ def brute_force_rdp(query: RdpQuery, grid_steps: int, *,
                       iterations=total)
 
 
+_STRESS_P = {"tv": (0.3, 1.0), "kl": (0.1, 0.5)}  # upper ends of the two uniform P draws
+
+
+def rdp_stress_queries(seed: int, count: int) -> list[RdpQuery]:
+    """The first ``count`` queries of the seeded stress set.
+
+    One ``default_rng(seed)`` draws each query in turn, in this order:
+    |X| = integers(2, 6); |W| = integers(1, 4); alpha from (0.3, 1, 3) by
+    integers(3); q_xw = dirichlet(alpha on all |X|·|W| cells), laid out
+    (X, W); Hamming distortion if random() < 0.5, else a
+    uniform(0, 1, (|X|, |X|)) matrix with its diagonal set to 0; TV if
+    random() < 0.5, else KL; D = 0 if random() < 0.05, else random() times
+    the best constant reconstruction's distortion min_h sum_x p(x) d(x, h);
+    then P by integers(4): 0, uniform(0, 0.3) (KL: 0.1), uniform(0, 1)
+    (KL: 0.5) or infinity.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        nx, nw = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        alpha = (0.3, 1.0, 3.0)[int(rng.integers(3))]
+        q_xw = rng.dirichlet(np.full(nx * nw, alpha)).reshape(nx, nw)
+        if rng.random() < 0.5:
+            delta = hamming(nx)
+        else:
+            delta = rng.uniform(0.0, 1.0, (nx, nx))
+            np.fill_diagonal(delta, 0.0)
+        kind = "tv" if rng.random() < 0.5 else "kl"
+        d_const = float((q_xw.sum(axis=1) @ delta).min())
+        d = 0.0 if rng.random() < 0.05 else float(rng.random()) * d_const
+        pick = int(rng.integers(4))
+        p = (0.0 if pick == 0 else math.inf if pick == 3
+             else float(rng.uniform(0.0, _STRESS_P[kind][pick - 1])))
+        out.append(RdpQuery(JointPmf(q_xw, ("X", "W")), DistortionMatrix(delta),
+                            PerceptionMeasure(kind), d, p))
+    return out
+
+
 def hamming_tv_problem(p_xy) -> RegionProblem:
     """Both branches under Hamming distortion and TV perception."""
     nx, ny = p_xy.shape
     return RegionProblem(p_xy, DistortionMatrix(hamming(nx)), DistortionMatrix(hamming(ny)))
 
 
-def eager_scalarized_search(problem, budgets, weights, solves, *, w_size, restarts, seed):
+def eager_search(problem, budgets, weights, *, w_size, restarts, seed):
     """The scalarized coordinate descent scoring each trial channel by its
     full triple: both branch solves and I(X,Y;W), whatever the weights."""
     if any(wt < 0 for wt in weights) or all(wt == 0 for wt in weights):
@@ -227,9 +267,10 @@ def eager_scalarized_search(problem, budgets, weights, solves, *, w_size, restar
     nx, ny = problem.p_xy.shape
     w = _w_size(problem, w_size)
     rng = np.random.default_rng(seed)
+    solves = _Solves()
 
     def objective(aux):
-        pt = _rate_triple(problem, aux, budgets, solves)
+        pt = rate_triple_for_aux(problem, aux, budgets, solves)
         return (weights[0] * pt.r0 + weights[1] * pt.r1 + weights[2] * pt.r2, pt)
 
     starts = [AuxChannel.independent(nx, ny)]

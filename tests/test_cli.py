@@ -66,6 +66,17 @@ class TestRdpCommand:
         assert payload["rate_bits"] == pytest.approx(1.0, abs=1e-9)
         assert payload["manifest"]["subcommand"] == "rdp"
 
+    def test_gap_below_minus_tolerance_exit_4(self, tmp_path):
+        # the KL slack at P = 0 lets the rate fall 9e-5 bits below the bound
+        # certified at the exact budgets: that is no convergence
+        cfg = write_config(tmp_path, "q.json", {
+            "q_xw": [[0.6225, 0.1222], [0.1208, 0.0529], [0.0142, 0.0674]],
+            "distortion": "hamming", "perception": "kl", "d_budget": 0.14087, "p_budget": 0})
+        assert run(["rdp", "--config", cfg, "--out-dir", tmp_path]) == 4
+        payload = json.loads((tmp_path / "rdp_result.json").read_text())
+        assert payload["gap_bits"] < -1e-6
+        assert payload["converged"] is False
+
     def test_perception_free_matches_rd_path(self, tmp_path):
         base = {"source": [0.3, 0.7], "distortion": "hamming", "perception": "tv",
                 "d_budget": 0.15}
@@ -487,6 +498,22 @@ class TestExitCodeContract:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.strip() == ("invalid input (ValueError): memory_cap must be at "
                                        f"least 1, got {cap}")
+
+    @pytest.mark.parametrize("subcommand,payload", [
+        ("rdp", {"source": [0.5, 0.5], "d_budget": 0.1, "p_budget": 0.1}),
+        ("region", {"p_xy": DSBS01, "budgets": {"D1": 0.1, "D2": 0.1}, "samples": 0}),
+        ("derand-audit", {"p_xy": UNIFORM_PAIR, "n0": 2, "n": 4}),
+    ])
+    @pytest.mark.parametrize("cap", ["-5", "1000"])
+    def test_memory_cap_outside_simulate_exit_2(self, tmp_path, capsys, subcommand, payload,
+                                                cap):
+        # only simulate draws codewords, so any other subcommand refuses the flag
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        out = tmp_path / "out"
+        assert run([subcommand, "--config", cfg, "--out-dir", out, "--memory-cap", cap]) == 2
+        assert capsys.readouterr().err == (f"--memory-cap applies only to simulate, "
+                                           f"not {subcommand}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("subcommand,payload,args",
                              [case[1:] for case in RESOURCE_LIMIT_INPUTS],

@@ -25,7 +25,7 @@ from gwrdp.solver import (
     rdp_point_to_point,
 )
 
-from oracles import (brute_force_rdp, conditional_rd_function, eager_scalarized_search, h2,
+from oracles import (brute_force_rdp, conditional_rd_function, eager_search, h2,
                      hamming_tv_problem)
 
 
@@ -224,7 +224,7 @@ class TestSolveCache:
         # the search repeats queries, so the cache is exercised
         assert hits == lookups - calls > calls
         # one triple per search and per grid candidate, each with two lookups
-        assert triples == 5 + 3
+        assert triples == 4 + 3
         assert lookups > 2 * triples
         assert evaluations > triples
 
@@ -290,8 +290,8 @@ class TestLazySearch:
     def test_matches_eager_search(self, case, k, weights):
         problem, budgets, seed = self.cases[case]
         search = dict(w_size=2, restarts=1, seed=seed + 1000 * (k + 1))
-        lazy = region._scalarized_search(problem, budgets, weights, region._Solves(), **search)
-        eager = eager_scalarized_search(problem, budgets, weights, region._Solves(), **search)
+        lazy = scalarized_search(problem, budgets, weights, **search)
+        eager = eager_search(problem, budgets, weights, **search)
         as_dict = [RegionFrontier((pt,), seed=0, strategy="local", n_evaluated=1).to_dict()
                    for pt in (lazy, eager)]
         assert as_dict[0] == as_dict[1]

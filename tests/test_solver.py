@@ -22,7 +22,8 @@ from gwrdp.solver import (
     rdp_point_to_point,
 )
 
-from oracles import brute_force_rdp, h2, kkt_block, rd_function
+from oracles import (brute_force_rdp, conditional_mutual_information, h2, kkt_block,
+                     rd_function, rdp_stress_queries)
 
 HAM2 = DistortionMatrix(hamming(2))
 TV = PerceptionMeasure("tv")
@@ -331,6 +332,41 @@ class TestKnownFailureFamilies:
                                   [.53, .70, .31, .70, 0]])
         q_xw = JointPmf(np.array(p_x)[:, None], ("X", "W"))
         assert_converged_within_budgets(RdpQuery(q_xw, delta, KL, 0.11, 0.124))
+
+class TestStressSet:
+    """The first 40 queries of the seeded stress set at seeds 7 and 8: a
+    result reports its test channel's own rate, distortion and perception,
+    and a result flagged converged lies within both budgets with a gap of at
+    most 1e-6 bits either way. Only an infeasible query may raise."""
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_reported_figures_and_convergence(self, seed):
+        for i, query in enumerate(rdp_stress_queries(seed, 40)):
+            try:
+                res = conditional_rdp(query)
+            except InfeasibleError:
+                continue
+            where = f"seed {seed} query {i}"
+            q_xw = query.q_xw.probs
+            joint = q_xw[:, :, None] * res.test_channel.probs  # (X, W, Xhat)
+            p_x, m = q_xw.sum(axis=1), joint.sum(axis=(0, 1))
+            if query.perception.kind == "tv":
+                perception = float(np.abs(m - p_x).sum())
+            elif np.any(m[p_x > 0] == 0):
+                perception = math.inf
+            else:
+                perception = sum(a * math.log2(a / b) for a, b in zip(p_x, m) if a > 0)
+            rate = conditional_mutual_information(
+                JointPmf(joint.transpose(0, 2, 1), ("X", "Xhat", "W")))
+            assert res.rate == pytest.approx(rate, abs=1e-9), where
+            assert res.achieved_distortion == pytest.approx(
+                float((joint * query.delta.values[:, None, :]).sum()), abs=1e-9), where
+            assert res.achieved_perception == pytest.approx(perception, abs=1e-9), where
+            if res.converged:
+                assert res.achieved_distortion <= query.d_budget + 1e-6, where
+                assert res.achieved_perception <= query.p_budget + 1e-6, where
+                assert abs(res.gap) <= 1e-6, where
+
 
 class TestClassicalReduction:
     def test_matches_independent_rd_oracle(self):

@@ -1,6 +1,7 @@
 """The benchmark's layer trace (``perfbench/run.py --trace 1``) wraps
 library functions by name. A refactor that drops or renames one of those
-names breaks only the traced benchmark run; this test makes it fail here.
+names breaks only the traced benchmark run; these tests make it fail here,
+and they check that the spans count the region layer's triples and searches.
 The package exports only names that the library or the benchmark use, its
 version is the one pyproject.toml declares, and the README's CLI and Python
 examples run."""
@@ -8,10 +9,13 @@ examples run."""
 import ast
 import importlib.util
 import json
+import logging
 import re
 import shlex
 import tomllib
 from pathlib import Path
+
+import pytest
 
 import gwrdp
 import gwrdp.cli
@@ -21,6 +25,7 @@ import gwrdp.prob
 import gwrdp.region
 import gwrdp.simulate
 import gwrdp.solver
+from oracles import hamming_tv_problem
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -28,11 +33,17 @@ OWNERS = (gwrdp.cli, gwrdp.codec, gwrdp.derandom, gwrdp.prob, gwrdp.prob.JointPm
           gwrdp.region, gwrdp.simulate, gwrdp.solver)
 
 
-def test_layer_spans_install_and_restore(monkeypatch):
+@pytest.fixture
+def bench(monkeypatch):
+    """``perfbench/run.py`` as a module, with ``perfbench`` on the path."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_layer_spans_install_and_restore(bench):
     before = [dict(vars(owner)) for owner in OWNERS]
     tracer = bench.layertrace.Tracer()
     try:
@@ -41,6 +52,28 @@ def test_layer_spans_install_and_restore(monkeypatch):
     finally:
         tracer.restore()
     assert [dict(vars(owner)) for owner in OWNERS] == before
+
+
+def test_layer_spans_see_the_region_layer(bench, caplog):
+    # region-local's frontier: four scalarized searches, each ending in one
+    # triple, and the independent corner's triple
+    import workloads
+
+    caplog.set_level(logging.DEBUG, logger="gwrdp.region")
+    problem = hamming_tv_problem(gwrdp.prob.JointPmf(workloads.dsbs(0.1), ("X", "Y")))
+    budgets = gwrdp.region.Budgets(**{k.lower(): v for k, v in workloads.REGION_BUDGETS.items()})
+    tracer = bench.layertrace.Tracer()
+    try:
+        bench.install_layer_spans(tracer)
+        gwrdp.region.compute_frontier(problem, budgets, strategy="local", samples=0,
+                                      restarts=1, w_size=2)
+    finally:
+        tracer.restore()
+    (record,) = [r for r in caplog.records if r.name == "gwrdp.region"]
+    triples = record.args[3]
+    assert triples == 5
+    assert tracer.calls["region.rate_triple_for_aux"] == triples
+    assert tracer.calls["region.scalarized_search"] == 4
 
 
 def test_every_export_has_a_caller():
