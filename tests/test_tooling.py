@@ -1,12 +1,15 @@
 """The benchmark's layer trace (``perfbench/run.py --trace 1``) wraps
 library functions by name. A refactor that drops or renames one of those
-names breaks only the traced benchmark run; these tests make it fail here,
-and they check that the spans count the region layer's triples and searches.
+names breaks only the traced benchmark run; these tests make it fail here.
+They check that the spans count the region layer's triples and searches,
+and that the codec observers, which read codebook and encoding fields by
+name, count codewords and seed-map atoms.
 The package exports only names that the library or the benchmark use, its
 version is the one pyproject.toml declares, and the README's CLI and Python
 examples run."""
 
 import ast
+import dataclasses
 import importlib.util
 import json
 import logging
@@ -15,6 +18,7 @@ import shlex
 import tomllib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gwrdp
@@ -74,6 +78,38 @@ def test_layer_spans_see_the_region_layer(bench, caplog):
     assert triples == 5
     assert tracer.calls["region.rate_triple_for_aux"] == triples
     assert tracer.calls["region.scalarized_search"] == 4
+
+
+def test_layer_spans_see_the_codec_layers(bench):
+    # the codec observers read Codebook and EncodeResult fields by name, and
+    # the spans wrap the encoders and decoders that simulate and derandom call
+    p_xy = gwrdp.prob.JointPmf(np.full((2, 2), 0.25), ("X", "Y"))
+    aux = gwrdp.region.AuxChannel.independent(2, 2)
+    tc = gwrdp.prob.Kernel(np.array([[[0.75, 0.25]], [[0.25, 0.75]]]))
+    config = gwrdp.simulate.SimConfig(
+        p_xy=p_xy, aux=aux, test_channel_x=tc, test_channel_y=tc, n=8, delta=0.3,
+        trials=20, master_seed=1, budgets=gwrdp.region.Budgets(0.3, 0.3, 0.5, 0.5))
+    q_xyw = p_xy.extend(aux.kernel, "W")
+    sizes = gwrdp.codec.compute_code_sizes(q_xyw, tc, tc, 8, 0.3)
+    ham = np.array([[0.0, 1.0], [1.0, 0.0]])
+    xs = np.array([0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1])
+    ys = np.array([0, 1, 1, 1, 0, 0, 0, 1, 0, 0, 1])
+    tracer = bench.layertrace.Tracer()
+    try:
+        bench.install_layer_spans(tracer)
+        for mode in gwrdp.simulate.MODES:
+            gwrdp.simulate.run_simulation(dataclasses.replace(config, mode=mode))
+        cb = gwrdp.simulate.generate_codebook(q_xyw, tc, tc, sizes, 0.3, 8, 1)
+        seed_map = gwrdp.simulate.build_seed_map(p_xy, 3, 8)
+        gwrdp.simulate.encode(cb, xs[:8], ys[:8], 2, ham, ham, 0.4, 0.4)
+        gwrdp.simulate.deterministic_encode(cb, seed_map, xs, ys, ham, ham, 0.4, 0.4)
+    finally:
+        tracer.restore()
+    for count in ("codec.codewords", "codec.codewords_needed", "derandom.atoms"):
+        assert tracer.counts[count] > 0, count
+    for call in ("codec.generate_codebook", "codec.decode", "codec.encode",
+                 "derandom.deterministic_encode", "derandom.deterministic_decode"):
+        assert tracer.calls[call] > 0, call
 
 
 def test_every_export_has_a_caller():
