@@ -32,7 +32,9 @@ Generating a codebook draws nothing, and only the pages an encoder or
 decoder touches are ever drawn, which lets a layer hold far more
 codewords than memory could. A memory cap on the symbols drawn is
 checked up front against the first page of each layer, and ends a scan
-that would run past it.
+that would run past it. A ``Codebook`` also holds the encoder's rule: the
+common layer's joint band, and each branch's distortion matrix and
+threshold. So the encoders take only sources and shift seeds.
 
 The encoder takes a batch of source pairs and scans each layer in blocks
 ``layer[s0, start:stop]``, s0 = 0 for the common layer. Blocks grow 4x
@@ -470,23 +472,26 @@ def _checked_index(i, size: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Codebook:
-    """Three-layer codebook, each layer an (S, M, n) ``PagedLayer`` or
-    array: the common layer, (1, M0, n) over the W alphabet, and the
-    private layers of both branches, (M0, M, n), whose codewords under
-    index s0 are conditioned on the common codeword ``common[0, s0]``. All
-    codewords are drawn uniformly from their (conditional) typical sets.
-    The layers are read alike: the encoder in blocks ``layer[s0, a:b]``,
-    the decoder one codeword per pair ``layer[s0s, js]``."""
+    """Three-layer codebook and the encoder's rule for it. Each layer is an
+    (S, M, n) ``PagedLayer`` or array: the common layer, (1, M0, n) over
+    the W alphabet, and the private layers of both branches, (M0, M, n),
+    whose codewords under index s0 are conditioned on the common codeword
+    ``common[0, s0]``. All codewords are drawn uniformly from their
+    (conditional) typical sets. The layers are read alike: the encoder in
+    blocks ``layer[s0, a:b]``, the decoder one codeword per pair
+    ``layer[s0s, js]``. The rule: a common codeword jointly typical with
+    the pair under ``q_xyw`` and ``delta``, then on each branch (X, then
+    Y) a private codeword whose per-letter distortion under that branch's
+    matrix in ``distortions`` is at most its entry in ``thresholds``."""
 
     common: np.ndarray | PagedLayer   # (1, M0, n)
     priv_x: np.ndarray | PagedLayer   # (M0, M1, n)
     priv_y: np.ndarray | PagedLayer   # (M0, M2, n)
-    q_xyw: np.ndarray           # reference joint for encoder typicality
-    joint_xt_w: np.ndarray      # (Xt, W) band reference for x codewords
-    joint_yt_w: np.ndarray      # (Yt, W)
+    q_xyw: np.ndarray                 # reference joint for encoder typicality
+    distortions: tuple[np.ndarray, np.ndarray]   # (|X|, |Xt|) and (|Y|, |Yt|)
+    thresholds: tuple[float, float]   # per-letter distortion thresholds
     n: int
     delta: float
-    seed: int
 
     @property
     def sizes(self) -> tuple[int, int, int]:
@@ -494,13 +499,16 @@ class Codebook:
 
 
 def generate_codebook(q_xyw: JointPmf, tc_x: Kernel, tc_y: Kernel,
-                      sizes: CodeSizes, delta: float, n: int, seed: int,
+                      distortions: tuple[np.ndarray, np.ndarray], sizes: CodeSizes,
+                      delta: float, n: int, seed: int,
                       memory_cap: int | None = None) -> Codebook:
     """Set up the three paged layers, drawing no codeword: branch 0, the
     common layer, has one conditioning index and a constant all-zero
     conditioning row, so its band is W's own; branches 1 and 2, the
     private layers, are conditioned on the common codewords. The codewords
-    are bit-identical for a fixed seed. With a ``memory_cap``, every page
+    are bit-identical for a fixed seed. Each branch's threshold, under its
+    distortion matrix in ``distortions`` (X, then Y), is its test channel's
+    expected distortion plus delta / 2. With a ``memory_cap``, every page
     drawn counts against it; a cap below the first page of each layer,
     the least any encoding draws, is refused here, and a later page that
     would pass it raises ``ResourceCapError`` before it is drawn."""
@@ -514,18 +522,18 @@ def generate_codebook(q_xyw: JointPmf, tc_x: Kernel, tc_y: Kernel,
     if memory_cap is not None and least > memory_cap:
         raise ResourceCapError(f"codebook needs at least {least} symbols, cap is {memory_cap}; "
                                f"raise memory_cap or reduce n/delta")
-    p, j_xw_xt, j_yw_yt = _chain_joints(q_xyw, tc_x, tc_y)
-    joint_xt_w = j_xw_xt.sum(axis=0).T   # (Xt, W)
-    joint_yt_w = j_yw_yt.sum(axis=0).T   # (Yt, W)
+    p, *joints = _chain_joints(q_xyw, tc_x, tc_y)
+    distortions = tuple(np.asarray(d) for d in distortions)
+    thresholds = tuple(float(np.einsum("swh,sh->", joint, d)) + delta / 2.0
+                       for joint, d in zip(joints, distortions))
 
     budget = _SymbolBudget(memory_cap)
     root = np.zeros((1, 1, n), dtype=SYMBOL_DTYPE)
     common = PagedLayer(root, p.sum(axis=(0, 1))[:, None], delta, sizes.m0, seed, 0, budget)
-    priv_x = PagedLayer(common, joint_xt_w, delta, sizes.m1, seed, 1, budget)
-    priv_y = PagedLayer(common, joint_yt_w, delta, sizes.m2, seed, 2, budget)
-    return Codebook(common=common, priv_x=priv_x, priv_y=priv_y,
-                    q_xyw=np.asarray(q_xyw.probs), joint_xt_w=joint_xt_w,
-                    joint_yt_w=joint_yt_w, n=n, delta=delta, seed=seed)
+    priv_x, priv_y = (PagedLayer(common, joint.sum(axis=0).T, delta, m, seed, b, budget)
+                      for b, joint, m in zip((1, 2), joints, (sizes.m1, sizes.m2)))
+    return Codebook(common=common, priv_x=priv_x, priv_y=priv_y, q_xyw=p,
+                    distortions=distortions, thresholds=thresholds, n=n, delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -651,18 +659,17 @@ def _first_jointly_typical(common, pairs: np.ndarray,
     return _scan(common, 0, 64, pairs.shape[0], kw, cells * kw, typical)
 
 
-def encode_batch(codebook: Codebook, xs: np.ndarray, ys: np.ndarray, ks,
-                 delta_x: np.ndarray, delta_y: np.ndarray,
-                 threshold_x: float, threshold_y: float):
-    """Three-stage encoding of T source pairs, rows of the (T, n) ``xs``
-    and ``ys``, each under its own shift seed in ``ks``.
+def encode_batch(codebook: Codebook, xs: np.ndarray, ys: np.ndarray, ks):
+    """Three-stage encoding, by the codebook's rule, of T source pairs,
+    rows of the (T, n) ``xs`` and ``ys``, each under its own shift seed in
+    ``ks``.
 
     The sources are unshifted first; a trial's common index is the
     smallest one whose codeword is jointly typical with its pair (falling
     back to 0 with a flag, without a scan when the joint band admits no
     count vector or the pair's own counts leave the band's sums over W),
-    then each private index is the smallest one meeting its
-    per-letter distortion threshold (same fallback). Returns the index
+    then each private index is the smallest one within its branch's
+    distortion threshold (same fallback). Returns the index
     arrays ``s0``, ``s1``, ``s2`` and a (3, T) mask of common, X and Y
     misses; every trial gets what a lone encoding of it gets. Source
     symbols outside the pair alphabet raise ``ValueError``.
@@ -696,8 +703,8 @@ def encode_batch(codebook: Codebook, xs: np.ndarray, ys: np.ndarray, ks,
     s0[miss[0]] = 0
 
     private = np.empty((2, xs.shape[0]), dtype=np.int64)
-    branches = ((codebook.priv_x, xb, np.asarray(delta_x), threshold_x),
-                (codebook.priv_y, yb, np.asarray(delta_y), threshold_y))
+    branches = zip((codebook.priv_x, codebook.priv_y), (xb, yb), codebook.distortions,
+                   codebook.thresholds)
     for b, (layer, refs, delta_mat, threshold) in enumerate(branches):
         for a in np.unique(s0).tolist():
             members = np.flatnonzero(s0 == a)
@@ -708,13 +715,11 @@ def encode_batch(codebook: Codebook, xs: np.ndarray, ys: np.ndarray, ks,
     return s0, private[0], private[1], miss
 
 
-def encode(codebook: Codebook, x_seq: np.ndarray, y_seq: np.ndarray, k: int,
-           delta_x: np.ndarray, delta_y: np.ndarray,
-           threshold_x: float, threshold_y: float) -> EncodeResult:
+def encode(codebook: Codebook, x_seq: np.ndarray, y_seq: np.ndarray, k: int) -> EncodeResult:
     """Three-stage encoding of one source pair under shift seed k: the
     one-trial case of ``encode_batch``."""
     s0, s1, s2, miss = encode_batch(codebook, np.asarray(x_seq)[None], np.asarray(y_seq)[None],
-                                    [k], delta_x, delta_y, threshold_x, threshold_y)
+                                    [k])
     return EncodeResult(int(s0[0]), int(s1[0]), int(s2[0]), *map(bool, miss[:, 0]))
 
 

@@ -229,10 +229,7 @@ def seed_rate_overhead(n: int, n0: int) -> float:
 
 
 def deterministic_encode(codebook: Codebook, seed_map: SeedMap,
-                         x_ext: np.ndarray, y_ext: np.ndarray,
-                         delta_x: np.ndarray, delta_y: np.ndarray,
-                         threshold_x: float, threshold_y: float
-                         ) -> tuple[EncodeResult, int]:
+                         x_ext: np.ndarray, y_ext: np.ndarray) -> tuple[EncodeResult, int]:
     """Encode an extended block: the tail simulates the seed, the head is
     encoded with it. Fully deterministic."""
     n, n0 = codebook.n, seed_map.n0
@@ -241,9 +238,7 @@ def deterministic_encode(codebook: Codebook, seed_map: SeedMap,
     if x.shape[0] != n + n0 or y.shape[0] != n + n0:
         raise ValueError(f"extended sequences must have length n+n0={n + n0}")
     k_sim = seed_map.seed_for_tail(x[n:], y[n:])
-    enc = encode(codebook, x[:n], y[:n], k_sim, delta_x, delta_y,
-                 threshold_x, threshold_y)
-    return enc, k_sim
+    return encode(codebook, x[:n], y[:n], k_sim), k_sim
 
 
 def deterministic_decode(codebook: Codebook, s0, s1, s2, k_sim,
@@ -251,9 +246,11 @@ def deterministic_decode(codebook: Codebook, s0, s1, s2, k_sim,
     """Reconstruct an extended block: shift the selected codewords by the
     simulated seed, then copy the first n0 head positions into the tail.
     Takes sequences of blocks as ``decode`` does."""
-    seeds = np.asarray(k_sim)
-    if np.any((seeds < 0) | (seeds >= codebook.n)):
-        raise IndexError(f"seed {k_sim} outside [0, {codebook.n - 1}]")
+    seeds = np.atleast_1d(k_sim)
+    bad = (seeds < 0) | (seeds >= codebook.n)
+    if bad.any():
+        i = int(bad.argmax())
+        raise IndexError(f"seed {seeds[i]} of block {i} outside [0, {codebook.n - 1}]")
     x_hat, y_hat = decode(codebook, s0, s1, s2, k_sim)
     x_ext = np.concatenate([x_hat, x_hat[..., :n0]], axis=-1)
     y_ext = np.concatenate([y_hat, y_hat[..., :n0]], axis=-1)

@@ -276,15 +276,20 @@ def compute_frontier(problem: RegionProblem, budgets: Budgets, *,
     channels (independent W; W = (X,Y) when w_size allows); "local" adds
     scalarized coordinate-descent searches over a small weight set.
     Deterministic for a fixed seed, independent of the parallelism degree.
+    Raises ``ValueError`` for samples < 0 or restarts < 1.
     """
     nx, ny = problem.p_xy.shape
     w = _w_size(problem, w_size)
     if strategy not in ("grid", "local"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
 
     candidates = _corner_channels(problem, w)
     rng = np.random.default_rng(seed)
-    for _ in range(max(samples, 0)):
+    for _ in range(samples):
         candidates.append(_dirichlet_aux(rng, nx, ny, w))
 
     solves = _Solves()
@@ -326,10 +331,13 @@ def scalarized_search(problem: RegionProblem, budgets: Budgets,
     is scored by the terms whose weight is non-zero alone, so a zero weight
     skips I(X,Y;W) or that branch's solve; the full triple is built once,
     for the best channel. ``solves`` is the caller's memo of branch solves
-    (an empty one by default); no result depends on it.
+    (an empty one by default); no result depends on it. Raises
+    ``ValueError`` for restarts < 1.
     """
     if any(wt < 0 for wt in weights) or all(wt == 0 for wt in weights):
         raise ValueError("weights must be nonnegative and not all zero")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     solves = _Solves() if solves is None else solves
     nx, ny = problem.p_xy.shape
     w = _w_size(problem, w_size)
@@ -349,7 +357,7 @@ def scalarized_search(problem: RegionProblem, budgets: Budgets,
         return val, aux
 
     starts = [AuxChannel.independent(nx, ny)]
-    for _ in range(max(restarts - 1, 0)):
+    for _ in range(restarts - 1):
         starts.append(_dirichlet_aux(rng, nx, ny, w))
 
     best_val, best_aux = math.inf, None

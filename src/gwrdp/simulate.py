@@ -1,10 +1,12 @@
 """Monte Carlo verification of the shift-seeded coding scheme.
 
-Draws i.i.d. source pairs, runs the three-stage encoder and the lookup
-decoders (with a uniformly drawn shift seed, or the simulated seed of the
-deterministic variant), and accumulates per-letter distortions,
-per-position reconstruction marginals with their perception distances,
-and encoder miss frequencies.
+Builds one code, a ``Codebook`` that holds the encoder's thresholds and
+distortion matrices with its layers. Draws i.i.d. source pairs, runs the
+three-stage encoder and the lookup decoders (with a uniformly drawn shift
+seed, or the simulated seed of the deterministic variant), and
+accumulates per-letter distortions, per-position reconstruction marginals
+with their perception distances, and encoder miss frequencies. The
+report's code sizes and thresholds are the codebook's.
 
 Trials draw from counter-based Philox streams, one per block of 256
 trials, keyed by (master seed, block index), so every trial's draws are a
@@ -201,18 +203,6 @@ class SimReport:
         return buf.getvalue()
 
 
-def encoder_thresholds(q_xyw: JointPmf, tc_x: Kernel, tc_y: Kernel,
-                       delta_x: np.ndarray, delta_y: np.ndarray,
-                       delta: float) -> tuple[float, float]:
-    """Per-letter distortion thresholds: achieved expected distortion of
-    each test channel plus delta/2."""
-    p = np.asarray(q_xyw.probs)
-    q_sw = (p.sum(axis=1), p.sum(axis=0))   # (X, W) and (Y, W)
-    return tuple(
-        float(np.einsum("swh,sh->", q[:, :, None] * tc.probs, np.asarray(d))) + delta / 2.0
-        for q, tc, d in zip(q_sw, (tc_x, tc_y), (delta_x, delta_y)))
-
-
 @dataclass
 class _TrialBatch:
     """Per-trial results of trials [lo, hi); the first axis of ``dist``,
@@ -242,7 +232,7 @@ _CHUNK = 256
 
 
 def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None,
-                thr_x: float, thr_y: float, lo: int, hi: int) -> _TrialBatch:
+                lo: int, hi: int) -> _TrialBatch:
     """Trials [lo, hi). Trials [256b, 256b + 256) draw from one Philox
     ``Generator`` keyed (master seed, b): first each trial's source
     uniforms, then, in common-randomness mode, each trial's shift seed K.
@@ -256,7 +246,7 @@ def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None,
     # rng.choice(p=) draws uniforms and searches this normalized cdf
     cdf = np.cumsum(np.asarray(config.p_xy.probs).reshape(-1))
     cdf /= cdf[-1]
-    dx, dy = deltas = (config.delta_x_mat.values, config.delta_y_mat.values)
+    deltas = codebook.distortions
     count = hi - lo
     dist = np.empty((2, count))
     head = np.empty((2, count))
@@ -278,8 +268,7 @@ def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None,
         if not shared_seed:
             ks = seed_map.seeds_for_tails(xs[:, n:], ys[:, n:])
         rows = slice(first - lo, stop - lo)
-        s0, s1, s2, miss[:, rows] = encode_batch(codebook, xs[:, :n], ys[:, :n], ks,
-                                                 dx, dy, thr_x, thr_y)
+        s0, s1, s2, miss[:, rows] = encode_batch(codebook, xs[:, :n], ys[:, :n], ks)
         if shared_seed:
             hats = decode(codebook, s0, s1, s2, ks)
         else:
@@ -295,8 +284,8 @@ def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None,
         codewords=tuple(layer.codewords_drawn - b for layer, b in zip(layers, codewords_before)))
 
 
-def _branch_stats(batch: _TrialBatch, b: int, threshold: float, p_source: np.ndarray,
-                  delta_mat: np.ndarray) -> BranchStats:
+def _branch_stats(batch: _TrialBatch, codebook: Codebook, b: int,
+                  p_source: np.ndarray) -> BranchStats:
     """Statistics of branch b (0 for X, 1 for Y) over all trials of a
     merged batch."""
     dist = batch.dist[b]
@@ -305,9 +294,9 @@ def _branch_stats(batch: _TrialBatch, b: int, threshold: float, p_source: np.nda
     halfwidth = wilson_halfwidth(marginals, trials)
     pooled = float(dist.mean())
     # the pooled letters are Bernoulli only under a 0/1 distortion
-    is01 = set(np.unique(delta_mat)) <= {0.0, 1.0}
+    is01 = set(np.unique(codebook.distortions[b])) <= {0.0, 1.0}
     return BranchStats(
-        threshold=threshold,
+        threshold=codebook.thresholds[b],
         mean_distortion=pooled,
         mean_distortion_head=float(batch.head[b].mean()),
         stderr_distortion=float(dist.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
@@ -326,10 +315,8 @@ def run_simulation(config: SimConfig, parallel: int = 1) -> SimReport:
     q_xyw = config.p_xy.extend(config.aux.kernel, "W")
     sizes = compute_code_sizes(q_xyw, config.test_channel_x, config.test_channel_y,
                                config.n, config.delta)
-    deltas = (config.delta_x_mat.values, config.delta_y_mat.values)
-    thresholds = encoder_thresholds(q_xyw, config.test_channel_x, config.test_channel_y,
-                                    *deltas, config.delta)
     codebook = generate_codebook(q_xyw, config.test_channel_x, config.test_channel_y,
+                                 (config.delta_x_mat.values, config.delta_y_mat.values),
                                  sizes, config.delta, config.n, config.master_seed,
                                  memory_cap=config.memory_cap)
     n0 = config.tail_length()
@@ -343,21 +330,20 @@ def run_simulation(config: SimConfig, parallel: int = 1) -> SimReport:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             batch = _TrialBatch.merge(list(pool.map(
                 _run_trials, repeat(config), repeat(codebook), repeat(seed_map),
-                repeat(thresholds[0]), repeat(thresholds[1]), bounds[:-1], bounds[1:])))
+                bounds[:-1], bounds[1:])))
     else:
-        batch = _run_trials(config, codebook, seed_map, *thresholds, 0, trials)
+        batch = _run_trials(config, codebook, seed_map, 0, trials)
     _log.debug("private pages drawn: x %d (%d codewords), y %d (%d codewords)",
                batch.pages[0], batch.codewords[0], batch.pages[1], batch.codewords[1])
 
     sources = (config.p_xy.marginal("X").probs, config.p_xy.marginal("Y").probs)
-    x, y = (_branch_stats(batch, b, thresholds[b], sources[b], deltas[b]) for b in (0, 1))
+    x, y = (_branch_stats(batch, codebook, b, sources[b]) for b in (0, 1))
     overhead = seed_rate_overhead(config.n, n0) if config.mode == "deterministic" else 0.0
-    rates = tuple(math.log2(max(m, 1)) / config.n + overhead
-                  for m in (sizes.m0, sizes.m1, sizes.m2))
+    rates = tuple(math.log2(max(m, 1)) / config.n + overhead for m in codebook.sizes)
 
     return SimReport(
         mode=config.mode, n=config.n, n0=n0, trials=trials,
-        sizes=(sizes.m0, sizes.m1, sizes.m2), x=x, y=y,
+        sizes=codebook.sizes, x=x, y=y,
         freq_no_common_codeword=float(batch.miss[0].mean()),
         joint_set_empty=joint_set_empty(codebook.q_xyw, config.n, config.delta),
         rates=rates, seed_overhead=overhead,

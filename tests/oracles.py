@@ -383,10 +383,10 @@ def first_under_threshold_loop(codewords: np.ndarray, ref: np.ndarray,
     return -1
 
 
-def encode_loop(codebook, x_seq, y_seq, k: int, delta_x, delta_y,
-                threshold_x: float, threshold_y: float):
-    """Three-stage encoder, one codeword at a time. Joint typicality is the
-    multiplicative band predicate on the (x, y, w) counts. Returns
+def encode_loop(codebook, x_seq, y_seq, k: int):
+    """Three-stage encoder, one codeword at a time, by the codebook's rule.
+    Joint typicality is the multiplicative band predicate on the (x, y, w)
+    counts. Returns
     (s0, s1, s2, miss_common, miss_x, miss_y) with the same fallbacks as
     the library: index 0 and a flag."""
     xb = np.roll(np.asarray(x_seq, dtype=np.int64), k)   # undo the shift by k
@@ -398,6 +398,7 @@ def encode_loop(codebook, x_seq, y_seq, k: int, delta_x, delta_y,
             break
     miss_common = s0 < 0
     s0 = max(s0, 0)
+    (delta_x, delta_y), (threshold_x, threshold_y) = codebook.distortions, codebook.thresholds
     s1 = first_under_threshold_loop(codebook.priv_x[s0], xb, np.asarray(delta_x), threshold_x)
     s2 = first_under_threshold_loop(codebook.priv_y[s0], yb, np.asarray(delta_y), threshold_y)
     return s0, max(s1, 0), max(s2, 0), miss_common, s1 < 0, s2 < 0

@@ -190,17 +190,17 @@ def test_criterion_5_codec_exactness():
                              Budgets(0.4, 0.4, 0.1, 0.1))
     sizes = compute_code_sizes(q_xyw, pt.test_channel_x, pt.test_channel_y, 16, 0.15)
     cb = generate_codebook(q_xyw, pt.test_channel_x, pt.test_channel_y,
-                           sizes, 0.15, 16, seed=55)
+                           (HAM2.values, HAM2.values), sizes, 0.15, 16, seed=55)
     q_w = np.asarray(q_xyw.probs).sum(axis=(0, 1))
     w_spec = TypicalSetSpec(q_w, 0.15, 16)
     n_checked = 0
     typical_ok = all(is_typical(w, w_spec) for w in cb.common[0])
     for i in range(cb.common.shape[1]):
         for cw in cb.priv_x[i]:
-            typical_ok &= is_cond_typical(cw, cb.common[0, i], cb.joint_xt_w, 0.15)
+            typical_ok &= is_cond_typical(cw, cb.common[0, i], cb.priv_x.joint, 0.15)
             n_checked += 1
         for cw in cb.priv_y[i]:
-            typical_ok &= is_cond_typical(cw, cb.common[0, i], cb.joint_yt_w, 0.15)
+            typical_ok &= is_cond_typical(cw, cb.common[0, i], cb.priv_y.joint, 0.15)
             n_checked += 1
 
     # exact shift/distortion/type invariants on 10^4 randomized cases

@@ -287,7 +287,9 @@ class TestSimulateCommand:
         # the DSBS(0.1) witness at n = 64 has about 1.3e12 private codewords
         # per branch; with every private scan missing, pages are drawn until
         # the cap stops the run
-        monkeypatch.setattr(gwrdp.simulate, "encoder_thresholds", lambda *args: (-1.0, -1.0))
+        real = gwrdp.simulate.generate_codebook
+        monkeypatch.setattr(gwrdp.simulate, "generate_codebook", lambda *args, **kw: (
+            dataclasses.replace(real(*args, **kw), thresholds=(-1.0, -1.0))))
         cfg = write_config(tmp_path, "sim.json", {
             "p_xy": DSBS01, "aux": "independent", "n": 64, "delta": 0.15, "trials": 5,
             "budgets": {"D1": 0.4, "D2": 0.4, "P1": 0.1, "P2": 0.1}, "seed": 60})
@@ -434,6 +436,11 @@ INVALID_INPUTS = [
     # 4 atoms cannot populate 8 seed bins
     ("derand-audit-tail-too-short", "derand-audit", {"p_xy": DSBS01, "n0": 1, "n": 8}),
     ("simulate-tail-too-short", "simulate", dict(SIM_CONFIG, mode="deterministic", n0=1)),
+    ("region-negative-samples", "region",
+     {"p_xy": DSBS01, "budgets": {"D1": 0.1, "D2": 0.1}, "samples": -3, "restarts": 0}),
+    ("region-local-zero-restarts", "region",
+     {"p_xy": DSBS01, "budgets": {"D1": 0.1, "D2": 0.1}, "strategy": "local",
+      "samples": 0, "restarts": 0}),
     ("region-local-zero-w-size", "region",
      {"p_xy": DSBS01, "budgets": {"D1": 0.1, "D2": 0.1}, "strategy": "local",
       "samples": 0, "restarts": 1, "w_size": 0}),

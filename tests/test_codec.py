@@ -51,6 +51,12 @@ from oracles import (
 HAM = hamming(2)
 
 
+def with_rule(cb, threshold, dx=HAM, dy=HAM):
+    """``cb`` encoding under the distortion matrices dx and dy, with
+    ``threshold`` on both branches."""
+    return dataclasses.replace(cb, distortions=(dx, dy), thresholds=(threshold, threshold))
+
+
 class TestShift:
     def test_position_map_examples(self):
         assert shift_position(5, 0, 3) == 3
@@ -266,7 +272,7 @@ def small_codebook(seed=11, n=12, delta=0.25):
     q_xyw = p_xy.extend(Kernel(np.ones((2, 2, 1))), "W")
     tc = Kernel(np.array([[[0.75, 0.25]], [[0.25, 0.75]]]))
     sizes = compute_code_sizes(q_xyw, tc, tc, n, delta)
-    return generate_codebook(q_xyw, tc, tc, sizes, delta, n, seed), q_xyw, tc
+    return generate_codebook(q_xyw, tc, tc, (HAM, HAM), sizes, delta, n, seed), q_xyw, tc
 
 
 class TestCodebook:
@@ -283,9 +289,9 @@ class TestCodebook:
         w_spec = TypicalSetSpec(q_w, cb.delta, cb.n)
         assert all(is_typical(w, w_spec) for w in cb.common[0])
         for i in range(cb.common.shape[1]):
-            assert all(is_cond_typical(c, cb.common[0, i], cb.joint_xt_w, cb.delta)
+            assert all(is_cond_typical(c, cb.common[0, i], cb.priv_x.joint, cb.delta)
                        for c in cb.priv_x[i])
-            assert all(is_cond_typical(c, cb.common[0, i], cb.joint_yt_w, cb.delta)
+            assert all(is_cond_typical(c, cb.common[0, i], cb.priv_y.joint, cb.delta)
                        for c in cb.priv_y[i])
 
     def test_single_codeword_chain(self):
@@ -293,13 +299,10 @@ class TestCodebook:
         q_xyw = p_xy.extend(Kernel(np.ones((2, 2, 1))), "W")
         tc = Kernel(np.array([[[0.75, 0.25]], [[0.25, 0.75]]]))
         sizes = compute_code_sizes(q_xyw, tc, tc, 8, 0.3)
-        forced = type(sizes)(m0=1, m1=1, m2=1, slack_w=sizes.slack_w,
-                             slack_x=sizes.slack_x, slack_y=sizes.slack_y,
-                             i_pair_w=sizes.i_pair_w, i_x=sizes.i_x, i_y=sizes.i_y,
-                             n=8, delta=0.3)
-        cb = generate_codebook(q_xyw, tc, tc, forced, 0.3, 8, seed=1)
+        forced = dataclasses.replace(sizes, m0=1, m1=1, m2=1)
+        cb = generate_codebook(q_xyw, tc, tc, (HAM, HAM), forced, 0.3, 8, seed=1)
         assert cb.sizes == (1, 1, 1)
-        assert is_cond_typical(cb.priv_x[0, 0], cb.common[0, 0], cb.joint_xt_w, 0.3)
+        assert is_cond_typical(cb.priv_x[0, 0], cb.common[0, 0], cb.priv_x.joint, 0.3)
 
     @pytest.mark.parametrize("oversized", ["W", "reconstruction"])
     def test_alphabet_over_256_symbols_rejected(self, oversized):
@@ -313,7 +316,7 @@ class TestCodebook:
         else:
             tc_x, tc_y = tc, Kernel(np.full((2, 1, 257), 1 / 257))
         with pytest.raises(AlphabetError, match="257 symbols"):
-            generate_codebook(q_xyw, tc_x, tc_y, sizes, 0.3, 8, seed=1)
+            generate_codebook(q_xyw, tc_x, tc_y, (HAM, HAM), sizes, 0.3, 8, seed=1)
 
 
 class TestEncodeDecode:
@@ -323,7 +326,7 @@ class TestEncodeDecode:
         # use an actual codeword pair as the source so a perfect match exists
         xs = cb.priv_x[0, 3].astype(np.int64)
         ys = cb.priv_y[0, 5].astype(np.int64)
-        enc = encode(cb, xs, ys, 0, HAM, HAM, 0.5, 0.5)
+        enc = encode(with_rule(cb, 0.5), xs, ys, 0)
         assert not enc.miss_x and not enc.miss_y
         assert per_letter_distortion(HAM, xs, cb.priv_x[enc.s0, enc.s1]) <= 0.5
 
@@ -332,25 +335,22 @@ class TestEncodeDecode:
         q_xyw = p_xy.extend(Kernel(np.ones((2, 2, 1))), "W")
         tc = Kernel(np.array([[[0.75, 0.25]], [[0.25, 0.75]]]))
         sizes = compute_code_sizes(q_xyw, tc, tc, 8, 0.3)
-        forced = type(sizes)(m0=1, m1=1, m2=1, slack_w=sizes.slack_w,
-                             slack_x=sizes.slack_x, slack_y=sizes.slack_y,
-                             i_pair_w=sizes.i_pair_w, i_x=sizes.i_x, i_y=sizes.i_y,
-                             n=8, delta=0.3)
-        cb = generate_codebook(q_xyw, tc, tc, forced, 0.3, 8, seed=1)
+        forced = dataclasses.replace(sizes, m0=1, m1=1, m2=1)
+        cb = generate_codebook(q_xyw, tc, tc, (HAM, HAM), forced, 0.3, 8, seed=1)
         xs = 1 - cb.priv_x[0, 0].astype(np.int64)  # worst-case source
-        enc = encode(cb, xs, xs, 0, HAM, HAM, 0.1, 0.1)
+        enc = encode(with_rule(cb, 0.1), xs, xs, 0)
         assert enc.s1 == 0 and enc.s2 == 0
         assert enc.miss_x and enc.miss_y
 
     def test_encoder_depends_only_on_unshifted_pair(self):
-        cb, _, _ = small_codebook()
+        cb = with_rule(small_codebook()[0], 0.4)
         rng = np.random.default_rng(1)
         xs = rng.integers(0, 2, cb.n)
         ys = rng.integers(0, 2, cb.n)
         for k in range(cb.n):
             xk, yk = circular_shift(k, xs, ys)  # pre-shift so unshift matches
-            a = encode(cb, xk, yk, k, HAM, HAM, 0.4, 0.4)
-            b = encode(cb, xs, ys, 0, HAM, HAM, 0.4, 0.4)
+            a = encode(cb, xk, yk, k)
+            b = encode(cb, xs, ys, 0)
             assert (a.s0, a.s1, a.s2) == (b.s0, b.s1, b.s2)
 
     def test_decode_shifts_codewords(self):
@@ -378,12 +378,12 @@ class TestEncodeDecode:
                 decode(cb, [0, 0], [1, 2], [3, 4], k)
 
     def test_roundtrip_meets_threshold(self):
-        cb, _, _ = small_codebook()
+        cb = with_rule(small_codebook()[0], 0.6)
         rng = np.random.default_rng(2)
         for k in (0, 5, 11):
             xs = rng.integers(0, 2, cb.n)
             ys = rng.integers(0, 2, cb.n)
-            enc = encode(cb, xs, ys, k, HAM, HAM, 0.6, 0.6)
+            enc = encode(cb, xs, ys, k)
             if enc.miss_x or enc.miss_y:
                 continue
             xh, yh = decode(cb, enc.s0, enc.s1, enc.s2, k)
@@ -530,8 +530,8 @@ class TestScanEquivalence:
             common[hit] = np.tile([0, 1], n // 2)
         priv = rng.integers(0, 2, size=(m, 3, n)).astype(np.uint8)
         cb = Codebook(common=common[None], priv_x=priv, priv_y=priv[:, ::-1],
-                      q_xyw=q_xyw, joint_xt_w=np.full((2, 2), 0.25),
-                      joint_yt_w=np.full((2, 2), 0.25), n=n, delta=0.5, seed=0)
+                      q_xyw=q_xyw, distortions=(HAM, HAM), thresholds=(0.4, 0.4),
+                      n=n, delta=0.5)
         xs = np.repeat([0, 0, 1, 1], 4)
         ys = np.repeat([0, 1, 0, 1], 4)
         return cb, xs, ys
@@ -542,10 +542,10 @@ class TestScanEquivalence:
         assert not joint_set_empty(cb.q_xyw, cb.n, cb.delta)
         for k in (0, 5):
             xk, yk = circular_shift(k, xs, ys)   # encode undoes the shift
-            got = encode(cb, xk, yk, k, HAM, HAM, 0.4, 0.4)
-            want = encode_loop(cb, xk, yk, k, HAM, HAM, 0.4, 0.4)
+            got = encode(cb, xk, yk, k)
+            want = encode_loop(cb, xk, yk, k)
             assert dataclasses.astuple(got) == want
-        enc = encode(cb, xs, ys, 0, HAM, HAM, 0.4, 0.4)
+        enc = encode(cb, xs, ys, 0)
         assert enc.miss_common == (hit is None)
         assert enc.s0 == (0 if hit is None else hit)
 
@@ -560,7 +560,7 @@ class TestScanEquivalence:
         q_xyw = p_xy.extend(Kernel(aux.reshape(2, 2, 2)), "W")
         tc = Kernel(np.full((2, 2, 2), 0.5))
         sizes = compute_code_sizes(q_xyw, tc, tc, n, delta)
-        cb = generate_codebook(q_xyw, tc, tc, sizes, delta, n, seed)
+        cb = with_rule(generate_codebook(q_xyw, tc, tc, (HAM, HAM), sizes, delta, n, seed), 0.3)
         assert not joint_set_empty(cb.q_xyw, n, delta)
         q_pair_given_w = (cb.q_xyw / cb.q_xyw.sum(axis=(0, 1))).reshape(4, 2)
         rng = np.random.default_rng(seed)
@@ -573,8 +573,8 @@ class TestScanEquivalence:
                 pair = rng.integers(0, 4, size=n)
             k = int(rng.integers(0, n))
             xs, ys = circular_shift(k, pair // 2, pair % 2)
-            got = encode(cb, xs, ys, k, HAM, HAM, 0.3, 0.3)
-            want = encode_loop(cb, xs, ys, k, HAM, HAM, 0.3, 0.3)
+            got = encode(cb, xs, ys, k)
+            want = encode_loop(cb, xs, ys, k)
             assert dataclasses.astuple(got) == want
             hits0.add(-1 if got.miss_common else got.s0)
             miss_x.add(got.miss_x)
@@ -599,22 +599,22 @@ class TestScanEquivalence:
         cb, xs, ys = self._planted_codebook(0)
         q = np.array([[0.45, 0.05], [0.05, 0.45]])[:, :, None] * np.array([0.5, 0.5])
         empty_cb = Codebook(common=cb.common, priv_x=cb.priv_x, priv_y=cb.priv_y,
-                            q_xyw=q, joint_xt_w=cb.joint_xt_w, joint_yt_w=cb.joint_yt_w,
-                            n=cb.n, delta=0.15, seed=0)
+                            q_xyw=q, distortions=cb.distortions, thresholds=cb.thresholds,
+                            n=cb.n, delta=0.15)
         assert joint_set_empty(q, 16, 0.15)
 
         def no_scan(*args):
             raise AssertionError("common layer scanned for an empty band")
 
         monkeypatch.setattr("gwrdp.codec._first_jointly_typical", no_scan)
-        enc = encode(empty_cb, xs, ys, 0, HAM, HAM, 0.4, 0.4)
-        assert dataclasses.astuple(enc) == encode_loop(empty_cb, xs, ys, 0, HAM, HAM, 0.4, 0.4)
+        enc = encode(empty_cb, xs, ys, 0)
+        assert dataclasses.astuple(enc) == encode_loop(empty_cb, xs, ys, 0)
         assert enc.miss_common and enc.s0 == 0
         ks = [0, 3, 9]
         xk, yk = circular_shift(ks, np.stack([xs] * 3), np.stack([ys, 1 - ys, ys]))
-        s0, s1, s2, miss = encode_batch(empty_cb, xk, yk, ks, HAM, HAM, 0.4, 0.4)
+        s0, s1, s2, miss = encode_batch(empty_cb, xk, yk, ks)
         assert list(zip(s0.tolist(), s1.tolist(), s2.tolist(), *miss.tolist())) == [
-            encode_loop(empty_cb, x, y, k, HAM, HAM, 0.4, 0.4) for x, y, k in zip(xk, yk, ks)]
+            encode_loop(empty_cb, x, y, k) for x, y, k in zip(xk, yk, ks)]
         assert miss[0].all() and not s0.any()
 
 
@@ -624,15 +624,16 @@ def _balanced_pairs(rng, count):
     return pair // 2, pair % 2
 
 
-def _x_keyed_codebook(common, priv_x, priv_y):
+def _x_keyed_codebook(common, priv_x, priv_y, threshold):
     """W = X at n = 32, delta = 0.5: a common codeword is jointly typical
     with a balanced source pair exactly when it equals the unshifted x
-    sequence (the cells with w != x have q = 0)."""
+    sequence (the cells with w != x have q = 0). Hamming distortion, with
+    ``threshold`` on both branches."""
     q_xyw = np.zeros((2, 2, 2))
     q_xyw[0, :, 0] = q_xyw[1, :, 1] = 0.25
     return Codebook(common=common[None], priv_x=priv_x, priv_y=priv_y, q_xyw=q_xyw,
-                    joint_xt_w=np.full((2, 2), 0.25), joint_yt_w=np.full((2, 2), 0.25),
-                    n=32, delta=0.5, seed=0)
+                    distortions=(HAM, HAM), thresholds=(threshold, threshold),
+                    n=32, delta=0.5)
 
 
 def _plant(rows, hits, seqs):
@@ -648,10 +649,12 @@ def _plant(rows, hits, seqs):
 
 
 def _batch_vs_loop(cb, xs, ys, ks, thr):
-    """encode_batch and the per-trial loop oracle, as lists of tuples."""
-    s0, s1, s2, miss = encode_batch(cb, xs, ys, ks, HAM, HAM, thr, thr)
+    """encode_batch and the per-trial loop oracle, as lists of tuples, with
+    Hamming distortion and ``thr`` on both branches."""
+    cb = with_rule(cb, thr)
+    s0, s1, s2, miss = encode_batch(cb, xs, ys, ks)
     got = list(zip(s0.tolist(), s1.tolist(), s2.tolist(), *miss.tolist()))
-    want = [encode_loop(cb, x, y, k, HAM, HAM, thr, thr) for x, y, k in zip(xs, ys, ks)]
+    want = [encode_loop(cb, x, y, k) for x, y, k in zip(xs, ys, ks)]
     return got, want
 
 
@@ -680,9 +683,9 @@ class TestBatchEncode:
         common = np.zeros((self.M, 32), dtype=np.uint8)   # typical with no source
         _plant(common, hits, xs)
         priv = rng.integers(0, 2, size=(self.M, 2, 32)).astype(np.uint8)
-        cb = _x_keyed_codebook(common, priv, priv[:, ::-1])
+        cb = _x_keyed_codebook(common, priv, priv[:, ::-1], 0.45)
         xk, yk, ks = self._shifted(rng, xs, ys)
-        want = [encode_loop(cb, x, y, k, HAM, HAM, 0.45, 0.45) for x, y, k in zip(xk, yk, ks)]
+        want = [encode_loop(cb, x, y, k) for x, y, k in zip(xk, yk, ks)]
         assert [w[0] if not w[3] else None for w in want] == hits
         return cb, xk, yk, ks, want
 
@@ -691,7 +694,7 @@ class TestBatchEncode:
         if scratch is not None:
             monkeypatch.setattr("gwrdp.codec._SCRATCH", scratch)
         cb, xk, yk, ks, want = common_case
-        s0, s1, s2, miss = encode_batch(cb, xk, yk, ks, HAM, HAM, 0.45, 0.45)
+        s0, s1, s2, miss = encode_batch(cb, xk, yk, ks)
         assert list(zip(s0.tolist(), s1.tolist(), s2.tolist(), *miss.tolist())) == want
 
     @pytest.fixture(scope="class")
@@ -717,9 +720,9 @@ class TestBatchEncode:
         for g in range(3):
             mine = [i for i, s0 in enumerate(s0_of) if s0 == g]
             _plant(priv_y[g], [hits[i] for i in mine], ys[mine])
-        cb = _x_keyed_codebook(base_x[:3].astype(np.uint8), priv_x, priv_y)
+        cb = _x_keyed_codebook(base_x[:3].astype(np.uint8), priv_x, priv_y, 0.0)
         xk, yk, ks = self._shifted(rng, xs, ys)
-        want = [encode_loop(cb, x, y, k, HAM, HAM, 0.0, 0.0) for x, y, k in zip(xk, yk, ks)]
+        want = [encode_loop(cb, x, y, k) for x, y, k in zip(xk, yk, ks)]
         assert [w[0] for w in want] == s0_of
         assert [w[3] for w in want] == [g == 3 for g in groups]
         assert [None if w[5] else w[2] for w in want] == hits
@@ -731,7 +734,7 @@ class TestBatchEncode:
         if scratch is not None:
             monkeypatch.setattr("gwrdp.codec._SCRATCH", scratch)
         cb, xk, yk, ks, want = private_case
-        s0, s1, s2, miss = encode_batch(cb, xk, yk, ks, HAM, HAM, 0.0, 0.0)
+        s0, s1, s2, miss = encode_batch(cb, xk, yk, ks)
         assert list(zip(s0.tolist(), s1.tolist(), s2.tolist(), *miss.tolist())) == want
 
     def test_generated_codebook_batch(self):
@@ -742,8 +745,8 @@ class TestBatchEncode:
         aux = np.array([[0.75, 0.25], [0.5, 0.5], [0.5, 0.5], [0.25, 0.75]])
         q_xyw = p_xy.extend(Kernel(aux.reshape(2, 2, 2)), "W")
         tc = Kernel(np.full((2, 2, 2), 0.5))
-        cb = generate_codebook(q_xyw, tc, tc, compute_code_sizes(q_xyw, tc, tc, n, delta),
-                               delta, n, seed)
+        cb = generate_codebook(q_xyw, tc, tc, (HAM, HAM),
+                               compute_code_sizes(q_xyw, tc, tc, n, delta), delta, n, seed)
         q_pair_given_w = (cb.q_xyw / cb.q_xyw.sum(axis=(0, 1))).reshape(4, 2)
         rng = np.random.default_rng(seed)
         pairs = [np.array([rng.choice(4, p=q_pair_given_w[:, s]) for s in
@@ -765,8 +768,8 @@ class TestBatchEncode:
         aux = np.array([[0.75, 0.25], [0.5, 0.5], [0.5, 0.5], [0.25, 0.75]])
         q_xyw = p_xy.extend(Kernel(aux.reshape(2, 2, 2)), "W")
         tc = Kernel(np.full((2, 2, 2), 0.5))
-        cb = generate_codebook(q_xyw, tc, tc, compute_code_sizes(q_xyw, tc, tc, n, delta),
-                               delta, n, 4)
+        cb = generate_codebook(q_xyw, tc, tc, (HAM, HAM),
+                               compute_code_sizes(q_xyw, tc, tc, n, delta), delta, n, 4)
         lo, hi = count_bounds(cb.q_xyw, n, delta)
         scanned = []
 
@@ -817,8 +820,8 @@ class TestNonBinaryBatchEncode:
         for x in range(3):
             q_xyw[x, :, x] = 1 / 6
         return Codebook(common=common[None], priv_x=priv_x, priv_y=priv_y, q_xyw=q_xyw,
-                        joint_xt_w=np.full((2, 3), 1 / 6), joint_yt_w=np.full((3, 3), 1 / 9),
-                        n=cls.N, delta=0.5, seed=0)
+                        distortions=(cls.DX, cls.DY), thresholds=(cls.THRESHOLD,) * 2,
+                        n=cls.N, delta=0.5)
 
     @classmethod
     def _pairs(cls, rng, count):
@@ -834,11 +837,10 @@ class TestNonBinaryBatchEncode:
             monkeypatch.setattr("gwrdp.codec._SCRATCH", scratch)
         ks = np.random.default_rng(1).integers(0, cls.N, size=len(xs))
         xk, yk = circular_shift(ks, xs, ys)
-        dx, dy, thr = cls.DX * scale, cls.DY * scale, cls.THRESHOLD * scale
+        cb = with_rule(cb, cls.THRESHOLD * scale, cls.DX * scale, cls.DY * scale)
         if scale not in wants:
-            wants[scale] = [encode_loop(cb, x, y, k, dx, dy, thr, thr)
-                            for x, y, k in zip(xk, yk, ks)]
-        s0, s1, s2, miss = encode_batch(cb, xk, yk, ks, dx, dy, thr, thr)
+            wants[scale] = [encode_loop(cb, x, y, k) for x, y, k in zip(xk, yk, ks)]
+        s0, s1, s2, miss = encode_batch(cb, xk, yk, ks)
         assert list(zip(s0.tolist(), s1.tolist(), s2.tolist(), *miss.tolist())) == wants[scale]
         return wants[scale]
 
@@ -899,7 +901,7 @@ class TestNonBinaryBatchEncode:
         bad = {"x": xs[:2].copy(), "y": ys[:2].copy()}
         bad[branch][1, 5] = symbol
         with pytest.raises(ValueError, match="outside the 3x2 pair alphabet"):
-            encode_batch(cb, bad["x"], bad["y"], [0, 0], self.DX, self.DY, 0.3, 0.3)
+            encode_batch(with_rule(cb, 0.3, self.DX, self.DY), bad["x"], bad["y"], [0, 0])
 
 
 def paged_codebook(m0=2, m=3 * PAGE_ROWS + 100, n=32, memory_cap=None, seed=3):
@@ -911,7 +913,8 @@ def paged_codebook(m0=2, m=3 * PAGE_ROWS + 100, n=32, memory_cap=None, seed=3):
     tc = Kernel(np.array([[[0.75, 0.25]], [[0.25, 0.75]]]))
     sizes = compute_code_sizes(q_xyw, tc, tc, n, 0.3)
     sizes = dataclasses.replace(sizes, m0=m0, m1=m or sizes.m1, m2=m or sizes.m2)
-    return generate_codebook(q_xyw, tc, tc, sizes, 0.3, n, seed, memory_cap=memory_cap)
+    return generate_codebook(q_xyw, tc, tc, (HAM, HAM), sizes, 0.3, n, seed,
+                             memory_cap=memory_cap)
 
 
 class TestPagedLayers:
@@ -949,20 +952,20 @@ class TestPagedLayers:
     def test_encode_matches_loop_across_pages(self, hit):
         # distinct codewords differ in at least 1 of 32 positions, so with
         # the threshold at 1/64 only an exact copy of the source hits
-        cb = paged_codebook(m0=1)
+        cb = with_rule(paged_codebook(m0=1), 1 / 64)
         k = 5
         xs = np.zeros(cb.n, dtype=np.int64) if hit is None else cb.priv_x[0, hit].astype(np.int64)
         ys = cb.priv_y[0, 7].astype(np.int64)
         xk, yk = circular_shift(k, xs, ys)
-        got = encode(cb, xk, yk, k, HAM, HAM, 1 / 64, 1 / 64)
-        assert dataclasses.astuple(got) == encode_loop(cb, xk, yk, k, HAM, HAM, 1 / 64, 1 / 64)
+        got = encode(cb, xk, yk, k)
+        assert dataclasses.astuple(got) == encode_loop(cb, xk, yk, k)
         assert (got.s1, got.miss_x) == ((0, True) if hit is None else (hit, False))
         assert got.s2 == 7
         x_hat, y_hat = decode(cb, got.s0, got.s1, got.s2, k)
         plain = Codebook(common=cb.common, priv_x=np.asarray(cb.priv_x),
                          priv_y=np.asarray(cb.priv_y), q_xyw=cb.q_xyw,
-                         joint_xt_w=cb.joint_xt_w, joint_yt_w=cb.joint_yt_w,
-                         n=cb.n, delta=cb.delta, seed=cb.seed)
+                         distortions=cb.distortions, thresholds=cb.thresholds,
+                         n=cb.n, delta=cb.delta)
         want_x, want_y = decode(plain, got.s0, got.s1, got.s2, k)
         assert np.array_equal(x_hat, want_x) and np.array_equal(y_hat, want_y)
 
@@ -1033,7 +1036,7 @@ class TestPagedLayers:
         assert m > 2 ** 88 and cb.sizes[2] == m
         xs, ys = circular_shift(5, source.priv_x[0, PAGE_ROWS + 9].astype(np.int64),
                                 source.priv_y[0, 3].astype(np.int64))
-        got = encode(cb, xs, ys, 5, HAM, HAM, 1 / 128, 1 / 128)
+        got = encode(with_rule(cb, 1 / 128), xs, ys, 5)
         assert (got.s1, got.miss_x, got.s2, got.miss_y) == (PAGE_ROWS + 9, False, 3, False)
         assert sorted(cb.priv_x._pages) == [(0, 0), (0, 1)]
         x, y = decode(cb, got.s0, got.s1, got.s2, 5)
@@ -1055,7 +1058,7 @@ class TestPagedLayers:
         source, cb = (paged_codebook(m0=1, m=3 * PAGE_ROWS) for _ in range(2))
         xs = source.priv_x[0, hit].astype(np.int64)
         ys = source.priv_y[0, 7].astype(np.int64)
-        got = encode(cb, xs, ys, 0, HAM, HAM, 1 / 64, 1 / 64)
+        got = encode(with_rule(cb, 1 / 64), xs, ys, 0)
         assert (got.s1, got.miss_x, got.s2, got.miss_y) == (hit, False, 7, False)
         assert sorted(cb.priv_x._pages) == [(0, p) for p in range(pages)]
         assert sorted(cb.priv_y._pages) == [(0, 0)]
@@ -1067,7 +1070,7 @@ class TestPagedLayers:
         assert cb.sizes == (1, m, m)
         xs = cb.priv_x[0, 0].astype(np.int64)
         with pytest.raises(ResourceCapError, match="cap is 1048576"):
-            encode(cb, xs, xs, 0, HAM, HAM, -1.0, -1.0)
+            encode(with_rule(cb, -1.0), xs, xs, 0)
         assert 1 <= cb.priv_x.pages_drawn <= cap // (PAGE_ROWS * n)
         assert cb.priv_x.nbytes + cb.common.nbytes <= cap
 
@@ -1092,7 +1095,7 @@ def common_paged_codebook(seed=3):
     tc = Kernel(np.full((2, 2, 2), 0.5))
     sizes = dataclasses.replace(compute_code_sizes(q_xyw, tc, tc, 32, 0.5),
                                 m0=2 * PAGE_ROWS + 100, m1=3, m2=3)
-    return generate_codebook(q_xyw, tc, tc, sizes, 0.5, 32, seed)
+    return generate_codebook(q_xyw, tc, tc, (HAM, HAM), sizes, 0.5, 32, seed)
 
 
 def pair_for(x):
@@ -1130,7 +1133,7 @@ class TestPagedCommonLayer:
         assert np.array_equal(cb.common.page(0, 0), want)
         # a private page is keyed (branch, s0, p) and conditioned on common[0, s0]
         stream = np.random.SeedSequence(3, spawn_key=(2, 5, 0))
-        want = sample_uniform_cond_typical(cb.joint_yt_w, 0.5, cb.common[0, 5], 3,
+        want = sample_uniform_cond_typical(cb.priv_y.joint, 0.5, cb.common[0, 5], 3,
                                            np.random.Generator(np.random.Philox(stream)))
         assert np.array_equal(cb.priv_y[5], want)
 
@@ -1148,7 +1151,7 @@ class TestPagedCommonLayer:
     def test_a_scan_draws_a_page_only_when_it_reaches_it(self, hit, pages):
         cb = common_paged_codebook()
         xs, ys = self._source(hit)
-        got = encode(cb, xs, ys, 0, HAM, HAM, 0.5, 0.5)
+        got = encode(with_rule(cb, 0.5), xs, ys, 0)
         assert (got.miss_common, got.s0) == ((True, 0) if hit is None else (False, hit))
         assert sorted(cb.common._pages) == [(0, p) for p in range(pages)]
         assert cb.priv_x.pages_drawn == cb.priv_y.pages_drawn == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import signal
 
 import numpy as np
@@ -246,7 +247,8 @@ def tiny_system(n=8, delta=0.3, seed=2):
     q_xyw = p_xy.extend(Kernel(np.ones((2, 2, 1))), "W")
     tc = Kernel(np.array([[[0.75, 0.25]], [[0.25, 0.75]]]))
     sizes = compute_code_sizes(q_xyw, tc, tc, n, delta)
-    cb = generate_codebook(q_xyw, tc, tc, sizes, delta, n, seed)
+    cb = generate_codebook(q_xyw, tc, tc, (HAM, HAM), sizes, delta, n, seed)
+    cb = dataclasses.replace(cb, thresholds=(0.5, 0.5))
     sm = build_seed_map(p_xy, default_tail_length(4, n), n)
     return cb, sm
 
@@ -261,8 +263,8 @@ class TestDeterministicCodec:
         rng = np.random.default_rng(5)
         xs = rng.integers(0, 2, cb.n + sm.n0)
         ys = rng.integers(0, 2, cb.n + sm.n0)
-        a, ka = deterministic_encode(cb, sm, xs, ys, HAM, HAM, 0.5, 0.5)
-        b, kb = deterministic_encode(cb, sm, xs, ys, HAM, HAM, 0.5, 0.5)
+        a, ka = deterministic_encode(cb, sm, xs, ys)
+        b, kb = deterministic_encode(cb, sm, xs, ys)
         assert (a, ka) == (b, kb)
 
     def test_tail_in_same_bin_gives_same_messages(self):
@@ -270,9 +272,9 @@ class TestDeterministicCodec:
         rng = np.random.default_rng(6)
         xs = rng.integers(0, 2, cb.n + sm.n0)
         ys = rng.integers(0, 2, cb.n + sm.n0)
-        _, k0 = deterministic_encode(cb, sm, xs, ys, HAM, HAM, 0.5, 0.5)
+        _, k0 = deterministic_encode(cb, sm, xs, ys)
         # find another tail mapping to the same bin and splice it in
-        base = deterministic_encode(cb, sm, xs, ys, HAM, HAM, 0.5, 0.5)[0]
+        base = deterministic_encode(cb, sm, xs, ys)[0]
         found = False
         for atom in range(4 ** sm.n0):
             if sm.assignment[atom] != k0:
@@ -287,7 +289,7 @@ class TestDeterministicCodec:
             y_tail = np.array([d % 2 for d in digits])
             xs2 = np.concatenate([xs[:cb.n], x_tail])
             ys2 = np.concatenate([ys[:cb.n], y_tail])
-            enc2, k2 = deterministic_encode(cb, sm, xs2, ys2, HAM, HAM, 0.5, 0.5)
+            enc2, k2 = deterministic_encode(cb, sm, xs2, ys2)
             assert k2 == k0
             assert (enc2.s0, enc2.s1, enc2.s2) == (base.s0, base.s1, base.s2)
             found = True
@@ -299,8 +301,8 @@ class TestDeterministicCodec:
         rng = np.random.default_rng(7)
         xs = rng.integers(0, 2, cb.n + sm.n0)
         ys = rng.integers(0, 2, cb.n + sm.n0)
-        enc, k_sim = deterministic_encode(cb, sm, xs, ys, HAM, HAM, 0.5, 0.5)
-        direct = encode(cb, xs[:cb.n], ys[:cb.n], k_sim, HAM, HAM, 0.5, 0.5)
+        enc, k_sim = deterministic_encode(cb, sm, xs, ys)
+        direct = encode(cb, xs[:cb.n], ys[:cb.n], k_sim)
         assert (enc.s0, enc.s1, enc.s2) == (direct.s0, direct.s1, direct.s2)
 
     def test_decode_tail_copies_head_prefix(self):
@@ -323,8 +325,17 @@ class TestDeterministicCodec:
         with pytest.raises(IndexError):
             deterministic_decode(cb, 0, 0, 0, cb.n, sm.n0)
 
+    def test_batch_seed_out_of_range_names_the_first_bad_block(self):
+        # the error once formatted the whole seed array over several lines
+        cb, sm = tiny_system()
+        seeds = np.arange(300) % cb.n
+        seeds[[7, 100]] = [-1, cb.n]
+        zeros = np.zeros(300, dtype=int)
+        with pytest.raises(IndexError) as err:
+            deterministic_decode(cb, zeros, zeros, zeros, seeds, sm.n0)
+        assert str(err.value) == f"seed -1 of block 7 outside [0, {cb.n - 1}]"
+
     def test_length_mismatch(self):
         cb, sm = tiny_system()
         with pytest.raises(ValueError):
-            deterministic_encode(cb, sm, np.zeros(cb.n, dtype=int),
-                                 np.zeros(cb.n, dtype=int), HAM, HAM, 0.5, 0.5)
+            deterministic_encode(cb, sm, np.zeros(cb.n, dtype=int), np.zeros(cb.n, dtype=int))

@@ -138,6 +138,15 @@ class TestFrontier:
         with pytest.raises(ValueError, match="exceeds the cardinality bound 6"):
             scalarized_search(PROBLEM, BUDGETS, (1.0, 1.0, 1.0), w_size=7, restarts=1)
 
+    @pytest.mark.parametrize("counts, message", [
+        (dict(samples=-3), "samples must be at least 0, got -3"),
+        (dict(samples=0, restarts=0), "restarts must be at least 1, got 0"),
+        (dict(samples=0, restarts=0, strategy="local"), "restarts must be at least 1, got 0")])
+    def test_bad_counts_refused(self, counts, message):
+        # these counts were once clamped to 0 samples and 1 restart
+        with pytest.raises(ValueError, match=message):
+            compute_frontier(PROBLEM, BUDGETS, **counts)
+
     def test_exports(self):
         fr = compute_frontier(PROBLEM, BUDGETS, samples=3, seed=2)
         csv_text = fr.to_csv()
@@ -183,6 +192,10 @@ class TestScalarizedSearch:
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             scalarized_search(PROBLEM, BUDGETS, (0.0, 0.0, 0.0), seed=0)
+
+    def test_rejects_zero_restarts(self):
+        with pytest.raises(ValueError, match="restarts must be at least 1, got 0"):
+            scalarized_search(PROBLEM, BUDGETS, (1.0, 1.0, 1.0), restarts=0)
 
 
 @pytest.fixture

@@ -20,7 +20,6 @@ from gwrdp.simulate import (
     SimConfig,
     _run_trials,
     _TrialBatch,
-    encoder_thresholds,
     run_simulation,
     wilson_halfwidth,
 )
@@ -49,8 +48,9 @@ def exact_small_instance(seed):
 
     q_xyw = UNIFORM4.extend(AuxChannel.independent(2, 2).kernel, "W")
     sizes = compute_code_sizes(q_xyw, IDENTITY_TC, IDENTITY_TC, 2, 1.0)
-    cb = generate_codebook(q_xyw, IDENTITY_TC, IDENTITY_TC, sizes, 1.0, 2, seed)
     ham = np.array([[0.0, 1.0], [1.0, 0.0]])
+    cb = generate_codebook(q_xyw, IDENTITY_TC, IDENTITY_TC, (ham, ham), sizes, 1.0, 2, seed)
+    cb = dataclasses.replace(cb, thresholds=(0.5, 0.5))
     dist = 0.0
     miss0 = 0.0
     marg = np.zeros((2, 2))
@@ -61,7 +61,7 @@ def exact_small_instance(seed):
                     xs = np.array([xs0, xs1])
                     ys = np.array([ys0, ys1])
                     for k in (0, 1):
-                        enc = encode(cb, xs, ys, k, ham, ham, 0.5, 0.5)
+                        enc = encode(cb, xs, ys, k)
                         xh, _ = decode(cb, enc.s0, enc.s1, enc.s2, k)
                         dist += (xs != xh).mean() / 32.0
                         miss0 += enc.miss_common / 32.0
@@ -166,15 +166,13 @@ class TestDeterminism:
         sizes = compute_code_sizes(q_xyw, config.test_channel_x, config.test_channel_y,
                                    config.n, config.delta)
         codebook = generate_codebook(q_xyw, config.test_channel_x, config.test_channel_y,
+                                     (config.delta_x_mat.values, config.delta_y_mat.values),
                                      sizes, config.delta, config.n, config.master_seed)
         seed_map = (build_seed_map(config.p_xy, config.tail_length(), config.n)
                     if mode == "deterministic" else None)
-        thresholds = encoder_thresholds(q_xyw, config.test_channel_x, config.test_channel_y,
-                                        config.delta_x_mat.values, config.delta_y_mat.values,
-                                        config.delta)
-        whole = _run_trials(config, codebook, seed_map, *thresholds, 0, 600)
+        whole = _run_trials(config, codebook, seed_map, 0, 600)
         cuts = [0, 1, 255, 256, 300, 513, 600]
-        merged = _TrialBatch.merge([_run_trials(config, codebook, seed_map, *thresholds, a, b)
+        merged = _TrialBatch.merge([_run_trials(config, codebook, seed_map, a, b)
                                     for a, b in zip(cuts, cuts[1:])])
         for name in ("dist", "head", "miss"):
             np.testing.assert_array_equal(getattr(merged, name), getattr(whole, name))
@@ -189,9 +187,10 @@ class TestSelfCodingSanity:
         assert report.x.mean_distortion <= 1.0
         # thresholds come from the configured test channels
         q_xyw = c.p_xy.extend(c.aux.kernel, "W")
-        thr_x, thr_y = encoder_thresholds(q_xyw, c.test_channel_x, c.test_channel_y,
-                                          c.delta_x_mat.values, c.delta_y_mat.values,
-                                          c.delta)
+        sizes = compute_code_sizes(q_xyw, c.test_channel_x, c.test_channel_y, c.n, c.delta)
+        thr_x, thr_y = generate_codebook(q_xyw, c.test_channel_x, c.test_channel_y,
+                                         (c.delta_x_mat.values, c.delta_y_mat.values),
+                                         sizes, c.delta, c.n, c.master_seed).thresholds
         assert report.x.threshold == pytest.approx(thr_x)
         assert thr_x == pytest.approx(0.25 + 0.15)
 
@@ -217,8 +216,9 @@ class TestPerceptionMechanism:
         sizes = compute_code_sizes(q_xyw, c.test_channel_x, c.test_channel_y,
                                    c.n, c.delta)
         cb = generate_codebook(q_xyw, c.test_channel_x, c.test_channel_y,
+                               (c.delta_x_mat.values, c.delta_y_mat.values),
                                sizes, c.delta, c.n, c.master_seed)
-        q_xt = cb.joint_xt_w.sum(axis=1)
+        q_xt = cb.priv_x.joint.sum(axis=1)
         mean_type = np.stack([np.bincount(cw, minlength=2) / c.n
                               for cw in cb.priv_x[0]]).mean(axis=0)
         assert tv_distance(mean_type, q_xt) <= c.delta + 1e-12
@@ -312,9 +312,9 @@ class TestBatchedTrials:
         batches = []
         real = gwrdp.simulate.encode_batch
 
-        def spy(codebook, xs, ys, ks, *rest):
-            out = real(codebook, xs, ys, ks, *rest)
-            batches.append((codebook, xs, ys, np.array(ks), rest, out))
+        def spy(codebook, xs, ys, ks):
+            out = real(codebook, xs, ys, ks)
+            batches.append((codebook, xs, ys, np.array(ks), out))
             return out
 
         monkeypatch.setattr("gwrdp.simulate.encode_batch", spy)
@@ -322,13 +322,13 @@ class TestBatchedTrials:
         codebook = batches[0][0]
         loop = pickle.loads(pickle.dumps(codebook))   # same codewords, no pages drawn
         assert loop.priv_x.pages_drawn == 0
-        for _, xs, ys, ks, rest, (s0, s1, s2, miss) in batches:
+        for _, xs, ys, ks, (s0, s1, s2, miss) in batches:
             for i, k in enumerate(ks.tolist()):
-                enc = encode(loop, xs[i], ys[i], k, *rest)
+                enc = encode(loop, xs[i], ys[i], k)
                 assert dataclasses.astuple(enc) == (s0[i], s1[i], s2[i], *miss[:, i])
                 decode(loop, enc.s0, enc.s1, enc.s2, k)
         assert sum(len(b[3]) for b in batches) == 300
-        assert len({int(s) for b in batches for s in b[5][0]}) >= 2
+        assert len({int(s) for b in batches for s in b[4][0]}) >= 2
         for layer in ("priv_x", "priv_y"):
             drawn, want = getattr(codebook, layer), getattr(loop, layer)
             assert drawn._pages.keys() == want._pages.keys()
@@ -411,13 +411,12 @@ class TestKnownFailureFamilies:
         q_xyw = p_xy.extend(aux.kernel, "W")
         tcs = (pt.test_channel_x, pt.test_channel_y)
         sizes = compute_code_sizes(q_xyw, *tcs, 16, 0.3)
-        codebook = generate_codebook(q_xyw, *tcs, sizes, 0.3, 16, 4,
-                                     memory_cap=gwrdp.simulate.DEFAULT_MEMORY_CAP)
         ham = np.array([[0.0, 1.0], [1.0, 0.0]])
-        thresholds = encoder_thresholds(q_xyw, *tcs, ham, ham, 0.3)
+        codebook = generate_codebook(q_xyw, *tcs, (ham, ham), sizes, 0.3, 16, 4,
+                                     memory_cap=gwrdp.simulate.DEFAULT_MEMORY_CAP)
         zeros = np.zeros((1, 16), dtype=np.int64)
         try:
-            *_, miss = encode_batch(codebook, zeros, zeros, [0], ham, ham, *thresholds)
+            *_, miss = encode_batch(codebook, zeros, zeros, [0])
         except ResourceCapError as err:
             assert "codebook would hold 16777232 symbols" in str(err)
             raise

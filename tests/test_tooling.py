@@ -99,10 +99,10 @@ def test_layer_spans_see_the_codec_layers(bench):
         bench.install_layer_spans(tracer)
         for mode in gwrdp.simulate.MODES:
             gwrdp.simulate.run_simulation(dataclasses.replace(config, mode=mode))
-        cb = gwrdp.simulate.generate_codebook(q_xyw, tc, tc, sizes, 0.3, 8, 1)
+        cb = gwrdp.simulate.generate_codebook(q_xyw, tc, tc, (ham, ham), sizes, 0.3, 8, 1)
         seed_map = gwrdp.simulate.build_seed_map(p_xy, 3, 8)
-        gwrdp.simulate.encode(cb, xs[:8], ys[:8], 2, ham, ham, 0.4, 0.4)
-        gwrdp.simulate.deterministic_encode(cb, seed_map, xs, ys, ham, ham, 0.4, 0.4)
+        gwrdp.simulate.encode(cb, xs[:8], ys[:8], 2)
+        gwrdp.simulate.deterministic_encode(cb, seed_map, xs, ys)
     finally:
         tracer.restore()
     for count in ("codec.codewords", "codec.codewords_needed", "derandom.atoms"):
