@@ -3,9 +3,11 @@
 A few extra source symbols (the tail of an extended block) are hashed
 through a fixed map into a seed value in [0, n-1] whose distribution is
 within the largest atom probability of uniform, per bin. The map is built
-greedily: atoms (joint tail realizations) are sorted by descending
+greedily: atoms (joint tail realizations) are taken by descending
 probability and each is placed into the currently lightest bin, which
-bounds the heaviest-lightest gap by the largest atom. A run of atoms of
+bounds the heaviest-lightest gap by the largest atom. The order is a
+stable integer sort of the atoms' exact ranks among their ``np.kron``
+floats, so it builds no per-atom probability array. A run of atoms of
 equal probability (a DSBS's 4**10 atoms take only 11 probabilities) is
 placed in one numpy step; short runs, and runs whose candidate table
 would be large, go through the heap loop instead. Either way the map is
@@ -56,9 +58,12 @@ class SeedMap:
         """Seeds of T tails, the rows of (T, n0) arrays: each tail's atom
         index, its pair symbols read as base |X||Y| digits (first position
         most significant), looked up in the assignment. Symbols outside
-        the alphabets raise ``ValueError``."""
-        x = np.asarray(x_tails).astype(np.int64)
-        y = np.asarray(y_tails).astype(np.int64)
+        the alphabets, or given as a non-integer dtype, raise
+        ``ValueError``."""
+        x, y = np.asarray(x_tails), np.asarray(y_tails)
+        if x.dtype.kind not in "iu" or y.dtype.kind not in "iu":
+            raise ValueError(f"tail symbols must be integers, got {x.dtype} and {y.dtype}")
+        x, y = x.astype(np.int64), y.astype(np.int64)
         if x.ndim != 2 or x.shape[1] != self.n0 or y.shape != x.shape:
             raise ValueError(f"tails must have length n0={self.n0}")
         if np.any((x < 0) | (x >= self.nx) | (y < 0) | (y >= self.ny)):
@@ -94,15 +99,17 @@ def default_tail_length(pair_alphabet_size: int, n: int) -> int:
 def build_seed_map(p_xy: JointPmf, n0: int, n: int) -> SeedMap:
     """Greedy least-loaded assignment of tail atoms to seed bins.
 
-    Atoms are sorted by descending probability (ties by index) and placed
+    Atoms are taken by descending probability (ties by index) and placed
     into the lightest bin (ties by bin index), so the final per-bin
     deviation from 1/n is at most the largest atom probability; the bound
-    is asserted, not assumed. A run of atoms with equal probability is
-    placed in one numpy step (``_place_run_in_bulk``) when it has at least
-    ``_MIN_BULK_RUN + n`` atoms and its candidate table at most
-    ``_BULK_TABLE_FACTOR`` entries per atom; the heap loop places every
-    other atom. The assignment, and hence ``bin_masses``, equal those of
-    the heap loop over every atom.
+    is asserted, not assumed. The order is a stable integer sort of the
+    atoms' exact ranks among their ``np.kron`` floats
+    (``_ranked_atom_floats``), so it builds no per-atom probability array.
+    A run of atoms with equal probability is placed in one numpy step
+    (``_place_run_in_bulk``) when it has at least ``_MIN_BULK_RUN + n``
+    atoms and its candidate table at most ``_BULK_TABLE_FACTOR`` entries
+    per atom; the heap loop places every other atom. The assignment, and
+    hence ``bin_masses``, equal those of the heap loop over every atom.
     """
     if n < 1 or n0 < 1:
         raise ValueError(f"n={n} and n0={n0} must both be at least 1")
@@ -123,32 +130,29 @@ def build_seed_map(p_xy: JointPmf, n0: int, n: int) -> SeedMap:
             f"{n_atoms} atoms cannot populate {n} bins; need n0 >= {least} "
             f"(default rule gives {need})")
 
-    probs = flat
-    while probs.size < n_atoms:
-        probs = np.kron(probs, flat)
-    order = np.argsort(-probs, kind="stable")   # ties by atom index
-    ordered = probs[order]
-    bounds = np.r_[0, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1, n_atoms]
-    long = np.flatnonzero(np.diff(bounds) >= _MIN_BULK_RUN + n)
-    runs = list(zip(bounds[long].tolist(), bounds[long + 1].tolist(),
-                    ordered[bounds[long]].tolist()))
-    del ordered
+    values, key = _ranked_atom_floats(flat, n_atoms)
+    counts = np.bincount(key)
+    order = np.argsort(key, kind="stable")   # ties by atom index
+    bounds = np.r_[0, np.cumsum(counts)]
+    long = np.flatnonzero(counts >= _MIN_BULK_RUN + n)
+    runs = list(zip(bounds[long].tolist(), bounds[long + 1].tolist(), values[long].tolist()))
 
     assignment = np.empty(n_atoms, dtype=np.int64)
     heap = [(0.0, b) for b in range(n)]   # sorted, hence already a heap
     done = 0   # the atoms order[:done] are placed
     for lo, hi, p in runs:
-        _place_by_heap(heap, order[done:lo], probs, assignment)
+        _place_by_heap(heap, order[done:lo], values, key, assignment)
         placed = _place_run_in_bulk(heap, order[lo:hi], p, assignment)
         if placed is None:
             done = lo
         else:
             heap, done = placed, hi
-    _place_by_heap(heap, order[done:], probs, assignment)
+    _place_by_heap(heap, order[done:], values, key, assignment)
+    del order
 
     masses = np.zeros(n)
-    np.add.at(masses, assignment, probs)
-    p_max = float(probs.max())
+    np.add.at(masses, assignment, values[key])
+    p_max = float(values[0])
     gap = float(masses.max() - masses.min())
     if gap > p_max + 1e-15:
         raise AssertionError(
@@ -169,14 +173,32 @@ _BULK_TABLE_FACTOR = 4
 _MIN_BULK_RUN = 64
 
 
-def _place_by_heap(heap: list, atoms: np.ndarray, probs: np.ndarray,
+def _ranked_atom_floats(flat: np.ndarray, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct atom floats of ``np.kron`` powers of ``flat``,
+    descending, and each atom's rank among them in the smallest dtype that
+    fits. np.kron makes an atom's float its prefix's times its last
+    symbol's, so a rank is a table lookup on the prefix's rank and the
+    symbol. Symbol counts would not do: rounding splits and merges them."""
+    # values holds negated floats, which round as the floats do and which
+    # np.unique sorts into descending probability; the empty prefix is 1
+    values, key = -np.ones(1), np.zeros(1, dtype=np.uint8)
+    while key.size < n_atoms:
+        products = np.multiply.outer(values, flat)
+        values, ranks = np.unique(products, return_inverse=True)
+        table = ranks.astype(np.min_scalar_type(len(values))).reshape(products.shape)
+        key = table[key].reshape(-1)
+    return -values, key
+
+
+def _place_by_heap(heap: list, atoms: np.ndarray, values: np.ndarray, key: np.ndarray,
                    assignment: np.ndarray) -> None:
     """Place atoms one at a time, in the given order, each into the
-    lightest bin of ``heap`` (ties by bin index), updating it in place."""
+    lightest bin of ``heap`` (ties by bin index), updating it in place;
+    atom a has probability values[key[a]]."""
     slots = memoryview(assignment)
     # memoryviews read and write plain Python numbers one at a time, so
     # the loop avoids numpy scalars without a list of every atom
-    for atom, p in zip(memoryview(atoms), memoryview(probs[atoms])):
+    for atom, p in zip(memoryview(atoms), memoryview(values[key[atoms]])):
         mass, b = heap[0]
         slots[atom] = b
         heapq.heapreplace(heap, (mass + p, b))

@@ -1,5 +1,6 @@
 import dataclasses
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,10 @@ def dsbs(a):
 
 
 UNIFORM4 = JointPmf(np.full((2, 2), 0.25), ("X", "Y"))
+# distinct symbol probabilities, and a 2x3 pmf with two equal ones; the
+# np.kron floats of their atoms split and merge symbol-count classes
+DISTINCT4 = JointPmf([[0.1, 0.2], [0.3, 0.4]], ("X", "Y"))
+TIED6 = JointPmf([[0.3, 0.05, 0.15], [0.1, 0.25, 0.15]], ("X", "Y"))
 
 
 def _rounded_dirichlet(seed):
@@ -152,7 +157,8 @@ class TestBuild:
 
     @pytest.mark.parametrize("p_xy, n0, n", [
         (dsbs(0.25), 7, 32),
-        (JointPmf([[0.3, 0.05, 0.15], [0.1, 0.25, 0.15]], ("X", "Y")), 4, 24),
+        (TIED6, 4, 24),
+        (DISTINCT4, 5, 7),
     ] + [pytest.param(*case[1:], id=case[0]) for case in BULK_CASES])
     def test_assignment_matches_pop_push_loop(self, p_xy, n0, n):
         sm = build_seed_map(p_xy, n0, n)
@@ -165,6 +171,39 @@ class TestBuild:
         masses = np.zeros(n)
         np.add.at(masses, want, probs)
         assert np.array_equal(sm.bin_masses, masses)
+
+    @pytest.mark.parametrize("p_xy, n0, split, merged", [
+        (DISTINCT4, 5, 28, 29),
+        (TIED6, 4, 31, 25),
+    ])
+    def test_kron_floats_split_and_merge_symbol_count_classes(self, p_xy, n0, split, merged):
+        # atoms that hold each symbol probability equally often have one
+        # exact probability, but np.kron rounds their products in different
+        # orders, and rounding also makes floats of other classes coincide;
+        # so the seed map's order must rank atoms by float, not by counts
+        flat = np.asarray(p_xy.probs).reshape(-1)
+        probs = flat
+        for _ in range(n0 - 1):
+            probs = np.kron(probs, flat)
+        symbol = np.unique(flat, return_inverse=True)[1].reshape(-1)
+        digits = symbol[np.indices((flat.size,) * n0).reshape(n0, -1)]   # (n0, atoms)
+        counts = np.stack([np.sum(digits == s, axis=0) for s in range(symbol.max() + 1)])
+        classes = np.unique(counts, axis=1, return_inverse=True)[1].reshape(-1)
+        floats = np.unique(probs, return_inverse=True)[1].reshape(-1)
+        pairs = np.unique(np.stack([classes, floats]), axis=1)
+        assert np.sum(np.bincount(pairs[0]) > 1) == split    # classes holding two floats
+        assert np.sum(np.bincount(pairs[1]) > 1) == merged   # floats of two classes
+
+    def test_dsbs_4_10_map_peak_memory(self):
+        # the order needs one byte of rank per atom here; a per-atom float
+        # array and its sorted copy would add 16 MiB and pass the bound
+        tracemalloc.start()
+        try:
+            build_seed_map(dsbs(0.25), 10, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 26 * 2 ** 20
 
     def test_every_atom_assigned_once(self):
         sm = build_seed_map(dsbs(0.2), 3, 5)
@@ -240,6 +279,18 @@ class TestSeedLookup:
         good = np.zeros((2, 3), dtype=int)
         with pytest.raises(ValueError, match="outside"):
             sm.seeds_for_tails(np.vstack([good, x_tail]), np.vstack([good, y_tail]))
+
+    @pytest.mark.parametrize("x_tail, y_tail", [
+        ([0, 0.7, 0], [0, 0, 0]),        # a cast to int would read symbol 0
+        ([0, 0, 0], [1.0, 0.0, 1.0]),    # integer values in a float array
+        ([0, 0, 0], [True, False, True]),
+    ])
+    def test_non_integer_tails_rejected(self, x_tail, y_tail):
+        sm = build_seed_map(dsbs(0.2), 3, 5)
+        with pytest.raises(ValueError, match="must be integers"):
+            sm.seed_for_tail(np.array(x_tail), np.array(y_tail))
+        with pytest.raises(ValueError, match="must be integers"):
+            sm.seeds_for_tails(np.array([x_tail]), np.array([y_tail]))
 
 
 def tiny_system(n=8, delta=0.3, seed=2):
