@@ -20,8 +20,10 @@ conditional and does this once per conditioning symbol; an unconditional
 draw is its one-stratum case, a constant conditioning sequence.
 
 A codebook has three layers of one type, ``PagedLayer``, each drawn
-lazily in pages of 4096 codewords: the common layer (branch 0) and the
-private layers of X and Y (branches 1 and 2). Page p of branch b under
+lazily in pages: the common layer (branch 0) and the private layers of X
+and Y (branches 1 and 2). Page p holds 16 * 4**p codewords while that is
+below PAGE_ROWS (pages 0-3 start at 0, 16, 80 and 336), and PAGE_ROWS
+from page 4 on, which starts at 1360. Page p of branch b under
 conditioning index s0 is drawn given the parent layer's codeword
 ``parent[0, s0]``, from its own counter-based stream, Philox keyed by
 ``SeedSequence(seed, spawn_key=(b, s0, p))``, so a page holds the same
@@ -31,16 +33,17 @@ layer's parent is the common layer; the common layer has one index, s0 =
 Generating a codebook draws nothing, and only the pages an encoder or
 decoder touches are ever drawn, which lets a layer hold far more
 codewords than memory could. A memory cap on the symbols drawn is
-checked up front against the first page of each layer, and ends a scan
-that would run past it. A ``Codebook`` also holds the encoder's rule: the
-common layer's joint band, and each branch's distortion matrix and
-threshold. So the encoders take only sources and shift seeds.
+checked up front against the first page of each layer, at most 16
+codewords, and ends a scan that would run past it. A ``Codebook`` also
+holds the encoder's rule: the common layer's joint band, and each
+branch's distortion matrix and threshold. So the encoders take only
+sources and shift seeds.
 
 The encoder takes a batch of source pairs and scans each layer in blocks
-``layer[s0, start:stop]``, s0 = 0 for the common layer. Blocks grow 4x
-from a first size, and each stays within one page and holds at most
-``_SCRATCH`` one-hot elements (or one row's), so an early hit costs a few
-codewords, a scan draws a page only when it reaches it, and a long scan
+``layer[s0, start:stop]``, s0 = 0 for the common layer. The blocks are
+the pages, each cut into pieces of at most ``_SCRATCH`` one-hot elements
+(or one row's), so a hit among the first 16 codewords draws and reads
+those 16, a scan draws a page only when it reaches it, and a long scan
 stays vectorized. Each block is one-hot encoded once and scored for every
 trial still without a hit by one matrix product per sub-batch of trials,
 held to ``_SCRATCH`` elements (or one trial's share): the trials' pair-cell
@@ -68,7 +71,8 @@ import numpy as np
 from .prob import JointPmf, Kernel, _entropy_bits
 
 SYMBOL_DTYPE = np.uint8
-PAGE_ROWS = 4096   # codewords per lazily drawn page of a codebook layer
+PAGE_ROWS = 4096   # codewords per lazily drawn page of a codebook layer from page 4 on
+_PAGE_STARTS = (0, 16, 80, 336, 1360)   # first codewords of pages 0-4; page p < 4 holds 16 * 4**p
 _SCRATCH = 2 ** 16   # elements of a scan block's one-hot and of one step's product
 
 
@@ -351,6 +355,23 @@ def compute_code_sizes(q_xyw: JointPmf, tc_x: Kernel, tc_y: Kernel,
     return replace(sizes, m0=m0, m1=m1, m2=m2)
 
 
+def _page_of(j):
+    """The page holding codeword j: a Python int of any size, or elementwise
+    for an int64 array (a 0-d one too)."""
+    if isinstance(j, np.ndarray):
+        return (np.searchsorted(_PAGE_STARTS, j, side="right") - 1
+                + np.maximum(j - _PAGE_STARTS[-1], 0) // PAGE_ROWS)
+    return bisect.bisect_right(_PAGE_STARTS, j) - 1 + max(j - _PAGE_STARTS[-1], 0) // PAGE_ROWS
+
+
+def _page_span(p: int) -> tuple[int, int]:
+    """Codewords [start, stop) of page p, before a layer's end cuts it."""
+    if p + 1 < len(_PAGE_STARTS):
+        return _PAGE_STARTS[p], _PAGE_STARTS[p + 1]
+    start = _PAGE_STARTS[-1] + (p + 1 - len(_PAGE_STARTS)) * PAGE_ROWS
+    return start, start + PAGE_ROWS
+
+
 class _SymbolBudget:
     """Codeword symbols one process has drawn for a codebook, every page of
     its three layers, against an optional cap. A pickled copy starts again
@@ -373,9 +394,10 @@ class _SymbolBudget:
 class PagedLayer:
     """One codebook layer, shape (S, M, n): M codewords under each of S
     conditioning indices, drawn a page at a time on first touch and cached.
-    Page p under index s0, codewords [p * PAGE_ROWS, (p + 1) * PAGE_ROWS),
-    is drawn uniformly from the conditional typical set of ``joint`` given
-    the parent's codeword ``parent[0, s0]``, from Philox keyed by
+    Page p under index s0, the codewords ``_page_span(p)`` (16, 64, 256
+    and 1024 on pages 0-3, PAGE_ROWS on each later one), is drawn
+    uniformly from the conditional typical set of ``joint`` given the
+    parent's codeword ``parent[0, s0]``, from Philox keyed by
     ``SeedSequence(seed, spawn_key=(branch, s0, p))``.
 
     Array-like: ``shape`` (Python ints); ``layer[s0, a:b]``, the slice of
@@ -410,10 +432,11 @@ class PagedLayer:
         return sum(page.nbytes for page in self._pages.values())
 
     def page(self, s0: int, p: int) -> np.ndarray:
-        """Codewords [p * PAGE_ROWS, (p + 1) * PAGE_ROWS) under index s0."""
+        """The codewords of page p under index s0."""
         got = self._pages.get((s0, p))
         if got is None:
-            rows = min(PAGE_ROWS, self.shape[1] - p * PAGE_ROWS)
+            start, stop = _page_span(p)
+            rows = min(stop, self.shape[1]) - start
             cond = self.parent[0, s0:s0 + 1][0]   # a slice skips the index-array path
             self.budget.charge(rows * self.shape[2])
             ss = np.random.SeedSequence(self.seed, spawn_key=(self.branch, s0, p))
@@ -429,18 +452,18 @@ class PagedLayer:
             if not picked:
                 return np.empty((0, self.shape[2]), dtype=self.dtype)
             lo, hi = min(picked[0], picked[-1]), max(picked[0], picked[-1]) + 1
-            pages = [self.page(s0, p) for p in range(lo // PAGE_ROWS, (hi - 1) // PAGE_ROWS + 1)]
+            first = _page_of(lo)
+            pages = [self.page(s0, p) for p in range(first, _page_of(hi - 1) + 1)]
             rows = pages[0] if len(pages) == 1 else np.concatenate(pages)
-            base = lo - lo % PAGE_ROWS
-            return rows[picked[0] - base::picked.step][:len(picked)]
+            return rows[picked[0] - _page_span(first)[0]::picked.step][:len(picked)]
         s0, j = np.broadcast_arrays(_checked_index(s0, self.shape[0]),
                                     _checked_index(j, self.shape[1]))
         out = np.empty(s0.shape + self.shape[2:], dtype=self.dtype)
-        keys, which = np.unique(np.stack([s0.ravel(), j.ravel() // PAGE_ROWS]), axis=1,
+        keys, which = np.unique(np.stack([s0.ravel(), _page_of(j.ravel())]), axis=1,
                                 return_inverse=True)
         for g, (a, p) in enumerate(keys.T.tolist()):
             members = (which == g).reshape(s0.shape)
-            out[members] = self.page(a, p)[j[members] % PAGE_ROWS]
+            out[members] = self.page(a, p)[j[members] - _page_span(p)[0]]
         return out
 
     def __array__(self, dtype=None, copy=None):
@@ -509,16 +532,17 @@ def generate_codebook(q_xyw: JointPmf, tc_x: Kernel, tc_y: Kernel,
     are bit-identical for a fixed seed. Each branch's threshold, under its
     distortion matrix in ``distortions`` (X, then Y), is its test channel's
     expected distortion plus delta / 2. With a ``memory_cap``, every page
-    drawn counts against it; a cap below the first page of each layer,
-    the least any encoding draws, is refused here, and a later page that
-    would pass it raises ``ResourceCapError`` before it is drawn."""
+    drawn counts against it; a cap below the first page of each layer, at
+    most 16 codewords and the least any encoding draws, is refused here,
+    and a later page that would pass it raises ``ResourceCapError`` before
+    it is drawn."""
     limit = np.iinfo(SYMBOL_DTYPE).max + 1
     for name, size in (("W", q_xyw.shape[2]), ("X reconstruction", tc_x.out_size),
                        ("Y reconstruction", tc_y.out_size)):
         if size > limit:
             raise AlphabetError(f"{name} alphabet has {size} symbols; codewords hold at "
                                 f"most {limit}")
-    least = sum(min(m, PAGE_ROWS) for m in (sizes.m0, sizes.m1, sizes.m2)) * n
+    least = sum(min(m, _page_span(0)[1]) for m in (sizes.m0, sizes.m1, sizes.m2)) * n
     if memory_cap is not None and least > memory_cap:
         raise ResourceCapError(f"codebook needs at least {least} symbols, cap is {memory_cap}; "
                                f"raise memory_cap or reduce n/delta")
@@ -551,17 +575,17 @@ class EncodeResult:
     miss_y: bool
 
 
-def _blocks(m: int, first: int, width: int):
-    """(start, stop) spans covering [0, m) in scan order: sizes first,
-    4 * first, ..., each at most PAGE_ROWS rows and at most _SCRATCH //
-    ``width`` rows (one at least) of ``width`` one-hot elements, and each
-    cut at the next page boundary."""
-    cap = min(PAGE_ROWS, max(1, _SCRATCH // width))
-    start, size = 0, min(first, cap)
+def _blocks(m: int, width: int):
+    """(start, stop) spans covering [0, m) in scan order: each page's span,
+    cut at m and into pieces of at most _SCRATCH // ``width`` rows (one at
+    least) of ``width`` one-hot elements."""
+    cap = max(1, _SCRATCH // width)
+    p, start = 0, 0
     while start < m:
-        stop = min(start + size, m, start - start % PAGE_ROWS + PAGE_ROWS)
-        yield start, stop
-        start, size = stop, min(4 * size, cap)
+        stop = min(_page_span(p)[1], m)
+        for a in range(start, stop, cap):
+            yield a, min(a + cap, stop)
+        p, start = p + 1, stop
 
 
 def _one_hot(seqs: np.ndarray, size: int) -> np.ndarray:
@@ -571,8 +595,7 @@ def _one_hot(seqs: np.ndarray, size: int) -> np.ndarray:
     return (seqs.T[:, None, :] == np.arange(size)[:, None]).astype(np.float64)
 
 
-def _scan(layer, s0: int, first: int, trials: int, size: int, per_row: int,
-          hits) -> np.ndarray:
+def _scan(layer, s0: int, trials: int, size: int, per_row: int, hits) -> np.ndarray:
     """Per trial, the smallest j whose codeword ``layer[s0, j]`` ``hits``
     accepts, or -1. Each of the ``_blocks`` for the layer's codewords of n
     symbols over ``size`` is read once, as ``layer[s0, start:stop]``,
@@ -583,7 +606,7 @@ def _scan(layer, s0: int, first: int, trials: int, size: int, per_row: int,
     _, m, n = layer.shape
     found = np.full(trials, -1, dtype=np.int64)
     active = np.arange(trials)
-    for start, stop in _blocks(m, first, n * size):
+    for start, stop in _blocks(m, n * size):
         codewords = layer[s0, start:stop]
         one_hot = _one_hot(codewords, size)
         step = max(1, _SCRATCH // ((stop - start) * per_row))
@@ -603,8 +626,8 @@ def _first_under_threshold(layer, s0: int, refs: np.ndarray,
     """Per trial (row of the (T, n) ``refs``), the smallest j whose
     codeword ``layer[s0, j]`` has per-letter distortion <= threshold, or
     -1. ``layer`` is a ``PagedLayer`` or an (M0, M, n) array, read in
-    blocks ``layer[s0, a:b]`` of 16, 64, 256, ... codewords, so an early
-    hit decodes (and draws) few of them.
+    blocks ``layer[s0, a:b]`` of 16, 64, 256, ... codewords, its pages, so
+    an early hit draws and reads few of them.
 
     A block is scored by one product of the trials' distortion tables
     ``delta_mat[refs]`` (read as float64) with the block's one-hot: a sum
@@ -633,7 +656,7 @@ def _first_under_threshold(layer, s0: int, refs: np.ndarray,
             ok[tt, rr] = delta_mat[refs[trials[tt]], block[rr]].mean(axis=-1) <= threshold
         return ok
 
-    return _scan(layer, s0, 16, refs.shape[0], delta_mat.shape[1], 1, under)
+    return _scan(layer, s0, refs.shape[0], delta_mat.shape[1], 1, under)
 
 
 def _first_jointly_typical(common, pairs: np.ndarray,
@@ -643,9 +666,9 @@ def _first_jointly_typical(common, pairs: np.ndarray,
     cell x * |Y| + y per position) in [lo, hi], or -1. The bounds' last
     axis is W, their leading axes the pair cells. ``common`` is a
     ``PagedLayer`` or a (1, M0, n) array, read in blocks ``common[0, a:b]``
-    of 64, 256, ... codewords; the exact integer counts of a block are one
-    product of the trials' pair-cell one-hot, (trials * cells, n), with the
-    block's, (n, |W| * rows)."""
+    of 16, 64, 256, ... codewords, its pages; the exact integer counts of a
+    block are one product of the trials' pair-cell one-hot, (trials *
+    cells, n), with the block's, (n, |W| * rows)."""
     kw = lo.shape[-1]
     lo, hi = lo.reshape(-1, kw, 1), hi.reshape(-1, kw, 1)
     cells, n = lo.shape[0], pairs.shape[1]
@@ -656,7 +679,7 @@ def _first_jointly_typical(common, pairs: np.ndarray,
             trials.size, cells, kw, -1)
         return ((counts >= lo) & (counts <= hi)).all(axis=(1, 2))
 
-    return _scan(common, 0, 64, pairs.shape[0], kw, cells * kw, typical)
+    return _scan(common, 0, pairs.shape[0], kw, cells * kw, typical)
 
 
 def encode_batch(codebook: Codebook, xs: np.ndarray, ys: np.ndarray, ks):

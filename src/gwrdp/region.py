@@ -30,7 +30,6 @@ import csv
 import io
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -304,6 +303,7 @@ def compute_frontier(problem: RegionProblem, budgets: Budgets, *,
                                             solves=solves))
 
     if parallel > 1:
+        from concurrent.futures import ProcessPoolExecutor   # serial runs skip multiprocessing
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             points.extend(pool.map(rate_triple_for_aux, repeat(problem), candidates,
                                    repeat(budgets)))

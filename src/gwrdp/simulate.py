@@ -21,7 +21,6 @@ import csv
 import io
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import repeat
 
@@ -212,8 +211,8 @@ class _TrialBatch:
     head: np.ndarray             # (2, trials) over the first n positions
     miss: np.ndarray             # (3, trials) common, X and Y scan misses
     hist: list[np.ndarray]       # per branch (positions, |X|) symbol counts
-    pages: tuple[int, int]       # private pages (x, y) this batch's process drew
-    codewords: tuple[int, int]   # and the codewords on them
+    pages: tuple[int, int, int]       # pages (common, x, y) this batch's process drew
+    codewords: tuple[int, int, int]   # and the codewords on them
 
     @classmethod
     def merge(cls, batches: list["_TrialBatch"]) -> "_TrialBatch":
@@ -252,7 +251,7 @@ def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None,
     head = np.empty((2, count))
     miss = np.empty((3, count), dtype=bool)
     hist = [np.zeros((total_len, d.shape[1]), dtype=np.int64) for d in deltas]
-    layers = (codebook.priv_x, codebook.priv_y)
+    layers = (codebook.common, codebook.priv_x, codebook.priv_y)
     pages_before = [layer.pages_drawn for layer in layers]
     codewords_before = [layer.codewords_drawn for layer in layers]
 
@@ -325,6 +324,7 @@ def run_simulation(config: SimConfig, parallel: int = 1) -> SimReport:
 
     trials = config.trials
     if parallel > 1:
+        from concurrent.futures import ProcessPoolExecutor   # serial runs skip multiprocessing
         # distinct bounds, so every worker gets a nonempty span
         bounds = np.unique(np.linspace(0, trials, parallel + 1).astype(int)).tolist()
         with ProcessPoolExecutor(max_workers=parallel) as pool:
@@ -333,8 +333,9 @@ def run_simulation(config: SimConfig, parallel: int = 1) -> SimReport:
                 bounds[:-1], bounds[1:])))
     else:
         batch = _run_trials(config, codebook, seed_map, 0, trials)
-    _log.debug("private pages drawn: x %d (%d codewords), y %d (%d codewords)",
-               batch.pages[0], batch.codewords[0], batch.pages[1], batch.codewords[1])
+    _log.debug("pages drawn: common %d (%d codewords), x %d (%d codewords), "
+               "y %d (%d codewords)", *(v for pair in zip(batch.pages, batch.codewords)
+                                        for v in pair))
 
     sources = (config.p_xy.marginal("X").probs, config.p_xy.marginal("Y").probs)
     x, y = (_branch_stats(batch, codebook, b, sources[b]) for b in (0, 1))

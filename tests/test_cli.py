@@ -272,8 +272,8 @@ class TestSimulateCommand:
         big = dict(SIM_CONFIG, n=64)
         cfg = write_config(tmp_path, "sim.json", big)
         assert run(["simulate", "--config", cfg, "--out-dir", tmp_path,
-                    "--memory-cap", "10000"]) == 3
-        assert re.search(r"needs at least \d+ symbols, cap is 10000", capsys.readouterr().err)
+                    "--memory-cap", "2000"]) == 3
+        assert re.search(r"needs at least \d+ symbols, cap is 2000", capsys.readouterr().err)
         assert not (tmp_path / "sim_report.json").exists()
 
     def test_codes_past_int64_run(self, tmp_path):
@@ -559,6 +559,15 @@ class TestCommandLine:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
         assert (tmp_path / "afile").read_text() == "kept\n"
+
+    def test_start_imports_no_process_pool(self):
+        # serial runs, the default, need no worker processes
+        env = dict(os.environ, PYTHONPATH=str(Path(gwrdp.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import gwrdp.cli, sys; loaded = {'concurrent.futures.process',"
+             " 'multiprocessing'} & set(sys.modules); assert not loaded, loaded"],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestParallelClamp:

@@ -10,11 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import gwrdp
 from gwrdp.codec import (
     PAGE_ROWS,
+    _SCRATCH,
     AlphabetError,
     Codebook,
     EmptyTypicalSetError,
@@ -23,6 +26,8 @@ from gwrdp.codec import (
     _blocks,
     _first_jointly_typical,
     _first_under_threshold,
+    _page_of,
+    _page_span,
     circular_shift,
     compute_code_sizes,
     count_bounds,
@@ -426,14 +431,15 @@ class TestInvariantSweeps:
             assert np.array_equal(np.bincount(circular_shift(k, seq), minlength=3), base)
 
 
-SCAN_ROWS = 6000   # rows of a planted layer: past the first page
+SCAN_ROWS = 6000   # rows of a planted layer: past the first full page
+PAGE_5 = 5456      # first codeword of page 5, the first page after a full one
 
 
-def _boundary_hits(first: int, width: int) -> list:
+def _boundary_hits(width: int, inside=()) -> list:
     """First hits on either side of every block boundary of a scan over
-    SCAN_ROWS codewords of ``width`` one-hot elements each, at both ends,
-    and a miss (None)."""
-    stops = [stop for _, stop in _blocks(SCAN_ROWS, first, width)][:-1]
+    SCAN_ROWS codewords of ``width`` one-hot elements each, and of each row
+    in ``inside``, at both ends, and a miss (None)."""
+    stops = [stop for _, stop in _blocks(SCAN_ROWS, width)][:-1] + list(inside)
     return sorted({0, SCAN_ROWS - 1} | {s + d for s in stops for d in (-1, 0, 1)}) + [None]
 
 
@@ -442,11 +448,11 @@ class TestScanEquivalence:
     with the first hit on either side of every block boundary."""
 
     M = SCAN_ROWS
-    # n = 16 over binary reconstructions and |W| = 2
-    PRIVATE_HITS = _boundary_hits(16, 16 * 2)
-    COMMON_HITS = _boundary_hits(64, 16 * 2)
+    # n = 16 over binary reconstructions and |W| = 2, and hits inside
+    # blocks as well
+    HITS = _boundary_hits(16 * 2, inside=(64, 320, 1344, 3392, 4096))
 
-    @pytest.mark.parametrize("hit", PRIVATE_HITS)
+    @pytest.mark.parametrize("hit", HITS)
     def test_private_scan_first_hit(self, hit):
         n = 16
         rng = np.random.default_rng(7)
@@ -486,8 +492,8 @@ class TestScanEquivalence:
             assert got.tolist() == [want]
 
     def test_block_schedules(self):
-        # an all-miss batch reads each block once, in the lone scan's sizes,
-        # cut at page boundaries and, for long codewords, at the scratch cap
+        # an all-miss batch reads each block once, in the lone scan's sizes:
+        # the pages, cut for long codewords at the scratch cap
         class Recorder:
             def __init__(self, rows):
                 self.rows, self.shape, self.spans = rows, rows.shape, []
@@ -500,19 +506,19 @@ class TestScanEquivalence:
         private = Recorder(np.ones((2, self.M, 4), dtype=np.uint8))
         refs = np.zeros((3, 4), dtype=np.int64)
         assert _first_under_threshold(private, 1, refs, HAM, 0.5).tolist() == [-1] * 3
-        assert private.spans == [(0, 16), (16, 80), (80, 336), (336, 1360), (1360, 4096),
-                                 (4096, self.M)]
+        pages = [(0, 16), (16, 80), (80, 336), (336, 1360), (1360, PAGE_5), (PAGE_5, self.M)]
+        assert private.spans == pages
         common = Recorder(np.zeros((1, self.M, 4), dtype=np.uint8))
         never = np.ones(2, dtype=np.int64), np.zeros(2, dtype=np.int64)   # lo > hi
         assert _first_jointly_typical(common, refs, *never).tolist() == [-1] * 3
-        assert common.spans == [(0, 64), (64, 320), (320, 1344), (1344, 4096), (4096, self.M)]
+        assert common.spans == pages
         # 64 positions over 2 symbols: 65536 // 128 = 512 rows at most
         wide = Recorder(np.ones((1, self.M, 64), dtype=np.uint8))
         assert _first_under_threshold(wide, 0, np.zeros((3, 64), dtype=np.int64), HAM,
                                       0.5).tolist() == [-1] * 3
-        assert wide.spans == [(0, 16), (16, 80), (80, 336),
-                              *((a, a + 512) for a in range(336, 3920, 512)), (3920, 4096),
-                              *((a, a + 512) for a in range(4096, 5632, 512)), (5632, self.M)]
+        assert wide.spans == [(0, 16), (16, 80), (80, 336), (336, 848), (848, 1360),
+                              *((a, a + 512) for a in range(1360, PAGE_5, 512)),
+                              (PAGE_5, PAGE_5 + 512), (PAGE_5 + 512, self.M)]
 
     def _planted_codebook(self, hit):
         # uniform pair, W uniform and independent, n = 16, delta = 0.5: each
@@ -536,7 +542,7 @@ class TestScanEquivalence:
         ys = np.repeat([0, 1, 0, 1], 4)
         return cb, xs, ys
 
-    @pytest.mark.parametrize("hit", COMMON_HITS)
+    @pytest.mark.parametrize("hit", HITS)
     def test_common_scan_first_hit(self, hit):
         cb, xs, ys = self._planted_codebook(hit)
         assert not joint_set_empty(cb.q_xyw, cb.n, cb.delta)
@@ -666,8 +672,7 @@ class TestBatchEncode:
 
     M = SCAN_ROWS
     # n = 32 over binary reconstructions and |W| = 2
-    PRIVATE_HITS = _boundary_hits(16, 32 * 2)
-    COMMON_HITS = _boundary_hits(64, 32 * 2)
+    HITS = _boundary_hits(32 * 2)
     SCRATCH = [None, 1, 3000]
 
     @staticmethod
@@ -678,7 +683,7 @@ class TestBatchEncode:
     @pytest.fixture(scope="class")
     def common_case(self):
         rng = np.random.default_rng(20)
-        hits = self.COMMON_HITS
+        hits = self.HITS
         xs, ys = _balanced_pairs(rng, len(hits))
         common = np.zeros((self.M, 32), dtype=np.uint8)   # typical with no source
         _plant(common, hits, xs)
@@ -703,7 +708,7 @@ class TestBatchEncode:
         # has a source no common codeword fits and falls back to index 0.
         # Trials of a group share x but not y, so each plants its own y hit.
         rng = np.random.default_rng(21)
-        hits = self.PRIVATE_HITS
+        hits = self.HITS
         base_x, base_y = _balanced_pairs(rng, 4)
         groups = [i % 4 for i in range(len(hits))]
         xs = base_x[groups]
@@ -801,8 +806,7 @@ class TestNonBinaryBatchEncode:
 
     M, N = SCAN_ROWS, 36
     # |W| = 3, and the y scans, whose hits these are, over 3 reconstructions
-    PRIVATE_HITS = _boundary_hits(16, N * 3)
-    COMMON_HITS = _boundary_hits(64, N * 3)
+    HITS = _boundary_hits(N * 3)
     DX = np.array([[0.1, 0.7], [1 / 3, 0.1], [0.7, 1 / 3]])       # X (3) -> Xhat (2)
     DY = np.array([[0.1, 1 / 3, 0.7], [0.7, 0.1, 1 / 3]])         # Y (2) -> Yhat (3)
     BEST_X, BEST_Y = np.array([0, 1, 1]), np.array([0, 1])        # least-distortion maps
@@ -847,7 +851,7 @@ class TestNonBinaryBatchEncode:
     @pytest.fixture(scope="class")
     def common_case(self):
         rng = np.random.default_rng(30)
-        hits = self.COMMON_HITS
+        hits = self.HITS
         xs, ys = self._pairs(rng, len(hits))
         common = np.zeros((self.M, self.N), dtype=np.uint8)   # typical with no source
         _plant(common, hits, xs)
@@ -858,7 +862,7 @@ class TestNonBinaryBatchEncode:
     @pytest.mark.parametrize("scratch", [None, 1])
     def test_common_hits(self, common_case, scratch, monkeypatch):
         want = self._check(common_case, 1.0, scratch, monkeypatch)
-        hits = self.COMMON_HITS
+        hits = self.HITS
         assert [None if w[3] else w[0] for w in want] == hits
 
     @pytest.fixture(scope="class")
@@ -867,7 +871,7 @@ class TestNonBinaryBatchEncode:
         # fits no common codeword and falls back to index 0. Every trial
         # plants its own y hit; each group shares one x hit, group 3 none.
         rng = np.random.default_rng(31)
-        hits = self.PRIVATE_HITS
+        hits = self.HITS
         base_x, base_y = self._pairs(rng, 4)
         groups = [i % 4 for i in range(len(hits))]
         xs, ys = base_x[groups], base_y[groups]
@@ -893,7 +897,7 @@ class TestNonBinaryBatchEncode:
         assert [w[3] for w in want] == [g == 3 for g in groups]
         assert [None if w[4] else w[1] for w in want] == [(79, 1360, 5457, None)[g]
                                                           for g in groups]
-        assert [None if w[5] else w[2] for w in want] == self.PRIVATE_HITS
+        assert [None if w[5] else w[2] for w in want] == self.HITS
 
     @pytest.mark.parametrize("branch, symbol", [("y", 2), ("x", 3), ("x", -1), ("y", -1)])
     def test_source_symbols_outside_the_alphabets_raise(self, common_case, branch, symbol):
@@ -902,6 +906,12 @@ class TestNonBinaryBatchEncode:
         bad[branch][1, 5] = symbol
         with pytest.raises(ValueError, match="outside the 3x2 pair alphabet"):
             encode_batch(with_rule(cb, 0.3, self.DX, self.DY), bad["x"], bad["y"], [0, 0])
+
+
+# first hits on either side of each page boundary, and the pages a scan
+# draws to reach them; the tests add hits inside page 4
+PAGE_EDGE_HITS = [(15, 1), (16, 2), (79, 2), (80, 3), (335, 3), (336, 4), (1359, 4), (1360, 5),
+                  (PAGE_5 - 1, 5), (PAGE_5, 6)]
 
 
 def paged_codebook(m0=2, m=3 * PAGE_ROWS + 100, n=32, memory_cap=None, seed=3):
@@ -917,8 +927,44 @@ def paged_codebook(m0=2, m=3 * PAGE_ROWS + 100, n=32, memory_cap=None, seed=3):
                              memory_cap=memory_cap)
 
 
+class TestPageGeometry:
+    """Page p holds 16 * 4**p codewords while that is below PAGE_ROWS, then
+    PAGE_ROWS; the scan's blocks are the pages, cut at the scratch cap."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.integers(0, 20_000), st.integers(0, 2 ** 70)))
+    def test_a_python_int_lies_in_its_page(self, j):
+        start, stop = _page_span(_page_of(j))
+        assert start <= j < stop
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 20_000), st.integers(0, 2 ** 63 - 1)),
+                    min_size=0, max_size=20))
+    def test_an_int64_array_lies_in_its_pages(self, js):
+        pages = _page_of(np.array(js, dtype=np.int64))
+        assert pages.dtype == np.int64
+        assert pages.tolist() == [_page_of(j) for j in js]
+        for j in js:   # a 0-d array takes the array path too
+            assert _page_of(np.array(j, dtype=np.int64)) == _page_of(j)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 30_000), st.integers(1, 2 ** 17))
+    def test_spans_tile_and_blocks_stay_in_pages(self, m, width):
+        last = _page_of(m - 1)
+        spans = [_page_span(p) for p in range(last + 1)]
+        assert spans[0][0] == 0 and spans[-1][0] < m <= spans[-1][1]
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        blocks = list(_blocks(m, width))
+        assert blocks[0][0] == 0 and blocks[-1][1] == m
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        for start, stop in blocks:
+            assert 0 < stop - start <= max(1, _SCRATCH // width)
+            assert _page_of(start) == _page_of(stop - 1)
+
+
 class TestPagedLayers:
-    """Private layers drawn lazily in counter-keyed pages of PAGE_ROWS."""
+    """Private layers drawn lazily in counter-keyed pages of 16, 64, 256,
+    1024 and then PAGE_ROWS codewords."""
 
     def test_pages_drawn_out_of_order_match_in_order(self):
         in_order, shuffled = paged_codebook(), paged_codebook()
@@ -948,7 +994,8 @@ class TestPagedLayers:
             assert np.array_equal(cb.priv_x[1][rows], whole[1, rows])
             assert np.array_equal(cb.priv_x[0, rows], whole[0, rows])
 
-    @pytest.mark.parametrize("hit", [PAGE_ROWS - 1, PAGE_ROWS, PAGE_ROWS + 1, None])
+    @pytest.mark.parametrize("hit", [PAGE_ROWS - 1, PAGE_ROWS, PAGE_ROWS + 1,
+                                     PAGE_5 - 1, PAGE_5, PAGE_5 + 1, None])
     def test_encode_matches_loop_across_pages(self, hit):
         # distinct codewords differ in at least 1 of 32 positions, so with
         # the threshold at 1/64 only an exact copy of the source hits
@@ -971,11 +1018,11 @@ class TestPagedLayers:
 
     def test_encode_batch_across_pages(self):
         cb = paged_codebook(m0=1)
-        hits = [PAGE_ROWS - 1, PAGE_ROWS, PAGE_ROWS + 1, None]
+        hits = [15, 16, PAGE_5 - 1, PAGE_5, PAGE_5 + 1, None]
         xs = np.stack([np.zeros(cb.n, dtype=np.uint8) if h is None else cb.priv_x[0, h]
                        for h in hits])
         ys = np.stack([cb.priv_y[0, 7]] * len(hits))
-        ks = [5, 0, 31, 12]
+        ks = [5, 0, 31, 12, 3, 9]
         xk, yk = circular_shift(ks, xs, ys)
         got, want = _batch_vs_loop(cb, xk, yk, ks, 1 / 64)
         assert got == want
@@ -996,25 +1043,27 @@ class TestPagedLayers:
             assert getattr(batched, layer)._pages.keys() == getattr(single, layer)._pages.keys()
 
     def test_drawn_count_equals_pages_touched(self):
+        # pages 0-4 end at 16, 80, 336, 1360 and 5456, page 5 at 9552, and
+        # page 6 is cut short at m = 12388
         m = 3 * PAGE_ROWS + 100
         cb = paged_codebook(m=m)
         layer = cb.priv_x
         assert layer.pages_drawn == 0 and layer.nbytes == 0
-        layer[1, 2 * PAGE_ROWS + 7]                 # page (1, 2)
-        layer[0, PAGE_ROWS - 2:PAGE_ROWS + 2]       # pages (0, 0) and (0, 1)
-        layer[0, 3]                                 # cached
+        layer[1, 2 * PAGE_ROWS + 7]                 # page (1, 5)
+        layer[0, 1358:1362]                         # pages (0, 3) and (0, 4)
+        layer[0, 1000]                              # cached
         layer[1, :1]                                # page (1, 0)
         assert layer.pages_drawn == 4
-        assert layer.codewords_drawn == 4 * PAGE_ROWS
-        layer[1, -1]                                # the short last page (1, 3)
+        assert layer.codewords_drawn == PAGE_ROWS + 1024 + PAGE_ROWS + 16
+        layer[1, -1]                                # the short last page (1, 6)
         assert layer.pages_drawn == 5
-        assert layer.codewords_drawn == 4 * PAGE_ROWS + 100
+        assert layer.codewords_drawn == 2 * PAGE_ROWS + 1040 + m - 9552
         assert layer.nbytes == layer.codewords_drawn * cb.n
         assert cb.priv_y.pages_drawn == 0
         assert decode(cb, 1, 2 * PAGE_ROWS, 0, 0)[0].shape == (cb.n,)
         assert cb.priv_y.pages_drawn == 1 and layer.pages_drawn == 5
         assert layer[0].shape == (m, cb.n)          # every page under index 0
-        assert layer.pages_drawn == 7
+        assert layer.pages_drawn == 10
 
     def test_index_arrays_follow_the_scalar_rule(self):
         layer = paged_codebook().priv_x
@@ -1030,7 +1079,7 @@ class TestPagedLayers:
 
     def test_a_layer_past_int64_encodes_and_decodes(self):
         # 2**88.9 codewords per branch, as the size formula gives at n = 64;
-        # a hit on page 1 draws pages 0 and 1, every index fits in int64
+        # a hit on page 4 draws pages 0-4, every index fits in int64
         source, cb = (paged_codebook(m0=1, m=None, n=64) for _ in range(2))
         m = cb.sizes[1]
         assert m > 2 ** 88 and cb.sizes[2] == m
@@ -1038,7 +1087,7 @@ class TestPagedLayers:
                                 source.priv_y[0, 3].astype(np.int64))
         got = encode(with_rule(cb, 1 / 128), xs, ys, 5)
         assert (got.s1, got.miss_x, got.s2, got.miss_y) == (PAGE_ROWS + 9, False, 3, False)
-        assert sorted(cb.priv_x._pages) == [(0, 0), (0, 1)]
+        assert sorted(cb.priv_x._pages) == [(0, p) for p in range(5)]
         x, y = decode(cb, got.s0, got.s1, got.s2, 5)
         assert np.array_equal(x, xs) and np.array_equal(y, ys)
         far = [2 ** 63 - 1]
@@ -1049,17 +1098,19 @@ class TestPagedLayers:
         with pytest.raises(IndexError, match="outside codebook sizes"):
             decode(cb, 0, -1, 0, 0)
 
-    @pytest.mark.parametrize("hit, pages", [(1400, 1), (3000, 1), (PAGE_ROWS - 1, 1),
-                                            (PAGE_ROWS + 4, 2)])
+    @pytest.mark.parametrize("hit, pages", PAGE_EDGE_HITS
+                             + [(h, 5) for h in (1400, 3000, 4095, 4100)] + [(None, 7)])
     def test_a_scan_draws_a_page_only_when_it_reaches_it(self, hit, pages):
         # with the threshold at 1/64 only an exact copy of the source hits
-        # (see above); the source's codewords come from a second, identical
-        # codebook, so reading them draws nothing in the scanned one
+        # (see above), and an all-zero x is no codeword; the source's
+        # codewords come from a second, identical codebook, so reading them
+        # draws nothing in the scanned one. A miss draws all 7 pages.
         source, cb = (paged_codebook(m0=1, m=3 * PAGE_ROWS) for _ in range(2))
-        xs = source.priv_x[0, hit].astype(np.int64)
+        xs = (np.zeros(cb.n, dtype=np.int64) if hit is None
+              else source.priv_x[0, hit].astype(np.int64))
         ys = source.priv_y[0, 7].astype(np.int64)
         got = encode(with_rule(cb, 1 / 64), xs, ys, 0)
-        assert (got.s1, got.miss_x, got.s2, got.miss_y) == (hit, False, 7, False)
+        assert (got.s1, got.miss_x, got.s2, got.miss_y) == (hit or 0, hit is None, 7, False)
         assert sorted(cb.priv_x._pages) == [(0, p) for p in range(pages)]
         assert sorted(cb.priv_y._pages) == [(0, 0)]
 
@@ -1071,13 +1122,14 @@ class TestPagedLayers:
         xs = cb.priv_x[0, 0].astype(np.int64)
         with pytest.raises(ResourceCapError, match="cap is 1048576"):
             encode(with_rule(cb, -1.0), xs, xs, 0)
-        assert 1 <= cb.priv_x.pages_drawn <= cap // (PAGE_ROWS * n)
-        assert cb.priv_x.nbytes + cb.common.nbytes <= cap
+        # pages 0-6 end at codeword 13648; page 7 would pass the cap
+        assert cb.priv_x.pages_drawn == 7 and cb.priv_x.codewords_drawn == 13_648
+        assert cb.priv_x.nbytes + cb.common.nbytes <= cap < (13_648 + PAGE_ROWS + 1) * n
 
     def test_common_layer_over_the_cap_raises(self):
         # the first page of each layer, the common layer's 10 codewords and
-        # PAGE_ROWS of each private one, is the least any encoding draws
-        least = (10 + 2 * PAGE_ROWS) * 32
+        # 16 of each private one, is the least any encoding draws
+        least = (10 + 2 * 16) * 32
         with pytest.raises(ResourceCapError,
                            match=f"needs at least {least} symbols, cap is {least - 1};"):
             paged_codebook(m0=10, n=32, memory_cap=least - 1)
@@ -1112,7 +1164,7 @@ class TestPagedCommonLayer:
     """The common layer is a PagedLayer of shape (1, M0, n): branch 0, one
     conditioning index, conditioned on one all-zero row."""
 
-    HITS = [PAGE_ROWS - 1, PAGE_ROWS, PAGE_ROWS + 1, None]
+    HITS = [15, 16, PAGE_ROWS, PAGE_5 - 1, PAGE_5, PAGE_5 + 1, None]
     MISS = np.tile([0, 1], 16)   # typical for W, and no codeword of seed 3
 
     def _source(self, hit):
@@ -1129,7 +1181,7 @@ class TestPagedCommonLayer:
         cb = common_paged_codebook()
         stream = np.random.SeedSequence(3, spawn_key=(0, 0, 0))
         want = sample_uniform_cond_typical(np.full((2, 1), 0.5), 0.5, np.zeros(32, dtype=int),
-                                           PAGE_ROWS, np.random.Generator(np.random.Philox(stream)))
+                                           16, np.random.Generator(np.random.Philox(stream)))
         assert np.array_equal(cb.common.page(0, 0), want)
         # a private page is keyed (branch, s0, p) and conditioned on common[0, s0]
         stream = np.random.SeedSequence(3, spawn_key=(2, 5, 0))
@@ -1140,15 +1192,16 @@ class TestPagedCommonLayer:
     def test_batch_scans_match_the_loop_across_pages(self):
         cb = common_paged_codebook()
         xs, ys = map(np.stack, zip(*(self._source(hit) for hit in self.HITS)))
-        ks = [5, 0, 31, 12]
+        ks = [5, 0, 31, 12, 3, 9, 20]
         xk, yk = circular_shift(ks, xs, ys)
         got, want = _batch_vs_loop(cb, xk, yk, ks, 0.5)
         assert got == want
         assert [None if g[3] else g[0] for g in got] == self.HITS
 
-    @pytest.mark.parametrize("hit, pages", [(PAGE_ROWS - 1, 1), (PAGE_ROWS, 2),
-                                            (PAGE_ROWS + 1, 2), (None, 3)])
+    @pytest.mark.parametrize("hit, pages", PAGE_EDGE_HITS + [(h, 5) for h in (4095, 4096, 4097)]
+                             + [(None, 6)])
     def test_a_scan_draws_a_page_only_when_it_reaches_it(self, hit, pages):
+        # M0 = 8292: a miss draws pages 0-5
         cb = common_paged_codebook()
         xs, ys = self._source(hit)
         got = encode(with_rule(cb, 0.5), xs, ys, 0)

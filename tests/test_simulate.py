@@ -251,9 +251,10 @@ class TestDeterministicMode:
 
 class TestCapsAndErrors:
     def test_memory_cap_rejection_before_running(self):
-        # private layers of 2**88.9 codewords, but a cap below one page each
-        with pytest.raises(ResourceCapError, match=r"needs at least \d+ symbols, cap is 10000"):
-            run_simulation(cfg(n=64, delta=0.3, memory_cap=10_000))
+        # private layers of 2**88.9 codewords, but a cap below the first page
+        # of each layer: (1 + 16 + 16) * 64 = 2112 symbols
+        with pytest.raises(ResourceCapError, match="needs at least 2112 symbols, cap is 2000"):
+            run_simulation(cfg(n=64, delta=0.3, memory_cap=2000))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -286,15 +287,21 @@ class TestPageLog:
             parallel = run_simulation(cfg(trials=300), parallel=2)
         lines = [r.getMessage() for r in caplog.records if r.name == "gwrdp.simulate"]
         assert len(lines) == 2
-        counts = [re.fullmatch(r"private pages drawn: x (\d+) \((\d+) codewords\), "
-                               r"y (\d+) \((\d+) codewords\)", line) for line in lines]
+        counts = [re.fullmatch(r"pages drawn: common (\d+) \((\d+) codewords\), "
+                               r"x (\d+) \((\d+) codewords\), y (\d+) \((\d+) codewords\)",
+                               line) for line in lines]
         assert all(counts)
-        # sizes (M0, M1, M2) with M1, M2 below one page: one page per common
-        # index the serial run touched, drawn again by each worker that needs it
-        x_pages, x_words, y_pages, y_words = map(int, counts[0].groups())
-        assert 1 <= x_pages <= serial.sizes[0] and x_words == x_pages * serial.sizes[1]
-        assert 1 <= y_pages <= serial.sizes[0] and y_words == y_pages * serial.sizes[2]
-        assert int(counts[1].group(1)) >= x_pages
+        # sizes (1, 2209, 2209): one common index, under which every scan
+        # draws the pages up to its hit, so each layer's drawn pages are a
+        # prefix 0..p-1, whose last ends at codeword 16, 80, 336, 1360 or
+        # 5456, or at the layer's end; each worker draws again what it needs
+        assert serial.sizes == (1, 2209, 2209)
+        ends = [16, 80, 336, 1360, 5456]
+        serial_counts, parallel_counts = ([int(v) for v in c.groups()] for c in counts)
+        for pages, words, m in zip(serial_counts[::2], serial_counts[1::2], serial.sizes):
+            assert 1 <= pages <= 5 and words == min(ends[pages - 1], m)
+        assert serial_counts[:2] == [1, 1]
+        assert all(p >= q for p, q in zip(parallel_counts[::2], serial_counts[::2]))
         assert serial.to_dict() == parallel.to_dict()
         assert "pages" not in json.dumps(serial.to_dict())
 
@@ -302,8 +309,9 @@ class TestPageLog:
 class TestBatchedTrials:
     @pytest.mark.parametrize("mode", MODES)
     def test_pages_and_indices_match_a_per_trial_loop(self, monkeypatch, mode):
-        # |W| = 2 at n = 16: two common indices in use, private layers of
-        # two pages each, scans that hit on either page or miss
+        # |W| = 2 at n = 16: several common indices in use, private layers
+        # of 4758 codewords, pages 0-4 each, and scans that hit on several
+        # pages or miss
         tc = Kernel(np.repeat([[[0.85, 0.15]], [[0.15, 0.85]]], 2, axis=1))
         aux = AuxChannel(Kernel(np.array([[0.75, 0.25], [0.5, 0.5], [0.5, 0.5],
                                           [0.25, 0.75]]).reshape(2, 2, 2)))
@@ -333,9 +341,14 @@ class TestBatchedTrials:
             drawn, want = getattr(codebook, layer), getattr(loop, layer)
             assert drawn._pages.keys() == want._pages.keys()
             assert drawn.codewords_drawn == want.codewords_drawn
-            # some scan crossed into a row's second page, and some row's did not
-            rows = {s0 for s0, _ in drawn._pages}
-            assert {p for _, p in drawn._pages} == {0, 1} and len(drawn._pages) < 2 * len(rows)
+            # each row's scans drew a prefix of its pages: some row's ran
+            # through all five, and some row's stopped earlier
+            last = {}
+            for s0, p in drawn._pages:
+                last[s0] = max(last.get(s0, 0), p)
+            assert sorted(drawn._pages) == [(s0, p) for s0 in sorted(last)
+                                            for p in range(last[s0] + 1)]
+            assert max(last.values()) == 4 and min(last.values()) < 4
 
 
 def dsbs(a):
@@ -393,8 +406,8 @@ class TestKnownFailureFamilies:
         try:
             report = run_simulation(config)
         except ResourceCapError as err:
-            # the scan draws the pages it always drew, so the cap trips where it did
-            assert "codebook would hold 16777232 symbols" in str(err)
+            # the scan draws page after page until this one would pass the cap
+            assert "codebook would hold 16820752 symbols" in str(err)
             raise
         assert report.x.freq_no_codeword > 0
 
@@ -418,7 +431,7 @@ class TestKnownFailureFamilies:
         try:
             *_, miss = encode_batch(codebook, zeros, zeros, [0])
         except ResourceCapError as err:
-            assert "codebook would hold 16777232 symbols" in str(err)
+            assert "codebook would hold 16798992 symbols" in str(err)
             raise
         assert miss[1, 0]
 
