@@ -139,13 +139,13 @@ def cmd_rdp(args, cfg: dict):
         if src.ndim != 1:
             raise ConfigError("field 'source' must be a 1-D pmf")
         q_xw = JointPmf(src[:, None], ("X", "W"))
-    delta = _distortion(cfg, q_xw.shape[0])
-    recon = _field(cfg, "recon_alphabet", list, None)
+    if "recon_alphabet" in cfg:
+        raise ConfigError("field 'recon_alphabet' is not supported: the reconstruction "
+                          "alphabet is the distortion matrix's columns")
     query = RdpQuery(
-        q_xw=q_xw, delta=delta, perception=_perception(cfg),
+        q_xw=q_xw, delta=_distortion(cfg, q_xw.shape[0]), perception=_perception(cfg),
         d_budget=_as_budget(_field(cfg, "d_budget")),
-        p_budget=_as_budget(_field(cfg, "p_budget")),
-        recon_alphabet=tuple(recon) if recon is not None else None)
+        p_budget=_as_budget(_field(cfg, "p_budget")))
     result = conditional_rdp(query)
     payload = {"rate_bits": result.rate, "achieved_distortion": result.achieved_distortion,
                "achieved_perception": result.achieved_perception,

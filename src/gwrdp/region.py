@@ -169,7 +169,7 @@ def _solve(query: RdpQuery, solves: _Solves) -> RdpResult:
     # is frozen and its kernel read-only, so a hit can share the object
     q, d = query.q_xw.probs, query.delta.values
     key = (q.shape, q.tobytes(), d.shape, d.tobytes(), query.perception,
-           query.d_budget, query.p_budget, query.recon_alphabet)
+           query.d_budget, query.p_budget)
     solves.lookups += 1
     res = solves.get(key)
     if res is None:

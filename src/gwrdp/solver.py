@@ -54,10 +54,9 @@ class InfeasibleError(ValueError):
     """No test channel can satisfy the requested budgets."""
 
 
-def hamming(n_source: int, n_recon: int | None = None) -> np.ndarray:
-    """0/1 distortion matrix; zero exactly on the shared-symbol diagonal."""
-    m = n_recon if n_recon is not None else n_source
-    d = np.ones((n_source, m))
+def hamming(n_source: int) -> np.ndarray:
+    """Square 0/1 distortion matrix; zero exactly on the diagonal."""
+    d = np.ones((n_source, n_source))
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -66,9 +65,9 @@ def hamming(n_source: int, n_recon: int | None = None) -> np.ndarray:
 class DistortionMatrix:
     """Per-symbol-pair distortion values, nonnegative and bounded.
 
-    Every source symbol must have at least one zero-distortion
-    reconstruction; restricting the reconstruction alphabet afterwards may
-    remove it, which the solver reports as infeasible when D is too small.
+    The columns are the reconstruction alphabet, and reconstruction symbol
+    h is compared with source symbol h by the perception measure. Every
+    source symbol must have at least one zero-distortion reconstruction.
     """
 
     values: np.ndarray
@@ -120,7 +119,6 @@ class RdpQuery:
     perception: PerceptionMeasure
     d_budget: float
     p_budget: float
-    recon_alphabet: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.q_xw.probs.ndim != 2:
@@ -131,14 +129,6 @@ class RdpQuery:
             raise ValueError("d_budget must be nonnegative")
         if self.p_budget < 0:
             raise ValueError("p_budget must be nonnegative (use inf to disable)")
-        if self.recon_alphabet is not None:
-            cols = tuple(self.recon_alphabet)
-            if (len(cols) == 0 or any(isinstance(c, bool) or not isinstance(c, (int, np.integer))
-                                      for c in cols) or len(set(cols)) != len(cols)):
-                raise ValueError("recon_alphabet must be a nonempty set of column indices")
-            if min(cols) < 0 or max(cols) >= self.delta.n_recon:
-                raise ValueError("recon_alphabet indices out of range")
-            object.__setattr__(self, "recon_alphabet", cols)
 
 
 @dataclass(frozen=True)
@@ -165,14 +155,13 @@ class _Problem:
     q_xw: np.ndarray        # (X, W)
     x_given_w: np.ndarray   # (X, W), uniform on zero-mass w columns
     p_x: np.ndarray         # (X,) source marginal
-    delta: np.ndarray       # (X, H) over allowed reconstruction columns
-    cols: np.ndarray        # indices of allowed columns in the full alphabet
-    full_recon: int         # size of the full reconstruction alphabet
+    delta: np.ndarray       # (X, H)
     perception: PerceptionMeasure
     d_budget: float
     p_budget: float
     mask: np.ndarray        # (X, H) boolean support mask (D=0 handling)
-    target: np.ndarray      # source marginal embedded in the full alphabet
+    target: np.ndarray      # source marginal, zero-padded to max(X, H) symbols
+    p_h: np.ndarray         # (H,) source marginal on the first H symbols
 
 
 def _build_problem(query: RdpQuery) -> _Problem:
@@ -183,57 +172,34 @@ def _build_problem(query: RdpQuery) -> _Problem:
     with np.errstate(invalid="ignore", divide="ignore"):
         x_given_w = np.where(q_w > 0, q_xw / np.where(q_w > 0, q_w, 1.0), 1.0 / n_x)
 
-    full = query.delta.values
-    cols = np.asarray(sorted(query.recon_alphabet) if query.recon_alphabet is not None
-                      else range(full.shape[1]), dtype=np.int64)
-    delta = full[:, cols]
+    delta = query.delta.values
+    n_h = delta.shape[1]
 
-    # distortion feasibility (exact for the D constraint alone)
-    d_min = float(np.sum(p_x * delta.min(axis=1)))
-    if query.d_budget < d_min - 1e-12:
-        lacking = [int(x) for x in range(n_x) if p_x[x] > 0 and delta[x].min() > 0]
-        raise InfeasibleError(
-            f"distortion budget {query.d_budget} below achievable minimum {d_min:.6g}"
-            + (f"; source symbols without zero-distortion option: {lacking}" if lacking else ""))
-
-    # perception feasibility against the restricted reconstruction support
+    # a reconstruction never carries the mass of source symbols past |Xhat|
+    lost = float(p_x[n_h:].sum())
     if math.isfinite(query.p_budget):
-        col_set = set(cols.tolist())
-        missing = [h for h in range(full.shape[1]) if h not in col_set]
-        lost_mass = float(sum(p_x[m] for m in missing if m < n_x))
-        if query.perception.kind == "kl" and lost_mass > 0:
+        if query.perception.kind == "kl" and lost > 0:
             raise InfeasibleError(
-                "KL perception is infinite: reconstruction alphabet drops source support "
-                f"{missing}")
-        if query.perception.kind == "tv" and 2.0 * lost_mass > query.p_budget + 1e-12:
+                f"KL perception is infinite: the {n_h} reconstruction symbols miss source "
+                f"mass {lost:.6g}")
+        if query.perception.kind == "tv" and 2.0 * lost > query.p_budget + 1e-12:
             raise InfeasibleError(
-                f"TV perception cannot go below {2 * lost_mass:.6g} with reconstruction "
-                f"alphabet missing {missing}, budget is {query.p_budget}")
+                f"TV perception cannot go below {2 * lost:.6g} with {n_h} reconstruction "
+                f"symbols, budget is {query.p_budget}")
 
-    if query.d_budget <= 1e-15:
-        mask = delta == 0.0
-        if not np.all(mask.any(axis=1)):
-            bad = int(np.argmin(mask.any(axis=1)))
-            raise InfeasibleError(f"D=0 but source symbol {bad} has no zero-distortion column")
-    else:
-        mask = np.ones_like(delta, dtype=bool)
-
-    target = np.zeros(max(full.shape[1], n_x))
+    # D = 0 allows only zero-distortion cells, which every row has
+    mask = delta == 0.0 if query.d_budget <= 1e-15 else np.ones_like(delta, dtype=bool)
+    target = np.zeros(max(n_h, n_x))
     target[:n_x] = p_x
-    return _Problem(q_xw=q_xw, x_given_w=x_given_w, p_x=p_x, delta=delta, cols=cols,
-                    full_recon=full.shape[1], perception=query.perception,
-                    d_budget=query.d_budget, p_budget=query.p_budget, mask=mask,
-                    target=target)
-
-
-def _full_marginal(pr: _Problem, m: np.ndarray) -> np.ndarray:
-    out = np.zeros(pr.target.shape[0])
-    out[pr.cols] = m
-    return out
+    return _Problem(q_xw=q_xw, x_given_w=x_given_w, p_x=p_x, delta=delta,
+                    perception=query.perception, d_budget=query.d_budget,
+                    p_budget=query.p_budget, mask=mask, target=target, p_h=target[:n_h])
 
 
 def _perception_of(pr: _Problem, m: np.ndarray) -> float:
-    return pr.perception.value(pr.target, _full_marginal(pr, m))
+    full = np.zeros(pr.target.shape[0])
+    full[:m.shape[0]] = m
+    return pr.perception.value(pr.target, full)
 
 
 def _metrics(pr: _Problem, q: np.ndarray):
@@ -248,11 +214,12 @@ def _metrics(pr: _Problem, q: np.ndarray):
 
 
 def _lmo(pr: _Problem, g: np.ndarray) -> np.ndarray:
-    """Linear minimization oracle of the TV ball: the marginal on the
-    allowed columns that minimizes <g, s> subject to TV(P_X, s) <= P. The
-    P/2 budget, less the dropped columns' mass, moves mass from the dearest
-    cells to the cheapest one, which also takes the dropped mass."""
-    p = pr.target[pr.cols]
+    """Linear minimization oracle of the TV ball: the reconstruction
+    marginal that minimizes <g, s> subject to TV(P_X, s) <= P. The P/2
+    budget, less P_X's mass past the last reconstruction symbol, moves mass
+    from the dearest cells to the cheapest one, which also takes that
+    mass."""
+    p = pr.p_h
     low = int(np.argmin(g))
     s = p.copy()
     movable = max(pr.p_budget / 2.0 - (1.0 - p.sum()), 0.0)
@@ -466,11 +433,12 @@ def _maximize(dual: _Dual, theta: np.ndarray, free: np.ndarray, sign: np.ndarray
 def _perception_dual(pr: _Problem, theta: np.ndarray):
     """Free tilts, signs, terms, sigma and a start for the perception dual.
     TV: sigma(nu) = nu.p + a max nu - b min nu, a = P/2, b = a - (P_X's
-    mass off the allowed columns); the dual is constant along nu + c, so
-    nu_0 stays 0. KL: dualizing -log m_h by its conjugate gives sigma(nu)
-    = -2^-P prod_h (-nu_h)^p_h, nu < 0 on P_X's support and 0 off it.
+    mass past the last reconstruction symbol); the dual is constant along
+    nu + c, so nu_0 stays 0. KL: dualizing -log m_h by its conjugate gives
+    sigma(nu) = -2^-P prod_h (-nu_h)^p_h, nu < 0 on P_X's support and 0 off
+    it.
     """
-    p = pr.target[pr.cols]
+    p = pr.p_h
     free, sign, theta = np.zeros(theta.size, dtype=bool), np.zeros(theta.size), theta.copy()
     if pr.perception.kind == "tv":
         free[2:] = True
@@ -517,8 +485,9 @@ def conditional_rdp(query: RdpQuery) -> RdpResult:
     Returns the best test channel found within both budgets (up to
     _CONSTRAINT_TOL) with its certified gap (see the module docstring);
     _MAX_INNER caps the inner Newton steps. Raises InfeasibleError when no
-    channel can meet the budgets (e.g. a restricted reconstruction alphabet
-    with D too small).
+    channel can meet the perception budget: a finite KL budget, or a TV
+    budget below twice P_X's mass, on source symbols past the last
+    reconstruction symbol.
     """
     pr = _build_problem(query)
 
@@ -530,7 +499,7 @@ def conditional_rdp(query: RdpQuery) -> RdpResult:
         q0 = np.zeros(pr.q_xw.shape + pr.delta.shape[1:])
         q0[:, np.arange(c_w.shape[0]), np.argmin(c_w, axis=1)] = 1.0
         _, dist0, perc0, _ = _metrics(pr, q0)
-        src = pr.target[pr.cols]
+        src = pr.p_h
         if dist0 <= pr.d_budget + 1e-15 and perc0 > pr.p_budget and src.sum() > 0:
             q1 = np.broadcast_to(src / src.sum(), q0.shape)
             dist1 = _metrics(pr, q1)[1]
@@ -567,19 +536,15 @@ def conditional_rdp(query: RdpQuery) -> RdpResult:
 
 def _to_result(pr: _Problem, q: np.ndarray, rate: float, dist: float, perc: float, *,
                lam: float, gap: float, converged: bool, iterations: int) -> RdpResult:
-    n_x, n_w = pr.q_xw.shape
-    full = np.zeros((n_x, n_w, pr.full_recon))
-    full[:, :, pr.cols] = q
-    return RdpResult(rate=rate, test_channel=Kernel(full), achieved_distortion=dist,
+    return RdpResult(rate=rate, test_channel=Kernel(q), achieved_distortion=dist,
                      achieved_perception=perc, converged=converged, iterations=iterations,
                      lam=lam, gap=gap)
 
 
 def rdp_point_to_point(p_x: Pmf, delta: DistortionMatrix, perception: PerceptionMeasure,
-                       d_budget: float, p_budget: float,
-                       recon_alphabet: tuple[int, ...] | None = None) -> RdpResult:
+                       d_budget: float, p_budget: float) -> RdpResult:
     """Point-to-point RDP function: the conditional problem with |W| = 1."""
     q_xw = JointPmf(p_x.probs[:, None], ("X", "W"))
     query = RdpQuery(q_xw=q_xw, delta=delta, perception=perception,
-                     d_budget=d_budget, p_budget=p_budget, recon_alphabet=recon_alphabet)
+                     d_budget=d_budget, p_budget=p_budget)
     return conditional_rdp(query)

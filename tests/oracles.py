@@ -189,7 +189,7 @@ def brute_force_rdp(query: RdpQuery, grid_steps: int, *,
         joint = pr.q_xw[None, :, :, None] * q
         dist = np.einsum("bxwh,xh->b", joint, pr.delta)
         m = joint.sum(axis=(1, 2))
-        if pr.perception.kind == "tv" and pr.full_recon == n_x and np.array_equal(pr.cols, np.arange(n_x)):
+        if pr.perception.kind == "tv" and n_h == n_x:
             perc = np.abs(m - pr.p_x[None, :]).sum(axis=1)
         else:
             perc = np.array([_perception_of(pr, mi) for mi in m])

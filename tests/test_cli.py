@@ -431,6 +431,17 @@ INVALID_INPUTS = [
      {"source": [0.5, 0.5], "d_budget": 0.1, "p_budget": 0.1, "recon_alphabet": [[1]]}),
     ("rdp-bool-recon-alphabet", "rdp",
      {"source": [0.5, 0.5], "d_budget": 0.1, "p_budget": 0.1, "recon_alphabet": [True, False]}),
+    # the reconstruction alphabet is the distortion matrix's columns
+    ("rdp-recon-alphabet-of-every-column", "rdp",
+     {"source": [0.5, 0.5], "d_budget": 0.1, "p_budget": 0.1, "recon_alphabet": [0, 1]}),
+    # two reconstruction symbols leave 0.3 of the source unmatched: KL is
+    # infinite and TV at least 0.6
+    ("rdp-kl-with-fewer-columns", "rdp",
+     {"source": [0.4, 0.3, 0.3], "distortion": [[0, 1], [1, 0], [0, 1]], "perception": "kl",
+      "d_budget": 0.2, "p_budget": 0.5}),
+    ("rdp-tv-below-the-floor-of-fewer-columns", "rdp",
+     {"source": [0.4, 0.3, 0.3], "distortion": [[0, 1], [1, 0], [0, 1]], "perception": "tv",
+      "d_budget": 0.2, "p_budget": 0.2}),
     ("simulate-string-n0", "simulate", dict(SIM_CONFIG, mode="deterministic", n0="2")),
     ("derand-audit-negative-n", "derand-audit", {"p_xy": UNIFORM_PAIR, "n0": 1, "n": -1}),
     # 4 atoms cannot populate 8 seed bins

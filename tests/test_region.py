@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -213,8 +214,13 @@ def solver_calls(monkeypatch):
 
 
 def query_key(q):
-    return (q.q_xw.probs.tobytes(), q.delta.values.tobytes(), q.perception,
-            q.d_budget, q.p_budget, q.recon_alphabet)
+    """Every RdpQuery field, with pmfs and distortion matrices (which compare
+    by identity) replaced by their shapes and bytes."""
+    def part(value):
+        arr = getattr(value, "probs", getattr(value, "values", None))
+        return value if arr is None else (arr.shape, arr.tobytes())
+
+    return tuple(part(getattr(q, f.name)) for f in dataclasses.fields(RdpQuery))
 
 
 class TestSolveCache:
@@ -240,6 +246,28 @@ class TestSolveCache:
         assert triples == 4 + 3
         assert lookups > 2 * triples
         assert evaluations > triples
+
+    # a second value of each RdpQuery field, for the memo-key test
+    FIELD_VARIANTS = {
+        "q_xw": JointPmf([[0.3], [0.7]], ("X", "W")),
+        "delta": DistortionMatrix([[0.0, 2.0], [1.0, 0.0]]),
+        "perception": PerceptionMeasure("kl"),
+        "d_budget": 0.15,
+        "p_budget": 0.3,
+    }
+
+    def test_memo_key_covers_every_query_field(self):
+        # a new RdpQuery field fails here until the memo key covers it
+        assert set(self.FIELD_VARIANTS) == {f.name for f in dataclasses.fields(RdpQuery)}
+        base = RdpQuery(JointPmf([[0.4], [0.6]], ("X", "W")), HAM2, PerceptionMeasure("tv"),
+                        0.1, 0.6)
+        for name, value in self.FIELD_VARIANTS.items():
+            variant = dataclasses.replace(base, **{name: value})
+            solves = region._Solves()
+            region._solve(base, solves)
+            region._solve(variant, solves)
+            assert len(solves) == 2, name
+            assert query_key(base) != query_key(variant), name
 
     def test_package_logger_silent_by_default(self):
         handlers = logging.getLogger("gwrdp").handlers

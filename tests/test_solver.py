@@ -30,9 +30,8 @@ TV = PerceptionMeasure("tv")
 KL = PerceptionMeasure("kl")
 
 
-def point_query(p0, d, p, **kw):
-    return RdpQuery(JointPmf(np.array([p0, 1 - p0])[:, None], ("X", "W")),
-                    HAM2, TV, d, p, **kw)
+def point_query(p0, d, p):
+    return RdpQuery(JointPmf(np.array([p0, 1 - p0])[:, None], ("X", "W")), HAM2, TV, d, p)
 
 
 class TestDistortionMatrix:
@@ -43,16 +42,6 @@ class TestDistortionMatrix:
     def test_requires_zero_option_per_row(self):
         with pytest.raises(ValueError):
             DistortionMatrix([[0.5, 1.0], [1.0, 0.0]])
-
-
-class TestRdpQuery:
-    @pytest.mark.parametrize("alphabet", [(True, False), (np.bool_(True),), (0, True)],
-                             ids=["bools", "numpy-bool", "int-and-bool"])
-    def test_bool_recon_columns_refused(self, alphabet):
-        # True == 1 as an int, so (True, False) once ran as columns (1, 0)
-        with pytest.raises(ValueError, match="recon_alphabet must be a nonempty set"):
-            point_query(0.4, 0.1, 0.1, recon_alphabet=alphabet)
-        assert point_query(0.4, 0.1, 0.1, recon_alphabet=(np.int64(1), 0)).recon_alphabet
 
 
 class TestPerceptionMeasure:
@@ -151,10 +140,11 @@ class TestResultContracts:
         assert res.rate >= free.rate - 1e-6
 
 
-def source_query(probs, perception, d, p, **kw):
+def source_query(probs, perception, d, p, delta=None):
     probs = np.asarray(probs, dtype=np.float64)
-    return RdpQuery(JointPmf(probs[:, None], ("X", "W")), DistortionMatrix(hamming(probs.size)),
-                    perception, d, p, **kw)
+    return RdpQuery(JointPmf(probs[:, None], ("X", "W")),
+                    DistortionMatrix(hamming(probs.size) if delta is None else delta),
+                    perception, d, p)
 
 
 class TestPerceptionActiveSearch:
@@ -181,15 +171,18 @@ class TestPerceptionActiveSearch:
         assert res.converged
         assert res.rate <= 0.105109
 
-    @pytest.mark.parametrize("perception,budget,alphabet",
-                             [(TV, 0.3, None), (TV, 0.3, (0, 1, 2))],
+    @pytest.mark.parametrize("perception,budget,delta",
+                             [(TV, 0.3, None),
+                              (TV, 0.3, [[0, 1, 1], [1, 0, 1], [1, 1, 0], [1, 1, 0]])],
                              ids=["tv", "tv-dropped-symbol"])
-    def test_lmo_minimizes_over_the_ball(self, perception, budget, alphabet):
+    def test_lmo_minimizes_over_the_ball(self, perception, budget, delta):
         from gwrdp.solver import _build_problem, _lmo, _perception_of
 
+        # with three reconstruction symbols, the fourth source symbol's mass
+        # is lost to every marginal
         pr = _build_problem(source_query([0.4, 0.3, 0.2, 0.1], perception, 0.5, budget,
-                                         recon_alphabet=alphabet))
-        n_h = pr.cols.size
+                                         delta=delta))
+        n_h = pr.delta.shape[1]
         rng = np.random.default_rng(5)
         for _ in range(20):
             g = rng.normal(size=n_h)
@@ -198,9 +191,10 @@ class TestPerceptionActiveSearch:
             assert _perception_of(pr, s) <= budget + 1e-9
             for m in rng.dirichlet(np.ones(n_h), size=50):
                 if _perception_of(pr, m) > budget:
-                    # bisect the segment from P_X (normalized on the allowed
-                    # columns) to m for its last point inside the ball
-                    p = pr.target[pr.cols] / pr.target[pr.cols].sum()
+                    # bisect the segment from P_X (normalized on the
+                    # reconstruction symbols) to m for its last point inside
+                    # the ball
+                    p = pr.p_h / pr.p_h.sum()
                     lo, hi = 0.0, 1.0
                     for _ in range(100):
                         mid = 0.5 * (lo + hi)
@@ -448,27 +442,28 @@ class TestMonotonicityAndConvexity:
 
 
 class TestInfeasibility:
-    def test_restricted_alphabet_zero_distortion(self):
-        q = point_query(0.4, 0.0, math.inf, recon_alphabet=(0,))
-        with pytest.raises(InfeasibleError):
-            conditional_rdp(q)
+    """Two reconstruction symbols for three source symbols: no marginal
+    carries P_X's 0.3 on the third, so TV is at least 0.6 and KL infinite."""
 
-    def test_budget_below_minimum(self):
-        q = point_query(0.4, 0.1, math.inf, recon_alphabet=(0,))
-        # best channel maps everything to symbol 0: distortion = P(X=1) = 0.6
-        with pytest.raises(InfeasibleError):
-            conditional_rdp(q)
+    FREE_RATE = 0.15936280534333178  # the perception-free optimum, which TV 0.87 reaches
+
+    @staticmethod
+    def query(perception, p):
+        return source_query([0.4, 0.3, 0.3], perception, 0.2, p,
+                            delta=[[0, 1], [1, 0], [0, 1]])
 
     def test_tv_floor_with_missing_support(self):
-        q = point_query(0.4, 0.7, 0.5, recon_alphabet=(0,))
-        # TV cannot go below 2 * P(X=1) = 1.2
-        with pytest.raises(InfeasibleError):
-            conditional_rdp(q)
+        with pytest.raises(InfeasibleError, match="cannot go below 0.6"):
+            conditional_rdp(self.query(TV, 0.2))
+        at_floor = conditional_rdp(self.query(TV, 0.6))
+        assert at_floor.converged
+        assert at_floor.rate == pytest.approx(0.19163120500974534, abs=1e-12)
+        assert conditional_rdp(self.query(TV, 1.0)).rate == pytest.approx(self.FREE_RATE, abs=1e-12)
 
     def test_kl_with_missing_support(self):
-        q = point_query(0.4, 0.7, 5.0)
-        ok = conditional_rdp(q)
-        assert ok.converged
-        q2 = RdpQuery(q.q_xw, HAM2, KL, 0.7, 5.0, recon_alphabet=(0,))
-        with pytest.raises(InfeasibleError):
-            conditional_rdp(q2)
+        with pytest.raises(InfeasibleError, match="KL perception is infinite"):
+            conditional_rdp(self.query(KL, 0.5))
+        for perception in (KL, TV):
+            free = conditional_rdp(self.query(perception, math.inf))
+            assert free.converged
+            assert free.rate == pytest.approx(self.FREE_RATE, abs=1e-12)
