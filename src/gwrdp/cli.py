@@ -5,9 +5,10 @@ Each ``cmd_*`` returns its files (name to a dict for JSON or a str for
 CSV), a summary line and an exit code; ``main`` alone writes the files,
 each with one embedded run manifest (subcommand, config path and hash,
 master seed, library version, output names) so a run can be reproduced
-bit-identically. Exit codes: 0 success, 2 config errors, invalid input
-or an unusable --out-dir, 3 resource rejections, 4 numerical
-non-convergence (with the files still written).
+bit-identically. Exit codes: 0 success, 2 config errors (a missing,
+mistyped or unknown field), invalid input or an unusable --out-dir, 3
+resource rejections, 4 numerical non-convergence (with the files still
+written).
 """
 
 from __future__ import annotations
@@ -79,6 +80,15 @@ def _field(obj: dict, name: str, kind=None, default=_REQUIRED):
     return value
 
 
+def _refuse_unknown(obj: dict, known: str, where: str = "config"):
+    """Refuse any key of ``obj`` outside the space-separated ``known``: a
+    misspelt field would otherwise read as absent and take its default."""
+    unknown = sorted(set(obj) - set(known.split()))
+    if unknown:
+        raise ConfigError(f"unknown {where} field(s) {', '.join(map(repr, unknown))}; "
+                          f"known: {known}")
+
+
 def _as_budget(value) -> float:
     if value == "inf":
         return math.inf
@@ -89,6 +99,7 @@ def _as_budget(value) -> float:
 
 def _budgets(cfg: dict) -> Budgets:
     bud = _field(cfg, "budgets", dict)
+    _refuse_unknown(bud, "D1 D2 P1 P2", "budgets")
     return Budgets(d1=_as_budget(_field(bud, "D1")), d2=_as_budget(_field(bud, "D2")),
                    p1=_as_budget(_field(bud, "P1", default="inf")),
                    p2=_as_budget(_field(bud, "P2", default="inf")))
@@ -132,6 +143,7 @@ def _write(path: Path, content: dict | str, manifest: dict):
 
 
 def cmd_rdp(args, cfg: dict):
+    _refuse_unknown(cfg, "seed q_xw source distortion perception d_budget p_budget")
     if "q_xw" in cfg:
         q_xw = JointPmf(_pmf_like(cfg, "q_xw"), ("X", "W"))
     else:
@@ -139,9 +151,6 @@ def cmd_rdp(args, cfg: dict):
         if src.ndim != 1:
             raise ConfigError("field 'source' must be a 1-D pmf")
         q_xw = JointPmf(src[:, None], ("X", "W"))
-    if "recon_alphabet" in cfg:
-        raise ConfigError("field 'recon_alphabet' is not supported: the reconstruction "
-                          "alphabet is the distortion matrix's columns")
     query = RdpQuery(
         q_xw=q_xw, delta=_distortion(cfg, q_xw.shape[0]), perception=_perception(cfg),
         d_budget=_as_budget(_field(cfg, "d_budget")),
@@ -159,6 +168,8 @@ def cmd_rdp(args, cfg: dict):
 
 
 def cmd_region(args, cfg: dict):
+    _refuse_unknown(cfg, "seed p_xy budgets distortion_x distortion_y perception strategy "
+                         "w_size samples restarts cutset_audit")
     p_xy = JointPmf(_pmf_like(cfg, "p_xy"), ("X", "Y"))
     budgets = _budgets(cfg)
     nx, ny = p_xy.shape
@@ -197,6 +208,8 @@ def cmd_region(args, cfg: dict):
 
 
 def cmd_simulate(args, cfg: dict):
+    _refuse_unknown(cfg, "seed p_xy budgets aux perception distortion_x distortion_y "
+                         "test_channel_x test_channel_y n delta trials mode n0")
     p_xy = JointPmf(_pmf_like(cfg, "p_xy"), ("X", "Y"))
     budgets = _budgets(cfg)
     if _field(cfg, "aux", (str, list, dict), "independent") == "independent":
@@ -235,6 +248,7 @@ def cmd_simulate(args, cfg: dict):
 
 
 def cmd_derand_audit(args, cfg: dict):
+    _refuse_unknown(cfg, "seed p_xy n0 n")
     p_xy = JointPmf(_pmf_like(cfg, "p_xy"), ("X", "Y"))
     seed_map = build_seed_map(p_xy, _field(cfg, "n0", int), _field(cfg, "n", int))
     audit = seed_map.audit()

@@ -17,7 +17,9 @@ arrangement of its symbol multiset is emitted. The inverse CDF runs on
 int64 (unbiased bounded integers and a sorted search) when the total
 class size fits, and on big integers otherwise. The sampler is
 conditional and does this once per conditioning symbol; an unconditional
-draw is its one-stratum case, a constant conditioning sequence.
+draw is its one-stratum case, a constant conditioning sequence. The band
+and each stratum's type table are built once per process, in bounded
+caches, and every page reuses them.
 
 A codebook has three layers of one type, ``PagedLayer``, each drawn
 lazily in pages: the common layer (branch 0) and the private layers of X
@@ -61,6 +63,7 @@ scan, hold n floats per trial and reconstruction symbol (or pair cell).
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -176,20 +179,19 @@ def _multinomial_exact(total: int, counts) -> int:
 
 
 class TypeTable:
-    """Enumerated type vectors of a typical set with exact class sizes."""
+    """Enumerated type vectors of a typical set with exact class sizes, and
+    each type's symbols in sorted order, one row per type."""
 
     def __init__(self, types: list[tuple[int, ...]], total_positions: int):
         if not types:
             raise EmptyTypicalSetError("no integer type fits the band")
         self.types = types
         self.weights = [_multinomial_exact(total_positions, t) for t in types]
-        self.cum = []
-        acc = 0
-        for w in self.weights:
-            acc += w
-            self.cum.append(acc)
-        self.total = acc
-        self.n = total_positions
+        cum = list(itertools.accumulate(self.weights))
+        self.total = cum[-1]
+        self.cum = np.asarray(cum, dtype=np.int64) if self.total < 2**63 else cum
+        symbols = np.tile(np.arange(len(types[0]), dtype=SYMBOL_DTYPE), len(types))
+        self.bases = np.repeat(symbols, np.ravel(types)).reshape(len(types), total_positions)
 
     def draw_indices(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Exact inverse-CDF draws: unbiased int64 uniforms and a sorted
@@ -198,7 +200,7 @@ class TypeTable:
             u = rng.integers(0, self.total, size=count)
             # the indices go back into the draws' buffer: returning a fresh
             # array raised peak memory by 4.5 MB at 1.1 M draws
-            u[:] = np.searchsorted(np.asarray(self.cum, dtype=np.int64), u, side="right")
+            u[:] = np.searchsorted(self.cum, u, side="right")
             return u
         py_rng = random.Random(int(rng.integers(0, 2**63 - 1)))
         bits = self.total.bit_length()
@@ -212,11 +214,17 @@ class TypeTable:
         return out
 
 
+@lru_cache(maxsize=256)
+def _type_table(lo: tuple[int, ...], hi: tuple[int, ...], n_b: int) -> TypeTable | None:
+    """The table of the column types with lo <= c <= hi summing to n_b, or
+    None when none does; one per process and stratum, shared by every page."""
+    types = _compositions(np.array(lo), np.array(hi), n_b)
+    return TypeTable(types, n_b) if types else None
+
+
 def _permuted_rows(rng: np.random.Generator, base: np.ndarray, rows: int) -> np.ndarray:
     """Independently random permutations of one multiset row."""
-    tiled = np.broadcast_to(base, (rows, base.shape[0]))
-    order = np.argsort(rng.random((rows, base.shape[0])), axis=1)
-    return np.take_along_axis(tiled, order, axis=1)
+    return base[np.argsort(rng.random((rows, base.shape[0])), axis=1)]
 
 
 def sample_uniform_cond_typical(joint_q: np.ndarray, delta: float,
@@ -231,9 +239,9 @@ def sample_uniform_cond_typical(joint_q: np.ndarray, delta: float,
     rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
     cond = np.asarray(cond_seq).astype(np.int64)
     jq = np.asarray(joint_q, dtype=np.float64)
-    ka, kb = jq.shape
+    kb = jq.shape[1]
     n = cond.shape[0]
-    lo, hi = count_bounds(jq, n, delta)
+    lo, hi, _ = _cached_bounds(jq.tobytes(), jq.shape, n, delta)
     if np.any(lo > hi):
         a, b = (int(i) for i in np.argwhere(lo > hi)[0])
         raise EmptyTypicalSetError(
@@ -250,17 +258,18 @@ def sample_uniform_cond_typical(joint_q: np.ndarray, delta: float,
                     f"cell (a={a}, b={b}) requires at least {lo[a, b]} occurrences "
                     f"but the conditioning sequence never takes symbol {b}")
             continue
-        types = _compositions(lo[:, b], hi[:, b], n_b)
-        if not types:
+        table = _type_table(tuple(lo[:, b].tolist()), tuple(hi[:, b].tolist()), n_b)
+        if table is None:
             raise EmptyTypicalSetError(
                 f"conditioning symbol {b} occurs {n_b} times but no column type fits "
                 f"(lo={lo[:, b].tolist()}, hi={hi[:, b].tolist()})")
-        table = TypeTable(types, n_b)
         idx = table.draw_indices(rng, count)
+        if len(table.types) == 1:
+            out[:, positions] = _permuted_rows(rng, table.bases[0], count)
+            continue
         for t in np.unique(idx):
             members = np.where(idx == t)[0]
-            base = np.repeat(np.arange(ka, dtype=SYMBOL_DTYPE), table.types[t])
-            out[np.ix_(members, positions)] = _permuted_rows(rng, base, members.size)
+            out[np.ix_(members, positions)] = _permuted_rows(rng, table.bases[t], members.size)
     return out
 
 
@@ -459,11 +468,13 @@ class PagedLayer:
         s0, j = np.broadcast_arrays(_checked_index(s0, self.shape[0]),
                                     _checked_index(j, self.shape[1]))
         out = np.empty(s0.shape + self.shape[2:], dtype=self.dtype)
-        keys, which = np.unique(np.stack([s0.ravel(), _page_of(j.ravel())]), axis=1,
-                                return_inverse=True)
-        for g, (a, p) in enumerate(keys.T.tolist()):
-            members = (which == g).reshape(s0.shape)
-            out[members] = self.page(a, p)[j[members] - _page_span(p)[0]]
+        page = _page_of(j)
+        # each touched page read once, in (s0, page) order; np.unique sorts as
+        # the encoder does, where np.lexsort faulted in 0.2 MB more NumPy code
+        for a in np.unique(s0).tolist():
+            for p in np.unique(page[s0 == a]).tolist():
+                members = (s0 == a) & (page == p)
+                out[members] = self.page(a, p)[j[members] - _page_span(p)[0]]
         return out
 
     def __array__(self, dtype=None, copy=None):
@@ -647,9 +658,14 @@ def _first_under_threshold(layer, s0: int, refs: np.ndarray,
     margin = 4 * n * fl.eps * dmax + fl.smallest_subnormal if n * dmax < fl.max / 2 else np.inf
 
     def under(trials, block, one_hot):
-        mean = table[trials] @ one_hot.reshape(table.shape[1], -1) / n
+        mean = table[trials] @ one_hot.reshape(table.shape[1], -1)
+        mean /= n
         ok = mean <= threshold
-        t, r = np.nonzero(~(np.abs(mean - threshold) > margin))
+        mean -= threshold   # in place from here: each score's distance from the threshold
+        close = ~(np.abs(mean, out=mean) > margin)
+        if not close.any():
+            return ok
+        t, r = np.nonzero(close)
         piece = max(1, _SCRATCH // n)
         for a in range(0, t.size, piece):
             tt, rr = t[a:a + piece], r[a:a + piece]
@@ -758,6 +774,7 @@ def _cached_bounds(q_bytes: bytes, shape: tuple, n: int, delta: float):
     """Per-cell count bounds of the band, and whether no count vector
     summing to n fits them."""
     lo, hi = count_bounds(np.frombuffer(q_bytes, dtype=np.float64).reshape(shape), n, delta)
+    lo.flags.writeable = hi.flags.writeable = False   # shared by every caller
     empty = bool(np.any(lo > hi) or lo.sum() > n or hi.sum() < n)
     return lo, hi, empty
 

@@ -21,7 +21,9 @@ against which the search that reads only its weighted terms is checked,
 and ``kkt_block`` assembles the solver's Newton system with ``np.block``.
 ``sample_uniform_typical`` draws from an unconditional typical set,
 described by a ``TypicalSetSpec``, through the library's conditional
-sampler given a constant conditioning row. ``rdp_stress_queries`` is the
+sampler given a constant conditioning row, and
+``sample_uniform_cond_typical_uncached`` is that sampler without its
+cached band and type tables, against which the cached one is checked. ``rdp_stress_queries`` is the
 seeded stress set of conditional RDP queries, so a query it names can be
 replayed from its seed and index.
 """
@@ -34,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gwrdp.codec import sample_uniform_cond_typical
+from gwrdp.codec import (SYMBOL_DTYPE, EmptyTypicalSetError, TypeTable, _compositions,
+                         count_bounds, sample_uniform_cond_typical)
 from gwrdp.prob import JointPmf, Kernel
 from gwrdp.region import (_SWEEPS, AuxChannel, RegionProblem, _dirichlet_aux, _Solves, _w_size,
                           rate_triple_for_aux)
@@ -352,6 +355,52 @@ def sample_uniform_typical(spec: TypicalSetSpec, count: int,
     the joint's only column, as a codebook draws its common layer."""
     return sample_uniform_cond_typical(spec.q.reshape(-1, 1), spec.delta,
                                        np.zeros(spec.n, dtype=np.int64), count, rng)
+
+
+def sample_uniform_cond_typical_uncached(joint_q: np.ndarray, delta: float,
+                                         cond_seq: np.ndarray, count: int,
+                                         rng: np.random.Generator | int) -> np.ndarray:
+    """The conditional sampler as it stood before its band and type tables
+    were cached: each call computes the count bounds, enumerates every
+    stratum's types, builds its table and repeats each drawn type's base
+    row. The library's sampler must draw the same bytes from the same
+    stream, and raise the same errors."""
+    rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
+    cond = np.asarray(cond_seq).astype(np.int64)
+    jq = np.asarray(joint_q, dtype=np.float64)
+    ka, kb = jq.shape
+    n = cond.shape[0]
+    lo, hi = count_bounds(jq, n, delta)
+    if np.any(lo > hi):
+        a, b = (int(i) for i in np.argwhere(lo > hi)[0])
+        raise EmptyTypicalSetError(
+            f"cell (a={a}, b={b}): no integer count in [{n * jq[a, b] * (1 - delta):.3f}, "
+            f"{n * jq[a, b] * (1 + delta):.3f}] (q={jq[a, b]:.6g}, n={n}, delta={delta})")
+    out = np.empty((count, n), dtype=SYMBOL_DTYPE)
+    for b in range(kb):
+        positions = np.where(cond == b)[0]
+        n_b = positions.size
+        if n_b == 0:
+            if np.any(lo[:, b] > 0):
+                a = int(np.argmax(lo[:, b] > 0))
+                raise EmptyTypicalSetError(
+                    f"cell (a={a}, b={b}) requires at least {lo[a, b]} occurrences "
+                    f"but the conditioning sequence never takes symbol {b}")
+            continue
+        types = _compositions(lo[:, b], hi[:, b], n_b)
+        if not types:
+            raise EmptyTypicalSetError(
+                f"conditioning symbol {b} occurs {n_b} times but no column type fits "
+                f"(lo={lo[:, b].tolist()}, hi={hi[:, b].tolist()})")
+        table = TypeTable(types, n_b)
+        idx = table.draw_indices(rng, count)
+        for t in np.unique(idx):
+            members = np.where(idx == t)[0]
+            base = np.repeat(np.arange(ka, dtype=SYMBOL_DTYPE), table.types[t])
+            tiled = np.broadcast_to(base, (members.size, base.shape[0]))
+            order = np.argsort(rng.random((members.size, base.shape[0])), axis=1)
+            out[np.ix_(members, positions)] = np.take_along_axis(tiled, order, axis=1)
+    return out
 
 
 def is_typical(seq, spec) -> bool:

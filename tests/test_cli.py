@@ -460,7 +460,21 @@ INVALID_INPUTS = [
     # json reads NaN and Infinity
     ("simulate-nan-delta", "simulate", dict(SIM_CONFIG, delta=math.nan)),
     ("simulate-infinite-delta", "simulate", dict(SIM_CONFIG, delta=math.inf)),
+    *((f"{case[0]}-misspelt-field", *case[1:]) for case in [
+        ("rdp", "rdp", {"source": [0.5, 0.3, 0.2], "perceptoin": "kl", "d_budget": 0.2,
+                        "p_budget": 0.01}),
+        ("region-budget", "region", {"p_xy": DSBS01, "budgets": {"D1": 0.1, "D2": 0.1, "p1": 0.1},
+                                     "samples": 0}),
+        ("simulate", "simulate", dict(SIM_CONFIG, moed="deterministic")),
+        ("simulate-budget", "simulate",
+         dict(SIM_CONFIG, budgets={"D1": 0.3, "D2": 0.3, "P_1": 0.5, "P2": 0.5})),
+        ("derand-audit", "derand-audit", {"p_xy": UNIFORM_PAIR, "n0": 1, "n": 4, "n_0": 2}),
+    ]),
 ]
+
+# the misspelt key of each misspelt-field case above
+MISSPELT = {"rdp": "'perceptoin'", "region-budget": "'p1'", "simulate": "'moed'",
+            "simulate-budget": "'P_1'", "derand-audit": "'n_0'"}
 
 
 # DSBS(0.25) with independent W at n = 16: private code sizes are at least
@@ -507,6 +521,17 @@ class TestExitCodeContract:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("case", sorted(MISSPELT))
+    def test_unknown_field_is_named(self, tmp_path, capsys, case):
+        # a misspelt field would read as absent and take its default
+        _, subcommand, payload = next(c for c in INVALID_INPUTS
+                                      if c[0] == f"{case}-misspelt-field")
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        assert run([subcommand, "--config", cfg, "--out-dir", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown ") and MISSPELT[case] in err
+        assert err.count("\n") == 1 and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_memory_cap_below_one_exit_2(self, tmp_path, cap):

@@ -21,13 +21,17 @@ from gwrdp.codec import (
     AlphabetError,
     Codebook,
     EmptyTypicalSetError,
+    PagedLayer,
     ResourceCapError,
     TypeTable,
     _blocks,
+    _cached_bounds,
     _first_jointly_typical,
     _first_under_threshold,
     _page_of,
     _page_span,
+    _SymbolBudget,
+    _type_table,
     circular_shift,
     compute_code_sizes,
     count_bounds,
@@ -49,6 +53,7 @@ from oracles import (
     is_typical,
     per_letter_distortion,
     rejection_sample_typical,
+    sample_uniform_cond_typical_uncached,
     sample_uniform_typical,
     shift_position,
 )
@@ -914,6 +919,109 @@ PAGE_EDGE_HITS = [(15, 1), (16, 2), (79, 2), (80, 3), (335, 3), (336, 4), (1359,
                   (PAGE_5 - 1, 5), (PAGE_5, 6)]
 
 
+# (joint q, delta, conditioning sequence): one stratum holding a single
+# type, several types, a conditioning symbol that never occurs, and a class
+# total past 2**63, which takes the big-integer inverse CDF
+SAMPLER_CASES = {
+    "single-type": (np.array([[0.5], [0.5]]), 1e-9, np.zeros(8, dtype=int)),
+    "single-and-multi-type": (np.array([[0.5, 0.2], [0.0, 0.3]]), 0.5,
+                              np.array([0, 1] * 10)),
+    "multi-type": (np.array([[0.35, 0.15], [0.15, 0.35]]), 0.3, np.array([0, 1] * 8)),
+    "ternary": (np.array([[0.2, 0.1], [0.15, 0.2], [0.15, 0.2]]), 0.6,
+                np.array([0, 1, 1, 0, 1] * 5)),
+    "absent-symbol": (np.array([[0.3, 0.0], [0.7, 0.0]]), 0.4, np.zeros(10, dtype=int)),
+    "big-integer": (np.array([[0.5], [0.5]]), 0.2, np.zeros(70, dtype=int)),
+}
+
+# band and stratum faults: a cell no count fits, a stratum whose column
+# types cannot sum to its length, and a required symbol the conditioning
+# sequence never takes
+SAMPLER_FAULTS = {
+    "empty-cell": (np.array([[0.05], [0.95]]), 0.15, np.zeros(8, dtype=int)),
+    "no-column-type": (np.full((2, 2), 0.25), 0.01, np.array([0] * 3 + [1] * 5)),
+    "absent-required-symbol": (np.array([[0.5, 0.25], [0.25, 0.0]]), 0.01,
+                               np.zeros(4, dtype=int)),
+}
+
+
+class TestCachedSampler:
+    """The sampler's cached band and type tables change no draw and no error."""
+
+    @pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_draws_equal_the_uncached_sampler(self, case, seed):
+        jq, delta, cond = SAMPLER_CASES[case]
+        count = 40 if case == "big-integer" else 300
+        rngs = [np.random.Generator(np.random.Philox(seed)) for _ in range(2)]
+        got = sample_uniform_cond_typical(jq, delta, cond, count, rngs[0])
+        want = sample_uniform_cond_typical_uncached(jq, delta, cond, count, rngs[1])
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        # the two leave the stream in the same state
+        assert rngs[0].integers(2**62) == rngs[1].integers(2**62)
+
+    def test_cases_cover_every_path(self):
+        kinds = {}
+        for case, (jq, delta, cond) in SAMPLER_CASES.items():
+            lo, hi, _ = _cached_bounds(jq.tobytes(), jq.shape, cond.size, delta)
+            tables = [_type_table(tuple(lo[:, b].tolist()), tuple(hi[:, b].tolist()),
+                                  int(np.sum(cond == b))) for b in np.unique(cond)]
+            kinds[case] = ({len(t.types) for t in tables}, max(t.total for t in tables),
+                           jq.shape[1] - len(tables))
+        assert kinds["single-type"][0] == {1}
+        assert 1 in kinds["single-and-multi-type"][0]
+        assert max(kinds["single-and-multi-type"][0]) > 1
+        assert min(kinds["multi-type"][0]) > 1
+        assert kinds["absent-symbol"][2] == 1
+        assert kinds["big-integer"][1] >= 2 ** 63
+        assert all(k[1] < 2 ** 63 for c, k in kinds.items() if c != "big-integer")
+
+    @pytest.mark.parametrize("case", sorted(SAMPLER_FAULTS))
+    def test_errors_equal_the_uncached_sampler(self, case):
+        jq, delta, cond = SAMPLER_FAULTS[case]
+        with pytest.raises(EmptyTypicalSetError) as want:
+            sample_uniform_cond_typical_uncached(jq, delta, cond, 5, 0)
+        for _ in range(2):   # the second call reads the cached tables
+            with pytest.raises(EmptyTypicalSetError) as got:
+                sample_uniform_cond_typical(jq, delta, cond, 5, 0)
+            assert str(got.value) == str(want.value)
+
+    def test_cached_bounds_are_read_only(self):
+        lo, hi, _ = _cached_bounds(np.full(4, 0.25).tobytes(), (2, 2), 8, 0.3)
+        with pytest.raises(ValueError, match="read-only"):
+            lo[0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            hi[0, 0] = 0
+
+    def test_a_layer_enumerates_each_stratum_once(self, monkeypatch):
+        # 20 pages under 5 conditioning rows whose symbol counts repeat:
+        # types are enumerated once per distinct (lo, hi, n_b), not per page
+        calls, enumerate_types = [], gwrdp.codec._compositions
+
+        def counting(lo, hi, total):
+            calls.append((tuple(lo.tolist()), tuple(hi.tolist()), total))
+            return enumerate_types(lo, hi, total)
+
+        monkeypatch.setattr(gwrdp.codec, "_compositions", counting)
+        _type_table.cache_clear()
+        n, zeros = 20, (10, 10, 9, 11, 10)
+        parent = np.array([[[0] * z + [1] * (n - z) for z in zeros]], dtype=np.uint8)
+        joint = np.array([[0.35, 0.15], [0.15, 0.35]])
+        layer = PagedLayer(parent, joint, 0.3, 1400, 5, 1, _SymbolBudget(None))
+        for s0 in range(5):
+            for p in range(4):
+                cond = parent[0, s0]
+                rng = np.random.Generator(np.random.Philox(
+                    np.random.SeedSequence(5, spawn_key=(1, s0, p))))
+                start, stop = _page_span(p)
+                want = sample_uniform_cond_typical_uncached(joint, 0.3, cond, stop - start, rng)
+                assert np.array_equal(layer.page(s0, p), want)
+        assert layer.pages_drawn == 20
+        lo, hi = count_bounds(joint, n, 0.3)
+        keys = {(tuple(lo[:, b].tolist()), tuple(hi[:, b].tolist()), int(np.sum(row == b)))
+                for row in parent[0] for b in (0, 1)}
+        assert sorted(calls) == sorted(keys) and len(keys) == 6
+
+
 def paged_codebook(m0=2, m=3 * PAGE_ROWS + 100, n=32, memory_cap=None, seed=3):
     """Uniform pair, one W symbol, soft test channels, with forced code
     sizes: private layers of m codewords per common index (the size
@@ -1135,6 +1243,61 @@ class TestPagedLayers:
             paged_codebook(m0=10, n=32, memory_cap=least - 1)
         cb = paged_codebook(m0=10, n=32, memory_cap=least)
         assert [cb.common.pages_drawn, cb.priv_x.pages_drawn, cb.priv_y.pages_drawn] == [0, 0, 0]
+
+
+class TestDecoderGrouping:
+    """Index-array reads group their codewords by (s0, page) and draw the
+    pages in that order, each once."""
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 3)])
+    def test_empty_index_arrays_draw_nothing(self, shape):
+        cb = paged_codebook(m0=3)
+        empty = np.zeros(shape, dtype=np.int64)
+        for layer in (cb.common, cb.priv_x):
+            got = layer[empty, empty]
+            assert got.shape == shape + (cb.n,) and got.dtype == np.uint8
+        x, y = decode(cb, *[np.zeros(0, dtype=np.int64)] * 4)
+        assert x.shape == y.shape == (0, cb.n)
+        assert [cb.common.pages_drawn, cb.priv_x.pages_drawn, cb.priv_y.pages_drawn] == [0] * 3
+
+    def test_a_shuffled_batch_with_repeats_equals_elementwise_reads(self):
+        # 3 conditioning indices, 4 pages each (0, 2, 4 and the cut last
+        # page 6), every pair read at least twice, in shuffled order
+        batched, single = paged_codebook(m0=3), paged_codebook(m0=3)
+        rng = np.random.default_rng(4)
+        m = batched.sizes[1]
+        js = [0, 15, 80, 300, PAGE_5 - 1, 1360, m - 1, m - 50]
+        pairs = [(s0, j) for s0 in range(3) for j in js] * 2
+        pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+        s0, j = (np.array(v) for v in zip(*pairs))
+        got = batched.priv_x[s0, j]
+        assert got.shape == (len(pairs), batched.n)
+        for row, (a, b) in zip(got, pairs):
+            assert np.array_equal(row, single.priv_x[a, b])
+        assert sorted(batched.priv_x._pages) == sorted(single.priv_x._pages)
+        assert sorted(batched.priv_x._pages) == [(a, p) for a in range(3) for p in (0, 2, 4, 6)]
+        # a 2-D batch keeps its shape
+        assert np.array_equal(batched.priv_x[s0.reshape(6, -1), j.reshape(6, -1)],
+                              got.reshape(6, -1, batched.n))
+
+    def test_pages_are_drawn_in_s0_then_page_order(self):
+        # the cap lets the batch draw the common page and the first five
+        # (s0, page) groups in sorted order, and trips on the sixth, (1, 2)
+        m0, n = 3, 32
+        wanted = [(s0, p) for s0 in range(3) for p in range(3)]
+        order = [wanted[i] for i in (8, 5, 0, 4, 2, 7, 1, 3, 6)]
+        symbols = [(_page_span(p)[1] - _page_span(p)[0]) * n for _, p in wanted]
+        used = m0 * n + sum(symbols[:5])
+        cap = used + symbols[5] - 1
+        cb = paged_codebook(m0=m0, n=n, memory_cap=cap)
+        s0 = np.array([a for a, _ in order])
+        j = np.array([_page_span(p)[0] + 1 for _, p in order])
+        with pytest.raises(ResourceCapError,
+                           match=f"^codebook would hold {used + symbols[5]} symbols, "
+                                 f"cap is {cap};"):
+            cb.priv_x[s0, j]
+        assert sorted(cb.priv_x._pages) == wanted[:5]
+        assert cb.common.pages_drawn == 1 and cb.priv_x.budget.used == used
 
 
 def common_paged_codebook(seed=3):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import logging
 import math
@@ -10,6 +11,7 @@ import pytest
 from scipy import stats
 
 import gwrdp.simulate
+from gwrdp.cli import main
 from gwrdp.codec import compute_code_sizes, decode, encode, encode_batch, generate_codebook
 from gwrdp.derandom import build_seed_map
 from gwrdp.prob import JointPmf, Kernel, tv_distance
@@ -434,6 +436,62 @@ class TestKnownFailureFamilies:
             assert "codebook would hold 16798992 symbols" in str(err)
             raise
         assert miss[1, 0]
+
+
+# the sim-common benchmark's simulate config, cut to 512 trials: DSBS(0.25),
+# the |W| = 2 auxiliary rows (0.6, 0.4), (0.5, 0.5), (0.5, 0.5), (0.4, 0.6),
+# n = 32, delta = 0.05 and test channels solved by the CLI
+SIM_COMMON = {"p_xy": {"alphabets": [2, 2], "probs": [0.375, 0.125, 0.125, 0.375]},
+              "aux": {"alphabets": [2, 2, 2], "probs": [0.6, 0.4, 0.5, 0.5, 0.5, 0.5, 0.4, 0.6]},
+              "n": 32, "delta": 0.05, "trials": 512,
+              "budgets": {"D1": 0.3, "D2": 0.3, "P1": 0.1, "P2": 0.1}, "seed": 0}
+
+# per library version and mode: SHA-256 of every drawn page of the three
+# layers (key and bytes, in key order), and of the s0, s1, s2 and miss
+# arrays of each encode_batch call
+PINNED_CODEC_OUTPUTS = {
+    "0.6.0": {
+        "common-randomness": (
+            "f7a8dac015347081790803d0ca67ba7d8c1401b344184f4baad140b387e3c10d",
+            "f47239bd457d7f9252eec447858b571d72f23a0676ac298507ae5a73632b858b"),
+        "deterministic": (
+            "79fe244ea6bf686665a51fc3f8bdf1ab4e24f61026ce557571949ff421a2517d",
+            "108c19a9968a861c5e83fe0521db7deeb65f2d22c88dfd7bb4983361b1d7376f"),
+    },
+}
+
+
+class TestPinnedCodecOutputs:
+    """The codec's exact integer outputs on sim-common's config: a change to
+    any draw or encoding decision fails here unless it bumps __version__
+    and pins the new hashes."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_pages_and_indices_match_the_pinned_hashes(self, tmp_path, monkeypatch, mode):
+        calls = []
+
+        def recording(codebook, xs, ys, ks):
+            out = encode_batch(codebook, xs, ys, ks)
+            calls.append((codebook, out))
+            return out
+
+        monkeypatch.setattr(gwrdp.simulate, "encode_batch", recording)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(SIM_COMMON, mode=mode)))
+        assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "out"),
+                     "--parallel", "1"]) == 0
+        assert len(calls) == 2 and calls[0][0] is calls[1][0]
+        codebook = calls[0][0]
+        pages, indices = hashlib.sha256(), hashlib.sha256()
+        for layer in (codebook.common, codebook.priv_x, codebook.priv_y):
+            for key in sorted(layer._pages):
+                pages.update(np.array(key, dtype=np.int64).tobytes())
+                pages.update(layer._pages[key].tobytes())
+        for _, out in calls:
+            for array in out:
+                indices.update(np.ascontiguousarray(array).tobytes())
+        assert (pages.hexdigest(), indices.hexdigest()) == \
+            PINNED_CODEC_OUTPUTS[gwrdp.__version__][mode]
 
 
 class TestWilson:
