@@ -178,21 +178,23 @@ def cmd_region(args, cfg: dict):
         delta_x=_distortion(cfg, nx, "distortion_x"),
         delta_y=_distortion(cfg, ny, "distortion_y"),
         perception_x=_perception(cfg), perception_y=_perception(cfg))
+    solves = _Solves()  # the audit's corner triple finds the frontier's solves
     frontier = compute_frontier(
         problem, budgets,
         strategy=_field(cfg, "strategy", str, "grid"),
         w_size=_field(cfg, "w_size", int, None),
         samples=_field(cfg, "samples", int, 16),
         restarts=_field(cfg, "restarts", int, 3),
-        seed=args.seed, parallel=args.parallel)
+        seed=args.seed, parallel=args.parallel, solves=solves)
 
     csv_body = frontier.to_csv()
     payload = frontier.to_dict()
 
     if _field(cfg, "cutset_audit", bool, False):
         # each branch's point-to-point RDP value: the branch rates of the
-        # independent corner, whose memo solves equal X and Y queries once
-        corner = rate_triple_for_aux(problem, AuxChannel.independent(nx, ny), budgets)
+        # independent corner, a candidate of every frontier, so a serial
+        # frontier has already solved both queries
+        corner = rate_triple_for_aux(problem, AuxChannel.independent(nx, ny), budgets, solves)
         rdp_x, rdp_y = corner.r1, corner.r2
         lines = csv_body.splitlines()
         lines[0] += ",cutset_ok"

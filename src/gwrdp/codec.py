@@ -790,6 +790,8 @@ def decode(codebook: Codebook, s0, s1, s2, k):
     if len(set(shapes)) > 1 or len(shapes[0]) > 1:
         raise ValueError("s0, s1, s2 and k must be all scalars or all sequences of one "
                          f"length, got shapes {shapes}")
+    if shapes[0] == (0,):  # np.asarray([]) is float64, which no shift can index by
+        k = np.zeros(0, dtype=np.int64)
     idx = [np.atleast_1d(np.asarray(s, dtype=np.int64)) for s in (s0, s1, s2)]
     for s, m in zip(idx, codebook.sizes):
         bad = (s < 0) | (s >= m)

@@ -8,7 +8,9 @@ Pareto-minimal frontier.
 
 Every emitted point stores its witnesses (the auxiliary channel and both
 test channels), so the triple can be recomputed from scratch; no claim of
-global optimality is made for searched frontiers, only achievability.
+global optimality is made for searched frontiers, only achievability. The
+``local`` strategy's points at weights (a, 1, 0) and (a, 0, 1), a <= 1, are
+exact and not searched: W = X̂ and W = Ŷ reach a*R_X and a*R_Y.
 
 A scalarized search reads only the terms its weights do not zero: a trial
 channel costs I(X,Y;W) for a common-rate weight and one branch solve per
@@ -16,12 +18,12 @@ private-rate weight, and the full triple is built once, for the best
 channel found. ``rate_triple_for_aux`` and ``scalarized_search`` are the one
 path for a triple and a search. Searches repeat branch queries (each starts
 from the independent corner; a symmetric source makes the X and Y queries
-coincide), so both take the caller's exact memo of solver results, keyed on
-every input of the query, as ``solves``, or start an empty one; no result
-depends on it. ``compute_frontier`` shares one memo across its searches and
-serial grid; each pool job starts its own. Objective evaluation, triple,
-lookup, solve and hit counts go to the ``gwrdp.region`` logger at DEBUG,
-never into the exported files.
+coincide), so they and ``compute_frontier`` take the caller's exact memo of
+solver results, keyed on every input of the query, as ``solves``, or start
+an empty one; no result depends on it. ``compute_frontier`` shares the memo
+across its searches, serial grid and anchors; each pool job starts its own.
+Objective evaluation, triple, lookup, solve and hit counts go to the
+``gwrdp.region`` logger at DEBUG, never into the exported files.
 """
 
 from __future__ import annotations
@@ -265,17 +267,33 @@ def _w_size(problem: RegionProblem, w_size: int | None) -> int:
     return w
 
 
+def _anchor(problem: RegionProblem, corner: RegionPoint, b: int, w_size: int) -> AuxChannel:
+    """W = X̂ (b = 0) or W = Ŷ (b = 1): Q(w | x, y) is the independent
+    corner's test channel of that branch, zero-padded to ``w_size``."""
+    nx, ny = problem.p_xy.shape
+    tc = (corner.test_channel_x, corner.test_channel_y)[b].probs[:, 0, :]
+    rows = np.zeros((nx, ny, w_size))
+    rows[:, :, :tc.shape[1]] = tc[:, None, :] if b == 0 else tc[None, :, :]
+    return AuxChannel(Kernel(rows))
+
+
 def compute_frontier(problem: RegionProblem, budgets: Budgets, *,
                      strategy: str = "grid", w_size: int | None = None,
                      samples: int = 16, restarts: int = 3, seed: int = 0,
-                     parallel: int = 1) -> RegionFrontier:
+                     parallel: int = 1, solves: _Solves | None = None) -> RegionFrontier:
     """Search auxiliary channels and return the Pareto frontier.
 
     strategy "grid" draws seeded Dirichlet channels plus the two corner
     channels (independent W; W = (X,Y) when w_size allows); "local" adds
-    scalarized coordinate-descent searches over a small weight set.
-    Deterministic for a fixed seed, independent of the parallelism degree.
-    Raises ``ValueError`` for samples < 0 or restarts < 1.
+    scalarized searches at weights (0, 1, 1) and (1, 1, 1), and the exact
+    optima of (a, 1, 0) and (a, 0, 1), a <= 1: W = X̂ and W = Ŷ, from the
+    independent corner's test channels (a*R0 + R1 >= a*(I(X;W) + R_{X|W})
+    >= a*R_X, with equality at R1 = 0). A branch whose reconstruction
+    alphabet exceeds w_size is searched at (0.5, 1, 0) or (0.5, 0, 1)
+    instead. ``solves`` is the caller's memo of branch solves (an empty one
+    by default); no result depends on it. Deterministic for a fixed seed,
+    independent of the parallelism degree. Raises ``ValueError`` for
+    samples < 0 or restarts < 1.
     """
     nx, ny = problem.p_xy.shape
     w = _w_size(problem, w_size)
@@ -291,17 +309,23 @@ def compute_frontier(problem: RegionProblem, budgets: Budgets, *,
     for _ in range(samples):
         candidates.append(_dirichlet_aux(rng, nx, ny, w))
 
-    solves = _Solves()
+    solves = _Solves() if solves is None else solves
     points: list[RegionPoint] = []
+    anchored = []  # branches whose W = X̂ or W = Ŷ fits in w symbols
     if strategy == "local":
+        anchored = [b for b, delta in enumerate((problem.delta_x, problem.delta_y))
+                    if delta.values.shape[1] <= w]
         # no (1, 0, 0) search: its optimum, a W independent of (X, Y), is the
         # independent corner, already a candidate; k keeps each search's seed
         weight_sets = [(0.0, 1.0, 1.0), (1.0, 1.0, 1.0), (0.5, 1.0, 0.0), (0.5, 0.0, 1.0)]
         for k, weights in enumerate(weight_sets, start=2):
-            points.append(scalarized_search(problem, budgets, weights, w_size=w,
-                                            restarts=restarts, seed=seed + 1000 * k,
-                                            solves=solves))
+            # a branch with an anchor needs no (0.5, 1, 0) or (0.5, 0, 1) search
+            if k < 4 or k - 4 not in anchored:
+                points.append(scalarized_search(problem, budgets, weights, w_size=w,
+                                                restarts=restarts, seed=seed + 1000 * k,
+                                                solves=solves))
 
+    corner = len(points)  # the independent corner is the first candidate
     if parallel > 1:
         from concurrent.futures import ProcessPoolExecutor   # serial runs skip multiprocessing
         with ProcessPoolExecutor(max_workers=parallel) as pool:
@@ -309,6 +333,8 @@ def compute_frontier(problem: RegionProblem, budgets: Budgets, *,
                                    repeat(budgets)))
     else:
         points.extend(rate_triple_for_aux(problem, aux, budgets, solves) for aux in candidates)
+    points.extend(rate_triple_for_aux(problem, _anchor(problem, points[corner], b, w), budgets,
+                                      solves) for b in anchored)
 
     _log.debug("frontier: %d candidates, %d not converged; in this process %d objective "
                "evaluations, %d triples, %d lookups, %d solver calls, %d cache hits",

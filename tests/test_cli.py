@@ -190,12 +190,12 @@ class TestRegionCommand:
         assert (out / "frontier.csv").read_bytes() == csv_first
         assert (out / "frontier.json").read_bytes() == json_first
 
-    @pytest.mark.parametrize("budgets, audit_calls", [
+    @pytest.mark.parametrize("budgets, audit_queries", [
         ({"D1": 0.1, "D2": 0.1, "P1": 0.6, "P2": 0.6}, 1),  # the X and Y queries coincide
         ({"D1": 0.1, "D2": 0.15, "P1": 0.6, "P2": 0.6}, 2),
     ])
     def test_cutset_audit_solves_each_distinct_query_once(self, tmp_path, region_solves,
-                                                          budgets, audit_calls):
+                                                          budgets, audit_queries):
         base = {"p_xy": DSBS01, "budgets": budgets, "strategy": "grid", "samples": 1,
                 "w_size": 2, "seed": 0}
         cfg = write_config(tmp_path, "plain.json", base)
@@ -203,7 +203,11 @@ class TestRegionCommand:
         frontier_calls = len(region_solves)
         cfg = write_config(tmp_path, "audit.json", dict(base, cutset_audit=True))
         assert run(["region", "--config", cfg, "--out-dir", tmp_path / "audit"]) == 0
-        assert len(region_solves) - 2 * frontier_calls == audit_calls
+        # the audit's independent-corner queries (|W| = 1) are the frontier's
+        # own, found in the memo it shares with the frontier
+        assert len(region_solves) == 2 * frontier_calls
+        corner = [q for q in region_solves[:frontier_calls] if q.q_xw.shape[1] == 1]
+        assert len(corner) == audit_queries
         ref = json.loads((tmp_path / "audit" / "frontier.json").read_text())["cutset_reference"]
         for key, d, p in (("rdp_x", budgets["D1"], budgets["P1"]),
                           ("rdp_y", budgets["D2"], budgets["P2"])):

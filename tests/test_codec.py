@@ -1260,6 +1260,19 @@ class TestDecoderGrouping:
         assert x.shape == y.shape == (0, cb.n)
         assert [cb.common.pages_drawn, cb.priv_x.pages_drawn, cb.priv_y.pages_drawn] == [0] * 3
 
+    @pytest.mark.parametrize("empty", [[], (), np.zeros(0)])
+    def test_empty_sequences_decode_to_empty_rows(self, empty):
+        # np.asarray([]) is float64, which no shift seed may be
+        cb = paged_codebook(m0=3)
+        x, y = decode(cb, empty, empty, empty, empty)
+        assert x.shape == y.shape == (0, cb.n) and x.dtype == np.uint8
+        assert cb.priv_x.pages_drawn == cb.priv_y.pages_drawn == 0
+
+    def test_float_seeds_are_refused(self):
+        cb = paged_codebook(m0=3)
+        with pytest.raises(IndexError):
+            decode(cb, [0, 1], [0, 1], [0, 1], np.array([1.0, 2.0]))
+
     def test_a_shuffled_batch_with_repeats_equals_elementwise_reads(self):
         # 3 conditioning indices, 4 pages each (0, 2, 4 and the cut last
         # page 6), every pair read at least twice, in shuffled order

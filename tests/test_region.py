@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import logging
 import math
 
@@ -242,7 +243,8 @@ class TestSolveCache:
         assert calls == len(solver_calls)
         # the search repeats queries, so the cache is exercised
         assert hits == lookups - calls > calls
-        # one triple per search and per grid candidate, each with two lookups
+        # one triple per search, per anchor and per grid candidate, each with
+        # two lookups: 2 searches and 2 anchors, and 3 candidates
         assert triples == 4 + 3
         assert lookups > 2 * triples
         assert evaluations > triples
@@ -360,3 +362,106 @@ class TestLazySearch:
         assert len(solver_calls) - len(y_calls) > 2
         q_yw = problem.p_xy.extend(pt.witness.kernel, "W").marginal("Y", "W")
         assert np.array_equal(y_calls[0].q_xw.probs, q_yw.probs)
+
+
+# the anchors' instances: region-local's DSBS(0.1), an asymmetric binary
+# pair, and a 3x3 source with |W| = 3; (source, D, TV budget, |W|)
+ANCHOR_CASES = {
+    "dsbs": (dsbs(0.1), 0.1, 0.6, 2),
+    "binary": (JointPmf([[0.55, 0.1], [0.1, 0.25]], ("X", "Y")), 0.1, 0.05, 2),
+    "ternary": (JointPmf([[0.3, 0.05, 0.05], [0.05, 0.2, 0.05], [0.02, 0.08, 0.2]],
+                         ("X", "Y")), 0.05, 0.1, 3),
+}
+LOCAL_SEARCH = dict(strategy="local", samples=0, restarts=1, seed=0)
+
+
+def anchor_problem(case, kind="tv", p=None):
+    p_xy, d, p_tv, _ = ANCHOR_CASES[case]
+    m = PerceptionMeasure(kind)
+    nx, ny = p_xy.shape
+    budget = p_tv if p is None else p
+    return (RegionProblem(p_xy, DistortionMatrix(hamming(nx)), DistortionMatrix(hamming(ny)),
+                          m, m),
+            Budgets(d1=d, d2=d, p1=budget, p2=budget))
+
+
+@functools.lru_cache(maxsize=None)  # frontiers are frozen, so tests can share them
+def local_frontier(case, kind="tv", p=None, parallel=1):
+    problem, budgets = anchor_problem(case, kind, p)
+    return compute_frontier(problem, budgets, w_size=ANCHOR_CASES[case][3], parallel=parallel,
+                            **LOCAL_SEARCH)
+
+
+class TestAnchors:
+    """The local frontier's (a, 1, 0) and (a, 0, 1) points, a <= 1, are
+    W = X̂ and W = Ŷ, the independent corner's test channels: a*R0 + R1
+    meets its lower bound a*R_X there, with R1 = 0."""
+
+    @pytest.mark.parametrize("case", sorted(ANCHOR_CASES))
+    def test_anchors_on_the_frontier_at_half_the_rdp_rate(self, case):
+        problem, budgets = anchor_problem(case)
+        w = ANCHOR_CASES[case][3]
+        fr = local_frontier(case)
+        corner = rate_triple_for_aux(problem, AuxChannel.independent(*problem.p_xy.shape),
+                                     budgets)
+        for b, (s, delta, perception, d, p) in enumerate((
+                ("X", problem.delta_x, problem.perception_x, budgets.d1, budgets.p1),
+                ("Y", problem.delta_y, problem.perception_y, budgets.d2, budgets.p2))):
+            rdp = rdp_point_to_point(problem.p_xy.marginal(s), delta, perception, d, p).rate
+            best = min(fr.points, key=lambda pt: 0.5 * pt.r0 + pt.triple[1 + b])
+            value = 0.5 * best.r0 + best.triple[1 + b]
+            assert value == pytest.approx(0.5 * rdp, abs=1e-6)
+            assert best.triple[1 + b] == pytest.approx(0.0, abs=1e-9)
+            # the witness is that branch's test channel, whatever the other
+            # source symbol, zero-padded to |W|
+            tc = (corner.test_channel_x, corner.test_channel_y)[b].probs[:, 0, :]
+            rows = np.moveaxis(best.witness.kernel.probs, b, 0)
+            cols = tc.shape[1]
+            assert np.array_equal(rows[:, :, :cols], np.repeat(tc[:, None], rows.shape[1], 1))
+            assert not rows[:, :, cols:].any()
+            weights = (0.5, 1.0, 0.0) if b == 0 else (0.5, 0.0, 1.0)
+            search = scalarized_search(problem, budgets, weights, w_size=w, restarts=1,
+                                       seed=1000 * (4 + b))
+            assert value <= 0.5 * search.r0 + search.triple[1 + b]
+
+    @pytest.mark.parametrize("case", sorted(ANCHOR_CASES))
+    def test_parallel_matches_serial(self, case):
+        assert local_frontier(case, parallel=2).to_dict() == local_frontier(case).to_dict()
+
+    # the non-converged frontier points of each P = 0 case before the
+    # anchors replaced the (0.5, 1, 0) and (0.5, 0, 1) searches
+    @pytest.mark.parametrize("case, kind, before", [
+        ("dsbs", "tv", 0), ("dsbs", "kl", 4), ("binary", "tv", 0), ("binary", "kl", 4),
+        ("ternary", "tv", 0), ("ternary", "kl", 3)])
+    def test_no_more_nonconverged_points_at_zero_perception(self, case, kind, before):
+        fr = local_frontier(case, kind, 0.0)
+        assert sum(not pt.converged for pt in fr.points) <= before
+
+    @pytest.mark.parametrize("erasure_y", [True, False])
+    def test_branch_wider_than_w_keeps_its_search(self, erasure_y, monkeypatch):
+        # an erasure symbol gives X̂ three symbols, more than |W| = 2, so that
+        # branch keeps its (0.5, 1, 0) search; with both searches kept the
+        # frontier is the Pareto filter of four searches and the corner
+        erasure = DistortionMatrix([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]])
+        problem = RegionProblem(PROBLEM.p_xy, erasure, erasure if erasure_y else HAM2)
+        searched = []
+
+        def recording(*args, **kwargs):
+            searched.append(args[2])
+            return scalarized_search(*args, **kwargs)
+
+        monkeypatch.setattr(region, "scalarized_search", recording)
+        fr = compute_frontier(problem, BUDGETS, w_size=2, **LOCAL_SEARCH)
+        weights = [(0.0, 1.0, 1.0), (1.0, 1.0, 1.0), (0.5, 1.0, 0.0), (0.5, 0.0, 1.0)]
+        assert searched == weights[:4 if erasure_y else 3]
+        assert fr.n_evaluated == 5
+        if not erasure_y:  # Y's anchor, W = Ŷ, costs no R2
+            assert any(pt.r2 == pytest.approx(0.0, abs=1e-9) for pt in fr.points)
+        else:
+            points = [scalarized_search(problem, BUDGETS, wt, w_size=2, restarts=1,
+                                        seed=1000 * k)
+                      for k, wt in enumerate(weights, start=2)]
+            points.append(rate_triple_for_aux(problem, AuxChannel.independent(2, 2), BUDGETS))
+            want = RegionFrontier(region._sorted_points(pareto_filter(points)), seed=0,
+                                  strategy="local", n_evaluated=5)
+            assert fr.to_dict() == want.to_dict()

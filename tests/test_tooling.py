@@ -59,8 +59,9 @@ def test_layer_spans_install_and_restore(bench):
 
 
 def test_layer_spans_see_the_region_layer(bench, caplog):
-    # region-local's frontier: four scalarized searches, each ending in one
-    # triple, and the independent corner's triple
+    # region-local's frontier: two scalarized searches, each ending in one
+    # triple, the independent corner's triple and the W = X̂ and W = Ŷ
+    # anchors' triples, in 38 solver calls
     import workloads
 
     caplog.set_level(logging.DEBUG, logger="gwrdp.region")
@@ -77,7 +78,8 @@ def test_layer_spans_see_the_region_layer(bench, caplog):
     triples = record.args[3]
     assert triples == 5
     assert tracer.calls["region.rate_triple_for_aux"] == triples
-    assert tracer.calls["region.scalarized_search"] == 4
+    assert tracer.calls["region.scalarized_search"] == 2
+    assert tracer.calls["solver.conditional_rdp"] == record.args[5] == 38
 
 
 def test_layer_spans_see_the_codec_layers(bench):
