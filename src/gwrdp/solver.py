@@ -13,7 +13,10 @@ is the least I(X; Xhat | W) + lam E d + nu . Q_Xhat, with gradient
 (E d, Q_Xhat), and sigma is the support function of the perception ball.
 Each w's minimization over r is an active-set Newton solve; the outer
 loop is damped Newton with G's Hessian from the inner optimality
-conditions. A log barrier keeps lam > 0; TV's sigma(nu) = nu.P_X +
+conditions. A dual point forms G from its inner solves at once, and its
+channel, Blahut bound, metrics and Hessian only where the outer loop reads
+them: a rejected trial step needs none, and the point where a search ends
+no Hessian. A log barrier keeps lam > 0; TV's sigma(nu) = nu.P_X +
 (P/2)(max nu - min nu) is smoothed by tau-weighted log-sum-exp; KL's
 sigma(nu) = -2^-P prod_h (-nu_h)^P_X(h) is smooth. tau falls tenfold
 whenever the gradient is below it; stationary points of the smoothed
@@ -25,7 +28,9 @@ max_h c_h on each inner minimum (Blahut, IEEE T-IT 1972; Csiszar, IEEE
 T-IT 1974), less lam D and the exact sigma. ``gap`` is a result's rate
 minus the best bound; ``converged`` means its channel meets both budgets
 with |gap| at most GAP_TOL bits (below -GAP_TOL, the budget slack bought a
-rate under the certified bound). The solver draws no random numbers.
+rate under the certified bound). The solver draws no random numbers; one
+DEBUG record per solve gives its path, outer steps, inner Newton steps,
+dual points formed and Hessians formed.
 
 Rates are in bits throughout.
 """
@@ -35,6 +40,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -304,66 +310,100 @@ def _inner_newton(p: np.ndarray, a: np.ndarray, r: np.ndarray,
     return r, steps
 
 
-@dataclass
 class _Point:
-    """G, its derivatives and its channel at theta = (lam, nu)."""
+    """G at theta = (lam, nu) with each w's inner solution (w, its rows
+    of a, r, a r and its term of G). The channel, Blahut's bound, the
+    metrics and the Hessian are formed on first read: a rejected trial
+    needs only G, and the point where a search ends no Hessian."""
 
-    theta: np.ndarray
-    g: float  # G(theta), bits
-    g_low: float  # Blahut's lower bound on G(theta)
-    grad: np.ndarray  # (E d, m)
-    hess: np.ndarray
-    q: np.ndarray  # (X, W, H) test channel
-    rate: float
-    dist: float
-    perc: float
+    def __init__(self, dual: "_Dual", theta: np.ndarray, g: float, solved: list):
+        self.dual, self.theta, self.g, self.solved = dual, theta, g, solved
+
+    @cached_property
+    def g_low(self) -> float:
+        """Blahut's lower bound on G(theta)."""
+        dual, g_low = self.dual, 0.0
+        for w, aw, r, z, f in self.solved:
+            g_low += dual.q_w[w] * (f - math.log2((aw.T @ (dual.p[w] / z)).max()))
+        return g_low
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        """(X, W, H) test channel; uniform on the mask for zero-mass w."""
+        q = self.dual.q_base.copy()
+        for w, aw, r, z, _ in self.solved:
+            q[self.dual.on[w], w] = aw * r / z[:, None]
+        return q
+
+    @cached_property
+    def metrics(self) -> tuple[float, float, float, np.ndarray]:
+        """(rate, E d, perception, Q_Xhat) of the channel."""
+        return _metrics(self.dual.pr, self.q)
+
+    rate = property(lambda self: self.metrics[0])
+    dist = property(lambda self: self.metrics[1])
+    perc = property(lambda self: self.metrics[2])
+    grad = property(lambda self: np.concatenate([[self.metrics[1]], self.metrics[3]]))
+
+    @cached_property
+    def hess(self) -> np.ndarray:
+        # the covariance under the channel of the exponent's gradient
+        # (d(x, h), e_h), plus r's response through the inner optimality
+        # conditions
+        dual, q = self.dual, self.q
+        dual.hessians += 1
+        hess = np.zeros((self.theta.size, self.theta.size))
+        for w, aw, r, z, _ in self.solved:
+            on, p, dw = dual.on[w], dual.p[w], dual.delta[w]
+            qw = q[on, w]
+            dev = np.concatenate([(dw - (qw * dw).sum(axis=1, keepdims=True))[:, :, None],
+                                  dual.eye[None] - qw[:, None, :]], axis=2)
+            wdev = dev * (p[:, None] * qw)[:, :, None]
+            sup = r > 0
+            cross = wdev[:, sup].sum(axis=0) / r[sup][:, None]
+            resp = np.linalg.solve(_kkt(aw[:, sup], p, z), np.vstack([cross, dual.zero]))[:-1]
+            hess -= math.log(2.0) * dual.q_w[w] * (np.einsum("xhi,xhj->ij", wdev, dev)
+                                                   + cross.T @ resp)
+        return hess
 
 
 class _Dual:
-    """G by one warm-started inner solve per w; counts inner steps."""
+    """G by one warm-started inner solve per w; counts inner steps, dual
+    points and Hessians formed."""
 
     def __init__(self, pr: _Problem, max_steps: int):
         self.pr, self.steps, self.cap = pr, 0, max_steps
+        self.points = self.hessians = 0
         self.q_w = pr.q_xw.sum(axis=0)
-        usable = [pr.mask[pr.x_given_w[:, w] > 0].any(axis=0) for w in range(self.q_w.size)]
+        self.on = [pr.x_given_w[:, w] > 0 for w in range(self.q_w.size)]
+        self.p = [pr.x_given_w[on, w] for w, on in enumerate(self.on)]
+        self.delta = [pr.delta[on] for on in self.on]
+        self.live = np.flatnonzero(self.q_w > 0)
+        usable = [pr.mask[on].any(axis=0) for on in self.on]
         self.r = [u / u.sum() for u in usable]
+        n_h = pr.delta.shape[1]
+        self.q_base = np.broadcast_to((pr.mask / pr.mask.sum(axis=1, keepdims=True))[:, None, :],
+                                      pr.q_xw.shape + (n_h,)).copy()
+        self.eye, self.zero = np.eye(n_h), np.zeros(1 + n_h)
 
     def point(self, theta: np.ndarray) -> _Point:
         pr = self.pr
         expo = np.where(pr.mask, theta[0] * pr.delta + theta[1:], np.inf)
         lo = expo.min(axis=1)
         a = np.exp2(lo[:, None] - expo)  # row maximum 1, zero off the mask
-        q = np.broadcast_to((pr.mask / pr.mask.sum(axis=1, keepdims=True))[:, None, :],
-                            pr.q_xw.shape + (a.shape[1],)).copy()
-        g = g_low = 0.0
-        hess = np.zeros((theta.size, theta.size))
-        for w in np.flatnonzero(self.q_w > 0):
-            on = pr.x_given_w[:, w] > 0
-            p, aw = pr.x_given_w[on, w], a[on]
+        g, solved = 0.0, []
+        for w in self.live:
+            on, p = self.on[w], self.p[w]
+            aw = a[on]
             r, steps = _inner_newton(p, aw, self.r[w], max(self.cap - self.steps, 0))
             self.steps += steps
             self.r[w] = r
             z = aw @ r
             f = float(p @ lo[on] - p @ np.log2(z))
             g += self.q_w[w] * f
-            g_low += self.q_w[w] * (f - math.log2((aw.T @ (p / z)).max()))
-            q[on, w] = aw * r / z[:, None]
-            # Hessian: the covariance under the channel of the exponent's
-            # gradient (d(x, h), e_h), plus r's response through the inner
-            # optimality conditions
-            qw, dw = q[on, w], pr.delta[on]
-            dev = np.concatenate([(dw - (qw * dw).sum(axis=1, keepdims=True))[:, :, None],
-                                  np.eye(qw.shape[1])[None] - qw[:, None, :]], axis=2)
-            wdev = dev * (p[:, None] * qw)[:, :, None]
-            sup = r > 0
-            cross = wdev[:, sup].sum(axis=0) / r[sup][:, None]
-            resp = np.linalg.solve(_kkt(aw[:, sup], p, z),
-                                   np.vstack([cross, np.zeros(theta.size)]))[:-1]
-            hess -= math.log(2.0) * self.q_w[w] * (np.einsum("xhi,xhj->ij", wdev, dev)
-                                                   + cross.T @ resp)
-        rate, dist, perc, m = _metrics(pr, q)
-        return _Point(theta=theta, g=g, g_low=g_low, grad=np.concatenate([[dist], m]),
-                      hess=hess, q=q, rate=rate, dist=dist, perc=perc)
+            solved.append((w, aw, r, z, f))
+        self.points += 1
+        return _Point(self, theta, g, solved)
 
 
 def _maximize(dual: _Dual, theta: np.ndarray, free: np.ndarray, sign: np.ndarray,
@@ -386,7 +426,7 @@ def _maximize(dual: _Dual, theta: np.ndarray, free: np.ndarray, sign: np.ndarray
             hess[0, 0] -= tau / th[0] ** 2
         return val, grad, hess
 
-    pt = dual.point(theta)
+    pt, here = dual.point(theta), None  # here: smoothed(pt.theta) at this tau, once formed
     best, bound, outer = None, 0.0, 0  # rates are nonnegative: 0 is a bound
     while True:
         bound = max(bound, pt.g_low - pt.theta[0] * pr.d_budget
@@ -397,12 +437,12 @@ def _maximize(dual: _Dual, theta: np.ndarray, free: np.ndarray, sign: np.ndarray
         if ((best is not None and best.rate - bound <= _GAP_AIM) or dual.steps >= dual.cap
                 or outer >= _MAX_OUTER or not free.any()):
             break
-        val, grad, hess = smoothed(pt.theta)
+        val, grad, hess = here or smoothed(pt.theta)
         grad = (pt.grad + grad)[free]
         if np.abs(grad).max() <= tau:
             if tau < 1e-13:
                 break
-            tau *= 0.1
+            tau, here = tau * 0.1, None
             continue
         hess = -(pt.hess + hess)[np.ix_(free, free)]
         hess += 1e-12 * max(1.0, float(np.diag(hess).max())) * np.eye(grad.size)
@@ -417,9 +457,11 @@ def _maximize(dual: _Dual, theta: np.ndarray, free: np.ndarray, sign: np.ndarray
             t = min(1.0, (1.0 + np.abs(pt.theta).max()) / np.abs(step).max(),
                     0.99 * float(np.min(np.abs(pt.theta[toward] / step[toward]),
                                         initial=np.inf)))
-            trial = dual.point(pt.theta + t * step)
-            if (decrement < 1e-13 or trial.g + smoothed(trial.theta)[0]
-                    >= pt.g + val + 0.1 * t * decrement):
+            trial, here = dual.point(pt.theta + t * step), None
+            if decrement < 1e-13:
+                break
+            here = smoothed(trial.theta)
+            if trial.g + here[0] >= pt.g + val + 0.1 * t * decrement:
                 break
             reg = max(10.0 * reg, 1e-4)
         else:
@@ -529,7 +571,8 @@ def conditional_rdp(query: RdpQuery) -> RdpResult:
     converged = bool(best.dist <= pr.d_budget + _CONSTRAINT_TOL
                      and best.perc <= pr.p_budget + _CONSTRAINT_TOL and abs(gap) <= GAP_TOL)
     _log.debug("conditional_rdp: %s dual, %d outer iterations, %d inner Newton steps, "
-               "gap %.3g bits", path, outer, dual.steps, gap)
+               "%d dual points, %d Hessians, gap %.3g bits", path, outer, dual.steps,
+               dual.points, dual.hessians, gap)
     return _to_result(pr, best.q, best.rate, best.dist, best.perc, lam=float(best.theta[0]),
                       gap=gap, converged=converged, iterations=dual.steps)
 

@@ -4,7 +4,9 @@ Kept deliberately separate from the library: a textbook alternating-
 minimization rate-distortion solver (no perception) with multiplier
 bisection, plus closed-form helpers, checks the main solver through a
 different code path; the exhaustive grid oracle searches test channels and
-shares only the solver's problem setup and metrics. Entropy and
+shares only the solver's problem setup and metrics (it sums each w's table
+of row choices, then rescores the channels near the best as a plain scan
+of the whole grid would). Entropy and
 conditional mutual information by their defining sums check the library's
 mutual information. The codec's encoder scans and the greedy seed map are
 checked against plain one-item-at-a-time loops kept here, and its exact
@@ -45,6 +47,7 @@ from gwrdp.solver import (DistortionMatrix, InfeasibleError, PerceptionMeasure, 
                           _build_problem, _metrics, _perception_of, _to_result, hamming)
 
 _GRID_CHUNK = 200_000  # grid channels brute_force_rdp scores at once
+_GRID_SLACK = 1e-9  # how far a channel's summed scores may sit from its own
 
 
 def entropy(p) -> float:
@@ -155,13 +158,55 @@ def _simplex_grid(k: int, steps: int) -> np.ndarray:
     return np.asarray(out, dtype=np.float64) / total
 
 
+def _grid_scores(q_xw: np.ndarray, delta: np.ndarray, q: np.ndarray):
+    """Distortion, reconstruction marginal and rate of channels q, shape
+    (b, X, W, H), on the joint q_xw (X, W)."""
+    joint = q_xw[None, :, :, None] * q
+    dist = np.einsum("bxwh,xh->b", joint, delta)
+    m = joint.sum(axis=(1, 2))
+    r = joint.sum(axis=1)  # (b, w, h) = q_w * per-w output marginal
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_cond = r / np.maximum(q_xw.sum(axis=0)[None, :, None], 1e-300)
+        ratio = np.log2(np.where(joint > 0, q / np.maximum(r_cond[:, None], 1e-300), 1.0))
+    return dist, m, np.sum(joint * ratio, axis=(1, 2, 3))
+
+
+def _grid_perception(pr, m: np.ndarray) -> np.ndarray:
+    if pr.perception.kind == "tv" and m.shape[1] == pr.p_x.size:
+        return np.abs(m - pr.p_x[None, :]).sum(axis=1)
+    return np.array([_perception_of(pr, mi) for mi in m])
+
+
+def _w_table(pr, rows: np.ndarray, w: int):
+    """Every grid choice of w's rows: its share of the enumeration index,
+    and its distortion, marginal and rate terms."""
+    n_x, n_w = pr.q_xw.shape
+    n_rowpts = rows.shape[0]
+    digits = np.indices((n_rowpts,) * n_x).reshape(n_x, -1)  # x = 0 most significant
+    place = np.array([n_rowpts ** (n_x * n_w - 1 - (x * n_w + w)) for x in range(n_x)],
+                     dtype=np.int64) @ digits
+    parts = [_grid_scores(pr.q_xw[:, [w]], pr.delta,
+                          rows[digits[:, s:s + _GRID_CHUNK].T][:, :, None])
+             for s in range(0, digits.shape[1], _GRID_CHUNK)]
+    return (place, *(np.concatenate(part) for part in zip(*parts)))
+
+
 def brute_force_rdp(query: RdpQuery, grid_steps: int, *,
                     max_free_params: int = 6) -> RdpResult:
     """Exhaustive grid search over test channels; oracle use only.
 
     Each (x, w) row of the channel ranges over a simplex grid of the given
     resolution; the best feasible grid point is returned. Deterministic:
-    ties break toward the smallest enumeration index.
+    ties break toward the smallest enumeration index, and a later chunk of
+    _GRID_CHUNK indices wins only by more than 1e-15 bits.
+
+    Distortion, rate and the reconstruction marginal add over w, so every
+    channel is first scored by joining each w's table of row choices.
+    Those sums round differently from the channel's own scores, so only the
+    channels within _GRID_SLACK of feasible and of the best surely feasible
+    rate are scored again, chunk by chunk as a whole grid scan would; the
+    choice depends only on channels within 1e-15 bits per chunk of the
+    minimum.
     """
     pr = _build_problem(query)
     n_x, n_w = pr.q_xw.shape
@@ -174,13 +219,33 @@ def brute_force_rdp(query: RdpQuery, grid_steps: int, *,
     rows = _simplex_grid(n_h, grid_steps)
     n_rowpts = rows.shape[0]
     total = n_rowpts ** n_rows
-    q_w = pr.q_xw.sum(axis=0)
+    d_cap, p_cap = pr.d_budget + 1e-12, pr.p_budget + 1e-12
+
+    tables = [_w_table(pr, rows, w) for w in range(n_w)]
+    rest = (np.zeros(1, dtype=np.int64), np.zeros(1), np.zeros((1, n_h)), np.zeros(1))
+    for table in tables[1:]:
+        rest = tuple((a[:, None] + b[None]).reshape((-1,) + a.shape[1:])
+                     for a, b in zip(rest, table))
+    top, kept, kept_rate = math.inf, np.zeros(0, dtype=np.int64), np.zeros(0)
+    step = max(1, _GRID_CHUNK // rest[0].size)
+    for s in range(0, tables[0][0].size, step):
+        place, dist, m, rate = ((a[s:s + step, None] + b[None]).reshape((-1,) + a.shape[1:])
+                                for a, b in zip(tables[0], rest))
+        perc = _grid_perception(pr, m) if math.isfinite(pr.p_budget) else np.zeros(rate.size)
+        sure = (dist <= d_cap - _GRID_SLACK) & (perc <= p_cap - _GRID_SLACK)
+        top = min(top, float(rate[sure].min(initial=math.inf)))
+        near = ((dist <= d_cap + _GRID_SLACK) & (perc <= p_cap + _GRID_SLACK)
+                & (rate <= top + _GRID_SLACK))
+        old = kept_rate <= top + _GRID_SLACK
+        kept, kept_rate = (np.concatenate([kept[old], place[near]]),
+                           np.concatenate([kept_rate[old], rate[near]]))
 
     best_rate = math.inf
     best_q = None
-
-    for start in range(0, total, _GRID_CHUNK):
-        idx = np.arange(start, min(start + _GRID_CHUNK, total), dtype=np.int64)
+    kept = np.sort(kept)
+    chunk = kept // _GRID_CHUNK
+    for c in np.unique(chunk):
+        idx = kept[chunk == c]
         # decode per-row grid indices (mixed radix, row 0 most significant)
         q = np.empty((idx.size, n_rows, n_h))
         rem = idx.copy()
@@ -188,21 +253,9 @@ def brute_force_rdp(query: RdpQuery, grid_steps: int, *,
             q[:, row, :] = rows[rem % n_rowpts]
             rem //= n_rowpts
         q = q.reshape(idx.size, n_x, n_w, n_h)
-
-        joint = pr.q_xw[None, :, :, None] * q
-        dist = np.einsum("bxwh,xh->b", joint, pr.delta)
-        m = joint.sum(axis=(1, 2))
-        if pr.perception.kind == "tv" and n_h == n_x:
-            perc = np.abs(m - pr.p_x[None, :]).sum(axis=1)
-        else:
-            perc = np.array([_perception_of(pr, mi) for mi in m])
-        r = joint.sum(axis=1)  # (b, w, h) = q_w * per-w output marginal
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r_cond = r / np.maximum(q_w[None, :, None], 1e-300)
-            ratio = np.log2(np.where(joint > 0, q / np.maximum(r_cond[:, None], 1e-300), 1.0))
-        rate = np.sum(joint * ratio, axis=(1, 2, 3))
-
-        feasible = (dist <= pr.d_budget + 1e-12) & (perc <= pr.p_budget + 1e-12)
+        dist, m, rate = _grid_scores(pr.q_xw, pr.delta, q)
+        perc = _grid_perception(pr, m)
+        feasible = (dist <= d_cap) & (perc <= p_cap)
         if np.any(feasible):
             sub = np.where(feasible)[0]
             k = sub[np.argmin(rate[sub])]

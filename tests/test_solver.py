@@ -1,6 +1,8 @@
+import dataclasses
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -360,6 +362,77 @@ class TestStressSet:
                 assert res.achieved_distortion <= query.d_budget + 1e-6, where
                 assert res.achieved_perception <= query.p_budget + 1e-6, where
                 assert abs(res.gap) <= 1e-6, where
+
+
+def perception_active_queries():
+    """The benchmark's four rdp-active queries: the ternary source under TV
+    and KL, the 5x4 conditional source, and the binary |W| = 2 source at
+    seed 0."""
+    rng = np.random.default_rng(0)
+    a, b = rng.uniform(0.200, 0.205), rng.uniform(0.600, 0.605)
+    q54 = JointPmf(np.random.default_rng(0).dirichlet(np.ones(20)).reshape(5, 4), ("X", "W"))
+    return [source_query([0.5, 0.3, 0.2], TV, 0.2, 0.1),
+            source_query([0.5, 0.3, 0.2], KL, 0.2, 0.01),
+            RdpQuery(q54, DistortionMatrix(hamming(5)), TV, 0.2, 0.1),
+            RdpQuery(JointPmf(0.5 * np.array([[1 - a, 1 - b], [a, b]]), ("X", "W")),
+                     HAM2, TV, 0.1, 0.02)]
+
+
+def solved_fields(queries) -> list:
+    """Every field of each query's result, the channel as its bytes; an
+    infeasible query gives its error message."""
+    out = []
+    for query in queries:
+        try:
+            res = conditional_rdp(query)
+        except InfeasibleError as exc:
+            out.append(str(exc))
+            continue
+        out.append([res.test_channel.probs.tobytes() if f.name == "test_channel"
+                    else repr(getattr(res, f.name)) for f in dataclasses.fields(res)])
+    return out
+
+
+class TestLazyDualPoints:
+    """A dual point forms its channel, Blahut bound, metrics and Hessian
+    only when the outer loop reads them, from the inner solutions it keeps."""
+
+    @pytest.mark.parametrize("queries", [
+        lambda: rdp_stress_queries(7, 40), lambda: rdp_stress_queries(8, 40),
+        perception_active_queries], ids=["stress-7", "stress-8", "rdp-active"])
+    def test_reading_every_field_at_once_changes_nothing(self, monkeypatch, queries):
+        queries = queries()
+        lazy = solved_fields(queries)
+        point = solver_module._Dual.point
+
+        def eager(self, theta):
+            pt = point(self, theta)
+            for name in ("g_low", "q", "metrics", "grad", "hess"):
+                getattr(pt, name)
+            return pt
+
+        monkeypatch.setattr(solver_module._Dual, "point", eager)
+        assert solved_fields(queries) == lazy
+
+    def test_hessians_only_where_the_outer_loop_steps(self, monkeypatch, caplog):
+        # every _maximize call ends on a point whose Hessian it never reads,
+        # and rejected trials need none either
+        calls = []
+        maximize = solver_module._maximize
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return maximize(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "_maximize", counted)
+        with caplog.at_level(logging.DEBUG, logger="gwrdp.solver"):
+            conditional_rdp(source_query([0.5, 0.3, 0.2], TV, 0.2, 0.1))
+        (record,) = [r for r in caplog.records if r.name == "gwrdp.solver"]
+        found = re.search(r"(\d+) dual points, (\d+) Hessians", record.getMessage())
+        points, hessians = int(found[1]), int(found[2])
+        assert calls
+        assert hessians < points
+        assert hessians <= points - len(calls)
 
 
 class TestClassicalReduction:
