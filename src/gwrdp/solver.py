@@ -18,10 +18,12 @@ channel, Blahut bound, metrics and Hessian only where the outer loop reads
 them: a rejected trial step needs none, and the point where a search ends
 no Hessian. A log barrier keeps lam > 0; TV's sigma(nu) = nu.P_X +
 (P/2)(max nu - min nu) is smoothed by tau-weighted log-sum-exp; KL's
-sigma(nu) = -2^-P prod_h (-nu_h)^P_X(h) is smooth. tau falls tenfold
-whenever the gradient is below it; stationary points of the smoothed
-dual give channels within both budgets. nu joins only when the
-perception-free solution misses P.
+sigma(nu) = -2^-P prod_h (-nu_h)^P_X(h) is smooth. tau falls whenever
+the gradient is below it: tenfold once nu is free, and to min(tau/10,
+tau^1.5) on the perception-free phase, whose Newton steps land on each new
+centre at once. That phase keeps only channels with E d <= D exactly, as
+its centres have E d = D - tau/lam; the perception phase allows
+_CONSTRAINT_TOL. nu joins only when the perception-free solution misses P.
 
 Every dual point certifies a lower bound: Blahut's bound f(r) - log2
 max_h c_h on each inner minimum (Blahut, IEEE T-IT 1972; Csiszar, IEEE
@@ -30,7 +32,7 @@ minus the best bound; ``converged`` means its channel meets both budgets
 with |gap| at most GAP_TOL bits (below -GAP_TOL, the budget slack bought a
 rate under the certified bound). The solver draws no random numbers; one
 DEBUG record per solve gives its path, outer steps, inner Newton steps,
-dual points formed and Hessians formed.
+dual points formed, Hessians formed and each phase's tau levels and last tau.
 
 Rates are in bits throughout.
 """
@@ -412,10 +414,11 @@ def _maximize(dual: _Dual, theta: np.ndarray, free: np.ndarray, sign: np.ndarray
     theta[free] (``sign`` +1 / -1 keeps a coordinate positive / negative)
     until the best channel within the budgets is at most _GAP_AIM above
     the best bound G_low - lam D - sigma. Returns that channel's point (or
-    the last), the bound and the number of outer steps.
+    the last), the bound, the number of outer steps and (tau levels, last tau).
     """
     pr = dual.pr
-    tau, reg = 0.1, 0.0
+    tau, reg, levels = 0.1, 0.0, 1
+    slack = _CONSTRAINT_TOL if terms else 0.0  # the free phase's centres lie inside D
 
     def smoothed(th: np.ndarray):
         val, grad, hess = (terms(th, tau) if terms else
@@ -431,7 +434,7 @@ def _maximize(dual: _Dual, theta: np.ndarray, free: np.ndarray, sign: np.ndarray
     while True:
         bound = max(bound, pt.g_low - pt.theta[0] * pr.d_budget
                     - (sigma(pt.theta) if sigma else 0.0))
-        if (pt.dist <= pr.d_budget + _CONSTRAINT_TOL and pt.perc <= p_budget + _CONSTRAINT_TOL
+        if (pt.dist <= pr.d_budget + slack and pt.perc <= p_budget + _CONSTRAINT_TOL
                 and (best is None or pt.rate < best.rate)):
             best = pt
         if ((best is not None and best.rate - bound <= _GAP_AIM) or dual.steps >= dual.cap
@@ -442,7 +445,10 @@ def _maximize(dual: _Dual, theta: np.ndarray, free: np.ndarray, sign: np.ndarray
         if np.abs(grad).max() <= tau:
             if tau < 1e-13:
                 break
-            tau, here = tau * 0.1, None
+            # a free-phase Newton step lands on the next centre at once, so
+            # tau falls superlinearly there, never past the stop's 1e-14
+            tau = tau * 0.1 if terms else max(min(tau * 0.1, tau ** 1.5), 1e-14)
+            here, levels = None, levels + 1
             continue
         hess = -(pt.hess + hess)[np.ix_(free, free)]
         hess += 1e-12 * max(1.0, float(np.diag(hess).max())) * np.eye(grad.size)
@@ -469,7 +475,7 @@ def _maximize(dual: _Dual, theta: np.ndarray, free: np.ndarray, sign: np.ndarray
         reg = reg / 10.0 if reg > 1e-4 else 0.0
         pt = trial
         outer += 1
-    return best or pt, bound, outer
+    return best or pt, bound, outer, (levels, tau)
 
 
 def _perception_dual(pr: _Problem, theta: np.ndarray):
@@ -524,12 +530,12 @@ def _perception_dual(pr: _Problem, theta: np.ndarray):
 def conditional_rdp(query: RdpQuery) -> RdpResult:
     """Solve the conditional RDP minimization for one query.
 
-    Returns the best test channel found within both budgets (up to
-    _CONSTRAINT_TOL) with its certified gap (see the module docstring);
-    _MAX_INNER caps the inner Newton steps. Raises InfeasibleError when no
-    channel can meet the perception budget: a finite KL budget, or a TV
-    budget below twice P_X's mass, on source symbols past the last
-    reconstruction symbol.
+    Returns the best test channel found within both budgets (the
+    perception phase allows _CONSTRAINT_TOL) with its certified gap (see
+    the module docstring); _MAX_INNER caps the inner Newton steps. Raises
+    InfeasibleError when no channel can meet the perception budget: a
+    finite KL budget, or a TV budget below twice P_X's mass, on source
+    symbols past the last reconstruction symbol.
     """
     pr = _build_problem(query)
 
@@ -557,22 +563,25 @@ def conditional_rdp(query: RdpQuery) -> RdpResult:
     dual = _Dual(pr, _MAX_INNER)
     lam = np.zeros(1 + pr.delta.shape[1], dtype=bool)
     lam[0] = pr.d_budget > 1e-15
-    best, outer, path = None, 0, "free"
+    best, outer, path, phases = None, 0, "free", []
     if dist0 > pr.d_budget:
-        best, bound, outer = _maximize(dual, lam * 1.0, lam, lam * 1.0, math.inf)
+        best, bound, outer, taus = _maximize(dual, lam * 1.0, lam, lam * 1.0, math.inf)
+        phases.append(("free", *taus))
     if math.isfinite(pr.p_budget) and (best is None or best.perc > pr.p_budget + _CONSTRAINT_TOL):
         path = "perception"
         free, sign, terms, sigma, theta = _perception_dual(pr, lam * 1.0 if best is None
                                                            else best.theta)
-        best, bound, more = _maximize(dual, theta, free | lam, sign + lam, pr.p_budget,
-                                      terms, sigma)
+        best, bound, more, taus = _maximize(dual, theta, free | lam, sign + lam, pr.p_budget,
+                                            terms, sigma)
         outer += more
+        phases.append(("perception", *taus))
     gap = float(best.rate - bound)
     converged = bool(best.dist <= pr.d_budget + _CONSTRAINT_TOL
                      and best.perc <= pr.p_budget + _CONSTRAINT_TOL and abs(gap) <= GAP_TOL)
     _log.debug("conditional_rdp: %s dual, %d outer iterations, %d inner Newton steps, "
-               "%d dual points, %d Hessians, gap %.3g bits", path, outer, dual.steps,
-               dual.points, dual.hessians, gap)
+               "%d dual points, %d Hessians, gap %.3g bits%s", path, outer, dual.steps,
+               dual.points, dual.hessians, gap,
+               "".join(f"; {name} phase {n} tau levels to {t:.2g}" for name, n, t in phases))
     return _to_result(pr, best.q, best.rate, best.dist, best.perc, lam=float(best.theta[0]),
                       gap=gap, converged=converged, iterations=dual.steps)
 

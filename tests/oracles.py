@@ -27,11 +27,16 @@ sampler given a constant conditioning row, and
 ``sample_uniform_cond_typical_uncached`` is that sampler without its
 cached band and type tables, against which the cached one is checked. ``rdp_stress_queries`` is the
 seeded stress set of conditional RDP queries, so a query it names can be
-replayed from its seed and index.
+replayed from its seed and index; ``stress_summary`` solves a slice of it
+and gives the converged and raised counts and a SHA-256 over every result.
+Over the whole set, run from the repository root:
+``PYTHONPATH=src:tests python -c "from oracles import stress_summary;
+print(stress_summary((7, 8), 300))"``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import math
 from dataclasses import dataclass
@@ -44,7 +49,8 @@ from gwrdp.prob import JointPmf, Kernel
 from gwrdp.region import (_SWEEPS, AuxChannel, RegionProblem, _dirichlet_aux, _Solves, _w_size,
                           rate_triple_for_aux)
 from gwrdp.solver import (DistortionMatrix, InfeasibleError, PerceptionMeasure, RdpQuery, RdpResult,
-                          _build_problem, _metrics, _perception_of, _to_result, hamming)
+                          _build_problem, _metrics, _perception_of, _to_result, conditional_rdp,
+                          hamming)
 
 _GRID_CHUNK = 200_000  # grid channels brute_force_rdp scores at once
 _GRID_SLACK = 1e-9  # how far a channel's summed scores may sit from its own
@@ -307,6 +313,29 @@ def rdp_stress_queries(seed: int, count: int) -> list[RdpQuery]:
         out.append(RdpQuery(JointPmf(q_xw, ("X", "W")), DistortionMatrix(delta),
                             PerceptionMeasure(kind), d, p))
     return out
+
+
+def stress_summary(seeds, count: int) -> tuple[int, int, str]:
+    """(converged, raised, SHA-256 hex digest) over the first ``count``
+    stress queries at each seed in turn. The digest takes each result's
+    rate, gap, ``converged``, iterations, lambda, achieved distortion and
+    perception as reprs, then its channel's bytes, or the message of the
+    InfeasibleError it raised: it shows a solver change to be byte-identical
+    or not, and the counts how many queries it closes."""
+    digest, converged, raised = hashlib.sha256(), 0, 0
+    for seed in seeds:
+        for query in rdp_stress_queries(seed, count):
+            try:
+                res = conditional_rdp(query)
+            except InfeasibleError as exc:
+                raised += 1
+                digest.update(str(exc).encode())
+                continue
+            converged += res.converged
+            digest.update(repr((res.rate, res.gap, res.converged, res.iterations, res.lam,
+                                res.achieved_distortion, res.achieved_perception)).encode())
+            digest.update(res.test_channel.probs.tobytes())
+    return converged, raised, digest.hexdigest()
 
 
 def hamming_tv_problem(p_xy) -> RegionProblem:

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -465,3 +466,18 @@ class TestAnchors:
             want = RegionFrontier(region._sorted_points(pareto_filter(points)), seed=0,
                                   strategy="local", n_evaluated=5)
             assert fr.to_dict() == want.to_dict()
+
+
+class TestFreePhaseWork:
+    """region-local's frontier solves only perception-free queries, whose
+    barrier weight falls superlinearly: its 38 solves form at most 260 dual
+    points (337 with a tenfold drop per level)."""
+
+    def test_region_local_dual_points(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="gwrdp.solver")
+        compute_frontier(PROBLEM, BUDGETS, w_size=2, **LOCAL_SEARCH)
+        messages = [r.getMessage() for r in caplog.records if r.name == "gwrdp.solver"]
+        assert len(messages) == 38
+        # a rate-0 channel forms no dual point
+        points = [int(n) for m in messages for n in re.findall(r"(\d+) dual points", m)]
+        assert sum(points) <= 260

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import logging
 import math
 import os
@@ -25,7 +26,7 @@ from gwrdp.solver import (
 )
 
 from oracles import (brute_force_rdp, conditional_mutual_information, h2, kkt_block,
-                     rd_function, rdp_stress_queries)
+                     rd_function, rdp_stress_queries, stress_summary)
 
 HAM2 = DistortionMatrix(hamming(2))
 TV = PerceptionMeasure("tv")
@@ -363,6 +364,24 @@ class TestStressSet:
                 assert res.achieved_perception <= query.p_budget + 1e-6, where
                 assert abs(res.gap) <= 1e-6, where
 
+    def test_summary_is_deterministic_and_per_query(self):
+        summary = stress_summary((7,), 10)
+        assert stress_summary((7,), 10) == summary
+        converged, raised, digest = 0, 0, hashlib.sha256()
+        for query in rdp_stress_queries(7, 10):
+            try:
+                res = conditional_rdp(query)
+            except InfeasibleError as exc:
+                raised += 1
+                digest.update(str(exc).encode())
+                continue
+            converged += res.converged
+            digest.update(repr((res.rate, res.gap, res.converged, res.iterations, res.lam,
+                                res.achieved_distortion, res.achieved_perception)).encode())
+            digest.update(res.test_channel.probs.tobytes())
+        assert summary == (converged, raised, digest.hexdigest())
+        assert stress_summary((7,), 9)[2] != summary[2]
+
 
 def perception_active_queries():
     """The benchmark's four rdp-active queries: the ternary source under TV
@@ -433,6 +452,41 @@ class TestLazyDualPoints:
         assert calls
         assert hessians < points
         assert hessians <= points - len(calls)
+
+
+class TestFreePhase:
+    """The perception-free dual returns only channels inside D: the
+    barrier's centres satisfy E d = D - tau / lam, so a converged rate sits
+    above the closed form by no more than its certified gap."""
+
+    def test_binary_hamming_closed_form_and_stress_set(self):
+        # log-uniform D reaches the small budgets where lam is steep
+        rng = np.random.default_rng(29)
+        for i in range(20):
+            p0 = float(rng.uniform(0.05, 0.5))
+            d = float(np.exp(rng.uniform(math.log(0.002), math.log(0.95 * p0))))
+            res = conditional_rdp(point_query(p0, d, math.inf))
+            where = f"source {i}: p {p0}, D {d}"
+            assert res.converged, where
+            assert res.achieved_distortion <= d, where
+            # the certified bound meets R(D) here, up to rounding
+            assert 0.0 <= res.rate - (h2(p0) - h2(d)) <= res.gap + 1e-12, where
+            assert res.gap <= 1e-8, where
+        for seed in (7, 8):
+            for i, query in enumerate(rdp_stress_queries(seed, 40)):
+                if query.p_budget == math.inf:
+                    res = conditional_rdp(query)
+                    assert not res.converged or res.achieved_distortion <= query.d_budget, (
+                        f"seed {seed} query {i}")
+
+    def test_debug_record_gives_tau_levels(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="gwrdp.solver"):
+            conditional_rdp(source_query([0.5, 0.3, 0.2], TV, 0.2, 0.1))
+        (record,) = [r for r in caplog.records if r.name == "gwrdp.solver"]
+        phases = re.findall(r"; (\w+) phase (\d+) tau levels to ([\d.e+-]+)",
+                            record.getMessage())
+        assert [name for name, _, _ in phases] == ["free", "perception"]
+        assert all(int(n) >= 1 and 0.0 < float(t) <= 0.1 for _, n, t in phases)
 
 
 class TestClassicalReduction:
@@ -518,12 +572,20 @@ class TestInfeasibility:
     """Two reconstruction symbols for three source symbols: no marginal
     carries P_X's 0.3 on the third, so TV is at least 0.6 and KL infinite."""
 
-    FREE_RATE = 0.15936280534333178  # the perception-free optimum, which TV 0.87 reaches
+    # the perception-free optimum, which TV 0.87 reaches: R(D) of the binary
+    # source that merges the two symbols reconstructed as 0
+    FREE_RATE = h2(0.3) - h2(0.2)
 
     @staticmethod
     def query(perception, p):
         return source_query([0.4, 0.3, 0.3], perception, 0.2, p,
                             delta=[[0, 1], [1, 0], [0, 1]])
+
+    def free_rate(self, perception, p):
+        res = conditional_rdp(self.query(perception, p))
+        assert res.converged
+        assert 0.0 <= res.rate - self.FREE_RATE <= res.gap
+        return res.rate
 
     def test_tv_floor_with_missing_support(self):
         with pytest.raises(InfeasibleError, match="cannot go below 0.6"):
@@ -531,12 +593,10 @@ class TestInfeasibility:
         at_floor = conditional_rdp(self.query(TV, 0.6))
         assert at_floor.converged
         assert at_floor.rate == pytest.approx(0.19163120500974534, abs=1e-12)
-        assert conditional_rdp(self.query(TV, 1.0)).rate == pytest.approx(self.FREE_RATE, abs=1e-12)
+        assert self.free_rate(TV, 1.0) == pytest.approx(self.free_rate(TV, math.inf), abs=1e-12)
 
     def test_kl_with_missing_support(self):
         with pytest.raises(InfeasibleError, match="KL perception is infinite"):
             conditional_rdp(self.query(KL, 0.5))
-        for perception in (KL, TV):
-            free = conditional_rdp(self.query(perception, math.inf))
-            assert free.converged
-            assert free.rate == pytest.approx(self.FREE_RATE, abs=1e-12)
+        assert self.free_rate(KL, math.inf) == pytest.approx(self.free_rate(TV, math.inf),
+                                                             abs=1e-12)
