@@ -15,15 +15,21 @@ exact and not searched: W = X̂ and W = Ŷ reach a*R_X and a*R_Y.
 A scalarized search reads only the terms its weights do not zero: a trial
 channel costs I(X,Y;W) for a common-rate weight and one branch solve per
 private-rate weight, and the full triple is built once, for the best
-channel found. ``rate_triple_for_aux`` and ``scalarized_search`` are the one
+channel found. A trial whose certified lower bound cannot beat the
+incumbent is not solved: the bound takes I(X,Y;W), memoized rates, and, per
+branch left, Blahut's bound at one dual point of the incumbent's multiplier,
+which lies below every rate the solver returns within its budgets. So the
+search accepts the same trials as when it solves them all, and frontiers
+keep their bytes. ``rate_triple_for_aux`` and ``scalarized_search`` are the one
 path for a triple and a search. Searches repeat branch queries (each starts
 from the independent corner; a symmetric source makes the X and Y queries
 coincide), so they and ``compute_frontier`` take the caller's exact memo of
 solver results, keyed on every input of the query, as ``solves``, or start
 an empty one; no result depends on it. ``compute_frontier`` shares the memo
 across its searches, serial grid and anchors; each pool job starts its own.
-Objective evaluation, triple, lookup, solve and hit counts go to the
-``gwrdp.region`` logger at DEBUG, never into the exported files.
+Objective evaluation, triple, lookup, solve, hit, trial-bound and pruned-trial
+counts go to the ``gwrdp.region`` logger at DEBUG, never into the exported
+files.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .solver import (
     PerceptionMeasure,
     RdpQuery,
     RdpResult,
+    _rate_bound,
     conditional_rdp,
 )
 
@@ -164,14 +171,20 @@ class _Solves(dict):
     evaluations = 0  # scalarized-search objective evaluations
     triples = 0
     lookups = 0
+    bounds = 0  # certified rate bounds formed for search trials
+    pruned = 0  # search trials whose bound showed they cannot improve
+
+
+def _key(query: RdpQuery) -> tuple:
+    # DistortionMatrix compares by identity, so key on its values
+    q, d = query.q_xw.probs, query.delta.values
+    return (q.shape, q.tobytes(), d.shape, d.tobytes(), query.perception,
+            query.d_budget, query.p_budget)
 
 
 def _solve(query: RdpQuery, solves: _Solves) -> RdpResult:
-    # DistortionMatrix compares by identity, so key on its values; RdpResult
-    # is frozen and its kernel read-only, so a hit can share the object
-    q, d = query.q_xw.probs, query.delta.values
-    key = (q.shape, q.tobytes(), d.shape, d.tobytes(), query.perception,
-           query.d_budget, query.p_budget)
+    # RdpResult is frozen and its kernel read-only, so a hit can share the object
+    key = _key(query)
     solves.lookups += 1
     res = solves.get(key)
     if res is None:
@@ -185,13 +198,18 @@ def _common_rate(q_xyw: JointPmf) -> float:
     return mutual_information(JointPmf(q_xyw.probs.reshape(nx * ny, w), ("XY", "W")))
 
 
-def _branch(problem: RegionProblem, budgets: Budgets, q_xyw: JointPmf, b: int,
-            solves: _Solves) -> RdpResult:
-    """The conditional RDP solve of branch ``b`` (0: X, 1: Y) given W."""
+def _query(problem: RegionProblem, budgets: Budgets, q_xyw: JointPmf, b: int) -> RdpQuery:
+    """The conditional RDP query of branch ``b`` (0: X, 1: Y) given W."""
     delta, perception, d, p = ((problem.delta_x, problem.perception_x, budgets.d1, budgets.p1)
                                if b == 0 else
                                (problem.delta_y, problem.perception_y, budgets.d2, budgets.p2))
-    return _solve(RdpQuery(q_xyw.marginal("XY"[b], "W"), delta, perception, d, p), solves)
+    return RdpQuery(q_xyw.marginal("XY"[b], "W"), delta, perception, d, p)
+
+
+def _branch(problem: RegionProblem, budgets: Budgets, q_xyw: JointPmf, b: int,
+            solves: _Solves) -> RdpResult:
+    """The conditional RDP solve of branch ``b`` (0: X, 1: Y) given W."""
+    return _solve(_query(problem, budgets, q_xyw, b), solves)
 
 
 def rate_triple_for_aux(problem: RegionProblem, aux: AuxChannel, budgets: Budgets,
@@ -337,9 +355,11 @@ def compute_frontier(problem: RegionProblem, budgets: Budgets, *,
                                       solves) for b in anchored)
 
     _log.debug("frontier: %d candidates, %d not converged; in this process %d objective "
-               "evaluations, %d triples, %d lookups, %d solver calls, %d cache hits",
+               "evaluations, %d triples, %d lookups, %d solver calls, %d cache hits, "
+               "%d trial bounds, %d trials pruned",
                len(points), sum(not p.converged for p in points), solves.evaluations,
-               solves.triples, solves.lookups, len(solves), solves.lookups - len(solves))
+               solves.triples, solves.lookups, len(solves), solves.lookups - len(solves),
+               solves.bounds, solves.pruned)
     frontier = _sorted_points(pareto_filter(points))
     return RegionFrontier(points=frontier, seed=seed, strategy=strategy,
                           n_evaluated=len(points))
@@ -356,12 +376,19 @@ def scalarized_search(problem: RegionProblem, budgets: Budgets,
     draws; the best restart wins. A local minimizer only. A trial channel
     is scored by the terms whose weight is non-zero alone, so a zero weight
     skips I(X,Y;W) or that branch's solve; the full triple is built once,
-    for the best channel. ``solves`` is the caller's memo of branch solves
-    (an empty one by default); no result depends on it. Raises
-    ``ValueError`` for restarts < 1.
+    for the best channel. A trial is not solved when a certified lower
+    bound on its score cannot beat the incumbent's: w0*I(X,Y;W) plus, per
+    weighted branch not in the memo, Blahut's bound at the incumbent's
+    multiplier less its D + _CONSTRAINT_TOL term. Every rate the solver
+    returns within its budgets lies above that bound, so the search returns
+    what it would by solving every trial. ``solves`` is the caller's memo of
+    branch solves (an empty one by default); no result depends on it.
+    Raises ``ValueError`` for non-finite, negative or all-zero weights, and
+    for restarts < 1.
     """
-    if any(wt < 0 for wt in weights) or all(wt == 0 for wt in weights):
-        raise ValueError("weights must be nonnegative and not all zero")
+    if (not all(math.isfinite(wt) and wt >= 0 for wt in weights)
+            or all(wt == 0 for wt in weights)):
+        raise ValueError(f"weights must be finite, nonnegative and not all zero, got {weights}")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     solves = _Solves() if solves is None else solves
@@ -369,30 +396,48 @@ def scalarized_search(problem: RegionProblem, budgets: Budgets,
     w = _w_size(problem, w_size)
     rng = np.random.default_rng(seed)
 
-    def objective(aux: AuxChannel) -> tuple[float, AuxChannel]:
-        # w0*r0 + w1*r1 + w2*r2 to the last bit: a zero weight times a
-        # finite rate adds exactly 0
+    def objective(aux: AuxChannel, incumbent=None):
+        """(w0*r0 + w1*r1 + w2*r2, aux, branch results) to the last bit: a
+        zero weight times a finite rate adds exactly 0. None when the trial's
+        bound shows it cannot go below the ``incumbent``'s value - 1e-9."""
         solves.evaluations += 1
         q_xyw = problem.p_xy.extend(aux.kernel, "W")
         val = 0.0
         if weights[0]:
             val += weights[0] * _common_rate(q_xyw)
-        for b in (0, 1):
-            if weights[1 + b]:
-                val += weights[1 + b] * _branch(problem, budgets, q_xyw, b, solves).rate
-        return val, aux
+        queries = [_query(problem, budgets, q_xyw, b) if weights[1 + b] else None
+                   for b in (0, 1)]
+        known = [None if query is None else solves.get(_key(query)) for query in queries]
+        if incumbent is not None and any(query is not None and res is None
+                                         for query, res in zip(queries, known)):
+            low = val
+            for b, (query, res) in enumerate(zip(queries, known)):
+                if res is not None:
+                    low += weights[1 + b] * res.rate
+                elif query is not None:  # rates are nonnegative: so is the bound
+                    solves.bounds += 1
+                    low += weights[1 + b] * max(_rate_bound(query, incumbent[2][b].lam), 0.0)
+            # the 1e-12 covers the rounding of the bound and of the rates
+            if low >= incumbent[0] - 1e-9 + 1e-12 * (1.0 + low):
+                solves.pruned += 1
+                return None
+        results = [None if query is None else _solve(query, solves) for query in queries]
+        for b, res in enumerate(results):
+            if res is not None:
+                val += weights[1 + b] * res.rate
+        return val, aux, results
 
     starts = [AuxChannel.independent(nx, ny)]
     for _ in range(restarts - 1):
         starts.append(_dirichlet_aux(rng, nx, ny, w))
 
-    best_val, best_aux = math.inf, None
+    best = None
     for aux in starts:
         rows = np.array(aux.kernel.probs, dtype=np.float64)
         if rows.shape[2] < w:  # pad the independent corner up to w symbols
             pad = np.zeros((nx, ny, w - rows.shape[2]))
             rows = np.concatenate([rows, pad], axis=2)
-        val, cur = objective(AuxChannel(Kernel(rows)))
+        cur = objective(AuxChannel(Kernel(rows)))
         for _ in range(_SWEEPS):
             improved = False
             for ix in range(nx):
@@ -403,13 +448,13 @@ def scalarized_search(problem: RegionProblem, budgets: Budgets,
                             target = np.zeros(w)
                             target[vertex] = 1.0
                             trial[ix, iy] = (1 - step) * trial[ix, iy] + step * target
-                            tval, taux = objective(AuxChannel(Kernel(trial)))
-                            if tval < val - 1e-9:
-                                rows, val, cur = trial, tval, taux
+                            scored = objective(AuxChannel(Kernel(trial)), cur)
+                            if scored is not None and scored[0] < cur[0] - 1e-9:
+                                rows, cur = trial, scored
                                 improved = True
                                 break
             if not improved:
                 break
-        if val < best_val:
-            best_val, best_aux = val, cur
-    return rate_triple_for_aux(problem, best_aux, budgets, solves)
+        if best is None or cur[0] < best[0]:
+            best = cur
+    return rate_triple_for_aux(problem, best[1], budgets, solves)

@@ -586,6 +586,18 @@ def conditional_rdp(query: RdpQuery) -> RdpResult:
                       gap=gap, converged=converged, iterations=dual.steps)
 
 
+def _rate_bound(query: RdpQuery, lam: float) -> float:
+    """For any lam >= 0, a lower bound on the rate of every channel on the
+    solver's support (zero-distortion cells only at D = 0) with E d <= D +
+    _CONSTRAINT_TOL, so on every rate conditional_rdp returns within its
+    budgets: Blahut's bound on G(lam, 0) at one dual point, less lam (D +
+    _CONSTRAINT_TOL), by weak duality; nu = 0 drops the perception term."""
+    pr = _build_problem(query)
+    theta = np.zeros(1 + pr.delta.shape[1])
+    theta[0] = lam
+    return _Dual(pr, _MAX_INNER).point(theta).g_low - lam * (pr.d_budget + _CONSTRAINT_TOL)
+
+
 def _to_result(pr: _Problem, q: np.ndarray, rate: float, dist: float, perc: float, *,
                lam: float, gap: float, converged: bool, iterations: int) -> RdpResult:
     return RdpResult(rate=rate, test_channel=Kernel(q), achieved_distortion=dist,

@@ -196,6 +196,14 @@ class TestScalarizedSearch:
         with pytest.raises(ValueError):
             scalarized_search(PROBLEM, BUDGETS, (0.0, 0.0, 0.0), seed=0)
 
+    @pytest.mark.parametrize("weights", [(math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),
+                                         (1.0, math.nan, 0.0)])
+    def test_rejects_non_finite_weights(self, weights):
+        # no start scores below an infinite incumbent with these, so the
+        # search once ended in an AttributeError on its missing best channel
+        with pytest.raises(ValueError, match="weights must be finite"):
+            scalarized_search(PROBLEM, BUDGETS, weights, w_size=2, restarts=1)
+
     def test_rejects_zero_restarts(self):
         with pytest.raises(ValueError, match="restarts must be at least 1, got 0"):
             scalarized_search(PROBLEM, BUDGETS, (1.0, 1.0, 1.0), restarts=0)
@@ -238,7 +246,8 @@ class TestSolveCache:
         assert len(set(keys)) == len(keys)
         counts = [r.args for r in caplog.records if r.name == "gwrdp.region"]
         assert len(counts) == 1
-        n_candidates, n_nonconverged, evaluations, triples, lookups, calls, hits = counts[0]
+        (n_candidates, n_nonconverged, evaluations, triples, lookups, calls, hits, bounds,
+         pruned) = counts[0]
         assert n_candidates == fr.n_evaluated
         assert n_nonconverged == 0
         assert calls == len(solver_calls)
@@ -249,6 +258,8 @@ class TestSolveCache:
         assert triples == 4 + 3
         assert lookups > 2 * triples
         assert evaluations > triples
+        # every pruned trial formed a bound first
+        assert 0 < pruned <= bounds
 
     # a second value of each RdpQuery field, for the memo-key test
     FIELD_VARIANTS = {
@@ -322,20 +333,42 @@ LOCAL_WEIGHTS = [(1.0, 0.0, 0.0), (0.0, 1.0, 1.0), (1.0, 1.0, 1.0), (0.5, 1.0, 0
 
 
 class TestLazySearch:
-    """A search scores trial channels by their weighted terms alone and
-    builds the full triple once; it returns what the search scoring every
-    triple returns."""
-
-    # the benchmark's region-local instance, and TestSolveCache's
-    cases = [(PROBLEM, BUDGETS, 0), (TestSolveCache.problem, TestSolveCache.budgets, 4)]
+    """A search scores trial channels by their weighted terms alone, solves
+    no trial whose certified bound cannot beat the incumbent and builds the
+    full triple once; it returns what the search scoring every triple
+    returns."""
 
     @pytest.mark.parametrize("k, weights", list(enumerate(LOCAL_WEIGHTS)))
-    @pytest.mark.parametrize("case", [0, 1])
+    @pytest.mark.parametrize("case", range(7))
     def test_matches_eager_search(self, case, k, weights):
-        problem, budgets, seed = self.cases[case]
-        search = dict(w_size=2, restarts=1, seed=seed + 1000 * (k + 1))
+        # (problem, budgets, seed, |W|, restarts): the benchmark's region-local
+        # instance; TestSolveCache's; the asymmetric binary pair at TV P = 0.05;
+        # DSBS(0.1) at P = 0, where perception binds, under TV and under KL
+        # (some of its KL solves stay unconverged); the 3x3 source at |W| = 3;
+        # and region-local's instance with two restarts
+        problem, budgets, seed, w, restarts = [
+            (PROBLEM, BUDGETS, 0, 2, 1),
+            (TestSolveCache.problem, TestSolveCache.budgets, 4, 2, 1),
+            (*anchor_problem("binary"), 0, 2, 1),
+            (*anchor_problem("dsbs", "tv", 0.0), 0, 2, 1),
+            (*anchor_problem("dsbs", "kl", 0.0), 0, 2, 1),
+            (*anchor_problem("ternary"), 0, 3, 1),
+            (PROBLEM, BUDGETS, 0, 2, 2)][case]
+        search = dict(w_size=w, restarts=restarts, seed=seed + 1000 * (k + 1))
         lazy = scalarized_search(problem, budgets, weights, **search)
         eager = eager_search(problem, budgets, weights, **search)
+        as_dict = [RegionFrontier((pt,), seed=0, strategy="local", n_evaluated=1).to_dict()
+                   for pt in (lazy, eager)]
+        assert as_dict[0] == as_dict[1]
+
+    def test_an_exact_bound_refuses_only_rejected_trials(self, monkeypatch):
+        # with each trial's own rate as its bound, a search refuses exactly the
+        # trials it would reject; this one accepts a step that gains 8.4e-5
+        # bits, so a looser refusal threshold changes what it returns
+        monkeypatch.setattr(region, "_rate_bound", lambda query, lam: conditional_rdp(query).rate)
+        search = dict(w_size=2, restarts=2, seed=4000)
+        lazy = scalarized_search(PROBLEM, BUDGETS, (0.5, 1.0, 0.0), **search)
+        eager = eager_search(PROBLEM, BUDGETS, (0.5, 1.0, 0.0), **search)
         as_dict = [RegionFrontier((pt,), seed=0, strategy="local", n_evaluated=1).to_dict()
                    for pt in (lazy, eager)]
         assert as_dict[0] == as_dict[1]
@@ -470,14 +503,21 @@ class TestAnchors:
 
 class TestFreePhaseWork:
     """region-local's frontier solves only perception-free queries, whose
-    barrier weight falls superlinearly: its 38 solves form at most 260 dual
-    points (337 with a tenfold drop per level)."""
+    barrier weight falls superlinearly, and its searches solve no trial
+    whose certified bound cannot beat the incumbent: its 10 solves form at
+    most 64 dual points (38 solves and 244 points without the bound, 337
+    points with a tenfold drop per level)."""
 
     def test_region_local_dual_points(self, caplog):
-        caplog.set_level(logging.DEBUG, logger="gwrdp.solver")
+        caplog.set_level(logging.DEBUG, logger="gwrdp")
         compute_frontier(PROBLEM, BUDGETS, w_size=2, **LOCAL_SEARCH)
         messages = [r.getMessage() for r in caplog.records if r.name == "gwrdp.solver"]
-        assert len(messages) == 38
+        assert len(messages) == 10
         # a rate-0 channel forms no dual point
         points = [int(n) for m in messages for n in re.findall(r"(\d+) dual points", m)]
-        assert sum(points) <= 260
+        assert sum(points) <= 64
+        # 35 trials with a query not in the memo each bound both branches
+        # at one dual point, and 30 of them are pruned
+        (record,) = [r for r in caplog.records if r.name == "gwrdp.region"]
+        assert record.args[5] == 10
+        assert record.args[-2:] == (70, 30)

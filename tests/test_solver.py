@@ -16,6 +16,7 @@ import gwrdp
 import gwrdp.solver as solver_module
 from gwrdp.prob import JointPmf, Pmf
 from gwrdp.solver import (
+    GAP_TOL,
     DistortionMatrix,
     InfeasibleError,
     PerceptionMeasure,
@@ -381,6 +382,38 @@ class TestStressSet:
             digest.update(res.test_channel.probs.tobytes())
         assert summary == (converged, raised, digest.hexdigest())
         assert stress_summary((7,), 9)[2] != summary[2]
+
+
+class TestRateBound:
+    """The bound a scalarized search prunes trials by: for any lambda it is
+    at most the rate of every result whose channel lies within both budgets
+    plus _CONSTRAINT_TOL, and at a converged perception-free result's own
+    lambda it sits within GAP_TOL + lambda _CONSTRAINT_TOL of the rate."""
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_below_every_rate_and_tight_at_its_own_lambda(self, seed, caplog):
+        caplog.set_level(logging.DEBUG, logger="gwrdp.solver")
+        tol, inside, tight = solver_module._CONSTRAINT_TOL, 0, 0
+        for i, query in enumerate(rdp_stress_queries(seed, 40)):
+            caplog.clear()
+            try:
+                res = conditional_rdp(query)
+            except InfeasibleError:
+                continue
+            where = f"seed {seed} query {i}"
+            bounds = {lam: solver_module._rate_bound(query, lam)
+                      for lam in (0.0, res.lam, 2.0 * res.lam, 10.0)}
+            if (res.achieved_distortion <= query.d_budget + tol
+                    and res.achieved_perception <= query.p_budget + tol):
+                inside += 1
+                # the search's margin for rounding: 1e-12 of the rate
+                assert max(bounds.values()) <= res.rate + 1e-12 * (1.0 + res.rate), where
+            (record,) = caplog.records
+            if res.converged and not record.getMessage().startswith(
+                    "conditional_rdp: perception"):
+                tight += 1
+                assert res.rate - bounds[res.lam] <= GAP_TOL + res.lam * tol, where
+        assert inside >= 35 and tight >= 15
 
 
 def perception_active_queries():
