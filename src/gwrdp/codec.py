@@ -48,16 +48,16 @@ the pages, each cut into pieces of at most ``_SCRATCH`` one-hot elements
 those 16, a scan draws a page only when it reaches it, and a long scan
 stays vectorized. Each block is one-hot encoded once and scored for every
 trial still without a hit by one matrix product per sub-batch of trials,
-held to ``_SCRATCH`` elements (or one trial's share): the trials' pair-cell
-one-hot times the block's gives exact integer joint counts for the common
-layer; the trials' distortion tables times the block's one-hot give
-distortion sums for each private layer, with trials grouped by common
-index. A sum within a margin of n * eps * max(distortion) of the threshold
-is decided by the exact gather mean instead, so every decision is the one
-a lone codeword gets, whatever the BLAS summation order. Every trial keeps
-a lone scan's block schedule, so a batch reads the codewords and draws the
-pages that one scan per trial would. The trials' tables, built once per
-scan, hold n floats per trial and reconstruction symbol (or pair cell).
+held to ``_SCRATCH`` elements (or one trial's share): the trials' 0/1
+rows times the block's one-hot give exact integer counts, whatever the
+BLAS summation order. The common layer's rows are the pair-cell one-hot,
+whose joint counts the band tests; a private layer's mark, per distinct
+nonzero distortion value v, the cells at distortion v from the source, so
+the counts are K_v and the per-letter distortion is sum_v v * K_v / n,
+summed in ascending v. Every decision is thus the one a lone codeword
+gets, one per joint type. Every trial keeps a lone scan's block schedule,
+so a batch reads the codewords and draws the pages that one scan per
+trial would.
 """
 
 from __future__ import annotations
@@ -106,6 +106,8 @@ def circular_shift(k, seq: np.ndarray, other: np.ndarray | None = None):
     shifted by its own k."""
     seq = np.asarray(seq)
     k = np.asarray(k)
+    if not k.size:  # np.asarray([]) is float64, which no shift can index by
+        k = k.astype(np.int64)
     n = seq.shape[-1]
     if n == 0:
         raise ValueError("empty sequence")
@@ -516,7 +518,9 @@ class Codebook:
     ``layer[s0s, js]``. The rule: a common codeword jointly typical with
     the pair under ``q_xyw`` and ``delta``, then on each branch (X, then
     Y) a private codeword whose per-letter distortion under that branch's
-    matrix in ``distortions`` is at most its entry in ``thresholds``."""
+    matrix in ``distortions``, sum_v v * K_v / n over its distinct nonzero
+    values v in ascending order, K_v the positions at distortion v, is at
+    most its entry in ``thresholds``."""
 
     common: np.ndarray | PagedLayer   # (1, M0, n)
     priv_x: np.ndarray | PagedLayer   # (M0, M1, n)
@@ -601,29 +605,32 @@ def _blocks(m: int, width: int):
 
 def _one_hot(seqs: np.ndarray, size: int) -> np.ndarray:
     """Indicators [seqs[r, i] == a] of (rows, n) sequences over ``size``
-    symbols, as float64 of shape (n, size, rows); symbols outside
+    symbols, as C-ordered float64 of shape (n, size, rows); symbols outside
     0..size-1 match nothing."""
-    return (seqs.T[:, None, :] == np.arange(size)[:, None]).astype(np.float64)
+    seqs = np.ascontiguousarray(seqs.T)   # so the result is C-ordered too
+    return (seqs[:, None, :] == np.arange(size)[:, None]).astype(np.float64)
 
 
-def _scan(layer, s0: int, trials: int, size: int, per_row: int, hits) -> np.ndarray:
-    """Per trial, the smallest j whose codeword ``layer[s0, j]`` ``hits``
-    accepts, or -1. Each of the ``_blocks`` for the layer's codewords of n
-    symbols over ``size`` is read once, as ``layer[s0, start:stop]``,
-    one-hot encoded once and scored for the trials still without a hit, in
-    sub-batches whose scores (``per_row`` elements per trial and block row)
-    hold at most _SCRATCH elements, or one trial's. ``hits(trials,
-    codewords, one_hot)`` returns the (trials, block rows) hit mask."""
+def _scan(layer, s0: int, left: np.ndarray, size: int, accept) -> np.ndarray:
+    """Per trial, the smallest j whose codeword ``layer[s0, j]`` ``accept``
+    takes, or -1. Each of the ``_blocks`` for the layer's codewords of n
+    symbols over ``size`` is read once, as ``layer[s0, start:stop]``, and
+    one-hot encoded once, read as (K, -1). Times it, the 0/1 rows of
+    ``left``, (T, L, K), of the trials still without a hit give exact
+    integer counts, in sub-batches whose products hold at most _SCRATCH
+    elements, or one trial's. ``accept(counts)`` takes the (trials, L, -1)
+    counts and returns the (trials, block rows) hit mask."""
+    trials, per_trial, k = left.shape
     _, m, n = layer.shape
     found = np.full(trials, -1, dtype=np.int64)
     active = np.arange(trials)
     for start, stop in _blocks(m, n * size):
-        codewords = layer[s0, start:stop]
-        one_hot = _one_hot(codewords, size)
-        step = max(1, _SCRATCH // ((stop - start) * per_row))
+        right = _one_hot(layer[s0, start:stop], size).reshape(k, -1)
+        step = max(1, _SCRATCH // max(1, per_trial * right.shape[1]))
         for a in range(0, active.size, step):
             some = active[a:a + step]
-            ok = hits(some, codewords, one_hot)
+            counts = left[some].reshape(-1, k) @ right
+            ok = accept(counts.reshape(some.size, per_trial, right.shape[1]))
             has = ok.any(axis=1)
             found[some[has]] = start + ok[has].argmax(axis=1)
         active = active[found[active] < 0]
@@ -640,39 +647,26 @@ def _first_under_threshold(layer, s0: int, refs: np.ndarray,
     blocks ``layer[s0, a:b]`` of 16, 64, 256, ... codewords, its pages, so
     an early hit draws and reads few of them.
 
-    A block is scored by one product of the trials' distortion tables
-    ``delta_mat[refs]`` (read as float64) with the block's one-hot: a sum
-    of the same n nonnegative terms as the exact distortion, the gather
-    ``delta_mat[ref, cw]`` averaged over the contiguous position axis, but
-    in BLAS order. Each sum is within (n - 1) * eps / 2 of the exact one,
-    relative to it, so the two means differ by less than n * eps *
-    max(delta_mat) plus one subnormal step. A score farther than
-    ``margin``, four times that, from the threshold decides as the gather
-    would; the few within it are decided by the gather, in pieces of at
-    most _SCRATCH elements. Where a sum could overflow, the margin is
-    infinite and every codeword goes to the gather."""
+    A codeword's per-letter distortion is sum_v v * K_v / n over the
+    distinct nonzero values v of ``delta_mat``, summed in ascending v, where
+    K_v counts the positions i with delta_mat[ref_i, cw_i] = v. Each trial's
+    rows mark, per v, the cells (i, h) at distortion v, so ``_scan``'s
+    product gives every K_v exactly; with no such v every score is 0. For a
+    0/1 matrix, K_1 / n is ``delta_mat[ref, cw].mean()`` bit for bit."""
     n = refs.shape[1]
     delta_mat = np.asarray(delta_mat, dtype=np.float64)
-    table = delta_mat[refs].reshape(refs.shape[0], -1)   # (T, n * |reconstruction|)
-    dmax, fl = float(delta_mat.max()), np.finfo(np.float64)
-    margin = 4 * n * fl.eps * dmax + fl.smallest_subnormal if n * dmax < fl.max / 2 else np.inf
+    levels = np.array(sorted(set(delta_mat[delta_mat != 0].tolist())))
+    marks = (delta_mat[:, None] == levels[:, None]).astype(np.float64)   # (|X|, L, |Xt|)
+    left = marks[refs].swapaxes(1, 2).reshape(len(refs), levels.size, n * delta_mat.shape[1])
 
-    def under(trials, block, one_hot):
-        mean = table[trials] @ one_hot.reshape(table.shape[1], -1)
-        mean /= n
-        ok = mean <= threshold
-        mean -= threshold   # in place from here: each score's distance from the threshold
-        close = ~(np.abs(mean, out=mean) > margin)
-        if not close.any():
-            return ok
-        t, r = np.nonzero(close)
-        piece = max(1, _SCRATCH // n)
-        for a in range(0, t.size, piece):
-            tt, rr = t[a:a + piece], r[a:a + piece]
-            ok[tt, rr] = delta_mat[refs[trials[tt]], block[rr]].mean(axis=-1) <= threshold
-        return ok
+    def under(counts):
+        counts *= levels[:, None]   # in place: fresh arrays cost more on long scans
+        score = counts[:, 0] if levels.size else np.zeros(counts.shape[::2])
+        for v_k in counts.swapaxes(0, 1)[1:]:
+            score += v_k
+        return np.divide(score, n, out=score) <= threshold
 
-    return _scan(layer, s0, refs.shape[0], delta_mat.shape[1], 1, under)
+    return _scan(layer, s0, left, delta_mat.shape[1], under)
 
 
 def _first_jointly_typical(common, pairs: np.ndarray,
@@ -683,19 +677,18 @@ def _first_jointly_typical(common, pairs: np.ndarray,
     axis is W, their leading axes the pair cells. ``common`` is a
     ``PagedLayer`` or a (1, M0, n) array, read in blocks ``common[0, a:b]``
     of 16, 64, 256, ... codewords, its pages; the exact integer counts of a
-    block are one product of the trials' pair-cell one-hot, (trials *
+    block are ``_scan``'s product of the trials' pair-cell one-hot, (trials,
     cells, n), with the block's, (n, |W| * rows)."""
     kw = lo.shape[-1]
     lo, hi = lo.reshape(-1, kw, 1), hi.reshape(-1, kw, 1)
-    cells, n = lo.shape[0], pairs.shape[1]
+    cells = lo.shape[0]
     pair_hot = np.ascontiguousarray(_one_hot(pairs, cells).transpose(2, 1, 0))   # (T, cells, n)
 
-    def typical(trials, block, one_hot):
-        counts = (pair_hot[trials].reshape(-1, n) @ one_hot.reshape(n, -1)).reshape(
-            trials.size, cells, kw, -1)
+    def typical(counts):
+        counts = counts.reshape(len(counts), cells, kw, -1)
         return ((counts >= lo) & (counts <= hi)).all(axis=(1, 2))
 
-    return _scan(common, 0, pairs.shape[0], kw, cells * kw, typical)
+    return _scan(common, 0, pair_hot, kw, typical)
 
 
 def encode_batch(codebook: Codebook, xs: np.ndarray, ys: np.ndarray, ks):
@@ -790,8 +783,6 @@ def decode(codebook: Codebook, s0, s1, s2, k):
     if len(set(shapes)) > 1 or len(shapes[0]) > 1:
         raise ValueError("s0, s1, s2 and k must be all scalars or all sequences of one "
                          f"length, got shapes {shapes}")
-    if shapes[0] == (0,):  # np.asarray([]) is float64, which no shift can index by
-        k = np.zeros(0, dtype=np.int64)
     idx = [np.atleast_1d(np.asarray(s, dtype=np.int64)) for s in (s0, s1, s2)]
     for s, m in zip(idx, codebook.sizes):
         bad = (s < 0) | (s >= m)

@@ -14,19 +14,19 @@ exact and not searched: W = X̂ and W = Ŷ reach a*R_X and a*R_Y.
 
 A scalarized search reads only the terms its weights do not zero: a trial
 channel costs I(X,Y;W) for a common-rate weight and one branch solve per
-private-rate weight, and the full triple is built once, for the best
-channel found. A trial whose certified lower bound cannot beat the
-incumbent is not solved: the bound takes I(X,Y;W), memoized rates, and, per
-branch left, Blahut's bound at one dual point of the incumbent's multiplier,
-which lies below every rate the solver returns within its budgets. So the
-search accepts the same trials as when it solves them all, and frontiers
-keep their bytes. ``rate_triple_for_aux`` and ``scalarized_search`` are the one
-path for a triple and a search. Searches repeat branch queries (each starts
-from the independent corner; a symmetric source makes the X and Y queries
-coincide), so they and ``compute_frontier`` take the caller's exact memo of
-solver results, keyed on every input of the query, as ``solves``, or start
-an empty one; no result depends on it. ``compute_frontier`` shares the memo
-across its searches, serial grid and anchors; each pool job starts its own.
+private-rate weight, and the full triple is built once, for the best channel
+found. A trial whose certified lower bound cannot beat the incumbent is not
+solved: the bound takes I(X,Y;W), memoized rates, and, per branch left,
+Blahut's bound at one dual point of the incumbent's multiplier, which lies
+below every rate the solver returns within its budgets. So the search accepts
+the same trials as when it solves them all, and frontiers keep their bytes.
+``rate_triple_for_aux`` and ``scalarized_search`` are the one path for a triple
+and a search. Searches repeat branch queries (each starts from the independent
+corner; a symmetric source makes the X and Y queries coincide), so they and
+``compute_frontier`` take the caller's exact memo of solver results and trial
+bounds, keyed on every input of the query (and lam), as ``solves``, or start an
+empty one; no result depends on it. ``compute_frontier`` shares the memo across
+its searches, serial grid and anchors; each pool job starts its own.
 Objective evaluation, triple, lookup, solve, hit, trial-bound and pruned-trial
 counts go to the ``gwrdp.region`` logger at DEBUG, never into the exported
 files.
@@ -166,13 +166,18 @@ class RegionFrontier:
 
 class _Solves(dict):
     """Memo of conditional_rdp results owned by one top-level region call,
-    with counts of the work asked of it."""
+    with its trial bounds' memo, keyed on (query key, lam), and counts of
+    the work asked of it."""
 
     evaluations = 0  # scalarized-search objective evaluations
     triples = 0
     lookups = 0
     bounds = 0  # certified rate bounds formed for search trials
     pruned = 0  # search trials whose bound showed they cannot improve
+
+    def __init__(self):
+        super().__init__()
+        self.rate_bounds = {}
 
 
 def _key(query: RdpQuery) -> tuple:
@@ -382,9 +387,9 @@ def scalarized_search(problem: RegionProblem, budgets: Budgets,
     multiplier less its D + _CONSTRAINT_TOL term. Every rate the solver
     returns within its budgets lies above that bound, so the search returns
     what it would by solving every trial. ``solves`` is the caller's memo of
-    branch solves (an empty one by default); no result depends on it.
-    Raises ``ValueError`` for non-finite, negative or all-zero weights, and
-    for restarts < 1.
+    branch solves and bounds (an empty one by default); no result depends
+    on it. Raises ``ValueError`` for non-finite, negative or all-zero
+    weights, and for restarts < 1.
     """
     if (not all(math.isfinite(wt) and wt >= 0 for wt in weights)
             or all(wt == 0 for wt in weights)):
@@ -415,8 +420,11 @@ def scalarized_search(problem: RegionProblem, budgets: Budgets,
                 if res is not None:
                     low += weights[1 + b] * res.rate
                 elif query is not None:  # rates are nonnegative: so is the bound
-                    solves.bounds += 1
-                    low += weights[1 + b] * max(_rate_bound(query, incumbent[2][b].lam), 0.0)
+                    bound = (_key(query), incumbent[2][b].lam)
+                    if bound not in solves.rate_bounds:
+                        solves.bounds += 1
+                        solves.rate_bounds[bound] = max(_rate_bound(query, bound[1]), 0.0)
+                    low += weights[1 + b] * solves.rate_bounds[bound]
             # the 1e-12 covers the rounding of the bound and of the rates
             if low >= incumbent[0] - 1e-9 + 1e-12 * (1.0 + low):
                 solves.pruned += 1

@@ -506,10 +506,18 @@ def is_jointly_typical(x_seq, y_seq, w_seq, q_xyw, delta: float) -> bool:
 def first_under_threshold_loop(codewords: np.ndarray, ref: np.ndarray,
                                delta_mat: np.ndarray, threshold: float) -> int:
     """Smallest index whose per-letter distortion against ref is at most
-    threshold, checking one codeword at a time; -1 if none."""
+    threshold, scoring one codeword at a time; -1 if none. The distortion
+    is sum_v v * K_v / n over the distinct nonzero values v of delta_mat in
+    ascending order, K_v the number of positions at distortion v."""
     ref = np.asarray(ref, dtype=np.int64)
+    delta_mat = np.asarray(delta_mat, dtype=np.float64)
+    levels = sorted(set(delta_mat[delta_mat != 0].tolist()))
     for i, cw in enumerate(codewords):
-        if delta_mat[ref, cw.astype(np.int64)].mean() <= threshold:
+        d = delta_mat[ref, cw.astype(np.int64)]
+        score = 0.0
+        for v in levels:
+            score += v * int(np.count_nonzero(d == v))
+        if score / len(ref) <= threshold:
             return i
     return -1
 

@@ -100,6 +100,13 @@ class TestShift:
             for t in range(1, 7):
                 assert out[t - 1] == seq[shift_position(6, k, t) - 1]
 
+    def test_empty_seed_array_shifts_no_rows(self):
+        # np.asarray([]) is float64; an empty seed array is taken as int64
+        out = circular_shift([], np.zeros((0, 4), dtype=np.uint8))
+        assert out.shape == (0, 4) and out.dtype == np.uint8
+        with pytest.raises(IndexError):
+            circular_shift(np.array([1.0, 2.0]), np.zeros((2, 4), dtype=np.uint8))
+
     def test_pair_shift_and_length_check(self):
         x = np.arange(5)
         with pytest.raises(ValueError):
@@ -477,9 +484,10 @@ class TestScanEquivalence:
     def test_private_scan_ties_under_a_non_dyadic_distortion(self, planted):
         # every codeword from `planted` on rearranges one reconstruction
         # among the positions where the reference holds the same symbol, so
-        # their distortions are equal in exact arithmetic and differ only in
-        # summation order; the threshold sits at, just under and just over
-        # the planted codeword's mean
+        # all share one joint type with it, and so one score, although
+        # their gather means differ in the last bits; the earlier ones score
+        # 0.7. At the type score the scan takes `planted`, one ulp below it
+        # takes none.
         n = 48
         delta_mat = np.array([[0.1, 1 / 3, 0.7], [0.7, 0.1, 1 / 3]])
         rng = np.random.default_rng(planted)
@@ -490,11 +498,32 @@ class TestScanEquivalence:
             for sym in (0, 1):
                 at = np.flatnonzero(ref == sym)
                 row[at] = rng.permutation(base[at])
-        mean = delta_mat[ref, codewords[planted]].mean()
-        for threshold in (mean, np.nextafter(mean, -np.inf), np.nextafter(mean, np.inf)):
-            want = first_under_threshold_loop(codewords, ref, delta_mat, threshold)
+        assert len({delta_mat[ref, cw].mean() for cw in codewords[planted:]}) > 1
+        d = delta_mat[ref, codewords[planted]]
+        score = 0.0
+        for v in (0.1, 1 / 3, 0.7):
+            score += v * np.count_nonzero(d == v)
+        score /= n
+        for threshold, want in ((score, planted), (np.nextafter(score, -np.inf), -1)):
+            assert first_under_threshold_loop(codewords, ref, delta_mat, threshold) == want
             got = _first_under_threshold(codewords[None], 0, ref[None], delta_mat, threshold)
             assert got.tolist() == [want]
+
+    @pytest.mark.parametrize("delta_mat", [
+        *(1 - np.eye(k) for k in (2, 3, 4)),
+        np.array([[0, 0.25, 0.5], [1, 0, 0.25], [0.5, 1, 0]]),
+    ], ids=["hamming-2", "hamming-3", "hamming-4", "dyadic"])
+    def test_private_score_is_the_gather_mean_on_dyadic_matrices(self, delta_mat):
+        # the score lies in (nextafter(mean, -inf), mean], so it is the mean
+        rng = np.random.default_rng(9)
+        for n in (1, 5, 16, 37, 128):
+            for _ in range(10):
+                ref = rng.integers(0, delta_mat.shape[0], size=(1, n))
+                cw = rng.integers(0, delta_mat.shape[1], size=(1, 1, n)).astype(np.uint8)
+                mean = delta_mat[ref[0], cw[0, 0]].mean()
+                assert _first_under_threshold(cw, 0, ref, delta_mat, mean).tolist() == [0]
+                below = np.nextafter(mean, -np.inf)
+                assert _first_under_threshold(cw, 0, ref, delta_mat, below).tolist() == [-1]
 
     def test_block_schedules(self):
         # an all-miss batch reads each block once, in the lone scan's sizes:
@@ -768,6 +797,13 @@ class TestBatchEncode:
         assert got == want
         assert len({g[0] for g in got if not g[3]}) > 3
 
+    def test_empty_batch(self):
+        cb = paged_codebook(m0=3)
+        empty = np.zeros((0, cb.n), dtype=np.uint8)
+        s0, s1, s2, miss = encode_batch(cb, empty, empty, [])
+        assert [s.shape for s in (s0, s1, s2)] == [(0,)] * 3 and miss.shape == (3, 0)
+        assert [cb.common.pages_drawn, cb.priv_x.pages_drawn, cb.priv_y.pages_drawn] == [0] * 3
+
     def test_pair_type_outside_the_band_skips_the_scan(self, monkeypatch):
         # uniform pair with |W| = 2 at n = 16, delta = 0.1: a pair count
         # outside the band's sums over w rules out every common codeword,
@@ -819,6 +855,13 @@ class TestNonBinaryBatchEncode:
     # the common scan does not read the distortions, so the common case
     # runs at one scale
     PRIVATE_RUNS = [(1e-6, None), (1.0, None), (1e6, None), (1.0, 1)]
+    # other rules at scale 1: all-zero matrices, which have no distortion
+    # value to count, and matrices whose nonzero entries are all distinct
+    EDGE_RULES = {
+        "all-zero": (np.zeros((3, 2)), np.zeros((2, 3))),
+        "distinct": (np.array([[0.1, 0.7], [1 / 3, 0.11], [0.71, 0.3]]),
+                     np.array([[0.1, 1 / 3, 0.7], [0.72, 0.12, 0.35]])),
+    }
 
     @classmethod
     def _codebook(cls, common, priv_x, priv_y):
@@ -838,20 +881,22 @@ class TestNonBinaryBatchEncode:
         return pair // 2, pair % 2
 
     @classmethod
-    def _check(cls, case, scale, scratch, monkeypatch):
+    def _check(cls, case, scale, scratch, monkeypatch, rule=None):
         """encode_batch of the case's trials, under random shifts, equals
-        the loop oracle's encodings (computed once per scale)."""
+        the loop oracle's encodings (computed once per scale and rule)."""
         cb, xs, ys, wants = case
         if scratch is not None:
             monkeypatch.setattr("gwrdp.codec._SCRATCH", scratch)
         ks = np.random.default_rng(1).integers(0, cls.N, size=len(xs))
         xk, yk = circular_shift(ks, xs, ys)
-        cb = with_rule(cb, cls.THRESHOLD * scale, cls.DX * scale, cls.DY * scale)
-        if scale not in wants:
-            wants[scale] = [encode_loop(cb, x, y, k) for x, y, k in zip(xk, yk, ks)]
+        dx, dy = cls.EDGE_RULES[rule] if rule else (cls.DX * scale, cls.DY * scale)
+        cb = with_rule(cb, cls.THRESHOLD * scale, dx, dy)
+        if (scale, rule) not in wants:
+            wants[scale, rule] = [encode_loop(cb, x, y, k) for x, y, k in zip(xk, yk, ks)]
         s0, s1, s2, miss = encode_batch(cb, xk, yk, ks)
-        assert list(zip(s0.tolist(), s1.tolist(), s2.tolist(), *miss.tolist())) == wants[scale]
-        return wants[scale]
+        got = list(zip(s0.tolist(), s1.tolist(), s2.tolist(), *miss.tolist()))
+        assert got == wants[scale, rule]
+        return wants[scale, rule]
 
     @pytest.fixture(scope="class")
     def common_case(self):
@@ -896,7 +941,18 @@ class TestNonBinaryBatchEncode:
 
     @pytest.mark.parametrize("scale, scratch", PRIVATE_RUNS)
     def test_private_hits(self, private_case, scale, scratch, monkeypatch):
-        want = self._check(private_case, scale, scratch, monkeypatch)
+        self._assert_planted_hits(self._check(private_case, scale, scratch, monkeypatch))
+
+    @pytest.mark.parametrize("scratch", [None, 1])
+    @pytest.mark.parametrize("rule", sorted(EDGE_RULES))
+    def test_private_edge_rules(self, private_case, rule, scratch, monkeypatch):
+        want = self._check(private_case, 1.0, scratch, monkeypatch, rule)
+        if rule == "all-zero":   # every codeword scores 0
+            assert all(w[1:3] == (0, 0) and not w[4] and not w[5] for w in want)
+        else:
+            self._assert_planted_hits(want)
+
+    def _assert_planted_hits(self, want):
         groups = [i % 4 for i in range(len(want))]
         assert [w[0] for w in want] == [g % 3 for g in groups]
         assert [w[3] for w in want] == [g == 3 for g in groups]

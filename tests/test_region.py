@@ -506,7 +506,8 @@ class TestFreePhaseWork:
     barrier weight falls superlinearly, and its searches solve no trial
     whose certified bound cannot beat the incumbent: its 10 solves form at
     most 64 dual points (38 solves and 244 points without the bound, 337
-    points with a tenfold drop per level)."""
+    points with a tenfold drop per level), and it forms each distinct
+    trial bound once."""
 
     def test_region_local_dual_points(self, caplog):
         caplog.set_level(logging.DEBUG, logger="gwrdp")
@@ -516,8 +517,9 @@ class TestFreePhaseWork:
         # a rate-0 channel forms no dual point
         points = [int(n) for m in messages for n in re.findall(r"(\d+) dual points", m)]
         assert sum(points) <= 64
-        # 35 trials with a query not in the memo each bound both branches
-        # at one dual point, and 30 of them are pruned
+        # 35 trials with a query not in the memo ask for a bound on both
+        # branches at one dual point, and 30 of them are pruned; the bound
+        # memo forms each distinct (query, lam) bound once, 35 of the 70
         (record,) = [r for r in caplog.records if r.name == "gwrdp.region"]
         assert record.args[5] == 10
-        assert record.args[-2:] == (70, 30)
+        assert record.args[-2:] == (35, 30)
