@@ -1,6 +1,6 @@
 """Gray-Wyner rate-distortion-perception toolkit."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 import logging
 import types

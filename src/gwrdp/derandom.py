@@ -2,23 +2,21 @@
 
 A few extra source symbols (the tail of an extended block) are hashed
 through a fixed map into a seed value in [0, n-1] whose distribution is
-within the largest atom probability of uniform, per bin. The map is built
-greedily: atoms (joint tail realizations) are taken by descending
-probability and each is placed into the currently lightest bin, which
-bounds the heaviest-lightest gap by the largest atom. The order is a
-stable integer sort of the atoms' exact ranks among their ``np.kron``
-floats, so it builds no per-atom probability array. A run of atoms of
-equal probability (a DSBS's 4**10 atoms take only 11 probabilities) is
-placed in one numpy step; short runs, and runs whose candidate table
-would be large, go through the heap loop instead. Either way the map is
-the one the heap loop over every atom gives. The resulting deterministic
-code runs the shift-seeded codec with the simulated seed and extends
-reconstructions by copying the head prefix into the tail.
+within the largest atom probability of uniform, per bin. The map is the
+least-loaded greedy: atoms (joint tail realizations) are taken by
+descending probability and each is placed into the currently lightest
+bin, which bounds the heaviest-lightest gap by the largest atom. Atoms
+whose symbols take the same distinct probabilities equally often form a
+level of one exact probability (a DSBS's 4**10 atoms form 11 levels), and
+the greedy cannot tell them apart; so the map is built a level at a time,
+each level's atoms water-filled into the bins in one numpy step, and the
+atoms of a level take their bins in index order. The resulting
+deterministic code runs the shift-seeded codec with the simulated seed
+and extends reconstructions by copying the head prefix into the tail.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -97,19 +95,18 @@ def default_tail_length(pair_alphabet_size: int, n: int) -> int:
 
 
 def build_seed_map(p_xy: JointPmf, n0: int, n: int) -> SeedMap:
-    """Greedy least-loaded assignment of tail atoms to seed bins.
+    """Greedy least-loaded assignment of tail atoms to seed bins, built one
+    probability level at a time.
 
-    Atoms are taken by descending probability (ties by index) and placed
-    into the lightest bin (ties by bin index), so the final per-bin
-    deviation from 1/n is at most the largest atom probability; the bound
-    is asserted, not assumed. The order is a stable integer sort of the
-    atoms' exact ranks among their ``np.kron`` floats
-    (``_ranked_atom_floats``), so it builds no per-atom probability array.
-    A run of atoms with equal probability is placed in one numpy step
-    (``_place_run_in_bulk``) when it has at least ``_MIN_BULK_RUN + n``
-    atoms and its candidate table at most ``_BULK_TABLE_FACTOR`` entries
-    per atom; the heap loop places every other atom. The assignment, and
-    hence ``bin_masses``, equal those of the heap loop over every atom.
+    A level is the multiset of distinct symbol probabilities that an atom's
+    n0 symbols take (``_atom_levels``), so its atoms share one exact
+    probability, the product of those symbol probabilities. Levels are
+    taken by descending probability (ties by level index) and each is
+    poured into the bins as placing its atoms one at a time into the
+    lightest bin would (``_pour``), so the final per-bin deviation from 1/n
+    is at most the largest atom probability; the bound is asserted, not
+    assumed. Within a level, atoms take their bins in index order: the
+    first ones go to bin 0, the next ones to bin 1, and so on.
     """
     if n < 1 or n0 < 1:
         raise ValueError(f"n={n} and n0={n0} must both be at least 1")
@@ -126,123 +123,98 @@ def build_seed_map(p_xy: JointPmf, n0: int, n: int) -> SeedMap:
         least = 1
         while size ** least < n:
             least += 1
+        if size ** least > _ATOM_CAP:
+            raise ResourceCapError(
+                f"{n} bins need n0 >= {least}, but {size}**{least} atoms exceed the cap "
+                f"of {_ATOM_CAP}")
         raise SeedMapError(
             f"{n_atoms} atoms cannot populate {n} bins; need n0 >= {least} "
             f"(default rule gives {need})")
 
-    values, key = _ranked_atom_floats(flat, n_atoms)
-    counts = np.bincount(key)
-    order = np.argsort(key, kind="stable")   # ties by atom index
-    bounds = np.r_[0, np.cumsum(counts)]
-    long = np.flatnonzero(counts >= _MIN_BULK_RUN + n)
-    runs = list(zip(bounds[long].tolist(), bounds[long + 1].tolist(), values[long].tolist()))
-
-    assignment = np.empty(n_atoms, dtype=np.int64)
-    heap = [(0.0, b) for b in range(n)]   # sorted, hence already a heap
-    done = 0   # the atoms order[:done] are placed
-    for lo, hi, p in runs:
-        _place_by_heap(heap, order[done:lo], values, key, assignment)
-        placed = _place_run_in_bulk(heap, order[lo:hi], p, assignment)
-        if placed is None:
-            done = lo
-        else:
-            heap, done = placed, hi
-    _place_by_heap(heap, order[done:], values, key, assignment)
-    del order
-
+    values, symbols = np.unique(flat, return_inverse=True)
+    levels, sizes, key = _atom_levels(symbols.astype(np.min_scalar_type(len(values))), n_atoms)
+    level_probs = values[levels].prod(axis=1)
+    counts = np.zeros((len(levels), n), dtype=np.int64)
     masses = np.zeros(n)
-    np.add.at(masses, assignment, values[key])
-    p_max = float(values[0])
-    gap = float(masses.max() - masses.min())
+    for level in np.argsort(-level_probs, kind="stable").tolist():
+        p = level_probs[level]
+        counts[level] = _pour(masses, sizes[level], p)
+        masses += counts[level] * p
+
+    # atoms grouped by level (ties by atom index) take the level's bins in order
+    order = np.argsort(key, kind="stable")
+    bins = np.tile(np.arange(n, dtype=np.min_scalar_type(n - 1)), len(levels))
+    assignment = np.empty(n_atoms, dtype=np.int64)
+    assignment[order] = np.repeat(bins, counts.reshape(-1))
+
+    bin_masses = counts.T @ level_probs
+    p_max = float(level_probs.max())
+    gap = float(bin_masses.max() - bin_masses.min())
     if gap > p_max + 1e-15:
         raise AssertionError(
             f"greedy guarantee violated: bin gap {gap} exceeds largest atom {p_max}")
-    return SeedMap(assignment=assignment, bin_masses=masses, p_max=p_max,
+    return SeedMap(assignment=assignment, bin_masses=bin_masses, p_max=p_max,
                    n0=n0, n=n, nx=nx, ny=ny)
 
 
-# A run goes through the bulk step only when its candidate table holds at
-# most this many entries per atom; a larger table (short runs, or atoms too
-# small to move the bin masses) costs more than the heap loop. On the
-# 4**10-atom DSBS(0.25) map with n = 32, factors 2 to 16 gave the same map
-# at about the same speed.
-_BULK_TABLE_FACTOR = 4
-# Nor when the run has fewer than this many atoms plus one per bin: the
-# bulk step costs about 30 us plus 0.6 us per bin whatever the run's
-# length, the heap loop about 0.5 us per atom.
-_MIN_BULK_RUN = 64
-
-
-def _ranked_atom_floats(flat: np.ndarray, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct atom floats of ``np.kron`` powers of ``flat``,
-    descending, and each atom's rank among them in the smallest dtype that
-    fits. np.kron makes an atom's float its prefix's times its last
-    symbol's, so a rank is a table lookup on the prefix's rank and the
-    symbol. Symbol counts would not do: rounding splits and merges them."""
-    # values holds negated floats, which round as the floats do and which
-    # np.unique sorts into descending probability; the empty prefix is 1
-    values, key = -np.ones(1), np.zeros(1, dtype=np.uint8)
+def _atom_levels(symbols: np.ndarray,
+                 n_atoms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every level of the atoms of ``symbols`` (each pair symbol's class of
+    equal probability), as a sorted row of class indices, the rows in
+    lexicographic order; each level's number of atoms; and each atom's
+    level index, in the smallest dtype that fits. An atom's level is its
+    prefix's with its last symbol's class added, so a level index is a
+    table lookup on the prefix's index and the symbol. A one-symbol pair
+    has one atom, whose level stays the empty row (probability 1) however
+    long the tail."""
+    levels, sizes = np.zeros((1, 0), dtype=symbols.dtype), np.ones(1)
+    key = np.zeros(1, dtype=np.uint8)
     while key.size < n_atoms:
-        products = np.multiply.outer(values, flat)
-        values, ranks = np.unique(products, return_inverse=True)
-        table = ranks.astype(np.min_scalar_type(len(values))).reshape(products.shape)
-        key = table[key].reshape(-1)
-    return -values, key
+        grown = np.column_stack([np.repeat(levels, symbols.size, axis=0),
+                                 np.tile(symbols, len(levels))])
+        levels, ranks = np.unique(np.sort(grown, axis=1), axis=0, return_inverse=True)
+        ranks = ranks.reshape(-1)
+        sizes = np.bincount(ranks, weights=np.repeat(sizes, symbols.size))
+        table = ranks.astype(np.min_scalar_type(len(levels))).reshape(-1, symbols.size)
+        key = np.take(table, key, axis=0).reshape(-1)   # faster than table[key]
+    return levels, sizes.astype(np.int64), key
 
 
-def _place_by_heap(heap: list, atoms: np.ndarray, values: np.ndarray, key: np.ndarray,
-                   assignment: np.ndarray) -> None:
-    """Place atoms one at a time, in the given order, each into the
-    lightest bin of ``heap`` (ties by bin index), updating it in place;
-    atom a has probability values[key[a]]."""
-    slots = memoryview(assignment)
-    # memoryviews read and write plain Python numbers one at a time, so
-    # the loop avoids numpy scalars without a list of every atom
-    for atom, p in zip(memoryview(atoms), memoryview(values[key[atoms]])):
-        mass, b = heap[0]
-        slots[atom] = b
-        heapq.heapreplace(heap, (mass + p, b))
+def _pour(masses: np.ndarray, k: int, p: float) -> np.ndarray:
+    """Per-bin counts of k atoms of probability p placed one at a time into
+    the lightest of the bins with the given masses (ties by bin index).
 
-
-def _place_run_in_bulk(heap: list, atoms: np.ndarray, p: float,
-                       assignment: np.ndarray) -> list | None:
-    """Place a run of atoms of probability p as popping each from ``heap``
-    would, in one step; return the heap after the run, or None, with
-    nothing changed, when the run's candidate table would be too large.
-
-    The heap's k pops for the run are the k smallest (mass, bin) pairs
-    among each bin's candidates m_b, m_b + p, (m_b + p) + p, ...: a
-    row-wise cumsum makes the same float adds, and a stable argsort of the
-    bin-major table breaks ties by bin. The i-th atom takes the bin of the
-    i-th smallest candidate.
+    Those placements are the k smallest (value, bin) pairs among each bin's
+    candidates m_b, m_b + p, m_b + 2p, ... The continuous water level over
+    the q bins below it gives each of them a share (level - m_b) / p. The
+    floors of the shares take candidates smaller than any other and leave
+    fewer than q atoms, which go one each to the bins of the lightest next
+    candidates (a rounding that leaves n or more gives every bin its whole
+    rounds first). The shares are summed from the sorted bin gaps, not
+    from the level itself, so atoms too light to move a bin mass (below
+    its float spacing) still spread over the lightest bins.
     """
-    k, n = len(atoms), len(heap)
-    masses, bins = zip(*heap)
-    loads = np.empty(n)
-    loads[list(bins)] = masses
-    top = max(masses)
-    # every float add of p moves a mass by p - u/2 to p + u/2, so a bin
-    # takes at most k//n + bound + 1 atoms; when an add may leave a mass
-    # unchanged (step <= 0), a bin may take all k
-    u = float(np.spacing(2 * (top + k * p)))
-    step = p - u / 2
-    bound = (top - heap[0][0] + k // n * u) / step if step > 0 else math.inf
-    c = k if bound >= k else min(k, -(-k // n) + math.ceil(bound) + 2)
-    if n * c > _BULK_TABLE_FACTOR * k:
-        return None
-    table = np.empty((n, c))
-    table[:, 0] = loads
-    table[:, 1:] = p
-    np.cumsum(table, axis=1, out=table)
-    picks = table.reshape(-1).argsort(kind="stable")[:k] // c
-    counts = np.bincount(picks, minlength=n)
-    if counts.max() >= c and c < k:
-        raise AssertionError(
-            f"seed-map run of {k} atoms filled all {c} candidates of a bin")
-    assignment[atoms] = picks
-    hit = counts > 0
-    loads[hit] = table[hit, counts[hit] - 1] + p
-    return sorted(zip(loads.tolist(), range(n)))
+    n = len(masses)
+    counts = np.zeros(n, dtype=np.int64)
+    # one atom goes to the lightest bin, and so do atoms of p = 0, whose
+    # candidates in a bin all tie its mass
+    if k == 1 or p == 0.0:
+        counts[np.argmin(masses)] = k
+        return counts
+    order = masses.argsort(kind="stable")
+    low = masses[order]
+    # deficit[i]: the mass that lifts the i + 1 lightest bins to low[i]
+    deficit = np.zeros(n)
+    np.cumsum(np.arange(1, n) * (low[1:] - low[:-1]), out=deficit[1:])
+    q = int(deficit.searchsorted(k * p))   # bins below the level
+    share = (low[q - 1] - low[:q]) / p + (k / q - deficit[q - 1] / (q * p))
+    # a share outside [0, k] is rounding; clip before the float becomes an integer
+    counts[order[:q]] = share.clip(0, k).astype(np.int64)
+    rest = k - int(counts.sum())
+    counts += rest // n
+    if rest % n:
+        counts[(masses + counts * p).argsort(kind="stable")[:rest % n]] += 1
+    return counts
 
 
 def seed_rate_overhead(n: int, n0: int) -> float:

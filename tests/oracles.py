@@ -561,6 +561,20 @@ def greedy_seed_assignment(p_flat: np.ndarray, n0: int, n: int) -> np.ndarray:
     return assignment
 
 
+def greedy_pour_counts(masses: np.ndarray, k: int, p: float) -> np.ndarray:
+    """Per-bin counts of k atoms of probability p, each popped into the
+    lightest of the bins with the given masses (ties by bin index) and
+    pushed back."""
+    heap = [(float(m), b) for b, m in enumerate(masses)]
+    heapq.heapify(heap)
+    counts = np.zeros(len(heap), dtype=np.int64)
+    for _ in range(k):
+        mass, b = heapq.heappop(heap)
+        counts[b] += 1
+        heapq.heappush(heap, (mass + p, b))
+    return counts
+
+
 def per_letter_distortion(delta_mat: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """Average of delta over aligned positions."""
     a = np.asarray(a).astype(np.int64)

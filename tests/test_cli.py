@@ -359,6 +359,16 @@ class TestDerandAuditCommand:
                            {"p_xy": UNIFORM_PAIR, "n0": 1, "n": 100})
         assert run(["derand-audit", "--config", cfg, "--out-dir", tmp_path]) == 2
 
+    def test_bins_past_the_atom_cap_exit_3(self, tmp_path, capsys):
+        # the least tail that fills 4**11 + 1 bins has 4**12 atoms, past the
+        # cap, so a longer tail cannot help: a resource refusal, not exit 2
+        cfg = write_config(tmp_path, "da.json",
+                           {"p_xy": UNIFORM_PAIR, "n0": 11, "n": 4 ** 11 + 1})
+        assert run(["derand-audit", "--config", cfg, "--out-dir", tmp_path / "out"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource rejection: ") and "cap of 4194304" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestManifest:
     def test_embedded_and_reproducible(self, tmp_path):

@@ -9,6 +9,7 @@ import gwrdp.derandom
 from gwrdp.codec import Kernel, ResourceCapError, compute_code_sizes, encode, generate_codebook
 from gwrdp.derandom import (
     SeedMapError,
+    _pour,
     build_seed_map,
     default_tail_length,
     deterministic_decode,
@@ -17,7 +18,7 @@ from gwrdp.derandom import (
 )
 from gwrdp.prob import JointPmf
 from gwrdp.solver import hamming
-from oracles import greedy_seed_assignment
+from oracles import greedy_pour_counts, greedy_seed_assignment
 
 HAM = hamming(2)
 
@@ -31,6 +32,8 @@ UNIFORM4 = JointPmf(np.full((2, 2), 0.25), ("X", "Y"))
 # np.kron floats of their atoms split and merge symbol-count classes
 DISTINCT4 = JointPmf([[0.1, 0.2], [0.3, 0.4]], ("X", "Y"))
 TIED6 = JointPmf([[0.3, 0.05, 0.15], [0.1, 0.25, 0.15]], ("X", "Y"))
+# six distinct symbol probabilities: no level of 4 symbols has more than 4! atoms
+DISTINCT6 = JointPmf([[0.3, 0.05, 0.14], [0.1, 0.25, 0.16]], ("X", "Y"))
 
 
 def _rounded_dirichlet(seed):
@@ -47,7 +50,7 @@ def _rounded_dirichlet(seed):
 ABSORBED = JointPmf([[0.5, 1e-20], [1e-20, 0.5 - 2e-20]], ("X", "Y"))
 ZEROS = JointPmf([[0.5, 0.0], [0.25, 0.25]], ("X", "Y"))
 
-BULK_CASES = [
+LEVEL_CASES = [
     ("uniform-single-run", UNIFORM4, 8, 32),
     ("uniform-single-run-n5", UNIFORM4, 8, 5),
     ("dsbs-0.25", dsbs(0.25), 8, 32),
@@ -58,6 +61,37 @@ BULK_CASES = [
     ("absorbed-n8", ABSORBED, 8, 8),
     ("uniform-n2", UNIFORM4, 7, 2),
 ] + [(f"rounded-dirichlet-{seed}", *_rounded_dirichlet(seed)) for seed in range(20)]
+
+
+def kron_power(flat, n0):
+    """Every atom's probability as np.kron forms it, in atom index order."""
+    probs = flat
+    for _ in range(n0 - 1):
+        probs = np.kron(probs, flat)
+    return probs
+
+
+def symbol_counts(flat, n0):
+    """(distinct symbol probabilities, atoms): how often each atom's symbols
+    take each distinct probability."""
+    symbol = np.unique(flat, return_inverse=True)[1].reshape(-1)
+    digits = symbol[np.indices((flat.size,) * n0).reshape(n0, -1)]   # (n0, atoms)
+    return np.stack([np.sum(digits == s, axis=0) for s in range(symbol.max() + 1)])
+
+
+def record_pours(monkeypatch):
+    """Every level build_seed_map pours, as (bin masses before, k, p, counts)."""
+    calls = []
+    pour = gwrdp.derandom._pour
+
+    def recording(masses, k, p):
+        before = masses.copy()
+        counts = pour(masses, k, p)
+        calls.append((before, int(k), float(p), counts))
+        return counts
+
+    monkeypatch.setattr(gwrdp.derandom, "_pour", recording)
+    return calls
 
 
 class TestBuild:
@@ -79,10 +113,7 @@ class TestBuild:
         assert audit["within_bound"]
         assert sm.p_max == pytest.approx(0.45 ** 6, abs=1e-15)
         # exhaustive recomputation of bin masses from the assignment table
-        flat = np.asarray(dsbs(0.1).probs).reshape(-1)
-        probs = flat.copy()
-        for _ in range(5):
-            probs = np.kron(probs, flat)
+        probs = kron_power(np.asarray(dsbs(0.1).probs).reshape(-1), 6)
         masses = np.zeros(8)
         np.add.at(masses, sm.assignment, probs)
         np.testing.assert_allclose(masses, sm.bin_masses, atol=1e-15)
@@ -155,55 +186,72 @@ class TestBuild:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
 
+    def test_bins_past_the_atom_cap_are_a_resource_refusal(self):
+        # 4**11 atoms are one short of the bins, and 4**12 is past the cap
+        with pytest.raises(ResourceCapError, match=r"4194305 bins need n0 >= 12, but "
+                                                   r"4\*\*12 atoms exceed the cap of 4194304"):
+            build_seed_map(UNIFORM4, 11, 4_194_305)
+
     @pytest.mark.parametrize("p_xy, n0, n", [
         (dsbs(0.25), 7, 32),
         (TIED6, 4, 24),
         (DISTINCT4, 5, 7),
-    ] + [pytest.param(*case[1:], id=case[0]) for case in BULK_CASES])
-    def test_assignment_matches_pop_push_loop(self, p_xy, n0, n):
+        (DISTINCT6, 4, 24),
+    ] + [pytest.param(*case[1:], id=case[0]) for case in LEVEL_CASES])
+    def test_assignment_matches_pop_push_loop(self, monkeypatch, p_xy, n0, n):
+        # whole levels are poured in float arithmetic, so the map matches the
+        # atom-by-atom greedy in its bin masses, not atom for atom
+        poured = record_pours(monkeypatch)
         sm = build_seed_map(p_xy, n0, n)
         flat = np.asarray(p_xy.probs).reshape(-1)
-        want = greedy_seed_assignment(flat, n0, n)
-        assert np.array_equal(sm.assignment, want)
-        probs = flat
-        for _ in range(n0 - 1):
-            probs = np.kron(probs, flat)
-        masses = np.zeros(n)
-        np.add.at(masses, want, probs)
-        assert np.array_equal(sm.bin_masses, masses)
+        probs = kron_power(flat, n0)
+        want = np.bincount(greedy_seed_assignment(flat, n0, n), weights=probs, minlength=n)
+        np.testing.assert_allclose(np.sort(sm.bin_masses), np.sort(want), rtol=0, atol=1e-12)
+        assert sm.max_deviation <= np.abs(want - 1 / n).max() + 1e-12
+        assert sm.max_deviation <= sm.p_max
+        np.testing.assert_allclose(np.bincount(sm.assignment, weights=probs, minlength=n),
+                                   sm.bin_masses, rtol=0, atol=1e-12)
+        # one pour per symbol-count class, whose per-bin counts sum to its size
+        classes, sizes = np.unique(symbol_counts(flat, n0), axis=1, return_inverse=True,
+                                   return_counts=True)[1:]
+        assert sorted(k for _, k, _, _ in poured) == sorted(sizes.tolist())
+        assert all(counts.sum() == k for _, k, _, counts in poured)
+        # a class's atoms, in index order, take nondecreasing bins
+        order = np.argsort(classes.reshape(-1), kind="stable")
+        same_class = np.diff(classes.reshape(-1)[order]) == 0
+        assert np.all(np.diff(sm.assignment[order])[same_class] >= 0)
 
     @pytest.mark.parametrize("p_xy, n0, split, merged", [
         (DISTINCT4, 5, 28, 29),
         (TIED6, 4, 31, 25),
     ])
-    def test_kron_floats_split_and_merge_symbol_count_classes(self, p_xy, n0, split, merged):
+    def test_kron_floats_split_and_merge_symbol_count_classes(self, monkeypatch, p_xy, n0,
+                                                              split, merged):
         # atoms that hold each symbol probability equally often have one
         # exact probability, but np.kron rounds their products in different
         # orders, and rounding also makes floats of other classes coincide;
-        # so the seed map's order must rank atoms by float, not by counts
+        # so the seed map pours one level per class, not per float
         flat = np.asarray(p_xy.probs).reshape(-1)
-        probs = flat
-        for _ in range(n0 - 1):
-            probs = np.kron(probs, flat)
-        symbol = np.unique(flat, return_inverse=True)[1].reshape(-1)
-        digits = symbol[np.indices((flat.size,) * n0).reshape(n0, -1)]   # (n0, atoms)
-        counts = np.stack([np.sum(digits == s, axis=0) for s in range(symbol.max() + 1)])
-        classes = np.unique(counts, axis=1, return_inverse=True)[1].reshape(-1)
+        probs = kron_power(flat, n0)
+        classes = np.unique(symbol_counts(flat, n0), axis=1, return_inverse=True)[1].reshape(-1)
         floats = np.unique(probs, return_inverse=True)[1].reshape(-1)
         pairs = np.unique(np.stack([classes, floats]), axis=1)
         assert np.sum(np.bincount(pairs[0]) > 1) == split    # classes holding two floats
         assert np.sum(np.bincount(pairs[1]) > 1) == merged   # floats of two classes
+        poured = record_pours(monkeypatch)
+        build_seed_map(p_xy, n0, 8)
+        assert len(poured) == classes.max() + 1
 
     def test_dsbs_4_10_map_peak_memory(self):
-        # the order needs one byte of rank per atom here; a per-atom float
-        # array and its sorted copy would add 16 MiB and pass the bound
+        # one byte of level key per atom, the int64 order and assignment
+        # come to about 17 MiB; a per-atom float array would pass the bound
         tracemalloc.start()
         try:
             build_seed_map(dsbs(0.25), 10, 32)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 26 * 2 ** 20
+        assert peak < 22 * 2 ** 20
 
     def test_every_atom_assigned_once(self):
         sm = build_seed_map(dsbs(0.2), 3, 5)
@@ -212,47 +260,46 @@ class TestBuild:
         assert np.all(np.bincount(sm.assignment, minlength=5) > 0)
 
 
-class TestBulkPlacement:
-    """Which atoms the bulk step places, and its certificate."""
+class TestPour:
+    """One level's water-fill into the bins."""
 
-    def test_bulk_path_places_every_run(self, monkeypatch):
-        # every run of DSBS(0.25) with n0 = 8 has at least 256 atoms
-        def refuse(heap, item):
-            raise AssertionError("an atom went through the heap loop")
-
-        monkeypatch.setattr(gwrdp.derandom.heapq, "heapreplace", refuse)
-        sm = build_seed_map(dsbs(0.25), 8, 32)
-        want = greedy_seed_assignment(np.asarray(dsbs(0.25).probs).reshape(-1), 8, 32)
-        assert np.array_equal(sm.assignment, want)
-
-    @pytest.mark.parametrize("p_xy, n0, n, heap_atoms", [
-        # six distinct symbol probabilities: no run has more than 4! atoms,
-        # fewer than the bulk step's minimum
-        (JointPmf([[0.3, 0.05, 0.14], [0.1, 0.25, 0.16]], ("X", "Y")), 4, 24, 6 ** 4),
-        # long runs of absorbed atoms, whose table would need all k columns
-        (ABSORBED, 8, 8, 4 ** 8 - 2 ** 8),
+    @pytest.mark.parametrize("masses, k, p", [
+        # dyadic masses and p, so the loop's float sums are exact
+        (np.arange(8) / 64, 3, 1 / 128),                    # k < n
+        (np.arange(8) / 64, 5, 1 / 4),                      # k < n, p past every gap
+        (np.array([3, 0, 5, 0, 1]) / 16, 1000, 1 / 1024),   # k >> n
+        (np.array([3, 0, 5, 0, 1]) / 16, 7, 0.0),           # p = 0: the first lightest bin
+        (np.full(6, 1 / 8), 20, 1 / 32),                    # ties by bin
+        (np.array([1, 2]) / 4, 1, 1 / 2),
     ])
-    def test_heap_loop_places_the_rest(self, monkeypatch, p_xy, n0, n, heap_atoms):
-        calls = []
-        heapreplace = gwrdp.derandom.heapq.heapreplace
+    def test_counts_match_the_one_at_a_time_loop(self, masses, k, p):
+        assert np.array_equal(_pour(masses, k, p), greedy_pour_counts(masses, k, p))
 
-        def count(heap, item):
-            calls.append(item)
-            return heapreplace(heap, item)
+    def test_absorbed_atoms_spread_over_the_lightest_bins(self):
+        # each atom is far below the float spacing of the masses, so the
+        # one-at-a-time loop would leave every mass unchanged and pile all
+        # atoms into bin 0; the level shares them as exact arithmetic would
+        masses = np.array([85, 86, 85]) / 256
+        assert _pour(masses, 2048, 2.0 ** -70).tolist() == [1024, 0, 1024]
+        assert _pour(masses, 2049, 2.0 ** -70).tolist() == [1025, 0, 1024]
 
-        monkeypatch.setattr(gwrdp.derandom.heapq, "heapreplace", count)
-        sm = build_seed_map(p_xy, n0, n)
-        assert len(calls) == heap_atoms
-        want = greedy_seed_assignment(np.asarray(p_xy.probs).reshape(-1), n0, n)
-        assert np.array_equal(sm.assignment, want)
-
-    def test_certificate_refuses_an_exhausted_bin(self):
-        # heap[0] is not the lightest bin, so the candidate count is too
-        # small: the seven empty bins take about 114 atoms each
-        heap = [(0.5, 0)] + [(0.0, b) for b in range(1, 8)]
-        atoms = np.arange(800)
-        with pytest.raises(AssertionError, match="filled all"):
-            gwrdp.derandom._place_run_in_bulk(heap, atoms, 1e-3, np.empty(800, dtype=np.int64))
+    def test_every_level_ends_within_p_of_the_lightest_bin(self, monkeypatch):
+        poured = record_pours(monkeypatch)
+        for p_xy, n0, n in [(ABSORBED, 8, 3), (ZEROS, 8, 16), (dsbs(0.25), 8, 32),
+                            (DISTINCT4, 5, 7)]:
+            build_seed_map(p_xy, n0, n)
+        kinds = set()
+        for before, k, p, counts in poured:
+            after = before + counts * p
+            received = counts > 0
+            assert np.all(after[received] - after.min() <= p + 1e-15), (k, p)
+            kinds.add("k < n" if k < len(before) else "k >> n" if k >= 10 * len(before)
+                      else "k ~ n")
+            if p == 0:
+                kinds.add("p = 0")
+            elif np.all(before[received] + p == before[received]):
+                kinds.add("absorbed")
+        assert {"k < n", "k >> n", "p = 0", "absorbed"} <= kinds
 
 
 class TestSeedLookup:

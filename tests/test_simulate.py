@@ -458,6 +458,15 @@ PINNED_CODEC_OUTPUTS = {
             "79fe244ea6bf686665a51fc3f8bdf1ab4e24f61026ce557571949ff421a2517d",
             "108c19a9968a861c5e83fe0521db7deeb65f2d22c88dfd7bb4983361b1d7376f"),
     },
+    # the seed map pours whole probability levels: tails take other seeds
+    "0.7.0": {
+        "common-randomness": (
+            "f7a8dac015347081790803d0ca67ba7d8c1401b344184f4baad140b387e3c10d",
+            "f47239bd457d7f9252eec447858b571d72f23a0676ac298507ae5a73632b858b"),
+        "deterministic": (
+            "4b04f3f7ddbbae1384adc44a7dd2aa3ed3d63305a448d812244ecc8029281a26",
+            "92053d6cd8f56631081236016156ae5024e54719699ce1ad54443244a3d3342f"),
+    },
 }
 
 
