@@ -144,6 +144,8 @@ def _write(path: Path, content: dict | str, manifest: dict):
 
 def cmd_rdp(args, cfg: dict):
     _refuse_unknown(cfg, "seed q_xw source distortion perception d_budget p_budget")
+    if "q_xw" in cfg and "source" in cfg:
+        raise ConfigError("fields 'q_xw' and 'source' both give the source; give one")
     if "q_xw" in cfg:
         q_xw = JointPmf(_pmf_like(cfg, "q_xw"), ("X", "W"))
     else:
@@ -238,7 +240,7 @@ def cmd_simulate(args, cfg: dict):
         mode=_field(cfg, "mode", str, "common-randomness"),
         n0=_field(cfg, "n0", int, None), delta_x_mat=deltas[0], delta_y_mat=deltas[1],
         memory_cap=DEFAULT_MEMORY_CAP if args.memory_cap is None else args.memory_cap)
-    report = run_simulation(config, parallel=args.parallel)
+    report = run_simulation(config)
     cols = [(f"{s.mean_distortion:.4f}", f"{s.threshold:.4f}", f"{s.max_tv_excess(p):+.4f}",
              f"{s.freq_no_codeword:.3f}")
             for s, p in ((report.x, budgets.p1), (report.y, budgets.p2))]
@@ -280,10 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", type=Path, default=Path("."),
                         help="directory for output files")
     parser.add_argument("--parallel", type=int, default=1,
-                        help="worker processes; results are degree-independent")
+                        help="region only: worker processes for the frontier; results "
+                             "are degree-independent (other subcommands ignore it)")
     parser.add_argument("--memory-cap", type=int, default=None,
-                        help="simulate only: cap on the codeword symbols drawn per "
-                             "process, the pages drawn from all three codebook layers "
+                        help="simulate only: cap on the codeword symbols drawn, the "
+                             "pages drawn from all three codebook layers "
                              f"(default {DEFAULT_MEMORY_CAP})")
     return parser
 
@@ -305,8 +308,8 @@ def main(argv: list[str] | None = None) -> int:
     if not isinstance(cfg, dict):
         print("config must be a JSON object", file=sys.stderr)
         return EXIT_CONFIG
-    # worker processes beyond the cores only add start-up cost; results do
-    # not depend on the degree
+    # region's worker processes beyond the cores only add start-up cost;
+    # results do not depend on the degree
     args.parallel = min(max(args.parallel, 1), os.cpu_count() or 1)
     try:
         args.seed = args.seed if args.seed is not None else _field(cfg, "seed", int, 0)

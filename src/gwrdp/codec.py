@@ -29,9 +29,10 @@ from page 4 on, which starts at 1360. Page p of branch b under
 conditioning index s0 is drawn given the parent layer's codeword
 ``parent[0, s0]``, from its own counter-based stream, Philox keyed by
 ``SeedSequence(seed, spawn_key=(b, s0, p))``, so a page holds the same
-codewords whichever process draws it and in whatever order. A private
-layer's parent is the common layer; the common layer has one index, s0 =
-0, and its parent is one all-zero row, so its band is W's own.
+codewords in every codebook of that seed, in whatever order the pages are
+drawn. A private layer's parent is the common layer; the common layer has
+one index, s0 = 0, and its parent is one all-zero row, so its band is W's
+own.
 Generating a codebook draws nothing, and only the pages an encoder or
 decoder touches are ever drawn, which lets a layer hold far more
 codewords than memory could. A memory cap on the symbols drawn is
@@ -384,9 +385,8 @@ def _page_span(p: int) -> tuple[int, int]:
 
 
 class _SymbolBudget:
-    """Codeword symbols one process has drawn for a codebook, every page of
-    its three layers, against an optional cap. A pickled copy starts again
-    at 0, because paged layers drop their drawn pages when pickled."""
+    """Codeword symbols drawn for a codebook, every page of its three
+    layers, against an optional cap."""
 
     def __init__(self, cap: int | None):
         self.cap, self.used = cap, 0
@@ -397,9 +397,6 @@ class _SymbolBudget:
                 f"codebook would hold {self.used + symbols} symbols, cap is {self.cap}; "
                 f"raise memory_cap or reduce n/delta")
         self.used += symbols
-
-    def __reduce__(self):
-        return _SymbolBudget, (self.cap,)
 
 
 class PagedLayer:
@@ -418,8 +415,7 @@ class PagedLayer:
     once; and ``np.asarray(layer)``, which draws every page. Indices follow
     NumPy's rule: negatives count from the end (index arrays into a layer
     past 2**63 codewords take none), others out of range raise
-    ``IndexError``. ``nbytes`` counts the pages drawn so far. Pickling drops
-    the drawn pages; the copy redraws the same ones on demand."""
+    ``IndexError``. ``nbytes`` counts the pages drawn so far."""
 
     dtype = np.dtype(SYMBOL_DTYPE)
 
@@ -481,9 +477,6 @@ class PagedLayer:
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(np.stack([self[s0] for s0 in range(self.shape[0])]), dtype=dtype)
-
-    def __getstate__(self):
-        return {**self.__dict__, "_pages": {}}
 
 
 def _checked_index(i, size: int) -> np.ndarray:

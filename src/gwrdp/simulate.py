@@ -8,11 +8,11 @@ accumulates per-letter distortions, per-position reconstruction marginals
 with their perception distances, and encoder miss frequencies. The
 report's code sizes and thresholds are the codebook's.
 
-Trials draw from counter-based Philox streams, one per block of 256
-trials, keyed by (master seed, block index), so every trial's draws are a
-fixed function of the master seed and the trial index. Report contents
-are bit-identical between serial and parallel runs: per-trial values are
-assembled into trial-indexed arrays and reduced once in a fixed order.
+Every trial runs in the calling process. Trials draw from counter-based
+Philox streams, one per block of 256 trials, keyed by (master seed, block
+index), so every trial's draws are a fixed function of the master seed
+and the trial index. Per-trial values are assembled into trial-indexed
+arrays and reduced once in a fixed order.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import io
 import logging
 import math
 from dataclasses import dataclass, fields
-from itertools import repeat
 
 import numpy as np
 
@@ -52,7 +51,7 @@ from .region import AuxChannel, Budgets
 from .solver import DistortionMatrix, hamming
 
 MODES = ("common-randomness", "deterministic")
-DEFAULT_MEMORY_CAP = 2 ** 24   # codeword symbols one process may draw
+DEFAULT_MEMORY_CAP = 2 ** 24   # codeword symbols one simulation may draw
 
 _log = logging.getLogger(__name__)
 
@@ -65,7 +64,7 @@ def wilson_halfwidth(p_hat: float | np.ndarray, n: int, z: float = 1.96):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything one simulation needs; immutable and picklable."""
+    """Everything one simulation needs; immutable."""
 
     p_xy: JointPmf
     aux: AuxChannel
@@ -95,7 +94,7 @@ class SimConfig:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.mode == "deterministic" and self.n0 is not None and not 1 <= self.n0 <= self.n:
+        if self.n0 is not None and not 1 <= self.n0 <= self.n:
             raise ValueError(f"n0={self.n0} must lie in [1, n={self.n}]: the tail copies "
                              "head positions")
         nx, ny = self.p_xy.shape
@@ -202,43 +201,23 @@ class SimReport:
         return buf.getvalue()
 
 
-@dataclass
-class _TrialBatch:
-    """Per-trial results of trials [lo, hi); the first axis of ``dist``,
-    ``head`` and ``hist`` is the branch (X, then Y)."""
-
-    dist: np.ndarray             # (2, trials) per-letter distortion
-    head: np.ndarray             # (2, trials) over the first n positions
-    miss: np.ndarray             # (3, trials) common, X and Y scan misses
-    hist: list[np.ndarray]       # per branch (positions, |X|) symbol counts
-    pages: tuple[int, int, int]       # pages (common, x, y) this batch's process drew
-    codewords: tuple[int, int, int]   # and the codewords on them
-
-    @classmethod
-    def merge(cls, batches: list["_TrialBatch"]) -> "_TrialBatch":
-        return cls(dist=np.concatenate([b.dist for b in batches], axis=1),
-                   head=np.concatenate([b.head for b in batches], axis=1),
-                   miss=np.concatenate([b.miss for b in batches], axis=1),
-                   hist=[sum(h) for h in zip(*(b.hist for b in batches))],
-                   pages=tuple(map(sum, zip(*(b.pages for b in batches)))),
-                   codewords=tuple(map(sum, zip(*(b.codewords for b in batches)))))
-
-
 # trials that share one random stream and whose draws, decoding and
 # statistics run as arrays; the block size fixes every trial's draws, so
 # changing it changes every report and needs a version bump
 _CHUNK = 256
 
 
-def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None,
-                lo: int, hi: int) -> _TrialBatch:
-    """Trials [lo, hi). Trials [256b, 256b + 256) draw from one Philox
-    ``Generator`` keyed (master seed, b): first each trial's source
-    uniforms, then, in common-randomness mode, each trial's shift seed K.
-    A span that starts or ends inside a block draws the whole block and
-    keeps its own rows, so a trial's draws do not depend on the span. Each
-    block is then encoded, decoded, scored and counted together."""
-    n, n0 = config.n, config.tail_length()
+def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None):
+    """Every trial, as per-trial arrays: ``dist`` and ``head`` (2, trials),
+    the per-letter distortion over all positions and over the first n,
+    branch X then Y; ``miss`` (3, trials), the common, X and Y scan misses;
+    ``hist``, per branch the (positions, |X|) reconstruction symbol counts.
+    Trials [256b, 256b + 256) draw from one Philox ``Generator`` keyed
+    (master seed, b): first each trial's source uniforms, then, in
+    common-randomness mode, each trial's shift seed K. The last block draws
+    whole and keeps its own rows. Each block is then encoded, decoded,
+    scored and counted together."""
+    n, n0, trials = config.n, config.tail_length(), config.trials
     total_len = n + n0
     shared_seed = config.mode == "common-randomness"
     ny = config.p_xy.shape[1]
@@ -246,27 +225,22 @@ def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None,
     cdf = np.cumsum(np.asarray(config.p_xy.probs).reshape(-1))
     cdf /= cdf[-1]
     deltas = codebook.distortions
-    count = hi - lo
-    dist = np.empty((2, count))
-    head = np.empty((2, count))
-    miss = np.empty((3, count), dtype=bool)
+    dist = np.empty((2, trials))
+    head = np.empty((2, trials))
+    miss = np.empty((3, trials), dtype=bool)
     hist = [np.zeros((total_len, d.shape[1]), dtype=np.int64) for d in deltas]
-    layers = (codebook.common, codebook.priv_x, codebook.priv_y)
-    pages_before = [layer.pages_drawn for layer in layers]
-    codewords_before = [layer.codewords_drawn for layer in layers]
 
-    for block in range(lo // _CHUNK, (hi - 1) // _CHUNK + 1):
+    for block in range((trials - 1) // _CHUNK + 1):
         rng = np.random.Generator(np.random.Philox(
             key=np.array([config.master_seed, block], dtype=np.uint64)))
-        first, stop = max(lo, block * _CHUNK), min(hi, (block + 1) * _CHUNK)
-        keep = slice(first - block * _CHUNK, stop - block * _CHUNK)
-        u = rng.random((_CHUNK, total_len))[keep]
-        ks = rng.integers(0, n, _CHUNK)[keep] if shared_seed else None
+        rows = slice(block * _CHUNK, min(trials, (block + 1) * _CHUNK))
+        count = rows.stop - rows.start
+        u = rng.random((_CHUNK, total_len))[:count]
+        ks = rng.integers(0, n, _CHUNK)[:count] if shared_seed else None
         pair = cdf.searchsorted(u, side="right")
         xs, ys = pair // ny, pair % ny
         if not shared_seed:
             ks = seed_map.seeds_for_tails(xs[:, n:], ys[:, n:])
-        rows = slice(first - lo, stop - lo)
         s0, s1, s2, miss[:, rows] = encode_batch(codebook, xs[:, :n], ys[:, :n], ks)
         if shared_seed:
             hats = decode(codebook, s0, s1, s2, ks)
@@ -277,19 +251,15 @@ def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None,
             head[b, rows] = d[src[:, :n], hat[:, :n]].mean(axis=1)
             cells = np.arange(total_len) * hist[b].shape[1] + hat
             hist[b] += np.bincount(cells.ravel(), minlength=hist[b].size).reshape(hist[b].shape)
-    return _TrialBatch(
-        dist, head, miss, hist,
-        pages=tuple(layer.pages_drawn - b for layer, b in zip(layers, pages_before)),
-        codewords=tuple(layer.codewords_drawn - b for layer, b in zip(layers, codewords_before)))
+    return dist, head, miss, hist
 
 
-def _branch_stats(batch: _TrialBatch, codebook: Codebook, b: int,
-                  p_source: np.ndarray) -> BranchStats:
-    """Statistics of branch b (0 for X, 1 for Y) over all trials of a
-    merged batch."""
-    dist = batch.dist[b]
-    trials, total_len = dist.shape[0], batch.hist[b].shape[0]
-    marginals = batch.hist[b] / trials
+def _branch_stats(codebook: Codebook, b: int, p_source: np.ndarray, dist: np.ndarray,
+                  head: np.ndarray, miss: np.ndarray, hist: np.ndarray) -> BranchStats:
+    """Statistics of branch b (0 for X, 1 for Y) from its rows of
+    ``_run_trials``' arrays."""
+    trials, total_len = dist.shape[0], hist.shape[0]
+    marginals = hist / trials
     halfwidth = wilson_halfwidth(marginals, trials)
     pooled = float(dist.mean())
     # the pooled letters are Bernoulli only under a 0/1 distortion
@@ -297,20 +267,20 @@ def _branch_stats(batch: _TrialBatch, codebook: Codebook, b: int,
     return BranchStats(
         threshold=codebook.thresholds[b],
         mean_distortion=pooled,
-        mean_distortion_head=float(batch.head[b].mean()),
+        mean_distortion_head=float(head.mean()),
         stderr_distortion=float(dist.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
         distortion_wilson=(float(wilson_halfwidth(pooled, trials * total_len))
                            if is01 else float("nan")),
-        freq_no_codeword=float(batch.miss[1 + b].mean()),
+        freq_no_codeword=float(miss.mean()),
         marginals=marginals,
         marginal_halfwidth=halfwidth,
         tv=np.abs(marginals - p_source[None, :]).sum(axis=1),
         tv_interval=halfwidth.sum(axis=1))
 
 
-def run_simulation(config: SimConfig, parallel: int = 1) -> SimReport:
-    """Run all trials and aggregate; deterministic for a fixed master seed
-    and independent of the parallelism degree."""
+def run_simulation(config: SimConfig) -> SimReport:
+    """Run all trials in this process and aggregate; deterministic for a
+    fixed master seed."""
     q_xyw = config.p_xy.extend(config.aux.kernel, "W")
     sizes = compute_code_sizes(q_xyw, config.test_channel_x, config.test_channel_y,
                                config.n, config.delta)
@@ -322,30 +292,22 @@ def run_simulation(config: SimConfig, parallel: int = 1) -> SimReport:
     seed_map = (build_seed_map(config.p_xy, n0, config.n)
                 if config.mode == "deterministic" else None)
 
-    trials = config.trials
-    if parallel > 1:
-        from concurrent.futures import ProcessPoolExecutor   # serial runs skip multiprocessing
-        # distinct bounds, so every worker gets a nonempty span
-        bounds = np.unique(np.linspace(0, trials, parallel + 1).astype(int)).tolist()
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            batch = _TrialBatch.merge(list(pool.map(
-                _run_trials, repeat(config), repeat(codebook), repeat(seed_map),
-                bounds[:-1], bounds[1:])))
-    else:
-        batch = _run_trials(config, codebook, seed_map, 0, trials)
+    dist, head, miss, hist = _run_trials(config, codebook, seed_map)
     _log.debug("pages drawn: common %d (%d codewords), x %d (%d codewords), "
-               "y %d (%d codewords)", *(v for pair in zip(batch.pages, batch.codewords)
-                                        for v in pair))
+               "y %d (%d codewords)",
+               *(v for layer in (codebook.common, codebook.priv_x, codebook.priv_y)
+                 for v in (layer.pages_drawn, layer.codewords_drawn)))
 
     sources = (config.p_xy.marginal("X").probs, config.p_xy.marginal("Y").probs)
-    x, y = (_branch_stats(batch, codebook, b, sources[b]) for b in (0, 1))
+    x, y = (_branch_stats(codebook, b, sources[b], dist[b], head[b], miss[1 + b], hist[b])
+            for b in (0, 1))
     overhead = seed_rate_overhead(config.n, n0) if config.mode == "deterministic" else 0.0
     rates = tuple(math.log2(max(m, 1)) / config.n + overhead for m in codebook.sizes)
 
     return SimReport(
-        mode=config.mode, n=config.n, n0=n0, trials=trials,
+        mode=config.mode, n=config.n, n0=n0, trials=config.trials,
         sizes=codebook.sizes, x=x, y=y,
-        freq_no_common_codeword=float(batch.miss[0].mean()),
+        freq_no_common_codeword=float(miss[0].mean()),
         joint_set_empty=joint_set_empty(codebook.q_xyw, config.n, config.delta),
         rates=rates, seed_overhead=overhead,
         budgets=config.budgets, master_seed=config.master_seed)

@@ -3,7 +3,8 @@
 Kept deliberately separate from the library: a textbook alternating-
 minimization rate-distortion solver (no perception) with multiplier
 bisection, plus closed-form helpers, checks the main solver through a
-different code path; the exhaustive grid oracle searches test channels and
+different code path, and ``binary_rdp_tv`` is the exact binary R(D, P)
+under Hamming distortion and TV perception; the exhaustive grid oracle searches test channels and
 shares only the solver's problem setup and metrics (it sums each w's table
 of row choices, then rescores the channels near the best as a plain scan
 of the whole grid would). Entropy and
@@ -76,6 +77,26 @@ def h2(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+
+
+def binary_rdp_tv(p: float, d: float, p_tv: float) -> float:
+    """R(D, P) of a Bernoulli(p) source, p <= 1/2, under Hamming distortion
+    D and TV perception P, in closed form: Theorem 2 of Blau and Michaeli,
+    "Rethinking lossy compression: the rate-distortion-perception
+    tradeoff", ICML 2019. Their TV is half of this library's sum |p - q|,
+    so it is P' = P / 2 here. With q = 1 - p, D1 = P' / (1 - 2(p - P'))
+    (infinite when P' >= p) and D2 = 2pq - (q - p) P':
+    R = h(p) - h(D) for D < p and 0 for D >= p, when D <= D1;
+    R = 2h(p) + h(p - P') - H3((D - P') / 2, p) - H3((D + P') / 2, q)
+    when D1 < D <= D2, where H3(a, b) is the entropy of (a, b, 1 - a - b);
+    R = 0 when D > D2."""
+    q, half = 1.0 - p, p_tv / 2.0
+    if half >= p or d <= half / (1.0 - 2.0 * (p - half)):
+        return h2(p) - h2(d) if d < p else 0.0
+    if d > 2.0 * p * q - (q - p) * half:
+        return 0.0
+    return (2.0 * h2(p) + h2(p - half) - entropy([(d - half) / 2, p, 1 - (d - half) / 2 - p])
+            - entropy([(d + half) / 2, q, 1 - (d + half) / 2 - q]))
 
 
 def ba_rate_at_multiplier(p_x: np.ndarray, delta: np.ndarray, beta: float,

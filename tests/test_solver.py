@@ -26,8 +26,8 @@ from gwrdp.solver import (
     rdp_point_to_point,
 )
 
-from oracles import (brute_force_rdp, conditional_mutual_information, h2, kkt_block,
-                     rd_function, rdp_stress_queries, stress_summary)
+from oracles import (binary_rdp_tv, brute_force_rdp, conditional_mutual_information, h2,
+                     kkt_block, rd_function, rdp_stress_queries, stress_summary)
 
 HAM2 = DistortionMatrix(hamming(2))
 TV = PerceptionMeasure("tv")
@@ -90,6 +90,44 @@ class TestKnownValues:
             pinned = rdp_point_to_point(Pmf([0.5, 0.5]), HAM2, TV, d, 0.0)
             assert pinned.rate == pytest.approx(free.rate, abs=1e-5)
             assert pinned.achieved_perception <= 1e-9
+
+
+def binary_tv_cases(seed: int, per_regime: int) -> dict[int, list[tuple[float, float, float]]]:
+    """Seeded (p, D, P) for ``binary_rdp_tv``, ``per_regime`` in each of its
+    three regimes: 1, D <= D1 (P' = P / 2 >= p in some cases, where the
+    perception budget does not bind); 2, D1 < D <= D2; 3, D > D2."""
+    rng = np.random.default_rng(seed)
+    cases = {1: [], 2: [], 3: []}
+    while min(map(len, cases.values())) < per_regime:
+        p = rng.uniform(0.05, 0.5)
+        half = rng.uniform(0.0, 1.25 * p)
+        regime = int(rng.integers(1, 4))
+        d1 = half / (1 - 2 * (p - half)) if half < p else 0.5
+        d2 = 2 * p * (1 - p) - (1 - 2 * p) * half
+        if len(cases[regime]) == per_regime or (half >= p and regime > 1):
+            continue
+        lo, hi = {1: (0.0, d1), 2: (d1, d2), 3: (d2, 0.6)}[regime]
+        cases[regime].append((p, rng.uniform(lo, hi), 2 * half))
+    return cases
+
+
+class TestBinaryClosedForm:
+    """``rdp_point_to_point`` against Blau and Michaeli's closed-form binary
+    R(D, P) for Hamming distortion and TV perception."""
+
+    @pytest.mark.parametrize("regime", [1, 2, 3])
+    def test_rate_matches_closed_form(self, regime):
+        # the solver aims at a certified gap of 1e-8 bits; near the rate-0
+        # boundary it may stop at a wider one, inside GAP_TOL, and then its
+        # rate stays within that gap of the exact value
+        for p, d, p_tv in binary_tv_cases(0, 30)[regime]:
+            res = rdp_point_to_point(Pmf([p, 1 - p]), HAM2, TV, d, p_tv)
+            exact = binary_rdp_tv(p, d, p_tv)
+            assert res.converged, (p, d, p_tv)
+            assert abs(res.rate - exact) <= max(1e-8, abs(res.gap)) + 1e-12, \
+                (p, d, p_tv, res.rate, exact, res.gap)
+            if regime == 3:
+                assert exact == 0.0
 
 
 class TestResultContracts:
