@@ -49,16 +49,16 @@ the pages, each cut into pieces of at most ``_SCRATCH`` one-hot elements
 those 16, a scan draws a page only when it reaches it, and a long scan
 stays vectorized. Each block is one-hot encoded once and scored for every
 trial still without a hit by one matrix product per sub-batch of trials,
-held to ``_SCRATCH`` elements (or one trial's share): the trials' 0/1
-rows times the block's one-hot give exact integer counts, whatever the
-BLAS summation order. The common layer's rows are the pair-cell one-hot,
-whose joint counts the band tests; a private layer's mark, per distinct
-nonzero distortion value v, the cells at distortion v from the source, so
-the counts are K_v and the per-letter distortion is sum_v v * K_v / n,
-summed in ascending v. Every decision is thus the one a lone codeword
-gets, one per joint type. Every trial keeps a lone scan's block schedule,
-so a batch reads the codewords and draws the pages that one scan per
-trial would.
+whose 0/1 rows (built per sub-batch) and counts each hold ``_SCRATCH``
+elements at most (or one trial's): the rows times the block's one-hot
+give exact integer counts, whatever the BLAS summation order. The common
+layer's rows are the pair-cell one-hot, whose joint counts the band tests;
+a private layer's mark, per distinct nonzero distortion value v, the
+cells at distortion v from the source, so the counts are K_v and the
+per-letter distortion is sum_v v * K_v / n, summed in ascending v. Every
+decision is thus the one a lone codeword gets, one per joint type. Every
+trial keeps a lone scan's block schedule, so a batch reads the codewords
+and draws the pages that one scan per trial would.
 """
 
 from __future__ import annotations
@@ -116,7 +116,8 @@ def circular_shift(k, seq: np.ndarray, other: np.ndarray | None = None):
         raise ValueError(f"shift seeds of shape {k.shape} do not fit sequences of shape "
                          f"{seq.shape}: a 1-D sequence takes one scalar k, a (rows, n) "
                          "batch one k per row")
-    cols = (np.arange(n) + k[..., None]) % n
+    cols = np.arange(n) + k[..., None]
+    cols %= n   # in place: one (rows, n) int64 temporary, not two
     if other is None:
         return np.take_along_axis(seq, cols, axis=-1)
     other = np.asarray(other)
@@ -604,25 +605,27 @@ def _one_hot(seqs: np.ndarray, size: int) -> np.ndarray:
     return (seqs[:, None, :] == np.arange(size)[:, None]).astype(np.float64)
 
 
-def _scan(layer, s0: int, left: np.ndarray, size: int, accept) -> np.ndarray:
+def _scan(layer, s0: int, left, shape: tuple, size: int, accept) -> np.ndarray:
     """Per trial, the smallest j whose codeword ``layer[s0, j]`` ``accept``
     takes, or -1. Each of the ``_blocks`` for the layer's codewords of n
     symbols over ``size`` is read once, as ``layer[s0, start:stop]``, and
-    one-hot encoded once, read as (K, -1). Times it, the 0/1 rows of
-    ``left``, (T, L, K), of the trials still without a hit give exact
-    integer counts, in sub-batches whose products hold at most _SCRATCH
-    elements, or one trial's. ``accept(counts)`` takes the (trials, L, -1)
-    counts and returns the (trials, block rows) hit mask."""
-    trials, per_trial, k = left.shape
+    one-hot encoded once, read as (K, block rows). Times it, the 0/1 rows
+    ``left(some)`` of the trials ``some`` still without a hit, (some.size,
+    L, K) of the trials' (T, L, K) ``shape``, give exact integer counts. A
+    sub-batch holds _SCRATCH // (L * max(K, block rows)) trials, or one, so
+    its rows and its counts each hold at most _SCRATCH elements, or one
+    trial's. ``accept(counts)`` takes the (some.size, L, block rows) counts
+    and returns the (some.size, block rows) hit mask."""
+    trials, per_trial, k = shape
     _, m, n = layer.shape
     found = np.full(trials, -1, dtype=np.int64)
     active = np.arange(trials)
     for start, stop in _blocks(m, n * size):
         right = _one_hot(layer[s0, start:stop], size).reshape(k, -1)
-        step = max(1, _SCRATCH // max(1, per_trial * right.shape[1]))
+        step = max(1, _SCRATCH // max(1, per_trial * max(k, right.shape[1])))
         for a in range(0, active.size, step):
             some = active[a:a + step]
-            counts = left[some].reshape(-1, k) @ right
+            counts = left(some).reshape(-1, k) @ right
             ok = accept(counts.reshape(some.size, per_trial, right.shape[1]))
             has = ok.any(axis=1)
             found[some[has]] = start + ok[has].argmax(axis=1)
@@ -650,7 +653,10 @@ def _first_under_threshold(layer, s0: int, refs: np.ndarray,
     delta_mat = np.asarray(delta_mat, dtype=np.float64)
     levels = np.array(sorted(set(delta_mat[delta_mat != 0].tolist())))
     marks = (delta_mat[:, None] == levels[:, None]).astype(np.float64)   # (|X|, L, |Xt|)
-    left = marks[refs].swapaxes(1, 2).reshape(len(refs), levels.size, n * delta_mat.shape[1])
+    shape = (len(refs), levels.size, n * delta_mat.shape[1])
+
+    def left(some):
+        return marks[refs[some]].swapaxes(1, 2).reshape(some.size, *shape[1:])
 
     def under(counts):
         counts *= levels[:, None]   # in place: fresh arrays cost more on long scans
@@ -659,7 +665,7 @@ def _first_under_threshold(layer, s0: int, refs: np.ndarray,
             score += v_k
         return np.divide(score, n, out=score) <= threshold
 
-    return _scan(layer, s0, left, delta_mat.shape[1], under)
+    return _scan(layer, s0, left, shape, delta_mat.shape[1], under)
 
 
 def _first_jointly_typical(common, pairs: np.ndarray,
@@ -671,17 +677,19 @@ def _first_jointly_typical(common, pairs: np.ndarray,
     ``PagedLayer`` or a (1, M0, n) array, read in blocks ``common[0, a:b]``
     of 16, 64, 256, ... codewords, its pages; the exact integer counts of a
     block are ``_scan``'s product of the trials' pair-cell one-hot, (trials,
-    cells, n), with the block's, (n, |W| * rows)."""
+    cells, n), built per sub-batch, with the block's, (n, |W| * rows)."""
     kw = lo.shape[-1]
     lo, hi = lo.reshape(-1, kw, 1), hi.reshape(-1, kw, 1)
     cells = lo.shape[0]
-    pair_hot = np.ascontiguousarray(_one_hot(pairs, cells).transpose(2, 1, 0))   # (T, cells, n)
+
+    def pair_hot(some):
+        return (pairs[some][:, None] == np.arange(cells)[:, None]).astype(np.float64)
 
     def typical(counts):
         counts = counts.reshape(len(counts), cells, kw, -1)
         return ((counts >= lo) & (counts <= hi)).all(axis=(1, 2))
 
-    return _scan(common, 0, pair_hot, kw, typical)
+    return _scan(common, 0, pair_hot, (len(pairs), cells, pairs.shape[1]), kw, typical)
 
 
 def encode_batch(codebook: Codebook, xs: np.ndarray, ys: np.ndarray, ks):
@@ -704,11 +712,13 @@ def encode_batch(codebook: Codebook, xs: np.ndarray, ys: np.ndarray, ks):
     ys = np.asarray(ys)
     if xs.ndim != 2 or xs.shape[1] != n or ys.shape != xs.shape:
         raise ValueError(f"sequences must have length n={n}")
-    xb, yb = (s.astype(np.int64) for s in circular_shift(-np.asarray(ks), xs, ys))
+    xb, yb = circular_shift(-np.asarray(ks), xs, ys)
 
     kx, ky, _ = codebook.q_xyw.shape
     if np.any((xb < 0) | (xb >= kx) | (yb < 0) | (yb >= ky)):
         raise ValueError(f"source symbols outside the {kx}x{ky} pair alphabet")
+    # the narrowest unsigned dtype that holds every pair code x * |Y| + y
+    xb, yb = (s.astype(np.min_scalar_type(kx * ky), copy=False) for s in (xb, yb))
     lo, hi, empty = _cached_bounds(codebook.q_xyw.tobytes(), codebook.q_xyw.shape, n,
                                    codebook.delta)
     s0 = np.full(xs.shape[0], -1, dtype=np.int64)

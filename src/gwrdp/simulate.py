@@ -11,8 +11,9 @@ report's code sizes and thresholds are the codebook's.
 Every trial runs in the calling process. Trials draw from counter-based
 Philox streams, one per block of 256 trials, keyed by (master seed, block
 index), so every trial's draws are a fixed function of the master seed
-and the trial index. Per-trial values are assembled into trial-indexed
-arrays and reduced once in a fixed order.
+and the trial index. A pass of up to 16 blocks is encoded, decoded and
+scored together, so each codebook block is scanned once per pass.
+Per-trial values go into trial-indexed arrays, reduced once in order.
 """
 
 from __future__ import annotations
@@ -201,10 +202,10 @@ class SimReport:
         return buf.getvalue()
 
 
-# trials that share one random stream and whose draws, decoding and
-# statistics run as arrays; the block size fixes every trial's draws, so
-# changing it changes every report and needs a version bump
+# trials that share one random stream; the block size fixes every trial's
+# draws, so changing it changes every report and needs a version bump
 _CHUNK = 256
+_PASS = 16 * _CHUNK   # trials encoded together; any multiple of _CHUNK gives the same outputs
 
 
 def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None):
@@ -215,8 +216,9 @@ def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None)
     Trials [256b, 256b + 256) draw from one Philox ``Generator`` keyed
     (master seed, b): first each trial's source uniforms, then, in
     common-randomness mode, each trial's shift seed K. The last block draws
-    whole and keeps its own rows. Each block is then encoded, decoded,
-    scored and counted together."""
+    whole and keeps its own rows. A pass of up to 16 blocks is encoded,
+    decoded, scored and counted together, its source symbols held in the
+    narrowest unsigned dtype of the pair alphabet."""
     n, n0, trials = config.n, config.tail_length(), config.trials
     total_len = n + n0
     shared_seed = config.mode == "common-randomness"
@@ -230,14 +232,17 @@ def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None)
     miss = np.empty((3, trials), dtype=bool)
     hist = [np.zeros((total_len, d.shape[1]), dtype=np.int64) for d in deltas]
 
-    for block in range((trials - 1) // _CHUNK + 1):
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([config.master_seed, block], dtype=np.uint64)))
-        rows = slice(block * _CHUNK, min(trials, (block + 1) * _CHUNK))
-        count = rows.stop - rows.start
-        u = rng.random((_CHUNK, total_len))[:count]
-        ks = rng.integers(0, n, _CHUNK)[:count] if shared_seed else None
-        pair = cdf.searchsorted(u, side="right")
+    for first in range(0, trials, _PASS):
+        rows = slice(first, min(trials, first + _PASS))
+        pair = np.empty((rows.stop - first, total_len), dtype=np.min_scalar_type(cdf.size))
+        ks = np.empty(len(pair), dtype=np.int64)
+        for a in range(0, len(pair), _CHUNK):
+            rng = np.random.Generator(np.random.Philox(
+                key=np.array([config.master_seed, (first + a) // _CHUNK], dtype=np.uint64)))
+            u = rng.random((_CHUNK, total_len))[:len(pair) - a]
+            pair[a:a + _CHUNK] = cdf.searchsorted(u, side="right")
+            if shared_seed:
+                ks[a:a + _CHUNK] = rng.integers(0, n, _CHUNK)[:len(pair) - a]
         xs, ys = pair // ny, pair % ny
         if not shared_seed:
             ks = seed_map.seeds_for_tails(xs[:, n:], ys[:, n:])

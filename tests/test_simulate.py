@@ -4,14 +4,23 @@ import json
 import logging
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import gwrdp.codec
 import gwrdp.simulate
 from gwrdp.cli import main
-from gwrdp.codec import compute_code_sizes, decode, encode, encode_batch, generate_codebook
+from gwrdp.codec import (
+    compute_code_sizes,
+    count_bounds,
+    decode,
+    encode,
+    encode_batch,
+    generate_codebook,
+)
 from gwrdp.prob import JointPmf, Kernel, tv_distance
 from gwrdp.region import AuxChannel, Budgets, rate_triple_for_aux
 from gwrdp.simulate import (
@@ -404,24 +413,24 @@ SIM_COMMON = {"p_xy": {"alphabets": [2, 2], "probs": [0.375, 0.125, 0.125, 0.375
 
 # per library version and mode: SHA-256 of every drawn page of the three
 # layers (key and bytes, in key order), and of the s0, s1, s2 and miss
-# arrays of each encode_batch call
+# arrays, each concatenated over the encode_batch calls along the trial axis
 PINNED_CODEC_OUTPUTS = {
     "0.6.0": {
         "common-randomness": (
             "f7a8dac015347081790803d0ca67ba7d8c1401b344184f4baad140b387e3c10d",
-            "f47239bd457d7f9252eec447858b571d72f23a0676ac298507ae5a73632b858b"),
+            "ee58c7cace620d33c17607e25ec498a71d9ed40acf7e3b7a3e3dca914eeb2ba6"),
         "deterministic": (
             "79fe244ea6bf686665a51fc3f8bdf1ab4e24f61026ce557571949ff421a2517d",
-            "108c19a9968a861c5e83fe0521db7deeb65f2d22c88dfd7bb4983361b1d7376f"),
+            "8c1a91c8cdc8139504462e724cdec8a0fcada41ed9a6a70a7a3435e78b36856b"),
     },
     # the seed map pours whole probability levels: tails take other seeds
     "0.7.0": {
         "common-randomness": (
             "f7a8dac015347081790803d0ca67ba7d8c1401b344184f4baad140b387e3c10d",
-            "f47239bd457d7f9252eec447858b571d72f23a0676ac298507ae5a73632b858b"),
+            "ee58c7cace620d33c17607e25ec498a71d9ed40acf7e3b7a3e3dca914eeb2ba6"),
         "deterministic": (
             "4b04f3f7ddbbae1384adc44a7dd2aa3ed3d63305a448d812244ecc8029281a26",
-            "92053d6cd8f56631081236016156ae5024e54719699ce1ad54443244a3d3342f"),
+            "24004a7ed57edccc5a768a5d64de87f91a038256c6ba1ac99e21585f92a05544"),
     },
 }
 
@@ -445,18 +454,121 @@ class TestPinnedCodecOutputs:
         path.write_text(json.dumps(dict(SIM_COMMON, mode=mode)))
         assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "out"),
                      "--parallel", "1"]) == 0
-        assert len(calls) == 2 and calls[0][0] is calls[1][0]
         codebook = calls[0][0]
+        # one call per pass of trials, all on one codebook
+        assert len(calls) == -(-SIM_COMMON["trials"] // gwrdp.simulate._PASS)
+        assert all(cb is codebook for cb, _ in calls)
         pages, indices = hashlib.sha256(), hashlib.sha256()
         for layer in (codebook.common, codebook.priv_x, codebook.priv_y):
             for key in sorted(layer._pages):
                 pages.update(np.array(key, dtype=np.int64).tobytes())
                 pages.update(layer._pages[key].tobytes())
-        for _, out in calls:
-            for array in out:
-                indices.update(np.ascontiguousarray(array).tobytes())
+        for outputs in zip(*(out for _, out in calls)):
+            indices.update(np.concatenate(outputs, axis=-1).tobytes())
         assert (pages.hexdigest(), indices.hexdigest()) == \
             PINNED_CODEC_OUTPUTS[gwrdp.__version__][mode]
+
+
+def sim_common_config(trials, mode="common-randomness"):
+    """SIM_COMMON's instance as a ``SimConfig``, with its test channels from
+    ``rate_triple_for_aux``."""
+    p_xy = dsbs(0.25)
+    aux = AuxChannel(Kernel(np.reshape(SIM_COMMON["aux"]["probs"], (2, 2, 2))))
+    budgets = Budgets(**{k.lower(): v for k, v in SIM_COMMON["budgets"].items()})
+    pt = rate_triple_for_aux(hamming_tv_problem(p_xy), aux, budgets)
+    return SimConfig(p_xy=p_xy, aux=aux, test_channel_x=pt.test_channel_x,
+                     test_channel_y=pt.test_channel_y, n=SIM_COMMON["n"],
+                     delta=SIM_COMMON["delta"], trials=trials, master_seed=0,
+                     budgets=budgets, mode=mode)
+
+
+class TestPasses:
+    """Trials draw per 256-trial block, and are encoded, decoded and scored
+    per pass of whole blocks; the pass size changes no output."""
+
+    def test_a_pass_holds_whole_blocks(self):
+        assert gwrdp.simulate._PASS % gwrdp.simulate._CHUNK == 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_pass_size_changes_no_output(self, monkeypatch, mode):
+        config = sim_common_config(1000, mode)
+        chunk = gwrdp.simulate._CHUNK
+        make, encode_real = gwrdp.simulate.generate_codebook, gwrdp.simulate.encode_batch
+        codebooks, calls = [], []
+
+        def making(*args, **kwargs):
+            codebooks.append(make(*args, **kwargs))
+            return codebooks[-1]
+
+        def encoding(*args):
+            calls.append(args)
+            return encode_real(*args)
+
+        monkeypatch.setattr(gwrdp.simulate, "generate_codebook", making)
+        monkeypatch.setattr(gwrdp.simulate, "encode_batch", encoding)
+        seen = []
+        for size in (chunk, 3 * chunk, gwrdp.simulate._PASS):
+            codebooks.clear()
+            calls.clear()
+            monkeypatch.setattr(gwrdp.simulate, "_PASS", size)
+            report = run_simulation(config)
+            assert len(calls) == -(-1000 // size)
+            layers = (codebooks[0].common, codebooks[0].priv_x, codebooks[0].priv_y)
+            seen.append((report.to_dict(),
+                         [(layer.pages_drawn, layer.codewords_drawn) for layer in layers]))
+        assert seen[0] == seen[1] == seen[2]
+
+    @pytest.mark.parametrize("scratch", [2 ** 10, 2 ** 12, 2 ** 16])
+    def test_scan_sub_batches_hold_their_scratch(self, monkeypatch, scratch):
+        # each sub-batch's left rows and counts hold at most _SCRATCH
+        # elements, or one trial's; at 2**12 a 16-codeword private block
+        # with a sub-batch capped by its product alone would gather 4x that
+        monkeypatch.setattr("gwrdp.codec._SCRATCH", scratch)
+        real = gwrdp.codec._scan
+        seen = []
+
+        def watched(layer, s0, left, shape, size, accept):
+            trials, per_trial, k = shape
+
+            def left_rows(some):
+                rows = left(some)
+                seen.append((layer.branch, trials, some.size, rows.size, per_trial * k))
+                return rows
+
+            def counted(counts):
+                seen.append((layer.branch, trials, len(counts), counts.size,
+                             per_trial * counts.shape[2]))
+                return accept(counts)
+
+            return real(layer, s0, left_rows, shape, size, counted)
+
+        monkeypatch.setattr("gwrdp.codec._scan", watched)
+        config = sim_common_config(600)
+        run_simulation(config)   # the private scans under s0 = 0 take most trials
+        # few pairs pass the band's sums over w, so the common scan is fed
+        # 600 random pairs directly, each of which scans every block
+        codebook = fresh_codebook(config)
+        lo, hi = count_bounds(codebook.q_xyw, config.n, config.delta)
+        pairs = np.random.default_rng(0).integers(0, 4, (600, config.n), dtype=np.uint8)
+        gwrdp.codec._first_jointly_typical(codebook.common, pairs, lo, hi)
+        for _, _, _, elements, one_trial in seen:
+            assert elements <= max(scratch, one_trial)
+        assert {branch for branch, *_ in seen} == {0, 1, 2}
+        for branch in (0, 1):   # scans of more than 256 trials, in sub-batches of several
+            assert max(t for b, t, *_ in seen if b == branch) > 256
+            assert max(some for b, _, some, *_ in seen if b == branch) > 1
+
+    def test_peak_memory_is_bounded_in_trials(self):
+        # passes of at most 4,096 trials keep the traced peak near 5.3 MiB
+        # at 20,000 trials; one pass of every trial reads 14.6 MiB
+        config = sim_common_config(20_000)
+        tracemalloc.start()
+        try:
+            run_simulation(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2 ** 20
 
 
 class TestWilson:
