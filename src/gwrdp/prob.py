@@ -131,7 +131,11 @@ class JointPmf:
 @dataclass(frozen=True, eq=False)
 class Kernel:
     """Conditional channel: a pmf over the output alphabet per conditioning
-    symbol (or symbol tuple). Stored with the output as the last axis."""
+    symbol (or symbol tuple). Stored with the output as the last axis.
+
+    Rows are renormalized, except a row whose sum lies within (row length)
+    eps of 1, which a normalization already produced: dividing it again
+    would move its last bits, so ``Kernel(k.probs) == k``."""
 
     probs: np.ndarray
 
@@ -147,7 +151,8 @@ class Kernel:
         if np.any(np.abs(sums - 1.0) > NORM_TOL):
             worst = np.abs(sums - 1.0).max()
             raise ValueError(f"kernel rows must sum to 1 (worst deviation {worst:g})")
-        arr = arr / sums[..., None]
+        normalized = np.abs(sums - 1.0) <= arr.shape[-1] * np.finfo(np.float64).eps
+        arr = arr / np.where(normalized, 1.0, sums)[..., None]
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 

@@ -252,8 +252,10 @@ def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None)
         else:
             hats = deterministic_decode(codebook, s0, s1, s2, ks, n0)
         for b, (d, src, hat) in enumerate(zip(deltas, (xs, ys), hats)):
-            dist[b, rows] = d[src, hat].mean(axis=1)
-            head[b, rows] = d[src[:, :n], hat[:, :n]].mean(axis=1)
+            per = d[src, hat]  # one gather; freed before the counts' (T, positions) cells
+            dist[b, rows] = per.mean(axis=1)
+            head[b, rows] = per[:, :n].mean(axis=1)
+            del per
             cells = np.arange(total_len) * hist[b].shape[1] + hat
             hist[b] += np.bincount(cells.ravel(), minlength=hist[b].size).reshape(hist[b].shape)
     return dist, head, miss, hist

@@ -13,17 +13,22 @@ is the least I(X; Xhat | W) + lam E d + nu . Q_Xhat, with gradient
 (E d, Q_Xhat), and sigma is the support function of the perception ball.
 Each w's minimization over r is an active-set Newton solve; the outer
 loop is damped Newton with G's Hessian from the inner optimality
-conditions. A dual point forms G from its inner solves at once, and its
-channel, Blahut bound, metrics and Hessian only where the outer loop reads
-them: a rejected trial step needs none, and the point where a search ends
-no Hessian. A log barrier keeps lam > 0; TV's sigma(nu) = nu.P_X +
-(P/2)(max nu - min nu) is smoothed by tau-weighted log-sum-exp; KL's
-sigma(nu) = -2^-P prod_h (-nu_h)^P_X(h) is smooth. tau falls whenever
-the gradient is below it: tenfold once nu is free, and to min(tau/10,
-tau^1.5) on the perception-free phase, whose Newton steps land on each new
-centre at once. That phase keeps only channels with E d <= D exactly, as
-its centres have E d = D - tau/lam; the perception phase allows
-_CONSTRAINT_TOL. nu joins only when the perception-free solution misses P.
+conditions. That Hessian's KKT solve also gives dr_w/dtheta on r_w's
+support (Fiacco's sensitivity of a parametric program), so each trial
+point starts w's inner solve from the accepted point's first-order
+prediction r_w + (dr_w/dtheta) step, clipped at 0. A dual point forms G
+from its inner solves at once, and its channel, Blahut bound, metrics
+and Hessian only where the outer loop reads them: a rejected trial step
+needs none, and the point where a search ends no Hessian. A log barrier
+keeps lam > 0; TV's sigma(nu) = nu.P_X + (P/2)(max nu - min nu) is
+smoothed by tau-weighted log-sum-exp; KL's sigma(nu) = -2^-P prod_h
+(-nu_h)^P_X(h) is smooth. tau falls whenever the gradient is below it:
+tenfold once nu is free, and to min(tau/10, tau^1.5) on the
+perception-free phase, whose Newton steps land on each new centre at
+once. That phase keeps only channels with E d <= D exactly, as its
+centres have E d = D - tau/lam; the perception phase allows
+_CONSTRAINT_TOL. nu joins only when the perception-free solution misses
+P.
 
 Every dual point certifies a lower bound: Blahut's bound f(r) - log2
 max_h c_h on each inner minimum (Blahut, IEEE T-IT 1972; Csiszar, IEEE
@@ -315,8 +320,9 @@ def _inner_newton(p: np.ndarray, a: np.ndarray, r: np.ndarray,
 class _Point:
     """G at theta = (lam, nu) with each w's inner solution (w, its rows
     of a, r, a r and its term of G). The channel, Blahut's bound, the
-    metrics and the Hessian are formed on first read: a rejected trial
-    needs only G, and the point where a search ends no Hessian."""
+    metrics and the Hessian, with each w's slope dr_w/dtheta, are formed on
+    first read: a rejected trial needs only G, and the point where a
+    search ends no Hessian."""
 
     def __init__(self, dual: "_Dual", theta: np.ndarray, g: float, solved: list):
         self.dual, self.theta, self.g, self.solved = dual, theta, g, solved
@@ -351,10 +357,12 @@ class _Point:
     def hess(self) -> np.ndarray:
         # the covariance under the channel of the exponent's gradient
         # (d(x, h), e_h), plus r's response through the inner optimality
-        # conditions
+        # conditions; that response, times -ln 2, is dr_w/dtheta on r_w's
+        # support, kept as each w's slope for ``predict``
         dual, q = self.dual, self.q
         dual.hessians += 1
         hess = np.zeros((self.theta.size, self.theta.size))
+        self.slopes = []
         for w, aw, r, z, _ in self.solved:
             on, p, dw = dual.on[w], dual.p[w], dual.delta[w]
             qw = q[on, w]
@@ -364,9 +372,20 @@ class _Point:
             sup = r > 0
             cross = wdev[:, sup].sum(axis=0) / r[sup][:, None]
             resp = np.linalg.solve(_kkt(aw[:, sup], p, z), np.vstack([cross, dual.zero]))[:-1]
+            self.slopes.append(-math.log(2.0) * resp)
             hess -= math.log(2.0) * dual.q_w[w] * (np.einsum("xhi,xhj->ij", wdev, dev)
                                                    + cross.T @ resp)
         return hess
+
+    def predict(self, step: np.ndarray) -> None:
+        """Start each w's next inner solve at theta + step from the first-order
+        prediction r_w + (dr_w/dtheta) step on r_w's support, clipped at 0 and
+        renormalized; it stays 0 off the support. Needs the Hessian."""
+        for (w, _, r, _, _), slope in zip(self.solved, self.slopes):
+            sup = r > 0
+            start = np.zeros_like(r)
+            start[sup] = np.maximum(r[sup] + slope @ step, 0.0)
+            self.dual.r[w] = start / start.sum()
 
 
 class _Dual:
@@ -463,6 +482,7 @@ def _maximize(dual: _Dual, theta: np.ndarray, free: np.ndarray, sign: np.ndarray
             t = min(1.0, (1.0 + np.abs(pt.theta).max()) / np.abs(step).max(),
                     0.99 * float(np.min(np.abs(pt.theta[toward] / step[toward]),
                                         initial=np.inf)))
+            pt.predict(t * step)
             trial, here = dual.point(pt.theta + t * step), None
             if decrement < 1e-13:
                 break

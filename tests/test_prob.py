@@ -65,6 +65,14 @@ class TestConstruction:
         assert k.cond_shape == (2,)
         assert k.out_size == 2
 
+    @given(st.integers(2, 69), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_keeps_a_normalized_kernel(self, width, rows, seed):
+        # a normalized row often sums to 1 +- 1 ulp; dividing it again moved
+        # its entries, so re-wrapping a kernel changed it
+        k = Kernel(np.random.default_rng(seed).dirichlet(np.ones(width), size=rows))
+        assert Kernel(k.probs) == k
+
 
 class TestMutualInformation:
     def test_product_is_zero(self):

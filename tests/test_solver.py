@@ -347,9 +347,22 @@ def assert_converged_within_budgets(query):
     assert res.achieved_perception <= query.p_budget + 1e-6
 
 
+def family_b_query(p_budget):
+    """Family B's |W| = 1 source under KL at D = 0.11: at P = inf the
+    optimum leaves a reconstruction symbol unused, so its KL is infinite."""
+    p_x = [0.056, 0.367, 0.212, 0.249, 0.116]
+    delta = DistortionMatrix([[0, .74, .21, .10, .87],
+                              [.36, 0, .41, .46, .02],
+                              [.05, .32, 0, .49, .51],
+                              [.06, .54, .92, 0, .03],
+                              [.53, .70, .31, .70, 0]])
+    return RdpQuery(JointPmf(np.array(p_x)[:, None], ("X", "W")), delta, KL, 0.11, p_budget)
+
+
 class TestKnownFailureFamilies:
     """Queries with good answers on which the solver gives up; a fix of
-    either family turns its test into an unexpected pass, which fails."""
+    one turns its strict xfail into an unexpected pass, which fails. Family
+    B's first reproducer, at P = 0.124, converges and is kept as a check."""
 
     @pytest.mark.xfail(strict=True, reason="family A: P = 0, |W| = 2, rate 0 feasible; "
                        "returns perception 0.0142, not converged")
@@ -357,17 +370,15 @@ class TestKnownFailureFamilies:
         q_xw = JointPmf([[0.671, 0.001], [0.012, 0.316]], ("X", "W"))
         assert_converged_within_budgets(RdpQuery(q_xw, HAM2, TV, 0.071, 0.0))
 
+    def test_family_b_kl_unused_symbol(self):
+        assert_converged_within_budgets(family_b_query(0.124))
+
+    @pytest.mark.parametrize("p_budget", [0.05, 0.2])
     @pytest.mark.xfail(strict=True, reason="family B: KL, the perception-free optimum "
                        "leaves a symbol unused; returns KL = inf, not converged")
-    def test_family_b_kl_unused_symbol(self):
-        p_x = [0.056, 0.367, 0.212, 0.249, 0.116]
-        delta = DistortionMatrix([[0, .74, .21, .10, .87],
-                                  [.36, 0, .41, .46, .02],
-                                  [.05, .32, 0, .49, .51],
-                                  [.06, .54, .92, 0, .03],
-                                  [.53, .70, .31, .70, 0]])
-        q_xw = JointPmf(np.array(p_x)[:, None], ("X", "W"))
-        assert_converged_within_budgets(RdpQuery(q_xw, delta, KL, 0.11, 0.124))
+    def test_family_b_kl_unused_symbol_other_budgets(self, p_budget):
+        assert_converged_within_budgets(family_b_query(p_budget))
+
 
 class TestStressSet:
     """The first 40 queries of the seeded stress set at seeds 7 and 8: a
@@ -525,6 +536,75 @@ class TestLazyDualPoints:
         assert hessians <= points - len(calls)
 
 
+def polished(dual, theta):
+    """Each live w's inner solution at theta, solved afresh from the uniform
+    start, then Newton steps on its support to machine precision."""
+    out = {}
+    for w, aw, r, z, _ in solver_module._Dual(dual.pr, solver_module._MAX_INNER).point(
+            theta).solved:
+        p, sup, r = dual.p[w], r > 0, r.copy()
+        for _ in range(3):
+            z = aw @ r
+            c = aw.T @ (p / z)
+            r[sup] += np.linalg.solve(kkt_block(aw[:, sup], p, z),
+                                      np.append(c[sup] - 1.0, 0.0))[:-1]
+        out[w] = r
+    return out
+
+
+class TestInnerPrediction:
+    """Trial points start each w's inner solve from r_w + (dr_w/dtheta) step,
+    the slope coming from the KKT solve the Hessian already makes."""
+
+    def test_slope_matches_central_differences(self, monkeypatch):
+        # every 7th point that steps on the first 40 stress queries at seed 7;
+        # w's whose fresh solve is not unique, or whose support changes
+        # within +-eps, have no derivative to compare
+        stepped, predict = [], solver_module._Point.predict
+
+        def kept(self, step):
+            if not stepped or stepped[-1] is not self:
+                stepped.append(self)
+            predict(self, step)
+
+        monkeypatch.setattr(solver_module._Point, "predict", kept)
+        for query in rdp_stress_queries(7, 40):
+            try:
+                conditional_rdp(query)
+            except InfeasibleError:
+                continue
+        eps, covered = 1e-6, set()
+        for pt in stepped[::7]:
+            at = polished(pt.dual, pt.theta)
+            moved = [[polished(pt.dual, pt.theta + s * eps * e) for s in (1, -1)]
+                     for e in np.eye(pt.theta.size)]
+            for (w, aw, r, _, _), slope in zip(pt.solved, pt.slopes):
+                sup = r > 0
+                if (np.abs(at[w] - r).max() > 1e-8
+                        or any(not np.array_equal(m[w] > 0, sup) for pair in moved for m in pair)):
+                    continue
+                diff = np.stack([(up[w] - down[w])[sup] / (2 * eps) for up, down in moved],
+                                axis=1)
+                assert np.abs(diff - slope).max() <= 1e-6 * max(1.0, np.abs(slope).max())
+                covered.add(pt.dual.pr.perception.kind)
+                if sup.sum() < (aw.max(axis=0) > 0).sum():
+                    covered.add("dropped column")
+        assert covered == {"tv", "kl", "dropped column"}
+
+    def test_rdp_active_inner_steps(self, caplog):
+        # 547 inner Newton steps, 175 dual points and 116 Hessians when each
+        # trial point started from the last r solved
+        with caplog.at_level(logging.DEBUG, logger="gwrdp.solver"):
+            for query in perception_active_queries():
+                conditional_rdp(query)
+        found = r"(\d+) inner Newton steps, (\d+) dual points, (\d+) Hessians"
+        counts = np.array([[int(v) for v in re.search(found, r.getMessage()).groups()]
+                           for r in caplog.records if r.name == "gwrdp.solver"])
+        steps, points, hessians = counts.sum(axis=0)
+        assert len(counts) == 4
+        assert steps <= 330 and points <= 175 and hessians <= 116
+
+
 class TestFreePhase:
     """The perception-free dual returns only channels inside D: the
     barrier's centres satisfy E d = D - tau / lam, so a converged rate sits
@@ -663,7 +743,10 @@ class TestInfeasibility:
             conditional_rdp(self.query(TV, 0.2))
         at_floor = conditional_rdp(self.query(TV, 0.6))
         assert at_floor.converged
-        assert at_floor.rate == pytest.approx(0.19163120500974534, abs=1e-12)
+        # symbols 0 and 2 both reconstruct to 0 at zero distortion, so this is
+        # a Bernoulli(0.3) source at D = 0.2, and TV 0.6 forces q_1 >= 0.3:
+        # the binary RDP function at P = 0
+        assert 0.0 <= at_floor.rate - binary_rdp_tv(0.3, 0.2, 0.0) <= at_floor.gap
         assert self.free_rate(TV, 1.0) == pytest.approx(self.free_rate(TV, math.inf), abs=1e-12)
 
     def test_kl_with_missing_support(self):
