@@ -25,10 +25,15 @@ smoothed by tau-weighted log-sum-exp; KL's sigma(nu) = -2^-P prod_h
 (-nu_h)^P_X(h) is smooth. tau falls whenever the gradient is below it:
 tenfold once nu is free, and to min(tau/10, tau^1.5) on the
 perception-free phase, whose Newton steps land on each new centre at
-once. That phase keeps only channels with E d <= D exactly, as its
-centres have E d = D - tau/lam; the perception phase allows
-_CONSTRAINT_TOL. nu joins only when the perception-free solution misses
-P.
+once. At each TV drop the tilts within tau ln 2^52 of the max (of the
+min), the ones its softmax weighs above double rounding, have their
+offsets from it scaled by tau_new / tau, every tilt when the two groups
+meet, and the search goes on from that point: both softmaxes read as
+before, so the first Newton step at the new tau is not rejected while a
+ridge of about 1/tau builds up. The perception-free phase keeps only
+channels with E d <= D exactly, as its centres have E d = D - tau/lam;
+the perception phase allows _CONSTRAINT_TOL. nu joins only when the
+perception-free solution misses P.
 
 Every dual point certifies a lower bound: Blahut's bound f(r) - log2
 max_h c_h on each inner minimum (Blahut, IEEE T-IT 1972; Csiszar, IEEE
@@ -37,7 +42,8 @@ minus the best bound; ``converged`` means its channel meets both budgets
 with |gap| at most GAP_TOL bits (below -GAP_TOL, the budget slack bought a
 rate under the certified bound). The solver draws no random numbers; one
 DEBUG record per solve gives its path, outer steps, inner Newton steps,
-dual points formed, Hessians formed and each phase's tau levels and last tau.
+dual points formed, Hessians formed, rejected Levenberg-Marquardt trials,
+points formed by the TV rescale and each phase's tau levels and last tau.
 
 Rates are in bits throughout.
 """
@@ -390,11 +396,12 @@ class _Point:
 
 class _Dual:
     """G by one warm-started inner solve per w; counts inner steps, dual
-    points and Hessians formed."""
+    points and Hessians formed, and the outer loop's rejected trials and
+    rescaled points."""
 
     def __init__(self, pr: _Problem, max_steps: int):
         self.pr, self.steps, self.cap = pr, 0, max_steps
-        self.points = self.hessians = 0
+        self.points = self.hessians = self.rejected = self.rescaled = 0
         self.q_w = pr.q_xw.sum(axis=0)
         self.on = [pr.x_given_w[:, w] > 0 for w in range(self.q_w.size)]
         self.p = [pr.x_given_w[on, w] for w, on in enumerate(self.on)]
@@ -428,12 +435,14 @@ class _Dual:
 
 
 def _maximize(dual: _Dual, theta: np.ndarray, free: np.ndarray, sign: np.ndarray,
-              p_budget: float, terms=None, sigma=None):
+              p_budget: float, terms=None, sigma=None, rescale=None):
     """Maximize G(theta) - lam D + tau log lam + terms(theta, tau) over
     theta[free] (``sign`` +1 / -1 keeps a coordinate positive / negative)
     until the best channel within the budgets is at most _GAP_AIM above
-    the best bound G_low - lam D - sigma. Returns that channel's point (or
-    the last), the bound, the number of outer steps and (tau levels, last tau).
+    the best bound G_low - lam D - sigma. Where tau falls, the search goes
+    on from rescale(theta, tau, tau_new) unless that is None. Returns that
+    channel's point (or the last), the bound, the number of outer steps and
+    (tau levels, last tau).
     """
     pr = dual.pr
     tau, reg, levels = 0.1, 0.0, 1
@@ -466,8 +475,12 @@ def _maximize(dual: _Dual, theta: np.ndarray, free: np.ndarray, sign: np.ndarray
                 break
             # a free-phase Newton step lands on the next centre at once, so
             # tau falls superlinearly there, never past the stop's 1e-14
-            tau = tau * 0.1 if terms else max(min(tau * 0.1, tau ** 1.5), 1e-14)
+            last, tau = tau, tau * 0.1 if terms else max(min(tau * 0.1, tau ** 1.5), 1e-14)
             here, levels = None, levels + 1
+            moved = rescale(pt.theta, last, tau) if rescale else None
+            if moved is not None:
+                pt = dual.point(moved)
+                dual.rescaled += 1
             continue
         hess = -(pt.hess + hess)[np.ix_(free, free)]
         hess += 1e-12 * max(1.0, float(np.diag(hess).max())) * np.eye(grad.size)
@@ -489,6 +502,7 @@ def _maximize(dual: _Dual, theta: np.ndarray, free: np.ndarray, sign: np.ndarray
             here = smoothed(trial.theta)
             if trial.g + here[0] >= pt.g + val + 0.1 * t * decrement:
                 break
+            dual.rejected += 1
             reg = max(10.0 * reg, 1e-4)
         else:
             break
@@ -499,12 +513,14 @@ def _maximize(dual: _Dual, theta: np.ndarray, free: np.ndarray, sign: np.ndarray
 
 
 def _perception_dual(pr: _Problem, theta: np.ndarray):
-    """Free tilts, signs, terms, sigma and a start for the perception dual.
-    TV: sigma(nu) = nu.p + a max nu - b min nu, a = P/2, b = a - (P_X's
-    mass past the last reconstruction symbol); the dual is constant along
-    nu + c, so nu_0 stays 0. KL: dualizing -log m_h by its conjugate gives
+    """Free tilts, signs, terms, sigma, the tau-drop rescale and a start
+    for the perception dual. TV: sigma(nu) = nu.p + a max nu - b min nu,
+    a = P/2, b = a - (P_X's mass past the last reconstruction symbol); the
+    dual is constant along nu + c, so nu_0 stays 0; the rescale (see the
+    module docstring) is None where no group of two or more tilts has an
+    offset to scale. KL: dualizing -log m_h by its conjugate gives
     sigma(nu) = -2^-P prod_h (-nu_h)^p_h, nu < 0 on P_X's support and 0 off
-    it.
+    it; its terms have no softmax, so no rescale.
     """
     p = pr.p_h
     free, sign, theta = np.zeros(theta.size, dtype=bool), np.zeros(theta.size), theta.copy()
@@ -525,7 +541,25 @@ def _perception_dual(pr: _Problem, theta: np.ndarray):
                 hess[1:, 1:] -= weight / tau * (np.diag(pi) - np.outer(pi, pi))
             return val, grad, hess
 
-        return free, sign, terms, (lambda th: th[1:] @ _lmo(pr, -th[1:])), theta
+        def rescale(th: np.ndarray, tau: float, tau_new: float):
+            # the groups within reach of the max and of the min (see the
+            # module docstring); a term of weight 0 has no softmax to keep
+            nu, reach, factor = th[1:], tau * 52 * math.log(2.0), tau_new / tau
+            top, bottom = ((weight > 0) & ((s * nu).max() - s * nu <= reach)
+                           for weight, s in weights)
+            if nu.max() == nu.min() or (top.sum() < 2 and bottom.sum() < 2):
+                return None  # no offset to scale
+            if (top & bottom).any():  # the groups meet: every tilt is in both
+                nu = nu * factor
+            else:
+                nu = nu.copy()
+                nu[top] = nu.max() - (nu.max() - nu[top]) * factor
+                nu[bottom] = nu.min() + (nu[bottom] - nu.min()) * factor
+            out = th.copy()
+            out[1:] = nu - nu[0]
+            return out
+
+        return free, sign, terms, (lambda th: th[1:] @ _lmo(pr, -th[1:])), rescale, theta
 
     sup = p > 0
     free[1:] = sup
@@ -544,7 +578,7 @@ def _perception_dual(pr: _Problem, theta: np.ndarray):
                                   - np.diag(tau / nu ** 2))
         return g + tau * float(np.log(-nu).sum()), grad, hess
 
-    return free, sign, terms, (lambda th: -gm(th)), theta
+    return free, sign, terms, (lambda th: -gm(th)), None, theta
 
 
 def conditional_rdp(query: RdpQuery) -> RdpResult:
@@ -589,18 +623,19 @@ def conditional_rdp(query: RdpQuery) -> RdpResult:
         phases.append(("free", *taus))
     if math.isfinite(pr.p_budget) and (best is None or best.perc > pr.p_budget + _CONSTRAINT_TOL):
         path = "perception"
-        free, sign, terms, sigma, theta = _perception_dual(pr, lam * 1.0 if best is None
-                                                           else best.theta)
+        free, sign, terms, sigma, rescale, theta = _perception_dual(
+            pr, lam * 1.0 if best is None else best.theta)
         best, bound, more, taus = _maximize(dual, theta, free | lam, sign + lam, pr.p_budget,
-                                            terms, sigma)
+                                            terms, sigma, rescale)
         outer += more
         phases.append(("perception", *taus))
     gap = float(best.rate - bound)
     converged = bool(best.dist <= pr.d_budget + _CONSTRAINT_TOL
                      and best.perc <= pr.p_budget + _CONSTRAINT_TOL and abs(gap) <= GAP_TOL)
     _log.debug("conditional_rdp: %s dual, %d outer iterations, %d inner Newton steps, "
-               "%d dual points, %d Hessians, gap %.3g bits%s", path, outer, dual.steps,
-               dual.points, dual.hessians, gap,
+               "%d dual points, %d Hessians, %d rejected trials, %d rescaled points, "
+               "gap %.3g bits%s", path, outer, dual.steps, dual.points, dual.hessians,
+               dual.rejected, dual.rescaled, gap,
                "".join(f"; {name} phase {n} tau levels to {t:.2g}" for name, n, t in phases))
     return _to_result(pr, best.q, best.rate, best.dist, best.perc, lam=float(best.theta[0]),
                       gap=gap, converged=converged, iterations=dual.steps)

@@ -529,8 +529,7 @@ class TestLazyDualPoints:
         with caplog.at_level(logging.DEBUG, logger="gwrdp.solver"):
             conditional_rdp(source_query([0.5, 0.3, 0.2], TV, 0.2, 0.1))
         (record,) = [r for r in caplog.records if r.name == "gwrdp.solver"]
-        found = re.search(r"(\d+) dual points, (\d+) Hessians", record.getMessage())
-        points, hessians = int(found[1]), int(found[2])
+        _, points, hessians, _, _ = debug_counts(record.getMessage())
         assert calls
         assert hessians < points
         assert hessians <= points - len(calls)
@@ -593,16 +592,96 @@ class TestInnerPrediction:
 
     def test_rdp_active_inner_steps(self, caplog):
         # 547 inner Newton steps, 175 dual points and 116 Hessians when each
-        # trial point started from the last r solved
+        # trial point started from the last r solved; 319 steps, 175 points
+        # and 116 Hessians before the tau-drop rescale
         with caplog.at_level(logging.DEBUG, logger="gwrdp.solver"):
             for query in perception_active_queries():
                 conditional_rdp(query)
-        found = r"(\d+) inner Newton steps, (\d+) dual points, (\d+) Hessians"
-        counts = np.array([[int(v) for v in re.search(found, r.getMessage()).groups()]
+        counts = np.array([debug_counts(r.getMessage())
                            for r in caplog.records if r.name == "gwrdp.solver"])
-        steps, points, hessians = counts.sum(axis=0)
+        steps, points, hessians, _, _ = counts.sum(axis=0)
         assert len(counts) == 4
-        assert steps <= 330 and points <= 175 and hessians <= 116
+        assert steps <= 325 and points <= 94 and hessians <= 69
+
+
+def debug_counts(message: str) -> list[int]:
+    """(inner steps, dual points, Hessians, rejected trials, rescaled points)
+    from a solve's DEBUG record."""
+    found = re.search(r"(\d+) inner Newton steps, (\d+) dual points, (\d+) Hessians, "
+                      r"(\d+) rejected trials, (\d+) rescaled points", message)
+    return [int(v) for v in found.groups()]
+
+
+def softmax(e: np.ndarray) -> np.ndarray:
+    ex = np.exp(e - e.max())
+    return ex / ex.sum()
+
+
+class TestTauDropRescale:
+    """At each tau drop of the TV perception phase, the offsets of each group
+    of tied tilts from the max (min) shrink by tau_new / tau, so both
+    log-sum-exp softmaxes read the same at the new tau."""
+
+    def test_ternary_tv_steps_through_each_drop(self, caplog):
+        # 104 dual points, 49 of them rejected trials, and a gap of 6.8e-9
+        # bits before the rescale
+        with caplog.at_level(logging.DEBUG, logger="gwrdp.solver"):
+            res = conditional_rdp(source_query([0.5, 0.3, 0.2], TV, 0.2, 0.1))
+        (record,) = caplog.records
+        _, points, _, rejected, rescaled = debug_counts(record.getMessage())
+        assert res.converged and abs(res.gap) <= 1e-8
+        assert points <= 30 and rejected <= 3 and rescaled >= 1
+
+    def test_keeps_both_softmaxes_and_moves_no_other_tilt(self, monkeypatch):
+        calls, perception_dual = [], solver_module._perception_dual
+
+        def recorded(pr, theta):
+            *head, rescale, start = perception_dual(pr, theta)
+            if rescale is None:
+                return (*head, None, start)
+
+            def kept(th, tau, tau_new):
+                out = rescale(th, tau, tau_new)
+                calls.append((th, tau, tau_new, out))
+                return out
+
+            return (*head, kept, start)
+
+        monkeypatch.setattr(solver_module, "_perception_dual", recorded)
+        for query in perception_active_queries():
+            conditional_rdp(query)
+        pr = solver_module._build_problem(
+            source_query([0.3, 0.25, 0.2, 0.15, 0.1], TV, 0.2, 0.1))
+        rescale = perception_dual(pr, np.zeros(6))[4]
+        tau = 1e-4
+        for nu in ([0.0, 0.3, 0.3 - 2 * tau, -0.2, 0.1],              # a tie at the max
+                   [0.0, 0.3, 0.3 - 2 * tau, -0.2 + 30 * tau, -0.2],  # and one at the min
+                   [0.3 - 2 * tau, 0.3, 0.0, -0.2, 0.1],              # nu_0 tied: re-anchored
+                   [0.0, tau, 3 * tau, -tau, 2 * tau]):               # one group: all scale
+            th = np.array([0.7, *nu])
+            calls.append((th, tau, tau / 10, rescale(th, tau, tau / 10)))
+        assert rescale(np.array([0.7, 0.0, 0.3, -0.2, 0.1, 0.2]), tau, tau / 10) is None
+        assert sum(out is not None for *_, out in calls) >= 15
+        for th, tau, tau_new, out in calls:
+            if out is None:
+                continue
+            nu, moved = th[1:], out[1:]
+            assert out[0] == th[0] and moved[0] == 0.0
+            # moved is stored to a spacing of ulp(max |nu|), which alone
+            # shifts an exponent at tau_new by up to ulp / tau_new
+            tol = 1e-12 + np.spacing(np.abs(nu).max()) / tau_new
+            for s in (1.0, -1.0):
+                assert np.abs(softmax(s * moved / tau_new)
+                              - softmax(s * nu / tau)).max() <= tol
+            reach = tau * 52 * math.log(2.0)
+            outside = (nu.max() - nu > reach) & (nu - nu.min() > reach)
+            top = int(np.argmax(nu))
+            np.testing.assert_allclose((moved - moved[top])[outside],
+                                       (nu - nu[top])[outside], rtol=0, atol=1e-15)
+
+    def test_none_for_kl(self):
+        pr = solver_module._build_problem(source_query([0.5, 0.3, 0.2], KL, 0.2, 0.01))
+        assert solver_module._perception_dual(pr, np.zeros(4))[4] is None
 
 
 class TestFreePhase:
