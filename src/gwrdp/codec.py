@@ -44,21 +44,29 @@ sources and shift seeds.
 
 The encoder takes a batch of source pairs and scans each layer in blocks
 ``layer[s0, start:stop]``, s0 = 0 for the common layer. The blocks are
-the pages, each cut into pieces of at most ``_SCRATCH`` one-hot elements
-(or one row's), so a hit among the first 16 codewords draws and reads
-those 16, a scan draws a page only when it reaches it, and a long scan
-stays vectorized. Each block is one-hot encoded once and scored for every
-trial still without a hit by one matrix product per sub-batch of trials,
-whose 0/1 rows (built per sub-batch) and counts each hold ``_SCRATCH``
-elements at most (or one trial's): the rows times the block's one-hot
-give exact integer counts, whatever the BLAS summation order. The common
-layer's rows are the pair-cell one-hot, whose joint counts the band tests;
-a private layer's mark, per distinct nonzero distortion value v, the
-cells at distortion v from the source, so the counts are K_v and the
-per-letter distortion is sum_v v * K_v / n, summed in ascending v. Every
-decision is thus the one a lone codeword gets, one per joint type. Every
-trial keeps a lone scan's block schedule, so a batch reads the codewords
-and draws the pages that one scan per trial would.
+the pages, each cut into pieces of at most ``_SCRATCH`` // (n * size)
+codewords of n symbols over size (or one), so a hit among the first 16
+codewords draws and reads those 16, a scan draws a page only when it
+reaches it, and a long scan stays vectorized. Each block is one-hot
+encoded once and scored for every trial still without a hit by one matrix
+product per sub-batch of trials, whose rows (built per sub-batch) and
+counts each hold ``_SCRATCH`` elements at most (or one trial's): the rows
+times the block's one-hot give exact integer counts, whatever the BLAS
+summation order. The one-hot leaves out the last symbol, whose indicator
+is 1 less the others', and ends in a row of ones, so on binary alphabets
+the product, the one-hot and the rows are about half what a full one-hot
+makes them.
+The common layer's rows are the pair-cell one-hot: the product counts
+every (cell, w) but the last w, whose count is the cell's total less the
+others', and the band tests them. A private layer's rows hold, per
+distinct nonzero distortion value v, the differences mark(v, h) -
+mark(v, last) of the cells at distortion v from the source, and a
+constant against the ones row, the positions at v under the last symbol;
+so the counts are K_v and the per-letter distortion is sum_v v * K_v / n,
+summed in ascending v. Every decision is thus the one a lone codeword
+gets, one per joint type. Every trial keeps a lone scan's block schedule,
+so a batch reads the codewords and draws the pages that one scan per
+trial would.
 """
 
 from __future__ import annotations
@@ -77,7 +85,8 @@ from .prob import JointPmf, Kernel, _entropy_bits
 SYMBOL_DTYPE = np.uint8
 PAGE_ROWS = 4096   # codewords per lazily drawn page of a codebook layer from page 4 on
 _PAGE_STARTS = (0, 16, 80, 336, 1360)   # first codewords of pages 0-4; page p < 4 holds 16 * 4**p
-_SCRATCH = 2 ** 16   # elements of a scan block's one-hot and of one step's product
+_SCRATCH = 2 ** 16   # elements of a scan block's full one-hot, n * size per codeword, and
+                     # of a sub-batch's rows and of its counts
 
 
 class EmptyTypicalSetError(ValueError):
@@ -104,7 +113,11 @@ def circular_shift(k, seq: np.ndarray, other: np.ndarray | None = None):
     ((t + k - 1) mod n) + 1. Any integer k is taken mod n, so k = -1 is
     the shift by n - 1. A second sequence of equal shape is shifted
     identically. Given (rows, n) sequences and one k per row, each row is
-    shifted by its own k."""
+    shifted by its own k.
+
+    Each row is read as the length-n window at k mod n of the row written
+    twice, so a shift makes no index array of the sequences' shape, only
+    the doubled rows in the sequences' own dtype."""
     seq = np.asarray(seq)
     k = np.asarray(k)
     if not k.size:  # np.asarray([]) is float64, which no shift can index by
@@ -116,14 +129,20 @@ def circular_shift(k, seq: np.ndarray, other: np.ndarray | None = None):
         raise ValueError(f"shift seeds of shape {k.shape} do not fit sequences of shape "
                          f"{seq.shape}: a 1-D sequence takes one scalar k, a (rows, n) "
                          "batch one k per row")
-    cols = np.arange(n) + k[..., None]
-    cols %= n   # in place: one (rows, n) int64 temporary, not two
+    at = (*np.indices(k.shape, sparse=True), k % n)   # each row's window
+
+    def shifted(s):
+        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((s, s), axis=-1),
+                                                           n, axis=-1)
+        # a scalar k picks one window, a read-only view, so it is copied
+        return windows[at] if k.ndim else windows[at].copy()
+
     if other is None:
-        return np.take_along_axis(seq, cols, axis=-1)
+        return shifted(seq)
     other = np.asarray(other)
     if other.shape != seq.shape:
         raise ValueError("paired sequences must have equal length")
-    return np.take_along_axis(seq, cols, axis=-1), np.take_along_axis(other, cols, axis=-1)
+    return shifted(seq), shifted(other)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +445,7 @@ class PagedLayer:
         self.seed, self.branch, self.budget = seed, branch, budget
         self.shape = (int(parent.shape[1]), int(m), int(parent.shape[2]))
         self._pages: dict[tuple[int, int], np.ndarray] = {}
+        self.multiply_adds = 0   # of the encoder scans' count products over this layer
 
     @property
     def pages_drawn(self) -> int:
@@ -599,40 +619,70 @@ def _blocks(m: int, width: int):
 
 def _one_hot(seqs: np.ndarray, size: int) -> np.ndarray:
     """Indicators [seqs[r, i] == a] of (rows, n) sequences over ``size``
-    symbols, as C-ordered float64 of shape (n, size, rows); symbols outside
-    0..size-1 match nothing."""
-    seqs = np.ascontiguousarray(seqs.T)   # so the result is C-ordered too
-    return (seqs[:, None, :] == np.arange(size)[:, None]).astype(np.float64)
+    symbols, for every symbol a but the last, then one row of ones: C-ordered
+    float64 of shape (n * (size - 1) + 1, rows), whose first n * (size - 1)
+    rows are (n, size - 1, rows). The last symbol's indicator is 1 less the
+    others', so the ones row and the others give it back. Every symbol must
+    lie in 0..size-1, as every sampled codeword's does: one past the range
+    matches no indicator, so it would be read as the last."""
+    rows, n = seqs.shape
+    out = np.empty((n * (size - 1) + 1, rows))
+    seqs = np.ascontiguousarray(seqs.T)   # so the indicators fill C order
+    np.equal(seqs[:, None, :], np.arange(size - 1, dtype=seqs.dtype)[:, None],
+             out=out[:-1].reshape(n, size - 1, rows))
+    out[-1] = 1.0
+    return out
 
 
 def _scan(layer, s0: int, left, shape: tuple, size: int, accept) -> np.ndarray:
     """Per trial, the smallest j whose codeword ``layer[s0, j]`` ``accept``
     takes, or -1. Each of the ``_blocks`` for the layer's codewords of n
     symbols over ``size`` is read once, as ``layer[s0, start:stop]``, and
-    one-hot encoded once, read as (K, block rows). Times it, the 0/1 rows
-    ``left(some)`` of the trials ``some`` still without a hit, (some.size,
-    L, K) of the trials' (T, L, K) ``shape``, give exact integer counts. A
-    sub-batch holds _SCRATCH // (L * max(K, block rows)) trials, or one, so
-    its rows and its counts each hold at most _SCRATCH elements, or one
-    trial's. ``accept(counts)`` takes the (some.size, L, block rows) counts
-    and returns the (some.size, block rows) hit mask."""
+    ``_one_hot`` encoded once. Times it, the rows ``left(some)`` of the
+    trials ``some`` still without a hit, (some.size, L, K) of the trials'
+    (T, L, K) ``shape``, give exact integer counts: with K the one-hot's
+    n * (size - 1) + 1 rows, the whole one-hot, read as (K, block rows);
+    with K = n, its (n, (size - 1) * block rows) indicators, the ones row
+    left out. A sub-batch holds _SCRATCH // (L * max(K, columns)) trials,
+    or one, so its rows and its counts each hold at most _SCRATCH elements,
+    or one trial's. ``accept(counts)`` takes the (some.size, L, columns)
+    counts and returns the (some.size, block rows) hit mask. A
+    ``PagedLayer`` adds the products' multiply-adds, L * K * columns per
+    trial, to its ``multiply_adds``."""
     trials, per_trial, k = shape
     _, m, n = layer.shape
     found = np.full(trials, -1, dtype=np.int64)
     active = np.arange(trials)
+    work = 0
     for start, stop in _blocks(m, n * size):
-        right = _one_hot(layer[s0, start:stop], size).reshape(k, -1)
+        hot = _one_hot(layer[s0, start:stop], size)
+        right = hot if k == len(hot) else hot[:-1].reshape(k, -1)
         step = max(1, _SCRATCH // max(1, per_trial * max(k, right.shape[1])))
         for a in range(0, active.size, step):
             some = active[a:a + step]
             counts = left(some).reshape(-1, k) @ right
+            work += counts.size * k
             ok = accept(counts.reshape(some.size, per_trial, right.shape[1]))
             has = ok.any(axis=1)
             found[some[has]] = start + ok[has].argmax(axis=1)
         active = active[found[active] < 0]
         if not active.size:
             break
+    if isinstance(layer, PagedLayer):
+        layer.multiply_adds += work
     return found
+
+
+def _cell_counts(pairs: np.ndarray, cells: int) -> np.ndarray:
+    """Per row of ``pairs``, how often each of the ``cells`` values occurs:
+    (rows, cells) int64. Each cell's matches are one byte per position,
+    summed in the narrowest unsigned dtype that holds the row length (a bool
+    sum would widen every byte)."""
+    counts = np.empty((len(pairs), cells), dtype=np.int64)
+    narrow = np.min_scalar_type(pairs.shape[1])
+    for c in range(cells):
+        counts[:, c] = np.add.reduce((pairs == c).view(np.uint8), axis=1, dtype=narrow)
+    return counts
 
 
 def _first_under_threshold(layer, s0: int, refs: np.ndarray,
@@ -645,18 +695,31 @@ def _first_under_threshold(layer, s0: int, refs: np.ndarray,
 
     A codeword's per-letter distortion is sum_v v * K_v / n over the
     distinct nonzero values v of ``delta_mat``, summed in ascending v, where
-    K_v counts the positions i with delta_mat[ref_i, cw_i] = v. Each trial's
-    rows mark, per v, the cells (i, h) at distortion v, so ``_scan``'s
-    product gives every K_v exactly; with no such v every score is 0. For a
-    0/1 matrix, K_1 / n is ``delta_mat[ref, cw].mean()`` bit for bit."""
+    K_v counts the positions i with delta_mat[ref_i, cw_i] = v. With
+    mark(x, v, h) = [delta_mat[x, h] = v] and S reconstruction symbols,
+    K_v = sum_i mark(ref_i, v, S - 1) + sum_i sum_{h < S - 1}
+    (mark(ref_i, v, h) - mark(ref_i, v, S - 1)) [cw_i = h]. So each trial's
+    row per v holds those differences, gathered from a per-source-symbol
+    table, and last a constant, its positions at v under the last symbol,
+    and ``_scan``'s product with the one-hot gives every K_v exactly; with
+    no such v every score is 0. For a 0/1 matrix, K_1 / n is
+    ``delta_mat[ref, cw].mean()`` bit for bit."""
     n = refs.shape[1]
     delta_mat = np.asarray(delta_mat, dtype=np.float64)
     levels = np.array(sorted(set(delta_mat[delta_mat != 0].tolist())))
     marks = (delta_mat[:, None] == levels[:, None]).astype(np.float64)   # (|X|, L, |Xt|)
-    shape = (len(refs), levels.size, n * delta_mat.shape[1])
+    table = marks[:, :, :-1] - marks[:, :, -1:]
+    last = _cell_counts(refs, len(marks)) @ marks[:, :, -1]   # (T, L)
+    shape = (len(refs), levels.size, n * table.shape[2] + 1)
 
     def left(some):
-        return marks[refs[some]].swapaxes(1, 2).reshape(some.size, *shape[1:])
+        # gathered before the rows are made, so the gather's index copy is
+        # freed by then
+        marked = np.take(table, refs[some], axis=0).swapaxes(1, 2)
+        rows = np.empty((some.size, *shape[1:]))
+        rows[:, :, :-1] = marked.reshape(some.size, levels.size, shape[2] - 1)
+        rows[:, :, -1] = last[some]
+        return rows
 
     def under(counts):
         counts *= levels[:, None]   # in place: fresh arrays cost more on long scans
@@ -668,26 +731,48 @@ def _first_under_threshold(layer, s0: int, refs: np.ndarray,
     return _scan(layer, s0, left, shape, delta_mat.shape[1], under)
 
 
-def _first_jointly_typical(common, pairs: np.ndarray,
-                           lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _first_jointly_typical(common, pairs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                           totals: np.ndarray | None = None) -> np.ndarray:
     """Per trial, the smallest j whose common codeword ``common[0, j]`` has
     joint counts with the trial's source pair (a row of ``pairs``, the pair
     cell x * |Y| + y per position) in [lo, hi], or -1. The bounds' last
-    axis is W, their leading axes the pair cells. ``common`` is a
+    axis is W, their leading axes the pair cells; ``totals`` are the pairs'
+    ``_cell_counts``, formed here when not given. ``common`` is a
     ``PagedLayer`` or a (1, M0, n) array, read in blocks ``common[0, a:b]``
-    of 16, 64, 256, ... codewords, its pages; the exact integer counts of a
-    block are ``_scan``'s product of the trials' pair-cell one-hot, (trials,
-    cells, n), built per sub-batch, with the block's, (n, |W| * rows)."""
+    of 16, 64, 256, ... codewords, its pages. A block's exact integer
+    counts for every w but the last are ``_scan``'s product of the trials'
+    pair-cell one-hot, (trials, cells, n), built per sub-batch, with the
+    block's (n, (|W| - 1) * rows) indicators; the last w's count is the
+    cell's total less the others'. With one W symbol the product is the
+    totals against the one-hot's ones row."""
     kw = lo.shape[-1]
     lo, hi = lo.reshape(-1, kw, 1), hi.reshape(-1, kw, 1)
     cells = lo.shape[0]
+    if totals is None:
+        totals = _cell_counts(pairs, cells)
+    if kw == 1:
+        def left(some):
+            return totals[some, :, None].astype(np.float64)
+
+        def typical(counts):
+            return ((counts >= lo[:, 0]) & (counts <= hi[:, 0])).all(axis=1)
+
+        return _scan(common, 0, left, (len(pairs), cells, 1), kw, typical)
+    # the last w's count, the total less the others', lies in [lo, hi] when
+    # the others' sum lies in [total - hi, total - lo]
+    rest_lo, rest_hi = totals[:, :, None] - hi[:, -1], totals[:, :, None] - lo[:, -1]
+    scanned = {}
 
     def pair_hot(some):
+        scanned["some"] = some   # the sub-batch whose counts ``typical`` is handed next
         return (pairs[some][:, None] == np.arange(cells)[:, None]).astype(np.float64)
 
     def typical(counts):
-        counts = counts.reshape(len(counts), cells, kw, -1)
-        return ((counts >= lo) & (counts <= hi)).all(axis=(1, 2))
+        counts = counts.reshape(len(counts), cells, kw - 1, -1)
+        some = scanned["some"]
+        ok = ((counts >= lo[:, :-1]) & (counts <= hi[:, :-1])).all(axis=(1, 2))
+        others = counts.sum(axis=2)
+        return ok & ((others >= rest_lo[some]) & (others <= rest_hi[some])).all(axis=1)
 
     return _scan(common, 0, pair_hot, (len(pairs), cells, pairs.shape[1]), kw, typical)
 
@@ -726,13 +811,12 @@ def encode_batch(codebook: Codebook, xs: np.ndarray, ys: np.ndarray, ks):
         # a hit needs each pair count within the band's sums over w, so only
         # trials whose pair type passes that test are scanned
         pairs = xb * ky + yb
-        cells = kx * ky
-        counts = np.bincount((pairs + cells * np.arange(pairs.shape[0])[:, None]).ravel(),
-                             minlength=pairs.shape[0] * cells).reshape(-1, cells)
+        counts = _cell_counts(pairs, kx * ky)
         fits = ((counts >= lo.sum(axis=-1).ravel())
                 & (counts <= hi.sum(axis=-1).ravel())).all(axis=1)
         if fits.any():
-            s0[fits] = _first_jointly_typical(codebook.common, pairs[fits], lo, hi)
+            s0[fits] = _first_jointly_typical(codebook.common, pairs[fits], lo, hi,
+                                              counts[fits])
     miss = np.empty((3, xs.shape[0]), dtype=bool)
     miss[0] = s0 < 0
     s0[miss[0]] = 0

@@ -252,7 +252,14 @@ def _run_trials(config: SimConfig, codebook: Codebook, seed_map: SeedMap | None)
         else:
             hats = deterministic_decode(codebook, s0, s1, s2, ks, n0)
         for b, (d, src, hat) in enumerate(zip(deltas, (xs, ys), hats)):
-            per = d[src, hat]  # one gather; freed before the counts' (T, positions) cells
+            # one gather from the flat matrix by cell codes in the narrowest
+            # dtype of its size, which indexing casts in buffers (np.take
+            # would copy them whole to intp); codes and gather are freed
+            # before the counts' (T, positions) cells
+            cell = np.multiply(src, d.shape[1], dtype=np.min_scalar_type(d.size))
+            cell += hat
+            per = d.ravel()[cell]
+            del cell
             dist[b, rows] = per.mean(axis=1)
             head[b, rows] = per[:, :n].mean(axis=1)
             del per
@@ -300,10 +307,11 @@ def run_simulation(config: SimConfig) -> SimReport:
                 if config.mode == "deterministic" else None)
 
     dist, head, miss, hist = _run_trials(config, codebook, seed_map)
+    layers = (codebook.common, codebook.priv_x, codebook.priv_y)
     _log.debug("pages drawn: common %d (%d codewords), x %d (%d codewords), "
-               "y %d (%d codewords)",
-               *(v for layer in (codebook.common, codebook.priv_x, codebook.priv_y)
-                 for v in (layer.pages_drawn, layer.codewords_drawn)))
+               "y %d (%d codewords); scan multiply-adds: common %d, x %d, y %d",
+               *(v for layer in layers for v in (layer.pages_drawn, layer.codewords_drawn)),
+               *(layer.multiply_adds for layer in layers))
 
     sources = (config.p_xy.marginal("X").probs, config.p_xy.marginal("Y").probs)
     x, y = (_branch_stats(codebook, b, sources[b], dist[b], head[b], miss[1 + b], hist[b])

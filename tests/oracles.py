@@ -9,8 +9,9 @@ shares only the solver's problem setup and metrics (it sums each w's table
 of row choices, then rescores the channels near the best as a plain scan
 of the whole grid would). Entropy and
 conditional mutual information by their defining sums check the library's
-mutual information. The codec's encoder scans and the greedy seed map are
-checked against plain one-item-at-a-time loops kept here, and its exact
+mutual information. The codec's encoder scans (``first_under_threshold_loop``,
+``first_jointly_typical_loop`` and ``encode_loop``) and the greedy seed map
+are checked against plain one-item-at-a-time loops kept here, and its exact
 uniform sampler against a rejection sampler. The band-test oracles
 ``is_typical``, ``is_cond_typical`` and ``is_jointly_typical`` check the
 samplers' draws and the codebooks' codewords; they, ``encode_loop`` and
@@ -539,6 +540,22 @@ def first_under_threshold_loop(codewords: np.ndarray, ref: np.ndarray,
         for v in levels:
             score += v * int(np.count_nonzero(d == v))
         if score / len(ref) <= threshold:
+            return i
+    return -1
+
+
+def first_jointly_typical_loop(codewords: np.ndarray, pairs: np.ndarray,
+                               lo: np.ndarray, hi: np.ndarray) -> int:
+    """Smallest index whose joint (pair cell, w) counts with ``pairs``, one
+    pair cell per position, lie in [lo, hi] (axes: cell, w), counting one
+    codeword at a time by ``bincount``; -1 if none."""
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    cells, kw = lo.shape
+    pairs = np.asarray(pairs, dtype=np.int64)
+    for i, w in enumerate(codewords):
+        counts = np.bincount(pairs * kw + np.asarray(w, dtype=np.int64),
+                             minlength=cells * kw).reshape(cells, kw)
+        if np.all((counts >= lo) & (counts <= hi)):
             return i
     return -1
 

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import tomllib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from gwrdp.codec import (
     _cached_bounds,
     _first_jointly_typical,
     _first_under_threshold,
+    _one_hot,
     _page_of,
     _page_span,
     _SymbolBudget,
@@ -46,6 +48,7 @@ from gwrdp.solver import hamming
 from oracles import (
     TypicalSetSpec,
     encode_loop,
+    first_jointly_typical_loop,
     first_under_threshold_loop,
     is_cond_typical,
     is_jointly_typical,
@@ -64,6 +67,11 @@ def with_rule(cb, threshold, dx=HAM, dy=HAM):
     """``cb`` encoding under the distortion matrices dx and dy, with
     ``threshold`` on both branches."""
     return dataclasses.replace(cb, distortions=(dx, dy), thresholds=(threshold, threshold))
+
+
+def roll_rows(ks, seqs):
+    """The shift one row at a time: row r rolled left by ks[r]."""
+    return np.stack([np.roll(row, -int(k)) for k, row in zip(ks, seqs)])
 
 
 class TestShift:
@@ -103,6 +111,8 @@ class TestShift:
         # np.asarray([]) is float64; an empty seed array is taken as int64
         out = circular_shift([], np.zeros((0, 4), dtype=np.uint8))
         assert out.shape == (0, 4) and out.dtype == np.uint8
+        ox, oy = circular_shift([], out, out)
+        assert ox.shape == oy.shape == (0, 4)
         with pytest.raises(IndexError):
             circular_shift(np.array([1.0, 2.0]), np.zeros((2, 4), dtype=np.uint8))
 
@@ -119,6 +129,51 @@ class TestShift:
         with pytest.raises(ValueError, match=r"1-D sequence takes one scalar k, a \(rows, n\) "
                                              r"batch one k per row"):
             circular_shift(k, np.zeros(shape, dtype=int))
+
+    @pytest.mark.parametrize("k", [0, 1, 6, 7, 8, 23, -1, -7, -15, 2 ** 40 + 3])
+    def test_one_sequence_under_a_scalar_seed(self, k):
+        seq = np.random.default_rng(1).integers(0, 5, size=7).astype(np.uint8)
+        out = circular_shift(k, seq)
+        assert out.dtype == np.uint8 and out.flags.writeable
+        assert np.array_equal(out, np.roll(seq, -(k % 7)))
+        out[0] = 9   # a copy: the input is untouched
+        assert seq.max() < 5
+
+    def test_rows_under_their_own_seeds(self):
+        rng = np.random.default_rng(2)
+        seqs = rng.integers(0, 4, size=(50, 11)).astype(np.uint8)
+        ks = rng.integers(-40, 40, size=50)   # below 0, in [0, n) and at or past n
+        assert (ks < 0).any() and (ks >= 11).any()
+        out = circular_shift(ks, seqs)
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, roll_rows(ks, seqs))
+
+    def test_paired_rows(self):
+        rng = np.random.default_rng(3)
+        xs = rng.integers(0, 2, size=(30, 9)).astype(np.uint8)
+        ys = rng.integers(0, 3, size=(30, 9))
+        ks = rng.integers(-20, 20, size=30)
+        ox, oy = circular_shift(ks, xs, ys)
+        assert np.array_equal(ox, roll_rows(ks, xs)) and np.array_equal(oy, roll_rows(ks, ys))
+        assert (ox.dtype, oy.dtype) == (xs.dtype, ys.dtype)
+
+    def test_paired_shift_memory(self):
+        # a 4,096 x 42 paired shift of uint8 rows traces 0.72 MiB: its two
+        # outputs and one doubled row batch; the bound leaves 38 % margin.
+        # An int64 (rows, n) index array of the positions read 1.74 MiB.
+        rng = np.random.default_rng(4)
+        xs = rng.integers(0, 2, size=(4096, 42)).astype(np.uint8)
+        ys = rng.integers(0, 2, size=(4096, 42)).astype(np.uint8)
+        ks = rng.integers(0, 32, size=4096)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ox, oy = circular_shift(ks, xs, ys)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20
+        assert np.array_equal(ox, roll_rows(ks, xs)) and np.array_equal(oy, roll_rows(ks, ys))
 
 
 class TestTypicality:
@@ -657,6 +712,175 @@ class TestScanEquivalence:
         assert miss[0].all() and not s0.any()
 
 
+FOLD_SCRATCH = [1, 2 ** 10, None]   # None: the default _SCRATCH
+FOLD_ROWS = 400   # codewords per folded-scan case: pages 0-3, cut at 16, 80 and 336
+
+
+def _set_scratch(monkeypatch, scratch):
+    if scratch is not None:
+        monkeypatch.setattr("gwrdp.codec._SCRATCH", scratch)
+
+
+class TestFoldedScans:
+    """The scans count every symbol but the last in their product and take
+    the last symbol's count from a total: the private scans from a constant
+    column against the one-hot's row of ones, the common scan from the pair
+    cells' totals. Each trial of a batch gets what a one-codeword-at-a-time
+    loop gives it, at any scratch bound."""
+
+    def test_one_hot_leaves_out_the_last_symbol(self):
+        seqs = np.array([[0, 2, 1], [2, 2, 0]], dtype=np.uint8)
+        hot = _one_hot(seqs, 3)
+        assert hot.shape == (3 * 2 + 1, 2) and hot.flags.c_contiguous
+        assert np.array_equal(hot[-1], [1, 1])
+        indicators = hot[:-1].reshape(3, 2, 2)   # (position, symbol 0 or 1, row)
+        full = np.concatenate([indicators, hot[-1] - indicators.sum(axis=1, keepdims=True)],
+                              axis=1)
+        assert np.array_equal(full, (seqs.T[:, None, :] == np.arange(3)[:, None]))
+        assert np.array_equal(_one_hot(seqs, 1), np.ones((1, 2)))
+
+    @staticmethod
+    def _private(monkeypatch, scratch, codewords, refs, delta_mat, threshold):
+        """The batch scan and the loop oracle, per trial."""
+        _set_scratch(monkeypatch, scratch)
+        got = _first_under_threshold(codewords[None], 0, refs, delta_mat, threshold)
+        want = [first_under_threshold_loop(codewords, ref, delta_mat, threshold) for ref in refs]
+        assert got.tolist() == want
+        return want
+
+    @pytest.mark.parametrize("scratch", FOLD_SCRATCH)
+    def test_one_reconstruction_symbol_leaves_only_the_constant(self, monkeypatch, scratch):
+        # |Xt| = 1: every codeword is all zeros and a trial's score is its
+        # own, (0.2 K_0 + 0.7 K_2) / n with K_a its positions holding a. The
+        # threshold is one trial's exact score: it and the trials below it
+        # hit at 0, the rest miss.
+        n = 20
+        delta_mat = np.array([[0.2], [0.0], [0.7]])
+        refs = np.random.default_rng(5).integers(0, 3, size=(40, n)).astype(np.uint8)
+        scores = [first_under_threshold_loop(np.zeros((1, n), dtype=np.uint8), ref, delta_mat,
+                                             np.inf) for ref in refs]
+        assert scores == [0] * 40
+        exact = []
+        for ref in refs:
+            score = 0.0
+            for v in (0.2, 0.7):
+                score += v * np.count_nonzero(delta_mat[ref, 0] == v)
+            exact.append(score / n)
+        threshold = sorted(exact)[20]
+        codewords = np.zeros((FOLD_ROWS, n), dtype=np.uint8)
+        want = self._private(monkeypatch, scratch, codewords, refs, delta_mat, threshold)
+        assert want == [0 if e <= threshold else -1 for e in exact]
+        assert want.count(0) > 20 and want.count(-1) > 5
+
+    @pytest.mark.parametrize("scratch", FOLD_SCRATCH)
+    @pytest.mark.parametrize("delta_mat", [
+        np.array([[0.1, 0.7, 1 / 3, 0.0], [1 / 3, 0.0, 0.7, 0.1], [0.7, 1 / 3, 0.0, 0.7]]),
+        np.array([[0.0, 0.3], [0.7, 0.0], [0.3, 0.3], [0.0, 0.7]]),
+    ], ids=["3x4", "4x2"])
+    def test_alphabets_of_other_sizes(self, monkeypatch, scratch, delta_mat):
+        # |X| != |Xt| under non-dyadic levels; the threshold lets trials hit
+        # on several pages and miss
+        n = 24
+        rng = np.random.default_rng(delta_mat.shape[1])
+        refs = rng.integers(0, delta_mat.shape[0], size=(30, n)).astype(np.uint8)
+        codewords = rng.integers(0, delta_mat.shape[1], size=(FOLD_ROWS, n)).astype(np.uint8)
+        best = delta_mat.argmin(axis=1)
+        planted = (3, 17, 95, 350)
+        for t, at in enumerate(planted):   # near-best codewords for four trials
+            codewords[at] = best[refs[t]]
+            codewords[at, :2] = rng.integers(0, delta_mat.shape[1], size=2)
+        threshold = max(delta_mat[refs[t], codewords[at]].mean() for t, at in enumerate(planted))
+        want = self._private(monkeypatch, scratch, codewords, refs, delta_mat, threshold)
+        assert all(0 <= w <= at for w, at in zip(want, planted))
+        assert len({w for w in want if w >= 0}) >= 3 and -1 in want
+
+    @pytest.mark.parametrize("scratch", FOLD_SCRATCH)
+    def test_three_levels_tied_at_the_threshold(self, monkeypatch, scratch):
+        # each trial's reference is a permutation of one base reference, and
+        # from a row of its own on, codewords of one joint type with it:
+        # they score the type's score exactly, although their gather means
+        # differ in the last bits. At that score each trial takes its first
+        # tied row; one ulp below, none of those rows.
+        n = 48
+        delta_mat = np.array([[0.1, 1 / 3, 0.7], [0.7, 0.1, 1 / 3]])
+        rng = np.random.default_rng(6)
+        base_ref = rng.integers(0, 2, size=n)
+        base_cw = rng.integers(0, 3, size=n)
+        score = 0.0
+        for v in (0.1, 1 / 3, 0.7):
+            score += v * np.count_nonzero(delta_mat[base_ref, base_cw] == v)
+        score /= n
+        perms = [rng.permutation(n) for _ in range(6)]
+        refs = np.stack([base_ref[perm] for perm in perms]).astype(np.uint8)
+        codewords = np.tile(np.where(base_ref == 0, 2, 0), (FOLD_ROWS, 1)).astype(np.uint8)
+        codewords = codewords[:, perms[0]]   # 0.7 everywhere against trial 0
+        firsts = (5, 16, 79, 80, 200, 399)
+        tied = [range(first, FOLD_ROWS, 37) for first in firsts]
+        for perm, rows in zip(perms, tied):
+            for row in rows:
+                cw = base_cw.copy()
+                for sym in (0, 1):   # rearranged within the reference's symbol classes
+                    at = np.flatnonzero(base_ref == sym)
+                    cw[at] = rng.permutation(cw[at])
+                codewords[row] = cw[perm]
+        means = {delta_mat[refs[0], cw].mean() for cw in codewords[firsts[0]::37]}
+        assert len(means) > 1
+        at = self._private(monkeypatch, scratch, codewords, refs, delta_mat, score)
+        assert all(0 <= a <= first for a, first in zip(at, firsts))
+        assert at[0] == firsts[0]
+        below = self._private(monkeypatch, scratch, codewords, refs, delta_mat,
+                              np.nextafter(score, -np.inf))
+        assert all(b not in rows for b, rows in zip(below, tied))
+
+    @staticmethod
+    def _common(monkeypatch, scratch, codewords, pairs, lo, hi):
+        """The batch scan, with the totals given and formed inside, and the
+        loop oracle, per trial."""
+        _set_scratch(monkeypatch, scratch)
+        want = [first_jointly_typical_loop(codewords, pair, lo, hi) for pair in pairs]
+        cells = lo.shape[0]
+        totals = np.stack([np.bincount(pair, minlength=cells) for pair in pairs])
+        for given in (None, totals):
+            got = _first_jointly_typical(codewords[None], pairs, lo, hi, given)
+            assert got.tolist() == want
+        return want
+
+    @pytest.mark.parametrize("scratch", FOLD_SCRATCH)
+    def test_one_w_symbol_is_decided_by_the_totals(self, monkeypatch, scratch):
+        # |W| = 1: every codeword is all zeros, so a trial hits at 0 exactly
+        # when each pair cell's total lies in its bounds
+        n, cells = 16, 4
+        rng = np.random.default_rng(7)
+        pairs = rng.integers(0, cells, size=(40, n)).astype(np.uint8)
+        pairs[::4] = rng.permuted(np.tile(np.repeat(np.arange(cells), 4), (10, 1)), axis=1)
+        lo, hi = np.full((cells, 1), 3), np.array([[5], [5], [6], [4]])
+        want = self._common(monkeypatch, scratch, np.zeros((FOLD_ROWS, n), dtype=np.uint8),
+                            pairs, lo, hi)
+        assert set(want) == {0, -1}
+
+    @pytest.mark.parametrize("scratch", FOLD_SCRATCH)
+    def test_three_w_symbols_with_bounds_that_differ_per_symbol(self, monkeypatch, scratch):
+        # |W| = 3 over 6 pair cells of 3 positions each at n = 18: per cell
+        # one w = 0, at most one w = 1 and at least one w = 2, so the last
+        # w's range decides some codewords. A random codeword passes with
+        # probability (1/3)**6; four trials get a typical one planted.
+        n = 18
+        rng = np.random.default_rng(8)
+        pairs = rng.permuted(np.tile(np.repeat(np.arange(6), 3), (24, 1)), axis=1).astype(np.uint8)
+        lo = np.tile([1, 0, 1], (6, 1))
+        hi = np.tile([1, 1, 2], (6, 1))
+        codewords = rng.integers(0, 3, size=(FOLD_ROWS, n)).astype(np.uint8)
+        planted = (2, 40, 150, 390)
+        for t, at in enumerate(planted):
+            w = np.empty(n, dtype=np.uint8)
+            for c in range(6):
+                w[np.flatnonzero(pairs[t] == c)] = rng.permutation([0, 2, 1 + (c % 2)])
+            codewords[at] = w
+        want = self._common(monkeypatch, scratch, codewords, pairs, lo, hi)
+        assert all(0 <= w <= at for w, at in zip(want, planted))
+        assert len({w for w in want if w >= 0}) >= 3 and -1 in want
+
+
 def _balanced_pairs(rng, count):
     """Rows of 32 positions holding each (x, y) pair value 8 times."""
     pair = np.stack([rng.permutation(np.repeat(np.arange(4), 8)) for _ in range(count)])
@@ -818,9 +1042,9 @@ class TestBatchEncode:
         lo, hi = count_bounds(cb.q_xyw, n, delta)
         scanned = []
 
-        def recorded(common, pairs, lo, hi):
-            scanned.append(pairs)
-            return _first_jointly_typical(common, pairs, lo, hi)
+        def recorded(common, pairs, lo, hi, totals):
+            scanned.append((pairs, totals))
+            return _first_jointly_typical(common, pairs, lo, hi, totals)
 
         monkeypatch.setattr("gwrdp.codec._first_jointly_typical", recorded)
         rng = np.random.default_rng(5)
@@ -830,8 +1054,9 @@ class TestBatchEncode:
         xs, ys = circular_shift(ks, pairs // 2, pairs % 2)
         got, want = _batch_vs_loop(cb, xs, ys, ks, 0.3)
         assert got == want
-        (rows,) = scanned
+        ((rows, totals),) = scanned
         counts = np.stack([np.bincount(r, minlength=4) for r in rows])
+        assert np.array_equal(totals, counts)   # the prefilter's counts feed the scan
         assert np.all((counts >= lo.sum(axis=-1).ravel()) & (counts <= hi.sum(axis=-1).ravel()))
         assert 0 < len(rows) < len(pairs)
         assert any(not g[3] for g in got)

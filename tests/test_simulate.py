@@ -30,8 +30,9 @@ from gwrdp.simulate import (
     run_simulation,
     wilson_halfwidth,
 )
+from gwrdp.solver import DistortionMatrix
 
-from oracles import hamming_tv_problem
+from oracles import hamming_tv_problem, per_letter_distortion
 
 UNIFORM4 = JointPmf(np.full((2, 2), 0.25), ("X", "Y"))
 IDENTITY_TC = Kernel(np.eye(2).reshape(2, 1, 2))
@@ -250,27 +251,45 @@ class TestCapsAndErrors:
             cfg(n=8, mode="deterministic", n0=9)
 
 
+PAGE_LOG = re.compile(r"pages drawn: common (\d+) \((\d+) codewords\), "
+                      r"x (\d+) \((\d+) codewords\), y (\d+) \((\d+) codewords\); "
+                      r"scan multiply-adds: common (\d+), x (\d+), y (\d+)")
+
+
+def page_log(caplog, config):
+    """The simulation's one page record, its nine counts as ints, and its
+    report."""
+    with caplog.at_level(logging.DEBUG, logger="gwrdp.simulate"):
+        report = run_simulation(config)
+    lines = [r.getMessage() for r in caplog.records if r.name == "gwrdp.simulate"]
+    assert len(lines) == 1
+    counts = PAGE_LOG.fullmatch(lines[0])
+    assert counts
+    return [int(v) for v in counts.groups()], report
+
+
 class TestPageLog:
     def test_pages_drawn_logged_outside_the_report(self, caplog):
-        with caplog.at_level(logging.DEBUG, logger="gwrdp.simulate"):
-            report = run_simulation(cfg(trials=300))
-        lines = [r.getMessage() for r in caplog.records if r.name == "gwrdp.simulate"]
-        assert len(lines) == 1
-        counts = re.fullmatch(r"pages drawn: common (\d+) \((\d+) codewords\), "
-                              r"x (\d+) \((\d+) codewords\), y (\d+) \((\d+) codewords\)",
-                              lines[0])
-        assert counts
+        counts, report = page_log(caplog, cfg(trials=300))
         # sizes (1, 2209, 2209): one common index, under which every scan
         # draws the pages up to its hit, so each layer's drawn pages are a
         # prefix 0..p-1, whose last ends at codeword 16, 80, 336, 1360 or
         # 5456, or at the layer's end
         assert report.sizes == (1, 2209, 2209)
         ends = [16, 80, 336, 1360, 5456]
-        counts = [int(v) for v in counts.groups()]
         for pages, words, m in zip(counts[::2], counts[1::2], report.sizes):
             assert 1 <= pages <= 5 and words == min(ends[pages - 1], m)
         assert counts[:2] == [1, 1]
+        assert min(counts[6:]) > 0
         assert "pages" not in json.dumps(report.to_dict())
+
+    def test_sim_common_scan_multiply_adds(self, caplog):
+        # ceilings on SIM_COMMON's 512 trials at seed 0; with the last
+        # symbol's indicator in the one-hot they read 36,864, 6,513,280 and
+        # 6,054,656. A count may fall; a rise needs a reason.
+        counts, _ = page_log(caplog, sim_common_config(512))
+        common, x, y = counts[6:]
+        assert common <= 18_432 and x <= 3_358_410 and y <= 3_121_932
 
 
 class TestBatchedTrials:
@@ -559,8 +578,8 @@ class TestPasses:
             assert max(some for b, _, some, *_ in seen if b == branch) > 1
 
     def test_peak_memory_is_bounded_in_trials(self):
-        # passes of at most 4,096 trials keep the traced peak near 5.3 MiB
-        # at 20,000 trials; one pass of every trial reads 14.6 MiB
+        # passes of at most 4,096 trials keep the traced peak near 5.1 MiB
+        # at 20,000 trials; one pass of every trial reads 15.2 MiB
         config = sim_common_config(20_000)
         tracemalloc.start()
         try:
@@ -568,7 +587,49 @@ class TestPasses:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10 * 2 ** 20
+        assert peak <= 8 * 2 ** 20
+
+
+class TestDistortionGather:
+    """Each trial's per-letter distortion is that of a gather of its own
+    source and reconstruction rows, for cell codes x * |Xt| + xt past 255
+    as well."""
+
+    @pytest.mark.parametrize("kx, used", [(2, (0, 2)), (16, (0, 5, 16))], ids=["2x3", "16x17"])
+    def test_trial_distortions_match_a_gather_per_trial(self, monkeypatch, kx, used):
+        # X uniform over kx symbols, Y binary, W independent; the X test
+        # channel reaches the reconstructions ``used``, under a non-dyadic
+        # matrix with one zero per row. At kx = 16 the cell codes reach
+        # 15 * 17 + 16 = 271.
+        rng = np.random.default_rng(kx)
+        kt = used[-1] + 1
+        tc_x = np.zeros((kx, 1, kt))
+        tc_x[:, 0, list(used)] = rng.dirichlet(np.ones(len(used)), size=kx)
+        dx = rng.integers(1, 30, size=(kx, kt)) / 29
+        dx[np.arange(kx), rng.choice(used, size=kx)] = 0.0
+        config = cfg(p_xy=JointPmf(np.full((kx, 2), 1 / (2 * kx)), ("X", "Y")),
+                     aux=AuxChannel.independent(kx, 2), test_channel_x=Kernel(tc_x),
+                     delta_x_mat=DistortionMatrix(dx), delta=0.5, trials=300)
+        seen = {}
+        real_encode, real_decode = gwrdp.simulate.encode_batch, gwrdp.simulate.decode
+
+        def encoding(codebook, xs, ys, ks):
+            seen["sources"] = (xs, ys)
+            return real_encode(codebook, xs, ys, ks)
+
+        def decoding(*args):
+            seen["hats"] = real_decode(*args)
+            return seen["hats"]
+
+        monkeypatch.setattr(gwrdp.simulate, "encode_batch", encoding)
+        monkeypatch.setattr(gwrdp.simulate, "decode", decoding)
+        codebook = fresh_codebook(config)
+        dist, head, _, _ = gwrdp.simulate._run_trials(config, codebook, None)
+        assert np.array_equal(dist, head)   # no tail in common-randomness mode
+        assert set(np.unique(seen["hats"][0]).tolist()) == set(used)
+        for d, src, hat, got in zip((dx, codebook.distortions[1]), seen["sources"],
+                                    seen["hats"], dist):
+            assert got.tolist() == [per_letter_distortion(d, s, h) for s, h in zip(src, hat)]
 
 
 class TestWilson:
