@@ -10,13 +10,22 @@ whose symbols take the same distinct probabilities equally often form a
 level of one exact probability (a DSBS's 4**10 atoms form 11 levels), and
 the greedy cannot tell them apart; so the map is built a level at a time,
 each level's atoms water-filled into the bins in one numpy step, and the
-atoms of a level take their bins in index order. The resulting
-deterministic code runs the shift-seeded codec with the simulated seed
-and extends reconstructions by copying the head prefix into the tail.
+atoms of a level take their bins in index order. No sort finds that
+order: an atom index reads the first tail symbol as its most significant
+digit, so the atoms s + b (a first symbol s before a shorter tail b) of a
+level are, in index order, those with a smaller first symbol and then
+the level's own atoms under s, ranked as their tails b are. An atom's
+rank within its level is therefore its tail's rank plus an entry of a
+small (levels, symbols) table, and the map is gathered from tables and
+the ranks of tails a few symbols shorter, a block of atoms at a time.
+The resulting deterministic code runs the shift-seeded codec with the
+simulated seed and extends reconstructions by copying the head prefix
+into the tail.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -26,6 +35,9 @@ from .codec import Codebook, EncodeResult, ResourceCapError, decode, encode
 from .prob import JointPmf
 
 _ATOM_CAP = 4_194_304  # most tail atoms a seed map enumerates: 2**22 = 4**11
+_BLOCK = 16_384  # most atoms whose seeds the map gathers at once
+
+_log = logging.getLogger(__name__)
 
 
 class SeedMapError(ValueError):
@@ -36,7 +48,7 @@ class SeedMapError(ValueError):
 class SeedMap:
     """Assignment of every length-n0 joint tail realization to a seed bin."""
 
-    assignment: np.ndarray   # (pair_alphabet ** n0,) values in [0, n-1]
+    assignment: np.ndarray   # (pair_alphabet ** n0,) in the narrowest unsigned dtype of n-1
     bin_masses: np.ndarray   # (n,)
     p_max: float             # largest atom probability
     n0: int
@@ -67,7 +79,8 @@ class SeedMap:
         if np.any((x < 0) | (x >= self.nx) | (y < 0) | (y >= self.ny)):
             raise ValueError(f"tail symbols outside the {self.nx}x{self.ny} pair alphabet")
         radix = (self.nx * self.ny) ** np.arange(self.n0 - 1, -1, -1, dtype=np.int64)
-        return self.assignment[(x * self.ny + y) @ radix]
+        # int64, whatever the map's dtype: the codec negates seeds
+        return self.assignment[(x * self.ny + y) @ radix].astype(np.int64)
 
     def audit(self) -> dict:
         """Exhaustive mass audit: per-bin masses against the uniform bound."""
@@ -106,7 +119,9 @@ def build_seed_map(p_xy: JointPmf, n0: int, n: int) -> SeedMap:
     lightest bin would (``_pour``), so the final per-bin deviation from 1/n
     is at most the largest atom probability; the bound is asserted, not
     assumed. Within a level, atoms take their bins in index order: the
-    first ones go to bin 0, the next ones to bin 1, and so on.
+    first ones go to bin 0, the next ones to bin 1, and so on. Logs one
+    DEBUG record to the ``gwrdp.derandom`` logger: atoms, levels poured,
+    the largest deviation and its bound.
     """
     if n < 1 or n0 < 1:
         raise ValueError(f"n={n} and n0={n0} must both be at least 1")
@@ -132,7 +147,8 @@ def build_seed_map(p_xy: JointPmf, n0: int, n: int) -> SeedMap:
             f"(default rule gives {need})")
 
     values, symbols = np.unique(flat, return_inverse=True)
-    levels, sizes, key = _atom_levels(symbols.astype(np.min_scalar_type(len(values))), n_atoms)
+    levels, sizes, steps = _atom_levels(symbols.astype(np.min_scalar_type(len(values))),
+                                        n0 if size > 1 else 1)
     level_probs = values[levels].prod(axis=1)
     counts = np.zeros((len(levels), n), dtype=np.int64)
     masses = np.zeros(n)
@@ -141,43 +157,84 @@ def build_seed_map(p_xy: JointPmf, n0: int, n: int) -> SeedMap:
         counts[level] = _pour(masses, sizes[level], p)
         masses += counts[level] * p
 
-    # atoms grouped by level (ties by atom index) take the level's bins in order
-    order = np.argsort(key, kind="stable")
-    bins = np.tile(np.arange(n, dtype=np.min_scalar_type(n - 1)), len(levels))
-    assignment = np.empty(n_atoms, dtype=np.int64)
-    assignment[order] = np.repeat(bins, counts.reshape(-1))
-
     bin_masses = counts.T @ level_probs
     p_max = float(level_probs.max())
     gap = float(bin_masses.max() - bin_masses.min())
     if gap > p_max + 1e-15:
         raise AssertionError(
             f"greedy guarantee violated: bin gap {gap} exceeds largest atom {p_max}")
-    return SeedMap(assignment=assignment, bin_masses=bin_masses, p_max=p_max,
-                   n0=n0, n=n, nx=nx, ny=ny)
+    bins = np.tile(np.arange(n, dtype=np.min_scalar_type(n - 1)), len(levels))
+    seed_map = SeedMap(assignment=_gather(steps, sizes, np.repeat(bins, counts.reshape(-1))),
+                       bin_masses=bin_masses, p_max=p_max, n0=n0, n=n, nx=nx, ny=ny)
+    _log.debug("seed map: %d atoms, %d levels poured; max deviation %.6e, bound %.6e",
+               n_atoms, len(levels), seed_map.max_deviation, p_max)
+    return seed_map
 
 
 def _atom_levels(symbols: np.ndarray,
-                 n_atoms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every level of the atoms of ``symbols`` (each pair symbol's class of
-    equal probability), as a sorted row of class indices, the rows in
-    lexicographic order; each level's number of atoms; and each atom's
-    level index, in the smallest dtype that fits. An atom's level is its
-    prefix's with its last symbol's class added, so a level index is a
-    table lookup on the prefix's index and the symbol. A one-symbol pair
-    has one atom, whose level stays the empty row (probability 1) however
-    long the tail."""
-    levels, sizes = np.zeros((1, 0), dtype=symbols.dtype), np.ones(1)
-    key = np.zeros(1, dtype=np.uint8)
-    while key.size < n_atoms:
-        grown = np.column_stack([np.repeat(levels, symbols.size, axis=0),
+                 n0: int) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Every level of the length-n0 atoms of ``symbols`` (each pair
+    symbol's class of equal probability), as a sorted row of class
+    indices, the rows in lexicographic order; each level's number of
+    atoms; and per tail length i < n0, the (levels of length i, symbols)
+    tables of prepending a symbol s to a tail of each level: the level of
+    the longer tail, and how many atoms of that level have a first symbol
+    below s. A one-symbol pair has one atom whatever n0, which one step
+    builds."""
+    width = symbols.size
+    levels, sizes = np.zeros((1, 0), dtype=symbols.dtype), np.ones(1, dtype=np.int64)
+    steps = []
+    for _ in range(n0):
+        grown = np.column_stack([np.repeat(levels, width, axis=0),
                                  np.tile(symbols, len(levels))])
-        levels, ranks = np.unique(np.sort(grown, axis=1), axis=0, return_inverse=True)
-        ranks = ranks.reshape(-1)
-        sizes = np.bincount(ranks, weights=np.repeat(sizes, symbols.size))
-        table = ranks.astype(np.min_scalar_type(len(levels))).reshape(-1, symbols.size)
-        key = np.take(table, key, axis=0).reshape(-1)   # faster than table[key]
-    return levels, sizes.astype(np.int64), key
+        levels, table = np.unique(np.sort(grown, axis=1), axis=0, return_inverse=True)
+        table = table.reshape(-1, width)
+        # a symbol added to distinct levels gives distinct levels, so each
+        # longer level takes its atoms under s from one shorter level
+        first = np.zeros((len(levels), width), dtype=np.int64)
+        first[table, np.arange(width)] = sizes[:, None]
+        steps.append((table, (first.cumsum(axis=1) - first)[table, np.arange(width)]))
+        sizes = first.sum(axis=1)
+    return levels, sizes, steps
+
+
+def _gather(steps: list[tuple[np.ndarray, np.ndarray]], sizes: np.ndarray,
+            by_position: np.ndarray) -> np.ndarray:
+    """Every atom's bin: ``by_position`` holds the bins of each level's
+    atoms in index order, the levels one after another, so an atom's bin
+    sits at its level's offset plus its rank within the level.
+
+    The atoms are split into a head and a tail of at most ``_BLOCK``
+    atoms. Every tail's level and rank come from prepending its symbols
+    one at a time (``_atom_levels``' tables); the heads' symbols, taken
+    off from the last, turn the level offsets into a (heads, tail levels)
+    table of starts. An atom's position is then its head's start for its
+    tail's level plus its tail's rank, gathered a block of heads at a
+    time: the map and ``by_position``, in the bins' dtype, are the only
+    per-atom arrays."""
+    width = steps[0][0].shape[1]
+    cut = len(steps)
+    while width ** cut > _BLOCK:
+        cut -= 1
+    key = rank = np.zeros(1, dtype=np.intp)
+    for table, before in steps[:cut]:
+        # a longer tail's index puts its first symbol before the tail's, so
+        # the (symbols, tails) arrays raveled are in index order
+        key, rank = (np.take(table.T, key, axis=1).reshape(-1),
+                     (np.take(before.T, key, axis=1) + rank).reshape(-1))
+    start = (np.cumsum(sizes) - sizes)[None]
+    for table, before in reversed(steps[cut:]):
+        # a tail of level l under the head h + s is a tail of level
+        # table[l, s] under h, after that level's atoms whose first symbol
+        # is below s
+        start = (start[:, table] + before).transpose(0, 2, 1).reshape(-1, len(table))
+    assignment = np.empty((len(start), key.size), dtype=by_position.dtype)
+    per = _BLOCK // key.size
+    for h in range(0, len(start), per):
+        at = np.take(start[h:h + per], key, axis=1)
+        at += rank
+        np.take(by_position, at, out=assignment[h:h + per], mode="clip")
+    return assignment.reshape(-1)
 
 
 def _pour(masses: np.ndarray, k: int, p: float) -> np.ndarray:

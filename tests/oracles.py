@@ -47,6 +47,7 @@ import numpy as np
 
 from gwrdp.codec import (SYMBOL_DTYPE, EmptyTypicalSetError, TypeTable, _compositions,
                          count_bounds, sample_uniform_cond_typical)
+from gwrdp.derandom import _pour
 from gwrdp.prob import JointPmf, Kernel
 from gwrdp.region import (_SWEEPS, AuxChannel, RegionProblem, _dirichlet_aux, _Solves, _w_size,
                           rate_triple_for_aux)
@@ -596,6 +597,35 @@ def greedy_seed_assignment(p_flat: np.ndarray, n0: int, n: int) -> np.ndarray:
         mass, b = heapq.heappop(heap)
         assignment[atom] = b
         heapq.heappush(heap, (mass + probs[atom], b))
+    return assignment
+
+
+def level_order_assignment(p_flat: np.ndarray, n0: int, n: int) -> np.ndarray:
+    """The level seed map by one stable sort: each atom's level is the
+    sorted row of its symbols' probability classes (levels in
+    lexicographic order), found by appending symbols to prefixes; levels
+    are poured by descending probability (ties by level index) with
+    ``gwrdp.derandom._pour``; and the atoms of a level, in index order,
+    take the level's bins in order, scattered through a stable argsort of
+    the atoms' levels."""
+    flat = np.asarray(p_flat, dtype=np.float64).reshape(-1)
+    values, symbols = np.unique(flat, return_inverse=True)
+    levels, key = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for _ in range(n0 if flat.size > 1 else 1):
+        grown = np.column_stack([np.repeat(levels, flat.size, axis=0),
+                                 np.tile(symbols, len(levels))])
+        levels, table = np.unique(np.sort(grown, axis=1), axis=0, return_inverse=True)
+        key = table.reshape(-1, flat.size)[key].reshape(-1)   # atom prefix * |pair| + last
+    sizes = np.bincount(key, minlength=len(levels))
+    probs = values[levels].prod(axis=1)
+    counts = np.zeros((len(levels), n), dtype=np.int64)
+    masses = np.zeros(n)
+    for level in np.argsort(-probs, kind="stable"):
+        counts[level] = _pour(masses, sizes[level], probs[level])
+        masses += counts[level] * probs[level]
+    assignment = np.empty(key.size, dtype=np.int64)
+    assignment[np.argsort(key, kind="stable")] = np.repeat(np.tile(np.arange(n), len(levels)),
+                                                           counts.reshape(-1))
     return assignment
 
 

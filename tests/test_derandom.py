@@ -1,4 +1,6 @@
 import dataclasses
+import logging
+import re
 import signal
 import tracemalloc
 
@@ -18,7 +20,7 @@ from gwrdp.derandom import (
 )
 from gwrdp.prob import JointPmf
 from gwrdp.solver import hamming
-from oracles import greedy_pour_counts, greedy_seed_assignment
+from oracles import greedy_pour_counts, greedy_seed_assignment, level_order_assignment
 
 HAM = hamming(2)
 
@@ -34,6 +36,7 @@ DISTINCT4 = JointPmf([[0.1, 0.2], [0.3, 0.4]], ("X", "Y"))
 TIED6 = JointPmf([[0.3, 0.05, 0.15], [0.1, 0.25, 0.15]], ("X", "Y"))
 # six distinct symbol probabilities: no level of 4 symbols has more than 4! atoms
 DISTINCT6 = JointPmf([[0.3, 0.05, 0.14], [0.1, 0.25, 0.16]], ("X", "Y"))
+DIRICHLET9 = JointPmf(np.random.default_rng(3).dirichlet(np.ones(9)).reshape(3, 3), ("X", "Y"))
 
 
 def _rounded_dirichlet(seed):
@@ -219,7 +222,7 @@ class TestBuild:
         # a class's atoms, in index order, take nondecreasing bins
         order = np.argsort(classes.reshape(-1), kind="stable")
         same_class = np.diff(classes.reshape(-1)[order]) == 0
-        assert np.all(np.diff(sm.assignment[order])[same_class] >= 0)
+        assert np.all(np.diff(sm.assignment[order].astype(np.int64))[same_class] >= 0)
 
     @pytest.mark.parametrize("p_xy, n0, split, merged", [
         (DISTINCT4, 5, 28, 29),
@@ -243,21 +246,68 @@ class TestBuild:
         assert len(poured) == classes.max() + 1
 
     def test_dsbs_4_10_map_peak_memory(self):
-        # one byte of level key per atom, the int64 order and assignment
-        # come to about 17 MiB; a per-atom float array would pass the bound
+        # one byte of map and one of level-major bins per atom, about 2.5
+        # MiB with the blocks' scratch; a per-atom int32 rank or position
+        # array would add 4 MiB, and a stable sort's int64 order 8 MiB
         tracemalloc.start()
         try:
             build_seed_map(dsbs(0.25), 10, 32)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 22 * 2 ** 20
+        assert peak < 5 * 2 ** 20
+
+    @pytest.mark.parametrize("p_xy, n0, n", [
+        pytest.param(dsbs(0.25), 10, 32, id="dsbs-4^10"),
+        pytest.param(dsbs(0.25), 6, 300, id="dsbs-n300-uint16"),
+        pytest.param(TIED6, 4, 24, id="tied-2x3"),
+        pytest.param(DISTINCT6, 3, 24, id="distinct-2x3"),
+        # 9**5 atoms: blocks of two heads over 9**4 tails, the last one short
+        pytest.param(DIRICHLET9, 5, 37, id="dirichlet-3x3"),
+        pytest.param(JointPmf([[1.0]], ("X", "Y")), 10 ** 9, 1, id="one-symbol"),
+    ] + [pytest.param(*case[1:], id=case[0]) for case in LEVEL_CASES])
+    def test_assignment_matches_the_level_order_oracle(self, p_xy, n0, n):
+        # atom for atom: a level's atoms, in index order, take its bins in order
+        sm = build_seed_map(p_xy, n0, n)
+        assert sm.assignment.dtype == np.min_scalar_type(n - 1)
+        assert np.array_equal(sm.assignment, level_order_assignment(p_xy.probs, n0, n))
+
+    @pytest.mark.parametrize("block", [1, 5, 40])
+    @pytest.mark.parametrize("p_xy, n0, n", [
+        (dsbs(0.25), 5, 24),
+        (TIED6, 3, 24),
+        (DIRICHLET9, 3, 37),
+    ])
+    def test_small_blocks_match_the_oracle(self, monkeypatch, block, p_xy, n0, n):
+        # blocks shorter than one symbol's atoms leave no tail, and blocks
+        # of a few tails gather several heads at once
+        monkeypatch.setattr(gwrdp.derandom, "_BLOCK", block)
+        sm = build_seed_map(p_xy, n0, n)
+        assert np.array_equal(sm.assignment, level_order_assignment(p_xy.probs, n0, n))
 
     def test_every_atom_assigned_once(self):
         sm = build_seed_map(dsbs(0.2), 3, 5)
         assert sm.assignment.shape[0] == 4 ** 3
         assert sm.assignment.min() >= 0 and sm.assignment.max() <= 4
         assert np.all(np.bincount(sm.assignment, minlength=5) > 0)
+
+
+SEED_MAP_LOG = re.compile(r"seed map: (\d+) atoms, (\d+) levels poured; "
+                          r"max deviation (\S+), bound (\S+)")
+
+
+class TestSeedMapLog:
+    def test_one_debug_record_per_build(self, caplog, monkeypatch):
+        poured = record_pours(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="gwrdp.derandom"):
+            sm = build_seed_map(dsbs(0.25), 8, 32)
+        lines = [r.getMessage() for r in caplog.records if r.name == "gwrdp.derandom"]
+        assert len(lines) == 1
+        atoms, levels, dev, bound = SEED_MAP_LOG.fullmatch(lines[0]).groups()
+        assert (int(atoms), int(levels)) == (4 ** 8, len(poured)) == (65536, 9)
+        assert float(dev) == pytest.approx(sm.max_deviation, rel=1e-6)
+        assert float(bound) == pytest.approx(sm.p_max, rel=1e-6)
+        assert float(dev) <= float(bound)
 
 
 class TestPour:

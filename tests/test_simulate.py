@@ -21,6 +21,7 @@ from gwrdp.codec import (
     encode_batch,
     generate_codebook,
 )
+from gwrdp.derandom import build_seed_map
 from gwrdp.prob import JointPmf, Kernel, tv_distance
 from gwrdp.region import AuxChannel, Budgets, rate_triple_for_aux
 from gwrdp.simulate import (
@@ -214,6 +215,19 @@ class TestDeterministicMode:
         assert det.seed_overhead == pytest.approx(math.log2(8) / (8 + 3))
         m0, m1, m2 = det.sizes
         assert det.rates[1] == pytest.approx(math.log2(m1) / 8 + det.seed_overhead)
+
+    def test_seeds_stay_int64_under_a_narrow_map(self):
+        # the map stores uint8 bins, and the codec shifts by -k: a uint8 k
+        # would negate to 256 - k, which 24 does not divide. The digest is
+        # of the report that int64 seeds gave with an int64 map.
+        config = cfg(n=24, mode="deterministic", trials=300)
+        seed_map = build_seed_map(config.p_xy, config.tail_length(), config.n)
+        assert seed_map.assignment.dtype == np.uint8
+        tails = np.zeros((2, seed_map.n0), dtype=np.uint8)
+        assert seed_map.seeds_for_tails(tails, tails).dtype == np.int64
+        report = json.dumps(run_simulation(config).to_dict(), sort_keys=True)
+        assert hashlib.sha256(report.encode()).hexdigest() == \
+            "7323800192fbc5a2a90ee724d5ab7b8437c4e32d9d16a93c88c15ee7f9d0d58a"
 
     def test_full_block_distortion_includes_tail(self):
         det = run_simulation(cfg(trials=3000, n=8, mode="deterministic"))
