@@ -190,11 +190,16 @@ def _atom_levels(symbols: np.ndarray,
         levels, table = np.unique(np.sort(grown, axis=1), axis=0, return_inverse=True)
         table = table.reshape(-1, width)
         # a symbol added to distinct levels gives distinct levels, so each
-        # longer level takes its atoms under s from one shorter level
-        first = np.zeros((len(levels), width), dtype=np.int64)
-        first[table, np.arange(width)] = sizes[:, None]
-        steps.append((table, (first.cumsum(axis=1) - first)[table, np.arange(width)]))
-        sizes = first.sum(axis=1)
+        # longer level takes its atoms under s from at most one shorter
+        # level: with the (s, shorter level) pairs grouped stably by longer
+        # level, the atoms below s are a running sum within the group
+        longer, weight = table.T.reshape(-1), np.tile(sizes, width)
+        sizes = np.bincount(longer, weights=weight, minlength=len(levels)).astype(np.int64)
+        order = np.argsort(longer, kind="stable")
+        longer, weight = longer[order], weight[order]
+        before = np.empty_like(longer)
+        before[order] = np.cumsum(weight) - weight - (np.cumsum(sizes) - sizes)[longer]
+        steps.append((table, before.reshape(width, -1).T))
     return levels, sizes, steps
 
 

@@ -257,6 +257,22 @@ class TestBuild:
             tracemalloc.stop()
         assert peak < 5 * 2 ** 20
 
+    def test_distinct_alphabet_peak_memory(self):
+        # 100 distinct symbol probabilities give 5,050 levels of two
+        # symbols. The tables of prepending a symbol hold one entry per
+        # (shorter level, symbol) pair; a dense (longer level, symbol)
+        # table and its running sums would take about 8 MiB here
+        p_xy = JointPmf(np.random.default_rng(5).dirichlet(np.ones(100)).reshape(10, 10),
+                        ("X", "Y"))
+        tracemalloc.start()
+        try:
+            sm = build_seed_map(p_xy, 2, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert np.array_equal(sm.assignment, level_order_assignment(p_xy.probs, 2, 4))
+
     @pytest.mark.parametrize("p_xy, n0, n", [
         pytest.param(dsbs(0.25), 10, 32, id="dsbs-4^10"),
         pytest.param(dsbs(0.25), 6, 300, id="dsbs-n300-uint16"),
